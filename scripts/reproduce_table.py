@@ -12,13 +12,12 @@ Example:
 """
 
 import argparse
-import csv
 import os
 import sys
 import time
 from fractions import Fraction
 
-from katzrates.sweep import c_p, d_p, run_sweep, theorem_b_audit
+from katzrates.sweep import c_p, d_p, run_sweep, theorem_b_audit, write_entries_csv
 
 DEFAULT_ROWS = [(5, 36), (7, 56), (11, 132), (13, 84), (17, 20)]
 
@@ -29,16 +28,6 @@ def parse_row(text):
         return int(p_str), int(imax_str)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected p:imax, got {text!r}")
-
-
-def write_entries(state, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "status", "value", "gamma"])
-        for e in state.entries:
-            writer.writerow(
-                [e.i, e.j, e.status, e.value if e.exact else "", e.gamma]
-            )
 
 
 def main(argv=None):
@@ -82,7 +71,9 @@ def main(argv=None):
             note = f"BELOW the conjectured rate {d_p(p)}"
         print(f"      {note}")
         if args.out_dir:
-            write_entries(state, os.path.join(args.out_dir, f"p{p}.csv"))
+            path = os.path.join(args.out_dir, f"p{p}.csv")
+            with open(path, "w", newline="") as fh:
+                write_entries_csv(state.entries, fh)
     return 0
 
 

@@ -97,14 +97,21 @@ class BasisMatrix:
     blocks: tuple[tuple[int, int, int], ...]
 
 
-def build_matrix(p: int, n: int, ring: RingSpec) -> BasisMatrix:
+def build_matrix(
+    p: int, n: int, ring: RingSpec, form_len: int | None = None
+) -> BasisMatrix:
+    """The basis matrix for (p, n) over `ring`.  The basis forms are expanded
+    to `form_len >= N` q-coefficients (default N); the columns always hold N."""
     if ring.p != p:
         raise ValueError("ring prime does not match p")
     N = dim_mk(n * (p - 1))
+    M = N if form_len is None else form_len
+    if M < N:
+        raise ValueError(f"form_len = {M} is below N = {N}")
     col_to_i = tuple(i_of_j(p, j) for j in range(N))
 
-    e4s, e6s, ds = e4(ring, N), e6(ring, N), delta(ring, N)
-    one = QSeries.one(ring, N)
+    e4s, e6s, ds = e4(ring, M), e6(ring, M), delta(ring, M)
+    one = QSeries.one(ring, M)
 
     # Delta^j incrementally; E_4 powers incrementally over the sorted set of
     # needed exponents (cheaper than pow-by-squaring per column).
@@ -127,7 +134,7 @@ def build_matrix(p: int, n: int, ring: RingSpec) -> BasisMatrix:
         e4_pows[a] = cur
 
     einv = e_p_minus_1(ring, N).inverse()
-    einv_pows = [one]
+    einv_pows = [QSeries.one(ring, N)]
     for _ in range(n):
         einv_pows.append(einv_pows[-1] * einv)
 
@@ -147,7 +154,7 @@ def build_matrix(p: int, n: int, ring: RingSpec) -> BasisMatrix:
             if ep:
                 g = g * e6s
             forms.append(BasisElement(i, j, a, ep, g))
-        col = (g * einv_pows[i]).coeffs
+        col = (g.truncate(N) * einv_pows[i]).coeffs
         if any(col[r] for r in range(j)) or col[j] != 1:
             raise AssertionError(f"column {j} is not unit-lower-triangular")
         columns.append(col)

@@ -4,7 +4,6 @@ and the full d'_p sweep with checkpointing and CSV/JSON output."""
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -15,9 +14,11 @@ from .solver import UnsolvableSystem, build_system, solve_row
 from .sweep import (
     CheckpointError,
     load_checkpoint,
+    row_entries,
     run_sweep,
     save_checkpoint,
     summary,
+    write_entries_csv,
 )
 
 EXIT_USAGE = 2
@@ -115,13 +116,7 @@ def cmd_valuations(args) -> int:
     except UnsolvableSystem as exc:
         print(f"error: linear system unsolvable: {exc}", file=sys.stderr)
         return EXIT_UNSOLVABLE
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["i", "j", "status", "value", "gamma"])
-    for j in sorted(row.entries):
-        st = row.entries[j]
-        writer.writerow(
-            [args.r, j, st.status, "" if st.value is None else st.value, st.gamma_int]
-        )
+    write_entries_csv(row_entries(row), sys.stdout)
     return 0
 
 
@@ -160,12 +155,7 @@ def cmd_sweep(args) -> int:
         save_checkpoint(state, args.checkpoint)
     if args.out:
         with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["i", "j", "status", "value", "gamma"])
-            for e in sorted(state.entries, key=lambda e: (e.i, e.j)):
-                writer.writerow(
-                    [e.i, e.j, e.status, "" if e.value is None else e.value, e.gamma]
-                )
+            write_entries_csv(state.entries, fh)
     json.dump(summary(state), sys.stdout, indent=2)
     print()
     return 0

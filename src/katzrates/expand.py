@@ -34,8 +34,9 @@ class KatzTuple:
     components: tuple[KatzComponent, ...]
 
 
-def _forward_substitute(matrix: BasisMatrix, rhs) -> list[int]:
-    """Solve Mx = B for unit-lower-triangular M, division-free, exact mod p^C."""
+def forward_substitute(matrix: BasisMatrix, rhs) -> list[int]:
+    """Katz coordinates of the q-coefficients `rhs`: solve Mx = rhs for the
+    unit-lower-triangular basis matrix M, division-free, exact mod p^C."""
     mod = matrix.ring.modulus
     cols = matrix.columns
     x = [0] * matrix.N
@@ -73,7 +74,7 @@ def psi(p: int, n: int, C: int, f: QSeries) -> KatzTuple:
             f"series truncation {f.n_trunc} does not match required N = "
             f"d_{{{n}({p}-1)}} = {matrix.N}"
         )
-    x = _forward_substitute(matrix, f.coeffs)
+    x = forward_substitute(matrix, f.coeffs)
     return KatzTuple(p=p, n=n, ring=matrix.ring, x=tuple(x), components=_group(matrix, x))
 
 

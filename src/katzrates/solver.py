@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arithmetic import CappedVal, RingSpec, padic_val
-from .basis import dim_mk, g_form
+from .basis import build_matrix, dim_mk
 from .classical import WeightSpec
-from .expand import psi
+from .expand import forward_substitute
 from .family import eis_ratio_by_s
 
 
@@ -247,43 +247,98 @@ def sturm_count(p: int, r: int) -> int:
     return -(-(r * (p - 1)) // 12)
 
 
-def katz_row_coeffs(p: int, r: int, lam: int, coords, count: int) -> list[int]:
-    """First `count` q-coefficients of the weight-r(p-1) form with the given
-    coordinates over the basis forms g_{r,j}."""
-    ring = RingSpec(p, lam)
-    mod = ring.modulus
-    if r == 0:
-        return [coords[0] % mod] + [0] * (count - 1)
-    lo, hi = dim_mk((r - 1) * (p - 1)), dim_mk(r * (p - 1))
-    if len(coords) != hi - lo:
-        raise ValueError(f"expected {hi - lo} coordinates for row {r}")
+def _block(p: int, r: int) -> tuple[int, int]:
+    """The half-open column range of the basis forms g_{r,j}."""
+    return dim_mk((r - 1) * (p - 1)), dim_mk(r * (p - 1))
+
+
+class KatzBasis:
+    """The Katz basis of weight n(p-1) and the Katz coordinates of the family
+    members E*_k / V(E*_k), k = s(p-1), built once over Z/p^E and served mod
+    p^lam for any row r <= n and lam <= E.
+
+    Reduction mod p^lam and truncation in q are ring maps, so the served values
+    equal a fresh build at (r, lam).  When a request needs lam > E, E grows to
+    max(lam, 2E) and everything is rebuilt, so a sweep whose lam creeps up
+    builds the matrix O(log lam) times.
+    """
+
+    def __init__(self, p: int, n: int):
+        self.p = p
+        self.n = n
+        self.N = dim_mk(n * (p - 1))
+        # Row r needs sturm_count(p, r) + 1 coefficients of each form, which
+        # can exceed N by up to 2.
+        self.form_len = max(self.N, sturm_count(p, n) + 1)
+        self.E = 0
+        self.matrix = None
+        self._coords: dict[int, list[int]] = {}
+
+    def _reserve(self, r: int, lam: int) -> None:
+        if not 0 <= r <= self.n:
+            raise ValueError(f"row {r} is outside 0..{self.n}")
+        if lam > self.E:
+            self.E = max(lam, 2 * self.E)
+            self.matrix = build_matrix(
+                self.p, self.n, RingSpec(self.p, self.E), self.form_len
+            )
+            self._coords = {}
+
+    def row_coords(self, s: int, r: int, lam: int) -> tuple[int, ...]:
+        """Coordinates over the g_{r,j} of E*_k / V(E*_k), k = s(p-1), mod p^lam."""
+        self._reserve(r, lam)
+        x = self._coords.get(s)
+        if x is None:
+            ratio = eis_ratio_by_s(self.p, s, self.E, self.N)
+            x = self._coords[s] = forward_substitute(self.matrix, ratio.coeffs)
+        lo, hi = _block(self.p, r)
+        mod = self.p**lam
+        return tuple(c % mod for c in x[lo:hi])
+
+    def row_forms(self, r: int, lam: int, count: int) -> tuple[tuple[int, ...], ...]:
+        """First `count` q-coefficients of each g_{r,j}, in increasing j, mod p^lam."""
+        self._reserve(r, lam)
+        if count > self.form_len:
+            raise ValueError(f"count {count} exceeds the {self.form_len} built")
+        lo, hi = _block(self.p, r)
+        mod = self.p**lam
+        return tuple(
+            tuple(c % mod for c in self.matrix.forms[j].series.coeffs[:count])
+            for j in range(lo, hi)
+        )
+
+
+def katz_row_coeffs(p: int, r: int, lam: int, coords, forms, count: int) -> list[int]:
+    """First `count` q-coefficients mod p^lam of the weight-r(p-1) form with the
+    given coordinates over the basis forms g_{r,j}, whose q-coefficients are
+    `forms` (see KatzBasis.row_forms)."""
+    lo, hi = _block(p, r)
+    if len(coords) != hi - lo or len(forms) != hi - lo:
+        raise ValueError(f"expected {hi - lo} coordinates and forms for row {r}")
     acc = [0] * count
-    for x, j in zip(coords, range(lo, hi)):
+    for x, g in zip(coords, forms):
         if x:
-            g = g_form(p, r, j, ring, count).series
             for mu in range(count):
-                acc[mu] += x * g.coeffs[mu]
+                acc[mu] += x * g[mu]
+    mod = p**lam
     return [c % mod for c in acc]
 
 
-def _row_coords_from_ratio(p: int, r: int, lam: int, s: int):
-    N = dim_mk(r * (p - 1))
-    ratio = eis_ratio_by_s(p, s, lam, N)
-    t = psi(p, r, lam, ratio)
-    lo, hi = (0, 1) if r == 0 else (dim_mk((r - 1) * (p - 1)), dim_mk(r * (p - 1)))
-    return t.x[lo:hi]
-
-
-def row_solutions(p, r, lam, weights=None, system=None, row_coords=None):
+def row_solutions(p, r, lam, weights=None, system=None, basis=None):
     """Particular solutions x_mu of V x_mu = theta_mu for mu = 0..S, where
     theta_mu collects the mu-th q-coefficient of the r-th Katz component
-    across the weights.  Returns (system, solutions)."""
+    across the weights.  `basis` (a KatzBasis for some n >= r) defaults to a
+    fresh one for n = r.  Returns (system, solutions)."""
     if system is None:
         system = build_system(p, lam, weights)
-    if row_coords is None:
-        row_coords = [_row_coords_from_ratio(p, r, lam, w.s) for w in system.weights]
+    if basis is None:
+        basis = KatzBasis(p, r)
     count = sturm_count(p, r) + 1
-    betas = [katz_row_coeffs(p, r, lam, coords, count) for coords in row_coords]
+    forms = basis.row_forms(r, lam, count)
+    betas = [
+        katz_row_coeffs(p, r, lam, basis.row_coords(w.s, r, lam), forms, count)
+        for w in system.weights
+    ]
     thetas = [[beta[mu] for beta in betas] for mu in range(count)]
     return system, [system.solve(theta) for theta in thetas]
 
@@ -313,15 +368,16 @@ def solve_row(
     j_max: int | None = None,
     weights=None,
     system=None,
-    row_coords=None,
+    basis=None,
 ) -> ValuationRow:
-    """Valuations nu(b_{r,j}) for 0 <= j <= j_max, each exact or inconclusive."""
+    """Valuations nu(b_{r,j}) for 0 <= j <= j_max, each exact or inconclusive.
+    Pass one KatzBasis as `basis` to share its builds across rows."""
     if j_max is None:
         j_max = min(r, lam - 1)
     if j_max > lam - 1:
         raise ValueError(f"j_max = {j_max} exceeds lam - 1 = {lam - 1}")
     system, solutions = row_solutions(
-        p, r, lam, weights=weights, system=system, row_coords=row_coords
+        p, r, lam, weights=weights, system=system, basis=basis
     )
     entries = collect_statuses(system, solutions, j_max)
     return ValuationRow(p=p, r=r, lam=lam, entries=entries)

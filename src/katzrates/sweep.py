@@ -4,18 +4,16 @@ bound, and maintains a checkpointable record of all (i, j, nu) results."""
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .basis import dim_mk
-from .expand import psi
-from .family import eis_ratio_by_s
-from .solver import build_system, f_bound, solve_row
+from .solver import KatzBasis, build_system, f_bound, solve_row
 
 CHECKPOINT_VERSION = 1
 
@@ -51,13 +49,6 @@ def lambda_for(p: int, target_gamma: int, j_max: int) -> int:
     return n
 
 
-def worker_count() -> int:
-    env = os.environ.get("KATZ_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 @dataclass(frozen=True)
 class SweepEntry:
     i: int
@@ -88,72 +79,24 @@ class SweepState:
     completed_rows: set[int] = field(default_factory=set)
 
 
-def _record_row(state: SweepState, i: int, row) -> None:
-    for j in sorted(row.entries):
-        st = row.entries[j]
-        state.entries.append(
-            SweepEntry(i=i, j=j, exact=st.exact, value=st.value, gamma=st.gamma_int)
-        )
-        if st.exact and i > 0:
-            val = Fraction(st.value + j, i)
+def row_entries(row) -> list[SweepEntry]:
+    """The entries of a solved ValuationRow, in increasing j."""
+    return [
+        SweepEntry(i=row.r, j=j, exact=st.exact, value=st.value, gamma=st.gamma_int)
+        for j, st in sorted(row.entries.items())
+    ]
+
+
+def _record_row(state: SweepState, row) -> None:
+    for e in row_entries(row):
+        state.entries.append(e)
+        if e.exact and e.i > 0:
+            val = Fraction(e.value + e.j, e.i)
             if val < state.d_prime:
                 state.d_prime = val
-                state.attained = {(i, j)}
+                state.attained = {(e.i, e.j)}
             elif val == state.d_prime:
-                state.attained.add((i, j))
-
-
-class WeightCoordCache:
-    """Per-weight Katz coordinates, computed once at the largest (lam, n) seen
-    and re-sliced (truncation prefix) and reduced (mod p^lam) for smaller
-    requests."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self._store: dict[int, tuple[int, int, tuple[int, ...]]] = {}
-
-    def _compute(self, s: int, lam: int, n: int) -> tuple[int, ...]:
-        N = dim_mk(n * (self.p - 1))
-        ratio = eis_ratio_by_s(self.p, s, lam, N)
-        return psi(self.p, n, lam, ratio).x
-
-    def ensure(self, s_values, lam: int, n: int) -> None:
-        todo = []
-        for s in s_values:
-            got = self._store.get(s)
-            if got is None or got[0] < lam or got[1] < n:
-                lam_new = lam if got is None else max(lam, got[0])
-                n_new = n if got is None else max(n, got[1])
-                todo.append((s, lam_new, n_new))
-        if not todo:
-            return
-        workers = min(worker_count(), len(todo))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(lambda args: self._compute(*args), todo)
-                )
-        else:
-            results = [self._compute(*args) for args in todo]
-        for (s, lam_new, n_new), x in zip(todo, results):
-            self._store[s] = (lam_new, n_new, x)
-
-    def coords(self, s: int, lam: int, n: int) -> tuple[int, ...]:
-        """Full coordinate vector for weight s at precision (lam, N=d_{n(p-1)})."""
-        got = self._store.get(s)
-        if got is None or got[0] < lam or got[1] < n:
-            self.ensure([s], lam, n)
-            got = self._store[s]
-        _, _, x = got
-        mod = self.p**lam
-        return tuple(c % mod for c in x[: dim_mk(n * (self.p - 1))])
-
-    def row_coords(self, s: int, lam: int, r: int, n: int) -> tuple[int, ...]:
-        """Coordinates of the i=r block only (the solver needs just these)."""
-        x = self.coords(s, lam, n)
-        lo = 0 if r == 0 else dim_mk((r - 1) * (self.p - 1))
-        hi = dim_mk(r * (self.p - 1))
-        return x[lo:hi]
+                state.attained.add((e.i, e.j))
 
 
 def run_sweep(
@@ -176,7 +119,7 @@ def run_sweep(
     else:
         state = SweepState(p=p, i_max=i_max)
 
-    cache = WeightCoordCache(p)
+    basis = KatzBasis(p, i_max)
     systems: dict[int, object] = {}
 
     for i in range(1, i_max + 1):
@@ -199,12 +142,7 @@ def run_sweep(
             if system is None:
                 system = build_system(p, lam)
                 systems[lam] = system
-            s_values = [w.s for w in system.weights]
-            cache.ensure(s_values, lam, i_max)
-            coords = [cache.row_coords(s, lam, i, i_max) for s in s_values]
-            row = solve_row(
-                p, i, lam, j_max=j_max, system=system, row_coords=coords
-            )
+            row = solve_row(p, i, lam, j_max=j_max, system=system, basis=basis)
             state.lam_current = lam
             stuck = [
                 j
@@ -215,7 +153,7 @@ def run_sweep(
                 break
             margin *= 2
 
-        _record_row(state, i, row)
+        _record_row(state, row)
         state.completed_rows.add(i)
         if progress:
             progress(state, i)
@@ -223,6 +161,15 @@ def run_sweep(
             save_checkpoint(state, checkpoint_path)
 
     return state
+
+
+def write_entries_csv(entries, fh) -> None:
+    """The per-entry CSV of `katzrates sweep --out` and `katzrates valuations`:
+    a header, then one line per entry in (i, j) order, LF line ends."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["i", "j", "status", "value", "gamma"])
+    for e in sorted(entries, key=lambda e: (e.i, e.j)):
+        writer.writerow([e.i, e.j, e.status, "" if e.value is None else e.value, e.gamma])
 
 
 def theorem_b_audit(state: SweepState):

@@ -186,3 +186,15 @@ def test_basis_matrix_cache_returns_same_object():
     a = basis_matrix(5, 4, 3)
     b = basis_matrix(5, 4, 3)
     assert a is b
+
+
+def test_build_matrix_longer_forms_keep_columns():
+    ring = RingSpec(17, 3)
+    m = build_matrix(17, 20, ring)
+    longer = build_matrix(17, 20, ring, form_len=m.N + 2)
+    assert longer.columns == m.columns
+    for short, long in zip(m.forms, longer.forms):
+        assert long.series.n_trunc == m.N + 2
+        assert long.series.coeffs[: m.N] == short.series.coeffs
+    with pytest.raises(ValueError):
+        build_matrix(17, 20, ring, form_len=m.N - 1)

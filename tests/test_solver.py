@@ -3,9 +3,16 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from katzrates.arithmetic import padic_val
+from katzrates import basis as basis_module
+from katzrates.arithmetic import RingSpec, padic_val
+from katzrates.basis import dim_mk, g_form
+from katzrates.expand import psi
+from katzrates.family import eis_ratio_by_s
 from katzrates.solver import (
+    KatzBasis,
     build_system,
     collect_statuses,
     f_bound,
@@ -84,7 +91,7 @@ def test_sturm_count():
 
 
 def test_katz_row_coeffs_r0():
-    assert katz_row_coeffs(5, 0, 3, (7,), 4) == [7, 0, 0, 0]
+    assert katz_row_coeffs(5, 0, 3, (7,), ((1, 0, 0, 0),), 4) == [7, 0, 0, 0]
 
 
 def test_solve_row_r0_exact_zero():
@@ -139,10 +146,15 @@ def test_sturm_sufficiency_small_cases():
         system = build_system(p, lam)
         _, sols = row_solutions(p, r, lam, system=system)
         extra = sturm_count(p, r) + 6
-        coords = [
-            _row_coords(p, r, lam, w.s) for w in system.weights
+        basis = KatzBasis(p, r)
+        coords = [basis.row_coords(w.s, r, lam) for w in system.weights]
+        # The basis only builds forms to the Sturm count; g_form goes further.
+        ring = RingSpec(p, lam)
+        forms = [
+            g_form(p, r, j, ring, extra).series.coeffs
+            for j in range(dim_mk((r - 1) * (p - 1)), dim_mk(r * (p - 1)))
         ]
-        betas = [katz_row_coeffs(p, r, lam, c, extra) for c in coords]
+        betas = [katz_row_coeffs(p, r, lam, c, forms, extra) for c in coords]
         thetas = [[b[mu] for b in betas] for mu in range(extra)]
         all_sols = [system.solve(t) for t in thetas]
         for j in range(min(r, lam - 1) + 1):
@@ -154,12 +166,6 @@ def test_sturm_sufficiency_small_cases():
             # decided entries must agree.
             if alpha_s < system.gamma[j].lower_bound:
                 assert alpha_ext == alpha_s
-
-
-def _row_coords(p, r, lam, s):
-    from katzrates.solver import _row_coords_from_ratio
-
-    return _row_coords_from_ratio(p, r, lam, s)
 
 
 def test_monotone_refinement():
@@ -183,3 +189,76 @@ def test_int_val():
 def test_solve_row_rejects_large_j_max():
     with pytest.raises(ValueError):
         solve_row(5, 3, 2, j_max=5)
+
+
+def _block(p, r):
+    return dim_mk((r - 1) * (p - 1)), dim_mk(r * (p - 1))
+
+
+@st.composite
+def basis_requests(draw):
+    """(p, n, r, E, lam, s): a KatzBasis for (p, n) first used at precision E,
+    then asked for row r at lam <= E."""
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    n = draw(st.integers(0, 12))
+    r = draw(st.integers(0, n))
+    E = draw(st.integers(1, 8))
+    lam = draw(st.integers(1, E))
+    s = draw(st.integers(1, 30).filter(lambda s: s % p))
+    return p, n, r, E, lam, s
+
+
+@settings(max_examples=60, deadline=None)
+@given(basis_requests())
+@example((17, 20, 20, 6, 4, 3))
+@example((11, 5, 5, 3, 3, 1))
+def test_katz_basis_row_coords_match_psi(req):
+    p, n, r, E, lam, s = req
+    basis = KatzBasis(p, n)
+    basis.row_coords(s, r, E)
+    assert basis.E == E
+    N = dim_mk(n * (p - 1))
+    lo, hi = _block(p, r)
+    want = psi(p, n, lam, eis_ratio_by_s(p, s, lam, N)).x[lo:hi]
+    assert basis.row_coords(s, r, lam) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(basis_requests(), st.integers(1, 40))
+@example((17, 20, 20, 6, 4, 3), 40)  # N = 27 but the Sturm count needs 28
+@example((11, 5, 5, 3, 3, 1), 40)  # N = 4 but the Sturm count needs 6
+def test_katz_basis_row_forms_match_g_form(req, count):
+    p, n, r, E, lam, _ = req
+    basis = KatzBasis(p, n)
+    basis.row_forms(r, E, 1)
+    count = min(count, basis.form_len)
+    ring = RingSpec(p, lam)
+    want = tuple(g_form(p, r, j, ring, count).series.coeffs for j in range(*_block(p, r)))
+    assert basis.row_forms(r, lam, count) == want
+
+
+def test_katz_basis_form_len_covers_sturm_count():
+    basis = KatzBasis(17, 20)
+    assert (basis.N, basis.form_len) == (27, 28)
+    assert KatzBasis(11, 5).form_len == dim_mk(50) + 2
+    with pytest.raises(ValueError):
+        basis.row_forms(20, 2, 29)
+    with pytest.raises(ValueError):
+        basis.row_coords(1, 21, 2)
+
+
+def test_katz_basis_precision_grows_geometrically(monkeypatch):
+    builds = []
+    real = basis_module.build_matrix
+
+    def counting(p, n, ring, form_len=None):
+        builds.append(ring.e)
+        return real(p, n, ring, form_len)
+
+    monkeypatch.setattr("katzrates.solver.build_matrix", counting)
+    basis = KatzBasis(5, 6)
+    for lam in (3, 2, 4, 6, 5, 13, 12):
+        basis.row_coords(1, 6, lam)
+    # A request above E rebuilds at max(lam, 2E); every other request reduces.
+    assert builds == [3, 6, 13]
+    assert basis.E == 13

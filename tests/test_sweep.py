@@ -1,10 +1,14 @@
 """Tests for the sweep driver, its constants, and checkpoint persistence."""
 
+import importlib.util
+import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from katzrates import basis as basis_module
 from katzrates.basis import dim_mk
 from katzrates.solver import f_bound
 from katzrates.sweep import (
@@ -19,7 +23,11 @@ from katzrates.sweep import (
     state_to_json,
     summary,
     theorem_b_audit,
+    write_entries_csv,
 )
+
+DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).parent.parent
 
 
 def test_c_p_values():
@@ -146,3 +154,44 @@ def test_run_sweep_rejects_mismatched_resume():
 def test_empty_basis_rows_match_dimension_jump():
     # For p=11, the i=7 block is empty: the dimension does not grow there.
     assert dim_mk(7 * 10) == dim_mk(6 * 10)
+
+
+def _entries_csv(state) -> str:
+    buf = io.StringIO()
+    write_entries_csv(state.entries, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("p, i_max", [(5, 36), (7, 56), (17, 20)])
+def test_sweep_reproduces_golden_csv(p, i_max):
+    # Frozen per-entry output of the table rows; 17/20 needs one more
+    # q-coefficient per basis form than the matrix has rows.
+    golden = (DATA / f"p{p}_i{i_max}.csv").read_bytes().decode()
+    assert _entries_csv(run_sweep(p, i_max)) == golden
+
+
+def test_reproduce_table_writes_the_sweep_csv(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "reproduce_table", ROOT / "scripts" / "reproduce_table.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--rows", "17:20", "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "p17.csv").read_bytes() == (DATA / "p17_i20.csv").read_bytes()
+
+
+def test_sweep_builds_basis_once_per_precision_doubling(monkeypatch):
+    # p=5 to i=36 needs lam = 10, 12, 15: the basis is built at E = 10, then
+    # at 20, and never through the shared basis_matrix cache.
+    builds = []
+    real = basis_module.build_matrix
+
+    def counting(p, n, ring, form_len=None):
+        builds.append(ring.e)
+        return real(p, n, ring, form_len)
+
+    monkeypatch.setattr("katzrates.solver.build_matrix", counting)
+    cached = set(basis_module._CACHE)
+    run_sweep(5, 36)
+    assert builds == [10, 20]
+    assert set(basis_module._CACHE) == cached
