@@ -142,6 +142,36 @@ def residue_val(x: Residue) -> CappedVal:
     return x.val()
 
 
+def slot_bytes(mod: int, terms: int) -> int:
+    """Byte width of a Kronecker slot that holds a sum of `terms` products of
+    residues in [0, mod) without carrying into the next slot."""
+    return (2 * (mod - 1).bit_length() + terms.bit_length() + 7) // 8
+
+
+def pack(values, width: int) -> int:
+    """The integer sum_i values[i] * 256^(width*i); values lie in [0, 256^width)."""
+    data = b"".join([v.to_bytes(width, "little") for v in values])
+    return int.from_bytes(data, "little")
+
+
+def unpack(x: int, width: int, count: int, mod: int) -> list[int]:
+    """The low `count` slots of a packed nonnegative integer, each reduced
+    mod `mod`."""
+    buf = x.to_bytes((x.bit_length() + 7) // 8, "little")
+    return [
+        int.from_bytes(buf[i : i + width], "little") % mod
+        for i in range(0, width * count, width)
+    ]
+
+
+def _canonical(coeffs, mod: int):
+    """`coeffs`, after checking they lie in [0, mod): a packed slot has no room
+    for anything else, and an out-of-range value would overflow silently."""
+    if min(coeffs) < 0 or max(coeffs) >= mod:
+        raise ValueError(f"coefficients must lie in [0, {mod}) for a packed product")
+    return coeffs
+
+
 @dataclass(frozen=True)
 class QSeries:
     """A q-expansion over Z/p^e truncated at q^N (coefficients of q^0..q^{N-1}).
@@ -206,19 +236,33 @@ class QSeries:
         )
 
     def __mul__(self, other):
+        """Product mod (q^N, p^e) by Kronecker substitution: each operand is
+        packed into one integer, one big-integer product is taken, and the low
+        N slots are unpacked.  Both operands must be canonical.  Leading zero
+        coefficients (a factor q^s) are shifted out first, so the product only
+        spans the N - s_a - s_b slots that survive truncation."""
         self._check(other)
-        mod = self.ring.modulus
-        n = len(self.coeffs)
         a, b = self.coeffs, other.coeffs
-        out = [0] * n
-        for i in range(n):
-            ai = a[i]
-            if ai:
-                for k in range(n - i):
-                    bk = b[k]
-                    if bk:
-                        out[i + k] += ai * bk
-        return QSeries(self.ring, tuple(c % mod for c in out))
+        n = len(a)
+        mod = self.ring.modulus
+        if n == 0:
+            return self
+        width = slot_bytes(mod, n)
+        bits = 8 * width
+        square = b == a
+        x = pack(_canonical(a, mod), width)
+        y = x if square else pack(_canonical(b, mod), width)
+        if not x or not y:
+            return QSeries(self.ring, (0,) * n)
+        sx = ((x & -x).bit_length() - 1) // bits
+        sy = ((y & -y).bit_length() - 1) // bits
+        m = n - sx - sy
+        if m <= 0:
+            return QSeries(self.ring, (0,) * n)
+        mask = (1 << bits * m) - 1
+        x = (x >> bits * sx) & mask
+        prod = x * x if square else x * ((y >> bits * sy) & mask)
+        return QSeries(self.ring, (0,) * (n - m) + tuple(unpack(prod, width, m, mod)))
 
     def scaled(self, c: int) -> "QSeries":
         mod = self.ring.modulus

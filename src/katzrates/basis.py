@@ -4,7 +4,6 @@ matrix of the modular functions g_j / E_{p-1}^{i_j}."""
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .arithmetic import QSeries, RingSpec
@@ -179,7 +178,6 @@ def build_matrix(
 
 
 _CACHE: dict[tuple[int, int, int], BasisMatrix] = {}
-_CACHE_LOCK = threading.Lock()
 
 
 def basis_matrix(p: int, n: int, e: int) -> BasisMatrix:
@@ -187,9 +185,5 @@ def basis_matrix(p: int, n: int, e: int) -> BasisMatrix:
     key = (p, n, e)
     got = _CACHE.get(key)
     if got is None:
-        with _CACHE_LOCK:
-            got = _CACHE.get(key)
-            if got is None:
-                got = build_matrix(p, n, RingSpec(p, e))
-                _CACHE[key] = got
+        got = _CACHE[key] = build_matrix(p, n, RingSpec(p, e))
     return got

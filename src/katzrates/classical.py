@@ -3,8 +3,6 @@ Eisenstein series E*_k for weights divisible by p-1."""
 
 from __future__ import annotations
 
-import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -42,26 +40,40 @@ def _sigma_mod(m: int, n: int, mod: int) -> int:
     return sum(pow(d, m, mod) for d in divisors(n)) % mod
 
 
-# Bernoulli numbers by the classical recurrence
-#   B_m = -1/(m+1) * sum_{j<m} C(m+1, j) B_j,
-# memoized as exact rationals (convention B_1 = -1/2, B_2 = 1/6).
-_BERN: list[Fraction] = [Fraction(1)]
-_BERN_LOCK = threading.Lock()
+# Tangent numbers T_1, T_2, ... (tan x = sum T_k x^(2k-1)/(2k-1)!), the
+# integers behind the Bernoulli numbers; regrown to max(n, 2 * old) on demand.
+_TANGENT: list[int] = []
+
+
+def _tangent_numbers(n: int) -> list[int]:
+    """T_1..T_n by the integer recurrence of Brent and Harvey, "Fast
+    computation of Bernoulli, tangent and secant numbers" (2011), Alg. 1."""
+    T = [0] * (n + 1)
+    T[1] = 1 if n else 0
+    for k in range(2, n + 1):
+        T[k] = (k - 1) * T[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    return T[1:]
 
 
 def bernoulli(k: int) -> Fraction:
-    """The Bernoulli number B_k as an exact rational."""
+    """The Bernoulli number B_k as an exact rational (convention B_1 = -1/2):
+    B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1))."""
+    global _TANGENT
     if k < 0:
         raise ValueError("k must be nonnegative")
-    with _BERN_LOCK:
-        while len(_BERN) <= k:
-            m = len(_BERN)
-            acc = Fraction(0)
-            for j in range(m):
-                if _BERN[j]:
-                    acc += math.comb(m + 1, j) * _BERN[j]
-            _BERN.append(-acc / (m + 1))
-        return _BERN[k]
+    if k < 2:
+        return Fraction(1) if k == 0 else Fraction(-1, 2)
+    if k % 2:
+        return Fraction(0)
+    m = k // 2
+    if len(_TANGENT) < m:
+        _TANGENT = _tangent_numbers(max(m, 2 * len(_TANGENT)))
+    four_m = 4**m
+    sign = 1 if m % 2 else -1
+    return Fraction(sign * k * _TANGENT[m - 1], four_m * (four_m - 1))
 
 
 def fraction_mod(x: Fraction, ring: RingSpec) -> int:

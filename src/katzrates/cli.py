@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .arithmetic import QSeries, RingSpec, _is_prime
@@ -54,7 +55,7 @@ def _check_prime(p: int) -> None:
 
 def cmd_katz_expand(args) -> int:
     try:
-        _check_prime(args.p)
+        ring = RingSpec(args.p, args.prec)
         coeffs = _read_coefficients(args.input)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -67,7 +68,6 @@ def cmd_katz_expand(args) -> int:
             file=sys.stderr,
         )
         return EXIT_MISMATCH
-    ring = RingSpec(args.p, args.prec)
     f = QSeries.from_coeffs(ring, coeffs, N)
     try:
         t = psi(args.p, args.n, args.prec, f)
@@ -97,6 +97,8 @@ def cmd_katz_expand(args) -> int:
 def cmd_valuations(args) -> int:
     try:
         _check_prime(args.p)
+        if args.r < 0:
+            raise ValueError(f"--r must be >= 0, got {args.r}")
         if args.weights:
             s_values = [int(s) for s in args.weights.split(",")]
             lam = len(s_values)
@@ -112,6 +114,10 @@ def cmd_valuations(args) -> int:
         return EXIT_USAGE
     try:
         system = build_system(args.p, lam, weights)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         row = solve_row(args.p, args.r, lam, system=system)
     except UnsolvableSystem as exc:
         print(f"error: linear system unsolvable: {exc}", file=sys.stderr)
@@ -125,6 +131,9 @@ def cmd_sweep(args) -> int:
         _check_prime(args.p)
         if args.imax < 1:
             raise ValueError("--imax must be >= 1")
+        for path in (args.checkpoint, args.out):
+            if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+                raise ValueError(f"directory of {path} does not exist")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

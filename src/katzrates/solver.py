@@ -9,9 +9,11 @@ recovered valuations are conclusive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import mul
 
-from .arithmetic import CappedVal, RingSpec, padic_val
+from .arithmetic import CappedVal, RingSpec, pack, padic_val, slot_bytes, unpack
 from .basis import build_matrix, dim_mk
 from .classical import WeightSpec
 from .expand import forward_substitute
@@ -74,57 +76,83 @@ def _smith_diagonalize(V, p: int, lam: int):
     """Diagonalize A.V.B = diag(p^t_0, ..., p^t_{n-1}) over Z/p^lam.
 
     A and B are invertible (products of swaps, unit scalings and transvections).
-    Pivots are chosen with minimal valuation, so t_0 <= t_1 <= ...; t_k = lam
+    The pivot at step k is the first entry of the remaining submatrix, in
+    row-major order, of minimal valuation, so t_0 <= t_1 <= ...; t_k = lam
     encodes a zero diagonal entry.
     """
     mod = p**lam
     n = len(V)
     M = [[x % mod for x in row] for row in V]
     A = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    B = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    BT = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # B transposed
     ts = [lam] * n
     for k in range(n):
-        best = None
+        # The minimal valuation t of the submatrix is that of the gcd of its
+        # entries with p^lam; a row holding a unit ends the search.
+        pt = mod
         for i in range(k, n):
-            for j in range(k, n):
-                if M[i][j]:
-                    v = int_val(p, M[i][j])
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
-                        if v == 0:
-                            break
-            if best is not None and best[0] == 0:
+            pt = math.gcd(pt, *M[i][k:])
+            if pt == 1:
                 break
-        if best is None:
+        if pt == mod:
             break
-        t, pi, pj = best
+        t = _log_p(pt, p)
+        pt1 = pt * p
+        pi, pj = next(
+            (i, j) for i in range(k, n) for j in range(k, n) if M[i][j] % pt1
+        )
         if pi != k:
             M[k], M[pi] = M[pi], M[k]
             A[k], A[pi] = A[pi], A[k]
         if pj != k:
             for row in M:
                 row[k], row[pj] = row[pj], row[k]
-            for row in B:
-                row[k], row[pj] = row[pj], row[k]
-        pt = p**t
-        u = M[k][k] // pt
-        uinv = pow(u, -1, mod)
-        M[k] = [x * uinv % mod for x in M[k]]
+            BT[k], BT[pj] = BT[pj], BT[k]
+        # Rows k.. of M are zero left of column k, so only columns k.. change.
+        Mk = M[k]
+        uinv = pow(Mk[k] // pt, -1, mod)
+        Mk[k:] = tail = [x * uinv % mod for x in Mk[k:]]
         A[k] = [x * uinv % mod for x in A[k]]
         for i in range(k + 1, n):
             if M[i][k]:
                 c = M[i][k] // pt
-                M[i] = [(a - c * b) % mod for a, b in zip(M[i], M[k])]
+                M[i][k:] = [(a - c * b) % mod for a, b in zip(M[i][k:], tail)]
                 A[i] = [(a - c * b) % mod for a, b in zip(A[i], A[k])]
+        # Column k is now zero off the pivot, so clearing row k to the right
+        # changes no other row of M: each M[k][j] is a multiple of pt.
         for j in range(k + 1, n):
-            if M[k][j]:
-                c = M[k][j] // pt
-                for row in M:
-                    row[j] = (row[j] - c * row[k]) % mod
-                for row in B:
-                    row[j] = (row[j] - c * row[k]) % mod
+            if Mk[j]:
+                c = Mk[j] // pt
+                Mk[j] = 0
+                BT[j] = [(a - c * b) % mod for a, b in zip(BT[j], BT[k])]
         ts[k] = t
-    return A, ts, B
+    return A, ts, [list(col) for col in zip(*BT)]
+
+
+def _log_p(pt: int, p: int) -> int:
+    """t for pt = p^t."""
+    t = 0
+    while pt > 1:
+        pt //= p
+        t += 1
+    return t
+
+
+def _min_val(values, p: int, lam: int) -> CappedVal:
+    """min over `values` of their valuations mod p^lam: the valuation of
+    their gcd with p^lam."""
+    t = _log_p(math.gcd(p**lam, *values), p)
+    return CappedVal.at_least_e(lam) if t == lam else CappedVal.finite(t, lam)
+
+
+def _matmul(M, R, mod: int) -> list[list[int]]:
+    """M.R mod `mod` for matrices given as lists of rows with entries in
+    [0, mod): each row of R is packed into one integer, so every row of the
+    product is one big-integer dot product, unpacked and reduced."""
+    count = len(R[0])
+    width = slot_bytes(mod, len(R))
+    packed = [pack(row, width) for row in R]
+    return [unpack(sum(map(mul, row, packed)), width, count, mod) for row in M]
 
 
 @dataclass(frozen=True)
@@ -153,21 +181,27 @@ class VandermondeSystem:
 
     def solve(self, theta) -> tuple[int, ...]:
         """One particular solution of Vx = theta mod p^lam."""
+        return self.solve_many([theta])[0]
+
+    def solve_many(self, thetas) -> list[tuple[int, ...]]:
+        """A particular solution of Vx = theta mod p^lam for each theta, from
+        x = B.Y with Y = diag(p^-t_k).A.Theta, the columns of Theta being the
+        thetas."""
+        if not thetas:
+            return []
         mod = self.modulus
-        n = self.lam
-        c = [sum(a * t for a, t in zip(row, theta)) % mod for row in self._A]
-        y = [0] * n
-        for k in range(n):
+        C = _matmul(self._A, [[t % mod for t in col] for col in zip(*thetas)], mod)
+        Y = []
+        for k, ck in enumerate(C):
             pt = self.p ** self._ts[k]
-            if c[k] % pt:
-                raise UnsolvableSystem(
-                    f"component {k} needs valuation >= {self._ts[k]}, "
-                    f"got residue {c[k]}"
-                )
-            y[k] = c[k] // pt
-        return tuple(
-            sum(self._B[i][k] * y[k] for k in range(n)) % mod for i in range(n)
-        )
+            for c in ck:
+                if c % pt:
+                    raise UnsolvableSystem(
+                        f"component {k} needs valuation >= {self._ts[k]}, "
+                        f"got residue {c}"
+                    )
+            Y.append([c // pt for c in ck])
+        return [tuple(x) for x in zip(*_matmul(self._B, Y, mod))]
 
 
 def build_system(p: int, lam: int, weights=None) -> VandermondeSystem:
@@ -195,24 +229,14 @@ def build_system(p: int, lam: int, weights=None) -> VandermondeSystem:
         weights=tuple(weights),
         V=tuple(tuple(row) for row in V),
         kernel_gens=tuple(gens),
-        gamma=tuple(
-            _component_gamma(gens, j, p, lam) for j in range(lam)
-        ),
+        gamma=tuple(_min_val([g[j] for g in gens], p, lam) for j in range(lam)),
         _A=tuple(tuple(row) for row in A),
         _ts=tuple(ts),
         _B=tuple(tuple(row) for row in B),
     )
-    for g in system.kernel_gens:
-        if any(system.apply(g)):
-            raise AssertionError("kernel generator does not annihilate V")
+    if gens and any(map(any, _matmul(V, list(zip(*gens)), mod))):
+        raise AssertionError("kernel generator does not annihilate V")
     return system
-
-
-def _component_gamma(gens, j: int, p: int, lam: int) -> CappedVal:
-    best = CappedVal.at_least_e(lam)
-    for g in gens:
-        best = best.min_with(padic_val(g[j], p, lam))
-    return best
 
 
 @dataclass(frozen=True)
@@ -339,8 +363,7 @@ def row_solutions(p, r, lam, weights=None, system=None, basis=None):
         katz_row_coeffs(p, r, lam, basis.row_coords(w.s, r, lam), forms, count)
         for w in system.weights
     ]
-    thetas = [[beta[mu] for beta in betas] for mu in range(count)]
-    return system, [system.solve(theta) for theta in thetas]
+    return system, system.solve_many(list(zip(*betas)))
 
 
 def collect_statuses(system: VandermondeSystem, solutions, j_max: int):
@@ -350,9 +373,7 @@ def collect_statuses(system: VandermondeSystem, solutions, j_max: int):
     p, lam = system.p, system.lam
     out = {}
     for j in range(j_max + 1):
-        alpha = CappedVal.at_least_e(lam)
-        for sol in solutions:
-            alpha = alpha.min_with(padic_val(sol[j], p, lam))
+        alpha = _min_val([sol[j] for sol in solutions], p, lam)
         gamma = system.gamma[j]
         if alpha.less_than(gamma):
             out[j] = ValStatus(exact=True, value=alpha.v, gamma=gamma)

@@ -1,0 +1,118 @@
+"""Slow reference implementations of the package's fast kernels.
+
+Each function is the plain loop the kernel replaced; tests/test_kernels.py
+checks the kernels against them.
+"""
+
+import math
+from fractions import Fraction
+
+from katzrates.arithmetic import CappedVal, QSeries, padic_val
+from katzrates.solver import UnsolvableSystem, int_val
+
+
+def schoolbook_mul(f: QSeries, g: QSeries) -> QSeries:
+    """f * g mod (q^N, p^e) by the quadratic convolution."""
+    mod = f.ring.modulus
+    n = len(f.coeffs)
+    a, b = f.coeffs, g.coeffs
+    out = [0] * n
+    for i in range(n):
+        ai = a[i]
+        if ai:
+            for k in range(n - i):
+                bk = b[k]
+                if bk:
+                    out[i + k] += ai * bk
+    return QSeries(f.ring, tuple(c % mod for c in out))
+
+
+def solve_one(system, theta) -> tuple[int, ...]:
+    """One particular solution of Vx = theta mod p^lam, one mat-vec at a time."""
+    mod = system.modulus
+    n = system.lam
+    c = [sum(a * t for a, t in zip(row, theta)) % mod for row in system._A]
+    y = [0] * n
+    for k in range(n):
+        pt = system.p ** system._ts[k]
+        if c[k] % pt:
+            raise UnsolvableSystem(
+                f"component {k} needs valuation >= {system._ts[k]}, got residue {c[k]}"
+            )
+        y[k] = c[k] // pt
+    return tuple(
+        sum(system._B[i][k] * y[k] for k in range(n)) % mod for i in range(n)
+    )
+
+
+def smith_diagonalize(V, p: int, lam: int):
+    """A.V.B = diag(p^t_k) over Z/p^lam, scanning every entry's valuation for
+    the pivot and applying each column operation to all rows."""
+    mod = p**lam
+    n = len(V)
+    M = [[x % mod for x in row] for row in V]
+    A = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    B = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    ts = [lam] * n
+    for k in range(n):
+        best = None
+        for i in range(k, n):
+            for j in range(k, n):
+                if M[i][j]:
+                    v = int_val(p, M[i][j])
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
+                        if v == 0:
+                            break
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            break
+        t, pi, pj = best
+        if pi != k:
+            M[k], M[pi] = M[pi], M[k]
+            A[k], A[pi] = A[pi], A[k]
+        if pj != k:
+            for row in M:
+                row[k], row[pj] = row[pj], row[k]
+            for row in B:
+                row[k], row[pj] = row[pj], row[k]
+        pt = p**t
+        u = M[k][k] // pt
+        uinv = pow(u, -1, mod)
+        M[k] = [x * uinv % mod for x in M[k]]
+        A[k] = [x * uinv % mod for x in A[k]]
+        for i in range(k + 1, n):
+            if M[i][k]:
+                c = M[i][k] // pt
+                M[i] = [(a - c * b) % mod for a, b in zip(M[i], M[k])]
+                A[i] = [(a - c * b) % mod for a, b in zip(A[i], A[k])]
+        for j in range(k + 1, n):
+            if M[k][j]:
+                c = M[k][j] // pt
+                for row in M:
+                    row[j] = (row[j] - c * row[k]) % mod
+                for row in B:
+                    row[j] = (row[j] - c * row[k]) % mod
+        ts[k] = t
+    return A, ts, B
+
+
+def min_val(values, p: int, lam: int) -> CappedVal:
+    """Minimum of the capped valuations mod p^lam, one padic_val at a time."""
+    best = CappedVal.at_least_e(lam)
+    for x in values:
+        best = best.min_with(padic_val(x, p, lam))
+    return best
+
+
+def bernoulli_table(k_max: int) -> list[Fraction]:
+    """B_0..B_{k_max} by B_m = -1/(m+1) sum_{j<m} C(m+1, j) B_j."""
+    bern = [Fraction(1)]
+    for m in range(1, k_max + 1):
+        acc = Fraction(0)
+        for j in range(m):
+            if bern[j]:
+                acc += math.comb(m + 1, j) * bern[j]
+        bern.append(-acc / (m + 1))
+    return bern

@@ -182,3 +182,37 @@ def test_sweep_cli_deterministic(tmp_path, capsys):
         assert code == 0
         outs.append((out, out_csv.read_text()))
     assert outs[0] == outs[1]
+
+
+def test_katz_expand_zero_precision_exits_2(tmp_path, capsys):
+    N = required_truncation(5, 3)
+    inp = tmp_path / "f.txt"
+    inp.write_text("\n".join(["1"] + ["0"] * (N - 1)) + "\n")
+    code, _, err = run_cli(
+        capsys, "katz-expand", "--p", "5", "--n", "3", "--prec", "0", "--input", str(inp)
+    )
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_valuations_negative_row_exits_2(capsys):
+    code, _, err = run_cli(capsys, "valuations", "--p", "5", "--r", "-1", "--lambda", "3")
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_valuations_duplicate_weights_exits_2(capsys):
+    code, _, err = run_cli(
+        capsys, "valuations", "--p", "5", "--r", "2", "--weights", "1,1,2"
+    )
+    assert code == 2
+    assert "duplicate weight" in err
+
+
+@pytest.mark.parametrize("flag, name", [("--checkpoint", "ck.json"), ("--out", "o.csv")])
+def test_sweep_missing_output_directory_exits_2(tmp_path, capsys, flag, name):
+    path = tmp_path / "missing" / name
+    code, out, err = run_cli(capsys, "sweep", "--p", "5", "--imax", "3", flag, str(path))
+    assert code == 2
+    assert err.startswith("error:") and out == ""
+    assert not (tmp_path / "missing").exists()

@@ -1,0 +1,225 @@
+"""The fast kernels against the slow reference oracles in tests/oracles.py:
+the Kronecker series product, the packed row solve, the gcd-driven Smith form
+and valuation minima, and the tangent-number Bernoulli numbers."""
+
+import random
+
+import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
+import oracles
+from katzrates import classical
+from katzrates.arithmetic import QSeries, RingSpec
+from katzrates.classical import WeightSpec, bernoulli
+from katzrates.solver import (
+    UnsolvableSystem,
+    _min_val,
+    _smith_diagonalize,
+    build_system,
+)
+
+
+def _series(ring, coeffs):
+    return QSeries(ring, tuple(coeffs))
+
+
+@st.composite
+def series_pairs(draw, max_n=60):
+    """Two canonical series over one ring, with runs of leading zeros and
+    coefficients at the edges 0 and p^e - 1 drawn often."""
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    e = draw(st.integers(1, 40))
+    n = draw(st.integers(1, max_n))
+    ring = RingSpec(p, e)
+    mod = ring.modulus
+    coeff = st.one_of(st.just(0), st.just(mod - 1), st.integers(0, mod - 1))
+
+    def one():
+        lead = draw(st.integers(0, n))
+        return [0] * lead + draw(st.lists(coeff, min_size=n - lead, max_size=n - lead))
+
+    return ring, one(), one()
+
+
+@given(series_pairs())
+@settings(max_examples=150, deadline=None)
+def test_kronecker_product_matches_schoolbook(case):
+    ring, a, b = case
+    f, g = _series(ring, a), _series(ring, b)
+    assert f * g == oracles.schoolbook_mul(f, g)
+    assert f * f == oracles.schoolbook_mul(f, f)
+
+
+@pytest.mark.parametrize(
+    "p, e, n, fill",
+    [
+        (5, 3, 1, "random"),  # N = 1
+        (7, 5, 20, "zero"),  # all-zero series
+        (11, 6, 111, "top"),  # every coefficient p^e - 1
+        (13, 30, 169, "top"),  # N = 169 at the largest slot width used here
+        (5, 1, 30, "random"),  # e = 1
+        (13, 8, 169, "random"),  # N = 169
+    ],
+)
+def test_kronecker_product_edge_cases(p, e, n, fill):
+    rng = random.Random(f"{p}-{e}-{n}-{fill}")
+    ring = RingSpec(p, e)
+    mod = ring.modulus
+    make = {
+        "zero": lambda: [0] * n,
+        "top": lambda: [mod - 1] * n,
+        "random": lambda: [rng.randrange(mod) for _ in range(n)],
+    }[fill]
+    f, g = _series(ring, make()), _series(ring, make())
+    assert f * g == oracles.schoolbook_mul(f, g)
+    assert f * f == oracles.schoolbook_mul(f, f)  # x * x reuses the packed int
+    assert f * _series(ring, [0] * n) == _series(ring, [0] * n)
+
+
+@pytest.mark.parametrize("bad", [-1, 125, 10**9])
+def test_kronecker_product_rejects_noncanonical_coefficients(bad):
+    ring = RingSpec(5, 3)
+    good = _series(ring, [1, 2, 3])
+    out_of_range = _series(ring, [1, bad, 3])
+    with pytest.raises(ValueError, match="must lie in"):
+        good * out_of_range
+    with pytest.raises(ValueError, match="must lie in"):
+        out_of_range * good
+    with pytest.raises(ValueError, match="must lie in"):
+        out_of_range * out_of_range
+
+
+@st.composite
+def systems(draw, max_lam=12):
+    p = draw(st.sampled_from([5, 7, 11]))
+    lam = draw(st.integers(1, max_lam))
+    s_values = draw(
+        st.lists(
+            st.integers(1, 200).filter(lambda s: s % p),
+            min_size=lam,
+            max_size=lam,
+            unique=True,
+        )
+    )
+    ring = RingSpec(p, lam)
+    weights = [WeightSpec(ring, s) for s in s_values]
+    if len({w.w for w in weights}) != lam:
+        reject()
+    return build_system(p, lam, weights)
+
+
+@given(systems(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_solve_many_matches_per_theta_solve(system, data):
+    mod = system.modulus
+    lam = system.lam
+    vector = st.lists(st.integers(0, mod - 1), min_size=lam, max_size=lam)
+    thetas = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        theta = data.draw(vector)
+        if data.draw(st.booleans()):
+            theta = system.apply(theta)  # solvable: the image of a vector
+        thetas.append(theta)
+    try:
+        expected = [oracles.solve_one(system, theta) for theta in thetas]
+    except UnsolvableSystem:
+        with pytest.raises(UnsolvableSystem):
+            system.solve_many(thetas)
+        return
+    # Inputs are reduced mod p^lam first, so shifted representatives agree.
+    shift = data.draw(st.integers(-3, 3))
+    shifted = [[t + shift * mod for t in theta] for theta in thetas]
+    assert system.solve_many(shifted) == expected
+    assert [system.solve(theta) for theta in shifted] == expected
+    for theta, x in zip(thetas, expected):
+        assert system.apply(x) == list(theta)
+
+
+def test_solve_reduces_inputs_mod_p_lambda():
+    system = build_system(5, 4)
+    theta = system.apply([1, 2, 3, 4])
+    mod = system.modulus
+    assert system.solve([t - mod for t in theta]) == system.solve(theta)
+    assert system.solve([t + 7 * mod for t in theta]) == system.solve(theta)
+    assert system.solve_many([]) == []
+
+
+def _check_smith(V, p, lam):
+    mod = p**lam
+    n = len(V)
+    A, ts, B = _smith_diagonalize(V, p, lam)
+    assert (A, ts, B) == oracles.smith_diagonalize(V, p, lam)
+
+    def product(X, Y):
+        cols = list(zip(*Y))
+        return [[sum(map(lambda x, y: x * y, r, c)) % mod for c in cols] for r in X]
+
+    diag = [[(p ** ts[i] % mod if i == j else 0) for j in range(n)] for i in range(n)]
+    assert product(product(A, V), B) == diag
+
+
+@given(systems())
+@settings(max_examples=40, deadline=None)
+def test_smith_form_matches_oracle_on_vandermonde(system):
+    _check_smith([list(row) for row in system.V], system.p, system.lam)
+
+
+@st.composite
+def valued_matrices(draw):
+    """Square matrices whose entries p^v * u have valuations drawn from 0..lam,
+    so zero rows, zero columns and ties in the pivot search all occur."""
+    p = draw(st.sampled_from([5, 7]))
+    lam = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 7))
+    mod = p**lam
+    entry = st.builds(
+        lambda v, u: p**v * u % mod, st.integers(0, lam), st.integers(1, mod - 1)
+    )
+    row = st.lists(entry, min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=n, max_size=n)), p, lam
+
+
+@given(valued_matrices())
+@settings(max_examples=150, deadline=None)
+def test_smith_form_matches_oracle_on_random_matrices(case):
+    V, p, lam = case
+    _check_smith(V, p, lam)
+
+
+@given(
+    st.sampled_from([5, 7, 11]),
+    st.integers(1, 20),
+    st.lists(st.integers(-(10**30), 10**30), max_size=8),
+    st.lists(st.integers(0, 20), max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_gcd_valuation_matches_padic_val_loop(p, lam, values, powers):
+    # Pure powers of p, including multiples of p^lam, exercise the cap.
+    values = values + [p**k for k in powers]
+    assert _min_val(values, p, lam) == oracles.min_val(values, p, lam)
+
+
+@given(systems())
+@settings(max_examples=30, deadline=None)
+def test_gamma_matches_padic_val_loop(system):
+    for j in range(system.lam):
+        gamma = oracles.min_val([g[j] for g in system.kernel_gens], system.p, system.lam)
+        assert system.gamma[j] == gamma
+
+
+def test_bernoulli_matches_recurrence():
+    table = oracles.bernoulli_table(300)
+    assert [bernoulli(k) for k in range(301)] == table
+
+
+def test_bernoulli_table_regrows_geometrically(monkeypatch):
+    monkeypatch.setattr(classical, "_TANGENT", [])
+    bernoulli(20)
+    assert len(classical._TANGENT) == 10
+    bernoulli(22)  # needs T_11: regrow to 2 * 10
+    assert len(classical._TANGENT) == 20
+    bernoulli(100)  # needs T_50 > 2 * 20
+    assert len(classical._TANGENT) == 50
+    bernoulli(7)  # odd and small values need no table
+    assert len(classical._TANGENT) == 50
