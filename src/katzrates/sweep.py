@@ -120,7 +120,8 @@ def run_sweep(
         state = SweepState(p=p, i_max=i_max)
 
     basis = KatzBasis(p, i_max)
-    systems: dict[int, object] = {}
+    # lam never decreases, so only the newest system can be used again.
+    system = None
 
     for i in range(1, i_max + 1):
         if i in state.completed_rows:
@@ -138,10 +139,8 @@ def run_sweep(
             target_j = math.ceil(state.d_prime * i)
             j_max = min(i, target_j)
             lam = max(lambda_for(p, target_j + margin, j_max), state.lam_current)
-            system = systems.get(lam)
-            if system is None:
+            if system is None or system.lam != lam:
                 system = build_system(p, lam)
-                systems[lam] = system
             row = solve_row(p, i, lam, j_max=j_max, system=system, basis=basis)
             state.lam_current = lam
             stuck = [
@@ -232,35 +231,70 @@ def state_to_json(state: SweepState) -> dict:
     }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _entry_from_json(e: dict, completed_rows: set[int]) -> SweepEntry:
+    """One checkpoint entry, after checking that a sweep could have made it."""
+    i, j, gamma = e["i"], e["j"], e["gamma"]
+    status, value = e["status"], e["value"]
+    if not (_is_int(i) and _is_int(j) and _is_int(gamma)):
+        raise CheckpointError(f"entry {e}: i, j and gamma must be integers")
+    if i < 1 or j < 0:
+        raise CheckpointError(f"entry {e}: needs i >= 1 and j >= 0")
+    if i not in completed_rows:
+        raise CheckpointError(f"entry {e}: row {i} is not in completed_rows")
+    if status == "exact":
+        if not (_is_int(value) and 0 <= value < gamma):
+            raise CheckpointError(f"entry {e}: an exact value must lie in [0, gamma)")
+    elif status != "inconclusive" or value is not None:
+        raise CheckpointError(
+            f"entry {e}: needs status exact, or inconclusive and no value"
+        )
+    return SweepEntry(i=i, j=j, exact=status == "exact", value=value, gamma=gamma)
+
+
 def state_from_json(data: dict) -> SweepState:
+    """The SweepState a checkpoint records, after checking every field and
+    that d_prime is the minimum over its exact entries."""
     if not isinstance(data, dict) or data.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version: {data.get('version') if isinstance(data, dict) else data!r}"
         )
     try:
-        state = SweepState(
-            p=data["p"],
-            lam_current=data["lambda"],
-            i_max=data["i_max"],
-            d_prime=_frac_parse(data["d_prime"]),
-            completed_rows=set(data["completed_rows"]),
-        )
-        for e in data["entries"]:
-            state.entries.append(
-                SweepEntry(
-                    i=e["i"],
-                    j=e["j"],
-                    exact=e["status"] == "exact",
-                    value=e["value"],
-                    gamma=e["gamma"],
-                )
+        p, lam, i_max = data["p"], data["lambda"], data["i_max"]
+        rows = data["completed_rows"]
+        if not all(map(_is_int, [p, lam, i_max, *rows])):
+            raise CheckpointError(
+                "p, lambda, i_max and completed_rows must be integers"
             )
-    except (KeyError, TypeError) as exc:
-        raise CheckpointError(f"malformed checkpoint: {exc}") from exc
-    # Re-derive the attainment set from the recorded entries.
-    for e in state.entries:
-        if e.exact and Fraction(e.value + e.j, e.i) == state.d_prime:
-            state.attained.add((e.i, e.j))
+        if not isinstance(data["d_prime"], str):
+            raise CheckpointError("d_prime must be a string p/q")
+        state = SweepState(
+            p=p,
+            lam_current=lam,
+            i_max=i_max,
+            d_prime=_frac_parse(data["d_prime"]),
+            completed_rows=set(rows),
+        )
+        state.entries = [
+            _entry_from_json(e, state.completed_rows) for e in data["entries"]
+        ]
+    except CheckpointError:
+        raise
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise CheckpointError(f"malformed checkpoint: {exc!r}") from exc
+    ratios = {
+        (e.i, e.j): Fraction(e.value + e.j, e.i) for e in state.entries if e.exact
+    }
+    d_prime = min([Fraction(1), *ratios.values()])
+    if state.d_prime != d_prime:
+        raise CheckpointError(
+            f"d_prime {_frac_str(state.d_prime)} is not the minimum "
+            f"{_frac_str(d_prime)} over the exact entries"
+        )
+    state.attained = {ij for ij, x in ratios.items() if x == d_prime}
     return state
 
 

@@ -1,7 +1,8 @@
 """Slow reference implementations of the package's fast kernels.
 
-Each function is the plain loop the kernel replaced; tests/test_kernels.py
-checks the kernels against them.
+Each function is the plain loop a kernel replaced, or, for the Smith form, a
+general algorithm that the specialised kernel must agree with;
+tests/test_kernels.py checks the kernels against them.
 """
 
 import math
@@ -46,8 +47,10 @@ def solve_one(system, theta) -> tuple[int, ...]:
 
 
 def smith_diagonalize(V, p: int, lam: int):
-    """A.V.B = diag(p^t_k) over Z/p^lam, scanning every entry's valuation for
-    the pivot and applying each column operation to all rows."""
+    """A.V.B = diag(p^t_k) over Z/p^lam by Smith elimination, scanning every
+    entry's valuation for the pivot and applying each column operation to all
+    rows; t_0 <= t_1 <= ... are the Smith invariants of V.  The reference for
+    the Newton factorization of the Vandermonde systems."""
     mod = p**lam
     n = len(V)
     M = [[x % mod for x in row] for row in V]

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import random
 
 import pytest
 
@@ -113,6 +114,23 @@ def test_valuations_explicit_weights(capsys):
     assert len(rows) > 1
 
 
+def test_valuations_weight_order_does_not_matter(capsys):
+    s_values = [s for s in range(1, 20) if s % 5]
+    shuffled = s_values[:]
+    random.Random(0).shuffle(shuffled)
+    assert shuffled != s_values
+    outs = []
+    for order in (s_values, shuffled):
+        code, out, _ = run_cli(
+            capsys, "valuations", "--p", "5", "--r", "12",
+            "--weights", ",".join(map(str, order)),
+        )
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert "exact" in outs[0]
+
+
 def test_valuations_weight_divisible_by_p_exits_2(capsys):
     code, _, err = run_cli(
         capsys, "valuations", "--p", "5", "--r", "3", "--weights", "1,2,5"
@@ -151,6 +169,28 @@ def test_sweep_cli_bad_checkpoint_exits_5(tmp_path, capsys):
         capsys, "sweep", "--p", "5", "--imax", "5", "--checkpoint", str(ck), "--resume"
     )
     assert code == 5
+
+
+def _checkpoint_with_first_exact(tmp_path, capsys, key, bad):
+    ck = tmp_path / "ck.json"
+    code, _, _ = run_cli(capsys, "sweep", "--p", "5", "--imax", "6", "--checkpoint", str(ck))
+    assert code == 0
+    data = json.loads(ck.read_text())
+    next(e for e in data["entries"] if e["status"] == "exact")[key] = bad
+    ck.write_text(json.dumps(data))
+    return ck
+
+
+@pytest.mark.parametrize("key, bad", [("value", None), ("i", 0)])
+def test_sweep_cli_malformed_entry_exits_5(tmp_path, capsys, key, bad):
+    # These raised TypeError and ZeroDivisionError tracebacks before they were
+    # validated.
+    ck = _checkpoint_with_first_exact(tmp_path, capsys, key, bad)
+    code, out, err = run_cli(
+        capsys, "sweep", "--p", "5", "--imax", "9", "--checkpoint", str(ck), "--resume"
+    )
+    assert code == 5
+    assert err.startswith("error:") and "Traceback" not in err and out == ""
 
 
 def test_sweep_cli_resume_matches_uninterrupted(tmp_path, capsys):

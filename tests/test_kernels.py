@@ -1,6 +1,7 @@
 """The fast kernels against the slow reference oracles in tests/oracles.py:
-the Kronecker series product, the packed row solve, the gcd-driven Smith form
-and valuation minima, and the tangent-number Bernoulli numbers."""
+the Kronecker series product, the packed row solve, the Newton factorization
+of the Vandermonde systems, the gcd-driven valuation minima, and the
+tangent-number Bernoulli numbers."""
 
 import random
 
@@ -12,12 +13,7 @@ import oracles
 from katzrates import classical
 from katzrates.arithmetic import QSeries, RingSpec
 from katzrates.classical import WeightSpec, bernoulli
-from katzrates.solver import (
-    UnsolvableSystem,
-    _min_val,
-    _smith_diagonalize,
-    build_system,
-)
+from katzrates.solver import UnsolvableSystem, _min_val, build_system
 
 
 def _series(ring, coeffs):
@@ -145,46 +141,44 @@ def test_solve_reduces_inputs_mod_p_lambda():
     assert system.solve_many([]) == []
 
 
-def _check_smith(V, p, lam):
-    mod = p**lam
-    n = len(V)
-    A, ts, B = _smith_diagonalize(V, p, lam)
-    assert (A, ts, B) == oracles.smith_diagonalize(V, p, lam)
+def _check_newton_form(system):
+    """The Newton factorization (A, ts, B) of a system against the Smith form
+    oracle: A.V.B = diag(p^t), the t_k are the Smith invariants, and gamma is
+    the one read from the oracle's kernel generators."""
+    p, lam, mod = system.p, system.lam, system.modulus
+    V = [list(row) for row in system.V]
+    A, ts, B = system._A, system._ts, system._B
 
     def product(X, Y):
         cols = list(zip(*Y))
         return [[sum(map(lambda x, y: x * y, r, c)) % mod for c in cols] for r in X]
 
-    diag = [[(p ** ts[i] % mod if i == j else 0) for j in range(n)] for i in range(n)]
+    diag = [[p ** ts[i] % mod if i == j else 0 for j in range(lam)] for i in range(lam)]
     assert product(product(A, V), B) == diag
+    _, smith_ts, smith_B = oracles.smith_diagonalize(V, p, lam)
+    # The valuations along a p-ordering never decrease, so ts is sorted.
+    assert list(ts) == smith_ts
+    gens = [
+        [row[k] * p ** (lam - t) % mod for row in smith_B]
+        for k, t in enumerate(smith_ts)
+        if t
+    ]
+    gamma = tuple(oracles.min_val([g[j] for g in gens], p, lam) for j in range(lam))
+    assert system.gamma == gamma
 
 
 @given(systems())
-@settings(max_examples=40, deadline=None)
-def test_smith_form_matches_oracle_on_vandermonde(system):
-    _check_smith([list(row) for row in system.V], system.p, system.lam)
+@settings(max_examples=60, deadline=None)
+def test_newton_form_matches_smith_oracle_on_random_weights(system):
+    # Random s-sets are not p-ordered, so the greedy reordering runs.
+    _check_newton_form(system)
 
 
-@st.composite
-def valued_matrices(draw):
-    """Square matrices whose entries p^v * u have valuations drawn from 0..lam,
-    so zero rows, zero columns and ties in the pivot search all occur."""
-    p = draw(st.sampled_from([5, 7]))
-    lam = draw(st.integers(1, 6))
-    n = draw(st.integers(1, 7))
-    mod = p**lam
-    entry = st.builds(
-        lambda v, u: p**v * u % mod, st.integers(0, lam), st.integers(1, mod - 1)
-    )
-    row = st.lists(entry, min_size=n, max_size=n)
-    return draw(st.lists(row, min_size=n, max_size=n)), p, lam
-
-
-@given(valued_matrices())
-@settings(max_examples=150, deadline=None)
-def test_smith_form_matches_oracle_on_random_matrices(case):
-    V, p, lam = case
-    _check_smith(V, p, lam)
+@pytest.mark.parametrize(
+    "p, lam", [(5, 1), (5, 10), (5, 24), (5, 58), (7, 30), (11, 26), (17, 20)]
+)
+def test_newton_form_matches_smith_oracle_on_weight_lists(p, lam):
+    _check_newton_form(build_system(p, lam))
 
 
 @given(

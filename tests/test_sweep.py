@@ -1,5 +1,6 @@
 """Tests for the sweep driver, its constants, and checkpoint persistence."""
 
+import hashlib
 import importlib.util
 import io
 import json
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from katzrates import basis as basis_module
+from katzrates import sweep as sweep_module
 from katzrates.basis import dim_mk
 from katzrates.solver import f_bound
 from katzrates.sweep import (
@@ -111,6 +113,91 @@ def test_checkpoint_schema_version_rejected():
         state_from_json({"version": 1, "p": 5})  # missing fields
 
 
+@pytest.fixture(scope="module")
+def checkpoint_p5_i9():
+    return json.dumps(state_to_json(run_sweep(5, 9)))
+
+
+def _first_exact(data):
+    return next(e for e in data["entries"] if e["status"] == "exact")
+
+
+@pytest.mark.parametrize(
+    "key, bad, reason",
+    [
+        ("i", "3", "must be integers"),
+        ("j", 1.0, "must be integers"),
+        ("gamma", None, "must be integers"),
+        ("i", True, "must be integers"),
+        ("value", None, "exact value"),
+        ("value", "2", "exact value"),
+        ("value", -1, "exact value"),
+        ("i", 0, "i >= 1"),
+        ("j", -1, "j >= 0"),
+        ("i", 10, "not in completed_rows"),
+        ("status", "maybe", "needs status"),
+    ],
+)
+def test_checkpoint_rejects_malformed_entry(checkpoint_p5_i9, key, bad, reason):
+    data = json.loads(checkpoint_p5_i9)
+    _first_exact(data)[key] = bad
+    with pytest.raises(CheckpointError, match=reason):
+        state_from_json(data)
+
+
+def test_checkpoint_rejects_exact_value_at_gamma(checkpoint_p5_i9):
+    data = json.loads(checkpoint_p5_i9)
+    entry = _first_exact(data)
+    entry["value"] = entry["gamma"]
+    with pytest.raises(CheckpointError, match="exact value"):
+        state_from_json(data)
+
+
+def test_checkpoint_rejects_inconclusive_with_value(checkpoint_p5_i9):
+    data = json.loads(checkpoint_p5_i9)
+    entry = next(e for e in data["entries"] if e["status"] == "inconclusive")
+    entry["value"] = 0
+    with pytest.raises(CheckpointError, match="needs status"):
+        state_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "d_prime, reason",
+    [
+        ("1/7", "not the minimum"),
+        (0.5, "must be a string"),
+        ("two", "malformed"),
+        ("1/0", "malformed"),
+    ],
+)
+def test_checkpoint_rejects_bad_d_prime(checkpoint_p5_i9, d_prime, reason):
+    data = json.loads(checkpoint_p5_i9)
+    data["d_prime"] = d_prime
+    with pytest.raises(CheckpointError, match=reason):
+        state_from_json(data)
+
+
+def test_checkpoint_d_prime_must_match_the_entries(checkpoint_p5_i9):
+    # nu(b_{9,1}) = 0 would give (0 + 1)/9 < d' = 1/6.
+    data = json.loads(checkpoint_p5_i9)
+    assert data["d_prime"] == "1/6"
+    entry = next(e for e in data["entries"] if (e["i"], e["j"]) == (9, 1))
+    assert entry["status"] == "exact" and entry["value"] > 0
+    entry["value"] = 0
+    with pytest.raises(CheckpointError, match="not the minimum"):
+        state_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "key, bad", [("p", "5"), ("lambda", None), ("completed_rows", ["3"])]
+)
+def test_checkpoint_rejects_non_integer_fields(checkpoint_p5_i9, key, bad):
+    data = json.loads(checkpoint_p5_i9)
+    data[key] = bad
+    with pytest.raises(CheckpointError, match="must be integers"):
+        state_from_json(data)
+
+
 def test_checkpoint_json_schema_fields(tmp_path):
     state = run_sweep(5, 6)
     data = state_to_json(state)
@@ -195,3 +282,29 @@ def test_sweep_builds_basis_once_per_precision_doubling(monkeypatch):
     run_sweep(5, 36)
     assert builds == [10, 20]
     assert set(basis_module._CACHE) == cached
+
+
+def test_sweep_builds_each_system_once(monkeypatch):
+    # lam never decreases along a sweep, so keeping only the newest system
+    # builds each lam once.
+    lams = []
+    real = sweep_module.build_system
+
+    def counting(p, lam, weights=None):
+        lams.append(lam)
+        return real(p, lam, weights)
+
+    monkeypatch.setattr(sweep_module, "build_system", counting)
+    run_sweep(5, 36)
+    assert lams == sorted(set(lams)) == [10, 12, 15]
+
+
+@pytest.mark.parametrize(
+    "workload, p, i_max", [("sweep-p5-deep", 5, 144), ("sweep-p11", 11, 132)]
+)
+def test_deep_sweep_matches_benchmark_digest(workload, p, i_max):
+    # The per-entry CSV digests pinned by the benchmark, read from its file.
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())[workload]
+    assert (expected["p"], expected["i_max"]) == (p, i_max)
+    csv_bytes = _entries_csv(run_sweep(p, i_max)).encode()
+    assert hashlib.sha256(csv_bytes).hexdigest() == expected["entries_sha256"]
