@@ -269,17 +269,18 @@ class QSeries:
         return QSeries(self.ring, tuple(a * c % mod for a in self.coeffs))
 
     def __pow__(self, exponent: int) -> "QSeries":
+        """self^exponent by repeated squaring, never multiplying by 1."""
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = QSeries.one(self.ring, len(self.coeffs))
+        result = None
         base = self
         k = exponent
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if k > 1 else base
             k >>= 1
-        return result
+        return QSeries.one(self.ring, len(self.coeffs)) if result is None else result
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse mod (q^N, p^e); requires a unit constant term."""

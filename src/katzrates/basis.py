@@ -91,90 +91,51 @@ class BasisMatrix:
     N: int
     col_to_i: tuple[int, ...]
     columns: tuple[tuple[int, ...], ...]
-    forms: tuple[BasisElement, ...]
-    einv_pows: tuple[QSeries, ...]
     blocks: tuple[tuple[int, int, int], ...]
 
 
-def build_matrix(
-    p: int, n: int, ring: RingSpec, form_len: int | None = None
-) -> BasisMatrix:
-    """The basis matrix for (p, n) over `ring`.  The basis forms are expanded
-    to `form_len >= N` q-coefficients (default N); the columns always hold N."""
+def build_matrix(p: int, n: int, ring: RingSpec) -> BasisMatrix:
+    """The basis matrix for (p, n) over `ring`, one series product per column.
+
+    g_j / E_{p-1}^{i_j} = Delta^j E_4^a E_6^eps E_{p-1}^-i, so column j is
+    column j-1 times Delta E_4^da E_6^de E_{p-1}^-di, where (da, de, di) is
+    the change in (a, eps, i) from column j-1.  Since 12 + 4 da + 6 de =
+    di (p-1), there are only a few distinct steps (one inside every block),
+    and each multiplier is built once.  E_4, E_6 and E_{p-1} have constant
+    term 1, so their negative powers exist over Z/p^e.
+    """
     if ring.p != p:
         raise ValueError("ring prime does not match p")
     N = dim_mk(n * (p - 1))
-    M = N if form_len is None else form_len
-    if M < N:
-        raise ValueError(f"form_len = {M} is below N = {N}")
-    col_to_i = tuple(i_of_j(p, j) for j in range(N))
-
-    e4s, e6s, ds = e4(ring, M), e6(ring, M), delta(ring, M)
-    one = QSeries.one(ring, M)
-
-    # Delta^j incrementally; E_4 powers incrementally over the sorted set of
-    # needed exponents (cheaper than pow-by-squaring per column).
-    needed_a = set()
-    params = []
-    for j in range(N):
-        i = col_to_i[j]
-        if i == 0:
-            params.append((0, 0))
-        else:
-            a, ep = _exponents(p, i, j)
-            params.append((a, ep))
-            needed_a.add(a)
-    e4_pows: dict[int, QSeries] = {0: one}
-    cur, cur_a = one, 0
-    for a in sorted(needed_a):
-        while cur_a < a:
-            cur = cur * e4s
-            cur_a += 1
-        e4_pows[a] = cur
-
-    einv = e_p_minus_1(ring, N).inverse()
-    einv_pows = [QSeries.one(ring, N)]
-    for _ in range(n):
-        einv_pows.append(einv_pows[-1] * einv)
-
-    forms = []
-    columns = []
-    dpow = one
-    for j in range(N):
-        i = col_to_i[j]
-        if j > 0:
-            dpow = dpow * ds
-        if i == 0:
-            g = one
-            forms.append(BasisElement(0, 0, 0, 0, g))
-        else:
-            a, ep = params[j]
-            g = dpow * e4_pows[a]
-            if ep:
-                g = g * e6s
-            forms.append(BasisElement(i, j, a, ep, g))
-        col = (g.truncate(N) * einv_pows[i]).coeffs
-        if any(col[r] for r in range(j)) or col[j] != 1:
-            raise AssertionError(f"column {j} is not unit-lower-triangular")
-        columns.append(col)
-
-    blocks = []
-    for i in range(n + 1):
-        lo = 0 if i == 0 else dim_mk((i - 1) * (p - 1))
-        hi = min(dim_mk(i * (p - 1)), N)
-        blocks.append((i, lo, hi))
-
-    return BasisMatrix(
-        p=p,
-        n=n,
-        ring=ring,
-        N=N,
-        col_to_i=col_to_i,
-        columns=tuple(columns),
-        forms=tuple(forms),
-        einv_pows=tuple(einv_pows),
-        blocks=tuple(blocks),
+    blocks = tuple(
+        (i, dim_mk((i - 1) * (p - 1)), dim_mk(i * (p - 1))) for i in range(n + 1)
     )
+    col_to_i = tuple(i for i, lo, hi in blocks for _ in range(lo, hi))
+    ds = delta(ring, N)
+    bases = (e4(ring, N), e6(ring, N), e_p_minus_1(ring, N))
+    inverses: list[QSeries | None] = [None] * 3
+    steps: dict[tuple[int, ...], QSeries] = {}
+    columns = []
+    col, prev = QSeries.one(ring, N), (0, 0, 0)
+    for j, i in enumerate(col_to_i):
+        if j:
+            # Exponents of E_4, E_6 and E_{p-1} in column j.
+            cur = (*_exponents(p, i, j), -i) if i else (0, 0, 0)
+            key = tuple(c - b for c, b in zip(cur, prev))
+            if key not in steps:
+                step = ds
+                for b, k in enumerate(key):
+                    if k < 0 and inverses[b] is None:
+                        inverses[b] = bases[b].inverse()
+                    if k:
+                        step = step * (bases[b] if k > 0 else inverses[b]) ** abs(k)
+                steps[key] = step
+            col, prev = col * steps[key], cur
+        cs = col.coeffs
+        if any(cs[:j]) or cs[j] != 1:
+            raise AssertionError(f"column {j} is not unit-lower-triangular")
+        columns.append(cs)
+    return BasisMatrix(p, n, ring, N, col_to_i, tuple(columns), blocks)
 
 
 _CACHE: dict[tuple[int, int, int], BasisMatrix] = {}

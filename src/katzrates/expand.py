@@ -5,8 +5,9 @@ q-expansion (round-trip oracle)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
-from .arithmetic import QSeries, RingSpec
+from .arithmetic import QSeries, RingSpec, pack, slot_bytes, unpack
 from .basis import BasisMatrix, basis_matrix, dim_mk
 
 
@@ -17,12 +18,11 @@ class PrecisionMismatch(ValueError):
 @dataclass(frozen=True)
 class KatzComponent:
     """The i-th term of a partial Katz expansion: coordinates over the basis
-    forms g_{i,j} (j running over `js`) and the realized q-expansion."""
+    forms g_{i,j}, j running over `js`."""
 
     i: int
     js: tuple[int, ...]
     coords: tuple[int, ...]
-    series: QSeries
 
 
 @dataclass(frozen=True)
@@ -50,16 +50,10 @@ def forward_substitute(matrix: BasisMatrix, rhs) -> list[int]:
 
 
 def _group(matrix: BasisMatrix, x) -> tuple[KatzComponent, ...]:
-    comps = []
-    for i, lo, hi in matrix.blocks:
-        js = tuple(range(lo, hi))
-        coords = tuple(x[lo:hi])
-        series = QSeries.zero(matrix.ring, matrix.N)
-        for j, c in zip(js, coords):
-            if c:
-                series = series + matrix.forms[j].series.scaled(c)
-        comps.append(KatzComponent(i=i, js=js, coords=coords, series=series))
-    return tuple(comps)
+    return tuple(
+        KatzComponent(i=i, js=tuple(range(lo, hi)), coords=tuple(x[lo:hi]))
+        for i, lo, hi in matrix.blocks
+    )
 
 
 def psi(p: int, n: int, C: int, f: QSeries) -> KatzTuple:
@@ -79,18 +73,22 @@ def psi(p: int, n: int, C: int, f: QSeries) -> KatzTuple:
 
 
 def phi(p: int, n: int, C: int, t: KatzTuple) -> QSeries:
-    """Realize a Katz tuple as sum_i b_i / E_{p-1}^i mod (q^N, p^C)."""
+    """Realize a Katz tuple as sum_i b_i / E_{p-1}^i mod (q^N, p^C): the
+    product M.x of the basis matrix with the coordinates, taken as one packed
+    linear combination of the columns."""
     matrix = basis_matrix(p, n, C)
     if len(t.components) != n + 1:
         raise ValueError(f"expected {n + 1} components, got {len(t.components)}")
-    out = QSeries.zero(matrix.ring, matrix.N)
+    mod = matrix.ring.modulus
+    x = [0] * matrix.N
     for comp in t.components:
-        expected = matrix.blocks[comp.i][2] - matrix.blocks[comp.i][1]
-        if len(comp.coords) != expected:
+        _, lo, hi = matrix.blocks[comp.i]
+        if len(comp.coords) != hi - lo:
             raise ValueError(f"component {comp.i} has wrong dimension")
-        if any(comp.coords):
-            out = out + comp.series * matrix.einv_pows[comp.i]
-    return out
+        x[lo:hi] = [c % mod for c in comp.coords]
+    width = slot_bytes(mod, matrix.N)
+    acc = sum(map(mul, x, [pack(col, width) for col in matrix.columns]))
+    return QSeries(matrix.ring, tuple(unpack(acc, width, matrix.N, mod)))
 
 
 def tuple_from_coords(p: int, n: int, C: int, x) -> KatzTuple:

@@ -97,25 +97,20 @@ def _newton_diagonalize(ws, p: int, lam: int):
     mod = p**lam
     n = len(ws)
     powers = [p**e for e in range(lam + 1)]
-    width = slot_bytes(mod, n)
-    # Node i holds P_i = p^val[i] * unit[i] (val capped at lam) and the
-    # entries L[r][0..k-1] of the row r it will take.
+    # Ordering pass.  Node i holds P_i = p^val[i] * unit[i] (val capped at
+    # lam) and the entries L[r][0..k-1] of the row r it will take.
     val = [0] * n
     unit = [1] * n
     below = [[] for _ in range(n)]
     remaining = list(range(n))
-    A, packed, ts, cols = [], [], [], []
+    order, units, ts, cols = [], [], [], []
     newton = [1]
     for _ in range(n):
         i = min(remaining, key=val.__getitem__)
         remaining.remove(i)
         t = val[i]
-        uinv = pow(unit[i], -1, mod) if t < lam else 1
-        # Row k of A: (e_pi(k) - sum_m L[k][m] A[m]) / L[k][k].
-        acc = uinv << (8 * width * i)
-        acc += sum(map(mul, [-c * uinv % mod for c in below[i]], packed))
-        A.append(unpack(acc, width, n, mod))
-        packed.append(pack(A[-1], width))
+        order.append(i)
+        units.append(unit[i] if t < lam else 1)
         ts.append(t)
         cols.append(newton + [0] * (n - len(newton)))
         w = ws[i]
@@ -132,6 +127,22 @@ def _newton_diagonalize(ws, p: int, lam: int):
                 v += 1
             val[r] = min(val[r] + v, lam)
             unit[r] = unit[r] * d % mod
+    # Inverse of every pivot unit from one pow: prefix products, then back.
+    prefix = list(accumulate(units, lambda a, b: a * b % mod, initial=1))
+    inv = pow(prefix[-1], -1, mod)
+    uinvs = [0] * n
+    for k in reversed(range(n)):
+        uinvs[k] = inv * prefix[k] % mod
+        inv = inv * units[k] % mod
+    # Row k of A: (e_pi(k) - sum_m L[k][m] A[m]) / L[k][k], one packed
+    # combination of the rows before it.
+    width = slot_bytes(mod, n)
+    A, packed = [], []
+    for i, uinv in zip(order, uinvs):
+        acc = uinv << (8 * width * i)
+        acc += sum(map(mul, [-c * uinv % mod for c in below[i]], packed))
+        A.append(unpack(acc, width, n, mod))
+        packed.append(pack(A[-1], width))
     return A, ts, [list(row) for row in zip(*cols)]
 
 
@@ -292,8 +303,8 @@ class KatzBasis:
     members E*_k / V(E*_k), k = s(p-1), built once over Z/p^E and served mod
     p^lam for any row r <= n and lam <= E.
 
-    Reduction mod p^lam and truncation in q are ring maps, so the served values
-    equal a fresh build at (r, lam).  When a request needs lam > E, E grows to
+    Reduction mod p^lam is a ring map, so the served values equal a fresh
+    build at (r, lam).  When a request needs lam > E, E grows to
     max(lam, 2E) and everything is rebuilt, so a sweep whose lam creeps up
     builds the matrix O(log lam) times.
     """
@@ -302,26 +313,18 @@ class KatzBasis:
         self.p = p
         self.n = n
         self.N = dim_mk(n * (p - 1))
-        # Row r needs sturm_count(p, r) + 1 coefficients of each form, which
-        # can exceed N by up to 2.
-        self.form_len = max(self.N, sturm_count(p, n) + 1)
         self.E = 0
         self.matrix = None
         self._coords: dict[int, list[int]] = {}
 
-    def _reserve(self, r: int, lam: int) -> None:
+    def row_coords(self, s: int, r: int, lam: int) -> tuple[int, ...]:
+        """Coordinates over the g_{r,j} of E*_k / V(E*_k), k = s(p-1), mod p^lam."""
         if not 0 <= r <= self.n:
             raise ValueError(f"row {r} is outside 0..{self.n}")
         if lam > self.E:
             self.E = max(lam, 2 * self.E)
-            self.matrix = build_matrix(
-                self.p, self.n, RingSpec(self.p, self.E), self.form_len
-            )
+            self.matrix = build_matrix(self.p, self.n, RingSpec(self.p, self.E))
             self._coords = {}
-
-    def row_coords(self, s: int, r: int, lam: int) -> tuple[int, ...]:
-        """Coordinates over the g_{r,j} of E*_k / V(E*_k), k = s(p-1), mod p^lam."""
-        self._reserve(r, lam)
         x = self._coords.get(s)
         if x is None:
             ratio = eis_ratio_by_s(self.p, s, self.E, self.N)
@@ -330,51 +333,35 @@ class KatzBasis:
         mod = self.p**lam
         return tuple(c % mod for c in x[lo:hi])
 
-    def row_forms(self, r: int, lam: int, count: int) -> tuple[tuple[int, ...], ...]:
-        """First `count` q-coefficients of each g_{r,j}, in increasing j, mod p^lam."""
-        self._reserve(r, lam)
-        if count > self.form_len:
-            raise ValueError(f"count {count} exceeds the {self.form_len} built")
-        lo, hi = _block(self.p, r)
-        mod = self.p**lam
-        return tuple(
-            tuple(c % mod for c in self.matrix.forms[j].series.coeffs[:count])
-            for j in range(lo, hi)
-        )
-
-
-def katz_row_coeffs(p: int, r: int, lam: int, coords, forms, count: int) -> list[int]:
-    """First `count` q-coefficients mod p^lam of the weight-r(p-1) form with the
-    given coordinates over the basis forms g_{r,j}, whose q-coefficients are
-    `forms` (see KatzBasis.row_forms)."""
-    lo, hi = _block(p, r)
-    if len(coords) != hi - lo or len(forms) != hi - lo:
-        raise ValueError(f"expected {hi - lo} coordinates and forms for row {r}")
-    acc = [0] * count
-    for x, g in zip(coords, forms):
-        if x:
-            for mu in range(count):
-                acc[mu] += x * g[mu]
-    mod = p**lam
-    return [c % mod for c in acc]
-
 
 def row_solutions(p, r, lam, weights=None, system=None, basis=None):
-    """Particular solutions x_mu of V x_mu = theta_mu for mu = 0..S, where
-    theta_mu collects the mu-th q-coefficient of the r-th Katz component
-    across the weights.  `basis` (a KatzBasis for some n >= r) defaults to a
-    fresh one for n = r.  Returns (system, solutions)."""
+    """Particular solutions x_b of V x_b = theta_b, one for each basis form
+    g_{r,b} of row r, where theta_b collects the coordinate of g_{r,b} in the
+    r-th Katz component across the weights.  `basis` (a KatzBasis for some
+    n >= r) defaults to a fresh one for n = r.  Returns (system, solutions).
+
+    The coordinates stand in for the q-coefficients a_0..a_S, S =
+    sturm_count(p, r), of the r-th component, which pin down its valuation,
+    and they give the same statuses in collect_statuses:
+
+    - g_{r,b} = q^b + O(q^{b+1}) for b in the block [lo, hi), and hi - 1 <= S,
+      so the minor (a_mu(g_{r,b})) on mu in [lo, hi) is unit lower triangular,
+      a_mu vanishes for mu < lo, and nu(sum_b z_b g_{r,b}) = min_b nu(z_b).
+      The q-coefficient solutions are combinations of the x_b, and their
+      minimum valuation at component j is min_b nu(x_b[j]).
+    - Two particular solutions of one system differ by a kernel element,
+      which collect_statuses already allows for: the valuation of component
+      j moves only at or above gamma_j.
+    - The UnsolvableSystem divisibility check passes on the coordinates
+      exactly when it passes on the q-coefficients: each is a combination of
+      the other, the unit-triangular minor giving the way back.
+    """
     if system is None:
         system = build_system(p, lam, weights)
     if basis is None:
         basis = KatzBasis(p, r)
-    count = sturm_count(p, r) + 1
-    forms = basis.row_forms(r, lam, count)
-    betas = [
-        katz_row_coeffs(p, r, lam, basis.row_coords(w.s, r, lam), forms, count)
-        for w in system.weights
-    ]
-    return system, system.solve_many(list(zip(*betas)))
+    coords = [basis.row_coords(w.s, r, lam) for w in system.weights]
+    return system, system.solve_many(list(zip(*coords)))
 
 
 def collect_statuses(system: VandermondeSystem, solutions, j_max: int):

@@ -12,6 +12,7 @@ import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .arithmetic import _is_prime
 from .basis import dim_mk
 from .solver import KatzBasis, build_system, f_bound, solve_row
 
@@ -35,6 +36,12 @@ def c_p(p: int) -> Fraction:
 def d_p(p: int) -> Fraction:
     """Conjectured optimal slope (p-1)/(p(p+1))."""
     return Fraction(p - 1, p * (p + 1))
+
+
+def _empty_block(p: int, i: int) -> bool:
+    """Row i has no basis forms: the dimension does not grow from weight
+    (i-1)(p-1) to i(p-1)."""
+    return dim_mk(i * (p - 1)) == dim_mk((i - 1) * (p - 1))
 
 
 def lambda_for(p: int, target_gamma: int, j_max: int) -> int:
@@ -126,7 +133,7 @@ def run_sweep(
     for i in range(1, i_max + 1):
         if i in state.completed_rows:
             continue
-        if dim_mk(i * (p - 1)) == dim_mk((i - 1) * (p - 1)):
+        if _empty_block(p, i):
             # Empty basis block: b_{i,j} = 0, nothing to solve.
             state.completed_rows.add(i)
             if checkpoint_path:
@@ -187,6 +194,9 @@ def theorem_b_audit(state: SweepState):
 
 
 def summary(state: SweepState) -> dict:
+    """The observed rate and its audits, the largest lambda used, the number
+    of nonempty rows solved, and the inconclusive entries with j >= 1 (left
+    unresolved when a row runs out of retries)."""
     c_viol, d_viol = theorem_b_audit(state)
     return {
         "p": state.p,
@@ -198,6 +208,11 @@ def summary(state: SweepState) -> dict:
             "theorem_b_violations": len(c_viol),
             "conjecture_violations": len(d_viol),
         },
+        "lambda_max": state.lam_current,
+        "rows_solved": sum(
+            1 for i in state.completed_rows if not _empty_block(state.p, i)
+        ),
+        "unresolved": sum(1 for e in state.entries if e.j >= 1 and not e.exact),
     }
 
 
@@ -256,8 +271,10 @@ def _entry_from_json(e: dict, completed_rows: set[int]) -> SweepEntry:
 
 
 def state_from_json(data: dict) -> SweepState:
-    """The SweepState a checkpoint records, after checking every field and
-    that d_prime is the minimum over its exact entries."""
+    """The SweepState a checkpoint records, after checking every field, that
+    p is a prime >= 5, that each completed row holds the entries j = 0..J of
+    one solve (none if its basis block is empty), and that d_prime is the
+    minimum over the exact entries."""
     if not isinstance(data, dict) or data.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version: {data.get('version') if isinstance(data, dict) else data!r}"
@@ -269,6 +286,8 @@ def state_from_json(data: dict) -> SweepState:
             raise CheckpointError(
                 "p, lambda, i_max and completed_rows must be integers"
             )
+        if p < 5 or not _is_prime(p):
+            raise CheckpointError(f"p must be a prime >= 5, got {p}")
         if not isinstance(data["d_prime"], str):
             raise CheckpointError("d_prime must be a string p/q")
         state = SweepState(
@@ -285,6 +304,20 @@ def state_from_json(data: dict) -> SweepState:
         raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc!r}") from exc
+    row_js: dict[int, list[int]] = {i: [] for i in state.completed_rows}
+    for e in state.entries:
+        row_js[e.i].append(e.j)
+    for i, js in sorted(row_js.items()):
+        js.sort()
+        if _empty_block(p, i):
+            if js:
+                raise CheckpointError(
+                    f"row {i} has an empty basis block but entries j = {js}"
+                )
+        elif js != list(range(max(len(js), 1))):
+            raise CheckpointError(
+                f"row {i} has entries j = {js}, not j = 0..J for one J >= 0"
+            )
     ratios = {
         (e.i, e.j): Fraction(e.value + e.j, e.i) for e in state.entries if e.exact
     }

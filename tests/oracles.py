@@ -8,8 +8,10 @@ tests/test_kernels.py checks the kernels against them.
 import math
 from fractions import Fraction
 
-from katzrates.arithmetic import CappedVal, QSeries, padic_val
-from katzrates.solver import UnsolvableSystem, int_val
+from katzrates.arithmetic import CappedVal, QSeries, RingSpec, padic_val
+from katzrates.basis import dim_mk, g_form, i_of_j
+from katzrates.classical import e_p_minus_1
+from katzrates.solver import KatzBasis, UnsolvableSystem, int_val
 
 
 def schoolbook_mul(f: QSeries, g: QSeries) -> QSeries:
@@ -119,3 +121,37 @@ def bernoulli_table(k_max: int) -> list[Fraction]:
                 acc += math.comb(m + 1, j) * bern[j]
         bern.append(-acc / (m + 1))
     return bern
+
+
+def direct_columns(p: int, n: int, ring: RingSpec) -> tuple[tuple[int, ...], ...]:
+    """The columns of the basis matrix one at a time: the first N
+    q-coefficients of g_{i_j, j} (from g_form) times E_{p-1}^{-i_j}."""
+    N = dim_mk(n * (p - 1))
+    einv = e_p_minus_1(ring, N).inverse()
+    columns = []
+    for j in range(N):
+        i = i_of_j(p, j)
+        columns.append((g_form(p, i, j, ring, N).series * einv**i).coeffs)
+    return tuple(columns)
+
+
+def q_coefficient_solutions(system, r: int, count: int) -> list[tuple[int, ...]]:
+    """Particular solutions of V x_mu = theta_mu for mu < count, where
+    theta_mu collects the mu-th q-coefficient of the r-th Katz component
+    across the weights: the component is summed from its coordinates and the
+    g_form forms, one coefficient at a time."""
+    p, lam = system.p, system.lam
+    mod = p**lam
+    ring = RingSpec(p, lam)
+    basis = KatzBasis(p, r)
+    lo, hi = dim_mk((r - 1) * (p - 1)), dim_mk(r * (p - 1))
+    forms = [g_form(p, r, j, ring, count).series.coeffs for j in range(lo, hi)]
+    betas = []
+    for w in system.weights:
+        acc = [0] * count
+        for x, g in zip(basis.row_coords(w.s, r, lam), forms):
+            if x:
+                for mu in range(count):
+                    acc[mu] += x * g[mu]
+        betas.append([c % mod for c in acc])
+    return system.solve_many(list(zip(*betas)))

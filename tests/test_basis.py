@@ -1,10 +1,12 @@
 """Tests for the splitting basis g_{i,j} and the coefficient matrix."""
 
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
-from katzrates.arithmetic import RingSpec
+from katzrates.arithmetic import QSeries, RingSpec
 from katzrates.basis import (
     basis_matrix,
     basis_set,
@@ -15,6 +17,7 @@ from katzrates.basis import (
     i_of_j,
 )
 from katzrates.classical import sigma
+from katzrates.sweep import run_sweep
 
 
 def test_dim_mk_examples():
@@ -188,13 +191,29 @@ def test_basis_matrix_cache_returns_same_object():
     assert a is b
 
 
-def test_build_matrix_longer_forms_keep_columns():
-    ring = RingSpec(17, 3)
-    m = build_matrix(17, 20, ring)
-    longer = build_matrix(17, 20, ring, form_len=m.N + 2)
-    assert longer.columns == m.columns
-    for short, long in zip(m.forms, longer.forms):
-        assert long.series.n_trunc == m.N + 2
-        assert long.series.coeffs[: m.N] == short.series.coeffs
-    with pytest.raises(ValueError):
-        build_matrix(17, 20, ring, form_len=m.N - 1)
+def test_build_matrix_makes_one_product_per_column(monkeypatch):
+    # One product per column and one multiplier per distinct exponent step
+    # (14 products here): no E_{p-1}^{-i} power chain and no basis forms.
+    # The power chain and the forms took 488 products.
+    calls = []
+    real = QSeries.__mul__
+
+    def counting(f, g):
+        calls.append(1)
+        return real(f, g)
+
+    monkeypatch.setattr(QSeries, "__mul__", counting)
+    m = build_matrix(11, 132, RingSpec(11, 26))
+    assert m.N == 111
+    assert len(calls) <= m.N + 32
+
+
+def test_sweep_never_calls_g_form(monkeypatch):
+    # The sweep solves rows on their coordinates, so it needs no basis forms.
+    def fail(*args, **kwargs):
+        raise AssertionError("g_form called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "katzrates" and hasattr(module, "g_form"):
+            monkeypatch.setattr(module, "g_form", fail)
+    assert run_sweep(5, 36).d_prime == Fraction(2, 15)

@@ -152,6 +152,7 @@ def test_sweep_cli_summary_and_csv(tmp_path, capsys):
     data = json.loads(out)
     assert data["p"] == 5
     assert data["c_p"] == "11/144"
+    assert (data["lambda_max"], data["rows_solved"], data["unresolved"]) == (10, 3, 0)
     rows = list(csv.reader(out_csv.open()))
     assert rows[0] == ["i", "j", "status", "value", "gamma"]
     assert len(rows) > 1
@@ -188,6 +189,24 @@ def test_sweep_cli_malformed_entry_exits_5(tmp_path, capsys, key, bad):
     ck = _checkpoint_with_first_exact(tmp_path, capsys, key, bad)
     code, out, err = run_cli(
         capsys, "sweep", "--p", "5", "--imax", "9", "--checkpoint", str(ck), "--resume"
+    )
+    assert code == 5
+    assert err.startswith("error:") and "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("edit", ["drop_row_9", "p_9"])
+def test_sweep_cli_incomplete_checkpoint_exits_5(tmp_path, capsys, edit):
+    ck = tmp_path / "ck.json"
+    code, _, _ = run_cli(capsys, "sweep", "--p", "5", "--imax", "9", "--checkpoint", str(ck))
+    assert code == 0
+    data = json.loads(ck.read_text())
+    if edit == "drop_row_9":
+        data["entries"] = [e for e in data["entries"] if e["i"] != 9]
+    else:
+        data["p"] = 9
+    ck.write_text(json.dumps(data))
+    code, out, err = run_cli(
+        capsys, "sweep", "--p", "5", "--imax", "12", "--checkpoint", str(ck), "--resume"
     )
     assert code == 5
     assert err.startswith("error:") and "Traceback" not in err and out == ""

@@ -1,6 +1,7 @@
 """Tests for the partial Katz expansion maps psi and phi."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +46,24 @@ def test_phi_of_unit_tuple_is_column():
         x = [1 if jj == j else 0 for jj in range(m.N)]
         t = tuple_from_coords(p, n, C, x)
         assert phi(p, n, C, t).coeffs == m.columns[j]
+
+
+def test_phi_reduces_coordinates():
+    # phi is M.x with x read mod p^C, whatever representatives it is given.
+    rng = random.Random(5)
+    p, n, C = 7, 6, 3
+    mod = p**C
+    x = [rng.randrange(mod) for _ in range(required_truncation(p, n))]
+    t = tuple_from_coords(p, n, C, x)
+    for shift in (-3 * mod, 2 * mod):
+        shifted = replace(
+            t,
+            components=tuple(
+                replace(comp, coords=tuple(c + shift for c in comp.coords))
+                for comp in t.components
+            ),
+        )
+        assert phi(p, n, C, shifted) == phi(p, n, C, t)
 
 
 def test_phi_of_trivial_tuple_is_one():

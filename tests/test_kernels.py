@@ -1,19 +1,28 @@
 """The fast kernels against the slow reference oracles in tests/oracles.py:
 the Kronecker series product, the packed row solve, the Newton factorization
-of the Vandermonde systems, the gcd-driven valuation minima, and the
-tangent-number Bernoulli numbers."""
+of the Vandermonde systems, the gcd-driven valuation minima, the
+tangent-number Bernoulli numbers, the step-by-step basis matrix, and the rows
+solved on their Katz coordinates."""
 
 import random
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import oracles
 from katzrates import classical
 from katzrates.arithmetic import QSeries, RingSpec
+from katzrates.basis import build_matrix
 from katzrates.classical import WeightSpec, bernoulli
-from katzrates.solver import UnsolvableSystem, _min_val, build_system
+from katzrates.solver import (
+    UnsolvableSystem,
+    _min_val,
+    build_system,
+    collect_statuses,
+    row_solutions,
+    sturm_count,
+)
 
 
 def _series(ring, coeffs):
@@ -217,3 +226,65 @@ def test_bernoulli_table_regrows_geometrically(monkeypatch):
     assert len(classical._TANGENT) == 50
     bernoulli(7)  # odd and small values need no table
     assert len(classical._TANGENT) == 50
+
+
+_PRIMES = [5, 7, 11, 13, 17, 19, 23]
+
+
+@given(st.sampled_from(_PRIMES), st.integers(0, 30), st.integers(1, 30))
+@settings(max_examples=40, deadline=None)
+@example(17, 20, 3)
+@example(11, 0, 1)
+def test_build_matrix_matches_direct_column_oracle(p, n, e):
+    ring = RingSpec(p, e)
+    assert build_matrix(p, n, ring).columns == oracles.direct_columns(p, n, ring)
+
+
+@st.composite
+def row_cases(draw):
+    """(p, r, s-values): a row and the weights s(p-1) of its system, distinct
+    and in any order, as `katzrates valuations --weights` takes them."""
+    p = draw(st.sampled_from(_PRIMES))
+    r = draw(st.integers(0, 24))
+    lam = draw(st.integers(1, 10))
+    s_values = draw(
+        st.lists(
+            st.integers(1, 4 * lam + 4).filter(lambda s: s % p),
+            min_size=lam,
+            max_size=lam,
+            unique=True,
+        )
+    )
+    return p, r, s_values
+
+
+@given(row_cases(), st.sampled_from([1, 6]))
+@settings(max_examples=80, deadline=None)
+@example((5, 0, [1, 2, 3]), 1)  # r = 0: the block of the constant 1
+@example((5, 1, [1, 2, 3, 4]), 1)  # empty block
+@example((5, 6, [9, 3, 1, 7, 2, 4, 8, 6]), 6)  # shuffled weights
+@example((11, 6, [3, 1, 5, 2, 4]), 1)  # the minimum is not at b = lo
+@example((17, 20, [1, 2, 3, 4, 5, 6]), 1)  # S + 1 = 28 > N = 27
+@example((17, 20, [1, 2, 3, 4, 5, 6]), 6)
+def test_row_statuses_match_q_coefficient_oracle(case, extra):
+    # Solving a row on its b coordinates gives the statuses of solving it on
+    # the q-coefficients a_0..a_{S+extra-1}, and is unsolvable exactly when
+    # they are.
+    p, r, s_values = case
+    lam = len(s_values)
+    ring = RingSpec(p, lam)
+    try:
+        system = build_system(p, lam, [WeightSpec(ring, s) for s in s_values])
+    except ValueError:
+        reject()  # two weights agree mod p^lam
+    count = sturm_count(p, r) + extra
+    try:
+        _, sols = row_solutions(p, r, lam, system=system)
+    except UnsolvableSystem:
+        with pytest.raises(UnsolvableSystem):
+            oracles.q_coefficient_solutions(system, r, count)
+        return
+    want = oracles.q_coefficient_solutions(system, r, count)
+    assert collect_statuses(system, sols, lam - 1) == collect_statuses(
+        system, want, lam - 1
+    )

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from katzrates import basis as basis_module
-from katzrates.arithmetic import RingSpec, padic_val
-from katzrates.basis import dim_mk, g_form
+from katzrates.arithmetic import padic_val
+from katzrates.basis import dim_mk
 from katzrates.expand import psi
 from katzrates.family import eis_ratio_by_s
 from katzrates.solver import (
@@ -17,7 +18,6 @@ from katzrates.solver import (
     collect_statuses,
     f_bound,
     int_val,
-    katz_row_coeffs,
     nu_w,
     row_solutions,
     solve_row,
@@ -90,10 +90,6 @@ def test_sturm_count():
     assert sturm_count(5, 0) == 0
 
 
-def test_katz_row_coeffs_r0():
-    assert katz_row_coeffs(5, 0, 3, (7,), ((1, 0, 0, 0),), 4) == [7, 0, 0, 0]
-
-
 def test_solve_row_r0_exact_zero():
     row = solve_row(5, 0, 1)
     assert row.entries[0].exact and row.entries[0].value == 0
@@ -145,18 +141,9 @@ def test_sturm_sufficiency_small_cases():
     for r in (3, 6, 9):
         system = build_system(p, lam)
         _, sols = row_solutions(p, r, lam, system=system)
-        extra = sturm_count(p, r) + 6
-        basis = KatzBasis(p, r)
-        coords = [basis.row_coords(w.s, r, lam) for w in system.weights]
-        # The basis only builds forms to the Sturm count; g_form goes further.
-        ring = RingSpec(p, lam)
-        forms = [
-            g_form(p, r, j, ring, extra).series.coeffs
-            for j in range(dim_mk((r - 1) * (p - 1)), dim_mk(r * (p - 1)))
-        ]
-        betas = [katz_row_coeffs(p, r, lam, c, forms, extra) for c in coords]
-        thetas = [[b[mu] for b in betas] for mu in range(extra)]
-        all_sols = [system.solve(t) for t in thetas]
+        # q-coefficients a_0..a_{S+5} of the r-th component, past the Sturm
+        # count S.
+        all_sols = oracles.q_coefficient_solutions(system, r, sturm_count(p, r) + 6)
         for j in range(min(r, lam - 1) + 1):
             alpha_s = min(padic_val(s[j], p, lam).lower_bound for s in sols)
             alpha_ext = min(padic_val(s[j], p, lam).lower_bound for s in all_sols)
@@ -223,37 +210,18 @@ def test_katz_basis_row_coords_match_psi(req):
     assert basis.row_coords(s, r, lam) == want
 
 
-@settings(max_examples=60, deadline=None)
-@given(basis_requests(), st.integers(1, 40))
-@example((17, 20, 20, 6, 4, 3), 40)  # N = 27 but the Sturm count needs 28
-@example((11, 5, 5, 3, 3, 1), 40)  # N = 4 but the Sturm count needs 6
-def test_katz_basis_row_forms_match_g_form(req, count):
-    p, n, r, E, lam, _ = req
-    basis = KatzBasis(p, n)
-    basis.row_forms(r, E, 1)
-    count = min(count, basis.form_len)
-    ring = RingSpec(p, lam)
-    want = tuple(g_form(p, r, j, ring, count).series.coeffs for j in range(*_block(p, r)))
-    assert basis.row_forms(r, lam, count) == want
-
-
-def test_katz_basis_form_len_covers_sturm_count():
-    basis = KatzBasis(17, 20)
-    assert (basis.N, basis.form_len) == (27, 28)
-    assert KatzBasis(11, 5).form_len == dim_mk(50) + 2
+def test_katz_basis_rejects_row_beyond_n():
     with pytest.raises(ValueError):
-        basis.row_forms(20, 2, 29)
-    with pytest.raises(ValueError):
-        basis.row_coords(1, 21, 2)
+        KatzBasis(17, 20).row_coords(1, 21, 2)
 
 
 def test_katz_basis_precision_grows_geometrically(monkeypatch):
     builds = []
     real = basis_module.build_matrix
 
-    def counting(p, n, ring, form_len=None):
+    def counting(p, n, ring):
         builds.append(ring.e)
-        return real(p, n, ring, form_len)
+        return real(p, n, ring)
 
     monkeypatch.setattr("katzrates.solver.build_matrix", counting)
     basis = KatzBasis(5, 6)

@@ -15,6 +15,7 @@ from katzrates.basis import dim_mk
 from katzrates.solver import f_bound
 from katzrates.sweep import (
     CheckpointError,
+    SweepEntry,
     c_p,
     d_p,
     lambda_for,
@@ -198,6 +199,57 @@ def test_checkpoint_rejects_non_integer_fields(checkpoint_p5_i9, key, bad):
         state_from_json(data)
 
 
+def test_checkpoint_rejects_row_with_missing_entries(checkpoint_p5_i9):
+    # Row 9 is completed but its entries are gone; d' = 1/6 still holds on
+    # row 6, and a resumed sweep would skip row 9 without a word.
+    data = json.loads(checkpoint_p5_i9)
+    data["entries"] = [e for e in data["entries"] if e["i"] != 9]
+    with pytest.raises(CheckpointError, match="row 9 has entries j = \\[\\]"):
+        state_from_json(data)
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_checkpoint_rejects_row_with_a_gap(checkpoint_p5_i9, j):
+    # Row 3 holds j = 0..3; without j = 0 or j = 1 it is not 0..J.
+    data = json.loads(checkpoint_p5_i9)
+    data["entries"] = [e for e in data["entries"] if (e["i"], e["j"]) != (3, j)]
+    with pytest.raises(CheckpointError, match="row 3 has entries"):
+        state_from_json(data)
+
+
+def test_checkpoint_rejects_duplicate_entry(checkpoint_p5_i9):
+    data = json.loads(checkpoint_p5_i9)
+    data["entries"].append(dict(data["entries"][-1]))
+    with pytest.raises(CheckpointError, match="row 9 has entries"):
+        state_from_json(data)
+
+
+def test_checkpoint_accepts_a_shorter_row(checkpoint_p5_i9):
+    # j = 0..J for a smaller J is what a lower d' would have solved.
+    data = json.loads(checkpoint_p5_i9)
+    data["entries"] = [e for e in data["entries"] if (e["i"], e["j"]) != (3, 3)]
+    assert len(state_from_json(data).entries) == 9
+
+
+def test_checkpoint_rejects_entries_in_an_empty_row(checkpoint_p5_i9):
+    # For p = 5, rows 1 and 2 have no basis forms.
+    data = json.loads(checkpoint_p5_i9)
+    assert 1 in data["completed_rows"]
+    data["entries"].append(
+        {"i": 1, "j": 0, "status": "inconclusive", "value": None, "gamma": 1}
+    )
+    with pytest.raises(CheckpointError, match="row 1 .*empty basis block"):
+        state_from_json(data)
+
+
+@pytest.mark.parametrize("p", [9, 1, 3, -5])
+def test_checkpoint_rejects_p_not_a_prime_from_5(checkpoint_p5_i9, p):
+    data = json.loads(checkpoint_p5_i9)
+    data["p"] = p
+    with pytest.raises(CheckpointError, match="prime"):
+        state_from_json(data)
+
+
 def test_checkpoint_json_schema_fields(tmp_path):
     state = run_sweep(5, 6)
     data = state_to_json(state)
@@ -230,6 +282,17 @@ def test_summary_shape():
     assert s["c_p"] == "11/144"
     assert s["d_p_conj"] == "2/15"
     assert s["audits"]["theorem_b_violations"] == 0
+
+
+def test_summary_reports_the_work_done():
+    state = run_sweep(5, 9)
+    s = summary(state)
+    assert s["lambda_max"] == state.lam_current == 10
+    assert s["rows_solved"] == 3  # rows 3, 6 and 9; the others are empty
+    assert s["unresolved"] == 0
+    state.entries.append(SweepEntry(i=9, j=3, exact=False, value=None, gamma=2))
+    state.entries.append(SweepEntry(i=9, j=0, exact=False, value=None, gamma=2))
+    assert summary(state)["unresolved"] == 1  # j = 0 is never decided
 
 
 def test_run_sweep_rejects_mismatched_resume():
@@ -273,9 +336,9 @@ def test_sweep_builds_basis_once_per_precision_doubling(monkeypatch):
     builds = []
     real = basis_module.build_matrix
 
-    def counting(p, n, ring, form_len=None):
+    def counting(p, n, ring):
         builds.append(ring.e)
-        return real(p, n, ring, form_len)
+        return real(p, n, ring)
 
     monkeypatch.setattr("katzrates.solver.build_matrix", counting)
     cached = set(basis_module._CACHE)
