@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 import oracles
 from katzrates import basis as basis_module
-from katzrates.arithmetic import padic_val
-from katzrates.basis import dim_mk
+from katzrates.arithmetic import QSeries, RingSpec, padic_val
+from katzrates.basis import dim_mk, g_form
+from katzrates.classical import e_p_minus_1
 from katzrates.expand import psi
 from katzrates.family import eis_ratio_by_s
 from katzrates.solver import (
@@ -88,6 +89,18 @@ def test_sturm_count():
     assert sturm_count(5, 30) == 10
     assert sturm_count(7, 1) == 1
     assert sturm_count(5, 0) == 0
+
+
+def test_katz_row_coeffs_r0():
+    # Row 0 has the single basis form g_{0,0} = 1, and every family member
+    # has constant term 1, so its coordinate is 1 and its q-coefficients are
+    # (1, 0, 0, ...): the coordinate solution is the a_0 solution, and the
+    # a_mu solutions for mu >= 1 vanish.
+    assert KatzBasis(5, 3).row_coords(7, 0, 3) == (1,)
+    system, sols = row_solutions(5, 0, 3)
+    want = oracles.q_coefficient_solutions(system, 0, 4)
+    assert sols == want[:1]
+    assert want[1:] == [(0, 0, 0)] * 3
 
 
 def test_solve_row_r0_exact_zero():
@@ -208,6 +221,27 @@ def test_katz_basis_row_coords_match_psi(req):
     lo, hi = _block(p, r)
     want = psi(p, n, lam, eis_ratio_by_s(p, s, lam, N)).x[lo:hi]
     assert basis.row_coords(s, r, lam) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(basis_requests(), st.integers(1, 40))
+@example((17, 20, 20, 6, 4, 3), 40)
+@example((11, 5, 5, 3, 3, 1), 40)
+def test_katz_basis_row_forms_match_g_form(req, count):
+    # The columns of row r in the basis matrix, built at E and reduced mod
+    # p^lam, are g_{r,j} / E_{p-1}^r for the g_form forms g_{r,j}.
+    p, n, r, E, lam, s = req
+    basis = KatzBasis(p, n)
+    basis.row_coords(s, r, E)
+    ring = RingSpec(p, basis.E)
+    count = min(count, basis.N)
+    e_r = e_p_minus_1(ring, basis.N) ** r
+    lo, hi = _block(p, r)
+    columns = [QSeries(ring, basis.matrix.columns[j]) for j in range(lo, hi)]
+    got = tuple((c * e_r).reduce(lam).truncate(count).coeffs for c in columns)
+    small = RingSpec(p, lam)
+    want = tuple(g_form(p, r, j, small, count).series.coeffs for j in range(lo, hi))
+    assert got == want
 
 
 def test_katz_basis_rejects_row_beyond_n():
