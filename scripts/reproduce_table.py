@@ -6,6 +6,11 @@ one table row (p, i_max, observed rate d'_p, where equality was attained,
 the proven lower-bound slope c_p, and wall time), and optionally writes the
 per-(i, j) valuation entries to CSV files.
 
+By default it prints two sections: the paper's table, and the conjecture
+frontier, rows swept to i = p(p+1), where the table's minimum sits for
+p = 5, 7, 11.  A frontier d'_p is only what the sweep certifies up to i_max:
+an upper bound on the rate, not its limit.
+
 Example:
     python3 scripts/reproduce_table.py --out-dir results/
     python3 scripts/reproduce_table.py --rows 5:36 7:56
@@ -15,11 +20,11 @@ import argparse
 import os
 import sys
 import time
-from fractions import Fraction
 
 from katzrates.sweep import c_p, d_p, run_sweep, theorem_b_audit, write_entries_csv
 
 DEFAULT_ROWS = [(5, 36), (7, 56), (11, 132), (13, 84), (17, 20)]
+FRONTIER_ROWS = [(13, 182), (17, 306)]
 
 
 def parse_row(text):
@@ -36,45 +41,63 @@ def main(argv=None):
         "--rows",
         nargs="+",
         type=parse_row,
-        default=DEFAULT_ROWS,
         metavar="p:imax",
-        help="sweep ranges, e.g. 5:36 7:56 (default: the full table)",
+        help="sweep only these ranges, e.g. 5:36 7:56 (default: the paper's "
+        "table, then the frontier)",
     )
     parser.add_argument(
-        "--out-dir", help="write per-prime valuation CSVs into this directory"
+        "--out-dir",
+        help="write per-prime valuation CSVs into this directory: p<p>.csv, "
+        "and frontier_p<p>.csv for the frontier section",
     )
     args = parser.parse_args(argv)
 
+    if args.rows:
+        sections = [(None, args.rows, "p{}.csv")]
+    else:
+        sections = [
+            ("paper table", DEFAULT_ROWS, "p{}.csv"),
+            ("frontier: i_max = p(p+1)", FRONTIER_ROWS, "frontier_p{}.csv"),
+        ]
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
 
     header = f"{'p':>4} {'i_max':>6} {'d_p_prime':>10} {'attained':>20} {'c_p':>8} {'time':>7}"
-    print(header)
-    print("-" * len(header))
-    for p, i_max in args.rows:
-        start = time.perf_counter()
-        state = run_sweep(p, i_max)
-        elapsed = time.perf_counter() - start
-        c_viol, d_viol = theorem_b_audit(state)
-        attained = sorted({i for i, _ in state.attained})
-        print(
-            f"{p:>4} {i_max:>6} {str(state.d_prime):>10} "
-            f"{str(attained):>20} {str(c_p(p)):>8} {elapsed:>6.1f}s"
-        )
-        if c_viol or d_viol:
-            print(f"  !! audit violations: c_p={c_viol} d_p={d_viol}")
-        if state.d_prime == d_p(p):
-            note = "matches the conjectured rate (p-1)/(p(p+1))"
-        elif state.d_prime > d_p(p):
-            note = f"above the conjectured rate {d_p(p)}"
-        else:
-            note = f"BELOW the conjectured rate {d_p(p)}"
-        print(f"      {note}")
-        if args.out_dir:
-            path = os.path.join(args.out_dir, f"p{p}.csv")
-            with open(path, "w", newline="") as fh:
-                write_entries_csv(state.entries, fh)
+    for title, rows, csv_name in sections:
+        if title:
+            print(f"# {title}")
+        print(header)
+        print("-" * len(header))
+        for p, i_max in rows:
+            state = _print_row(p, i_max)
+            if args.out_dir:
+                path = os.path.join(args.out_dir, csv_name.format(p))
+                with open(path, "w", newline="") as fh:
+                    write_entries_csv(state.entries, fh)
     return 0
+
+
+def _print_row(p, i_max):
+    """Sweep one row, print its table line and its comparison with d_p."""
+    start = time.perf_counter()
+    state = run_sweep(p, i_max)
+    elapsed = time.perf_counter() - start
+    c_viol, d_viol = theorem_b_audit(state)
+    attained = sorted({i for i, _ in state.attained})
+    print(
+        f"{p:>4} {i_max:>6} {str(state.d_prime):>10} "
+        f"{str(attained):>20} {str(c_p(p)):>8} {elapsed:>6.1f}s"
+    )
+    if c_viol or d_viol:
+        print(f"  !! audit violations: c_p={c_viol} d_p={d_viol}")
+    if state.d_prime == d_p(p):
+        note = "matches the conjectured rate (p-1)/(p(p+1))"
+    elif state.d_prime > d_p(p):
+        note = f"above the conjectured rate {d_p(p)}"
+    else:
+        note = f"BELOW the conjectured rate {d_p(p)}"
+    print(f"      {note}")
+    return state
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@ Eisenstein series E*_k for weights divisible by p-1."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -29,11 +30,43 @@ def sigma(m: int, n: int) -> int:
 
 def sigma_star(p: int, m: int, n: int, ring: RingSpec) -> Residue:
     """Sum of d^m over d | n with p not dividing d, reduced mod p^e."""
-    return Residue(ring, _sigma_star_int(p, m, n, ring.modulus))
+    return Residue(ring, _sigma_star_table(p, m, n + 1, ring.modulus)[n])
 
 
-def _sigma_star_int(p: int, m: int, n: int, mod: int) -> int:
-    return sum(pow(d, m, mod) for d in divisors(n) if d % p) % mod
+@lru_cache(maxsize=8)
+def _prime_powers(N: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For 2 <= n < N: the smallest prime factor q of n and the largest power
+    of q dividing n (entries 0 and 1 unused).  Built once per truncation N,
+    on first use, and shared by every weight."""
+    spf = list(range(N))
+    for q in range(2, math.isqrt(max(N - 1, 0)) + 1):
+        if spf[q] == q:
+            for n in range(q * q, N, q):
+                if spf[n] == n:
+                    spf[n] = q
+    qpow = list(spf)
+    for n in range(2, N):
+        q = spf[n]
+        if n // q % q == 0:
+            qpow[n] = qpow[n // q] * q
+    return tuple(spf), tuple(qpow)
+
+
+def _sigma_star_table(p: int, m: int, N: int, mod: int) -> list[int]:
+    """sigma*_m(n) mod `mod` for 0 <= n < N (entry 0 unused).  sigma*_m is
+    multiplicative, and sigma*_m(q^a) = 1 + q^m sigma*_m(q^(a-1)) with
+    q^m = sigma*_m(q) - 1 (0 for q = p), so it takes one pow per prime."""
+    spf, qpow = _prime_powers(N)
+    f = [1] * N
+    for n in range(2, N):
+        q, a = spf[n], qpow[n]
+        if a < n:
+            f[n] = f[a] * f[n // a] % mod
+        elif q == n:
+            f[n] = 1 if q == p else (1 + pow(q, m, mod)) % mod
+        else:
+            f[n] = (1 + (f[q] - 1) * f[n // q]) % mod
+    return f
 
 
 def _sigma_mod(m: int, n: int, mod: int) -> int:
@@ -155,8 +188,8 @@ def eisenstein_star(k: int, ring: RingSpec, N: int) -> QSeries:
     if c % p:
         raise ArithmeticError("Eisenstein scalar is not divisible by p")
     mod = ring.modulus
-    coeffs = [1] + [c * _sigma_star_int(p, k - 1, n, mod) % mod for n in range(1, N)]
-    return QSeries(ring, tuple(coeffs))
+    sig = _sigma_star_table(p, k - 1, N, mod)
+    return QSeries(ring, (1, *[c * x % mod for x in sig[1:N]]))
 
 
 @dataclass(frozen=True)

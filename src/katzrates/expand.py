@@ -34,19 +34,26 @@ class KatzTuple:
     components: tuple[KatzComponent, ...]
 
 
-def forward_substitute(matrix: BasisMatrix, rhs) -> list[int]:
-    """Katz coordinates of the q-coefficients `rhs`: solve Mx = rhs for the
-    unit-lower-triangular basis matrix M, division-free, exact mod p^C."""
+def forward_substitute_many(matrix: BasisMatrix, rhss) -> list[list[int]]:
+    """Katz coordinates of several q-coefficient vectors at once: solve
+    M X = R for the unit-lower-triangular basis matrix M, the columns of R
+    being `rhss`, division-free, exact mod p^C.  Row r of X, across all the
+    right-hand sides, is one packed integer: row r of R less one big-integer
+    combination of the earlier rows of X with the entries of row r of M.
+    Every slot starts at N p^2C, a multiple of p^C above any such
+    combination, so no slot goes negative.  Returns one coordinate vector per
+    right-hand side."""
     mod = matrix.ring.modulus
-    cols = matrix.columns
-    x = [0] * matrix.N
-    for r in range(matrix.N):
-        acc = rhs[r]
-        for c in range(r):
-            if x[c]:
-                acc -= cols[c][r] * x[c]
-        x[r] = acc % mod
-    return x
+    count = len(rhss)
+    width = slot_bytes(mod, matrix.N + 1)
+    offset = pack([matrix.N * mod * mod] * count, width)
+    X, packed = [], []
+    for r, row in enumerate(zip(*matrix.columns)):
+        acc = pack([c[r] % mod for c in rhss], width) + offset
+        acc -= sum(map(mul, row[:r], packed))
+        X.append(unpack(acc, width, count, mod))
+        packed.append(pack(X[-1], width))
+    return [list(x) for x in zip(*X)]
 
 
 def _group(matrix: BasisMatrix, x) -> tuple[KatzComponent, ...]:
@@ -68,7 +75,7 @@ def psi(p: int, n: int, C: int, f: QSeries) -> KatzTuple:
             f"series truncation {f.n_trunc} does not match required N = "
             f"d_{{{n}({p}-1)}} = {matrix.N}"
         )
-    x = forward_substitute(matrix, f.coeffs)
+    (x,) = forward_substitute_many(matrix, [f.coeffs])
     return KatzTuple(p=p, n=n, ring=matrix.ring, x=tuple(x), components=_group(matrix, x))
 
 
@@ -89,16 +96,6 @@ def phi(p: int, n: int, C: int, t: KatzTuple) -> QSeries:
     width = slot_bytes(mod, matrix.N)
     acc = sum(map(mul, x, [pack(col, width) for col in matrix.columns]))
     return QSeries(matrix.ring, tuple(unpack(acc, width, matrix.N, mod)))
-
-
-def tuple_from_coords(p: int, n: int, C: int, x) -> KatzTuple:
-    """Build a KatzTuple directly from a full coordinate vector."""
-    matrix = basis_matrix(p, n, C)
-    if len(x) != matrix.N:
-        raise ValueError(f"expected {matrix.N} coordinates")
-    mod = matrix.ring.modulus
-    xs = tuple(c % mod for c in x)
-    return KatzTuple(p=p, n=n, ring=matrix.ring, x=xs, components=_group(matrix, xs))
 
 
 def required_truncation(p: int, n: int) -> int:

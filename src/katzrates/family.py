@@ -10,14 +10,18 @@ from .classical import eisenstein_star
 def eis_ratio_by_s(p: int, s: int, lam: int, N: int) -> QSeries:
     """E*_k / V(E*_k) mod (q^N, p^lam) for k = s(p-1).
 
-    Computed as a product with the inverse of V(E*_k); the constant term of
-    V(E*_k) is 1, so the inverse always exists.
+    Computed as a product with the inverse of V(E*_k).  V(f)(q) = f(q^p), so
+    that inverse is V of the inverse of the first ceil(N/p) coefficients of
+    E*_k, which is exact; the constant term of E*_k is 1, so the inverse
+    always exists.
     """
     if s < 1:
         raise ValueError("s must be a positive integer")
     ring = RingSpec(p, lam)
     estar = eisenstein_star(s * (p - 1), ring, N)
-    return estar * v_operator(estar).inverse()
+    head = -(-N // p)
+    inv = estar.truncate(head).inverse().coeffs
+    return estar * v_operator(QSeries(ring, inv + (0,) * (N - head)))
 
 
 def eis_ratio(p: int, k: int, lam: int, N: int) -> QSeries:

@@ -21,23 +21,12 @@ from operator import mul
 from .arithmetic import CappedVal, RingSpec, pack, padic_val, slot_bytes, unpack
 from .basis import build_matrix, dim_mk
 from .classical import WeightSpec
-from .expand import forward_substitute
+from .expand import forward_substitute_many
 from .family import eis_ratio_by_s
 
 
 class UnsolvableSystem(RuntimeError):
     """V x = theta has no solution mod p^lam (implementation or precision fault)."""
-
-
-def int_val(p: int, x: int) -> int:
-    """Plain p-adic valuation of a nonzero integer."""
-    if x == 0:
-        raise ValueError("valuation of 0 is infinite")
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
 
 
 def f_bound(p: int, n: int) -> int:
@@ -54,9 +43,10 @@ def f_bound(p: int, n: int) -> int:
 
 def nu_w(p: int, k: int, e: int) -> CappedVal:
     """nu_p((1+p)^k - 1) computed mod p^e; equals nu_p(k) + 1."""
-    expected = int_val(p, k) + 1
-    if e <= expected:
-        raise ValueError(f"precision e = {e} too small to certify valuation {expected}")
+    kv = padic_val(k, p, e)
+    if not kv.is_finite or e <= kv.v + 1:
+        raise ValueError(f"precision e = {e} too small to certify nu_p({k}) + 1")
+    expected = kv.v + 1
     got = padic_val(pow(p + 1, k, p**e) - 1, p, e)
     if got.v != expected:
         raise ArithmeticError(f"valuation {got} does not match closed form {expected}")
@@ -298,37 +288,50 @@ def _block(p: int, r: int) -> tuple[int, int]:
     return dim_mk((r - 1) * (p - 1)), dim_mk(r * (p - 1))
 
 
+# Precision added to a planned or missed lam before KatzBasis builds at it.
+PLAN_SLACK = 2
+
+
 class KatzBasis:
     """The Katz basis of weight n(p-1) and the Katz coordinates of the family
     members E*_k / V(E*_k), k = s(p-1), built once over Z/p^E and served mod
     p^lam for any row r <= n and lam <= E.
 
     Reduction mod p^lam is a ring map, so the served values equal a fresh
-    build at (r, lam).  When a request needs lam > E, E grows to
-    max(lam, 2E) and everything is rebuilt, so a sweep whose lam creeps up
-    builds the matrix O(log lam) times.
+    build at (r, lam).  `plan` is the caller's estimate of the largest lam it
+    will ask for: the first request builds at E = max(lam, plan), so with no
+    plan the basis is built at exactly the first lam asked for.  A request
+    that misses, lam > E, rebuilds at E = lam + PLAN_SLACK.  Each build
+    computes the coordinates of the family members at every weight of
+    weight_list(p, E) in one batch; any other weight is computed when first
+    asked for.
     """
 
-    def __init__(self, p: int, n: int):
+    def __init__(self, p: int, n: int, plan: int = 0):
         self.p = p
         self.n = n
         self.N = dim_mk(n * (p - 1))
+        self.plan = plan
         self.E = 0
         self.matrix = None
         self._coords: dict[int, list[int]] = {}
+
+    def _family_coords(self, ss) -> list[list[int]]:
+        ratios = [eis_ratio_by_s(self.p, s, self.E, self.N).coeffs for s in ss]
+        return forward_substitute_many(self.matrix, ratios)
 
     def row_coords(self, s: int, r: int, lam: int) -> tuple[int, ...]:
         """Coordinates over the g_{r,j} of E*_k / V(E*_k), k = s(p-1), mod p^lam."""
         if not 0 <= r <= self.n:
             raise ValueError(f"row {r} is outside 0..{self.n}")
         if lam > self.E:
-            self.E = max(lam, 2 * self.E)
+            self.E = lam + PLAN_SLACK if self.E else max(lam, self.plan)
             self.matrix = build_matrix(self.p, self.n, RingSpec(self.p, self.E))
-            self._coords = {}
+            ss = [w.s for w in weight_list(self.p, self.E)]
+            self._coords = dict(zip(ss, self._family_coords(ss)))
         x = self._coords.get(s)
         if x is None:
-            ratio = eis_ratio_by_s(self.p, s, self.E, self.N)
-            x = self._coords[s] = forward_substitute(self.matrix, ratio.coeffs)
+            x = self._coords[s] = self._family_coords([s])[0]
         lo, hi = _block(self.p, r)
         mod = self.p**lam
         return tuple(c % mod for c in x[lo:hi])

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .arithmetic import _is_prime
 from .basis import dim_mk
-from .solver import KatzBasis, build_system, f_bound, solve_row
+from .solver import PLAN_SLACK, KatzBasis, build_system, f_bound, solve_row
 
 CHECKPOINT_VERSION = 1
 
@@ -54,6 +54,16 @@ def lambda_for(p: int, target_gamma: int, j_max: int) -> int:
     while n - j_max - f_bound(p, n) < target_gamma:
         n += 1
     return n
+
+
+def planned_precision(p: int, i_max: int) -> int:
+    """The precision a sweep to i_max plans its one KatzBasis build at: the
+    lam of the last row if the observed rate is the conjectured d_p, plus
+    PLAN_SLACK.  A wrong plan only costs time: a row needing more rebuilds
+    the basis at its own lam plus PLAN_SLACK."""
+    target_j = math.ceil(d_p(p) * i_max)
+    j_max = min(i_max, target_j)
+    return lambda_for(p, target_j + _INITIAL_MARGIN, j_max) + PLAN_SLACK
 
 
 @dataclass(frozen=True)
@@ -126,7 +136,7 @@ def run_sweep(
     else:
         state = SweepState(p=p, i_max=i_max)
 
-    basis = KatzBasis(p, i_max)
+    basis = KatzBasis(p, i_max, max(planned_precision(p, i_max), state.lam_current))
     # lam never decreases, so only the newest system can be used again.
     system = None
 
@@ -256,8 +266,8 @@ def _entry_from_json(e: dict, completed_rows: set[int]) -> SweepEntry:
     status, value = e["status"], e["value"]
     if not (_is_int(i) and _is_int(j) and _is_int(gamma)):
         raise CheckpointError(f"entry {e}: i, j and gamma must be integers")
-    if i < 1 or j < 0:
-        raise CheckpointError(f"entry {e}: needs i >= 1 and j >= 0")
+    if i < 1 or not 0 <= j <= i:
+        raise CheckpointError(f"entry {e}: needs i >= 1, j >= 0 and j <= i")
     if i not in completed_rows:
         raise CheckpointError(f"entry {e}: row {i} is not in completed_rows")
     if status == "exact":
@@ -272,9 +282,10 @@ def _entry_from_json(e: dict, completed_rows: set[int]) -> SweepEntry:
 
 def state_from_json(data: dict) -> SweepState:
     """The SweepState a checkpoint records, after checking every field, that
-    p is a prime >= 5, that each completed row holds the entries j = 0..J of
-    one solve (none if its basis block is empty), and that d_prime is the
-    minimum over the exact entries."""
+    p is a prime >= 5, that the completed rows lie in 1..i_max, that each
+    holds the entries j = 0..J of one solve with J <= i (none if its basis
+    block is empty), and that d_prime is the minimum over the exact
+    entries."""
     if not isinstance(data, dict) or data.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version: {data.get('version') if isinstance(data, dict) else data!r}"
@@ -288,6 +299,9 @@ def state_from_json(data: dict) -> SweepState:
             )
         if p < 5 or not _is_prime(p):
             raise CheckpointError(f"p must be a prime >= 5, got {p}")
+        outside = sorted(i for i in rows if not 1 <= i <= i_max)
+        if outside:
+            raise CheckpointError(f"completed_rows {outside} lie outside 1..{i_max}")
         if not isinstance(data["d_prime"], str):
             raise CheckpointError("d_prime must be a string p/q")
         state = SweepState(

@@ -8,10 +8,10 @@ tests/test_kernels.py checks the kernels against them.
 import math
 from fractions import Fraction
 
-from katzrates.arithmetic import CappedVal, QSeries, RingSpec, padic_val
-from katzrates.basis import dim_mk, g_form, i_of_j
-from katzrates.classical import e_p_minus_1
-from katzrates.solver import KatzBasis, UnsolvableSystem, int_val
+from katzrates.arithmetic import CappedVal, QSeries, RingSpec, padic_val, v_operator
+from katzrates.basis import BasisMatrix, dim_mk, g_form, i_of_j
+from katzrates.classical import e_p_minus_1, eisenstein_star
+from katzrates.solver import KatzBasis, UnsolvableSystem
 
 
 def schoolbook_mul(f: QSeries, g: QSeries) -> QSeries:
@@ -64,7 +64,7 @@ def smith_diagonalize(V, p: int, lam: int):
         for i in range(k, n):
             for j in range(k, n):
                 if M[i][j]:
-                    v = int_val(p, M[i][j])
+                    v = padic_val(M[i][j], p, lam).v
                     if best is None or v < best[0]:
                         best = (v, i, j)
                         if v == 0:
@@ -155,3 +155,40 @@ def q_coefficient_solutions(system, r: int, count: int) -> list[tuple[int, ...]]
                     acc[mu] += x * g[mu]
         betas.append([c % mod for c in acc])
     return system.solve_many(list(zip(*betas)))
+
+
+def forward_substitute(matrix: BasisMatrix, rhs) -> list[int]:
+    """Katz coordinates of one q-coefficient vector: solve Mx = rhs for the
+    unit-lower-triangular basis matrix M, one entry at a time."""
+    mod = matrix.ring.modulus
+    cols = matrix.columns
+    x = [0] * matrix.N
+    for r in range(matrix.N):
+        acc = rhs[r]
+        for c in range(r):
+            if x[c]:
+                acc -= cols[c][r] * x[c]
+        x[r] = acc % mod
+    return x
+
+
+def sigma_star_trial(p: int, m: int, n: int, mod: int) -> int:
+    """Sum of d^m mod `mod` over the divisors d of n prime to p, found by
+    trial division."""
+    return sum(pow(d, m, mod) for d in range(1, n + 1) if n % d == 0 and d % p) % mod
+
+
+def eisenstein_star_trial(k: int, ring: RingSpec, N: int) -> QSeries:
+    """E*_k mod (q^N, p^e), each sigma*_{k-1}(n) by trial division.  The
+    scalar c is the q-coefficient of the package's E*_k, since
+    sigma*_{k-1}(1) = 1."""
+    mod = ring.modulus
+    c = eisenstein_star(k, ring, 2).coeffs[1]
+    coeffs = [1] + [c * sigma_star_trial(ring.p, k - 1, n, mod) % mod for n in range(1, N)]
+    return QSeries(ring, tuple(coeffs[:N]))
+
+
+def eis_ratio_full_inverse(p: int, s: int, lam: int, N: int) -> QSeries:
+    """E*_k / V(E*_k), k = s(p-1), with V(E*_k) inverted at full length N."""
+    estar = eisenstein_star_trial(s * (p - 1), RingSpec(p, lam), N)
+    return estar * v_operator(estar).inverse()

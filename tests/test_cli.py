@@ -194,7 +194,7 @@ def test_sweep_cli_malformed_entry_exits_5(tmp_path, capsys, key, bad):
     assert err.startswith("error:") and "Traceback" not in err and out == ""
 
 
-@pytest.mark.parametrize("edit", ["drop_row_9", "p_9"])
+@pytest.mark.parametrize("edit", ["drop_row_9", "p_9", "j_past_i", "row_past_i_max"])
 def test_sweep_cli_incomplete_checkpoint_exits_5(tmp_path, capsys, edit):
     ck = tmp_path / "ck.json"
     code, _, _ = run_cli(capsys, "sweep", "--p", "5", "--imax", "9", "--checkpoint", str(ck))
@@ -202,6 +202,12 @@ def test_sweep_cli_incomplete_checkpoint_exits_5(tmp_path, capsys, edit):
     data = json.loads(ck.read_text())
     if edit == "drop_row_9":
         data["entries"] = [e for e in data["entries"] if e["i"] != 9]
+    elif edit == "j_past_i":
+        data["entries"].append(
+            {"i": 3, "j": 4, "status": "inconclusive", "value": None, "gamma": 1}
+        )
+    elif edit == "row_past_i_max":
+        data["completed_rows"].append(50)
     else:
         data["p"] = 9
     ck.write_text(json.dumps(data))

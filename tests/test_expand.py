@@ -10,12 +10,23 @@ from hypothesis import strategies as st
 from katzrates.arithmetic import QSeries, RingSpec
 from katzrates.basis import basis_matrix, dim_mk
 from katzrates.expand import (
+    KatzComponent,
+    KatzTuple,
     PrecisionMismatch,
     phi,
     psi,
     required_truncation,
-    tuple_from_coords,
 )
+
+
+def tuple_from_coords(p, n, C, x):
+    """The Katz tuple whose full coordinate vector is x, split into blocks."""
+    m = basis_matrix(p, n, C)
+    components = tuple(
+        KatzComponent(i=i, js=tuple(range(lo, hi)), coords=tuple(x[lo:hi]))
+        for i, lo, hi in m.blocks
+    )
+    return KatzTuple(p=p, n=n, ring=m.ring, x=tuple(x), components=components)
 
 
 def random_series(rng, p, C, N):

@@ -1,8 +1,10 @@
 """The fast kernels against the slow reference oracles in tests/oracles.py:
 the Kronecker series product, the packed row solve, the Newton factorization
 of the Vandermonde systems, the gcd-driven valuation minima, the
-tangent-number Bernoulli numbers, the step-by-step basis matrix, and the rows
-solved on their Katz coordinates."""
+tangent-number Bernoulli numbers, the step-by-step basis matrix, the rows
+solved on their Katz coordinates, the sieved sigma* of E*_k, the short
+inverse of V(E*_k), and the forward substitution packed over right-hand
+sides."""
 
 import random
 
@@ -13,8 +15,10 @@ from hypothesis import strategies as st
 import oracles
 from katzrates import classical
 from katzrates.arithmetic import QSeries, RingSpec
-from katzrates.basis import build_matrix
-from katzrates.classical import WeightSpec, bernoulli
+from katzrates.basis import basis_matrix, build_matrix, dim_mk
+from katzrates.classical import WeightSpec, bernoulli, eisenstein_star
+from katzrates.expand import forward_substitute_many
+from katzrates.family import eis_ratio_by_s
 from katzrates.solver import (
     UnsolvableSystem,
     _min_val,
@@ -288,3 +292,65 @@ def test_row_statuses_match_q_coefficient_oracle(case, extra):
     assert collect_statuses(system, sols, lam - 1) == collect_statuses(
         system, want, lam - 1
     )
+
+
+_FAMILY_PRIMES = [5, 7, 11, 13, 17, 23]
+
+
+@st.composite
+def family_cases(draw):
+    """(p, s, e, N): a family member's weight s(p-1), precision and
+    truncation, with s in {1, p+1, 2p+1} and N <= p (V(E*_k) constant) drawn
+    often."""
+    p = draw(st.sampled_from(_FAMILY_PRIMES))
+    s = draw(st.one_of(st.sampled_from([1, p + 1, 2 * p + 1]), st.integers(1, 60)))
+    e = draw(st.integers(1, 12))
+    N = draw(st.one_of(st.just(1), st.integers(1, p), st.integers(1, 150)))
+    return p, s, e, N
+
+
+@given(family_cases())
+@settings(max_examples=80, deadline=None)
+@example((5, 1, 3, 1))
+@example((23, 24, 6, 23))
+@example((13, 27, 9, 150))
+def test_eisenstein_star_matches_trial_division_oracle(case):
+    p, s, e, N = case
+    ring = RingSpec(p, e)
+    k = s * (p - 1)
+    assert eisenstein_star(k, ring, N) == oracles.eisenstein_star_trial(k, ring, N)
+
+
+@given(family_cases())
+@settings(max_examples=80, deadline=None)
+@example((5, 1, 3, 1))
+@example((7, 8, 5, 7))
+@example((17, 35, 10, 150))
+def test_eis_ratio_matches_full_inverse_oracle(case):
+    # V(E*_k)^-1 is V of the inverse of E*_k's first ceil(N/p) coefficients.
+    p, s, e, N = case
+    assert eis_ratio_by_s(p, s, e, N) == oracles.eis_ratio_full_inverse(p, s, e, N)
+
+
+@st.composite
+def substitution_cases(draw):
+    """(p, n, C, rhss): a basis matrix and up to 6 right-hand sides, with 0
+    and p^C - 1 drawn often."""
+    p = draw(st.sampled_from(_FAMILY_PRIMES))
+    n = draw(st.integers(0, 14))
+    C = draw(st.integers(1, 10))
+    N, mod = dim_mk(n * (p - 1)), p**C
+    coeff = st.one_of(st.just(0), st.just(mod - 1), st.integers(0, mod - 1))
+    vector = st.lists(coeff, min_size=N, max_size=N)
+    return p, n, C, draw(st.lists(vector, max_size=6))
+
+
+@given(substitution_cases())
+@settings(max_examples=60, deadline=None)
+@example((5, 0, 1, [[1]]))  # N = 1
+@example((7, 3, 2, []))
+def test_forward_substitute_many_matches_per_vector_oracle(case):
+    p, n, C, rhss = case
+    matrix = basis_matrix(p, n, C)
+    want = [oracles.forward_substitute(matrix, rhs) for rhs in rhss]
+    assert forward_substitute_many(matrix, rhss) == want

@@ -7,18 +7,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from katzrates import basis as basis_module
+from katzrates import solver as solver_module
 from katzrates.arithmetic import QSeries, RingSpec, padic_val
 from katzrates.basis import dim_mk, g_form
 from katzrates.classical import e_p_minus_1
 from katzrates.expand import psi
 from katzrates.family import eis_ratio_by_s
 from katzrates.solver import (
+    PLAN_SLACK,
     KatzBasis,
     build_system,
     collect_statuses,
     f_bound,
-    int_val,
     nu_w,
     row_solutions,
     solve_row,
@@ -180,10 +180,13 @@ def test_monotone_refinement():
 
 
 def test_int_val():
-    assert int_val(5, 50) == 2
-    assert int_val(5, 7) == 0
-    with pytest.raises(ValueError):
-        int_val(5, 0)
+    # The valuation of an integer is padic_val's at any cap above it; 0 has
+    # none, only "at least the cap".
+    assert padic_val(50, 5, 3).v == 2
+    assert padic_val(-50, 5, 3).v == 2
+    assert padic_val(7, 5, 1).v == 0
+    assert not padic_val(0, 5, 3).is_finite
+    assert not padic_val(125, 5, 3).is_finite
 
 
 def test_solve_row_rejects_large_j_max():
@@ -249,18 +252,34 @@ def test_katz_basis_rejects_row_beyond_n():
         KatzBasis(17, 20).row_coords(1, 21, 2)
 
 
-def test_katz_basis_precision_grows_geometrically(monkeypatch):
-    builds = []
-    real = basis_module.build_matrix
+def test_katz_basis_builds_at_plan_then_steps(matrix_builds):
+    # The first request builds at max(lam, plan), so at exactly lam with no
+    # plan; a request above E rebuilds at lam + PLAN_SLACK; every other
+    # request reduces.
+    assert PLAN_SLACK == 2
+    for plan, want in [(0, [3, 6, 15]), (10, [10, 15]), (20, [20])]:
+        matrix_builds.clear()
+        basis = KatzBasis(5, 6, plan)
+        for lam in (3, 2, 4, 6, 5, 13, 12):
+            basis.row_coords(1, 6, lam)
+        assert matrix_builds == want
+        assert basis.E == want[-1]
 
-    def counting(p, n, ring):
-        builds.append(ring.e)
-        return real(p, n, ring)
 
-    monkeypatch.setattr("katzrates.solver.build_matrix", counting)
-    basis = KatzBasis(5, 6)
-    for lam in (3, 2, 4, 6, 5, 13, 12):
-        basis.row_coords(1, 6, lam)
-    # A request above E rebuilds at max(lam, 2E); every other request reduces.
-    assert builds == [3, 6, 13]
-    assert basis.E == 13
+def test_katz_basis_batches_the_weight_list(monkeypatch):
+    # One build computes the family members at every weight of
+    # weight_list(p, E); any other weight is added on its own.
+    calls = []
+    real = solver_module.eis_ratio_by_s
+
+    def counting(p, s, lam, N):
+        calls.append(s)
+        return real(p, s, lam, N)
+
+    monkeypatch.setattr(solver_module, "eis_ratio_by_s", counting)
+    basis = KatzBasis(5, 6, 4)
+    for w in weight_list(5, 3):
+        basis.row_coords(w.s, 6, 3)
+    assert calls == [1, 2, 3, 4]
+    basis.row_coords(7, 6, 3)
+    assert calls == [1, 2, 3, 4, 7]

@@ -12,7 +12,7 @@ import pytest
 from katzrates import basis as basis_module
 from katzrates import sweep as sweep_module
 from katzrates.basis import dim_mk
-from katzrates.solver import f_bound
+from katzrates.solver import PLAN_SLACK, f_bound
 from katzrates.sweep import (
     CheckpointError,
     SweepEntry,
@@ -224,6 +224,26 @@ def test_checkpoint_rejects_duplicate_entry(checkpoint_p5_i9):
         state_from_json(data)
 
 
+def test_checkpoint_rejects_entry_past_j_equals_i(checkpoint_p5_i9):
+    # Row 3 holds j = 0..3; a sweep never solves j > i, though 0..4 has no gap.
+    data = json.loads(checkpoint_p5_i9)
+    data["entries"].append(
+        {"i": 3, "j": 4, "status": "inconclusive", "value": None, "gamma": 1}
+    )
+    with pytest.raises(CheckpointError, match="j <= i"):
+        state_from_json(data)
+
+
+@pytest.mark.parametrize("row", [50, 10, 0, -2])
+def test_checkpoint_rejects_completed_row_outside_i_max(checkpoint_p5_i9, row):
+    # Row 50 (p = 5) has an empty basis block, so it needs no entries.
+    data = json.loads(checkpoint_p5_i9)
+    assert data["i_max"] == 9
+    data["completed_rows"].append(row)
+    with pytest.raises(CheckpointError, match="outside 1..9"):
+        state_from_json(data)
+
+
 def test_checkpoint_accepts_a_shorter_row(checkpoint_p5_i9):
     # j = 0..J for a smaller J is what a lower d' would have solved.
     data = json.loads(checkpoint_p5_i9)
@@ -312,10 +332,11 @@ def _entries_csv(state) -> str:
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("p, i_max", [(5, 36), (7, 56), (17, 20)])
+@pytest.mark.parametrize("p, i_max", [(5, 36), (7, 56), (17, 20), (13, 182)])
 def test_sweep_reproduces_golden_csv(p, i_max):
-    # Frozen per-entry output of the table rows; 17/20 needs one more
-    # q-coefficient per basis form than the matrix has rows.
+    # Frozen per-entry output of the table rows and of the frontier row
+    # 13/182; 17/20 needs one more q-coefficient per basis form than the
+    # matrix has rows.
     golden = (DATA / f"p{p}_i{i_max}.csv").read_bytes().decode()
     assert _entries_csv(run_sweep(p, i_max)) == golden
 
@@ -330,21 +351,48 @@ def test_reproduce_table_writes_the_sweep_csv(tmp_path, capsys):
     assert (tmp_path / "p17.csv").read_bytes() == (DATA / "p17_i20.csv").read_bytes()
 
 
-def test_sweep_builds_basis_once_per_precision_doubling(monkeypatch):
-    # p=5 to i=36 needs lam = 10, 12, 15: the basis is built at E = 10, then
-    # at 20, and never through the shared basis_matrix cache.
-    builds = []
-    real = basis_module.build_matrix
-
-    def counting(p, n, ring):
-        builds.append(ring.e)
-        return real(p, n, ring)
-
-    monkeypatch.setattr("katzrates.solver.build_matrix", counting)
+def test_sweep_builds_basis_once_at_planned_precision(matrix_builds):
+    # p=5 to i=36 needs lam = 10, 12, 15, and plans 15 + 2; p=11 to i=132
+    # needs lam up to 26 and plans 24 + 2.  Neither goes through the shared
+    # basis_matrix cache.
     cached = set(basis_module._CACHE)
+    assert sweep_module.planned_precision(5, 36) == 17
     run_sweep(5, 36)
-    assert builds == [10, 20]
+    assert matrix_builds == [17]
+    matrix_builds.clear()
+    assert sweep_module.planned_precision(11, 132) == 26
+    run_sweep(11, 132)
+    assert matrix_builds == [26]
     assert set(basis_module._CACHE) == cached
+
+
+@pytest.mark.parametrize("p, i_max", [(5, 36), (7, 56)])
+@pytest.mark.parametrize("shift", [-100, 20])
+def test_wrong_plan_gives_the_same_csv(monkeypatch, matrix_builds, p, i_max, shift):
+    # A plan far too low builds at the first row's lam and steps by
+    # PLAN_SLACK on each miss; one far too high builds once, above need.
+    # Either way the entries are the golden ones.
+    real = sweep_module.planned_precision
+    monkeypatch.setattr(
+        sweep_module, "planned_precision", lambda p, i_max: max(real(p, i_max) + shift, 1)
+    )
+    golden = (DATA / f"p{p}_i{i_max}.csv").read_bytes().decode()
+    state = run_sweep(p, i_max)
+    assert _entries_csv(state) == golden
+    if shift < 0:
+        assert len(matrix_builds) > 1 and matrix_builds == sorted(set(matrix_builds))
+        assert state.lam_current <= matrix_builds[-1] <= state.lam_current + PLAN_SLACK
+    else:
+        assert matrix_builds == [real(p, i_max) + shift]
+
+
+def test_resumed_sweep_plans_at_least_the_checkpoint_lambda(matrix_builds):
+    # Row 15 is the first nonempty row past 12 for p = 5.
+    state = run_sweep(5, 12)
+    matrix_builds.clear()
+    state.lam_current = 40
+    run_sweep(5, 15, resume=state)
+    assert matrix_builds == [40]
 
 
 def test_sweep_builds_each_system_once(monkeypatch):
@@ -371,3 +419,19 @@ def test_deep_sweep_matches_benchmark_digest(workload, p, i_max):
     assert (expected["p"], expected["i_max"]) == (p, i_max)
     csv_bytes = _entries_csv(run_sweep(p, i_max)).encode()
     assert hashlib.sha256(csv_bytes).hexdigest() == expected["entries_sha256"]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "p, digest",
+    [
+        (17, "0fb66a4f144cce103f6f27639a1fc4ef14466b362d06ae6017d45e54a1df2577"),
+        (19, "9bef70d9a6e237e51ba5632c802efd18cbc4fd3bf1bfbffcbd8e80bd3ac7ed7d"),
+    ],
+)
+def test_frontier_sweep_matches_pinned_digest(p, digest):
+    # The conjecture frontier at i = p(p+1), where d' = (p-1)/(p(p+1)).
+    state = run_sweep(p, p * (p + 1))
+    assert state.d_prime == d_p(p)
+    assert summary(state)["unresolved"] == 0
+    assert hashlib.sha256(_entries_csv(state).encode()).hexdigest() == digest
