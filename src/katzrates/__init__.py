@@ -1,103 +1,22 @@
 """Katz expansions of weight-0 overconvergent p-adic modular forms and
 overconvergence-rate upper bounds for the Eisenstein family."""
 
-from .arithmetic import (
-    CappedVal,
-    QSeries,
-    Residue,
-    RingSpec,
-    padic_val,
-    residue_val,
-    series_inverse,
-    series_mul,
-    series_val,
-    v_operator,
-)
-from .basis import BasisElement, BasisMatrix, basis_matrix, basis_set, dim_mk, eps, g_form, i_of_j
-from .classical import (
-    WeightSpec,
-    bernoulli,
-    delta,
-    e4,
-    e6,
-    e_p_minus_1,
-    eisenstein_star,
-    sigma,
-    sigma_star,
-)
-from .expand import KatzComponent, KatzTuple, phi, psi
-from .family import eis_ratio, eis_ratio_by_s
-from .solver import (
-    UnsolvableSystem,
-    ValStatus,
-    ValuationRow,
-    VandermondeSystem,
-    build_system,
-    f_bound,
-    nu_w,
-    solve_row,
-    weight_list,
-)
-from .sweep import (
-    SweepEntry,
-    SweepState,
-    c_p,
-    d_p,
-    lambda_for,
-    run_sweep,
-    summary,
-    theorem_b_audit,
-)
+from .arithmetic import QSeries, RingSpec
+from .basis import build_matrix, dim_mk
+from .expand import phi, psi
+from .family import eis_ratio_by_s
+from .solver import solve_row
+from .sweep import run_sweep, summary
 
 __all__ = [
-    "BasisElement",
-    "BasisMatrix",
-    "CappedVal",
-    "KatzComponent",
-    "KatzTuple",
     "QSeries",
-    "Residue",
     "RingSpec",
-    "SweepEntry",
-    "SweepState",
-    "UnsolvableSystem",
-    "ValStatus",
-    "ValuationRow",
-    "VandermondeSystem",
-    "WeightSpec",
-    "basis_matrix",
-    "basis_set",
-    "bernoulli",
-    "build_system",
-    "c_p",
-    "d_p",
-    "delta",
+    "build_matrix",
     "dim_mk",
-    "e4",
-    "e6",
-    "e_p_minus_1",
-    "eis_ratio",
     "eis_ratio_by_s",
-    "eisenstein_star",
-    "eps",
-    "f_bound",
-    "g_form",
-    "i_of_j",
-    "lambda_for",
-    "nu_w",
-    "padic_val",
     "phi",
     "psi",
-    "residue_val",
     "run_sweep",
-    "series_inverse",
-    "series_mul",
-    "series_val",
-    "sigma",
-    "sigma_star",
     "solve_row",
     "summary",
-    "theorem_b_audit",
-    "v_operator",
-    "weight_list",
 ]

@@ -96,52 +96,6 @@ def padic_val(x: int, p: int, cap: int) -> CappedVal:
     return CappedVal.finite(v, cap)
 
 
-@dataclass(frozen=True)
-class Residue:
-    """An element of Z/p^e, stored as its canonical representative in [0, p^e)."""
-
-    ring: RingSpec
-    value: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.ring.modulus)
-
-    def _check(self, other: "Residue"):
-        if self.ring != other.ring:
-            raise ValueError("ring mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return Residue(self.ring, self.value + other.value)
-
-    def __sub__(self, other):
-        self._check(other)
-        return Residue(self.ring, self.value - other.value)
-
-    def __mul__(self, other):
-        self._check(other)
-        return Residue(self.ring, self.value * other.value)
-
-    def __neg__(self):
-        return Residue(self.ring, -self.value)
-
-    @property
-    def is_unit(self) -> bool:
-        return self.value % self.ring.p != 0
-
-    def inverse(self) -> "Residue":
-        if not self.is_unit:
-            raise ValueError(f"{self.value} is not a unit mod {self.ring.p}^{self.ring.e}")
-        return Residue(self.ring, pow(self.value, -1, self.ring.modulus))
-
-    def val(self) -> CappedVal:
-        return padic_val(self.value, self.ring.p, self.ring.e)
-
-
-def residue_val(x: Residue) -> CappedVal:
-    return x.val()
-
-
 def slot_bytes(mod: int, terms: int) -> int:
     """Byte width of a Kronecker slot that holds a sum of `terms` products of
     residues in [0, mod) without carrying into the next slot."""
@@ -174,11 +128,8 @@ def _canonical(coeffs, mod: int):
 
 @dataclass(frozen=True)
 class QSeries:
-    """A q-expansion over Z/p^e truncated at q^N (coefficients of q^0..q^{N-1}).
-
-    Coefficients are stored as canonical integer representatives; `coeff` gives
-    the Residue view of a single coefficient.
-    """
+    """A q-expansion over Z/p^e truncated at q^N (coefficients of q^0..q^{N-1}),
+    stored as canonical integer representatives in [0, p^e)."""
 
     ring: RingSpec
     coeffs: tuple[int, ...]
@@ -202,16 +153,9 @@ class QSeries:
     def one(cls, ring: RingSpec, N: int) -> "QSeries":
         return cls.constant(ring, 1, N)
 
-    @classmethod
-    def zero(cls, ring: RingSpec, N: int) -> "QSeries":
-        return cls.constant(ring, 0, N)
-
     @property
     def n_trunc(self) -> int:
         return len(self.coeffs)
-
-    def coeff(self, n: int) -> Residue:
-        return Residue(self.ring, self.coeffs[n])
 
     def _check(self, other: "QSeries"):
         if self.ring != other.ring:
@@ -321,18 +265,6 @@ class QSeries:
         if N2 > len(self.coeffs):
             raise ValueError("cannot extend truncation")
         return QSeries(self.ring, self.coeffs[:N2])
-
-
-def series_mul(f: QSeries, g: QSeries) -> QSeries:
-    return f * g
-
-
-def series_inverse(f: QSeries) -> QSeries:
-    return f.inverse()
-
-
-def series_val(f: QSeries) -> CappedVal:
-    return f.val()
 
 
 def v_operator(f: QSeries) -> QSeries:

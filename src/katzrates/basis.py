@@ -1,6 +1,6 @@
-"""The explicit splitting of weight-i(p-1) forms: dimensions, the basis forms
-g_{i,j} = Delta^j E_4^a E_6^eps, and the unit-lower-triangular coefficient
-matrix of the modular functions g_j / E_{p-1}^{i_j}."""
+"""The explicit splitting of weight-i(p-1) forms: dimensions, the blocks of
+basis forms g_{i,j} = Delta^j E_4^a E_6^eps, and the unit-lower-triangular
+coefficient matrix of the modular functions g_j / E_{p-1}^{i_j}."""
 
 from __future__ import annotations
 
@@ -23,27 +23,11 @@ def eps(k: int) -> int:
     return 0 if k % 4 == 0 else 1
 
 
-def i_of_j(p: int, j: int) -> int:
-    """The unique i >= 0 whose basis range d_{(i-1)(p-1)} <= j <= d_{i(p-1)} - 1
-    contains j."""
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    i = 0
-    while not dim_mk((i - 1) * (p - 1)) <= j <= dim_mk(i * (p - 1)) - 1:
-        i += 1
-    return i
-
-
-@dataclass(frozen=True)
-class BasisElement:
-    """The form g_{i,j} = Delta^j E_4^a E_6^eps of weight i(p-1), whose
-    q-expansion starts with q^j."""
-
-    i: int
-    j: int
-    a: int
-    eps: int
-    series: QSeries
+def block(p: int, i: int) -> tuple[int, int]:
+    """The half-open column range [lo, hi) of the basis forms g_{i,j}:
+    lo = d_{(i-1)(p-1)}, hi = d_{i(p-1)}; empty when the dimension does not
+    grow from weight (i-1)(p-1) to i(p-1)."""
+    return dim_mk((i - 1) * (p - 1)), dim_mk(i * (p - 1))
 
 
 def _exponents(p: int, i: int, j: int) -> tuple[int, int]:
@@ -53,27 +37,6 @@ def _exponents(p: int, i: int, j: int) -> tuple[int, int]:
     if num < 0 or num % 4:
         raise ValueError(f"no basis form at p={p}, i={i}, j={j}")
     return num // 4, ep
-
-
-def g_form(p: int, i: int, j: int, ring: RingSpec, N: int) -> BasisElement:
-    if i == 0:
-        if j != 0:
-            raise ValueError("the i=0 block only contains the constant 1")
-        return BasisElement(0, 0, 0, 0, QSeries.one(ring, N))
-    a, ep = _exponents(p, i, j)
-    series = delta(ring, N) ** j * e4(ring, N) ** a
-    if ep:
-        series = series * e6(ring, N)
-    return BasisElement(i, j, a, ep, series)
-
-
-def basis_set(p: int, i: int, ring: RingSpec, N: int) -> list[BasisElement]:
-    """The basis forms spanning the i-th complement block, in increasing j."""
-    if i == 0:
-        return [g_form(p, 0, 0, ring, N)]
-    lo = dim_mk((i - 1) * (p - 1))
-    hi = dim_mk(i * (p - 1))
-    return [g_form(p, i, j, ring, N) for j in range(lo, hi)]
 
 
 @dataclass(frozen=True)
@@ -106,10 +69,10 @@ def build_matrix(p: int, n: int, ring: RingSpec) -> BasisMatrix:
     """
     if ring.p != p:
         raise ValueError("ring prime does not match p")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     N = dim_mk(n * (p - 1))
-    blocks = tuple(
-        (i, dim_mk((i - 1) * (p - 1)), dim_mk(i * (p - 1))) for i in range(n + 1)
-    )
+    blocks = tuple((i, *block(p, i)) for i in range(n + 1))
     col_to_i = tuple(i for i, lo, hi in blocks for _ in range(lo, hi))
     ds = delta(ring, N)
     bases = (e4(ring, N), e6(ring, N), e_p_minus_1(ring, N))
@@ -136,15 +99,3 @@ def build_matrix(p: int, n: int, ring: RingSpec) -> BasisMatrix:
             raise AssertionError(f"column {j} is not unit-lower-triangular")
         columns.append(cs)
     return BasisMatrix(p, n, ring, N, col_to_i, tuple(columns), blocks)
-
-
-_CACHE: dict[tuple[int, int, int], BasisMatrix] = {}
-
-
-def basis_matrix(p: int, n: int, e: int) -> BasisMatrix:
-    """Cached build of the coefficient matrix for (p, n) over Z/p^e."""
-    key = (p, n, e)
-    got = _CACHE.get(key)
-    if got is None:
-        got = _CACHE[key] = build_matrix(p, n, RingSpec(p, e))
-    return got

@@ -8,29 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .arithmetic import QSeries, Residue, RingSpec, padic_val
-
-
-def divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def sigma(m: int, n: int) -> int:
-    """Divisor sum: sum of d^m over d | n."""
-    return sum(d**m for d in divisors(n))
-
-
-def sigma_star(p: int, m: int, n: int, ring: RingSpec) -> Residue:
-    """Sum of d^m over d | n with p not dividing d, reduced mod p^e."""
-    return Residue(ring, _sigma_star_table(p, m, n + 1, ring.modulus)[n])
+from .arithmetic import QSeries, RingSpec
 
 
 @lru_cache(maxsize=8)
@@ -52,10 +30,11 @@ def _prime_powers(N: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(spf), tuple(qpow)
 
 
-def _sigma_star_table(p: int, m: int, N: int, mod: int) -> list[int]:
-    """sigma*_m(n) mod `mod` for 0 <= n < N (entry 0 unused).  sigma*_m is
-    multiplicative, and sigma*_m(q^a) = 1 + q^m sigma*_m(q^(a-1)) with
-    q^m = sigma*_m(q) - 1 (0 for q = p), so it takes one pow per prime."""
+def _sigma_star_table(p: int | None, m: int, N: int, mod: int) -> list[int]:
+    """sigma*_m(n) mod `mod` for 0 <= n < N (entry 0 unused): the sum of d^m
+    over the divisors d of n prime to p, or over all of them when p is None.
+    sigma*_m is multiplicative, and sigma*_m(q^a) = 1 + q^m sigma*_m(q^(a-1))
+    with q^m = sigma*_m(q) - 1 (0 for q = p), so it takes one pow per prime."""
     spf, qpow = _prime_powers(N)
     f = [1] * N
     for n in range(2, N):
@@ -67,10 +46,6 @@ def _sigma_star_table(p: int, m: int, N: int, mod: int) -> list[int]:
         else:
             f[n] = (1 + (f[q] - 1) * f[n // q]) % mod
     return f
-
-
-def _sigma_mod(m: int, n: int, mod: int) -> int:
-    return sum(pow(d, m, mod) for d in divisors(n)) % mod
 
 
 # Tangent numbers T_1, T_2, ... (tan x = sum T_k x^(2k-1)/(2k-1)!), the
@@ -117,48 +92,25 @@ def fraction_mod(x: Fraction, ring: RingSpec) -> int:
     return x.numerator * pow(x.denominator, -1, mod) % mod
 
 
-def _conv(a, b, N):
-    out = [0] * N
-    for i in range(N):
-        if a[i]:
-            for k in range(N - i):
-                if b[k]:
-                    out[i + k] += a[i] * b[k]
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _e4_int(N: int) -> tuple[int, ...]:
-    return tuple([1] + [240 * sigma(3, n) for n in range(1, N)])
-
-
-@lru_cache(maxsize=None)
-def _e6_int(N: int) -> tuple[int, ...]:
-    return tuple([1] + [-504 * sigma(5, n) for n in range(1, N)])
-
-
-@lru_cache(maxsize=None)
-def _delta_int(N: int) -> tuple[int, ...]:
-    e4, e6 = _e4_int(N), _e6_int(N)
-    diff = [a - b for a, b in zip(_conv(_conv(e4, e4, N), e4, N), _conv(e6, e6, N))]
-    out = []
-    for c in diff:
-        if c % 1728:
-            raise ArithmeticError("E_4^3 - E_6^2 not divisible by 1728")
-        out.append(c // 1728)
-    return tuple(out)
+def _eisenstein(ring: RingSpec, N: int, c: int, m: int, excluded: int | None) -> QSeries:
+    """1 + c sum sigma*_m(n) q^n mod (q^N, p^e), the divisor sums taken over
+    the divisors prime to `excluded`, or over all of them when it is None."""
+    mod = ring.modulus
+    sig = _sigma_star_table(excluded, m, N, mod)
+    return QSeries(ring, (1, *[c * x % mod for x in sig[1:N]])[:N])
 
 
 def e4(ring: RingSpec, N: int) -> QSeries:
-    return QSeries.from_coeffs(ring, _e4_int(N), N)
+    return _eisenstein(ring, N, 240, 3, None)
 
 
 def e6(ring: RingSpec, N: int) -> QSeries:
-    return QSeries.from_coeffs(ring, _e6_int(N), N)
+    return _eisenstein(ring, N, -504, 5, None)
 
 
 def delta(ring: RingSpec, N: int) -> QSeries:
-    return QSeries.from_coeffs(ring, _delta_int(N), N)
+    """Delta = (E_4^3 - E_6^2) / 1728; 1728 = 2^6 3^3 is a unit mod p^e."""
+    return (e4(ring, N) ** 3 - e6(ring, N) ** 2).scaled(pow(1728, -1, ring.modulus))
 
 
 def e_p_minus_1(ring: RingSpec, N: int) -> QSeries:
@@ -169,9 +121,7 @@ def e_p_minus_1(ring: RingSpec, N: int) -> QSeries:
     """
     p = ring.p
     c = fraction_mod(Fraction(-2 * (p - 1)) / bernoulli(p - 1), ring)
-    mod = ring.modulus
-    coeffs = [1] + [c * _sigma_mod(p - 2, n, mod) % mod for n in range(1, N)]
-    return QSeries(ring, tuple(coeffs))
+    return _eisenstein(ring, N, c, p - 2, None)
 
 
 def eisenstein_star(k: int, ring: RingSpec, N: int) -> QSeries:
@@ -187,9 +137,7 @@ def eisenstein_star(k: int, ring: RingSpec, N: int) -> QSeries:
     c = fraction_mod(c_frac, ring)
     if c % p:
         raise ArithmeticError("Eisenstein scalar is not divisible by p")
-    mod = ring.modulus
-    sig = _sigma_star_table(p, k - 1, N, mod)
-    return QSeries(ring, (1, *[c * x % mod for x in sig[1:N]]))
+    return _eisenstein(ring, N, c, k - 1, p)
 
 
 @dataclass(frozen=True)
@@ -209,6 +157,3 @@ class WeightSpec:
         object.__setattr__(self, "k", k)
         w = (pow(self.ring.p + 1, k, self.ring.modulus) - 1) % self.ring.modulus
         object.__setattr__(self, "w", w)
-
-    def w_val(self):
-        return padic_val(self.w, self.ring.p, self.ring.e)

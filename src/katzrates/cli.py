@@ -8,12 +8,14 @@ import json
 import os
 import sys
 
-from .arithmetic import QSeries, RingSpec, _is_prime
+from .arithmetic import QSeries, RingSpec
+from .basis import dim_mk
 from .classical import WeightSpec
-from .expand import PrecisionMismatch, psi, required_truncation
+from .expand import PrecisionMismatch, psi
 from .solver import UnsolvableSystem, build_system, solve_row
 from .sweep import (
     CheckpointError,
+    _is_int,
     load_checkpoint,
     row_entries,
     run_sweep,
@@ -37,7 +39,7 @@ def _read_coefficients(path: str) -> list[int]:
     stripped = text.lstrip()
     if stripped.startswith("["):
         data = json.loads(text)
-        if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
+        if not isinstance(data, list) or not all(map(_is_int, data)):
             raise ValueError("JSON input must be an array of integers")
         return data
     coeffs = []
@@ -48,19 +50,16 @@ def _read_coefficients(path: str) -> list[int]:
     return coeffs
 
 
-def _check_prime(p: int) -> None:
-    if p < 5 or not _is_prime(p):
-        raise ValueError(f"p must be a prime >= 5, got {p}")
-
-
 def cmd_katz_expand(args) -> int:
     try:
         ring = RingSpec(args.p, args.prec)
+        if args.n < 0:
+            raise ValueError(f"--n must be >= 0, got {args.n}")
         coeffs = _read_coefficients(args.input)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    N = required_truncation(args.p, args.n)
+    N = dim_mk(args.n * (args.p - 1))
     if len(coeffs) != N:
         print(
             f"error: input has {len(coeffs)} coefficients but (p={args.p}, "
@@ -96,7 +95,6 @@ def cmd_katz_expand(args) -> int:
 
 def cmd_valuations(args) -> int:
     try:
-        _check_prime(args.p)
         if args.r < 0:
             raise ValueError(f"--r must be >= 0, got {args.r}")
         if args.weights:
@@ -109,10 +107,8 @@ def cmd_valuations(args) -> int:
             weights = None
         else:
             raise ValueError("one of --lambda or --weights is required")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        # RingSpec rejects a p that is not a prime >= 5: above for --weights,
+        # in build_system for --lambda.
         system = build_system(args.p, lam, weights)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -128,12 +124,14 @@ def cmd_valuations(args) -> int:
 
 def cmd_sweep(args) -> int:
     try:
-        _check_prime(args.p)
+        RingSpec(args.p, 1)  # p must be a prime >= 5
         if args.imax < 1:
             raise ValueError("--imax must be >= 1")
         for path in (args.checkpoint, args.out):
             if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
                 raise ValueError(f"directory of {path} does not exist")
+            if path and os.path.isdir(path):
+                raise ValueError(f"{path} is a directory")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

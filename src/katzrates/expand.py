@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .arithmetic import QSeries, RingSpec, pack, slot_bytes, unpack
-from .basis import BasisMatrix, basis_matrix, dim_mk
+from .basis import BasisMatrix, build_matrix
 
 
 class PrecisionMismatch(ValueError):
@@ -65,7 +65,7 @@ def _group(matrix: BasisMatrix, x) -> tuple[KatzComponent, ...]:
 
 def psi(p: int, n: int, C: int, f: QSeries) -> KatzTuple:
     """Katz expansion of f mod (q^N, p^C), N = d_{n(p-1)}, as an (n+1)-tuple."""
-    matrix = basis_matrix(p, n, C)
+    matrix = build_matrix(p, n, RingSpec(p, C))
     if f.ring != matrix.ring:
         raise PrecisionMismatch(
             f"series ring {f.ring} does not match Z/{p}^{C}"
@@ -83,7 +83,7 @@ def phi(p: int, n: int, C: int, t: KatzTuple) -> QSeries:
     """Realize a Katz tuple as sum_i b_i / E_{p-1}^i mod (q^N, p^C): the
     product M.x of the basis matrix with the coordinates, taken as one packed
     linear combination of the columns."""
-    matrix = basis_matrix(p, n, C)
+    matrix = build_matrix(p, n, RingSpec(p, C))
     if len(t.components) != n + 1:
         raise ValueError(f"expected {n + 1} components, got {len(t.components)}")
     mod = matrix.ring.modulus
@@ -97,6 +97,3 @@ def phi(p: int, n: int, C: int, t: KatzTuple) -> QSeries:
     acc = sum(map(mul, x, [pack(col, width) for col in matrix.columns]))
     return QSeries(matrix.ring, tuple(unpack(acc, width, matrix.N, mod)))
 
-
-def required_truncation(p: int, n: int) -> int:
-    return dim_mk(n * (p - 1))

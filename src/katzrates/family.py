@@ -23,8 +23,3 @@ def eis_ratio_by_s(p: int, s: int, lam: int, N: int) -> QSeries:
     inv = estar.truncate(head).inverse().coeffs
     return estar * v_operator(QSeries(ring, inv + (0,) * (N - head)))
 
-
-def eis_ratio(p: int, k: int, lam: int, N: int) -> QSeries:
-    if k % (p - 1):
-        raise ValueError(f"weight {k} is not divisible by p-1 = {p - 1}")
-    return eis_ratio_by_s(p, k // (p - 1), lam, N)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul
 
-from .arithmetic import CappedVal, RingSpec, pack, padic_val, slot_bytes, unpack
-from .basis import build_matrix, dim_mk
-from .classical import WeightSpec
+from .arithmetic import CappedVal, RingSpec, pack, slot_bytes, unpack
+from .basis import block, build_matrix, dim_mk
+from .classical import WeightSpec, bernoulli
 from .expand import forward_substitute_many
 from .family import eis_ratio_by_s
 
@@ -39,18 +39,6 @@ def f_bound(p: int, n: int) -> int:
         total += (n - 1) // base
         base *= p
     return total
-
-
-def nu_w(p: int, k: int, e: int) -> CappedVal:
-    """nu_p((1+p)^k - 1) computed mod p^e; equals nu_p(k) + 1."""
-    kv = padic_val(k, p, e)
-    if not kv.is_finite or e <= kv.v + 1:
-        raise ValueError(f"precision e = {e} too small to certify nu_p({k}) + 1")
-    expected = kv.v + 1
-    got = padic_val(pow(p + 1, k, p**e) - 1, p, e)
-    if got.v != expected:
-        raise ArithmeticError(f"valuation {got} does not match closed form {expected}")
-    return got
 
 
 def weight_list(p: int, lam: int) -> list[WeightSpec]:
@@ -186,10 +174,6 @@ class VandermondeSystem:
         mod = self.modulus
         return [sum(r * v for r, v in zip(row, x)) % mod for row in self.V]
 
-    def solve(self, theta) -> tuple[int, ...]:
-        """One particular solution of Vx = theta mod p^lam."""
-        return self.solve_many([theta])[0]
-
     def solve_many(self, thetas) -> list[tuple[int, ...]]:
         """A particular solution of Vx = theta mod p^lam for each theta, from
         x = B.Y with Y = diag(p^-t_k).A.Theta, the columns of Theta being the
@@ -252,21 +236,19 @@ def build_system(p: int, lam: int, weights=None) -> VandermondeSystem:
 
 
 @dataclass(frozen=True)
-class ValStatus:
-    """Outcome for one (r, j): an exact valuation (strictly below the kernel
-    ambiguity gamma_j) or inconclusive at threshold gamma_j."""
+class SweepEntry:
+    """Outcome for one (i, j): an exact valuation `value` of b_{i,j}, strictly
+    below the kernel ambiguity threshold gamma_j, or inconclusive at it."""
 
+    i: int
+    j: int
     exact: bool
     value: int | None
-    gamma: CappedVal
+    gamma: int
 
     @property
     def status(self) -> str:
         return "exact" if self.exact else "inconclusive"
-
-    @property
-    def gamma_int(self) -> int:
-        return self.gamma.lower_bound
 
 
 @dataclass(frozen=True)
@@ -274,18 +256,13 @@ class ValuationRow:
     p: int
     r: int
     lam: int
-    entries: dict[int, ValStatus]
+    entries: dict[int, SweepEntry]
 
 
 def sturm_count(p: int, r: int) -> int:
     """S = ceil(r(p-1)/12): coefficients a_0..a_S pin down the valuation of a
     weight-r(p-1) form."""
     return -(-(r * (p - 1)) // 12)
-
-
-def _block(p: int, r: int) -> tuple[int, int]:
-    """The half-open column range of the basis forms g_{r,j}."""
-    return dim_mk((r - 1) * (p - 1)), dim_mk(r * (p - 1))
 
 
 # Precision added to a planned or missed lam before KatzBasis builds at it.
@@ -326,18 +303,21 @@ class KatzBasis:
             raise ValueError(f"row {r} is outside 0..{self.n}")
         if lam > self.E:
             self.E = lam + PLAN_SLACK if self.E else max(lam, self.plan)
-            self.matrix = build_matrix(self.p, self.n, RingSpec(self.p, self.E))
             ss = [w.s for w in weight_list(self.p, self.E)]
+            # B_k for the batch's largest weight sizes the tangent table once,
+            # where the ascending weights would regrow it geometrically.
+            bernoulli(ss[-1] * (self.p - 1))
+            self.matrix = build_matrix(self.p, self.n, RingSpec(self.p, self.E))
             self._coords = dict(zip(ss, self._family_coords(ss)))
         x = self._coords.get(s)
         if x is None:
             x = self._coords[s] = self._family_coords([s])[0]
-        lo, hi = _block(self.p, r)
+        lo, hi = block(self.p, r)
         mod = self.p**lam
         return tuple(c % mod for c in x[lo:hi])
 
 
-def row_solutions(p, r, lam, weights=None, system=None, basis=None):
+def row_solutions(p, r, lam, system=None, basis=None):
     """Particular solutions x_b of V x_b = theta_b, one for each basis form
     g_{r,b} of row r, where theta_b collects the coordinate of g_{r,b} in the
     r-th Katz component across the weights.  `basis` (a KatzBasis for some
@@ -360,26 +340,26 @@ def row_solutions(p, r, lam, weights=None, system=None, basis=None):
       the other, the unit-triangular minor giving the way back.
     """
     if system is None:
-        system = build_system(p, lam, weights)
+        system = build_system(p, lam)
     if basis is None:
         basis = KatzBasis(p, r)
     coords = [basis.row_coords(w.s, r, lam) for w in system.weights]
     return system, system.solve_many(list(zip(*coords)))
 
 
-def collect_statuses(system: VandermondeSystem, solutions, j_max: int):
-    """Per-component minimum valuation over the solutions, classified against
-    the kernel thresholds.  Ambiguity-proof: perturbing any solution by a
-    kernel element cannot change an exact entry."""
+def collect_statuses(system: VandermondeSystem, solutions, j_max: int, r: int):
+    """The entries (r, j), j <= j_max: per-component minimum valuation over
+    the solutions, classified against the kernel thresholds.  Ambiguity-proof:
+    perturbing any solution by a kernel element cannot change an exact
+    entry."""
     p, lam = system.p, system.lam
     out = {}
     for j in range(j_max + 1):
         alpha = _min_val([sol[j] for sol in solutions], p, lam)
         gamma = system.gamma[j]
-        if alpha.less_than(gamma):
-            out[j] = ValStatus(exact=True, value=alpha.v, gamma=gamma)
-        else:
-            out[j] = ValStatus(exact=False, value=None, gamma=gamma)
+        exact = alpha.less_than(gamma)
+        value = alpha.v if exact else None
+        out[j] = SweepEntry(i=r, j=j, exact=exact, value=value, gamma=gamma.lower_bound)
     return out
 
 
@@ -388,7 +368,6 @@ def solve_row(
     r: int,
     lam: int,
     j_max: int | None = None,
-    weights=None,
     system=None,
     basis=None,
 ) -> ValuationRow:
@@ -398,8 +377,6 @@ def solve_row(
         j_max = min(r, lam - 1)
     if j_max > lam - 1:
         raise ValueError(f"j_max = {j_max} exceeds lam - 1 = {lam - 1}")
-    system, solutions = row_solutions(
-        p, r, lam, weights=weights, system=system, basis=basis
-    )
-    entries = collect_statuses(system, solutions, j_max)
+    system, solutions = row_solutions(p, r, lam, system=system, basis=basis)
+    entries = collect_statuses(system, solutions, j_max, r)
     return ValuationRow(p=p, r=r, lam=lam, entries=entries)

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arithmetic import _is_prime
-from .basis import dim_mk
-from .solver import PLAN_SLACK, KatzBasis, build_system, f_bound, solve_row
+from .basis import block
+from .solver import PLAN_SLACK, KatzBasis, SweepEntry, build_system, f_bound, solve_row
 
 CHECKPOINT_VERSION = 1
 
@@ -41,7 +41,8 @@ def d_p(p: int) -> Fraction:
 def _empty_block(p: int, i: int) -> bool:
     """Row i has no basis forms: the dimension does not grow from weight
     (i-1)(p-1) to i(p-1)."""
-    return dim_mk(i * (p - 1)) == dim_mk((i - 1) * (p - 1))
+    lo, hi = block(p, i)
+    return lo == hi
 
 
 def lambda_for(p: int, target_gamma: int, j_max: int) -> int:
@@ -66,19 +67,6 @@ def planned_precision(p: int, i_max: int) -> int:
     return lambda_for(p, target_j + _INITIAL_MARGIN, j_max) + PLAN_SLACK
 
 
-@dataclass(frozen=True)
-class SweepEntry:
-    i: int
-    j: int
-    exact: bool
-    value: int | None
-    gamma: int
-
-    @property
-    def status(self) -> str:
-        return "exact" if self.exact else "inconclusive"
-
-
 @dataclass
 class SweepState:
     """Persistent record of a d'_p sweep.
@@ -98,10 +86,7 @@ class SweepState:
 
 def row_entries(row) -> list[SweepEntry]:
     """The entries of a solved ValuationRow, in increasing j."""
-    return [
-        SweepEntry(i=row.r, j=j, exact=st.exact, value=st.value, gamma=st.gamma_int)
-        for j, st in sorted(row.entries.items())
-    ]
+    return [row.entries[j] for j in sorted(row.entries)]
 
 
 def _record_row(state: SweepState, row) -> None:
@@ -363,6 +348,6 @@ def load_checkpoint(path: str) -> SweepState:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CheckpointError(f"checkpoint is not valid JSON: {exc}") from exc
     return state_from_json(data)

@@ -1,17 +1,70 @@
 """Slow reference implementations of the package's fast kernels.
 
-Each function is the plain loop a kernel replaced, or, for the Smith form, a
-general algorithm that the specialised kernel must agree with;
-tests/test_kernels.py checks the kernels against them.
+Each function is the plain loop a kernel replaced, or, for the Smith form and
+the basis forms g_{i,j}, a general algorithm that the specialised kernel must
+agree with; tests/test_kernels.py checks the kernels against them.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from katzrates.arithmetic import CappedVal, QSeries, RingSpec, padic_val, v_operator
-from katzrates.basis import BasisMatrix, dim_mk, g_form, i_of_j
-from katzrates.classical import e_p_minus_1, eisenstein_star
+from katzrates.basis import BasisMatrix, block, dim_mk, eps
+from katzrates.classical import delta, e4, e6, e_p_minus_1, eisenstein_star
 from katzrates.solver import KatzBasis, UnsolvableSystem
+
+
+def sigma(m: int, n: int) -> int:
+    """Divisor sum: sum of d^m over the divisors d of n, by trial division."""
+    return sum(d**m for d in range(1, n + 1) if n % d == 0)
+
+
+def i_of_j(p: int, j: int) -> int:
+    """The unique i >= 0 whose basis range d_{(i-1)(p-1)} <= j <= d_{i(p-1)} - 1
+    contains j."""
+    if j < 0:
+        raise ValueError("j must be nonnegative")
+    i = 0
+    while not dim_mk((i - 1) * (p - 1)) <= j <= dim_mk(i * (p - 1)) - 1:
+        i += 1
+    return i
+
+
+@dataclass(frozen=True)
+class BasisElement:
+    """The form g_{i,j} = Delta^j E_4^a E_6^eps of weight i(p-1), whose
+    q-expansion starts with q^j."""
+
+    i: int
+    j: int
+    a: int
+    eps: int
+    series: QSeries
+
+
+def g_form(p: int, i: int, j: int, ring: RingSpec, N: int) -> BasisElement:
+    """The basis form g_{i,j} by its own products, one form at a time: the
+    reference for the columns of the basis matrix."""
+    if i == 0:
+        if j != 0:
+            raise ValueError("the i=0 block only contains the constant 1")
+        return BasisElement(0, 0, 0, 0, QSeries.one(ring, N))
+    weight = i * (p - 1)
+    ep = eps(weight)
+    num = weight - 12 * j - 6 * ep
+    if num < 0 or num % 4:
+        raise ValueError(f"no basis form at p={p}, i={i}, j={j}")
+    a = num // 4
+    series = delta(ring, N) ** j * e4(ring, N) ** a
+    if ep:
+        series = series * e6(ring, N)
+    return BasisElement(i, j, a, ep, series)
+
+
+def basis_set(p: int, i: int, ring: RingSpec, N: int) -> list[BasisElement]:
+    """The basis forms spanning the i-th complement block, in increasing j."""
+    return [g_form(p, i, j, ring, N) for j in range(*block(p, i))]
 
 
 def schoolbook_mul(f: QSeries, g: QSeries) -> QSeries:
@@ -144,8 +197,7 @@ def q_coefficient_solutions(system, r: int, count: int) -> list[tuple[int, ...]]
     mod = p**lam
     ring = RingSpec(p, lam)
     basis = KatzBasis(p, r)
-    lo, hi = dim_mk((r - 1) * (p - 1)), dim_mk(r * (p - 1))
-    forms = [g_form(p, r, j, ring, count).series.coeffs for j in range(lo, hi)]
+    forms = [g_form(p, r, j, ring, count).series.coeffs for j in range(*block(p, r))]
     betas = []
     for w in system.weights:
         acc = [0] * count

@@ -170,7 +170,7 @@ def test_criterion_10_ambiguity_invariance():
         lam = rng.randrange(4, 10)
         system, sols = row_solutions(5, r, lam)
         j_max = min(r, lam - 1)
-        base = collect_statuses(system, sols, j_max)
+        base = collect_statuses(system, sols, j_max, r)
         mod = system.modulus
         perturbed = []
         for sol in sols:
@@ -179,7 +179,7 @@ def test_criterion_10_ambiguity_invariance():
                 c = rng.randrange(mod)
                 shift = [(d + c * gi) % mod for d, gi in zip(shift, g)]
             perturbed.append(tuple((a + d) % mod for a, d in zip(sol, shift)))
-        got = collect_statuses(system, perturbed, j_max)
+        got = collect_statuses(system, perturbed, j_max, r)
         for j, st in base.items():
             if st.exact and (not got[j].exact or got[j].value != st.value):
                 ok = False

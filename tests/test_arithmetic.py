@@ -1,21 +1,10 @@
-"""Tests for residue and truncated q-expansion arithmetic."""
+"""Tests for valuations of residues and truncated q-expansion arithmetic."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from katzrates.arithmetic import (
-    CappedVal,
-    QSeries,
-    Residue,
-    RingSpec,
-    padic_val,
-    residue_val,
-    series_inverse,
-    series_mul,
-    series_val,
-    v_operator,
-)
+from katzrates.arithmetic import CappedVal, QSeries, RingSpec, padic_val, v_operator
 
 R53 = RingSpec(5, 3)
 
@@ -34,28 +23,30 @@ def test_ringspec_rejects_bad_parameters():
 
 
 def test_residue_val_examples():
-    assert residue_val(Residue(R53, 10)) == CappedVal.finite(1, 3)
-    assert residue_val(Residue(R53, 0)) == CappedVal.at_least_e(3)
-    assert residue_val(Residue(R53, 7)) == CappedVal.finite(0, 3)
+    assert padic_val(10, 5, 3) == CappedVal.finite(1, 3)
+    assert padic_val(0, 5, 3) == CappedVal.at_least_e(3)
+    assert padic_val(7, 5, 3) == CappedVal.finite(0, 3)
+    assert padic_val(-10, 5, 3) == CappedVal.finite(1, 3)  # residue 115
 
 
 def test_residue_val_caps_at_e():
     # 125 = 5^3 is indistinguishable from 0 mod 5^3.
-    assert not residue_val(Residue(R53, 125)).is_finite
+    assert not padic_val(125, 5, 3).is_finite
+    assert not padic_val(-250, 5, 3).is_finite
 
 
 def test_series_val_examples():
-    assert series_val(qs(R53, [5, 25])) == CappedVal.finite(1, 3)
-    assert series_val(qs(R53, [0, 0, 0])) == CappedVal.at_least_e(3)
-    assert series_val(qs(R53, [1, 5])) == CappedVal.finite(0, 3)
+    assert qs(R53, [5, 25]).val() == CappedVal.finite(1, 3)
+    assert qs(R53, [0, 0, 0]).val() == CappedVal.at_least_e(3)
+    assert qs(R53, [1, 5]).val() == CappedVal.finite(0, 3)
 
 
 def test_series_mul_examples():
     one_plus_q = qs(R53, [1, 1], 3)
     one_minus_q = qs(R53, [1, -1], 3)
-    assert series_mul(one_plus_q, one_minus_q) == qs(R53, [1, 0, -1], 3)
+    assert one_plus_q * one_minus_q == qs(R53, [1, 0, -1], 3)
     f = qs(R53, [3, 7, 11])
-    assert series_mul(f, QSeries.one(R53, 3)) == f
+    assert f * QSeries.one(R53, 3) == f
     assert one_plus_q * one_plus_q == qs(R53, [1, 2, 1], 3)
 
 
@@ -68,8 +59,8 @@ def test_series_mul_mismatch_raises():
 
 def test_series_inverse_examples():
     one_plus_q = qs(R53, [1, 1], 3)
-    assert series_inverse(one_plus_q) == qs(R53, [1, -1, 1], 3)
-    assert series_inverse(QSeries.one(R53, 4)) == QSeries.one(R53, 4)
+    assert one_plus_q.inverse() == qs(R53, [1, -1, 1], 3)
+    assert QSeries.one(R53, 4).inverse() == QSeries.one(R53, 4)
 
 
 def test_series_inverse_of_e_p_minus_1():
@@ -77,12 +68,12 @@ def test_series_inverse_of_e_p_minus_1():
 
     ring = RingSpec(5, 2)
     f = e_p_minus_1(ring, 5)
-    assert f * series_inverse(f) == QSeries.one(ring, 5)
+    assert f * f.inverse() == QSeries.one(ring, 5)
 
 
 def test_series_inverse_requires_unit_constant():
     with pytest.raises(ValueError):
-        series_inverse(qs(R53, [5, 1]))
+        qs(R53, [5, 1]).inverse()
 
 
 def test_v_operator_examples():
@@ -97,7 +88,7 @@ def test_v_operator_examples():
 def test_v_operator_preserves_valuation():
     # N large enough that no nonzero exponent is dropped.
     f = qs(R53, [5, 10, 25], 11)
-    assert series_val(v_operator(f)) == series_val(f)
+    assert v_operator(f).val() == f.val()
 
 
 @settings(max_examples=100)
@@ -108,7 +99,7 @@ def test_v_operator_preserves_valuation():
 )
 def test_inverse_is_two_sided(coeffs):
     f = qs(R53, coeffs)
-    inv = series_inverse(f)
+    inv = f.inverse()
     one = QSeries.one(R53, len(coeffs))
     assert f * inv == one
     assert inv * f == one
@@ -123,7 +114,7 @@ def test_inverse_preserves_unit_plus_divisible_shape(tail, m):
     # If f = 1 + (terms divisible by p^m), so is its inverse.
     scale = 5**m
     f = qs(R53, [1] + [c * scale for c in tail])
-    inv = series_inverse(f)
+    inv = f.inverse()
     assert inv.coeffs[0] == 1
     assert all(c % scale == 0 for c in inv.coeffs[1:])
 
@@ -159,4 +150,4 @@ def test_series_pow():
     f = qs(R53, [1, 1], 4)
     assert f**0 == QSeries.one(R53, 4)
     assert f**3 == qs(R53, [1, 3, 3, 1])
-    assert f**-1 == series_inverse(f)
+    assert f**-1 == f.inverse()

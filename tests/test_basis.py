@@ -1,23 +1,12 @@
 """Tests for the splitting basis g_{i,j} and the coefficient matrix."""
 
 import random
-import sys
-from fractions import Fraction
 
 import pytest
 
+from oracles import basis_set, g_form, i_of_j, sigma
 from katzrates.arithmetic import QSeries, RingSpec
-from katzrates.basis import (
-    basis_matrix,
-    basis_set,
-    build_matrix,
-    dim_mk,
-    eps,
-    g_form,
-    i_of_j,
-)
-from katzrates.classical import sigma
-from katzrates.sweep import run_sweep
+from katzrates.basis import block, build_matrix, dim_mk, eps
 
 
 def test_dim_mk_examples():
@@ -110,6 +99,10 @@ def test_partition_property():
                 if dim_mk(i * (p - 1)) > dim_mk((i - 1) * (p - 1))
             )
             assert total == dim_mk(I * (p - 1))
+            blocks = [block(p, i) for i in range(I + 1)]
+            assert blocks[0] == (0, 1)
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            assert blocks[-1][1] == total
 
 
 def _exact_int_series(a4_pow, a6_pow, dj, N):
@@ -185,10 +178,9 @@ def test_matrix_reduces_consistently_across_precision():
         assert tuple(x % m for x in ch) == cl
 
 
-def test_basis_matrix_cache_returns_same_object():
-    a = basis_matrix(5, 4, 3)
-    b = basis_matrix(5, 4, 3)
-    assert a is b
+def test_build_matrix_rejects_negative_n():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        build_matrix(5, -1, RingSpec(5, 2))
 
 
 def test_build_matrix_makes_one_product_per_column(monkeypatch):
@@ -207,13 +199,3 @@ def test_build_matrix_makes_one_product_per_column(monkeypatch):
     assert m.N == 111
     assert len(calls) <= m.N + 32
 
-
-def test_sweep_never_calls_g_form(monkeypatch):
-    # The sweep solves rows on their coordinates, so it needs no basis forms.
-    def fail(*args, **kwargs):
-        raise AssertionError("g_form called")
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "katzrates" and hasattr(module, "g_form"):
-            monkeypatch.setattr(module, "g_form", fail)
-    assert run_sweep(5, 36).d_prime == Fraction(2, 15)

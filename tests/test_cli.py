@@ -7,8 +7,8 @@ import random
 
 import pytest
 
+from katzrates.basis import dim_mk
 from katzrates.cli import main
-from katzrates.expand import required_truncation
 
 
 def run_cli(capsys, *argv):
@@ -18,7 +18,7 @@ def run_cli(capsys, *argv):
 
 
 def test_katz_expand_constant(tmp_path, capsys):
-    N = required_truncation(5, 3)
+    N = dim_mk(12)
     inp = tmp_path / "f.txt"
     inp.write_text("\n".join(["1"] + ["0"] * (N - 1)) + "\n")
     code, out, _ = run_cli(
@@ -33,7 +33,7 @@ def test_katz_expand_constant(tmp_path, capsys):
 
 
 def test_katz_expand_json_input_autodetected(tmp_path, capsys):
-    N = required_truncation(5, 3)
+    N = dim_mk(12)
     inp = tmp_path / "f.json"
     inp.write_text(json.dumps([1] + [0] * (N - 1)))
     code, out, _ = run_cli(
@@ -48,7 +48,7 @@ def test_katz_expand_matches_library(tmp_path, capsys):
     from katzrates.family import eis_ratio_by_s
 
     p, n, C = 5, 3, 4
-    N = required_truncation(p, n)
+    N = dim_mk(n * (p - 1))
     ratio = eis_ratio_by_s(p, 1, C, N)
     inp = tmp_path / "ratio.txt"
     inp.write_text("\n".join(str(c) for c in ratio.coeffs))
@@ -71,7 +71,7 @@ def test_katz_expand_wrong_length_exits_3(tmp_path, capsys):
         capsys, "katz-expand", "--p", "5", "--n", "3", "--prec", "2", "--input", str(inp)
     )
     assert code == 3
-    assert str(required_truncation(5, 3)) in err
+    assert str(dim_mk(12)) in err
 
 
 def test_katz_expand_missing_flag_exits_2(capsys):
@@ -250,7 +250,7 @@ def test_sweep_cli_deterministic(tmp_path, capsys):
 
 
 def test_katz_expand_zero_precision_exits_2(tmp_path, capsys):
-    N = required_truncation(5, 3)
+    N = dim_mk(12)
     inp = tmp_path / "f.txt"
     inp.write_text("\n".join(["1"] + ["0"] * (N - 1)) + "\n")
     code, _, err = run_cli(
@@ -281,3 +281,48 @@ def test_sweep_missing_output_directory_exits_2(tmp_path, capsys, flag, name):
     assert code == 2
     assert err.startswith("error:") and out == ""
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("n", [-1, -5])
+def test_katz_expand_negative_n_exits_2(tmp_path, capsys, n):
+    # With an empty input, n < 0 used to reach psi and die in a traceback.
+    inp = tmp_path / "empty.json"
+    inp.write_text("[]")
+    argv = ["katz-expand", "--p", "5", "--n", str(n), "--prec", "2", "--input", str(inp)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "--n" in err and out == ""
+
+
+@pytest.mark.parametrize("data", [[True], [1, False, 0], [1, 0.5]])
+def test_katz_expand_rejects_non_integer_json(tmp_path, capsys, data):
+    # A JSON boolean is not a coefficient, though Python's bool is an int.
+    inp = tmp_path / "f.json"
+    inp.write_text(json.dumps(data))
+    code, out, err = run_cli(
+        capsys, "katz-expand", "--p", "5", "--n", "0", "--prec", "2", "--input", str(inp)
+    )
+    assert code == 2
+    assert "array of integers" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "flags", [["--checkpoint"], ["--checkpoint", "--resume"], ["--out"]]
+)
+def test_sweep_directory_as_file_exits_2(tmp_path, capsys, flags):
+    # Writing or reading a checkpoint or CSV at a directory was an
+    # IsADirectoryError traceback.
+    argv = ["sweep", "--p", "5", "--imax", "3", flags[0], str(tmp_path), *flags[1:]]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "is a directory" in err and out == ""
+
+
+def test_sweep_cli_non_utf8_checkpoint_exits_5(tmp_path, capsys):
+    ck = tmp_path / "ck.json"
+    ck.write_bytes(b"\xff\xfe{")
+    code, out, err = run_cli(
+        capsys, "sweep", "--p", "5", "--imax", "3", "--checkpoint", str(ck), "--resume"
+    )
+    assert code == 5
+    assert err.startswith("error:") and "Traceback" not in err and out == ""

@@ -8,20 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from katzrates.arithmetic import QSeries, RingSpec
-from katzrates.basis import basis_matrix, dim_mk
+from katzrates.basis import build_matrix, dim_mk
 from katzrates.expand import (
     KatzComponent,
     KatzTuple,
     PrecisionMismatch,
     phi,
     psi,
-    required_truncation,
 )
 
 
 def tuple_from_coords(p, n, C, x):
     """The Katz tuple whose full coordinate vector is x, split into blocks."""
-    m = basis_matrix(p, n, C)
+    m = build_matrix(p, n, RingSpec(p, C))
     components = tuple(
         KatzComponent(i=i, js=tuple(range(lo, hi)), coords=tuple(x[lo:hi]))
         for i, lo, hi in m.blocks
@@ -43,7 +42,7 @@ def test_psi_of_constant():
 def test_psi_picks_out_matrix_column():
     # Feeding column j of the matrix back in must return unit coordinate j.
     p, n, C = 5, 3, 4
-    m = basis_matrix(p, n, C)
+    m = build_matrix(p, n, RingSpec(p, C))
     f = QSeries(m.ring, m.columns[1])  # g_{3,1} E_{p-1}^{-3} = Delta E^{-3}
     t = psi(p, n, C, f)
     assert t.x == tuple(1 if j == 1 else 0 for j in range(m.N))
@@ -52,7 +51,7 @@ def test_psi_picks_out_matrix_column():
 
 def test_phi_of_unit_tuple_is_column():
     p, n, C = 7, 4, 3
-    m = basis_matrix(p, n, C)
+    m = build_matrix(p, n, RingSpec(p, C))
     for j in range(m.N):
         x = [1 if jj == j else 0 for jj in range(m.N)]
         t = tuple_from_coords(p, n, C, x)
@@ -64,7 +63,7 @@ def test_phi_reduces_coordinates():
     rng = random.Random(5)
     p, n, C = 7, 6, 3
     mod = p**C
-    x = [rng.randrange(mod) for _ in range(required_truncation(p, n))]
+    x = [rng.randrange(mod) for _ in range(dim_mk(n * (p - 1)))]
     t = tuple_from_coords(p, n, C, x)
     for shift in (-3 * mod, 2 * mod):
         shifted = replace(
@@ -79,7 +78,7 @@ def test_phi_reduces_coordinates():
 
 def test_phi_of_trivial_tuple_is_one():
     p, n, C = 5, 3, 3
-    N = required_truncation(p, n)
+    N = dim_mk(n * (p - 1))
     t = tuple_from_coords(p, n, C, [1] + [0] * (N - 1))
     assert phi(p, n, C, t) == QSeries.one(RingSpec(p, C), N)
 
@@ -90,7 +89,7 @@ def test_round_trip_random():
         for _ in range(25):
             n = rng.randrange(1, 13)
             C = rng.randrange(1, 9)
-            N = required_truncation(p, n)
+            N = dim_mk(n * (p - 1))
             f = random_series(rng, p, C, N)
             t = psi(p, n, C, f)
             assert phi(p, n, C, t) == f
@@ -99,7 +98,7 @@ def test_round_trip_random():
 def test_psi_phi_inverse_both_ways():
     rng = random.Random(3)
     p, n, C = 5, 6, 4
-    N = required_truncation(p, n)
+    N = dim_mk(n * (p - 1))
     x = [rng.randrange(5**C) for _ in range(N)]
     t = tuple_from_coords(p, n, C, x)
     assert psi(p, n, C, phi(p, n, C, t)).x == t.x
@@ -108,7 +107,7 @@ def test_psi_phi_inverse_both_ways():
 def test_psi_linearity():
     rng = random.Random(9)
     p, n, C = 7, 5, 5
-    N = required_truncation(p, n)
+    N = dim_mk(n * (p - 1))
     mod = 7**C
     f = random_series(rng, p, C, N)
     g = random_series(rng, p, C, N)
@@ -121,7 +120,7 @@ def test_psi_linearity():
 def test_precision_stability():
     rng = random.Random(11)
     p, n = 5, 6
-    N = required_truncation(p, n)
+    N = dim_mk(n * (p - 1))
     f_hi = random_series(rng, p, 8, N)
     hi = psi(p, n, 8, f_hi)
     for C in (1, 3, 5):
@@ -140,5 +139,5 @@ def test_psi_rejects_mismatched_input():
 @given(st.lists(st.integers(0, 5**3 - 1), min_size=2, max_size=2))
 def test_round_trip_hypothesis_small(coeffs):
     p, n, C = 5, 3, 3
-    f = QSeries.from_coeffs(RingSpec(p, C), coeffs, required_truncation(p, n))
+    f = QSeries.from_coeffs(RingSpec(p, C), coeffs, dim_mk(n * (p - 1)))
     assert phi(p, n, C, psi(p, n, C, f)) == f

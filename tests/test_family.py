@@ -2,9 +2,9 @@
 
 import pytest
 
-from katzrates.arithmetic import QSeries, RingSpec, series_val, v_operator
+from katzrates.arithmetic import QSeries, RingSpec, v_operator
 from katzrates.classical import eisenstein_star
-from katzrates.family import eis_ratio, eis_ratio_by_s
+from katzrates.family import eis_ratio_by_s
 
 
 def test_constant_term_is_one():
@@ -25,7 +25,7 @@ def test_ratio_valuation_tracks_weight_valuation():
     for s, expect in [(1, 1), (2, 1), (5, 2)]:
         ratio = eis_ratio_by_s(p, s, lam, N)
         one = QSeries.one(RingSpec(p, lam), N)
-        assert series_val(ratio - one).at_least(min(lam, expect))
+        assert (ratio - one).val().at_least(min(lam, expect))
 
 
 def test_ratio_times_v_estar_is_estar():
@@ -42,12 +42,11 @@ def test_ratio_is_one_mod_p_cubed_at_deep_weight():
         lam, N = 4, 8
         ratio = eis_ratio_by_s(p, p**2, lam, N)
         one = QSeries.one(RingSpec(p, lam), N)
-        assert series_val(ratio - one).at_least(3)
+        assert (ratio - one).val().at_least(3)
 
 
 def test_eis_ratio_weight_validation():
-    with pytest.raises(ValueError):
-        eis_ratio(5, 6, 3, 5)  # 6 not divisible by 4
-    assert eis_ratio(5, 8, 3, 5) == eis_ratio_by_s(5, 2, 3, 5)
-    with pytest.raises(ValueError):
-        eis_ratio_by_s(5, 0, 3, 5)
+    # s indexes the weight s(p-1), so it must be positive.
+    for s in (0, -1):
+        with pytest.raises(ValueError):
+            eis_ratio_by_s(5, s, 3, 5)

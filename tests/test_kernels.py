@@ -15,17 +15,19 @@ from hypothesis import strategies as st
 import oracles
 from katzrates import classical
 from katzrates.arithmetic import QSeries, RingSpec
-from katzrates.basis import basis_matrix, build_matrix, dim_mk
+from katzrates.basis import build_matrix, dim_mk
 from katzrates.classical import WeightSpec, bernoulli, eisenstein_star
 from katzrates.expand import forward_substitute_many
 from katzrates.family import eis_ratio_by_s
 from katzrates.solver import (
+    KatzBasis,
     UnsolvableSystem,
     _min_val,
     build_system,
     collect_statuses,
     row_solutions,
     sturm_count,
+    weight_list,
 )
 
 
@@ -140,7 +142,7 @@ def test_solve_many_matches_per_theta_solve(system, data):
     shift = data.draw(st.integers(-3, 3))
     shifted = [[t + shift * mod for t in theta] for theta in thetas]
     assert system.solve_many(shifted) == expected
-    assert [system.solve(theta) for theta in shifted] == expected
+    assert [system.solve_many([theta])[0] for theta in shifted] == expected
     for theta, x in zip(thetas, expected):
         assert system.apply(x) == list(theta)
 
@@ -149,8 +151,9 @@ def test_solve_reduces_inputs_mod_p_lambda():
     system = build_system(5, 4)
     theta = system.apply([1, 2, 3, 4])
     mod = system.modulus
-    assert system.solve([t - mod for t in theta]) == system.solve(theta)
-    assert system.solve([t + 7 * mod for t in theta]) == system.solve(theta)
+    want = system.solve_many([theta])
+    assert system.solve_many([[t - mod for t in theta]]) == want
+    assert system.solve_many([[t + 7 * mod for t in theta]]) == want
     assert system.solve_many([]) == []
 
 
@@ -232,6 +235,17 @@ def test_bernoulli_table_regrows_geometrically(monkeypatch):
     assert len(classical._TANGENT) == 50
 
 
+@pytest.mark.parametrize("p, n, E", [(17, 20, 38), (5, 6, 1), (11, 5, 7)])
+def test_katz_basis_sizes_the_tangent_table_once(monkeypatch, p, n, E):
+    # A fresh build asks for B_k at its batch's largest weight first, so the
+    # table holds T_1..T_{k/2}; regrown weight by weight, it would reach the
+    # next doubling (512 for 17/20 at E = 38, where 320 are needed).
+    monkeypatch.setattr(classical, "_TANGENT", [])
+    KatzBasis(p, n, E).row_coords(1, n, 1)
+    k_max = weight_list(p, E)[-1].s * (p - 1)
+    assert len(classical._TANGENT) == k_max // 2
+
+
 _PRIMES = [5, 7, 11, 13, 17, 19, 23]
 
 
@@ -289,8 +303,8 @@ def test_row_statuses_match_q_coefficient_oracle(case, extra):
             oracles.q_coefficient_solutions(system, r, count)
         return
     want = oracles.q_coefficient_solutions(system, r, count)
-    assert collect_statuses(system, sols, lam - 1) == collect_statuses(
-        system, want, lam - 1
+    assert collect_statuses(system, sols, lam - 1, r) == collect_statuses(
+        system, want, lam - 1, r
     )
 
 
@@ -351,6 +365,6 @@ def substitution_cases(draw):
 @example((7, 3, 2, []))
 def test_forward_substitute_many_matches_per_vector_oracle(case):
     p, n, C, rhss = case
-    matrix = basis_matrix(p, n, C)
+    matrix = build_matrix(p, n, RingSpec(p, C))
     want = [oracles.forward_substitute(matrix, rhs) for rhs in rhss]
     assert forward_substitute_many(matrix, rhss) == want

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from katzrates import basis as basis_module
 from katzrates import sweep as sweep_module
 from katzrates.basis import dim_mk
 from katzrates.solver import PLAN_SLACK, f_bound
@@ -353,9 +352,7 @@ def test_reproduce_table_writes_the_sweep_csv(tmp_path, capsys):
 
 def test_sweep_builds_basis_once_at_planned_precision(matrix_builds):
     # p=5 to i=36 needs lam = 10, 12, 15, and plans 15 + 2; p=11 to i=132
-    # needs lam up to 26 and plans 24 + 2.  Neither goes through the shared
-    # basis_matrix cache.
-    cached = set(basis_module._CACHE)
+    # needs lam up to 26 and plans 24 + 2.
     assert sweep_module.planned_precision(5, 36) == 17
     run_sweep(5, 36)
     assert matrix_builds == [17]
@@ -363,7 +360,6 @@ def test_sweep_builds_basis_once_at_planned_precision(matrix_builds):
     assert sweep_module.planned_precision(11, 132) == 26
     run_sweep(11, 132)
     assert matrix_builds == [26]
-    assert set(basis_module._CACHE) == cached
 
 
 @pytest.mark.parametrize("p, i_max", [(5, 36), (7, 56)])
