@@ -28,6 +28,9 @@ EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 EXIT_UNSOLVABLE = 4
 EXIT_CHECKPOINT = 5
+# A sweep that left entries unresolved still writes its checkpoint, CSV and
+# summary, then exits with this code.
+EXIT_UNRESOLVED = 6
 
 
 def _read_coefficients(path: str) -> list[int]:
@@ -163,8 +166,16 @@ def cmd_sweep(args) -> int:
     if args.out:
         with open(args.out, "w", newline="") as fh:
             write_entries_csv(state.entries, fh)
-    json.dump(summary(state), sys.stdout, indent=2)
+    report = summary(state)
+    json.dump(report, sys.stdout, indent=2)
     print()
+    if report["unresolved"]:
+        print(
+            f"error: {report['unresolved']} entries with j >= 1 are still "
+            "inconclusive after the last retry",
+            file=sys.stderr,
+        )
+        return EXIT_UNRESOLVED
     return 0
 
 

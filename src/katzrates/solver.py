@@ -9,6 +9,19 @@ interpolation on a p-ordering of its weights (Bhargava, "P-orderings and
 polynomial functions on arbitrary subsets of Dedekind rings", J. reine angew.
 Math. 490, 1997), in O(lam^2) scalar steps where a general Smith form takes
 O(lam^3).
+
+The canonical weights are nested, weight_list(p, lam) being the first lam
+entries of weight_list(p, E) for lam <= E, and their natural order is a
+p-ordering.  Proof sketch: the coordinates are w_s = (1+p)^{s(p-1)} - 1, so
+v(w_s - w_s') = 1 + v(s - s'), and at step k the running valuation of a
+remaining w_s is k + sum_{e>=1} #{m < k : s_m = s mod p^e} (capped at lam).
+The s_m, m < k, are the naturals prime to p below s_k, so for s = s_k the
+count at each e is floor((s_k - 1) / p^e), the least any residue class
+mod p^e can have among them; ties go to the first index, so step k takes
+s_k.  A system for weight_list(p, E) therefore has A lower and B upper
+triangular, and the leading lam x lam blocks of its factorization, reduced
+mod p^lam with t_k capped at lam, factor the system for weight_list(p, lam)
+(VandermondeSystem.reduce): one factorization serves a whole sweep.
 """
 
 from __future__ import annotations
@@ -71,6 +84,7 @@ def _newton_diagonalize(ws, p: int, lam: int):
     forward substitution, each row one packed big-integer combination of the
     rows before it.  A and B are invertible, and t_0 <= t_1 <= ... (a
     p-ordering's valuations never decrease) are the Smith invariants of V.
+    Returns A, the t_k, B and the order pi.
     """
     mod = p**lam
     n = len(ws)
@@ -121,7 +135,7 @@ def _newton_diagonalize(ws, p: int, lam: int):
         acc += sum(map(mul, [-c * uinv % mod for c in below[i]], packed))
         A.append(unpack(acc, width, n, mod))
         packed.append(pack(A[-1], width))
-    return A, ts, [list(row) for row in zip(*cols)]
+    return A, ts, [list(row) for row in zip(*cols)], order
 
 
 def _log_p(pt: int, p: int) -> int:
@@ -150,6 +164,40 @@ def _matmul(M, R, mod: int) -> list[list[int]]:
     return [unpack(sum(map(mul, row, packed)), width, count, mod) for row in M]
 
 
+def _kernel(B, ts, p: int, lam: int):
+    """Generators p^(lam - t_k).B[:,k], t_k > 0, of the right kernel of V
+    over Z/p^lam, and the thresholds gamma_j = min over generators of
+    nu(component j).  N_k is monic, so generator k is p^(lam - t_k) != 0 at
+    component k."""
+    mod = p**lam
+    gens = []
+    for col, t in zip(zip(*B), ts):
+        if t:
+            scale = p ** (lam - t)
+            gens.append(tuple([b * scale % mod for b in col]))
+    components = zip(*gens) if gens else repeat((), lam)
+    return tuple(gens), tuple(_min_val(c, p, lam) for c in components)
+
+
+def _check_kernel(V, B, ts, p: int, lam: int) -> None:
+    """Raise AssertionError unless every kernel generator annihilates V.
+
+    p^(lam - t).x = 0 mod p^lam exactly when x = 0 mod p^t, so the check on
+    generator k is V.B[:,k] = 0 mod p^t_k: column k is reduced mod p^t_k
+    before it multiplies the packed columns of V, and each slot of the
+    product is read mod p^t_k.  The multipliers are then t_k base-p digits
+    long, not lam."""
+    width = slot_bytes(p**lam, lam)
+    packed = [pack(col, width) for col in zip(*V)]
+    for k, (col, t) in enumerate(zip(zip(*B), ts)):
+        if t == 0:
+            continue
+        pt = p**t
+        acc = sum(map(mul, [b % pt for b in col], packed))
+        if any(unpack(acc, width, lam, pt)):
+            raise AssertionError(f"kernel generator {k} does not annihilate V")
+
+
 @dataclass(frozen=True)
 class VandermondeSystem:
     """The Vandermonde matrix V[i][j] = w_i^j over Z/p^lam, a generating set of
@@ -165,6 +213,8 @@ class VandermondeSystem:
     _A: tuple[tuple[int, ...], ...]
     _ts: tuple[int, ...]
     _B: tuple[tuple[int, ...], ...]
+    # The p-ordering of the factorization is the input order of the weights.
+    _natural: bool
 
     @property
     def modulus(self) -> int:
@@ -194,6 +244,51 @@ class VandermondeSystem:
             Y.append([c // pt for c in ck])
         return [tuple(x) for x in zip(*_matmul(self._B, Y, mod))]
 
+    def reduce(self, lam: int) -> VandermondeSystem:
+        """The system over Z/p^lam on the first lam weights (weight_list(p,
+        lam) for a system built on weight_list(p, self.lam)), factored by the
+        leading lam x lam blocks of this one.
+
+        With the weights in their p-ordering, A is lower and B upper
+        triangular, so the leading blocks of A.V.B = diag(p^t) mod p^lam give
+        A'.V'.B' = diag(p^min(t_k, lam)).  B' and the t' are those a fresh
+        build computes, so the kernel generators and gamma are too; A' may
+        differ, and then a particular solution differs from a fresh one by a
+        kernel element, which collect_statuses allows for.  The kernel check
+        is not repeated: V.B[:,k] = 0 mod p^t_k, checked at the build, holds
+        on the leading rows mod p^t'_k because B is upper triangular and
+        t'_k <= t_k."""
+        if lam > self.lam:
+            raise ValueError(f"cannot reduce a lam = {self.lam} system to {lam}")
+        if not self._natural:
+            raise ValueError(
+                "the weights are not in p-order, so the leading blocks do not "
+                "factor the smaller system"
+            )
+        if lam == self.lam:
+            return self
+        p, mod = self.p, self.p**lam
+        ring = RingSpec(p, lam)
+
+        def lead(M):
+            return tuple(tuple(map(mod.__rmod__, row[:lam])) for row in M[:lam])
+
+        ts = tuple(min(t, lam) for t in self._ts[:lam])
+        B = lead(self._B)
+        gens, gamma = _kernel(B, ts, p, lam)
+        return VandermondeSystem(
+            p=p,
+            lam=lam,
+            weights=tuple(WeightSpec(ring, w.s) for w in self.weights[:lam]),
+            V=lead(self.V),
+            kernel_gens=gens,
+            gamma=gamma,
+            _A=lead(self._A),
+            _ts=ts,
+            _B=B,
+            _natural=True,
+        )
+
 
 def build_system(p: int, lam: int, weights=None) -> VandermondeSystem:
     if weights is None:
@@ -208,31 +303,21 @@ def build_system(p: int, lam: int, weights=None) -> VandermondeSystem:
         list(accumulate(repeat(w, lam - 1), lambda a, b: a * b % mod, initial=1))
         for w in ws
     ]
-    A, ts, B = _newton_diagonalize(ws, p, lam)
-    gens = []
-    for k, t in enumerate(ts):
-        if t == 0:
-            continue
-        scale = p ** (lam - t)
-        g = tuple(B[i][k] * scale % mod for i in range(lam))
-        if any(g):
-            gens.append(g)
-    system = VandermondeSystem(
+    A, ts, B, order = _newton_diagonalize(ws, p, lam)
+    _check_kernel(V, B, ts, p, lam)
+    gens, gamma = _kernel(B, ts, p, lam)
+    return VandermondeSystem(
         p=p,
         lam=lam,
         weights=tuple(weights),
         V=tuple(tuple(row) for row in V),
-        kernel_gens=tuple(gens),
-        gamma=tuple(_min_val([g[j] for g in gens], p, lam) for j in range(lam)),
+        kernel_gens=gens,
+        gamma=gamma,
         _A=tuple(tuple(row) for row in A),
         _ts=tuple(ts),
         _B=tuple(tuple(row) for row in B),
+        _natural=order == list(range(lam)),
     )
-    # Computed as G^T.V^T: generator k has zeros past component k, and the
-    # packed product skips them.
-    if gens and any(map(any, _matmul(gens, list(zip(*V)), mod))):
-        raise AssertionError("kernel generator does not annihilate V")
-    return system
 
 
 @dataclass(frozen=True)
@@ -265,8 +350,16 @@ def sturm_count(p: int, r: int) -> int:
     return -(-(r * (p - 1)) // 12)
 
 
-# Precision added to a planned or missed lam before KatzBasis builds at it.
+# Precision added to a missed lam before a KatzBasis or a Vandermonde system
+# is rebuilt at it.
 PLAN_SLACK = 2
+
+
+def build_precision(built: int, lam: int, plan: int) -> int:
+    """The precision to build at when `lam` exceeds the precision `built` so
+    far (0 if nothing is built): the larger of lam and the caller's plan on
+    the first build, lam + PLAN_SLACK after a miss."""
+    return lam + PLAN_SLACK if built else max(lam, plan)
 
 
 class KatzBasis:
@@ -302,7 +395,7 @@ class KatzBasis:
         if not 0 <= r <= self.n:
             raise ValueError(f"row {r} is outside 0..{self.n}")
         if lam > self.E:
-            self.E = lam + PLAN_SLACK if self.E else max(lam, self.plan)
+            self.E = build_precision(self.E, lam, self.plan)
             ss = [w.s for w in weight_list(self.p, self.E)]
             # B_k for the batch's largest weight sizes the tangent table once,
             # where the ascending weights would regrow it geometrically.

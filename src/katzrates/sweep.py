@@ -14,7 +14,15 @@ from fractions import Fraction
 
 from .arithmetic import _is_prime
 from .basis import block
-from .solver import PLAN_SLACK, KatzBasis, SweepEntry, build_system, f_bound, solve_row
+from .solver import (
+    PLAN_SLACK,
+    KatzBasis,
+    SweepEntry,
+    build_precision,
+    build_system,
+    f_bound,
+    solve_row,
+)
 
 CHECKPOINT_VERSION = 1
 
@@ -52,16 +60,19 @@ def lambda_for(p: int, target_gamma: int, j_max: int) -> int:
     if target_gamma < 1:
         raise ValueError("target_gamma must be >= 1")
     n = max(j_max + 1, 1)
-    while n - j_max - f_bound(p, n) < target_gamma:
-        n += 1
+    # n - j_max - f(n) rises by at most 1 from n to n + 1 (f never
+    # decreases), so n can step by its whole shortfall without passing the
+    # least solution.
+    while (short := target_gamma - (n - j_max - f_bound(p, n))) > 0:
+        n += short
     return n
 
 
 def planned_precision(p: int, i_max: int) -> int:
-    """The precision a sweep to i_max plans its one KatzBasis build at: the
-    lam of the last row if the observed rate is the conjectured d_p, plus
-    PLAN_SLACK.  A wrong plan only costs time: a row needing more rebuilds
-    the basis at its own lam plus PLAN_SLACK."""
+    """The precision a sweep to i_max plans its one KatzBasis and its one
+    Vandermonde system at: the lam of the last row if the observed rate is
+    the conjectured d_p, plus PLAN_SLACK.  A wrong plan only costs time: a
+    row needing more rebuilds both at its own lam plus PLAN_SLACK."""
     target_j = math.ceil(d_p(p) * i_max)
     j_max = min(i_max, target_j)
     return lambda_for(p, target_j + _INITIAL_MARGIN, j_max) + PLAN_SLACK
@@ -122,8 +133,10 @@ def run_sweep(
         state = SweepState(p=p, i_max=i_max)
 
     basis = KatzBasis(p, i_max, max(planned_precision(p, i_max), state.lam_current))
-    # lam never decreases, so only the newest system can be used again.
-    system = None
+    # One Vandermonde system, built at the basis's plan like the basis, serves
+    # every row's lam by reduction.  lam never decreases, so only the newest
+    # reduction can be used again.
+    built = system = None
 
     for i in range(1, i_max + 1):
         if i in state.completed_rows:
@@ -142,7 +155,11 @@ def run_sweep(
             j_max = min(i, target_j)
             lam = max(lambda_for(p, target_j + margin, j_max), state.lam_current)
             if system is None or system.lam != lam:
-                system = build_system(p, lam)
+                if built is None or lam > built.lam:
+                    built = build_system(
+                        p, build_precision(built.lam if built else 0, lam, basis.plan)
+                    )
+                system = built.reduce(lam)
             row = solve_row(p, i, lam, j_max=j_max, system=system, basis=basis)
             state.lam_current = lam
             stuck = [
@@ -265,12 +282,22 @@ def _entry_from_json(e: dict, completed_rows: set[int]) -> SweepEntry:
     return SweepEntry(i=i, j=j, exact=status == "exact", value=value, gamma=gamma)
 
 
+def _lambda_bound(p: int, rows) -> int:
+    """The largest lam a sweep can have used when `rows` are its completed
+    rows: the retry policy's largest target on the last nonempty row m,
+    since d' <= 1 makes target_j <= m; 1 if no row is nonempty."""
+    m = max((i for i in rows if not _empty_block(p, i)), default=0)
+    if m == 0:
+        return 1
+    return lambda_for(p, m + _INITIAL_MARGIN * 2**_MAX_RETRIES, m)
+
+
 def state_from_json(data: dict) -> SweepState:
     """The SweepState a checkpoint records, after checking every field, that
-    p is a prime >= 5, that the completed rows lie in 1..i_max, that each
-    holds the entries j = 0..J of one solve with J <= i (none if its basis
-    block is empty), and that d_prime is the minimum over the exact
-    entries."""
+    p is a prime >= 5, that the completed rows lie in 1..i_max, that lambda
+    lies in the range a sweep through them can reach, that each holds the
+    entries j = 0..J of one solve with J <= i (none if its basis block is
+    empty), and that d_prime is the minimum over the exact entries."""
     if not isinstance(data, dict) or data.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version: {data.get('version') if isinstance(data, dict) else data!r}"
@@ -289,6 +316,12 @@ def state_from_json(data: dict) -> SweepState:
             raise CheckpointError(f"completed_rows {outside} lie outside 1..{i_max}")
         if not isinstance(data["d_prime"], str):
             raise CheckpointError("d_prime must be a string p/q")
+        lam_bound = _lambda_bound(p, rows)
+        if not 1 <= lam <= lam_bound:
+            raise CheckpointError(
+                f"lambda {lam} lies outside 1..{lam_bound}, the range a sweep "
+                "through its completed rows can reach"
+            )
         state = SweepState(
             p=p,
             lam_current=lam,

@@ -1,6 +1,7 @@
 import pytest
 
 from katzrates import basis as basis_module
+from katzrates import solver as solver_module
 
 
 @pytest.fixture
@@ -15,3 +16,31 @@ def matrix_builds(monkeypatch) -> list[int]:
 
     monkeypatch.setattr("katzrates.solver.build_matrix", counting)
     return builds
+
+
+@pytest.fixture
+def system_builds(monkeypatch) -> list[int]:
+    """The lam of every Vandermonde system a sweep builds, in order."""
+    builds = []
+    real = solver_module.build_system
+
+    def counting(p, lam, weights=None):
+        builds.append(lam)
+        return real(p, lam, weights)
+
+    monkeypatch.setattr("katzrates.sweep.build_system", counting)
+    return builds
+
+
+@pytest.fixture
+def reductions(monkeypatch) -> list[int]:
+    """The lam of every VandermondeSystem.reduce call, in order."""
+    lams = []
+    real = solver_module.VandermondeSystem.reduce
+
+    def counting(self, lam):
+        lams.append(lam)
+        return real(self, lam)
+
+    monkeypatch.setattr(solver_module.VandermondeSystem, "reduce", counting)
+    return lams

@@ -12,7 +12,7 @@ from fractions import Fraction
 from katzrates.arithmetic import CappedVal, QSeries, RingSpec, padic_val, v_operator
 from katzrates.basis import BasisMatrix, block, dim_mk, eps
 from katzrates.classical import delta, e4, e6, e_p_minus_1, eisenstein_star
-from katzrates.solver import KatzBasis, UnsolvableSystem
+from katzrates.solver import KatzBasis, UnsolvableSystem, f_bound
 
 
 def sigma(m: int, n: int) -> int:
@@ -99,6 +99,28 @@ def solve_one(system, theta) -> tuple[int, ...]:
     return tuple(
         sum(system._B[i][k] * y[k] for k in range(n)) % mod for i in range(n)
     )
+
+
+def kernel_annihilates(V, B, ts, p: int, lam: int) -> bool:
+    """Whether every kernel generator g = p^(lam - t_k).B[:,k], t_k > 0,
+    has V.g = 0 mod p^lam, one dot product at a time."""
+    mod = p**lam
+    for k, t in enumerate(ts):
+        if t == 0:
+            continue
+        g = [row[k] * p ** (lam - t) % mod for row in B]
+        if any(sum(v * x for v, x in zip(row, g)) % mod for row in V):
+            return False
+    return True
+
+
+def lambda_for(p: int, target_gamma: int, j_max: int) -> int:
+    """The least n >= j_max + 1 with n - j_max - f(n) >= target_gamma, by
+    trying each n in turn."""
+    n = max(j_max + 1, 1)
+    while n - j_max - f_bound(p, n) < target_gamma:
+        n += 1
+    return n
 
 
 def smith_diagonalize(V, p: int, lam: int):

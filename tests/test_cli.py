@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from katzrates import sweep as sweep_module
 from katzrates.basis import dim_mk
 from katzrates.cli import main
 
@@ -326,3 +327,47 @@ def test_sweep_cli_non_utf8_checkpoint_exits_5(tmp_path, capsys):
     )
     assert code == 5
     assert err.startswith("error:") and "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("lam", [0, -3, 1500, None])
+def test_sweep_cli_checkpoint_lambda_out_of_range_exits_5(tmp_path, capsys, lam):
+    # A resumed sweep plans at no less than the checkpoint's lambda: 1500 ran
+    # past 20 s before lambda was bounded.  Unedited (None), the resume still
+    # writes the uninterrupted CSV.
+    ck, resumed, whole = tmp_path / "ck.json", tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run_cli(capsys, "sweep", "--p", "5", "--imax", "6", "--checkpoint", str(ck))[0] == 0
+    if lam is not None:
+        data = json.loads(ck.read_text())
+        data["lambda"] = lam
+        ck.write_text(json.dumps(data))
+    code, out, err = run_cli(
+        capsys, "sweep", "--p", "5", "--imax", "9",
+        "--checkpoint", str(ck), "--resume", "--out", str(resumed),
+    )
+    if lam is None:
+        assert code == 0
+        assert run_cli(capsys, "sweep", "--p", "5", "--imax", "9", "--out", str(whole))[0] == 0
+        assert resumed.read_bytes() == whole.read_bytes()
+    else:
+        assert code == 5
+        assert err.startswith("error:") and "lambda" in err and out == ""
+        assert not resumed.exists()
+
+
+def test_sweep_cli_unresolved_entries_exit_6(tmp_path, capsys, monkeypatch):
+    # One attempt per row at the least lam a row allows leaves entries with
+    # j >= 1 inconclusive: the outputs are still written, then the run fails.
+    monkeypatch.setattr(sweep_module, "_MAX_RETRIES", 0)
+    monkeypatch.setattr(sweep_module, "lambda_for", lambda p, target, j_max: j_max + 1)
+    ck, out_csv = tmp_path / "ck.json", tmp_path / "out.csv"
+    code, out, err = run_cli(
+        capsys, "sweep", "--p", "5", "--imax", "9",
+        "--checkpoint", str(ck), "--out", str(out_csv),
+    )
+    assert code == 6
+    unresolved = json.loads(out)["unresolved"]
+    assert unresolved > 0
+    assert err.startswith(f"error: {unresolved} entries")
+    rows = list(csv.DictReader(out_csv.open()))
+    assert sum(r["status"] == "inconclusive" and r["j"] != "0" for r in rows) == unresolved
+    assert json.loads(ck.read_text())["completed_rows"] == list(range(1, 10))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from katzrates.cli import main
 from katzrates.sweep import run_sweep, state_to_json
 
-EXIT_CODES = {0, 2, 3, 4, 5}
+EXIT_CODES = {0, 2, 3, 4, 5, 6}
 
 PRIMES = st.sampled_from(["5", "7", "11", "-5", "0", "1", "3", "4", "9", "x"])
 SMALL = st.integers(-2, 8).map(str)

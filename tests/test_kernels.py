@@ -22,6 +22,7 @@ from katzrates.family import eis_ratio_by_s
 from katzrates.solver import (
     KatzBasis,
     UnsolvableSystem,
+    _check_kernel,
     _min_val,
     build_system,
     collect_statuses,
@@ -195,6 +196,32 @@ def test_newton_form_matches_smith_oracle_on_random_weights(system):
 )
 def test_newton_form_matches_smith_oracle_on_weight_lists(p, lam):
     _check_newton_form(build_system(p, lam))
+
+
+@pytest.mark.parametrize(
+    "p, E, lam", [(5, 60, 37), (5, 24, 10), (7, 30, 17), (11, 26, 13), (17, 40, 21)]
+)
+def test_reduced_system_matches_smith_oracle(p, E, lam):
+    # The leading blocks of a weight-list factorization factor the smaller
+    # weight list.
+    _check_newton_form(build_system(p, E).reduce(lam))
+
+
+@given(systems(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_kernel_check_matches_the_generator_oracle(system, data):
+    # One entry of B replaced: the check at precision p^t_k rejects exactly
+    # the columns whose generator p^(lam - t_k).B[:,k] no longer annihilates V.
+    p, lam = system.p, system.lam
+    V = [list(row) for row in system.V]
+    B = [list(row) for row in system._B]
+    i, k = data.draw(st.integers(0, lam - 1)), data.draw(st.integers(0, lam - 1))
+    B[i][k] = data.draw(st.integers(0, system.modulus - 1))
+    if oracles.kernel_annihilates(V, B, system._ts, p, lam):
+        _check_kernel(V, B, system._ts, p, lam)
+    else:
+        with pytest.raises(AssertionError, match=f"generator {k} "):
+            _check_kernel(V, B, system._ts, p, lam)
 
 
 @given(

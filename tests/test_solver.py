@@ -10,12 +10,13 @@ import oracles
 from katzrates import solver as solver_module
 from katzrates.arithmetic import QSeries, RingSpec, padic_val
 from katzrates.basis import block, dim_mk
-from katzrates.classical import e_p_minus_1
+from katzrates.classical import WeightSpec, e_p_minus_1
 from katzrates.expand import psi
 from katzrates.family import eis_ratio_by_s
 from katzrates.solver import (
     PLAN_SLACK,
     KatzBasis,
+    UnsolvableSystem,
     build_system,
     collect_statuses,
     f_bound,
@@ -80,6 +81,71 @@ def test_solve_returns_actual_solution():
         theta = system.apply(x)
         (sol,) = system.solve_many([theta])
         assert system.apply(sol) == theta
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
+def test_weight_lists_are_p_ordered_in_natural_order(p):
+    # The valuations the ordering compares at lam are those at 80 capped at
+    # lam, and ties go to the first index, so a natural order at 80 is one at
+    # every lam <= 80; the smaller lam exercise the caps.
+    for lam in sorted({1, 2, p - 1, p, p + 1, 40, 80}):
+        ws = [w.w for w in weight_list(p, lam)]
+        assert solver_module._newton_diagonalize(ws, p, lam)[3] == list(range(lam))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([5, 7, 11, 13]), st.integers(1, 40), st.data())
+def test_reduced_system_serves_like_a_fresh_build(p, E, data):
+    lam = data.draw(st.integers(1, E))
+    served, fresh = build_system(p, E).reduce(lam), build_system(p, lam)
+    assert served.weights == fresh.weights and served.V == fresh.V
+    assert served._ts == fresh._ts and served.gamma == fresh.gamma
+    for g in served.kernel_gens:
+        assert not any(served.apply(g))
+    vectors = st.lists(st.integers(0, p**lam - 1), min_size=lam, max_size=lam)
+    thetas = [fresh.apply(data.draw(vectors)) for _ in range(3)]
+    assert collect_statuses(
+        served, served.solve_many(thetas), lam - 1, 1
+    ) == collect_statuses(fresh, fresh.solve_many(thetas), lam - 1, 1)
+    # e_{lam-1} is outside the image once t_{lam-1} >= 1, which holds from
+    # lam = 2; a random theta is solvable for both or for neither.
+    unsolvable = [0] * (lam - 1) + [1]
+    for theta in [unsolvable] * (lam > 1) + [data.draw(vectors)]:
+        try:
+            fresh.solve_many([theta])
+        except UnsolvableSystem:
+            with pytest.raises(UnsolvableSystem):
+                served.solve_many([theta])
+        else:
+            assert theta is not unsolvable
+            served.solve_many([theta])
+
+
+def test_reduce_refuses_what_it_cannot_serve():
+    # The p-ordering of s = 1, 6, 2 takes 2 before 6: v(w_6 - w_1) = 2.
+    ring = RingSpec(5, 3)
+    system = build_system(5, 3, [WeightSpec(ring, s) for s in (1, 6, 2)])
+    with pytest.raises(ValueError, match="p-order"):
+        system.reduce(2)
+    nested = build_system(5, 4)
+    with pytest.raises(ValueError, match="cannot reduce"):
+        nested.reduce(5)
+    assert nested.reduce(4) is nested
+
+
+@pytest.mark.parametrize("k", [1, 6, 11])
+def test_build_system_rejects_a_corrupted_kernel_column(monkeypatch, k):
+    # Column 11 of (5, 12) has t = 12, so its generator is B[:,11] itself.
+    real = solver_module._newton_diagonalize
+
+    def corrupted(ws, p, lam):
+        A, ts, B, order = real(ws, p, lam)
+        B[0][k] += 1
+        return A, ts, B, order
+
+    monkeypatch.setattr(solver_module, "_newton_diagonalize", corrupted)
+    with pytest.raises(AssertionError, match=f"generator {k} "):
+        build_system(5, 12)
 
 
 def test_sturm_count():

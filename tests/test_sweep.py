@@ -8,7 +8,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from katzrates import sweep as sweep_module
 from katzrates.basis import dim_mk
 from katzrates.solver import PLAN_SLACK, f_bound
@@ -59,6 +62,13 @@ def test_lambda_for():
         cur = lambda_for(5, target, 3)
         assert cur >= prev
         prev = cur
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([5, 7, 11, 13, 23]), st.integers(1, 80), st.integers(0, 400))
+def test_lambda_for_matches_the_linear_scan(p, target, j_max):
+    # lambda_for steps n by its whole shortfall; the scan tries every n.
+    assert lambda_for(p, target, j_max) == oracles.lambda_for(p, target, j_max)
 
 
 def test_run_sweep_small():
@@ -243,6 +253,47 @@ def test_checkpoint_rejects_completed_row_outside_i_max(checkpoint_p5_i9, row):
         state_from_json(data)
 
 
+@pytest.mark.parametrize("lam", [0, -3, 1500])
+def test_checkpoint_rejects_lambda_out_of_range(checkpoint_p5_i9, lam):
+    data = json.loads(checkpoint_p5_i9)
+    data["lambda"] = lam
+    with pytest.raises(CheckpointError, match="lambda"):
+        state_from_json(data)
+
+
+def test_checkpoint_lambda_bound_is_the_retry_policy_ceiling(checkpoint_p5_i9):
+    # Row 9 is the last nonempty row; d' <= 1 and four attempts at most give
+    # target_j + margin <= 9 + 2 * 2^3.
+    data = json.loads(checkpoint_p5_i9)
+    bound = lambda_for(5, 9 + 16, 9)
+    data["lambda"] = bound
+    assert state_from_json(data).lam_current == bound
+    data["lambda"] = bound + 1
+    with pytest.raises(CheckpointError, match="lambda"):
+        state_from_json(data)
+
+
+def test_checkpoint_lambda_bound_is_quick_for_a_far_row():
+    # Row 999999999 of p = 5 is nonempty; scanning n one at a time up to its
+    # bound, about 2.9e9, would not finish.
+    i = 999_999_999
+    data = {
+        "version": 1, "p": 5, "lambda": 1500, "i_max": i, "d_prime": "1",
+        "completed_rows": [i],
+        "entries": [{"i": i, "j": 0, "status": "inconclusive", "value": None, "gamma": 1}],
+    }
+    assert state_from_json(data).lam_current == 1500
+
+
+def test_checkpoint_without_a_nonempty_row_needs_lambda_one():
+    # Rows 1 and 2 of p = 5 have empty basis blocks: nothing was solved.
+    data = state_to_json(run_sweep(5, 2))
+    assert state_from_json(data).lam_current == 1
+    data["lambda"] = 2
+    with pytest.raises(CheckpointError, match="lambda"):
+        state_from_json(data)
+
+
 def test_checkpoint_accepts_a_shorter_row(checkpoint_p5_i9):
     # j = 0..J for a smaller J is what a lower d' would have solved.
     data = json.loads(checkpoint_p5_i9)
@@ -364,7 +415,9 @@ def test_sweep_builds_basis_once_at_planned_precision(matrix_builds):
 
 @pytest.mark.parametrize("p, i_max", [(5, 36), (7, 56)])
 @pytest.mark.parametrize("shift", [-100, 20])
-def test_wrong_plan_gives_the_same_csv(monkeypatch, matrix_builds, p, i_max, shift):
+def test_wrong_plan_gives_the_same_csv(
+    monkeypatch, matrix_builds, system_builds, reductions, p, i_max, shift
+):
     # A plan far too low builds at the first row's lam and steps by
     # PLAN_SLACK on each miss; one far too high builds once, above need.
     # Either way the entries are the golden ones.
@@ -380,6 +433,11 @@ def test_wrong_plan_gives_the_same_csv(monkeypatch, matrix_builds, p, i_max, shi
         assert state.lam_current <= matrix_builds[-1] <= state.lam_current + PLAN_SLACK
     else:
         assert matrix_builds == [real(p, i_max) + shift]
+    # The Vandermonde system follows the same plan: every build after the
+    # first is at the missed row's lam + PLAN_SLACK.
+    assert system_builds == matrix_builds
+    for built, rebuilt in zip(system_builds, system_builds[1:]):
+        assert rebuilt - PLAN_SLACK in reductions and rebuilt - PLAN_SLACK > built
 
 
 def test_resumed_sweep_plans_at_least_the_checkpoint_lambda(matrix_builds):
@@ -391,19 +449,22 @@ def test_resumed_sweep_plans_at_least_the_checkpoint_lambda(matrix_builds):
     assert matrix_builds == [40]
 
 
-def test_sweep_builds_each_system_once(monkeypatch):
-    # lam never decreases along a sweep, so keeping only the newest system
-    # builds each lam once.
-    lams = []
-    real = sweep_module.build_system
-
-    def counting(p, lam, weights=None):
-        lams.append(lam)
-        return real(p, lam, weights)
-
-    monkeypatch.setattr(sweep_module, "build_system", counting)
-    run_sweep(5, 36)
-    assert lams == sorted(set(lams)) == [10, 12, 15]
+@pytest.mark.parametrize(
+    "p, i_max, plan, lams",
+    [(5, 36, 17, [10, 12, 15]), (5, 144, 60, None), (11, 132, 26, None)],
+    ids=["5-36", "5-144", "11-132"],
+)
+def test_sweep_builds_one_system_and_reduces_it(system_builds, reductions, p, i_max, plan, lams):
+    # One Vandermonde system, at the plan the KatzBasis builds at, serves
+    # every row by reduction; lam never decreases along a sweep, so each
+    # distinct lam is reduced to once.
+    state = run_sweep(p, i_max)
+    assert sweep_module.planned_precision(p, i_max) == plan
+    assert system_builds == [plan]
+    assert reductions == sorted(set(reductions))
+    assert reductions[-1] == state.lam_current
+    if lams is not None:
+        assert reductions == lams
 
 
 @pytest.mark.parametrize(
