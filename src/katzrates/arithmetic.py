@@ -6,6 +6,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool, as JSON input must give for an integer."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False

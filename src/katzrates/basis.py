@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arithmetic import QSeries, RingSpec
+from .arithmetic import QSeries, RingSpec, _canonical, pack, slot_bytes, unpack
 from .classical import delta, e4, e6, e_p_minus_1
 
 
@@ -58,7 +58,7 @@ class BasisMatrix:
 
 
 def build_matrix(p: int, n: int, ring: RingSpec) -> BasisMatrix:
-    """The basis matrix for (p, n) over `ring`, one series product per column.
+    """The basis matrix for (p, n) over `ring`, one packed product per column.
 
     g_j / E_{p-1}^{i_j} = Delta^j E_4^a E_6^eps E_{p-1}^-i, so column j is
     column j-1 times Delta E_4^da E_6^de E_{p-1}^-di, where (da, de, di) is
@@ -66,6 +66,11 @@ def build_matrix(p: int, n: int, ring: RingSpec) -> BasisMatrix:
     di (p-1), there are only a few distinct steps (one inside every block),
     and each multiplier is built once.  E_4, E_6 and E_{p-1} have constant
     term 1, so their negative powers exist over Z/p^e.
+
+    Column j is q^j times a series with constant term 1, and every step is q
+    times one, so column j needs only the N - j slots of column j-1 from
+    q^(j-1) on and of the step from q^1 on: each step is packed once without
+    its zero constant slot, and each product spans N - j slots.
     """
     if ring.p != p:
         raise ValueError("ring prime does not match p")
@@ -74,12 +79,15 @@ def build_matrix(p: int, n: int, ring: RingSpec) -> BasisMatrix:
     N = dim_mk(n * (p - 1))
     blocks = tuple((i, *block(p, i)) for i in range(n + 1))
     col_to_i = tuple(i for i, lo, hi in blocks for _ in range(lo, hi))
+    mod = ring.modulus
+    width = slot_bytes(mod, N)
+    bits = 8 * width
     ds = delta(ring, N)
     bases = (e4(ring, N), e6(ring, N), e_p_minus_1(ring, N))
     inverses: list[QSeries | None] = [None] * 3
-    steps: dict[tuple[int, ...], QSeries] = {}
+    steps: dict[tuple[int, ...], int] = {}
     columns = []
-    col, prev = QSeries.one(ring, N), (0, 0, 0)
+    cs, prev = (1,) + (0,) * (N - 1), (0, 0, 0)
     for j, i in enumerate(col_to_i):
         if j:
             # Exponents of E_4, E_6 and E_{p-1} in column j.
@@ -92,9 +100,13 @@ def build_matrix(p: int, n: int, ring: RingSpec) -> BasisMatrix:
                         inverses[b] = bases[b].inverse()
                     if k:
                         step = step * (bases[b] if k > 0 else inverses[b]) ** abs(k)
-                steps[key] = step
-            col, prev = col * steps[key], cur
-        cs = col.coeffs
+                if step.coeffs[0]:
+                    raise AssertionError(f"step {key} has a nonzero constant term")
+                steps[key] = pack(_canonical(step.coeffs[1:], mod), width)
+            live = N - j
+            mask = (1 << bits * live) - 1
+            prod = pack(cs[j - 1 : N - 1], width) * (steps[key] & mask)
+            cs, prev = (0,) * j + tuple(unpack(prod, width, live, mod)), cur
         if any(cs[:j]) or cs[j] != 1:
             raise AssertionError(f"column {j} is not unit-lower-triangular")
         columns.append(cs)

@@ -8,21 +8,12 @@ import json
 import os
 import sys
 
-from .arithmetic import QSeries, RingSpec
+# Only what katz-expand needs is imported here; the solver and the sweep
+# are imported by the commands that use them.
+from .arithmetic import QSeries, RingSpec, _is_int
 from .basis import dim_mk
 from .classical import WeightSpec
 from .expand import PrecisionMismatch, psi
-from .solver import UnsolvableSystem, build_system, solve_row
-from .sweep import (
-    CheckpointError,
-    _is_int,
-    load_checkpoint,
-    row_entries,
-    run_sweep,
-    save_checkpoint,
-    summary,
-    write_entries_csv,
-)
 
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
@@ -97,6 +88,9 @@ def cmd_katz_expand(args) -> int:
 
 
 def cmd_valuations(args) -> int:
+    from .solver import UnsolvableSystem, build_system, solve_row
+    from .sweep import row_entries, write_entries_csv
+
     try:
         if args.r < 0:
             raise ValueError(f"--r must be >= 0, got {args.r}")
@@ -126,6 +120,15 @@ def cmd_valuations(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .solver import UnsolvableSystem
+    from .sweep import (
+        CheckpointError,
+        load_checkpoint,
+        run_sweep,
+        summary,
+        write_entries_csv,
+    )
+
     try:
         RingSpec(args.p, 1)  # p must be a prime >= 5
         if args.imax < 1:
@@ -161,8 +164,6 @@ def cmd_sweep(args) -> int:
     except UnsolvableSystem as exc:
         print(f"error: linear system unsolvable: {exc}", file=sys.stderr)
         return EXIT_UNSOLVABLE
-    if args.checkpoint:
-        save_checkpoint(state, args.checkpoint)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             write_entries_csv(state.entries, fh)

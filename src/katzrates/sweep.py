@@ -9,10 +9,11 @@ import json
 import math
 import os
 import tempfile
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arithmetic import _is_prime
+from .arithmetic import _is_int, _is_prime
 from .basis import block
 from .solver import (
     PLAN_SLACK,
@@ -25,6 +26,10 @@ from .solver import (
 )
 
 CHECKPOINT_VERSION = 1
+# A sweep rewrites its checkpoint after a row only when this many seconds
+# have passed since its last write, and always once when it ends: a write
+# re-encodes every entry, so a write per row would cost O(rows x entries).
+CHECKPOINT_INTERVAL_S = 1.0
 
 # Retry policy: initial margin on the conclusiveness target, doubled on each
 # retry, at most this many retries per row.
@@ -121,7 +126,9 @@ def run_sweep(
 ) -> SweepState:
     """Sweep rows 1..i_max, maintaining the running upper bound d' and pruning
     each row at j <= ceil(d' * i).  Rows with an empty basis block contribute
-    nothing and are skipped."""
+    nothing and are skipped.  With `checkpoint_path`, the state is saved
+    after a solved row when CHECKPOINT_INTERVAL_S have passed since the last
+    save (or the start), and once after the loop, even if no row was left."""
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
     if resume is not None:
@@ -138,14 +145,13 @@ def run_sweep(
     # reduction can be used again.
     built = system = None
 
+    written = time.monotonic()
     for i in range(1, i_max + 1):
         if i in state.completed_rows:
             continue
         if _empty_block(p, i):
             # Empty basis block: b_{i,j} = 0, nothing to solve.
             state.completed_rows.add(i)
-            if checkpoint_path:
-                save_checkpoint(state, checkpoint_path)
             continue
 
         margin = _INITIAL_MARGIN
@@ -175,9 +181,12 @@ def run_sweep(
         state.completed_rows.add(i)
         if progress:
             progress(state, i)
-        if checkpoint_path:
+        if checkpoint_path and time.monotonic() - written >= CHECKPOINT_INTERVAL_S:
             save_checkpoint(state, checkpoint_path)
+            written = time.monotonic()
 
+    if checkpoint_path:
+        save_checkpoint(state, checkpoint_path)
     return state
 
 
@@ -256,10 +265,6 @@ def state_to_json(state: SweepState) -> dict:
             for e in state.entries
         ],
     }
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _entry_from_json(e: dict, completed_rows: set[int]) -> SweepEntry:
@@ -364,12 +369,16 @@ def state_from_json(data: dict) -> SweepState:
 
 
 def save_checkpoint(state: SweepState, path: str) -> None:
-    """Atomic write: temp file in the target directory, then rename."""
+    """Durable atomic write: the JSON text goes to a temp file in the target
+    directory, is flushed and fsynced, and then renamed over `path`."""
+    text = json.dumps(state_to_json(state))
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(state_to_json(state), fh)
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -3,7 +3,11 @@ from it, what it exports, and what it no longer defines."""
 
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,6 +65,45 @@ def test_all_is_the_readme_entry_point_list():
     assert len(set(katzrates.__all__)) == len(katzrates.__all__)
     for name in katzrates.__all__:
         assert hasattr(katzrates, name)
+
+
+def test_star_import_and_dir_expose_all():
+    # The package resolves its names lazily; both still list every one.
+    namespace = {}
+    exec("from katzrates import *", namespace)
+    assert set(katzrates.__all__) <= set(namespace)
+    assert set(katzrates.__all__) <= set(dir(katzrates))
+    with pytest.raises(AttributeError):
+        katzrates.g_form
+
+
+_KATZ_EXPAND_IMPORTS = """
+import json, sys
+import katzrates
+bare = sorted(m for m in sys.modules if m.startswith("katzrates"))
+from katzrates import cli
+code = cli.main(["katz-expand", "--p", "5", "--n", "3", "--prec", "4", "--input", sys.argv[1]])
+print(json.dumps([code, bare, sorted(m for m in sys.modules if m.startswith("katzrates"))]))
+"""
+
+
+def test_katz_expand_imports_neither_solver_nor_sweep(tmp_path):
+    # katz-expand (Algorithm 1) needs the basis and the expansion only; the
+    # solver, the sweep and the Eisenstein family are left unimported.
+    path = tmp_path / "f.txt"
+    path.write_text("1\n2\n")  # N = d_12 = 2 coefficients
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _KATZ_EXPAND_IMPORTS, str(path)],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    code, bare, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert bare == ["katzrates"]
+    assert "katzrates.expand" in loaded
+    for name in ("solver", "sweep", "family"):
+        assert f"katzrates.{name}" not in loaded
 
 
 @pytest.mark.parametrize("name", ["g_form", "Residue"])

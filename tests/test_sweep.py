@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -114,6 +115,93 @@ def test_checkpoint_written_during_sweep(tmp_path):
     state = run_sweep(5, 6, checkpoint_path=path)
     loaded = load_checkpoint(path)
     assert loaded.completed_rows == state.completed_rows
+
+
+def test_checkpoint_is_fsynced_before_the_rename(tmp_path, monkeypatch):
+    # The temp file holds the whole text when it is fsynced, and only then
+    # replaces the checkpoint.
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    state = run_sweep(5, 9)
+    path = tmp_path / "ck.json"
+    save_checkpoint(state, str(path))
+    text = path.read_text()
+    assert events == [("fsync", len(text)), ("replace", str(path))]
+    assert [f.name for f in tmp_path.iterdir()] == ["ck.json"]
+    # The text the streaming encoder of json.dump gives for this state.
+    assert text == "".join(json.JSONEncoder().iterencode(state_to_json(state)))
+
+
+@pytest.fixture
+def checkpoint_writes(monkeypatch) -> list[tuple[int, ...]]:
+    """The completed rows of every checkpoint a sweep writes, in order."""
+    writes = []
+    real = sweep_module.save_checkpoint
+
+    def counting(state, path):
+        writes.append(tuple(sorted(state.completed_rows)))
+        real(state, path)
+
+    monkeypatch.setattr(sweep_module, "save_checkpoint", counting)
+    return writes
+
+
+def test_sweep_writes_its_checkpoint_once_inside_the_interval(tmp_path, checkpoint_writes):
+    # 5/36 takes milliseconds, far less than CHECKPOINT_INTERVAL_S, so the
+    # only write is the one after the last row.
+    path = str(tmp_path / "ck.json")
+    state = run_sweep(5, 36, checkpoint_path=path)
+    assert sweep_module.CHECKPOINT_INTERVAL_S == 1.0
+    assert checkpoint_writes == [tuple(range(1, 37))]
+    assert load_checkpoint(path).entries == state.entries
+
+
+def test_resume_with_no_rows_left_still_writes(tmp_path, checkpoint_writes):
+    path = str(tmp_path / "ck.json")
+    state = run_sweep(5, 12)
+    run_sweep(5, 12, resume=state, checkpoint_path=path)
+    assert checkpoint_writes == [tuple(range(1, 13))]
+    assert load_checkpoint(path).entries == state.entries
+
+
+class _Interrupt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("k, last_saved", [(6, 3), (18, 15), (36, 33)])
+def test_interrupted_sweep_resumes_to_the_uninterrupted_csv(
+    tmp_path, monkeypatch, checkpoint_writes, k, last_saved
+):
+    # With the interval at 0 every solved row is saved.  A sweep stopped by
+    # its progress hook on row k (p = 5 solves every third row) leaves the
+    # checkpoint of the solved row before it, and resuming from that file
+    # gives the golden CSV of the uninterrupted sweep.
+    monkeypatch.setattr(sweep_module, "CHECKPOINT_INTERVAL_S", 0)
+    path = str(tmp_path / "ck.json")
+
+    def stop(state, i):
+        if i == k:
+            raise _Interrupt
+
+    with pytest.raises(_Interrupt):
+        run_sweep(5, 36, checkpoint_path=path, progress=stop)
+    assert len(checkpoint_writes) == k // 3 - 1
+    saved = load_checkpoint(path)
+    assert saved.completed_rows == set(range(1, last_saved + 1))
+    resumed = run_sweep(5, 36, resume=saved, checkpoint_path=path)
+    assert _entries_csv(resumed) == (DATA / "p5_i36.csv").read_bytes().decode()
+    assert load_checkpoint(path).completed_rows == set(range(1, 37))
 
 
 def test_checkpoint_schema_version_rejected():
@@ -486,9 +574,14 @@ def test_deep_sweep_matches_benchmark_digest(workload, p, i_max):
         (19, "9bef70d9a6e237e51ba5632c802efd18cbc4fd3bf1bfbffcbd8e80bd3ac7ed7d"),
     ],
 )
-def test_frontier_sweep_matches_pinned_digest(p, digest):
-    # The conjecture frontier at i = p(p+1), where d' = (p-1)/(p(p+1)).
-    state = run_sweep(p, p * (p + 1))
+def test_frontier_sweep_matches_pinned_digest(p, digest, tmp_path):
+    # The conjecture frontier at i = p(p+1), where d' = (p-1)/(p(p+1)); the
+    # checkpoint a long sweep writes on its interval ends at its final state.
+    path = str(tmp_path / "ck.json")
+    state = run_sweep(p, p * (p + 1), checkpoint_path=path)
     assert state.d_prime == d_p(p)
     assert summary(state)["unresolved"] == 0
     assert hashlib.sha256(_entries_csv(state).encode()).hexdigest() == digest
+    saved = load_checkpoint(path)
+    assert saved.completed_rows == state.completed_rows
+    assert saved.entries == state.entries
