@@ -94,16 +94,13 @@ def cmd_valuations(args) -> int:
     try:
         if args.r < 0:
             raise ValueError(f"--r must be >= 0, got {args.r}")
-        if args.weights:
+        if args.weights is not None:
             s_values = [int(s) for s in args.weights.split(",")]
             lam = len(s_values)
             ring = RingSpec(args.p, lam)
             weights = [WeightSpec(ring, s) for s in s_values]
-        elif args.lam:
-            lam = args.lam
-            weights = None
         else:
-            raise ValueError("one of --lambda or --weights is required")
+            lam, weights = args.lam, None
         # RingSpec rejects a p that is not a prime >= 5: above for --weights,
         # in build_system for --lambda.
         system = build_system(args.p, lam, weights)
@@ -198,8 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("valuations", help="valuations nu(b_{r,j}) for one row")
     pv.add_argument("--p", type=int, required=True)
     pv.add_argument("--r", type=int, required=True)
-    pv.add_argument("--lambda", dest="lam", type=int, default=None)
-    pv.add_argument("--weights", default=None, metavar="s1,s2,...")
+    weights = pv.add_mutually_exclusive_group(required=True)
+    weights.add_argument("--lambda", dest="lam", type=int)
+    weights.add_argument("--weights", metavar="s1,s2,...")
     pv.set_defaults(func=cmd_valuations)
 
     ps = sub.add_parser("sweep", help="sweep rows and compute the d'_p upper bound")

@@ -164,19 +164,13 @@ def _matmul(M, R, mod: int) -> list[list[int]]:
     return [unpack(sum(map(mul, row, packed)), width, count, mod) for row in M]
 
 
-def _kernel(B, ts, p: int, lam: int):
-    """Generators p^(lam - t_k).B[:,k], t_k > 0, of the right kernel of V
-    over Z/p^lam, and the thresholds gamma_j = min over generators of
-    nu(component j).  N_k is monic, so generator k is p^(lam - t_k) != 0 at
-    component k."""
-    mod = p**lam
-    gens = []
-    for col, t in zip(zip(*B), ts):
-        if t:
-            scale = p ** (lam - t)
-            gens.append(tuple([b * scale % mod for b in col]))
-    components = zip(*gens) if gens else repeat((), lam)
-    return tuple(gens), tuple(_min_val(c, p, lam) for c in components)
+def _gamma(B, ts, p: int, lam: int) -> tuple[CappedVal, ...]:
+    """The thresholds gamma_j = min over the generators p^(lam - t_k).B[:,k]
+    of the right kernel of V over Z/p^lam of nu(component j), read off row j
+    of B; a column with t_k = 0 gives the zero generator.  N_k is monic, so
+    generator k is p^(lam - t_k) != 0 at component k when t_k > 0."""
+    scales = [p ** (lam - t) for t in ts]
+    return tuple(_min_val(list(map(mul, row, scales)), p, lam) for row in B)
 
 
 def _check_kernel(V, B, ts, p: int, lam: int) -> None:
@@ -200,15 +194,14 @@ def _check_kernel(V, B, ts, p: int, lam: int) -> None:
 
 @dataclass(frozen=True)
 class VandermondeSystem:
-    """The Vandermonde matrix V[i][j] = w_i^j over Z/p^lam, a generating set of
-    its right kernel {x : Vx = 0}, and the conclusiveness thresholds gamma_j =
-    min over generators of nu(component j)."""
+    """The Vandermonde system V[i][j] = w_i^j over Z/p^lam, kept as what a
+    solve reads: its factorization A.V.B = diag(p^t_k) and the
+    conclusiveness thresholds gamma_j = min over the kernel generators
+    p^(lam - t_k).B[:,k] of nu(component j)."""
 
     p: int
     lam: int
     weights: tuple[WeightSpec, ...]
-    V: tuple[tuple[int, ...], ...]
-    kernel_gens: tuple[tuple[int, ...], ...]
     gamma: tuple[CappedVal, ...]
     _A: tuple[tuple[int, ...], ...]
     _ts: tuple[int, ...]
@@ -219,10 +212,6 @@ class VandermondeSystem:
     @property
     def modulus(self) -> int:
         return self.p**self.lam
-
-    def apply(self, x) -> list[int]:
-        mod = self.modulus
-        return [sum(r * v for r, v in zip(row, x)) % mod for row in self.V]
 
     def solve_many(self, thetas) -> list[tuple[int, ...]]:
         """A particular solution of Vx = theta mod p^lam for each theta, from
@@ -252,12 +241,11 @@ class VandermondeSystem:
         With the weights in their p-ordering, A is lower and B upper
         triangular, so the leading blocks of A.V.B = diag(p^t) mod p^lam give
         A'.V'.B' = diag(p^min(t_k, lam)).  B' and the t' are those a fresh
-        build computes, so the kernel generators and gamma are too; A' may
-        differ, and then a particular solution differs from a fresh one by a
-        kernel element, which collect_statuses allows for.  The kernel check
-        is not repeated: V.B[:,k] = 0 mod p^t_k, checked at the build, holds
-        on the leading rows mod p^t'_k because B is upper triangular and
-        t'_k <= t_k."""
+        build computes, so gamma is too; A' may differ, and then a particular
+        solution differs from a fresh one by a kernel element, which
+        collect_statuses allows for.  The kernel check is not repeated:
+        V.B[:,k] = 0 mod p^t_k, checked at the build, holds on the leading
+        rows mod p^t'_k because B is upper triangular and t'_k <= t_k."""
         if lam > self.lam:
             raise ValueError(f"cannot reduce a lam = {self.lam} system to {lam}")
         if not self._natural:
@@ -275,14 +263,11 @@ class VandermondeSystem:
 
         ts = tuple(min(t, lam) for t in self._ts[:lam])
         B = lead(self._B)
-        gens, gamma = _kernel(B, ts, p, lam)
         return VandermondeSystem(
             p=p,
             lam=lam,
             weights=tuple(WeightSpec(ring, w.s) for w in self.weights[:lam]),
-            V=lead(self.V),
-            kernel_gens=gens,
-            gamma=gamma,
+            gamma=_gamma(B, ts, p, lam),
             _A=lead(self._A),
             _ts=ts,
             _B=B,
@@ -291,6 +276,8 @@ class VandermondeSystem:
 
 
 def build_system(p: int, lam: int, weights=None) -> VandermondeSystem:
+    """The system on `weights` (default weight_list(p, lam)), factored and
+    checked: V is built only for the kernel check."""
     if weights is None:
         weights = weight_list(p, lam)
     if len(weights) != lam:
@@ -305,14 +292,11 @@ def build_system(p: int, lam: int, weights=None) -> VandermondeSystem:
     ]
     A, ts, B, order = _newton_diagonalize(ws, p, lam)
     _check_kernel(V, B, ts, p, lam)
-    gens, gamma = _kernel(B, ts, p, lam)
     return VandermondeSystem(
         p=p,
         lam=lam,
         weights=tuple(weights),
-        V=tuple(tuple(row) for row in V),
-        kernel_gens=gens,
-        gamma=gamma,
+        gamma=_gamma(B, ts, p, lam),
         _A=tuple(tuple(row) for row in A),
         _ts=tuple(ts),
         _B=tuple(tuple(row) for row in B),
@@ -350,31 +334,26 @@ def sturm_count(p: int, r: int) -> int:
     return -(-(r * (p - 1)) // 12)
 
 
-# Precision added to a missed lam before a KatzBasis or a Vandermonde system
-# is rebuilt at it.
+# Precision added to a missed lam before a KatzBasis is rebuilt at it.
 PLAN_SLACK = 2
 
 
-def build_precision(built: int, lam: int, plan: int) -> int:
-    """The precision to build at when `lam` exceeds the precision `built` so
-    far (0 if nothing is built): the larger of lam and the caller's plan on
-    the first build, lam + PLAN_SLACK after a miss."""
-    return lam + PLAN_SLACK if built else max(lam, plan)
-
-
 class KatzBasis:
-    """The Katz basis of weight n(p-1) and the Katz coordinates of the family
-    members E*_k / V(E*_k), k = s(p-1), built once over Z/p^E and served mod
-    p^lam for any row r <= n and lam <= E.
+    """The Katz basis of weight n(p-1), the Katz coordinates of the family
+    members E*_k / V(E*_k), k = s(p-1), and the Vandermonde system on
+    weight_list(p, E), built once over Z/p^E and served mod p^lam for any row
+    r <= n and lam <= E.
 
-    Reduction mod p^lam is a ring map, so the served values equal a fresh
-    build at (r, lam).  `plan` is the caller's estimate of the largest lam it
-    will ask for: the first request builds at E = max(lam, plan), so with no
-    plan the basis is built at exactly the first lam asked for.  A request
-    that misses, lam > E, rebuilds at E = lam + PLAN_SLACK.  Each build
-    computes the coordinates of the family members at every weight of
-    weight_list(p, E) in one batch; any other weight is computed when first
-    asked for.
+    Reduction mod p^lam is a ring map, so the served coordinates equal a
+    fresh build at (r, lam), and the served system is the reduction of the
+    one factored at E (VandermondeSystem.reduce).  `plan` is the caller's
+    estimate of the largest lam it will ask for: the first request builds at
+    E = max(lam, plan), so with no plan the basis is built at exactly the
+    first lam asked for.  A request that misses, lam > E, rebuilds at E =
+    lam + PLAN_SLACK.  Each build computes the coordinates of the family
+    members at every weight of weight_list(p, E) in one batch; any other
+    weight is computed when first asked for.  The system is factored when
+    first asked for, once per E, and its newest reduction is kept.
     """
 
     def __init__(self, p: int, n: int, plan: int = 0):
@@ -385,23 +364,31 @@ class KatzBasis:
         self.E = 0
         self.matrix = None
         self._coords: dict[int, list[int]] = {}
+        self._factored = self._served = None
 
     def _family_coords(self, ss) -> list[list[int]]:
         ratios = [eis_ratio_by_s(self.p, s, self.E, self.N).coeffs for s in ss]
         return forward_substitute_many(self.matrix, ratios)
 
+    def _cover(self, lam: int) -> None:
+        """Rebuild over Z/p^E if lam > E: at E = max(lam, plan) on the first
+        build, at lam + PLAN_SLACK after a miss."""
+        if lam <= self.E:
+            return
+        self.E = lam + PLAN_SLACK if self.E else max(lam, self.plan)
+        ss = [w.s for w in weight_list(self.p, self.E)]
+        # B_k for the batch's largest weight sizes the tangent table once,
+        # where the ascending weights would regrow it geometrically.
+        bernoulli(ss[-1] * (self.p - 1))
+        self.matrix = build_matrix(self.p, self.n, RingSpec(self.p, self.E))
+        self._coords = dict(zip(ss, self._family_coords(ss)))
+        self._factored = self._served = None
+
     def row_coords(self, s: int, r: int, lam: int) -> tuple[int, ...]:
         """Coordinates over the g_{r,j} of E*_k / V(E*_k), k = s(p-1), mod p^lam."""
         if not 0 <= r <= self.n:
             raise ValueError(f"row {r} is outside 0..{self.n}")
-        if lam > self.E:
-            self.E = build_precision(self.E, lam, self.plan)
-            ss = [w.s for w in weight_list(self.p, self.E)]
-            # B_k for the batch's largest weight sizes the tangent table once,
-            # where the ascending weights would regrow it geometrically.
-            bernoulli(ss[-1] * (self.p - 1))
-            self.matrix = build_matrix(self.p, self.n, RingSpec(self.p, self.E))
-            self._coords = dict(zip(ss, self._family_coords(ss)))
+        self._cover(lam)
         x = self._coords.get(s)
         if x is None:
             x = self._coords[s] = self._family_coords([s])[0]
@@ -409,12 +396,23 @@ class KatzBasis:
         mod = self.p**lam
         return tuple(c % mod for c in x[lo:hi])
 
+    def system(self, lam: int) -> VandermondeSystem:
+        """The Vandermonde system on weight_list(p, lam) over Z/p^lam."""
+        self._cover(lam)
+        if self._factored is None:
+            self._factored = build_system(self.p, self.E)
+        if self._served is None or self._served.lam != lam:
+            self._served = self._factored.reduce(lam)
+        return self._served
+
 
 def row_solutions(p, r, lam, system=None, basis=None):
     """Particular solutions x_b of V x_b = theta_b, one for each basis form
     g_{r,b} of row r, where theta_b collects the coordinate of g_{r,b} in the
     r-th Katz component across the weights.  `basis` (a KatzBasis for some
-    n >= r) defaults to a fresh one for n = r.  Returns (system, solutions).
+    n >= r) defaults to a fresh one for n = r, and `system` to the basis's
+    system at lam; a system given is used as it is, on its own weights.
+    Returns (system, solutions).
 
     The coordinates stand in for the q-coefficients a_0..a_S, S =
     sturm_count(p, r), of the r-th component, which pin down its valuation,
@@ -432,10 +430,10 @@ def row_solutions(p, r, lam, system=None, basis=None):
       exactly when it passes on the q-coefficients: each is a combination of
       the other, the unit-triangular minor giving the way back.
     """
-    if system is None:
-        system = build_system(p, lam)
     if basis is None:
         basis = KatzBasis(p, r)
+    if system is None:
+        system = basis.system(lam)
     coords = [basis.row_coords(w.s, r, lam) for w in system.weights]
     return system, system.solve_many(list(zip(*coords)))
 
@@ -465,7 +463,8 @@ def solve_row(
     basis=None,
 ) -> ValuationRow:
     """Valuations nu(b_{r,j}) for 0 <= j <= j_max, each exact or inconclusive.
-    Pass one KatzBasis as `basis` to share its builds across rows."""
+    Pass one KatzBasis as `basis` to share its builds, and its system, across
+    rows."""
     if j_max is None:
         j_max = min(r, lam - 1)
     if j_max > lam - 1:

@@ -15,15 +15,7 @@ from fractions import Fraction
 
 from .arithmetic import _is_int, _is_prime
 from .basis import block
-from .solver import (
-    PLAN_SLACK,
-    KatzBasis,
-    SweepEntry,
-    build_precision,
-    build_system,
-    f_bound,
-    solve_row,
-)
+from .solver import PLAN_SLACK, KatzBasis, SweepEntry, f_bound, solve_row
 
 CHECKPOINT_VERSION = 1
 # A sweep rewrites its checkpoint after a row only when this many seconds
@@ -74,10 +66,11 @@ def lambda_for(p: int, target_gamma: int, j_max: int) -> int:
 
 
 def planned_precision(p: int, i_max: int) -> int:
-    """The precision a sweep to i_max plans its one KatzBasis and its one
-    Vandermonde system at: the lam of the last row if the observed rate is
-    the conjectured d_p, plus PLAN_SLACK.  A wrong plan only costs time: a
-    row needing more rebuilds both at its own lam plus PLAN_SLACK."""
+    """The precision a sweep to i_max plans its one KatzBasis at, and with
+    it the basis's Vandermonde system: the lam of the last row if the
+    observed rate is the conjectured d_p, plus PLAN_SLACK.  A wrong plan only
+    costs time: a row needing more rebuilds both at its own lam plus
+    PLAN_SLACK."""
     target_j = math.ceil(d_p(p) * i_max)
     j_max = min(i_max, target_j)
     return lambda_for(p, target_j + _INITIAL_MARGIN, j_max) + PLAN_SLACK
@@ -139,11 +132,9 @@ def run_sweep(
     else:
         state = SweepState(p=p, i_max=i_max)
 
+    # One basis, with its Vandermonde system, serves every row's lam by
+    # reduction.
     basis = KatzBasis(p, i_max, max(planned_precision(p, i_max), state.lam_current))
-    # One Vandermonde system, built at the basis's plan like the basis, serves
-    # every row's lam by reduction.  lam never decreases, so only the newest
-    # reduction can be used again.
-    built = system = None
 
     written = time.monotonic()
     for i in range(1, i_max + 1):
@@ -160,13 +151,7 @@ def run_sweep(
             target_j = math.ceil(state.d_prime * i)
             j_max = min(i, target_j)
             lam = max(lambda_for(p, target_j + margin, j_max), state.lam_current)
-            if system is None or system.lam != lam:
-                if built is None or lam > built.lam:
-                    built = build_system(
-                        p, build_precision(built.lam if built else 0, lam, basis.plan)
-                    )
-                system = built.reduce(lam)
-            row = solve_row(p, i, lam, j_max=j_max, system=system, basis=basis)
+            row = solve_row(p, i, lam, j_max=j_max, basis=basis)
             state.lam_current = lam
             stuck = [
                 j

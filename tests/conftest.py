@@ -20,7 +20,7 @@ def matrix_builds(monkeypatch) -> list[int]:
 
 @pytest.fixture
 def system_builds(monkeypatch) -> list[int]:
-    """The lam of every Vandermonde system a sweep builds, in order."""
+    """The lam of every Vandermonde system a KatzBasis factors, in order."""
     builds = []
     real = solver_module.build_system
 
@@ -28,7 +28,7 @@ def system_builds(monkeypatch) -> list[int]:
         builds.append(lam)
         return real(p, lam, weights)
 
-    monkeypatch.setattr("katzrates.sweep.build_system", counting)
+    monkeypatch.setattr("katzrates.solver.build_system", counting)
     return builds
 
 

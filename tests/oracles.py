@@ -101,6 +101,29 @@ def solve_one(system, theta) -> tuple[int, ...]:
     )
 
 
+def vandermonde(system) -> list[list[int]]:
+    """V[i][j] = w_i^j mod p^lam on the weights of a system, one pow each."""
+    mod = system.modulus
+    return [[pow(w.w, j, mod) for j in range(system.lam)] for w in system.weights]
+
+
+def apply(system, x) -> list[int]:
+    """V.x mod p^lam, one dot product per row."""
+    mod = system.modulus
+    return [sum(v * c for v, c in zip(row, x)) % mod for row in vandermonde(system)]
+
+
+def kernel_gens(system) -> list[list[int]]:
+    """The generators p^(lam - t_k).B[:,k], t_k > 0, of the right kernel of V
+    over Z/p^lam, from the system's factorization."""
+    p, lam, mod = system.p, system.lam, system.modulus
+    return [
+        [row[k] * p ** (lam - t) % mod for row in system._B]
+        for k, t in enumerate(system._ts)
+        if t
+    ]
+
+
 def kernel_annihilates(V, B, ts, p: int, lam: int) -> bool:
     """Whether every kernel generator g = p^(lam - t_k).B[:,k], t_k > 0,
     has V.g = 0 mod p^lam, one dot product at a time."""

@@ -140,8 +140,23 @@ def test_valuations_weight_divisible_by_p_exits_2(capsys):
 
 
 def test_valuations_requires_lambda_or_weights(capsys):
-    code, _, _ = run_cli(capsys, "valuations", "--p", "5", "--r", "3")
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["valuations", "--p", "5", "--r", "3"])
+    assert exc.value.code == 2
+
+
+def test_valuations_lambda_and_weights_together_exit_2(capsys):
+    # One of the two flags chooses the weights; both at once is a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main(["valuations", "--p", "5", "--r", "3", "--lambda", "3", "--weights", "1,2"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+def test_valuations_lambda_zero_exits_2(capsys):
+    code, out, err = run_cli(capsys, "valuations", "--p", "5", "--r", "3", "--lambda", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: lam must be >= 1\n"
 
 
 def test_sweep_cli_summary_and_csv(tmp_path, capsys):
@@ -154,7 +169,8 @@ def test_sweep_cli_summary_and_csv(tmp_path, capsys):
     assert data["p"] == 5
     assert data["c_p"] == "11/144"
     assert (data["lambda_max"], data["rows_solved"], data["unresolved"]) == (10, 3, 0)
-    rows = list(csv.reader(out_csv.open()))
+    with out_csv.open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["i", "j", "status", "value", "gamma"]
     assert len(rows) > 1
 
@@ -368,6 +384,7 @@ def test_sweep_cli_unresolved_entries_exit_6(tmp_path, capsys, monkeypatch):
     unresolved = json.loads(out)["unresolved"]
     assert unresolved > 0
     assert err.startswith(f"error: {unresolved} entries")
-    rows = list(csv.DictReader(out_csv.open()))
+    with out_csv.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert sum(r["status"] == "inconclusive" and r["j"] != "0" for r in rows) == unresolved
     assert json.loads(ck.read_text())["completed_rows"] == list(range(1, 10))

@@ -50,17 +50,18 @@ def test_weight_list_examples():
 
 def test_build_system_lambda_one():
     sys1 = build_system(5, 1)
-    assert sys1.V == ((1,),)
-    assert sys1.kernel_gens == ()
+    assert oracles.vandermonde(sys1) == [[1]]
+    assert oracles.kernel_gens(sys1) == []
     assert not sys1.gamma[0].is_finite
 
 
 def test_kernel_generators_annihilate():
     for p, lam in [(5, 4), (5, 7), (7, 5), (11, 3)]:
         system = build_system(p, lam)
-        assert system.kernel_gens  # Vandermonde in p-divisible w's is singular
-        for g in system.kernel_gens:
-            assert all(v == 0 for v in system.apply(g))
+        gens = oracles.kernel_gens(system)
+        assert gens  # Vandermonde in p-divisible w's is singular
+        for g in gens:
+            assert all(v == 0 for v in oracles.apply(system, g))
 
 
 def test_gamma_meets_kernel_bound():
@@ -78,9 +79,9 @@ def test_solve_returns_actual_solution():
     mod = system.modulus
     for _ in range(20):
         x = [rng.randrange(mod) for _ in range(6)]
-        theta = system.apply(x)
+        theta = oracles.apply(system, x)
         (sol,) = system.solve_many([theta])
-        assert system.apply(sol) == theta
+        assert oracles.apply(system, sol) == theta
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
@@ -98,12 +99,13 @@ def test_weight_lists_are_p_ordered_in_natural_order(p):
 def test_reduced_system_serves_like_a_fresh_build(p, E, data):
     lam = data.draw(st.integers(1, E))
     served, fresh = build_system(p, E).reduce(lam), build_system(p, lam)
-    assert served.weights == fresh.weights and served.V == fresh.V
+    assert served.weights == fresh.weights
+    assert oracles.vandermonde(served) == oracles.vandermonde(fresh)
     assert served._ts == fresh._ts and served.gamma == fresh.gamma
-    for g in served.kernel_gens:
-        assert not any(served.apply(g))
+    for g in oracles.kernel_gens(served):
+        assert not any(oracles.apply(served, g))
     vectors = st.lists(st.integers(0, p**lam - 1), min_size=lam, max_size=lam)
-    thetas = [fresh.apply(data.draw(vectors)) for _ in range(3)]
+    thetas = [oracles.apply(fresh, data.draw(vectors)) for _ in range(3)]
     assert collect_statuses(
         served, served.solve_many(thetas), lam - 1, 1
     ) == collect_statuses(fresh, fresh.solve_many(thetas), lam - 1, 1)
@@ -202,7 +204,7 @@ def test_ambiguity_invariance():
         perturbed = []
         for sol in sols:
             delta = [0] * lam
-            for g in system.kernel_gens:
+            for g in oracles.kernel_gens(system):
                 c = rng.randrange(mod)
                 delta = [(d + c * gi) % mod for d, gi in zip(delta, g)]
             perturbed.append(tuple((a + d) % mod for a, d in zip(sol, delta)))
@@ -314,17 +316,28 @@ def test_katz_basis_rejects_row_beyond_n():
         KatzBasis(17, 20).row_coords(1, 21, 2)
 
 
-def test_katz_basis_builds_at_plan_then_steps(matrix_builds):
+def test_katz_basis_builds_at_plan_then_steps(matrix_builds, system_builds):
     # The first request builds at max(lam, plan), so at exactly lam with no
     # plan; a request above E rebuilds at lam + PLAN_SLACK; every other
-    # request reduces.
+    # request reduces.  The system is factored at each E the basis is built
+    # at, and served at lam like a fresh build.
     assert PLAN_SLACK == 2
     for plan, want in [(0, [3, 6, 15]), (10, [10, 15]), (20, [20])]:
         matrix_builds.clear()
+        system_builds.clear()
         basis = KatzBasis(5, 6, plan)
         for lam in (3, 2, 4, 6, 5, 13, 12):
             basis.row_coords(1, 6, lam)
+            served, fresh = basis.system(lam), build_system(5, lam)
+            assert served.lam == lam and served.weights == fresh.weights
+            assert (served._B, served._ts, served.gamma) == (
+                fresh._B,
+                fresh._ts,
+                fresh.gamma,
+            )
+            assert basis.system(lam) is served
         assert matrix_builds == want
+        assert system_builds == matrix_builds
         assert basis.E == want[-1]
 
 
