@@ -64,41 +64,16 @@ class CappedVal:
         return cls(cap=cap, v=None)
 
     @property
-    def is_finite(self) -> bool:
-        return self.v is not None
-
-    @property
     def lower_bound(self) -> int:
         """Certified lower bound: the value itself if finite, else the cap."""
         return self.cap if self.v is None else self.v
-
-    def at_least(self, m: int) -> bool:
-        """True when the valuation is certainly >= m."""
-        return self.lower_bound >= m
 
     def less_than(self, other: "CappedVal") -> bool:
         """True when this valuation is certainly strictly below `other`."""
         return self.v is not None and self.v < other.lower_bound
 
-    def min_with(self, other: "CappedVal") -> "CappedVal":
-        if self.cap != other.cap:
-            raise ValueError("cannot compare valuations at different caps")
-        return self if self.lower_bound <= other.lower_bound else other
-
     def __repr__(self):
         return f">={self.cap}" if self.v is None else str(self.v)
-
-
-def padic_val(x: int, p: int, cap: int) -> CappedVal:
-    """Valuation of the residue x mod p^cap."""
-    x %= p**cap
-    if x == 0:
-        return CappedVal.at_least_e(cap)
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return CappedVal.finite(v, cap)
 
 
 def slot_bytes(mod: int, terms: int) -> int:
@@ -151,12 +126,8 @@ class QSeries:
         return cls(ring, tuple(c % mod for c in cs))
 
     @classmethod
-    def constant(cls, ring: RingSpec, c: int, N: int) -> "QSeries":
-        return cls.from_coeffs(ring, [c], N)
-
-    @classmethod
     def one(cls, ring: RingSpec, N: int) -> "QSeries":
-        return cls.constant(ring, 1, N)
+        return cls.from_coeffs(ring, [1], N)
 
     @property
     def n_trunc(self) -> int:
@@ -248,23 +219,6 @@ class QSeries:
                     s += a[i] * b[k - i]
             b[k] = (-a0inv * s) % mod
         return QSeries(ring, tuple(b))
-
-    def val(self) -> CappedVal:
-        """min_n nu_p(a_n), capped at e."""
-        best = CappedVal.at_least_e(self.ring.e)
-        for c in self.coeffs:
-            best = best.min_with(padic_val(c, self.ring.p, self.ring.e))
-            if best.v == 0:
-                break
-        return best
-
-    def reduce(self, e2: int) -> "QSeries":
-        """The same series viewed mod p^e2 for e2 <= e."""
-        if e2 > self.ring.e:
-            raise ValueError("cannot raise precision")
-        ring2 = RingSpec(self.ring.p, e2)
-        m = ring2.modulus
-        return QSeries(ring2, tuple(c % m for c in self.coeffs))
 
     def truncate(self, N2: int) -> "QSeries":
         if N2 > len(self.coeffs):

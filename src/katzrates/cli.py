@@ -11,7 +11,7 @@ import sys
 # Only what katz-expand needs is imported here; the solver and the sweep
 # are imported by the commands that use them.
 from .arithmetic import QSeries, RingSpec, _is_int
-from .basis import dim_mk
+from .basis import block, dim_mk
 from .classical import WeightSpec
 from .expand import PrecisionMismatch, psi
 
@@ -22,6 +22,8 @@ EXIT_CHECKPOINT = 5
 # A sweep that left entries unresolved still writes its checkpoint, CSV and
 # summary, then exits with this code.
 EXIT_UNRESOLVED = 6
+# Ctrl-C: a sweep saves its checkpoint, then exits with 128 + SIGINT.
+EXIT_INTERRUPTED = 130
 
 
 def _read_coefficients(path: str) -> list[int]:
@@ -32,7 +34,10 @@ def _read_coefficients(path: str) -> list[int]:
     text = raw.decode("utf-8")
     stripped = text.lstrip()
     if stripped.startswith("["):
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError as exc:
+            raise ValueError("JSON input is nested too deeply") from exc
         if not isinstance(data, list) or not all(map(_is_int, data)):
             raise ValueError("JSON input must be an array of integers")
         return data
@@ -76,7 +81,8 @@ def cmd_katz_expand(args) -> int:
             {
                 "i": comp.i,
                 "coords": [
-                    {"j": j, "value": v} for j, v in zip(comp.js, comp.coords)
+                    {"j": j, "value": v}
+                    for j, v in enumerate(comp.coords, block(args.p, comp.i)[0])
                 ],
             }
             for comp in t.components
@@ -161,6 +167,10 @@ def cmd_sweep(args) -> int:
     except UnsolvableSystem as exc:
         print(f"error: linear system unsolvable: {exc}", file=sys.stderr)
         return EXIT_UNSOLVABLE
+    except KeyboardInterrupt:
+        saved = f"; solved rows saved in {args.checkpoint}" if args.checkpoint else ""
+        print(f"error: interrupted{saved}", file=sys.stderr)
+        return EXIT_INTERRUPTED
     if args.out:
         with open(args.out, "w", newline="") as fh:
             write_entries_csv(state.entries, fh)

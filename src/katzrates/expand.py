@@ -18,10 +18,9 @@ class PrecisionMismatch(ValueError):
 @dataclass(frozen=True)
 class KatzComponent:
     """The i-th term of a partial Katz expansion: coordinates over the basis
-    forms g_{i,j}, j running over `js`."""
+    forms g_{i,j}, j running over basis.block(p, i)."""
 
     i: int
-    js: tuple[int, ...]
     coords: tuple[int, ...]
 
 
@@ -57,10 +56,7 @@ def forward_substitute_many(matrix: BasisMatrix, rhss) -> list[list[int]]:
 
 
 def _group(matrix: BasisMatrix, x) -> tuple[KatzComponent, ...]:
-    return tuple(
-        KatzComponent(i=i, js=tuple(range(lo, hi)), coords=tuple(x[lo:hi]))
-        for i, lo, hi in matrix.blocks
-    )
+    return tuple(KatzComponent(i, tuple(x[lo:hi])) for i, lo, hi in matrix.blocks)
 
 
 def psi(p: int, n: int, C: int, f: QSeries) -> KatzTuple:

@@ -21,15 +21,19 @@ mod p^e can have among them; ties go to the first index, so step k takes
 s_k.  A system for weight_list(p, E) therefore has A lower and B upper
 triangular, and the leading lam x lam blocks of its factorization, reduced
 mod p^lam with t_k capped at lam, factor the system for weight_list(p, lam)
-(VandermondeSystem.reduce): one factorization serves a whole sweep.
+(VandermondeSystem.reduce): one factorization serves a whole sweep.  Each
+column of A and of B is packed into one integer once, at E, and a solve at
+lam reads the first lam slots of the first lam columns mod p^lam; gamma_j =
+min(lam, min_{j<=k<lam} (lam - min(t_k, lam) + v(B[j][k]))) is read off a
+table of the valuations of the entries of B.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate, repeat
-from operator import mul
+from operator import mul, sub
 
 from .arithmetic import CappedVal, RingSpec, pack, slot_bytes, unpack
 from .basis import block, build_matrix, dim_mk
@@ -138,39 +142,26 @@ def _newton_diagonalize(ws, p: int, lam: int):
     return A, ts, [list(row) for row in zip(*cols)], order
 
 
-def _log_p(pt: int, p: int) -> int:
-    """t for pt = p^t."""
-    t = 0
-    while pt > 1:
-        pt //= p
-        t += 1
-    return t
-
-
 def _min_val(values, p: int, lam: int) -> CappedVal:
     """min over `values` of their valuations mod p^lam: the valuation of
     their gcd with p^lam."""
-    t = _log_p(math.gcd(p**lam, *values), p)
+    g = math.gcd(p**lam, *values)
+    t = 0
+    while g > 1:
+        g //= p
+        t += 1
     return CappedVal.at_least_e(lam) if t == lam else CappedVal.finite(t, lam)
 
 
-def _matmul(M, R, mod: int) -> list[list[int]]:
-    """M.R mod `mod` for matrices given as lists of rows with entries in
-    [0, mod): each row of R is packed into one integer, so every row of the
-    product is one big-integer dot product, unpacked and reduced."""
-    count = len(R[0])
-    width = slot_bytes(mod, len(R))
-    packed = [pack(row, width) for row in R]
-    return [unpack(sum(map(mul, row, packed)), width, count, mod) for row in M]
-
-
-def _gamma(B, ts, p: int, lam: int) -> tuple[CappedVal, ...]:
+def _gamma(vals, ts, lam: int) -> tuple[CappedVal, ...]:
     """The thresholds gamma_j = min over the generators p^(lam - t_k).B[:,k]
-    of the right kernel of V over Z/p^lam of nu(component j), read off row j
-    of B; a column with t_k = 0 gives the zero generator.  N_k is monic, so
+    of the right kernel of V over Z/p^lam of nu(component j), k < lam:
+    nu(p^(lam - t_k).B[j][k]) = min(lam, lam - t_k + v(B[j][k])), read off
+    row j of the valuation table `vals` of B.  A column with t_k = 0 gives the
+    zero generator, and a zero entry has valuation >= lam.  N_k is monic, so
     generator k is p^(lam - t_k) != 0 at component k when t_k > 0."""
-    scales = [p ** (lam - t) for t in ts]
-    return tuple(_min_val(list(map(mul, row, scales)), p, lam) for row in B)
+    mins = (lam + min(map(sub, row, ts)) for row in vals[:lam])
+    return tuple(CappedVal(lam, g if g < lam else None) for g in mins)
 
 
 def _check_kernel(V, B, ts, p: int, lam: int) -> None:
@@ -195,17 +186,22 @@ def _check_kernel(V, B, ts, p: int, lam: int) -> None:
 @dataclass(frozen=True)
 class VandermondeSystem:
     """The Vandermonde system V[i][j] = w_i^j over Z/p^lam, kept as what a
-    solve reads: its factorization A.V.B = diag(p^t_k) and the
-    conclusiveness thresholds gamma_j = min over the kernel generators
-    p^(lam - t_k).B[:,k] of nu(component j)."""
+    solve reads: a factorization A.V.B = diag(p^t_k), the conclusiveness
+    thresholds gamma_j and the valuations of the entries of B.  Each column
+    of A and of B is one integer packed in slots of `_width` bytes.  The
+    columns and the valuations are those of the build over Z/p^E, E >= lam,
+    which its reductions share; a solve reads their leading lam x lam blocks
+    mod p^lam."""
 
     p: int
     lam: int
-    weights: tuple[WeightSpec, ...]
+    ss: tuple[int, ...]  # the weights k = s(p-1), in the order of the rows of V
     gamma: tuple[CappedVal, ...]
-    _A: tuple[tuple[int, ...], ...]
     _ts: tuple[int, ...]
-    _B: tuple[tuple[int, ...], ...]
+    _width: int
+    _acols: tuple[int, ...]
+    _bcols: tuple[int, ...]
+    _vals: tuple[tuple[int, ...], ...]
     # The p-ordering of the factorization is the input order of the weights.
     _natural: bool
 
@@ -213,30 +209,33 @@ class VandermondeSystem:
     def modulus(self) -> int:
         return self.p**self.lam
 
-    def solve_many(self, thetas) -> list[tuple[int, ...]]:
+    def solve_many(self, thetas, count: int | None = None) -> list[tuple[int, ...]]:
         """A particular solution of Vx = theta mod p^lam for each theta, from
-        x = B.Y with Y = diag(p^-t_k).A.Theta, the columns of Theta being the
-        thetas."""
-        if not thetas:
-            return []
-        mod = self.modulus
-        C = _matmul(self._A, [[t % mod for t in col] for col in zip(*thetas)], mod)
-        Y = []
-        for k, ck in enumerate(C):
-            pt = self.p ** self._ts[k]
-            for c in ck:
+        x = B.Y with Y = diag(p^-t_k).A.theta, cut to its first `count`
+        components (default lam).  A.theta is the sum of theta_m times the
+        packed column m of A, and B.Y that of Y_k times column k of B."""
+        mod, width = self.modulus, self._width
+        count = self.lam if count is None else count
+        pts = [self.p**t for t in self._ts]
+        out = []
+        for theta in thetas:
+            acc = sum(map(mul, [t % mod for t in theta], self._acols))
+            Y = []
+            for k, (c, pt) in enumerate(zip(unpack(acc, width, self.lam, mod), pts)):
                 if c % pt:
                     raise UnsolvableSystem(
                         f"component {k} needs valuation >= {self._ts[k]}, "
                         f"got residue {c}"
                     )
-            Y.append([c // pt for c in ck])
-        return [tuple(x) for x in zip(*_matmul(self._B, Y, mod))]
+                Y.append(c // pt)
+            out.append(tuple(unpack(sum(map(mul, Y, self._bcols)), width, count, mod)))
+        return out
 
     def reduce(self, lam: int) -> VandermondeSystem:
         """The system over Z/p^lam on the first lam weights (weight_list(p,
         lam) for a system built on weight_list(p, self.lam)), factored by the
-        leading lam x lam blocks of this one.
+        leading lam x lam blocks of this one: it shares the packed columns
+        and caps the t_k at lam.
 
         With the weights in their p-ordering, A is lower and B upper
         triangular, so the leading blocks of A.V.B = diag(p^t) mod p^lam give
@@ -255,23 +254,9 @@ class VandermondeSystem:
             )
         if lam == self.lam:
             return self
-        p, mod = self.p, self.p**lam
-        ring = RingSpec(p, lam)
-
-        def lead(M):
-            return tuple(tuple(map(mod.__rmod__, row[:lam])) for row in M[:lam])
-
         ts = tuple(min(t, lam) for t in self._ts[:lam])
-        B = lead(self._B)
-        return VandermondeSystem(
-            p=p,
-            lam=lam,
-            weights=tuple(WeightSpec(ring, w.s) for w in self.weights[:lam]),
-            gamma=_gamma(B, ts, p, lam),
-            _A=lead(self._A),
-            _ts=ts,
-            _B=B,
-            _natural=True,
+        return replace(
+            self, lam=lam, ss=self.ss[:lam], gamma=_gamma(self._vals, ts, lam), _ts=ts
         )
 
 
@@ -292,14 +277,19 @@ def build_system(p: int, lam: int, weights=None) -> VandermondeSystem:
     ]
     A, ts, B, order = _newton_diagonalize(ws, p, lam)
     _check_kernel(V, B, ts, p, lam)
+    width = slot_bytes(mod, lam)
+    log = {p**e: e for e in range(lam + 1)}
+    vals = tuple(tuple(log[math.gcd(b, mod)] for b in row) for row in B)
     return VandermondeSystem(
         p=p,
         lam=lam,
-        weights=tuple(weights),
-        gamma=_gamma(B, ts, p, lam),
-        _A=tuple(tuple(row) for row in A),
+        ss=tuple(w.s for w in weights),
+        gamma=_gamma(vals, ts, lam),
         _ts=tuple(ts),
-        _B=tuple(tuple(row) for row in B),
+        _width=width,
+        _acols=tuple(pack(col, width) for col in zip(*A)),
+        _bcols=tuple(pack(col, width) for col in zip(*B)),
+        _vals=vals,
         _natural=order == list(range(lam)),
     )
 
@@ -326,12 +316,6 @@ class ValuationRow:
     r: int
     lam: int
     entries: dict[int, SweepEntry]
-
-
-def sturm_count(p: int, r: int) -> int:
-    """S = ceil(r(p-1)/12): coefficients a_0..a_S pin down the valuation of a
-    weight-r(p-1) form."""
-    return -(-(r * (p - 1)) // 12)
 
 
 # Precision added to a missed lam before a KatzBasis is rebuilt at it.
@@ -406,17 +390,18 @@ class KatzBasis:
         return self._served
 
 
-def row_solutions(p, r, lam, system=None, basis=None):
+def row_solutions(p, r, lam, system=None, basis=None, count=None):
     """Particular solutions x_b of V x_b = theta_b, one for each basis form
     g_{r,b} of row r, where theta_b collects the coordinate of g_{r,b} in the
-    r-th Katz component across the weights.  `basis` (a KatzBasis for some
-    n >= r) defaults to a fresh one for n = r, and `system` to the basis's
-    system at lam; a system given is used as it is, on its own weights.
-    Returns (system, solutions).
+    r-th Katz component across the weights, each cut to its first `count`
+    components (default lam).  `basis` (a KatzBasis for some n >= r) defaults
+    to a fresh one for n = r, and `system` to the basis's system at lam; a
+    system given is used as it is, on its own weights.  Returns (system,
+    solutions).
 
     The coordinates stand in for the q-coefficients a_0..a_S, S =
-    sturm_count(p, r), of the r-th component, which pin down its valuation,
-    and they give the same statuses in collect_statuses:
+    ceil(r(p-1)/12), of the r-th component, which pin down its valuation
+    (the Sturm bound), and they give the same statuses in collect_statuses:
 
     - g_{r,b} = q^b + O(q^{b+1}) for b in the block [lo, hi), and hi - 1 <= S,
       so the minor (a_mu(g_{r,b})) on mu in [lo, hi) is unit lower triangular,
@@ -434,8 +419,8 @@ def row_solutions(p, r, lam, system=None, basis=None):
         basis = KatzBasis(p, r)
     if system is None:
         system = basis.system(lam)
-    coords = [basis.row_coords(w.s, r, lam) for w in system.weights]
-    return system, system.solve_many(list(zip(*coords)))
+    coords = [basis.row_coords(s, r, lam) for s in system.ss]
+    return system, system.solve_many(list(zip(*coords)), count)
 
 
 def collect_statuses(system: VandermondeSystem, solutions, j_max: int, r: int):
@@ -469,6 +454,9 @@ def solve_row(
         j_max = min(r, lam - 1)
     if j_max > lam - 1:
         raise ValueError(f"j_max = {j_max} exceeds lam - 1 = {lam - 1}")
-    system, solutions = row_solutions(p, r, lam, system=system, basis=basis)
+    # collect_statuses reads components 0..j_max only.
+    system, solutions = row_solutions(
+        p, r, lam, system=system, basis=basis, count=j_max + 1
+    )
     entries = collect_statuses(system, solutions, j_max, r)
     return ValuationRow(p=p, r=r, lam=lam, entries=entries)

@@ -99,15 +99,22 @@ def row_entries(row) -> list[SweepEntry]:
 
 
 def _record_row(state: SweepState, row) -> None:
-    for e in row_entries(row):
-        state.entries.append(e)
+    """Add a solved row to the state: its entries, its lam and the d' update
+    are computed first and then stored in three statements.  A checkpoint
+    saved after an interrupt between those either holds the row whole or
+    fails the load-time checks."""
+    entries = row_entries(row)
+    d_prime, attained = state.d_prime, state.attained
+    for e in entries:
         if e.exact and e.i > 0:
             val = Fraction(e.value + e.j, e.i)
-            if val < state.d_prime:
-                state.d_prime = val
-                state.attained = {(e.i, e.j)}
-            elif val == state.d_prime:
-                state.attained.add((e.i, e.j))
+            if val < d_prime:
+                d_prime, attained = val, {(e.i, e.j)}
+            elif val == d_prime:
+                attained = attained | {(e.i, e.j)}
+    state.entries += entries
+    state.completed_rows.add(row.r)
+    state.d_prime, state.attained, state.lam_current = d_prime, attained, row.lam
 
 
 def run_sweep(
@@ -121,7 +128,8 @@ def run_sweep(
     each row at j <= ceil(d' * i).  Rows with an empty basis block contribute
     nothing and are skipped.  With `checkpoint_path`, the state is saved
     after a solved row when CHECKPOINT_INTERVAL_S have passed since the last
-    save (or the start), and once after the loop, even if no row was left."""
+    save (or the start), once after the loop, even if no row was left, and
+    on KeyboardInterrupt, which is then raised again."""
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
     if resume is not None:
@@ -137,38 +145,37 @@ def run_sweep(
     basis = KatzBasis(p, i_max, max(planned_precision(p, i_max), state.lam_current))
 
     written = time.monotonic()
-    for i in range(1, i_max + 1):
-        if i in state.completed_rows:
-            continue
-        if _empty_block(p, i):
-            # Empty basis block: b_{i,j} = 0, nothing to solve.
-            state.completed_rows.add(i)
-            continue
+    try:
+        for i in range(1, i_max + 1):
+            if i in state.completed_rows:
+                continue
+            if _empty_block(p, i):
+                # Empty basis block: b_{i,j} = 0, nothing to solve.
+                state.completed_rows.add(i)
+                continue
 
-        margin = _INITIAL_MARGIN
-        row = None
-        for attempt in range(_MAX_RETRIES + 1):
-            target_j = math.ceil(state.d_prime * i)
-            j_max = min(i, target_j)
-            lam = max(lambda_for(p, target_j + margin, j_max), state.lam_current)
-            row = solve_row(p, i, lam, j_max=j_max, basis=basis)
-            state.lam_current = lam
-            stuck = [
-                j
-                for j in range(1, j_max + 1)
-                if j in row.entries and not row.entries[j].exact
-            ]
-            if not stuck or attempt == _MAX_RETRIES:
-                break
-            margin *= 2
+            margin, lam = _INITIAL_MARGIN, state.lam_current
+            for attempt in range(_MAX_RETRIES + 1):
+                target_j = math.ceil(state.d_prime * i)
+                j_max = min(i, target_j)
+                lam = max(lambda_for(p, target_j + margin, j_max), lam)
+                row = solve_row(p, i, lam, j_max=j_max, basis=basis)
+                stuck = any(not e.exact for j, e in row.entries.items() if j)
+                if not stuck or attempt == _MAX_RETRIES:
+                    break
+                margin *= 2
 
-        _record_row(state, row)
-        state.completed_rows.add(i)
-        if progress:
-            progress(state, i)
-        if checkpoint_path and time.monotonic() - written >= CHECKPOINT_INTERVAL_S:
+            _record_row(state, row)
+            if progress:
+                progress(state, i)
+            if checkpoint_path and time.monotonic() - written >= CHECKPOINT_INTERVAL_S:
+                save_checkpoint(state, checkpoint_path)
+                written = time.monotonic()
+    except KeyboardInterrupt:
+        # The rows solved so far are saved; the row in flight is lost.
+        if checkpoint_path:
             save_checkpoint(state, checkpoint_path)
-            written = time.monotonic()
+        raise
 
     if checkpoint_path:
         save_checkpoint(state, checkpoint_path)
@@ -375,6 +382,6 @@ def load_checkpoint(path: str) -> SweepState:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise CheckpointError(f"checkpoint is not valid JSON: {exc}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            raise CheckpointError(f"checkpoint cannot be read as JSON: {exc}") from exc
     return state_from_json(data)

@@ -1,18 +1,76 @@
-"""Slow reference implementations of the package's fast kernels.
+"""Slow reference implementations of the package's fast kernels, and the
+small helpers only the tests use.
 
-Each function is the plain loop a kernel replaced, or, for the Smith form and
-the basis forms g_{i,j}, a general algorithm that the specialised kernel must
-agree with; tests/test_kernels.py checks the kernels against them.
+Each kernel oracle is the plain loop a kernel replaced, or, for the Smith form
+and the basis forms g_{i,j}, a general algorithm that the specialised kernel
+must agree with; tests/test_kernels.py checks the kernels against them.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from katzrates.arithmetic import CappedVal, QSeries, RingSpec, padic_val, v_operator
+from katzrates.arithmetic import CappedVal, QSeries, RingSpec, unpack, v_operator
 from katzrates.basis import BasisMatrix, block, dim_mk, eps
-from katzrates.classical import delta, e4, e6, e_p_minus_1, eisenstein_star
+from katzrates.classical import WeightSpec, delta, e4, e6, e_p_minus_1, eisenstein_star
 from katzrates.solver import KatzBasis, UnsolvableSystem, f_bound
+
+
+def padic_val(x: int, p: int, cap: int) -> CappedVal:
+    """Valuation of the residue x mod p^cap."""
+    x %= p**cap
+    if x == 0:
+        return CappedVal.at_least_e(cap)
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return CappedVal.finite(v, cap)
+
+
+def at_least(v: CappedVal, m: int) -> bool:
+    """Whether a capped valuation is certainly >= m."""
+    return v.lower_bound >= m
+
+
+def min_with(a: CappedVal, b: CappedVal) -> CappedVal:
+    """The smaller of two capped valuations at one cap."""
+    if a.cap != b.cap:
+        raise ValueError("cannot compare valuations at different caps")
+    return a if a.lower_bound <= b.lower_bound else b
+
+
+def weights(system) -> tuple[WeightSpec, ...]:
+    """The weights k = s(p-1) of a system, with their coordinates mod p^lam."""
+    ring = RingSpec(system.p, system.lam)
+    return tuple(WeightSpec(ring, s) for s in system.ss)
+
+
+def is_finite(v: CappedVal) -> bool:
+    """Whether a capped valuation is a finite value below its cap."""
+    return v.v is not None
+
+
+def val(f: QSeries) -> CappedVal:
+    """min_n nu_p(a_n) of a series, capped at e."""
+    best = CappedVal.at_least_e(f.ring.e)
+    for c in f.coeffs:
+        best = min_with(best, padic_val(c, f.ring.p, f.ring.e))
+    return best
+
+
+def reduce(f: QSeries, e2: int) -> QSeries:
+    """The same series viewed mod p^e2 for e2 <= e."""
+    if e2 > f.ring.e:
+        raise ValueError("cannot raise precision")
+    ring2 = RingSpec(f.ring.p, e2)
+    return QSeries(ring2, tuple(c % ring2.modulus for c in f.coeffs))
+
+
+def sturm_count(p: int, r: int) -> int:
+    """S = ceil(r(p-1)/12): coefficients a_0..a_S pin down the valuation of a
+    weight-r(p-1) form."""
+    return -(-(r * (p - 1)) // 12)
 
 
 def sigma(m: int, n: int) -> int:
@@ -83,11 +141,23 @@ def schoolbook_mul(f: QSeries, g: QSeries) -> QSeries:
     return QSeries(f.ring, tuple(c % mod for c in out))
 
 
+def matrices(system) -> tuple[list[list[int]], list[list[int]]]:
+    """The factorization matrices A and B of a system, as lam x lam lists of
+    rows mod p^lam: the first lam slots of its first lam packed columns."""
+    lam, mod, width = system.lam, system.modulus, system._width
+
+    def rows(cols):
+        return [list(r) for r in zip(*(unpack(c, width, lam, mod) for c in cols[:lam]))]
+
+    return rows(system._acols), rows(system._bcols)
+
+
 def solve_one(system, theta) -> tuple[int, ...]:
     """One particular solution of Vx = theta mod p^lam, one mat-vec at a time."""
     mod = system.modulus
     n = system.lam
-    c = [sum(a * t for a, t in zip(row, theta)) % mod for row in system._A]
+    A, B = matrices(system)
+    c = [sum(a * t for a, t in zip(row, theta)) % mod for row in A]
     y = [0] * n
     for k in range(n):
         pt = system.p ** system._ts[k]
@@ -96,15 +166,13 @@ def solve_one(system, theta) -> tuple[int, ...]:
                 f"component {k} needs valuation >= {system._ts[k]}, got residue {c[k]}"
             )
         y[k] = c[k] // pt
-    return tuple(
-        sum(system._B[i][k] * y[k] for k in range(n)) % mod for i in range(n)
-    )
+    return tuple(sum(B[i][k] * y[k] for k in range(n)) % mod for i in range(n))
 
 
 def vandermonde(system) -> list[list[int]]:
     """V[i][j] = w_i^j mod p^lam on the weights of a system, one pow each."""
     mod = system.modulus
-    return [[pow(w.w, j, mod) for j in range(system.lam)] for w in system.weights]
+    return [[pow(w.w, j, mod) for j in range(system.lam)] for w in weights(system)]
 
 
 def apply(system, x) -> list[int]:
@@ -117,8 +185,9 @@ def kernel_gens(system) -> list[list[int]]:
     """The generators p^(lam - t_k).B[:,k], t_k > 0, of the right kernel of V
     over Z/p^lam, from the system's factorization."""
     p, lam, mod = system.p, system.lam, system.modulus
+    B = matrices(system)[1]
     return [
-        [row[k] * p ** (lam - t) % mod for row in system._B]
+        [row[k] * p ** (lam - t) % mod for row in B]
         for k, t in enumerate(system._ts)
         if t
     ]
@@ -205,7 +274,7 @@ def min_val(values, p: int, lam: int) -> CappedVal:
     """Minimum of the capped valuations mod p^lam, one padic_val at a time."""
     best = CappedVal.at_least_e(lam)
     for x in values:
-        best = best.min_with(padic_val(x, p, lam))
+        best = min_with(best, padic_val(x, p, lam))
     return best
 
 
@@ -244,7 +313,7 @@ def q_coefficient_solutions(system, r: int, count: int) -> list[tuple[int, ...]]
     basis = KatzBasis(p, r)
     forms = [g_form(p, r, j, ring, count).series.coeffs for j in range(*block(p, r))]
     betas = []
-    for w in system.weights:
+    for w in weights(system):
         acc = [0] * count
         for x, g in zip(basis.row_coords(w.s, r, lam), forms):
             if x:

@@ -370,6 +370,53 @@ def test_sweep_cli_checkpoint_lambda_out_of_range_exits_5(tmp_path, capsys, lam)
         assert not resumed.exists()
 
 
+def test_sweep_cli_interrupt_exits_130_and_resumes(tmp_path, capsys, monkeypatch):
+    # Ctrl-C while row 9 is solved: the rows before it are saved, the run
+    # exits 130 without a traceback, and the resumed --out CSV is the
+    # uninterrupted one.
+    real = sweep_module.solve_row
+
+    def interrupted(p, r, lam, **kw):
+        if r == 9:
+            raise KeyboardInterrupt
+        return real(p, r, lam, **kw)
+
+    ck, resumed, whole = tmp_path / "ck.json", tmp_path / "a.csv", tmp_path / "b.csv"
+    monkeypatch.setattr(sweep_module, "solve_row", interrupted)
+    code, out, err = run_cli(
+        capsys, "sweep", "--p", "5", "--imax", "12", "--checkpoint", str(ck)
+    )
+    assert code == 130
+    assert err.startswith("error: interrupted") and str(ck) in err and out == ""
+    assert "Traceback" not in err
+    assert sweep_module.load_checkpoint(str(ck)).completed_rows == set(range(1, 9))
+    monkeypatch.setattr(sweep_module, "solve_row", real)
+    code, _, _ = run_cli(
+        capsys, "sweep", "--p", "5", "--imax", "12",
+        "--checkpoint", str(ck), "--resume", "--out", str(resumed),
+    )
+    assert code == 0
+    assert run_cli(capsys, "sweep", "--p", "5", "--imax", "12", "--out", str(whole))[0] == 0
+    assert resumed.read_bytes() == whole.read_bytes()
+
+
+def test_deeply_nested_json_exits_with_its_code(tmp_path, capsys):
+    # The JSON decoder raises RecursionError on this input: katz-expand exits
+    # 2 and a resumed sweep 5, each with one error line.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_cli(
+        capsys, "katz-expand", "--p", "5", "--n", "3", "--prec", "3", "--input", str(deep)
+    )
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err and out == ""
+    code, out, err = run_cli(
+        capsys, "sweep", "--p", "5", "--imax", "3", "--checkpoint", str(deep), "--resume"
+    )
+    assert code == 5
+    assert err.startswith("error:") and "Traceback" not in err and out == ""
+
+
 def test_sweep_cli_unresolved_entries_exit_6(tmp_path, capsys, monkeypatch):
     # One attempt per row at the least lam a row allows leaves entries with
     # j >= 1 inconclusive: the outputs are still written, then the run fails.

@@ -21,6 +21,8 @@ PRIMES = st.sampled_from(["5", "7", "11", "-5", "0", "1", "3", "4", "9", "x"])
 SMALL = st.integers(-2, 8).map(str)
 
 MALFORMED = [b"[1, 2", b"hello\n", b"[true]", b'{"version": 1}', b"1.5\n"]
+# Arrays nested this deep, the deepest past the JSON decoder's recursion limit.
+NESTED = st.sampled_from([1, 2, 50, 100_000]).map(lambda d: b"[" * d + b"]" * d)
 OUT_PATHS = ["@out.csv", "@dir", "@missing/out.csv"]
 
 # A checkpoint that a sweep wrote, for p = 5 to i = 6.
@@ -40,7 +42,9 @@ JSON_VALUES = st.one_of(
 def files(draw, kind):
     """The content of one file argument: bytes, None for a path that does not
     exist, or "dir" for a directory."""
-    choice = draw(st.sampled_from(["missing", "dir", "empty", "garbage", "text", "good"]))
+    choice = draw(
+        st.sampled_from(["missing", "dir", "empty", "garbage", "text", "nested", "good"])
+    )
     if choice == "missing":
         return None
     if choice == "dir":
@@ -51,6 +55,8 @@ def files(draw, kind):
         return b"\xff\xfe{[\n"
     if choice == "text":
         return draw(st.sampled_from(MALFORMED))
+    if choice == "nested":
+        return draw(NESTED)
     if kind == "coefficients":
         coeffs = draw(st.lists(st.integers(-(10**6), 10**6), max_size=8))
         if draw(st.booleans()):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from katzrates.arithmetic import QSeries, RingSpec
 from katzrates.basis import build_matrix, dim_mk
 from katzrates.expand import (
@@ -22,8 +23,7 @@ def tuple_from_coords(p, n, C, x):
     """The Katz tuple whose full coordinate vector is x, split into blocks."""
     m = build_matrix(p, n, RingSpec(p, C))
     components = tuple(
-        KatzComponent(i=i, js=tuple(range(lo, hi)), coords=tuple(x[lo:hi]))
-        for i, lo, hi in m.blocks
+        KatzComponent(i=i, coords=tuple(x[lo:hi])) for i, lo, hi in m.blocks
     )
     return KatzTuple(p=p, n=n, ring=m.ring, x=tuple(x), components=components)
 
@@ -124,7 +124,7 @@ def test_precision_stability():
     f_hi = random_series(rng, p, 8, N)
     hi = psi(p, n, 8, f_hi)
     for C in (1, 3, 5):
-        lo = psi(p, n, C, f_hi.reduce(C))
+        lo = psi(p, n, C, oracles.reduce(f_hi, C))
         assert lo.x == tuple(c % 5**C for c in hi.x)
 
 

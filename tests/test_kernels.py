@@ -27,7 +27,6 @@ from katzrates.solver import (
     build_system,
     collect_statuses,
     row_solutions,
-    sturm_count,
     weight_list,
 )
 
@@ -158,13 +157,38 @@ def test_solve_reduces_inputs_mod_p_lambda():
     assert system.solve_many([]) == []
 
 
+@given(st.sampled_from([5, 7, 11, 13]), st.integers(1, 24), st.data())
+@settings(max_examples=30, deadline=None)
+def test_packed_solve_of_every_reduction_matches_the_oracle(p, E, data):
+    # Each lam <= E reads the packed columns of the one build at E: the first
+    # `count` components of a solution, the unsolvable thetas and gamma are
+    # those of the oracle on the unpacked leading blocks.
+    system = build_system(p, E)
+    for lam in range(1, E + 1):
+        reduced = system.reduce(lam)
+        vector = st.lists(st.integers(0, p**lam - 1), min_size=lam, max_size=lam)
+        thetas = [data.draw(vector), oracles.apply(reduced, data.draw(vector))]
+        count = data.draw(st.integers(1, lam))
+        for theta in thetas:
+            try:
+                want = oracles.solve_one(reduced, theta)[:count]
+            except UnsolvableSystem:
+                with pytest.raises(UnsolvableSystem):
+                    reduced.solve_many([theta], count)
+            else:
+                assert reduced.solve_many([theta], count) == [want]
+        gens = oracles.kernel_gens(reduced)
+        gamma = tuple(oracles.min_val([g[j] for g in gens], p, lam) for j in range(lam))
+        assert reduced.gamma == gamma
+
+
 def _check_newton_form(system):
     """The Newton factorization (A, ts, B) of a system against the Smith form
     oracle: A.V.B = diag(p^t), the t_k are the Smith invariants, and gamma is
     the one read from the oracle's kernel generators."""
     p, lam, mod = system.p, system.lam, system.modulus
     V = oracles.vandermonde(system)
-    A, ts, B = system._A, system._ts, system._B
+    (A, B), ts = oracles.matrices(system), system._ts
 
     def product(X, Y):
         cols = list(zip(*Y))
@@ -214,7 +238,7 @@ def test_kernel_check_matches_the_generator_oracle(system, data):
     # the columns whose generator p^(lam - t_k).B[:,k] no longer annihilates V.
     p, lam = system.p, system.lam
     V = oracles.vandermonde(system)
-    B = [list(row) for row in system._B]
+    B = oracles.matrices(system)[1]
     i, k = data.draw(st.integers(0, lam - 1)), data.draw(st.integers(0, lam - 1))
     B[i][k] = data.draw(st.integers(0, system.modulus - 1))
     if oracles.kernel_annihilates(V, B, system._ts, p, lam):
@@ -323,7 +347,7 @@ def test_row_statuses_match_q_coefficient_oracle(case, extra):
         system = build_system(p, lam, [WeightSpec(ring, s) for s in s_values])
     except ValueError:
         reject()  # two weights agree mod p^lam
-    count = sturm_count(p, r) + extra
+    count = oracles.sturm_count(p, r) + extra
     try:
         _, sols = row_solutions(p, r, lam, system=system)
     except UnsolvableSystem:

@@ -204,6 +204,46 @@ def test_interrupted_sweep_resumes_to_the_uninterrupted_csv(
     assert load_checkpoint(path).completed_rows == set(range(1, 37))
 
 
+@pytest.mark.parametrize("k", [6, 18, 36])
+def test_keyboard_interrupt_saves_the_solved_rows(
+    tmp_path, monkeypatch, checkpoint_writes, k
+):
+    # Ctrl-C in the progress hook of row k, long before the write interval
+    # ends: the sweep saves rows 1..k once and raises again, and resuming
+    # from that file gives the golden CSV of the uninterrupted sweep.
+    monkeypatch.setattr(sweep_module, "CHECKPOINT_INTERVAL_S", 10**9)
+    path = str(tmp_path / "ck.json")
+
+    def stop(state, i):
+        if i == k:
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(5, 36, checkpoint_path=path, progress=stop)
+    assert checkpoint_writes == [tuple(range(1, k + 1))]
+    saved = load_checkpoint(path)
+    resumed = run_sweep(5, 36, resume=saved, checkpoint_path=path)
+    assert _entries_csv(resumed) == (DATA / "p5_i36.csv").read_bytes().decode()
+
+
+def test_row_is_recorded_whole_or_not_at_all(monkeypatch):
+    # An interrupt after the first of a row's entries is read leaves the
+    # state as it was before the row.
+    state = run_sweep(5, 9)
+    before = state_to_json(state)
+    real = sweep_module.row_entries
+
+    def interrupted(row):
+        yield real(row)[0]
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(sweep_module, "row_entries", interrupted)
+    row = sweep_module.solve_row(5, 12, 10, j_max=2)
+    with pytest.raises(KeyboardInterrupt):
+        sweep_module._record_row(state, row)
+    assert state_to_json(state) == before
+
+
 def test_checkpoint_schema_version_rejected():
     with pytest.raises(CheckpointError):
         state_from_json({"version": 2})
