@@ -40,42 +40,6 @@ class RingSpec:
         return self.p**self.e
 
 
-@dataclass(frozen=True)
-class CappedVal:
-    """p-adic valuation of a residue mod p^e: either a finite value < e, or >= e.
-
-    A residue divisible by p^e is indistinguishable from 0 at this precision,
-    so its valuation is reported as "at least e", never a finite number.
-    """
-
-    cap: int
-    v: int | None = None  # None means "at least cap"
-
-    def __post_init__(self):
-        if self.v is not None and not 0 <= self.v < self.cap:
-            raise ValueError(f"finite valuation {self.v} out of range [0, {self.cap})")
-
-    @classmethod
-    def finite(cls, v: int, cap: int) -> "CappedVal":
-        return cls(cap=cap, v=v)
-
-    @classmethod
-    def at_least_e(cls, cap: int) -> "CappedVal":
-        return cls(cap=cap, v=None)
-
-    @property
-    def lower_bound(self) -> int:
-        """Certified lower bound: the value itself if finite, else the cap."""
-        return self.cap if self.v is None else self.v
-
-    def less_than(self, other: "CappedVal") -> bool:
-        """True when this valuation is certainly strictly below `other`."""
-        return self.v is not None and self.v < other.lower_bound
-
-    def __repr__(self):
-        return f">={self.cap}" if self.v is None else str(self.v)
-
-
 def slot_bytes(mod: int, terms: int) -> int:
     """Byte width of a Kronecker slot that holds a sum of `terms` products of
     residues in [0, mod) without carrying into the next slot."""

@@ -4,7 +4,6 @@ Eisenstein series E*_k for weights divisible by p-1."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -138,22 +137,3 @@ def eisenstein_star(k: int, ring: RingSpec, N: int) -> QSeries:
     if c % p:
         raise ArithmeticError("Eisenstein scalar is not divisible by p")
     return _eisenstein(ring, N, c, k - 1, p)
-
-
-@dataclass(frozen=True)
-class WeightSpec:
-    """An integral weight k = s(p-1) with gcd(s, p) = 1, together with its
-    weight-disk coordinate w = (p+1)^k - 1 mod p^e."""
-
-    ring: RingSpec
-    s: int
-    k: int = field(init=False)
-    w: int = field(init=False)
-
-    def __post_init__(self):
-        if self.s < 1 or self.s % self.ring.p == 0:
-            raise ValueError(f"s must be a positive integer prime to p, got {self.s}")
-        k = self.s * (self.ring.p - 1)
-        object.__setattr__(self, "k", k)
-        w = (pow(self.ring.p + 1, k, self.ring.modulus) - 1) % self.ring.modulus
-        object.__setattr__(self, "w", w)

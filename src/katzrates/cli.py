@@ -12,7 +12,6 @@ import sys
 # are imported by the commands that use them.
 from .arithmetic import QSeries, RingSpec, _is_int
 from .basis import block, dim_mk
-from .classical import WeightSpec
 from .expand import PrecisionMismatch, psi
 
 EXIT_USAGE = 2
@@ -22,8 +21,17 @@ EXIT_CHECKPOINT = 5
 # A sweep that left entries unresolved still writes its checkpoint, CSV and
 # summary, then exits with this code.
 EXIT_UNRESOLVED = 6
-# Ctrl-C: a sweep saves its checkpoint, then exits with 128 + SIGINT.
+# Ctrl-C, SIGTERM: a sweep saves its checkpoint, then exits 128 + the signal.
 EXIT_INTERRUPTED = 130
+EXIT_TERMINATED = 143
+
+
+class _Terminated(KeyboardInterrupt):
+    """SIGTERM during a sweep, raised so that run_sweep saves as on Ctrl-C."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
 
 
 def _read_coefficients(path: str) -> list[int]:
@@ -100,21 +108,13 @@ def cmd_valuations(args) -> int:
     try:
         if args.r < 0:
             raise ValueError(f"--r must be >= 0, got {args.r}")
-        if args.weights is not None:
-            s_values = [int(s) for s in args.weights.split(",")]
-            lam = len(s_values)
-            ring = RingSpec(args.p, lam)
-            weights = [WeightSpec(ring, s) for s in s_values]
-        else:
-            lam, weights = args.lam, None
-        # RingSpec rejects a p that is not a prime >= 5: above for --weights,
-        # in build_system for --lambda.
-        system = build_system(args.p, lam, weights)
+        ss = None if args.weights is None else [int(s) for s in args.weights.split(",")]
+        system = build_system(args.p, args.lam if ss is None else len(ss), ss)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        row = solve_row(args.p, args.r, lam, system=system)
+        row = solve_row(args.p, args.r, system.lam, system=system)
     except UnsolvableSystem as exc:
         print(f"error: linear system unsolvable: {exc}", file=sys.stderr)
         return EXIT_UNSOLVABLE
@@ -123,6 +123,8 @@ def cmd_valuations(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import signal
+
     from .solver import UnsolvableSystem
     from .sweep import (
         CheckpointError,
@@ -160,6 +162,7 @@ def cmd_sweep(args) -> int:
         except CheckpointError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CHECKPOINT
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         state = run_sweep(
             args.p, args.imax, resume=resume, checkpoint_path=args.checkpoint
@@ -167,10 +170,13 @@ def cmd_sweep(args) -> int:
     except UnsolvableSystem as exc:
         print(f"error: linear system unsolvable: {exc}", file=sys.stderr)
         return EXIT_UNSOLVABLE
-    except KeyboardInterrupt:
+    except KeyboardInterrupt as exc:
+        term = isinstance(exc, _Terminated)
         saved = f"; solved rows saved in {args.checkpoint}" if args.checkpoint else ""
-        print(f"error: interrupted{saved}", file=sys.stderr)
-        return EXIT_INTERRUPTED
+        print(f"error: {'terminated' if term else 'interrupted'}{saved}", file=sys.stderr)
+        return EXIT_TERMINATED if term else EXIT_INTERRUPTED
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             write_entries_csv(state.entries, fh)

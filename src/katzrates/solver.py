@@ -35,9 +35,9 @@ from dataclasses import dataclass, replace
 from itertools import accumulate, repeat
 from operator import mul, sub
 
-from .arithmetic import CappedVal, RingSpec, pack, slot_bytes, unpack
+from .arithmetic import RingSpec, pack, slot_bytes, unpack
 from .basis import block, build_matrix, dim_mk
-from .classical import WeightSpec, bernoulli
+from .classical import bernoulli
 from .expand import forward_substitute_many
 from .family import eis_ratio_by_s
 
@@ -58,18 +58,10 @@ def f_bound(p: int, n: int) -> int:
     return total
 
 
-def weight_list(p: int, lam: int) -> list[WeightSpec]:
-    """The first lam naturals prime to p, as weights k = s(p-1) mod p^lam."""
-    if lam < 1:
-        raise ValueError("lam must be >= 1")
-    ring = RingSpec(p, lam)
-    out = []
-    s = 1
-    while len(out) < lam:
-        if s % p:
-            out.append(WeightSpec(ring, s))
-        s += 1
-    return out
+def weight_list(p: int, lam: int) -> list[int]:
+    """The first lam naturals s prime to p, the canonical weights k = s(p-1).
+    For p >= 2 at most half of 1..2lam are multiples of p."""
+    return [s for s in range(1, 2 * lam + 1) if s % p][:lam]
 
 
 def _newton_diagonalize(ws, p: int, lam: int):
@@ -142,26 +134,25 @@ def _newton_diagonalize(ws, p: int, lam: int):
     return A, ts, [list(row) for row in zip(*cols)], order
 
 
-def _min_val(values, p: int, lam: int) -> CappedVal:
-    """min over `values` of their valuations mod p^lam: the valuation of
-    their gcd with p^lam."""
+def _min_val(values, p: int, lam: int) -> int:
+    """min over `values` of their valuations mod p^lam, capped at lam ("at
+    least lam"): the valuation of their gcd with p^lam."""
     g = math.gcd(p**lam, *values)
     t = 0
     while g > 1:
         g //= p
         t += 1
-    return CappedVal.at_least_e(lam) if t == lam else CappedVal.finite(t, lam)
+    return t
 
 
-def _gamma(vals, ts, lam: int) -> tuple[CappedVal, ...]:
+def _gamma(vals, ts, lam: int) -> tuple[int, ...]:
     """The thresholds gamma_j = min over the generators p^(lam - t_k).B[:,k]
     of the right kernel of V over Z/p^lam of nu(component j), k < lam:
     nu(p^(lam - t_k).B[j][k]) = min(lam, lam - t_k + v(B[j][k])), read off
     row j of the valuation table `vals` of B.  A column with t_k = 0 gives the
     zero generator, and a zero entry has valuation >= lam.  N_k is monic, so
     generator k is p^(lam - t_k) != 0 at component k when t_k > 0."""
-    mins = (lam + min(map(sub, row, ts)) for row in vals[:lam])
-    return tuple(CappedVal(lam, g if g < lam else None) for g in mins)
+    return tuple(min(lam, lam + min(map(sub, row, ts))) for row in vals[:lam])
 
 
 def _check_kernel(V, B, ts, p: int, lam: int) -> None:
@@ -196,7 +187,7 @@ class VandermondeSystem:
     p: int
     lam: int
     ss: tuple[int, ...]  # the weights k = s(p-1), in the order of the rows of V
-    gamma: tuple[CappedVal, ...]
+    gamma: tuple[int, ...]  # capped at lam
     _ts: tuple[int, ...]
     _width: int
     _acols: tuple[int, ...]
@@ -260,15 +251,20 @@ class VandermondeSystem:
         )
 
 
-def build_system(p: int, lam: int, weights=None) -> VandermondeSystem:
-    """The system on `weights` (default weight_list(p, lam)), factored and
-    checked: V is built only for the kernel check."""
-    if weights is None:
-        weights = weight_list(p, lam)
-    if len(weights) != lam:
-        raise ValueError(f"expected {lam} weights, got {len(weights)}")
-    mod = p**lam
-    ws = [w.w % mod for w in weights]
+def build_system(p: int, lam: int, ss=None) -> VandermondeSystem:
+    """The system on the weights k = s(p-1), s in `ss` (default
+    weight_list(p, lam)), at the weight-disk coordinates w = (1+p)^k - 1 mod
+    p^lam, factored and checked: V is built only for the kernel check."""
+    if lam < 1:
+        raise ValueError("lam must be >= 1")
+    mod = RingSpec(p, lam).modulus  # p must be a prime >= 5
+    ss = tuple(weight_list(p, lam) if ss is None else ss)
+    if len(ss) != lam:
+        raise ValueError(f"expected {lam} weights, got {len(ss)}")
+    for s in ss:
+        if s < 1 or s % p == 0:
+            raise ValueError(f"s must be a positive integer prime to p, got {s}")
+    ws = [(pow(p + 1, s * (p - 1), mod) - 1) % mod for s in ss]
     if len(set(ws)) != len(ws):
         raise ValueError("duplicate weight coordinates mod p^lam")
     V = [
@@ -283,7 +279,7 @@ def build_system(p: int, lam: int, weights=None) -> VandermondeSystem:
     return VandermondeSystem(
         p=p,
         lam=lam,
-        ss=tuple(w.s for w in weights),
+        ss=ss,
         gamma=_gamma(vals, ts, lam),
         _ts=tuple(ts),
         _width=width,
@@ -360,7 +356,7 @@ class KatzBasis:
         if lam <= self.E:
             return
         self.E = lam + PLAN_SLACK if self.E else max(lam, self.plan)
-        ss = [w.s for w in weight_list(self.p, self.E)]
+        ss = weight_list(self.p, self.E)
         # B_k for the batch's largest weight sizes the tangent table once,
         # where the ascending weights would regrow it geometrically.
         bernoulli(ss[-1] * (self.p - 1))
@@ -396,8 +392,8 @@ def row_solutions(p, r, lam, system=None, basis=None, count=None):
     r-th Katz component across the weights, each cut to its first `count`
     components (default lam).  `basis` (a KatzBasis for some n >= r) defaults
     to a fresh one for n = r, and `system` to the basis's system at lam; a
-    system given is used as it is, on its own weights.  Returns (system,
-    solutions).
+    system given is used as it is, on its own weights, and must be over
+    Z/p^lam.  Returns (system, solutions).
 
     The coordinates stand in for the q-coefficients a_0..a_S, S =
     ceil(r(p-1)/12), of the r-th component, which pin down its valuation
@@ -415,6 +411,8 @@ def row_solutions(p, r, lam, system=None, basis=None, count=None):
       exactly when it passes on the q-coefficients: each is a combination of
       the other, the unit-triangular minor giving the way back.
     """
+    if system is not None and system.lam != lam:
+        raise ValueError(f"lam = {lam}, but the system given is over Z/p^{system.lam}")
     if basis is None:
         basis = KatzBasis(p, r)
     if system is None:
@@ -433,9 +431,9 @@ def collect_statuses(system: VandermondeSystem, solutions, j_max: int, r: int):
     for j in range(j_max + 1):
         alpha = _min_val([sol[j] for sol in solutions], p, lam)
         gamma = system.gamma[j]
-        exact = alpha.less_than(gamma)
-        value = alpha.v if exact else None
-        out[j] = SweepEntry(i=r, j=j, exact=exact, value=value, gamma=gamma.lower_bound)
+        # alpha = lam, "at least lam", is never below gamma <= lam.
+        value = alpha if alpha < gamma else None
+        out[j] = SweepEntry(i=r, j=j, exact=value is not None, value=value, gamma=gamma)
     return out
 
 

@@ -98,13 +98,9 @@ def row_entries(row) -> list[SweepEntry]:
     return [row.entries[j] for j in sorted(row.entries)]
 
 
-def _record_row(state: SweepState, row) -> None:
-    """Add a solved row to the state: its entries, its lam and the d' update
-    are computed first and then stored in three statements.  A checkpoint
-    saved after an interrupt between those either holds the row whole or
-    fails the load-time checks."""
-    entries = row_entries(row)
-    d_prime, attained = state.d_prime, state.attained
+def _fold_rate(entries, d_prime: Fraction, attained: set) -> tuple[Fraction, set]:
+    """(d', attained) with the exact entries of i >= 1 folded into the running
+    minimum d_prime of (nu(b_{i,j}) + j)/i; `attained` itself is not changed."""
     for e in entries:
         if e.exact and e.i > 0:
             val = Fraction(e.value + e.j, e.i)
@@ -112,6 +108,16 @@ def _record_row(state: SweepState, row) -> None:
                 d_prime, attained = val, {(e.i, e.j)}
             elif val == d_prime:
                 attained = attained | {(e.i, e.j)}
+    return d_prime, attained
+
+
+def _record_row(state: SweepState, row) -> None:
+    """Add a solved row to the state: its entries, its lam and the d' update
+    are computed first and then stored in three statements.  A checkpoint
+    saved after an interrupt between those either holds the row whole or
+    fails the load-time checks."""
+    entries = row_entries(row)
+    d_prime, attained = _fold_rate(entries, state.d_prime, state.attained)
     state.entries += entries
     state.completed_rows.add(row.r)
     state.d_prime, state.attained, state.lam_current = d_prime, attained, row.lam
@@ -347,16 +353,13 @@ def state_from_json(data: dict) -> SweepState:
             raise CheckpointError(
                 f"row {i} has entries j = {js}, not j = 0..J for one J >= 0"
             )
-    ratios = {
-        (e.i, e.j): Fraction(e.value + e.j, e.i) for e in state.entries if e.exact
-    }
-    d_prime = min([Fraction(1), *ratios.values()])
+    d_prime, attained = _fold_rate(state.entries, Fraction(1), set())
     if state.d_prime != d_prime:
         raise CheckpointError(
             f"d_prime {_frac_str(state.d_prime)} is not the minimum "
             f"{_frac_str(d_prime)} over the exact entries"
         )
-    state.attained = {ij for ij, x in ratios.items() if x == d_prime}
+    state.attained = attained
     return state
 
 

@@ -24,9 +24,9 @@ def system_builds(monkeypatch) -> list[int]:
     builds = []
     real = solver_module.build_system
 
-    def counting(p, lam, weights=None):
+    def counting(p, lam, ss=None):
         builds.append(lam)
-        return real(p, lam, weights)
+        return real(p, lam, ss)
 
     monkeypatch.setattr("katzrates.solver.build_system", counting)
     return builds

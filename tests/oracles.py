@@ -10,53 +10,51 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from katzrates.arithmetic import CappedVal, QSeries, RingSpec, unpack, v_operator
+from katzrates.arithmetic import QSeries, RingSpec, unpack, v_operator
 from katzrates.basis import BasisMatrix, block, dim_mk, eps
-from katzrates.classical import WeightSpec, delta, e4, e6, e_p_minus_1, eisenstein_star
-from katzrates.solver import KatzBasis, UnsolvableSystem, f_bound
+from katzrates.classical import delta, e4, e6, e_p_minus_1, eisenstein_star
+from katzrates.solver import (
+    KatzBasis,
+    UnsolvableSystem,
+    build_system,
+    f_bound,
+    solve_row,
+    weight_list,
+)
 
 
-def padic_val(x: int, p: int, cap: int) -> CappedVal:
-    """Valuation of the residue x mod p^cap."""
+def padic_val(x: int, p: int, cap: int) -> int:
+    """Valuation of the residue x mod p^cap, capped at cap: a residue
+    divisible by p^cap is indistinguishable from 0, so it reads as cap,
+    "at least cap"."""
     x %= p**cap
     if x == 0:
-        return CappedVal.at_least_e(cap)
+        return cap
     v = 0
     while x % p == 0:
         x //= p
         v += 1
-    return CappedVal.finite(v, cap)
+    return v
 
 
-def at_least(v: CappedVal, m: int) -> bool:
-    """Whether a capped valuation is certainly >= m."""
-    return v.lower_bound >= m
+def coordinate(p: int, s: int, lam: int) -> int:
+    """The weight-disk coordinate w = (1+p)^k - 1 mod p^lam of k = s(p-1),
+    by repeated multiplication."""
+    mod = p**lam
+    acc = 1
+    for _ in range(s * (p - 1)):
+        acc = acc * (p + 1) % mod
+    return (acc - 1) % mod
 
 
-def min_with(a: CappedVal, b: CappedVal) -> CappedVal:
-    """The smaller of two capped valuations at one cap."""
-    if a.cap != b.cap:
-        raise ValueError("cannot compare valuations at different caps")
-    return a if a.lower_bound <= b.lower_bound else b
+def weights(system) -> tuple[int, ...]:
+    """The coordinates mod p^lam of the weights k = s(p-1) of a system."""
+    return tuple(coordinate(system.p, s, system.lam) for s in system.ss)
 
 
-def weights(system) -> tuple[WeightSpec, ...]:
-    """The weights k = s(p-1) of a system, with their coordinates mod p^lam."""
-    ring = RingSpec(system.p, system.lam)
-    return tuple(WeightSpec(ring, s) for s in system.ss)
-
-
-def is_finite(v: CappedVal) -> bool:
-    """Whether a capped valuation is a finite value below its cap."""
-    return v.v is not None
-
-
-def val(f: QSeries) -> CappedVal:
+def val(f: QSeries) -> int:
     """min_n nu_p(a_n) of a series, capped at e."""
-    best = CappedVal.at_least_e(f.ring.e)
-    for c in f.coeffs:
-        best = min_with(best, padic_val(c, f.ring.p, f.ring.e))
-    return best
+    return min([f.ring.e, *(padic_val(c, f.ring.p, f.ring.e) for c in f.coeffs)])
 
 
 def reduce(f: QSeries, e2: int) -> QSeries:
@@ -172,7 +170,7 @@ def solve_one(system, theta) -> tuple[int, ...]:
 def vandermonde(system) -> list[list[int]]:
     """V[i][j] = w_i^j mod p^lam on the weights of a system, one pow each."""
     mod = system.modulus
-    return [[pow(w.w, j, mod) for j in range(system.lam)] for w in weights(system)]
+    return [[pow(w, j, mod) for j in range(system.lam)] for w in weights(system)]
 
 
 def apply(system, x) -> list[int]:
@@ -231,7 +229,7 @@ def smith_diagonalize(V, p: int, lam: int):
         for i in range(k, n):
             for j in range(k, n):
                 if M[i][j]:
-                    v = padic_val(M[i][j], p, lam).v
+                    v = padic_val(M[i][j], p, lam)
                     if best is None or v < best[0]:
                         best = (v, i, j)
                         if v == 0:
@@ -270,12 +268,9 @@ def smith_diagonalize(V, p: int, lam: int):
     return A, ts, B
 
 
-def min_val(values, p: int, lam: int) -> CappedVal:
+def min_val(values, p: int, lam: int) -> int:
     """Minimum of the capped valuations mod p^lam, one padic_val at a time."""
-    best = CappedVal.at_least_e(lam)
-    for x in values:
-        best = min_with(best, padic_val(x, p, lam))
-    return best
+    return min([lam, *(padic_val(x, p, lam) for x in values)])
 
 
 def bernoulli_table(k_max: int) -> list[Fraction]:
@@ -313,9 +308,9 @@ def q_coefficient_solutions(system, r: int, count: int) -> list[tuple[int, ...]]
     basis = KatzBasis(p, r)
     forms = [g_form(p, r, j, ring, count).series.coeffs for j in range(*block(p, r))]
     betas = []
-    for w in weights(system):
+    for s in system.ss:
         acc = [0] * count
-        for x, g in zip(basis.row_coords(w.s, r, lam), forms):
+        for x, g in zip(basis.row_coords(s, r, lam), forms):
             if x:
                 for mu in range(count):
                     acc[mu] += x * g[mu]
@@ -358,3 +353,30 @@ def eis_ratio_full_inverse(p: int, s: int, lam: int, N: int) -> QSeries:
     """E*_k / V(E*_k), k = s(p-1), with V(E*_k) inverted at full length N."""
     estar = eisenstein_star_trial(s * (p - 1), RingSpec(p, lam), N)
     return estar * v_operator(estar).inverse()
+
+
+def second_route(state) -> int:
+    """Re-derive each attaining entry (i, j) of a sweep off the sweep's own
+    path, and return the number of entries checked.  At lam = lambda_max and
+    at lam + 4, the system is a fresh build_system on the lam naturals prime
+    to p that follow weight_list(p, lam)[-1], so neither the plan nor a
+    reduction serves it, and the coordinates come from one fresh KatzBasis(p,
+    i) per row, one weight at a time, which rebuilds for lam + 4.  Raises
+    AssertionError unless each entry is exact there with the sweep's value."""
+    p, lam_max = state.p, state.lam_current
+    values = {(e.i, e.j): e.value for e in state.entries}
+    systems = {}
+    for lam in (lam_max, lam_max + 4):
+        first = weight_list(p, lam)[-1] + 1
+        ss = [s for s in range(first, first + 2 * lam) if s % p][:lam]
+        systems[lam] = build_system(p, lam, ss)
+    checks = 0
+    for i in sorted({i for i, _ in state.attained}):
+        basis = KatzBasis(p, i)
+        for lam, system in systems.items():
+            row = solve_row(p, i, lam, system=system, basis=basis)
+            for j in sorted(j for ii, j in state.attained if ii == i):
+                entry = row.entries[j]
+                assert entry.exact and entry.value == values[i, j], (lam, entry)
+                checks += 1
+    return checks

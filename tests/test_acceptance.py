@@ -135,7 +135,7 @@ def test_criterion_8_kernel_bound():
         system = build_system(5, lam)
         for j1 in range(1, lam + 1):
             bound = lam + 1 - j1 - f_bound(5, lam)
-            if not oracles.at_least(system.gamma[j1 - 1], bound):
+            if system.gamma[j1 - 1] < bound:
                 ok = False
     check(
         "criterion 8: gamma_j >= lam + 1 - j - f(lam) for p=5, 2<=lam<=12",
@@ -155,7 +155,7 @@ def test_criterion_9_valuation_lemma():
             if a == b:
                 continue
             lhs = padic_val((pow(base, a, mod) - pow(base, b, mod)) % mod, p, 40)
-            if lhs.v - 1 != padic_val(a - b, p, 40).v:
+            if lhs - 1 != padic_val(a - b, p, 40):
                 ok = False
             done += 1
     check(

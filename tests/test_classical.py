@@ -9,7 +9,6 @@ import oracles
 from oracles import padic_val, sigma
 from katzrates.arithmetic import QSeries, RingSpec
 from katzrates.classical import (
-    WeightSpec,
     _sigma_star_table,
     bernoulli,
     delta,
@@ -18,6 +17,8 @@ from katzrates.classical import (
     e_p_minus_1,
     eisenstein_star,
 )
+from katzrates import solver as solver_module
+from katzrates.solver import build_system
 
 R = RingSpec(5, 4)
 
@@ -108,7 +109,7 @@ def test_e_p_minus_1_congruent_one_mod_p():
         ring = RingSpec(p, 4)
         f = e_p_minus_1(ring, 20)
         assert f.coeffs[0] == 1
-        assert oracles.at_least(oracles.val(f - QSeries.one(ring, 20)), 1)
+        assert oracles.val(f - QSeries.one(ring, 20)) >= 1
 
 
 def test_e_p_minus_1_is_e4_for_p_5():
@@ -133,7 +134,7 @@ def test_eisenstein_star_valuation_grows_with_weight():
     for s, expect in [(1, 1), (5, 2), (25, 3)]:
         k = 4 * s
         f = eisenstein_star(k, R, 10)
-        assert oracles.at_least(oracles.val(f - QSeries.one(R, 10)), min(R.e, expect))
+        assert oracles.val(f - QSeries.one(R, 10)) >= min(R.e, expect)
 
 
 def test_eisenstein_star_rejects_bad_weight():
@@ -143,22 +144,37 @@ def test_eisenstein_star_rejects_bad_weight():
         eisenstein_star(0, R, 4)
 
 
-def test_weight_spec():
-    w = WeightSpec(RingSpec(5, 4), 2)
-    assert w.k == 8
-    assert w.w == (pow(6, 8, 5**4) - 1) % 5**4
-    assert padic_val(w.w, 5, 4).v == 1
-    with pytest.raises(ValueError):
-        WeightSpec(RingSpec(5, 4), 5)
-    with pytest.raises(ValueError):
-        WeightSpec(RingSpec(5, 4), 0)
+def _coordinates(monkeypatch, p, lam, ss):
+    """The weight-disk coordinates build_system factors its system on."""
+    seen = []
+    real = solver_module._newton_diagonalize
+
+    def spy(ws, p, lam):
+        seen.append(ws)
+        return real(ws, p, lam)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver_module, "_newton_diagonalize", spy)
+        assert build_system(p, lam, ss).ss == tuple(ss)
+    return seen[0]
 
 
-def test_weight_coordinate_valuation_one():
+def test_weight_spec(monkeypatch):
+    # A weight is its s: build_system places k = s(p-1) at w = (1+p)^k - 1
+    # mod p^lam and accepts only s >= 1 prime to p.
+    w = _coordinates(monkeypatch, 5, 4, [2, 1, 3, 4])[0]
+    assert w == (pow(6, 8, 5**4) - 1) % 5**4 == oracles.coordinate(5, 2, 4)
+    assert padic_val(w, 5, 4) == 1
+    for bad in (5, 0, -1):
+        with pytest.raises(ValueError, match=f"prime to p, got {bad}$"):
+            build_system(5, 4, [1, 2, 3, bad])
+
+
+def test_weight_coordinate_valuation_one(monkeypatch):
     # nu(w) = nu(k) + 1 = 1 for s prime to p, e >= 2.
     for p in (5, 7, 11):
         ring = RingSpec(p, 3)
-        for s in (1, 2, 3):
-            w = WeightSpec(ring, s).w
+        ws = _coordinates(monkeypatch, p, 3, [1, 2, 3])
+        for s, w in zip((1, 2, 3), ws):
             assert w == (pow(p + 1, s * (p - 1), ring.modulus) - 1) % ring.modulus
-            assert padic_val(w, p, 3).v == 1
+            assert padic_val(w, p, 3) == 1

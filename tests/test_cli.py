@@ -3,7 +3,9 @@
 import csv
 import io
 import json
+import os
 import random
+import signal
 
 import pytest
 
@@ -371,33 +373,40 @@ def test_sweep_cli_checkpoint_lambda_out_of_range_exits_5(tmp_path, capsys, lam)
 
 
 def test_sweep_cli_interrupt_exits_130_and_resumes(tmp_path, capsys, monkeypatch):
-    # Ctrl-C while row 9 is solved: the rows before it are saved, the run
-    # exits 130 without a traceback, and the resumed --out CSV is the
-    # uninterrupted one.
+    # Ctrl-C, or SIGTERM sent to the process, while row 9 is solved: the rows
+    # before it are saved, the run exits 130 (143 for SIGTERM) without a
+    # traceback, and the resumed --out CSV is the uninterrupted one.  The
+    # SIGTERM handler is the sweep's only while it runs.
     real = sweep_module.solve_row
-
-    def interrupted(p, r, lam, **kw):
-        if r == 9:
-            raise KeyboardInterrupt
-        return real(p, r, lam, **kw)
-
-    ck, resumed, whole = tmp_path / "ck.json", tmp_path / "a.csv", tmp_path / "b.csv"
-    monkeypatch.setattr(sweep_module, "solve_row", interrupted)
-    code, out, err = run_cli(
-        capsys, "sweep", "--p", "5", "--imax", "12", "--checkpoint", str(ck)
-    )
-    assert code == 130
-    assert err.startswith("error: interrupted") and str(ck) in err and out == ""
-    assert "Traceback" not in err
-    assert sweep_module.load_checkpoint(str(ck)).completed_rows == set(range(1, 9))
-    monkeypatch.setattr(sweep_module, "solve_row", real)
-    code, _, _ = run_cli(
-        capsys, "sweep", "--p", "5", "--imax", "12",
-        "--checkpoint", str(ck), "--resume", "--out", str(resumed),
-    )
-    assert code == 0
+    whole = tmp_path / "whole.csv"
     assert run_cli(capsys, "sweep", "--p", "5", "--imax", "12", "--out", str(whole))[0] == 0
-    assert resumed.read_bytes() == whole.read_bytes()
+    before = signal.getsignal(signal.SIGTERM)
+    for how, want in [("interrupted", 130), ("terminated", 143)]:
+
+        def stopped(p, r, lam, **kw):
+            if r == 9:
+                if how == "interrupted":
+                    raise KeyboardInterrupt
+                os.kill(os.getpid(), signal.SIGTERM)
+            return real(p, r, lam, **kw)
+
+        ck, resumed = tmp_path / f"{how}.json", tmp_path / f"{how}.csv"
+        monkeypatch.setattr(sweep_module, "solve_row", stopped)
+        code, out, err = run_cli(
+            capsys, "sweep", "--p", "5", "--imax", "12", "--checkpoint", str(ck)
+        )
+        assert code == want
+        assert err.startswith(f"error: {how}") and str(ck) in err and out == ""
+        assert "Traceback" not in err
+        assert signal.getsignal(signal.SIGTERM) is before
+        assert sweep_module.load_checkpoint(str(ck)).completed_rows == set(range(1, 9))
+        monkeypatch.setattr(sweep_module, "solve_row", real)
+        code, _, _ = run_cli(
+            capsys, "sweep", "--p", "5", "--imax", "12",
+            "--checkpoint", str(ck), "--resume", "--out", str(resumed),
+        )
+        assert code == 0
+        assert resumed.read_bytes() == whole.read_bytes()
 
 
 def test_deeply_nested_json_exits_with_its_code(tmp_path, capsys):

@@ -16,7 +16,7 @@ import oracles
 from katzrates import classical
 from katzrates.arithmetic import QSeries, RingSpec
 from katzrates.basis import build_matrix, dim_mk
-from katzrates.classical import WeightSpec, bernoulli, eisenstein_star
+from katzrates.classical import bernoulli, eisenstein_star
 from katzrates.expand import forward_substitute_many
 from katzrates.family import eis_ratio_by_s
 from katzrates.solver import (
@@ -113,11 +113,9 @@ def systems(draw, max_lam=12):
             unique=True,
         )
     )
-    ring = RingSpec(p, lam)
-    weights = [WeightSpec(ring, s) for s in s_values]
-    if len({w.w for w in weights}) != lam:
+    if len({oracles.coordinate(p, s, lam) for s in s_values}) != lam:
         reject()
-    return build_system(p, lam, weights)
+    return build_system(p, lam, s_values)
 
 
 @given(systems(), st.data())
@@ -294,7 +292,7 @@ def test_katz_basis_sizes_the_tangent_table_once(monkeypatch, p, n, E):
     # next doubling (512 for 17/20 at E = 38, where 320 are needed).
     monkeypatch.setattr(classical, "_TANGENT", [])
     KatzBasis(p, n, E).row_coords(1, n, 1)
-    k_max = weight_list(p, E)[-1].s * (p - 1)
+    k_max = weight_list(p, E)[-1] * (p - 1)
     assert len(classical._TANGENT) == k_max // 2
 
 
@@ -342,9 +340,8 @@ def test_row_statuses_match_q_coefficient_oracle(case, extra):
     # they are.
     p, r, s_values = case
     lam = len(s_values)
-    ring = RingSpec(p, lam)
     try:
-        system = build_system(p, lam, [WeightSpec(ring, s) for s in s_values])
+        system = build_system(p, lam, s_values)
     except ValueError:
         reject()  # two weights agree mod p^lam
     count = oracles.sturm_count(p, r) + extra

@@ -11,7 +11,7 @@ from oracles import padic_val
 from katzrates import solver as solver_module
 from katzrates.arithmetic import QSeries, RingSpec
 from katzrates.basis import block, dim_mk
-from katzrates.classical import WeightSpec, e_p_minus_1
+from katzrates.classical import e_p_minus_1
 from katzrates.expand import psi
 from katzrates.family import eis_ratio_by_s
 from katzrates.solver import (
@@ -37,22 +37,26 @@ def test_f_bound_examples():
 def test_nu_w_examples():
     # nu(w) = nu_p((1+p)^k - 1) = nu_p(k) + 1, read mod p^e.
     for p, k, want in [(5, 4, 1), (5, 20, 2), (7, 42, 2), (5, 100, 3)]:
-        assert padic_val(pow(p + 1, k, p**6) - 1, p, 6).v == want
-    assert not oracles.is_finite(padic_val(pow(6, 20, 5**2) - 1, 5, 2))  # e too small
+        assert padic_val(pow(p + 1, k, p**6) - 1, p, 6) == want
+    assert padic_val(pow(6, 20, 5**2) - 1, 5, 2) == 2  # e too small: capped
 
 
 def test_weight_list_examples():
-    assert [w.s for w in weight_list(5, 5)] == [1, 2, 3, 4, 6]
-    assert [w.s for w in weight_list(7, 3)] == [1, 2, 3]
-    for w in weight_list(5, 4):
-        assert padic_val(w.w, 5, 4).v == 1
+    assert weight_list(5, 5) == [1, 2, 3, 4, 6]
+    assert weight_list(7, 3) == [1, 2, 3]
+    assert weight_list(5, 9) == [1, 2, 3, 4, 6, 7, 8, 9, 11]
+    assert weight_list(5, 8)[-1] == 9 and weight_list(7, 12)[-1] == 13
+    system = build_system(5, 4)
+    assert system.ss == (1, 2, 3, 4)
+    for w in oracles.weights(system):
+        assert padic_val(w, 5, 4) == 1
 
 
 def test_build_system_lambda_one():
     sys1 = build_system(5, 1)
     assert oracles.vandermonde(sys1) == [[1]]
     assert oracles.kernel_gens(sys1) == []
-    assert not oracles.is_finite(sys1.gamma[0])
+    assert sys1.gamma == (1,)  # at least lam
 
 
 def test_kernel_generators_annihilate():
@@ -70,7 +74,7 @@ def test_gamma_meets_kernel_bound():
         system = build_system(5, lam)
         for j1 in range(1, lam + 1):
             bound = lam + 1 - j1 - f_bound(5, lam)
-            assert oracles.at_least(system.gamma[j1 - 1], bound)
+            assert system.gamma[j1 - 1] >= bound
 
 
 def test_solve_returns_actual_solution():
@@ -90,7 +94,7 @@ def test_weight_lists_are_p_ordered_in_natural_order(p):
     # lam, and ties go to the first index, so a natural order at 80 is one at
     # every lam <= 80; the smaller lam exercise the caps.
     for lam in sorted({1, 2, p - 1, p, p + 1, 40, 80}):
-        ws = [w.w for w in weight_list(p, lam)]
+        ws = [oracles.coordinate(p, s, lam) for s in weight_list(p, lam)]
         assert solver_module._newton_diagonalize(ws, p, lam)[3] == list(range(lam))
 
 
@@ -99,7 +103,7 @@ def test_weight_lists_are_p_ordered_in_natural_order(p):
 def test_reduced_system_serves_like_a_fresh_build(p, E, data):
     lam = data.draw(st.integers(1, E))
     served, fresh = build_system(p, E).reduce(lam), build_system(p, lam)
-    assert oracles.weights(served) == oracles.weights(fresh)
+    assert served.ss == fresh.ss
     assert oracles.vandermonde(served) == oracles.vandermonde(fresh)
     assert served._ts == fresh._ts and served.gamma == fresh.gamma
     for g in oracles.kernel_gens(served):
@@ -125,8 +129,7 @@ def test_reduced_system_serves_like_a_fresh_build(p, E, data):
 
 def test_reduce_refuses_what_it_cannot_serve():
     # The p-ordering of s = 1, 6, 2 takes 2 before 6: v(w_6 - w_1) = 2.
-    ring = RingSpec(5, 3)
-    system = build_system(5, 3, [WeightSpec(ring, s) for s in (1, 6, 2)])
+    system = build_system(5, 3, [1, 6, 2])
     with pytest.raises(ValueError, match="p-order"):
         system.reduce(2)
     nested = build_system(5, 4)
@@ -225,13 +228,13 @@ def test_sturm_sufficiency_small_cases():
         count = oracles.sturm_count(p, r) + 6
         all_sols = oracles.q_coefficient_solutions(system, r, count)
         for j in range(min(r, lam - 1) + 1):
-            alpha_s = min(padic_val(s[j], p, lam).lower_bound for s in sols)
-            alpha_ext = min(padic_val(s[j], p, lam).lower_bound for s in all_sols)
+            alpha_s = min(padic_val(s[j], p, lam) for s in sols)
+            alpha_ext = min(padic_val(s[j], p, lam) for s in all_sols)
             assert alpha_ext <= alpha_s
             # Above the ambiguity threshold the measured valuation depends
             # on which particular solution the solver picked, so only
             # decided entries must agree.
-            if alpha_s < system.gamma[j].lower_bound:
+            if alpha_s < system.gamma[j]:
                 assert alpha_ext == alpha_s
 
 
@@ -249,16 +252,27 @@ def test_monotone_refinement():
 def test_int_val():
     # The valuation of an integer is padic_val's at any cap above it; 0 has
     # none, only "at least the cap".
-    assert padic_val(50, 5, 3).v == 2
-    assert padic_val(-50, 5, 3).v == 2
-    assert padic_val(7, 5, 1).v == 0
-    assert not oracles.is_finite(padic_val(0, 5, 3))
-    assert not oracles.is_finite(padic_val(125, 5, 3))
+    assert padic_val(50, 5, 3) == 2
+    assert padic_val(-50, 5, 3) == 2
+    assert padic_val(7, 5, 1) == 0
+    assert padic_val(0, 5, 3) == 3
+    assert padic_val(125, 5, 3) == 3
 
 
 def test_solve_row_rejects_large_j_max():
     with pytest.raises(ValueError):
         solve_row(5, 3, 2, j_max=5)
+
+
+@pytest.mark.parametrize("lam", [7, 11])
+def test_solve_row_rejects_a_system_at_another_lambda(lam):
+    # A system given fixes lam.  Mixed with coordinates mod 5^7 it raised a
+    # false UnsolvableSystem; at 11 it gave a row labelled lam = 11 whose
+    # entries were computed at 9.
+    system = build_system(5, 9)
+    with pytest.raises(ValueError, match=r"lam = \d+, but the system given is over Z/p\^9"):
+        solve_row(5, 6, lam, system=system)
+    assert solve_row(5, 6, 9, system=system) == solve_row(5, 6, 9)
 
 
 @st.composite
@@ -331,7 +345,7 @@ def test_katz_basis_builds_at_plan_then_steps(matrix_builds, system_builds):
             basis.row_coords(1, 6, lam)
             served, fresh = basis.system(lam), build_system(5, lam)
             assert served.lam == lam
-            assert oracles.weights(served) == oracles.weights(fresh)
+            assert served.ss == fresh.ss
             assert (oracles.matrices(served)[1], served._ts, served.gamma) == (
                 oracles.matrices(fresh)[1],
                 fresh._ts,
@@ -355,8 +369,8 @@ def test_katz_basis_batches_the_weight_list(monkeypatch):
 
     monkeypatch.setattr(solver_module, "eis_ratio_by_s", counting)
     basis = KatzBasis(5, 6, 4)
-    for w in weight_list(5, 3):
-        basis.row_coords(w.s, 6, 3)
+    for s in weight_list(5, 3):
+        basis.row_coords(s, 6, 3)
     assert calls == [1, 2, 3, 4]
     basis.row_coords(7, 6, 3)
     assert calls == [1, 2, 3, 4, 7]

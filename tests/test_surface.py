@@ -106,11 +106,13 @@ def test_katz_expand_imports_neither_solver_nor_sweep(tmp_path):
         assert f"katzrates.{name}" not in loaded
 
 
-@pytest.mark.parametrize("name", ["g_form", "Residue"])
+@pytest.mark.parametrize("name", ["g_form", "Residue", "CappedVal", "WeightSpec"])
 def test_no_module_defines_a_removed_path(name):
-    # g_form (the basis forms one at a time) and Residue live on only in
-    # tests/oracles.py and in history; the package builds the basis matrix
-    # column by column and keeps residues as plain ints.
+    # g_form (the basis forms one at a time) lives on only in tests/oracles.py
+    # and in history, Residue, CappedVal and WeightSpec only in history; the
+    # package builds the basis matrix column by column, keeps residues and
+    # valuations as plain ints (a valuation mod p^e capped at e) and a weight
+    # k = s(p-1) as its s.
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.AsyncFunctionDef)):

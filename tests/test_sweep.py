@@ -625,3 +625,20 @@ def test_frontier_sweep_matches_pinned_digest(p, digest, tmp_path):
     saved = load_checkpoint(path)
     assert saved.completed_rows == state.completed_rows
     assert saved.entries == state.entries
+
+
+@pytest.mark.parametrize(
+    "p, i_max, checks",
+    [
+        (7, 56, 12),
+        pytest.param(11, 132, 20, marks=pytest.mark.slow),
+        pytest.param(13, 182, 24, marks=pytest.mark.slow),
+    ],
+)
+def test_attaining_entries_hold_on_a_second_route(p, i_max, checks):
+    # At i = p(p+1) every j = 1..p-1 attains d' = (p-1)/(p(p+1)); each is
+    # re-derived on other weights, at lambda_max and lambda_max + 4.
+    state = run_sweep(p, i_max)
+    assert state.d_prime == d_p(p)
+    assert state.attained == {(i_max, j) for j in range(1, p)}
+    assert oracles.second_route(state) == checks
