@@ -143,6 +143,9 @@ def cmd_sweep(args) -> int:
                 raise ValueError(f"directory of {path} does not exist")
             if path and os.path.isdir(path):
                 raise ValueError(f"{path} is a directory")
+        real = [os.path.realpath(path) for path in (args.checkpoint, args.out) if path]
+        if len(real) == 2 and real[0] == real[1]:
+            raise ValueError(f"--out and --checkpoint both name {args.out}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -152,11 +155,7 @@ def cmd_sweep(args) -> int:
             print("error: --resume requires --checkpoint", file=sys.stderr)
             return EXIT_USAGE
         try:
-            resume = load_checkpoint(args.checkpoint)
-            if resume.p != args.p:
-                raise CheckpointError(
-                    f"checkpoint is for p = {resume.p}, not {args.p}"
-                )
+            resume = load_checkpoint(args.checkpoint, args.p)
         except FileNotFoundError:
             resume = None
         except CheckpointError as exc:

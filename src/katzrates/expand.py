@@ -33,25 +33,30 @@ class KatzTuple:
     components: tuple[KatzComponent, ...]
 
 
-def forward_substitute_many(matrix: BasisMatrix, rhss) -> list[list[int]]:
-    """Katz coordinates of several q-coefficient vectors at once: solve
-    M X = R for the unit-lower-triangular basis matrix M, the columns of R
-    being `rhss`, division-free, exact mod p^C.  Row r of X, across all the
-    right-hand sides, is one packed integer: row r of R less one big-integer
-    combination of the earlier rows of X with the entries of row r of M.
-    Every slot starts at N p^2C, a multiple of p^C above any such
-    combination, so no slot goes negative.  Returns one coordinate vector per
-    right-hand side."""
-    mod = matrix.ring.modulus
-    count = len(rhss)
-    width = slot_bytes(mod, matrix.N + 1)
-    offset = pack([matrix.N * mod * mod] * count, width)
+def forward_substitute(lower, rhs, mod: int, n: int) -> list[list[int]]:
+    """The rows of X in L X = R mod `mod` for an n x n unit-lower-triangular
+    L, division-free: `lower` yields the strictly lower part of each row of L
+    (r entries in [0, mod) on row r), `rhs` the same row of R.  Rows of R may
+    stop short, the rest zero, if none is shorter than one before it; each
+    row of X then stops where its row of R does.  Row r of X is row r of R
+    less one packed combination of the earlier rows of X with the entries of
+    row r of L, each slot starting at n mod^2, a multiple of mod above it."""
+    width = slot_bytes(mod, n + 1)
+    offset = n * mod * mod
     X, packed = [], []
-    for r, row in enumerate(zip(*matrix.columns)):
-        acc = pack([c[r] % mod for c in rhss], width) + offset
-        acc -= sum(map(mul, row[:r], packed))
-        X.append(unpack(acc, width, count, mod))
+    for below, row in zip(lower, rhs):
+        acc = pack([c % mod + offset for c in row], width)
+        acc -= sum(map(mul, below, packed))
+        X.append(unpack(acc, width, len(row), mod))
         packed.append(pack(X[-1], width))
+    return X
+
+
+def forward_substitute_many(matrix: BasisMatrix, rhss) -> list[list[int]]:
+    """Katz coordinates of several q-coefficient vectors at once, one per
+    vector in `rhss`: the columns of X in M X = R, R having columns `rhss`."""
+    lower = (row[:r] for r, row in enumerate(zip(*matrix.columns)))
+    X = forward_substitute(lower, zip(*rhss), matrix.ring.modulus, matrix.N)
     return [list(x) for x in zip(*X)]
 
 

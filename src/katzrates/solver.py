@@ -10,35 +10,35 @@ polynomial functions on arbitrary subsets of Dedekind rings", J. reine angew.
 Math. 490, 1997), in O(lam^2) scalar steps where a general Smith form takes
 O(lam^3).
 
-The canonical weights are nested, weight_list(p, lam) being the first lam
-entries of weight_list(p, E) for lam <= E, and their natural order is a
-p-ordering.  Proof sketch: the coordinates are w_s = (1+p)^{s(p-1)} - 1, so
+A system keeps its weights in the p-ordering its factorization finds, so
+the leading lam x lam blocks of its factorization, reduced mod p^lam with
+t_k capped at lam, factor the system on its first lam weights
+(VandermondeSystem.reduce).  The canonical weights are nested,
+weight_list(p, lam) being the first lam entries of weight_list(p, E), and
+their natural order is a p-ordering, so one factorization serves a whole
+sweep.  Proof sketch: the coordinates are w_s = (1+p)^{s(p-1)} - 1, so
 v(w_s - w_s') = 1 + v(s - s'), and at step k the running valuation of a
 remaining w_s is k + sum_{e>=1} #{m < k : s_m = s mod p^e} (capped at lam).
 The s_m, m < k, are the naturals prime to p below s_k, so for s = s_k the
 count at each e is floor((s_k - 1) / p^e), the least any residue class
 mod p^e can have among them; ties go to the first index, so step k takes
-s_k.  A system for weight_list(p, E) therefore has A lower and B upper
-triangular, and the leading lam x lam blocks of its factorization, reduced
-mod p^lam with t_k capped at lam, factor the system for weight_list(p, lam)
-(VandermondeSystem.reduce): one factorization serves a whole sweep.  Each
-column of A and of B is packed into one integer once, at E, and a solve at
-lam reads the first lam slots of the first lam columns mod p^lam; gamma_j =
-min(lam, min_{j<=k<lam} (lam - min(t_k, lam) + v(B[j][k]))) is read off a
-table of the valuations of the entries of B.
+s_k.  Each column of A and of B is packed into one integer once, at E, and a
+solve at lam reads the first lam slots of the first lam columns mod p^lam;
+gamma_j = min(lam, min_{j<=k<lam} (lam - min(t_k, lam) + v(B[j][k]))) is
+read off a table of the valuations of the entries of B.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, zip_longest
 from operator import mul, sub
 
 from .arithmetic import RingSpec, pack, slot_bytes, unpack
 from .basis import block, build_matrix, dim_mk
 from .classical import bernoulli
-from .expand import forward_substitute_many
+from .expand import forward_substitute, forward_substitute_many
 from .family import eis_ratio_by_s
 
 
@@ -74,13 +74,13 @@ def _newton_diagonalize(ws, p: int, lam: int):
     order on ties, and sets t_k = min(v(P_pi(k)), lam).  Column k of B holds
     the monomial coefficients of N_k(T) = prod_{m<k} (T - w_pi(m)), so
     (V.B)[pi(r)][k] = N_k(w_pi(r)) vanishes for r < k and is P_pi(r) at step k
-    otherwise.  Hence V.B = Perm^-1.L.diag(p^t) with L[r][k] = P_pi(r) / p^t_k,
-    p-integral by the choice of pi(k), lower triangular with unit diagonal
-    entries; where t_k = lam, column k of L is e_k.  A = L^-1.Perm is built by
-    forward substitution, each row one packed big-integer combination of the
-    rows before it.  A and B are invertible, and t_0 <= t_1 <= ... (a
-    p-ordering's valuations never decrease) are the Smith invariants of V.
-    Returns A, the t_k, B and the order pi.
+    otherwise.  Hence, with the rows of V in the order pi, V.B = L.diag(p^t)
+    with L[r][k] = P_pi(r) / p^t_k, p-integral by the choice of pi(k), lower
+    triangular with unit diagonal entries; where t_k = lam, column k of L is
+    e_k.  A = L^-1 comes by forward substitution.  A and B are invertible, and
+    t_0 <= t_1 <= ... (a p-ordering's valuations never decrease) are the
+    Smith invariants of V.  Returns A, each row cut after its diagonal entry,
+    the t_k, B and the order pi.
     """
     mod = p**lam
     n = len(ws)
@@ -122,15 +122,10 @@ def _newton_diagonalize(ws, p: int, lam: int):
     for k in reversed(range(n)):
         uinvs[k] = inv * prefix[k] % mod
         inv = inv * units[k] % mod
-    # Row k of A: (e_pi(k) - sum_m L[k][m] A[m]) / L[k][k], one packed
-    # combination of the rows before it.
-    width = slot_bytes(mod, n)
-    A, packed = [], []
-    for i, uinv in zip(order, uinvs):
-        acc = uinv << (8 * width * i)
-        acc += sum(map(mul, [-c * uinv % mod for c in below[i]], packed))
-        A.append(unpack(acc, width, n, mod))
-        packed.append(pack(A[-1], width))
+    # A = L^-1: row k of L and e_k over its diagonal unit, e_k cut after k.
+    lower = ([c * uinv % mod for c in below[i]] for i, uinv in zip(order, uinvs))
+    rhs = ([0] * k + [uinv] for k, uinv in enumerate(uinvs))
+    A = forward_substitute(lower, rhs, mod, n)
     return A, ts, [list(row) for row in zip(*cols)], order
 
 
@@ -186,15 +181,13 @@ class VandermondeSystem:
 
     p: int
     lam: int
-    ss: tuple[int, ...]  # the weights k = s(p-1), in the order of the rows of V
+    ss: tuple[int, ...]  # the weights k = s(p-1) in p-order, the rows of V
     gamma: tuple[int, ...]  # capped at lam
     _ts: tuple[int, ...]
     _width: int
     _acols: tuple[int, ...]
     _bcols: tuple[int, ...]
     _vals: tuple[tuple[int, ...], ...]
-    # The p-ordering of the factorization is the input order of the weights.
-    _natural: bool
 
     @property
     def modulus(self) -> int:
@@ -228,21 +221,18 @@ class VandermondeSystem:
         leading lam x lam blocks of this one: it shares the packed columns
         and caps the t_k at lam.
 
-        With the weights in their p-ordering, A is lower and B upper
-        triangular, so the leading blocks of A.V.B = diag(p^t) mod p^lam give
-        A'.V'.B' = diag(p^min(t_k, lam)).  B' and the t' are those a fresh
-        build computes, so gamma is too; A' may differ, and then a particular
-        solution differs from a fresh one by a kernel element, which
-        collect_statuses allows for.  The kernel check is not repeated:
+        Every system keeps its weights in p-order, so A is lower and B upper
+        triangular, and the leading blocks of A.V.B = diag(p^t) mod p^lam give
+        A'.V'.B' = diag(p^min(t_k, lam)).  The first lam weights are in
+        p-order at lam too (their running valuations are capped at lam, ties
+        going to the first index), so B' and the t' are those a fresh build
+        on them computes, and gamma is too; A' may differ, and then a
+        particular solution differs from a fresh one by a kernel element,
+        which collect_statuses allows for.  The kernel check is not repeated:
         V.B[:,k] = 0 mod p^t_k, checked at the build, holds on the leading
         rows mod p^t'_k because B is upper triangular and t'_k <= t_k."""
         if lam > self.lam:
             raise ValueError(f"cannot reduce a lam = {self.lam} system to {lam}")
-        if not self._natural:
-            raise ValueError(
-                "the weights are not in p-order, so the leading blocks do not "
-                "factor the smaller system"
-            )
         if lam == self.lam:
             return self
         ts = tuple(min(t, lam) for t in self._ts[:lam])
@@ -254,7 +244,8 @@ class VandermondeSystem:
 def build_system(p: int, lam: int, ss=None) -> VandermondeSystem:
     """The system on the weights k = s(p-1), s in `ss` (default
     weight_list(p, lam)), at the weight-disk coordinates w = (1+p)^k - 1 mod
-    p^lam, factored and checked: V is built only for the kernel check."""
+    p^lam, factored and checked: V is built only for the kernel check.  The
+    system keeps the weights in the p-order its factorization finds."""
     if lam < 1:
         raise ValueError("lam must be >= 1")
     mod = RingSpec(p, lam).modulus  # p must be a prime >= 5
@@ -272,6 +263,7 @@ def build_system(p: int, lam: int, ss=None) -> VandermondeSystem:
         for w in ws
     ]
     A, ts, B, order = _newton_diagonalize(ws, p, lam)
+    ss = tuple(ss[i] for i in order)
     _check_kernel(V, B, ts, p, lam)
     width = slot_bytes(mod, lam)
     log = {p**e: e for e in range(lam + 1)}
@@ -283,10 +275,9 @@ def build_system(p: int, lam: int, ss=None) -> VandermondeSystem:
         gamma=_gamma(vals, ts, lam),
         _ts=tuple(ts),
         _width=width,
-        _acols=tuple(pack(col, width) for col in zip(*A)),
+        _acols=tuple(pack(col, width) for col in zip_longest(*A, fillvalue=0)),
         _bcols=tuple(pack(col, width) for col in zip(*B)),
         _vals=vals,
-        _natural=order == list(range(lam)),
     )
 
 

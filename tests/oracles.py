@@ -318,19 +318,38 @@ def q_coefficient_solutions(system, r: int, count: int) -> list[tuple[int, ...]]
     return system.solve_many(list(zip(*betas)))
 
 
-def forward_substitute(matrix: BasisMatrix, rhs) -> list[int]:
-    """Katz coordinates of one q-coefficient vector: solve Mx = rhs for the
-    unit-lower-triangular basis matrix M, one entry at a time."""
-    mod = matrix.ring.modulus
-    cols = matrix.columns
-    x = [0] * matrix.N
-    for r in range(matrix.N):
-        acc = rhs[r]
-        for c in range(r):
-            if x[c]:
-                acc -= cols[c][r] * x[c]
-        x[r] = acc % mod
+def forward_substitute(lower, rhs, mod: int) -> list[int]:
+    """Solve Lx = rhs mod `mod` for the unit-lower-triangular L whose
+    strictly lower rows are `lower`, one entry at a time."""
+    x = []
+    for row, b in zip(lower, rhs):
+        acc = b
+        for c, xc in zip(row, x):
+            acc -= c * xc
+        x.append(acc % mod)
     return x
+
+
+def strictly_lower_rows(matrix: BasisMatrix) -> list[list[int]]:
+    """The strictly lower part of each row of a basis matrix."""
+    return [[col[r] for col in matrix.columns[:r]] for r in range(matrix.N)]
+
+
+def is_p_ordered(p: int, lam: int, ws) -> bool:
+    """Whether the coordinates `ws` are in p-order over Z/p^lam (Bhargava):
+    each w_k has the least valuation of prod_{m<k} (w - w_m), capped at lam,
+    among w_k and the coordinates after it."""
+    mod = p**lam
+
+    def running(k, w):
+        prod = 1
+        for m in range(k):
+            prod = prod * (w - ws[m]) % mod
+        return padic_val(prod, p, lam)
+
+    return all(
+        running(k, ws[k]) <= min(running(k, w) for w in ws[k:]) for k in range(len(ws))
+    )
 
 
 def sigma_star_trial(p: int, m: int, n: int, mod: int) -> int:

@@ -6,6 +6,8 @@ import json
 import os
 import random
 import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -237,6 +239,55 @@ def test_sweep_cli_incomplete_checkpoint_exits_5(tmp_path, capsys, edit):
     assert err.startswith("error:") and "Traceback" not in err and out == ""
 
 
+def test_sweep_cli_checkpoint_for_a_large_p_exits_5_at_once(tmp_path, capsys):
+    # p = 2^61 - 1 is prime: trial division to its square root would run for
+    # minutes, so the checkpoint must be rejected for its p before that.
+    ck = tmp_path / "ck.json"
+    code, _, _ = run_cli(capsys, "sweep", "--p", "5", "--imax", "6", "--checkpoint", str(ck))
+    assert code == 0
+    data = json.loads(ck.read_text())
+    data["p"] = 2**61 - 1
+    ck.write_text(json.dumps(data))
+    src = os.path.dirname(os.path.dirname(sweep_module.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "katzrates.cli", "sweep", "--p", "5", "--imax", "6",
+         "--checkpoint", str(ck), "--resume"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (5, "")
+    assert proc.stderr == f"error: checkpoint is for p = {2**61 - 1}, not 5\n"
+
+
+@pytest.mark.parametrize("alias", ["same", "dotted", "symlink"])
+@pytest.mark.parametrize("resume", [False, True])
+def test_sweep_cli_out_naming_the_checkpoint_exits_2(tmp_path, capsys, alias, resume):
+    # The CSV would overwrite the checkpoint, and the next --resume would
+    # lose every solved row; nothing is swept or written.
+    ck = tmp_path / "ck.json"
+    out = {
+        "same": str(ck),
+        "dotted": os.path.join(tmp_path, ".", "ck.json"),
+        "symlink": str(tmp_path / "ln"),
+    }[alias]
+    if alias == "symlink":
+        os.symlink(ck, out)
+    if resume:
+        assert run_cli(capsys, "sweep", "--p", "5", "--imax", "6", "--checkpoint", str(ck))[0] == 0
+        before = ck.read_bytes()
+    code, stdout, err = run_cli(
+        capsys, "sweep", "--p", "5", "--imax", "12", "--checkpoint", str(ck),
+        "--out", out, *["--resume"] * resume
+    )
+    assert (code, stdout) == (2, "")
+    assert err == f"error: --out and --checkpoint both name {out}\n"
+    if resume:
+        assert ck.read_bytes() == before
+    else:
+        assert not ck.exists()
+
+
 def test_sweep_cli_resume_matches_uninterrupted(tmp_path, capsys):
     ck = tmp_path / "ck.json"
     out1 = tmp_path / "a.csv"
@@ -399,7 +450,7 @@ def test_sweep_cli_interrupt_exits_130_and_resumes(tmp_path, capsys, monkeypatch
         assert err.startswith(f"error: {how}") and str(ck) in err and out == ""
         assert "Traceback" not in err
         assert signal.getsignal(signal.SIGTERM) is before
-        assert sweep_module.load_checkpoint(str(ck)).completed_rows == set(range(1, 9))
+        assert sweep_module.load_checkpoint(str(ck), 5).completed_rows == set(range(1, 9))
         monkeypatch.setattr(sweep_module, "solve_row", real)
         code, _, _ = run_cli(
             capsys, "sweep", "--p", "5", "--imax", "12",

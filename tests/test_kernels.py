@@ -17,7 +17,7 @@ from katzrates import classical
 from katzrates.arithmetic import QSeries, RingSpec
 from katzrates.basis import build_matrix, dim_mk
 from katzrates.classical import bernoulli, eisenstein_star
-from katzrates.expand import forward_substitute_many
+from katzrates.expand import forward_substitute, forward_substitute_many
 from katzrates.family import eis_ratio_by_s
 from katzrates.solver import (
     KatzBasis,
@@ -415,5 +415,44 @@ def substitution_cases(draw):
 def test_forward_substitute_many_matches_per_vector_oracle(case):
     p, n, C, rhss = case
     matrix = build_matrix(p, n, RingSpec(p, C))
-    want = [oracles.forward_substitute(matrix, rhs) for rhs in rhss]
+    lower = oracles.strictly_lower_rows(matrix)
+    want = [oracles.forward_substitute(lower, rhs, p**C) for rhs in rhss]
     assert forward_substitute_many(matrix, rhss) == want
+
+
+@st.composite
+def triangular_cases(draw):
+    """(n, mod, lower, rhss, cuts): the strictly lower rows of an arbitrary
+    n x n unit-lower-triangular matrix, up to 6 right-hand sides, with 0 and
+    mod - 1 drawn often, and where each row of R stops: nowhere, or after
+    the entries a nondecreasing sequence of lengths keeps, the rest zero."""
+    n = draw(st.integers(1, 16))
+    mod = draw(st.sampled_from([5, 7, 11])) ** draw(st.integers(1, 12))
+    coeff = st.one_of(st.just(0), st.just(mod - 1), st.integers(0, mod - 1))
+    lower = [draw(st.lists(coeff, min_size=r, max_size=r)) for r in range(n)]
+    rhss = draw(st.lists(st.lists(coeff, min_size=n, max_size=n), max_size=6))
+    cuts = [len(rhss)] * n
+    if draw(st.booleans()):
+        cuts = sorted(draw(st.lists(st.integers(0, len(rhss)), min_size=n, max_size=n)))
+        for r, cut in enumerate(cuts):
+            for v in rhss[cut:]:
+                v[r] = 0
+    return n, mod, lower, rhss, cuts
+
+
+@given(triangular_cases())
+@settings(max_examples=80, deadline=None)
+@example((1, 5, [[]], [[3]], [1]))  # n = 1
+@example((3, 25, [[], [24], [24, 24]], [], [0, 0, 0]))  # no right-hand sides
+@example((3, 25, [[], [24], [0, 24]], [[0, 0, 0], [24, 0, 24]], [2, 2, 2]))
+@example((3, 25, [[], [24], [24, 24]], [[1, 24, 24], [0, 24, 24]], [1, 2, 2]))
+def test_forward_substitute_matches_per_vector_oracle(case):
+    # The rows of L and of the right-hand sides are read one at a time; a
+    # row of X stops where its row of R does.
+    n, mod, lower, rhss, cuts = case
+    want = [oracles.forward_substitute(lower, rhs, mod) for rhs in rhss]
+    rows = ([v[r] for v in rhss[:cut]] for r, cut in enumerate(cuts))
+    X = forward_substitute(iter(lower), rows, mod, n)
+    assert [len(x) for x in X] == cuts
+    padded = [x + [0] * (len(rhss) - len(x)) for x in X]
+    assert [list(column) for column in zip(*padded)] == want

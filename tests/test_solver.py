@@ -128,14 +128,38 @@ def test_reduced_system_serves_like_a_fresh_build(p, E, data):
 
 
 def test_reduce_refuses_what_it_cannot_serve():
-    # The p-ordering of s = 1, 6, 2 takes 2 before 6: v(w_6 - w_1) = 2.
-    system = build_system(5, 3, [1, 6, 2])
-    with pytest.raises(ValueError, match="p-order"):
-        system.reduce(2)
     nested = build_system(5, 4)
     with pytest.raises(ValueError, match="cannot reduce"):
         nested.reduce(5)
     assert nested.reduce(4) is nested
+
+
+def test_build_system_keeps_its_weights_in_p_order():
+    # The p-ordering of s = 1, 6, 2 takes 2 before 6: v(w_6 - w_1) = 2.
+    system = build_system(5, 3, [1, 6, 2])
+    assert system.ss == (1, 2, 6)
+    assert system.reduce(2).ss == (1, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([5, 7, 11, 13]), st.integers(1, 24), st.data())
+def test_reduce_serves_a_system_on_shuffled_weights(p, E, data):
+    # Any weights are kept in the p-order their factorization finds, so
+    # every system reduces: reduce(m) serves what a fresh build on its first
+    # m weights does.
+    ss = data.draw(st.permutations(weight_list(p, 2 * E)))[:E]
+    system = build_system(p, E, ss)
+    assert sorted(system.ss) == sorted(ss)
+    assert oracles.is_p_ordered(p, E, oracles.weights(system))
+    m = data.draw(st.integers(1, E))
+    served, fresh = system.reduce(m), build_system(p, m, system.ss[:m])
+    assert served.ss == fresh.ss
+    assert served._ts == fresh._ts and served.gamma == fresh.gamma
+    vectors = st.lists(st.integers(0, p**m - 1), min_size=m, max_size=m)
+    thetas = [oracles.apply(fresh, data.draw(vectors)) for _ in range(3)]
+    assert collect_statuses(
+        served, served.solve_many(thetas), m - 1, 1
+    ) == collect_statuses(fresh, fresh.solve_many(thetas), m - 1, 1)
 
 
 @pytest.mark.parametrize("k", [1, 6, 11])

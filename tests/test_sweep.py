@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import oracles
 from katzrates import sweep as sweep_module
 from katzrates.basis import dim_mk
-from katzrates.solver import PLAN_SLACK, f_bound
+from katzrates.solver import PLAN_SLACK, build_system, f_bound
 from katzrates.sweep import (
     CheckpointError,
     SweepEntry,
@@ -102,7 +102,7 @@ def test_checkpoint_round_trip(tmp_path):
     state = run_sweep(5, 9)
     path = str(tmp_path / "ck.json")
     save_checkpoint(state, path)
-    loaded = load_checkpoint(path)
+    loaded = load_checkpoint(path, 5)
     assert loaded.p == state.p
     assert loaded.d_prime == state.d_prime
     assert loaded.entries == state.entries
@@ -110,10 +110,17 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.attained == state.attained
 
 
+def test_load_checkpoint_rejects_another_p(tmp_path):
+    path = str(tmp_path / "ck.json")
+    save_checkpoint(run_sweep(5, 6), path)
+    with pytest.raises(CheckpointError, match="^checkpoint is for p = 5, not 7$"):
+        load_checkpoint(path, 7)
+
+
 def test_checkpoint_written_during_sweep(tmp_path):
     path = str(tmp_path / "ck.json")
     state = run_sweep(5, 6, checkpoint_path=path)
-    loaded = load_checkpoint(path)
+    loaded = load_checkpoint(path, 5)
     assert loaded.completed_rows == state.completed_rows
 
 
@@ -164,7 +171,7 @@ def test_sweep_writes_its_checkpoint_once_inside_the_interval(tmp_path, checkpoi
     state = run_sweep(5, 36, checkpoint_path=path)
     assert sweep_module.CHECKPOINT_INTERVAL_S == 1.0
     assert checkpoint_writes == [tuple(range(1, 37))]
-    assert load_checkpoint(path).entries == state.entries
+    assert load_checkpoint(path, 5).entries == state.entries
 
 
 def test_resume_with_no_rows_left_still_writes(tmp_path, checkpoint_writes):
@@ -172,7 +179,7 @@ def test_resume_with_no_rows_left_still_writes(tmp_path, checkpoint_writes):
     state = run_sweep(5, 12)
     run_sweep(5, 12, resume=state, checkpoint_path=path)
     assert checkpoint_writes == [tuple(range(1, 13))]
-    assert load_checkpoint(path).entries == state.entries
+    assert load_checkpoint(path, 5).entries == state.entries
 
 
 class _Interrupt(Exception):
@@ -197,11 +204,11 @@ def test_interrupted_sweep_resumes_to_the_uninterrupted_csv(
     with pytest.raises(_Interrupt):
         run_sweep(5, 36, checkpoint_path=path, progress=stop)
     assert len(checkpoint_writes) == k // 3 - 1
-    saved = load_checkpoint(path)
+    saved = load_checkpoint(path, 5)
     assert saved.completed_rows == set(range(1, last_saved + 1))
     resumed = run_sweep(5, 36, resume=saved, checkpoint_path=path)
     assert _entries_csv(resumed) == (DATA / "p5_i36.csv").read_bytes().decode()
-    assert load_checkpoint(path).completed_rows == set(range(1, 37))
+    assert load_checkpoint(path, 5).completed_rows == set(range(1, 37))
 
 
 @pytest.mark.parametrize("k", [6, 18, 36])
@@ -221,7 +228,7 @@ def test_keyboard_interrupt_saves_the_solved_rows(
     with pytest.raises(KeyboardInterrupt):
         run_sweep(5, 36, checkpoint_path=path, progress=stop)
     assert checkpoint_writes == [tuple(range(1, k + 1))]
-    saved = load_checkpoint(path)
+    saved = load_checkpoint(path, 5)
     resumed = run_sweep(5, 36, resume=saved, checkpoint_path=path)
     assert _entries_csv(resumed) == (DATA / "p5_i36.csv").read_bytes().decode()
 
@@ -519,7 +526,7 @@ def test_sweep_reproduces_golden_csv(p, i_max):
     assert _entries_csv(run_sweep(p, i_max)) == golden
 
 
-def test_reproduce_table_writes_the_sweep_csv(tmp_path, capsys):
+def test_reproduce_table_writes_the_sweep_csv(tmp_path, capsys, monkeypatch):
     spec = importlib.util.spec_from_file_location(
         "reproduce_table", ROOT / "scripts" / "reproduce_table.py"
     )
@@ -527,6 +534,18 @@ def test_reproduce_table_writes_the_sweep_csv(tmp_path, capsys):
     spec.loader.exec_module(script)
     assert script.main(["--rows", "17:20", "--out-dir", str(tmp_path)]) == 0
     assert (tmp_path / "p17.csv").read_bytes() == (DATA / "p17_i20.csv").read_bytes()
+    line = capsys.readouterr().out.splitlines()[2].split()
+    assert line[:2] == ["17", "20"] and line[-2] == "0"  # no entry unresolved
+    # A violation of either bound, or an unresolved entry, fails the run.
+    real_audit, real_summary = script.theorem_b_audit, script.summary
+    for audit in ([(12, 3, 0)], []), ([], [(12, 3, 0)]):
+        monkeypatch.setattr(script, "theorem_b_audit", lambda state, a=audit: a)
+        assert script.main(["--rows", "5:12", "17:20"]) == 1
+        assert "audit violations" in capsys.readouterr().out
+    monkeypatch.setattr(script, "theorem_b_audit", real_audit)
+    monkeypatch.setattr(script, "summary", lambda state: {**real_summary(state), "unresolved": 2})
+    assert script.main(["--rows", "17:20"]) == 1
+    assert capsys.readouterr().out.splitlines()[2].split()[-2] == "2"
 
 
 def test_sweep_builds_basis_once_at_planned_precision(matrix_builds):
@@ -582,10 +601,22 @@ def test_resumed_sweep_plans_at_least_the_checkpoint_lambda(matrix_builds):
     [(5, 36, 17, [10, 12, 15]), (5, 144, 60, None), (11, 132, 26, None)],
     ids=["5-36", "5-144", "11-132"],
 )
-def test_sweep_builds_one_system_and_reduces_it(system_builds, reductions, p, i_max, plan, lams):
+def test_sweep_builds_one_system_and_reduces_it(
+    monkeypatch, system_builds, reductions, p, i_max, plan, lams
+):
     # One Vandermonde system, at the plan the KatzBasis builds at, serves
     # every row by reduction; lam never decreases along a sweep, so each
-    # distinct lam is reduced to once.
+    # distinct lam is reduced to once.  Each reduction serves the t_k and the
+    # thresholds gamma of a fresh build at its lam: a second route through
+    # the sweep's values alone would not see a wrong gamma.
+    served = []
+    real = sweep_module.KatzBasis.system
+
+    def recording(self, lam):
+        served.append(real(self, lam))
+        return served[-1]
+
+    monkeypatch.setattr(sweep_module.KatzBasis, "system", recording)
     state = run_sweep(p, i_max)
     assert sweep_module.planned_precision(p, i_max) == plan
     assert system_builds == [plan]
@@ -593,6 +624,11 @@ def test_sweep_builds_one_system_and_reduces_it(system_builds, reductions, p, i_
     assert reductions[-1] == state.lam_current
     if lams is not None:
         assert reductions == lams
+    by_lam = {system.lam: system for system in served}
+    assert sorted(by_lam) == reductions
+    for lam, system in by_lam.items():
+        fresh = build_system(p, lam)
+        assert (system._ts, system.gamma) == (fresh._ts, fresh.gamma)
 
 
 @pytest.mark.parametrize(
@@ -622,7 +658,7 @@ def test_frontier_sweep_matches_pinned_digest(p, digest, tmp_path):
     assert state.d_prime == d_p(p)
     assert summary(state)["unresolved"] == 0
     assert hashlib.sha256(_entries_csv(state).encode()).hexdigest() == digest
-    saved = load_checkpoint(path)
+    saved = load_checkpoint(path, p)
     assert saved.completed_rows == state.completed_rows
     assert saved.entries == state.entries
 
