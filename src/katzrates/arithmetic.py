@@ -11,14 +11,35 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+# Miller-Rabin on the first 13 primes as bases decides primality exactly below
+# this bound: the least strong pseudoprime to all of them is
+# 3317044064679887385961981 (Sorenson and Webster, Math. Comp. 86, 2017).
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Whether n is prime, by Miller-Rabin on PRIME_BASES; exact for n below
+    PRIME_BOUND only."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -30,6 +51,8 @@ class RingSpec:
     e: int
 
     def __post_init__(self):
+        if self.p >= PRIME_BOUND:
+            raise ValueError(f"p must be below {PRIME_BOUND}, got {self.p}")
         if self.p < 5 or not _is_prime(self.p):
             raise ValueError(f"p must be a prime >= 5, got {self.p}")
         if self.e < 1:
@@ -170,6 +193,8 @@ class QSeries:
         """Multiplicative inverse mod (q^N, p^e); requires a unit constant term."""
         a = self.coeffs
         ring = self.ring
+        if not a:
+            raise ValueError("cannot invert a series truncated at q^0")
         if a[0] % ring.p == 0:
             raise ValueError("constant term is not a unit mod p")
         mod = ring.modulus

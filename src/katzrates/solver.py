@@ -25,7 +25,10 @@ mod p^e can have among them; ties go to the first index, so step k takes
 s_k.  Each column of A and of B is packed into one integer once, at E, and a
 solve at lam reads the first lam slots of the first lam columns mod p^lam;
 gamma_j = min(lam, min_{j<=k<lam} (lam - min(t_k, lam) + v(B[j][k]))) is
-read off a table of the valuations of the entries of B.
+read off a table of the valuations of the entries of B.  The build checks
+that the kernel generators annihilate V without building V: column k of B
+is the Newton polynomial N_k, whose values at the nodes are the running
+products prod_{m<k} (w_i - w_m) (_check_kernel).
 """
 
 from __future__ import annotations
@@ -150,23 +153,53 @@ def _gamma(vals, ts, lam: int) -> tuple[int, ...]:
     return tuple(min(lam, lam + min(map(sub, row, ts))) for row in vals[:lam])
 
 
-def _check_kernel(V, B, ts, p: int, lam: int) -> None:
-    """Raise AssertionError unless every kernel generator annihilates V.
+def _packed_vandermonde(nodes, mod: int, width: int) -> list[int]:
+    """The columns j of V[i][j] = nodes[i]^j mod `mod`, each packed into one
+    integer in slots of `width` bytes."""
+    rows = [
+        list(accumulate(repeat(w, len(nodes) - 1), lambda a, b: a * b % mod, initial=1))
+        for w in nodes
+    ]
+    return [pack(col, width) for col in zip(*rows)]
+
+
+def _check_kernel(nodes, B, ts, p: int, lam: int) -> None:
+    """Raise AssertionError unless every kernel generator p^(lam - t_k).B[:,k],
+    t_k > 0, annihilates the Vandermonde matrix V[i][j] = w_i^j over Z/p^lam,
+    w_i = nodes[i]; build_system passes the nodes in its p-order, the order
+    in which it built the Newton columns of B.
 
     p^(lam - t).x = 0 mod p^lam exactly when x = 0 mod p^t, so the check on
-    generator k is V.B[:,k] = 0 mod p^t_k: column k is reduced mod p^t_k
-    before it multiplies the packed columns of V, and each slot of the
-    product is read mod p^t_k.  The multipliers are then t_k base-p digits
-    long, not lam."""
-    width = slot_bytes(p**lam, lam)
-    packed = [pack(col, width) for col in zip(*V)]
+    generator k is V.B[:,k] = 0 mod p^t_k.  (V.x)[i] is the value at w_i of
+    the polynomial with coefficients x.  Alongside the columns runs the
+    Newton recurrence N_{k+1}(T) = (T - w_k).N_k(T), N_0 = 1, with its
+    values P_{k+1}[i] = P_k[i].(w_i - w_k) = N_{k+1}(w_i) mod p^lam.  Where
+    column k of B agrees with the coefficients of N_k mod p^t_k, V.B[:,k] =
+    P_k mod p^t_k, and the check is that p^t_k divides every P_k[i]; those
+    with i < k have the factor w_i - w_i and vanish.  Any other column is
+    reduced mod p^t_k and multiplied against the packed columns of V, each
+    slot of the product read mod p^t_k.  V is built only then, and
+    _newton_diagonalize never produces such a column."""
+    mod = p**lam
+    width = slot_bytes(mod, lam)
+    # N_k, degree k, and P_k[i] for i >= k.
+    newton, values = [1], [1] * lam
+    packed = None
     for k, (col, t) in enumerate(zip(zip(*B), ts)):
-        if t == 0:
-            continue
-        pt = p**t
-        acc = sum(map(mul, [b % pt for b in col], packed))
-        if any(unpack(acc, width, lam, pt)):
-            raise AssertionError(f"kernel generator {k} does not annihilate V")
+        if t:
+            pt = p**t
+            if all((b - c) % pt == 0 for b, c in zip_longest(col, newton, fillvalue=0)):
+                bad = any(v % pt for v in values)
+            else:
+                if packed is None:
+                    packed = _packed_vandermonde(nodes, mod, width)
+                acc = sum(map(mul, [b % pt for b in col], packed))
+                bad = any(unpack(acc, width, lam, pt))
+            if bad:
+                raise AssertionError(f"kernel generator {k} does not annihilate V")
+        w = nodes[k]
+        newton = [(a - w * b) % mod for a, b in zip([0] + newton, newton + [0])]
+        values = [v * (x - w) % mod for v, x in zip(values[1:], nodes[k + 1 :])]
 
 
 @dataclass(frozen=True)
@@ -244,8 +277,10 @@ class VandermondeSystem:
 def build_system(p: int, lam: int, ss=None) -> VandermondeSystem:
     """The system on the weights k = s(p-1), s in `ss` (default
     weight_list(p, lam)), at the weight-disk coordinates w = (1+p)^k - 1 mod
-    p^lam, factored and checked: V is built only for the kernel check.  The
-    system keeps the weights in the p-order its factorization finds."""
+    p^lam, factored and checked.  V itself is never built: the kernel check
+    reads V.B off the Newton products, and only a column of B that is not a
+    Newton polynomial would make it build V.  The system keeps the weights in
+    the p-order its factorization finds."""
     if lam < 1:
         raise ValueError("lam must be >= 1")
     mod = RingSpec(p, lam).modulus  # p must be a prime >= 5
@@ -258,13 +293,9 @@ def build_system(p: int, lam: int, ss=None) -> VandermondeSystem:
     ws = [(pow(p + 1, s * (p - 1), mod) - 1) % mod for s in ss]
     if len(set(ws)) != len(ws):
         raise ValueError("duplicate weight coordinates mod p^lam")
-    V = [
-        list(accumulate(repeat(w, lam - 1), lambda a, b: a * b % mod, initial=1))
-        for w in ws
-    ]
     A, ts, B, order = _newton_diagonalize(ws, p, lam)
     ss = tuple(ss[i] for i in order)
-    _check_kernel(V, B, ts, p, lam)
+    _check_kernel([ws[i] for i in order], B, ts, p, lam)
     width = slot_bytes(mod, lam)
     log = {p**e: e for e in range(lam + 1)}
     vals = tuple(tuple(log[math.gcd(b, mod)] for b in row) for row in B)

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arithmetic import _is_int, _is_prime
+from .arithmetic import RingSpec, _is_int
 from .basis import block
 from .solver import PLAN_SLACK, KatzBasis, SweepEntry, f_bound, solve_row
 
@@ -312,8 +312,10 @@ def state_from_json(data: dict) -> SweepState:
             raise CheckpointError(
                 "p, lambda, i_max and completed_rows must be integers"
             )
-        if p < 5 or not _is_prime(p):
-            raise CheckpointError(f"p must be a prime >= 5, got {p}")
+        try:
+            RingSpec(p, 1)  # p must be a prime >= 5
+        except ValueError as exc:
+            raise CheckpointError(str(exc)) from None
         outside = sorted(i for i in rows if not 1 <= i <= i_max)
         if outside:
             raise CheckpointError(f"completed_rows {outside} lie outside 1..{i_max}")

@@ -1,12 +1,14 @@
 """Tests for valuations of residues and truncated q-expansion arithmetic."""
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from oracles import padic_val
-from katzrates.arithmetic import QSeries, RingSpec, v_operator
+from katzrates import arithmetic
+from katzrates.arithmetic import PRIME_BOUND, QSeries, RingSpec, _is_prime, v_operator
 
 R53 = RingSpec(5, 3)
 
@@ -22,6 +24,35 @@ def test_ringspec_rejects_bad_parameters():
         RingSpec(3, 2)  # p >= 5 only
     with pytest.raises(ValueError):
         RingSpec(5, 0)
+
+
+def test_is_prime_matches_sympy_below_10_5():
+    assert [n for n in range(10**5) if _is_prime(n) != sympy.isprime(n)] == []
+
+
+@pytest.mark.parametrize(
+    "n, fooled_by",
+    [
+        (3215031751, 4),  # strong pseudoprime to the bases 2, 3, 5, 7
+        (3825123056546413051, 9),  # ... to 2..23
+        (318665857834031151167461, 12),  # ... to 2..37: only 41 catches it
+    ],
+)
+def test_is_prime_rejects_strong_pseudoprimes(monkeypatch, n, fooled_by):
+    assert not sympy.isprime(n) and not _is_prime(n)
+    # The bases before the one that catches n all pass it.
+    monkeypatch.setattr(arithmetic, "PRIME_BASES", arithmetic.PRIME_BASES[:fooled_by])
+    assert _is_prime(n)
+
+
+def test_ringspec_rejects_p_at_the_primality_bound():
+    # Miller-Rabin on the first 13 prime bases is exact only below the bound.
+    for p in (PRIME_BOUND, 10**30 + 57):
+        with pytest.raises(ValueError, match=f"below {PRIME_BOUND}"):
+            RingSpec(p, 1)
+    with pytest.raises(ValueError, match="prime"):
+        RingSpec(PRIME_BOUND - 1, 1)  # even
+    assert RingSpec(2**61 - 1, 1).modulus == 2**61 - 1
 
 
 def test_residue_val_examples():
@@ -77,6 +108,8 @@ def test_series_inverse_of_e_p_minus_1():
 def test_series_inverse_requires_unit_constant():
     with pytest.raises(ValueError):
         qs(R53, [5, 1]).inverse()
+    with pytest.raises(ValueError, match="truncated at q\\^0"):
+        QSeries(R53, ()).inverse()
 
 
 def test_v_operator_examples():

@@ -8,10 +8,12 @@ import random
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
 from katzrates import sweep as sweep_module
+from katzrates.arithmetic import PRIME_BOUND
 from katzrates.basis import dim_mk
 from katzrates.cli import main
 
@@ -182,6 +184,28 @@ def test_sweep_cli_summary_and_csv(tmp_path, capsys):
 def test_sweep_cli_not_prime_exits_2(capsys):
     code, _, _ = run_cli(capsys, "sweep", "--p", "4", "--imax", "5")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 100000007 * 100000037: trial division took 14.8 s to reject it.
+        ["valuations", "--p", "10000004400000259", "--r", "1", "--lambda", "2"],
+        ["sweep", "--p", "100000980001501", "--imax", "5"],
+    ],
+)
+def test_large_composite_p_exits_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: p must be a prime >= 5, got {argv[2]}\n"
+
+
+def test_p_at_the_primality_bound_exits_2(capsys):
+    code, _, err = run_cli(capsys, "sweep", "--p", str(PRIME_BOUND), "--imax", "5")
+    assert code == 2
+    assert err == f"error: p must be below {PRIME_BOUND}, got {PRIME_BOUND}\n"
 
 
 def test_sweep_cli_bad_checkpoint_exits_5(tmp_path, capsys):

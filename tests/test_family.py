@@ -51,3 +51,8 @@ def test_eis_ratio_weight_validation():
     for s in (0, -1):
         with pytest.raises(ValueError):
             eis_ratio_by_s(5, s, 3, 5)
+
+
+def test_eis_ratio_needs_a_truncation():
+    with pytest.raises(ValueError, match="N must be >= 1, got 0"):
+        eis_ratio_by_s(5, 1, 3, 0)

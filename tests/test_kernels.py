@@ -2,18 +2,19 @@
 the Kronecker series product, the packed row solve, the Newton factorization
 of the Vandermonde systems, the gcd-driven valuation minima, the
 tangent-number Bernoulli numbers, the step-by-step basis matrix, the rows
-solved on their Katz coordinates, the sieved sigma* of E*_k, the short
-inverse of V(E*_k), and the forward substitution packed over right-hand
+solved on their Katz coordinates, the sieved sigma* of E*_k, the sparse
+division by V(E*_k), and the forward substitution packed over right-hand
 sides."""
 
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 import oracles
-from katzrates import classical
+from katzrates import classical, solver
 from katzrates.arithmetic import QSeries, RingSpec
 from katzrates.basis import build_matrix, dim_mk
 from katzrates.classical import bernoulli, eisenstein_star
@@ -214,7 +215,8 @@ def test_newton_form_matches_smith_oracle_on_random_weights(system):
 
 
 @pytest.mark.parametrize(
-    "p, lam", [(5, 1), (5, 10), (5, 24), (5, 58), (7, 30), (11, 26), (17, 20)]
+    "p, lam",
+    [(5, 1), (5, 10), (5, 24), (5, 58), (7, 30), (11, 26), (13, 30), (17, 20)],
 )
 def test_newton_form_matches_smith_oracle_on_weight_lists(p, lam):
     _check_newton_form(build_system(p, lam))
@@ -239,11 +241,95 @@ def test_kernel_check_matches_the_generator_oracle(system, data):
     B = oracles.matrices(system)[1]
     i, k = data.draw(st.integers(0, lam - 1)), data.draw(st.integers(0, lam - 1))
     B[i][k] = data.draw(st.integers(0, system.modulus - 1))
+    nodes = oracles.weights(system)
     if oracles.kernel_annihilates(V, B, system._ts, p, lam):
-        _check_kernel(V, B, system._ts, p, lam)
+        _check_kernel(nodes, B, system._ts, p, lam)
     else:
         with pytest.raises(AssertionError, match=f"generator {k} "):
-            _check_kernel(V, B, system._ts, p, lam)
+            _check_kernel(nodes, B, system._ts, p, lam)
+
+
+@st.composite
+def newton_form_cases(draw):
+    """(p, ss, ts): the canonical weights of a system in any order, and any
+    t_k."""
+    p = draw(st.sampled_from([5, 7, 11]))
+    lam = draw(st.integers(1, 12))
+    ss = draw(st.permutations(weight_list(p, lam)))
+    return p, ss, draw(st.lists(st.integers(0, lam), min_size=lam, max_size=lam))
+
+
+@given(newton_form_cases())
+@settings(max_examples=60, deadline=None)
+@example((5, [1, 6, 11, 2], [0, 0, 3, 0]))  # N_2 fails at s = 2, not at s = 11
+def test_kernel_check_in_product_form_matches_the_oracle(case):
+    # B the Newton columns N_k on the nodes in the order given: every column
+    # is N_k, so the check is decided on the Newton products alone, and it
+    # must reject the first generator p^(lam - t_k).N_k that does not
+    # annihilate V.
+    p, ss, ts = case
+    lam, mod = len(ss), p ** len(ss)
+    nodes = [oracles.coordinate(p, s, lam) for s in ss]
+    newton, cols = [1], []
+    for w in nodes:
+        cols.append(newton + [0] * (lam - len(newton)))
+        newton = [(a - w * b) % mod for a, b in zip([0] + newton, newton + [0])]
+    B = [list(row) for row in zip(*cols)]
+    V = [[pow(w, j, mod) for j in range(lam)] for w in nodes]
+    failing = [
+        k
+        for k, t in enumerate(ts)
+        if not oracles.kernel_annihilates(V, B, [0] * k + [t], p, lam)
+    ]
+    with mock.patch.object(solver, "_packed_vandermonde") as built:
+        if failing:
+            with pytest.raises(AssertionError, match=f"generator {failing[0]} "):
+                _check_kernel(nodes, B, ts, p, lam)
+        else:
+            _check_kernel(nodes, B, ts, p, lam)
+    assert built.call_count == 0
+
+
+@given(systems(), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_kernel_check_decides_a_column_off_newton_form_on_v(system, harmless, data):
+    # B[i][k] moved by delta with v(delta) < t_k, so column k no longer agrees
+    # with N_k mod p^t_k and is multiplied against V.  With i >= 1 and
+    # v(delta) >= t_k - i, delta.w^i = 0 mod p^t_k at every node (v(w) >= 1):
+    # the column still annihilates V.  At row 0, V.B[:,k] moves by delta in
+    # every slot: generator k fails.
+    p, lam, mod, ts = system.p, system.lam, system.modulus, system._ts
+    k = data.draw(st.integers(0, lam - 1))
+    t = ts[k]
+    assume(t > 0 and (lam > 1 or not harmless))
+    i = data.draw(st.integers(1, lam - 1)) if harmless else 0
+    v = max(t - i, 0) if harmless else data.draw(st.integers(0, t - 1))
+    unit = data.draw(st.integers(1, mod - 1).filter(lambda u: u % p))
+    B = oracles.matrices(system)[1]
+    B[i][k] = (B[i][k] + unit * p**v) % mod
+    nodes = oracles.weights(system)
+    V = oracles.vandermonde(system)
+    assert oracles.kernel_annihilates(V, B, ts, p, lam) == harmless
+    with mock.patch.object(
+        solver, "_packed_vandermonde", wraps=solver._packed_vandermonde
+    ) as built:
+        if harmless:
+            _check_kernel(nodes, B, ts, p, lam)
+        else:
+            with pytest.raises(AssertionError, match=f"generator {k} "):
+                _check_kernel(nodes, B, ts, p, lam)
+    assert built.call_count == 1
+
+
+def test_build_system_builds_no_vandermonde_matrix(monkeypatch):
+    # Every column of B is a Newton polynomial, checked in product form.
+    def refuse(*args):
+        raise AssertionError("V was built")
+
+    monkeypatch.setattr(solver, "_packed_vandermonde", refuse)
+    for p, lam in [(5, 1), (5, 60), (11, 28), (13, 30)]:
+        build_system(p, lam)
+    build_system(7, 6, [9, 2, 16, 1, 23, 3])  # not p-ordered
 
 
 @given(
@@ -386,11 +472,13 @@ def test_eisenstein_star_matches_trial_division_oracle(case):
 
 @given(family_cases())
 @settings(max_examples=80, deadline=None)
-@example((5, 1, 3, 1))
-@example((7, 8, 5, 7))
+@example((5, 1, 3, 1))  # N = 1
+@example((7, 8, 5, 7))  # N = p: V(E*_k) = 1
+@example((11, 12, 6, 12))  # N = p + 1: the first term q^p of V(E*_k)
 @example((17, 35, 10, 150))
 def test_eis_ratio_matches_full_inverse_oracle(case):
-    # V(E*_k)^-1 is V of the inverse of E*_k's first ceil(N/p) coefficients.
+    # The recurrence in the coefficients of r.V(E*_k) = E*_k against the
+    # product with the full-length inverse of V(E*_k).
     p, s, e, N = case
     assert eis_ratio_by_s(p, s, e, N) == oracles.eis_ratio_full_inverse(p, s, e, N)
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from katzrates import sweep as sweep_module
+from katzrates.arithmetic import PRIME_BOUND
 from katzrates.basis import dim_mk
 from katzrates.solver import PLAN_SLACK, build_system, f_bound
 from katzrates.sweep import (
@@ -447,11 +448,18 @@ def test_checkpoint_rejects_entries_in_an_empty_row(checkpoint_p5_i9):
         state_from_json(data)
 
 
-@pytest.mark.parametrize("p", [9, 1, 3, -5])
+@pytest.mark.parametrize("p", [9, 1, 3, -5, 10000004400000259])
 def test_checkpoint_rejects_p_not_a_prime_from_5(checkpoint_p5_i9, p):
     data = json.loads(checkpoint_p5_i9)
     data["p"] = p
-    with pytest.raises(CheckpointError, match="prime"):
+    with pytest.raises(CheckpointError, match=f"prime >= 5, got {p}$"):
+        state_from_json(data)
+
+
+def test_checkpoint_rejects_p_at_the_primality_bound(checkpoint_p5_i9):
+    data = json.loads(checkpoint_p5_i9)
+    data["p"] = PRIME_BOUND
+    with pytest.raises(CheckpointError, match=f"below {PRIME_BOUND}"):
         state_from_json(data)
 
 
