@@ -85,6 +85,58 @@ def unpack(x: int, width: int, count: int, mod: int) -> list[int]:
     ]
 
 
+def _half_bytes(width: int) -> int:
+    """Byte width of a slot of a `split_pack` half: `width` rounded up to an
+    even count, so that its 2b bits split evenly at the evaluation point 2^b."""
+    return width + width % 2
+
+
+def split_pack(values, width: int) -> tuple[int, int]:
+    """The even- and odd-indexed `values`, each packed at `_half_bytes(width)`."""
+    half = _half_bytes(width)
+    return pack(values[0::2], half), pack(values[1::2], half)
+
+
+def split_low(x: tuple[int, int], width: int, count: int) -> tuple[int, int]:
+    """The `split_pack` halves of the first `count` values of the halves `x`."""
+    bits = 8 * _half_bytes(width)
+    even, odd = x
+    return (
+        even & ((1 << bits * ((count + 1) // 2)) - 1),
+        odd & ((1 << bits * (count // 2)) - 1),
+    )
+
+
+def ks2_mul(
+    x: tuple[int, int], y: tuple[int, int] | None, width: int, count: int, mod: int
+) -> list[int]:
+    """The first `count` coefficients, reduced mod `mod`, of the product of
+    the polynomials whose `split_pack` halves are `x` and `y` (`y` None
+    squares `x`), by two-point Kronecker substitution (Harvey, J. Symbolic
+    Comput. 44, 2009).
+
+    Each half packs its values in slots of 2b bits, 2b = 8 * `_half_bytes`,
+    so a polynomial E(t^2) + t O(t^2) evaluated at t = +-2^b is E +- (O << b).
+    Its two products h+ and h-, each of half the size of a one-point product,
+    give the even coefficients of the product as (h+ + h-) / 2 and the odd
+    ones as (h+ - h-) / 2^(b+1), again in slots of 2b bits.  `width` must
+    hold every coefficient of the product (`slot_bytes`).
+    """
+    half = _half_bytes(width)
+    b = 4 * half
+    xe, xo = x
+    xp, xm = xe + (xo << b), xe - (xo << b)
+    if y is None:
+        hp, hm = xp * xp, xm * xm
+    else:
+        ye, yo = y
+        hp, hm = xp * (ye + (yo << b)), xm * (ye - (yo << b))
+    out = [0] * count
+    out[0::2] = unpack((hp + hm) >> 1, half, (count + 1) // 2, mod)
+    out[1::2] = unpack((hp - hm) >> (b + 1), half, count // 2, mod)
+    return out
+
+
 def _canonical(coeffs, mod: int):
     """`coeffs`, after checking they lie in [0, mod): a packed slot has no room
     for anything else, and an out-of-range value would overflow silently."""
@@ -143,9 +195,8 @@ class QSeries:
         )
 
     def __mul__(self, other):
-        """Product mod (q^N, p^e) by Kronecker substitution: each operand is
-        packed into one integer, one big-integer product is taken, and the low
-        N slots are unpacked.  Both operands must be canonical.  Leading zero
+        """Product mod (q^N, p^e) by two-point Kronecker substitution
+        (`ks2_mul`).  Both operands must be canonical.  Leading zero
         coefficients (a factor q^s) are shifted out first, so the product only
         spans the N - s_a - s_b slots that survive truncation."""
         self._check(other)
@@ -154,22 +205,19 @@ class QSeries:
         mod = self.ring.modulus
         if n == 0:
             return self
-        width = slot_bytes(mod, n)
-        bits = 8 * width
         square = b == a
-        x = pack(_canonical(a, mod), width)
-        y = x if square else pack(_canonical(b, mod), width)
-        if not x or not y:
-            return QSeries(self.ring, (0,) * n)
-        sx = ((x & -x).bit_length() - 1) // bits
-        sy = ((y & -y).bit_length() - 1) // bits
-        m = n - sx - sy
+        _canonical(a, mod)
+        if not square:
+            _canonical(b, mod)
+        sa = next((i for i, c in enumerate(a) if c), n)
+        sb = sa if square else next((i for i, c in enumerate(b) if c), n)
+        m = n - sa - sb
         if m <= 0:
             return QSeries(self.ring, (0,) * n)
-        mask = (1 << bits * m) - 1
-        x = (x >> bits * sx) & mask
-        prod = x * x if square else x * ((y >> bits * sy) & mask)
-        return QSeries(self.ring, (0,) * (n - m) + tuple(unpack(prod, width, m, mod)))
+        width = slot_bytes(mod, n)
+        x = split_pack(a[sa : sa + m], width)
+        y = None if square else split_pack(b[sb : sb + m], width)
+        return QSeries(self.ring, (0,) * (n - m) + tuple(ks2_mul(x, y, width, m, mod)))
 
     def scaled(self, c: int) -> "QSeries":
         mod = self.ring.modulus
@@ -214,15 +262,3 @@ class QSeries:
             raise ValueError("cannot extend truncation")
         return QSeries(self.ring, self.coeffs[:N2])
 
-
-def v_operator(f: QSeries) -> QSeries:
-    """The Frobenius V on q-expansions: q -> q^p, truncated at the input's q^N."""
-    p = f.ring.p
-    n = len(f.coeffs)
-    out = [0] * n
-    for k in range(n):
-        idx = k * p
-        if idx >= n:
-            break
-        out[idx] = f.coeffs[k]
-    return QSeries(f.ring, tuple(out))

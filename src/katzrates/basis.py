@@ -6,7 +6,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arithmetic import QSeries, RingSpec, _canonical, pack, slot_bytes, unpack
+from .arithmetic import (
+    QSeries,
+    RingSpec,
+    _canonical,
+    ks2_mul,
+    slot_bytes,
+    split_low,
+    split_pack,
+)
 from .classical import delta, e4, e6, e_p_minus_1
 
 
@@ -69,8 +77,9 @@ def build_matrix(p: int, n: int, ring: RingSpec) -> BasisMatrix:
 
     Column j is q^j times a series with constant term 1, and every step is q
     times one, so column j needs only the N - j slots of column j-1 from
-    q^(j-1) on and of the step from q^1 on: each step is packed once without
-    its zero constant slot, and each product spans N - j slots.
+    q^(j-1) on and of the step from q^1 on: each step is split and packed
+    once without its zero constant slot, its halves are masked to the live
+    slots of each column, and each product (`ks2_mul`) spans N - j slots.
     """
     if ring.p != p:
         raise ValueError("ring prime does not match p")
@@ -81,11 +90,10 @@ def build_matrix(p: int, n: int, ring: RingSpec) -> BasisMatrix:
     col_to_i = tuple(i for i, lo, hi in blocks for _ in range(lo, hi))
     mod = ring.modulus
     width = slot_bytes(mod, N)
-    bits = 8 * width
     ds = delta(ring, N)
     bases = (e4(ring, N), e6(ring, N), e_p_minus_1(ring, N))
     inverses: list[QSeries | None] = [None] * 3
-    steps: dict[tuple[int, ...], int] = {}
+    steps: dict[tuple[int, ...], tuple[int, int]] = {}
     columns = []
     cs, prev = (1,) + (0,) * (N - 1), (0, 0, 0)
     for j, i in enumerate(col_to_i):
@@ -102,11 +110,11 @@ def build_matrix(p: int, n: int, ring: RingSpec) -> BasisMatrix:
                         step = step * (bases[b] if k > 0 else inverses[b]) ** abs(k)
                 if step.coeffs[0]:
                     raise AssertionError(f"step {key} has a nonzero constant term")
-                steps[key] = pack(_canonical(step.coeffs[1:], mod), width)
+                steps[key] = split_pack(_canonical(step.coeffs[1:], mod), width)
             live = N - j
-            mask = (1 << bits * live) - 1
-            prod = pack(cs[j - 1 : N - 1], width) * (steps[key] & mask)
-            cs, prev = (0,) * j + tuple(unpack(prod, width, live, mod)), cur
+            y = split_low(steps[key], width, live)
+            x = split_pack(cs[j - 1 : N - 1], width)
+            cs, prev = (0,) * j + tuple(ks2_mul(x, y, width, live, mod)), cur
         if any(cs[:j]) or cs[j] != 1:
             raise AssertionError(f"column {j} is not unit-lower-triangular")
         columns.append(cs)

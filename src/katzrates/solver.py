@@ -467,13 +467,17 @@ def solve_row(
     system=None,
     basis=None,
 ) -> ValuationRow:
-    """Valuations nu(b_{r,j}) for 0 <= j <= j_max, each exact or inconclusive.
-    Pass one KatzBasis as `basis` to share its builds, and its system, across
-    rows."""
+    """Valuations nu(b_{r,j}) for 0 <= j <= j_max, each exact or inconclusive;
+    none for a row with an empty basis block, where every b_{r,j} is 0 (a
+    sweep records no entries for such a row either).  Pass one KatzBasis as
+    `basis` to share its builds, and its system, across rows."""
     if j_max is None:
         j_max = min(r, lam - 1)
     if j_max > lam - 1:
         raise ValueError(f"j_max = {j_max} exceeds lam - 1 = {lam - 1}")
+    lo, hi = block(p, r)
+    if lo == hi:
+        return ValuationRow(p=p, r=r, lam=lam, entries={})
     # collect_statuses reads components 0..j_max only.
     system, solutions = row_solutions(
         p, r, lam, system=system, basis=basis, count=j_max + 1

@@ -1,5 +1,6 @@
 import pytest
 
+from katzrates import arithmetic as arithmetic_module
 from katzrates import basis as basis_module
 from katzrates import solver as solver_module
 
@@ -44,3 +45,25 @@ def reductions(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(solver_module.VandermondeSystem, "reduce", counting)
     return lams
+
+
+@pytest.fixture
+def ks2_products(monkeypatch) -> list[tuple]:
+    """Every two-point Kronecker product, in order, as (caller module,
+    count, slots spanned by the even and odd halves of x and of y); y's are
+    None for a square."""
+    products = []
+    real = arithmetic_module.ks2_mul
+
+    def recording(where):
+        def ks2_mul(x, y, width, count, mod):
+            bits = 16 * ((width + 1) // 2)
+            halves = [-(-h.bit_length() // bits) for h in x + (y or ())]
+            products.append((where, count, *halves, *[None] * (4 - len(halves))))
+            return real(x, y, width, count, mod)
+
+        return ks2_mul
+
+    monkeypatch.setattr("katzrates.arithmetic.ks2_mul", recording("arithmetic"))
+    monkeypatch.setattr("katzrates.basis.ks2_mul", recording("basis"))
+    return products

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from katzrates.arithmetic import QSeries, RingSpec, unpack, v_operator
+from katzrates.arithmetic import QSeries, RingSpec, unpack
 from katzrates.basis import BasisMatrix, block, dim_mk, eps
 from katzrates.classical import delta, e4, e6, e_p_minus_1, eisenstein_star
 from katzrates.solver import (
@@ -366,6 +366,16 @@ def eisenstein_star_trial(k: int, ring: RingSpec, N: int) -> QSeries:
     c = eisenstein_star(k, ring, 2).coeffs[1]
     coeffs = [1] + [c * sigma_star_trial(ring.p, k - 1, n, mod) % mod for n in range(1, N)]
     return QSeries(ring, tuple(coeffs[:N]))
+
+
+def v_operator(f: QSeries) -> QSeries:
+    """The Frobenius V on q-expansions: q -> q^p, truncated at the input's q^N."""
+    p = f.ring.p
+    n = len(f.coeffs)
+    out = [0] * n
+    for k in range(0, n, p):
+        out[k] = f.coeffs[k // p]
+    return QSeries(f.ring, tuple(out))
 
 
 def eis_ratio_full_inverse(p: int, s: int, lam: int, N: int) -> QSeries:

@@ -12,7 +12,7 @@ import pytest
 import oracles
 from oracles import padic_val
 from katzrates.arithmetic import QSeries, RingSpec
-from katzrates.basis import dim_mk
+from katzrates.basis import block, dim_mk
 from katzrates.expand import phi, psi
 from katzrates.solver import (
     build_system,
@@ -122,9 +122,12 @@ def test_criterion_7_j_zero_behavior():
         ok = ok and row0.entries[0].exact and row0.entries[0].value == 0
         for r in range(1, 21):
             row = solve_row(p, r, 8, j_max=min(r, 7))
-            ok = ok and not row.entries[0].exact
+            lo, hi = block(p, r)
+            # An empty block has b_{r,j} = 0 and no entries, as in a sweep.
+            ok = ok and (row.entries == {} if lo == hi else not row.entries[0].exact)
     check(
-        "criterion 7: j=0 is Exact(0) at r=0 and inconclusive for 1<=r<=20",
+        "criterion 7: j=0 is Exact(0) at r=0 and inconclusive for 1<=r<=20 "
+        "with a nonempty block",
         ok,
     )
 

@@ -200,3 +200,15 @@ def test_build_matrix_makes_one_product_per_column(monkeypatch):
     assert m.N == 111
     assert len(calls) <= 32
 
+
+def test_build_matrix_multiplies_only_the_live_slots(ks2_products):
+    # Column j needs N - j slots: those of column j-1 from q^(j-1) on and
+    # those of the step from q^1 on.  Each step is split and packed once, at
+    # N - 1 slots, so its halves must be masked to the live slots.
+    m = build_matrix(11, 132, RingSpec(11, 26))
+    columns = [rec[1:] for rec in ks2_products if rec[0] == "basis"]
+    assert [count for count, *_ in columns] == list(range(m.N - 1, 0, -1))
+    for count, *halves in columns:
+        even, odd = (count + 1) // 2, count // 2
+        assert halves[0] <= even and halves[1] <= odd
+        assert halves[2] <= even and halves[3] <= odd

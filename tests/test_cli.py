@@ -112,6 +112,16 @@ def test_valuations_j0_inconclusive(capsys):
     assert j0[2] == "inconclusive" and j0[3] == ""
 
 
+@pytest.mark.parametrize(
+    "p, r, flag, value", [(5, 200, "--lambda", "2"), (11, 5, "--weights", "1,2,3,4")]
+)
+def test_valuations_empty_block_prints_only_the_header(capsys, p, r, flag, value):
+    # Row r has no basis forms, so every b_{r,j} is 0 and there is no entry.
+    argv = ["valuations", "--p", str(p), "--r", str(r), flag, value]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (0, "i,j,status,value,gamma\n", "")
+
+
 def test_valuations_explicit_weights(capsys):
     code, out, _ = run_cli(
         capsys, "valuations", "--p", "5", "--r", "3", "--weights", "1,2,3,4,6,7,8,9"

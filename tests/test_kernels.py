@@ -54,9 +54,22 @@ def series_pairs(draw, max_n=60):
     return ring, one(), one()
 
 
+_R56, _R115 = RingSpec(5, 6), RingSpec(11, 5)  # slots of 4 and 5 bytes
+
+
 @given(series_pairs())
 @settings(max_examples=150, deadline=None)
+@example((RingSpec(7, 3), [5], [342]))  # n = 1: no odd half
+@example((RingSpec(5, 4), [3, 624], [624, 2]))  # n = 2: one odd slot
+@example((_R115, [7, 0, 161050, 3, 0, 88, 1], [2, 5, 0, 0, 161050, 9, 4]))  # odd n
+@example((_R56, [0, 0, 0, 15624, 1, 2, 3, 4, 5], [1, 15624, 2, 3, 15624, 0, 7, 8, 9]))
+@example((_R56, [0, 15624, 1, 2, 3, 4, 5, 6, 7], [0, 0, 0, 0, 9, 15624, 8, 7, 6]))
+@example((_R56, [15624] * 9, [15623, 1, 15624, 0, 2, 15622, 3, 4, 15624]))  # all p^e - 1
+@example((_R115, [161050] * 9, [0, 161049, 5, 161050, 7, 0, 1, 2, 161050]))
 def test_kronecker_product_matches_schoolbook(case):
+    # The examples: an empty odd half (n = 1), n = 2, odd n, leading zeros on
+    # one side and on both (the q^s shift), and one operand all p^e - 1,
+    # whose sums fill the slot width, at even and odd slot byte counts.
     ring, a, b = case
     f, g = _series(ring, a), _series(ring, b)
     assert f * g == oracles.schoolbook_mul(f, g)
@@ -85,8 +98,22 @@ def test_kronecker_product_edge_cases(p, e, n, fill):
     }[fill]
     f, g = _series(ring, make()), _series(ring, make())
     assert f * g == oracles.schoolbook_mul(f, g)
-    assert f * f == oracles.schoolbook_mul(f, f)  # x * x reuses the packed int
+    assert f * f == oracles.schoolbook_mul(f, f)  # f * f squares both evaluations
     assert f * _series(ring, [0] * n) == _series(ring, [0] * n)
+
+
+def test_product_multiplies_only_the_surviving_slots(ks2_products):
+    # q^3 u times q^5 v mod q^20 keeps the 12 slots from q^8 on, and a square
+    # of q^3 u the 14 from q^6: only those are split, packed and multiplied.
+    ring = RingSpec(7, 4)
+    f = _series(ring, [0] * 3 + list(range(1, 18)))
+    g = _series(ring, [0] * 5 + list(range(100, 115)))
+    assert f * g == oracles.schoolbook_mul(f, g)
+    assert f * f == oracles.schoolbook_mul(f, f)
+    assert ks2_products == [
+        ("arithmetic", 12, 6, 6, 6, 6),
+        ("arithmetic", 14, 7, 7, None, None),
+    ]
 
 
 @pytest.mark.parametrize("bad", [-1, 125, 10**9])

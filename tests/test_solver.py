@@ -205,7 +205,22 @@ def test_solve_row_j0_inconclusive_for_positive_r():
     for p in (5, 7):
         for r in (3, 5, 8):
             row = solve_row(p, r, 8)
-            assert not row.entries[0].exact
+            lo, hi = block(p, r)
+            if lo == hi:  # r = 5: b_{r,j} = 0, no entries
+                assert row.entries == {}
+            else:
+                assert not row.entries[0].exact
+
+
+@pytest.mark.parametrize("p, r, lam", [(11, 5, 4), (5, 1, 3), (5, 200, 2), (7, 5, 8)])
+def test_solve_row_of_an_empty_block_has_no_entries(p, r, lam):
+    # b_{r,j} = 0 for every j when the dimension does not grow from weight
+    # (r-1)(p-1) to r(p-1); a sweep records no entries for such a row, and
+    # solve_row gives none either, on a basis or on a system of its own.
+    lo, hi = block(p, r)
+    assert lo == hi
+    assert solve_row(p, r, lam).entries == {}
+    assert solve_row(p, r, lam, system=build_system(p, lam)).entries == {}
 
 
 def test_particular_solutions_satisfy_systems():
