@@ -4,7 +4,9 @@ coefficient matrix of the modular functions g_j / E_{p-1}^{i_j}."""
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from math import gcd
 
 from .arithmetic import (
     QSeries,
@@ -47,6 +49,35 @@ def _exponents(p: int, i: int, j: int) -> tuple[int, int]:
     return num // 4, ep
 
 
+def period(p: int) -> int:
+    """The period P = (p-1)/gcd(12, p-1) of the column chain: column j + P is
+    column j times column P, so with K a multiple of P, column cK + t is
+    column K^c times column t.
+
+    With T = 12/gcd(12, p-1), T(p-1) = 12P: the weight of block i + T is that
+    of block i plus 12P, and dim_mk(w + 12P) = dim_mk(w) + P for w >= 0.  So
+    for i >= 1, block i + T is block i shifted by P, and column P lies in
+    block T (block T - 1 ends at dim_mk(12P - (p-1)) <= P).  Moving (i, j)
+    to (i + T, j + P) leaves eps of the weight and a = (w - 12j - 6 eps)/4
+    as they are, so the exponents (a, eps, -i) of column j + P are those of
+    column j plus (0, 0, -T), the exponents of column P:
+    column j + P = Delta^P E_{p-1}^-T column j.
+    """
+    return (p - 1) // gcd(12, p - 1)
+
+
+def _blocks(p: int, n: int) -> tuple[tuple[int, int, int], ...]:
+    return tuple((i, *block(p, i)) for i in range(n + 1))
+
+
+def column_exponents(p: int, n: int) -> list[tuple[int, int, int]]:
+    """(a, eps, -i) for each column j of the basis matrix for (p, n): column j
+    is g_j / E_{p-1}^i = Delta^j E_4^a E_6^eps E_{p-1}^-i."""
+    return [
+        (*_exponents(p, i, j), -i) for i, lo, hi in _blocks(p, n) for j in range(lo, hi)
+    ]
+
+
 @dataclass(frozen=True)
 class BasisMatrix:
     """The N x N unit-lower-triangular matrix whose column j holds the first N
@@ -65,41 +96,46 @@ class BasisMatrix:
     blocks: tuple[tuple[int, int, int], ...]
 
 
-def build_matrix(p: int, n: int, ring: RingSpec) -> BasisMatrix:
-    """The basis matrix for (p, n) over `ring`, one packed product per column.
+def columns(p: int, n: int, ring: RingSpec) -> Iterator[tuple[int, ...]]:
+    """The columns of the basis matrix for (p, n) over `ring`, in order, each
+    as its N q-coefficients, N = d_{n(p-1)}; one packed product per column
+    after the first, made only when the column is asked for.
 
     g_j / E_{p-1}^{i_j} = Delta^j E_4^a E_6^eps E_{p-1}^-i, so column j is
     column j-1 times Delta E_4^da E_6^de E_{p-1}^-di, where (da, de, di) is
     the change in (a, eps, i) from column j-1.  Since 12 + 4 da + 6 de =
-    di (p-1), there are only a few distinct steps (one inside every block),
-    and each multiplier is built once.  E_4, E_6 and E_{p-1} have constant
-    term 1, so their negative powers exist over Z/p^e.
+    di (p-1), there are only a few distinct steps (one inside every block,
+    and they repeat with `period(p)`), and each multiplier is built once.
+    E_4, E_6 and E_{p-1} have constant term 1, so their negative powers exist
+    over Z/p^e.
 
     Column j is q^j times a series with constant term 1, and every step is q
     times one, so column j needs only the N - j slots of column j-1 from
     q^(j-1) on and of the step from q^1 on: each step is split and packed
     once without its zero constant slot, its halves are masked to the live
     slots of each column, and each product (`ks2_mul`) spans N - j slots.
+    Each step is checked to have no constant term, and each column to be
+    unit-lower-triangular.
     """
     if ring.p != p:
         raise ValueError("ring prime does not match p")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    N = dim_mk(n * (p - 1))
-    blocks = tuple((i, *block(p, i)) for i in range(n + 1))
-    col_to_i = tuple(i for i, lo, hi in blocks for _ in range(lo, hi))
+    return _chain(p, n, ring)
+
+
+def _chain(p: int, n: int, ring: RingSpec) -> Iterator[tuple[int, ...]]:
+    exponents = column_exponents(p, n)
+    N = len(exponents)
     mod = ring.modulus
     width = slot_bytes(mod, N)
     ds = delta(ring, N)
     bases = (e4(ring, N), e6(ring, N), e_p_minus_1(ring, N))
     inverses: list[QSeries | None] = [None] * 3
     steps: dict[tuple[int, ...], tuple[int, int]] = {}
-    columns = []
-    cs, prev = (1,) + (0,) * (N - 1), (0, 0, 0)
-    for j, i in enumerate(col_to_i):
+    cs, prev = (1,) + (0,) * (N - 1), exponents[0]
+    for j, cur in enumerate(exponents):
         if j:
-            # Exponents of E_4, E_6 and E_{p-1} in column j.
-            cur = (*_exponents(p, i, j), -i) if i else (0, 0, 0)
             key = tuple(c - b for c, b in zip(cur, prev))
             if key not in steps:
                 step = ds
@@ -117,5 +153,12 @@ def build_matrix(p: int, n: int, ring: RingSpec) -> BasisMatrix:
             cs, prev = (0,) * j + tuple(ks2_mul(x, y, width, live, mod)), cur
         if any(cs[:j]) or cs[j] != 1:
             raise AssertionError(f"column {j} is not unit-lower-triangular")
-        columns.append(cs)
-    return BasisMatrix(p, n, ring, N, col_to_i, tuple(columns), blocks)
+        yield cs
+
+
+def build_matrix(p: int, n: int, ring: RingSpec) -> BasisMatrix:
+    """The basis matrix for (p, n) over `ring`: every column of `columns`."""
+    cols = tuple(columns(p, n, ring))
+    blocks = _blocks(p, n)
+    col_to_i = tuple(i for i, lo, hi in blocks for _ in range(lo, hi))
+    return BasisMatrix(p, n, ring, len(cols), col_to_i, cols, blocks)

@@ -34,12 +34,22 @@ def _terminate(signum, frame):
     raise _Terminated
 
 
+def integer(text: str) -> int:
+    """An integer written as an optional sign and ASCII digits; anything else
+    `int` would take (an underscore, a digit of another script) is refused."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer: {text!r}")
+    return int(text)
+
+
 def _read_coefficients(path: str) -> list[int]:
-    """Coefficient file: JSON array if it starts with '[', else one integer
-    per line (line n+1 = coefficient of q^n)."""
+    """Coefficient file, UTF-8 after an optional byte order mark: JSON array
+    if it starts with '[', else one `integer` per line (line n+1 =
+    coefficient of q^n)."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    text = raw.decode("utf-8")
+    text = raw.decode("utf-8-sig")
     stripped = text.lstrip()
     if stripped.startswith("["):
         try:
@@ -53,7 +63,7 @@ def _read_coefficients(path: str) -> list[int]:
     for line in text.splitlines():
         line = line.strip()
         if line:
-            coeffs.append(int(line))
+            coeffs.append(integer(line))
     return coeffs
 
 
@@ -108,7 +118,7 @@ def cmd_valuations(args) -> int:
     try:
         if args.r < 0:
             raise ValueError(f"--r must be >= 0, got {args.r}")
-        ss = None if args.weights is None else [int(s) for s in args.weights.split(",")]
+        ss = None if args.weights is None else [integer(s) for s in args.weights.split(",")]
         system = build_system(args.p, args.lam if ss is None else len(ss), ss)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -201,23 +211,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pk = sub.add_parser("katz-expand", help="Katz expansion of a q-expansion file")
-    pk.add_argument("--p", type=int, required=True)
-    pk.add_argument("--n", type=int, required=True)
-    pk.add_argument("--prec", type=int, required=True, metavar="C")
+    pk.add_argument("--p", type=integer, required=True)
+    pk.add_argument("--n", type=integer, required=True)
+    pk.add_argument("--prec", type=integer, required=True, metavar="C")
     pk.add_argument("--input", required=True, metavar="FILE")
     pk.set_defaults(func=cmd_katz_expand)
 
     pv = sub.add_parser("valuations", help="valuations nu(b_{r,j}) for one row")
-    pv.add_argument("--p", type=int, required=True)
-    pv.add_argument("--r", type=int, required=True)
+    pv.add_argument("--p", type=integer, required=True)
+    pv.add_argument("--r", type=integer, required=True)
     weights = pv.add_mutually_exclusive_group(required=True)
-    weights.add_argument("--lambda", dest="lam", type=int)
+    weights.add_argument("--lambda", dest="lam", type=integer)
     weights.add_argument("--weights", metavar="s1,s2,...")
     pv.set_defaults(func=cmd_valuations)
 
     ps = sub.add_parser("sweep", help="sweep rows and compute the d'_p upper bound")
-    ps.add_argument("--p", type=int, required=True)
-    ps.add_argument("--imax", type=int, required=True)
+    ps.add_argument("--p", type=integer, required=True)
+    ps.add_argument("--imax", type=integer, required=True)
     ps.add_argument("--checkpoint", default=None, metavar="FILE")
     ps.add_argument("--resume", action="store_true")
     ps.add_argument("--out", default=None, metavar="CSV")

@@ -1,14 +1,27 @@
 """The partial Katz expansion isomorphism: psi takes a truncated q-expansion
 to its coordinates over the basis blocks, phi realizes the expansion back as a
-q-expansion (round-trip oracle)."""
+q-expansion (round-trip oracle).  Both work on one series with the first
+K + 1 ~ sqrt(N) columns of the basis chain, K at a time; a batch of series
+(forward_substitute_many) is solved on the whole basis matrix at once."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from math import isqrt
 from operator import mul
 
-from .arithmetic import QSeries, RingSpec, pack, slot_bytes, unpack
-from .basis import BasisMatrix, build_matrix
+from .arithmetic import (
+    QSeries,
+    RingSpec,
+    ks2_mul,
+    pack,
+    slot_bytes,
+    split_low,
+    split_pack,
+    unpack,
+)
+from .basis import BasisMatrix, _blocks, column_exponents, columns, dim_mk, period
 
 
 class PrecisionMismatch(ValueError):
@@ -60,41 +73,118 @@ def forward_substitute_many(matrix: BasisMatrix, rhss) -> list[list[int]]:
     return [list(x) for x in zip(*X)]
 
 
-def _group(matrix: BasisMatrix, x) -> tuple[KatzComponent, ...]:
-    return tuple(KatzComponent(i, tuple(x[lo:hi])) for i, lo, hi in matrix.blocks)
+def _chunk(p: int, N: int) -> int:
+    """K, the number of coordinates `psi` peels and `phi` folds per chunk:
+    the multiple of `period(p)` nearest sqrt(N), and at least `period(p)`.
+    There are about K + N/K products in all, least near K = sqrt(N)."""
+    P = period(p)
+    c = isqrt(N) // P  # cP <= sqrt(N) < (c + 1)P
+    if 4 * N > ((2 * c + 1) * P) ** 2:
+        c += 1
+    return max(c, 1) * P
+
+
+def _chain_head(p: int, n: int, chain, N: int) -> tuple[int, list]:
+    """K and the columns S_0..S_K of `chain`, the basis columns for (p, n)
+    (all N of them when K >= N).  Asserts, in integers, what the chunks rely
+    on: the exponents of column cK + t are c times those of column K plus
+    those of column t, so that column cK + t is S_K^c S_t."""
+    K = _chunk(p, N)
+    S = list(islice(chain, K + 1))
+    if K < N:
+        exps = column_exponents(p, n)
+        for j, e in enumerate(exps):
+            c, t = divmod(j, K)
+            if e != tuple(c * a + b for a, b in zip(exps[K], exps[t])):
+                raise AssertionError(f"column {j} is not S_{K}^{c} S_{t}")
+    return K, S
+
+
+def _group(blocks, x) -> tuple[KatzComponent, ...]:
+    return tuple(KatzComponent(i, tuple(x[lo:hi])) for i, lo, hi in blocks)
 
 
 def psi(p: int, n: int, C: int, f: QSeries) -> KatzTuple:
-    """Katz expansion of f mod (q^N, p^C), N = d_{n(p-1)}, as an (n+1)-tuple."""
-    matrix = build_matrix(p, n, RingSpec(p, C))
-    if f.ring != matrix.ring:
-        raise PrecisionMismatch(
-            f"series ring {f.ring} does not match Z/{p}^{C}"
-        )
-    if f.n_trunc != matrix.N:
+    """Katz expansion of f mod (q^N, p^C), N = d_{n(p-1)}, as an (n+1)-tuple.
+
+    f = sum_c S_K^c Q_c with Q_c = sum_{t<K} x_{cK+t} S_t (`_chain_head`), so
+    the coordinates are peeled K at a time: those of chunk c solve the K x K
+    top of S_0..S_{K-1} against the low K coefficients of g_c (g_0 = f), and
+    g_{c+1} = ((g_c - Q_c) / q^K) U, U the inverse of S_K / q^K.  That is K
+    chain products, one inverse and one product per chunk, where the whole
+    basis matrix takes N products.
+    """
+    ring = RingSpec(p, C)
+    chain = columns(p, n, ring)  # checks n; no product until a column is taken
+    N = dim_mk(n * (p - 1))
+    if f.ring != ring:
+        raise PrecisionMismatch(f"series ring {f.ring} does not match Z/{p}^{C}")
+    if f.n_trunc != N:
         raise PrecisionMismatch(
             f"series truncation {f.n_trunc} does not match required N = "
-            f"d_{{{n}({p}-1)}} = {matrix.N}"
+            f"d_{{{n}({p}-1)}} = {N}"
         )
-    (x,) = forward_substitute_many(matrix, [f.coeffs])
-    return KatzTuple(p=p, n=n, ring=matrix.ring, x=tuple(x), components=_group(matrix, x))
+    K, S = _chain_head(p, n, chain, N)
+    mod = ring.modulus
+    m = min(K, N)
+    top = [[col[r] for col in S[:r]] for r in range(m)]
+    width = slot_bytes(mod, m + 1)
+    offset = m * mod * mod
+    packs = [pack(col, width) for col in S[:m]]
+    if K < N:
+        kw = slot_bytes(mod, N)
+        U = split_pack(QSeries(ring, S[K][K:]).inverse().coeffs, kw)
+    g, x = f.coeffs, []
+    while True:
+        live = len(g)
+        xs = [r for (r,) in forward_substitute(top, ([c] for c in g[:K]), mod, m)]
+        x += xs
+        if live <= K:
+            break
+        # The low `live` slots of g - Q_c, each offset to be nonnegative.
+        acc = pack([c + offset for c in g], width) - sum(map(mul, xs, packs))
+        acc &= (1 << 8 * width * live) - 1
+        h = unpack(acc >> 8 * width * K, width, live - K, mod)
+        g = ks2_mul(split_pack(h, kw), split_low(U, kw, live - K), kw, live - K, mod)
+    components = _group(_blocks(p, n), x)
+    return KatzTuple(p=p, n=n, ring=ring, x=tuple(x), components=components)
 
 
 def phi(p: int, n: int, C: int, t: KatzTuple) -> QSeries:
     """Realize a Katz tuple as sum_i b_i / E_{p-1}^i mod (q^N, p^C): the
-    product M.x of the basis matrix with the coordinates, taken as one packed
-    linear combination of the columns."""
-    matrix = build_matrix(p, n, RingSpec(p, C))
-    if len(t.components) != n + 1:
-        raise ValueError(f"expected {n + 1} components, got {len(t.components)}")
-    mod = matrix.ring.modulus
-    x = [0] * matrix.N
-    for comp in t.components:
-        _, lo, hi = matrix.blocks[comp.i]
+    product M.x of the basis matrix with the coordinates, by Horner's rule
+    over the chunks of `psi`, f = Q_0 + S_K (Q_1 + S_K (...)), each Q_c one
+    packed combination of S_0..S_{K-1}: K chain products and one product per
+    chunk after the first."""
+    if (t.p, t.n) != (p, n):
+        raise PrecisionMismatch(f"tuple for (p, n) = {(t.p, t.n)}, not {(p, n)}")
+    ring = RingSpec(p, C)
+    if t.ring != ring:
+        raise PrecisionMismatch(f"tuple ring {t.ring} does not match Z/{p}^{C}")
+    chain = columns(p, n, ring)  # checks n; no product until a column is taken
+    blocks = _blocks(p, n)
+    if [comp.i for comp in t.components] != list(range(n + 1)):
+        raise ValueError(f"components must be i = 0..{n} in order")
+    mod = ring.modulus
+    x = []
+    for comp, (i, lo, hi) in zip(t.components, blocks):
         if len(comp.coords) != hi - lo:
-            raise ValueError(f"component {comp.i} has wrong dimension")
-        x[lo:hi] = [c % mod for c in comp.coords]
-    width = slot_bytes(mod, matrix.N)
-    acc = sum(map(mul, x, [pack(col, width) for col in matrix.columns]))
-    return QSeries(matrix.ring, tuple(unpack(acc, width, matrix.N, mod)))
-
+            raise ValueError(f"component {i} has wrong dimension")
+        x += [c % mod for c in comp.coords]
+    N = len(x)
+    K, S = _chain_head(p, n, chain, N)
+    m = min(K, N)
+    width = slot_bytes(mod, N)
+    packs = [pack(col, width) for col in S[:m]]
+    if K < N:
+        V = split_pack(S[K][K:], width)
+    h = None
+    for c in reversed(range(0, N, K)):
+        live = N - c
+        acc = sum(map(mul, x[c : c + K], packs))
+        if h is not None:
+            y = split_low(V, width, live - K)
+            h = ks2_mul(split_pack(h, width), y, width, live - K, mod)
+            acc += pack(h, width) << 8 * width * K
+        h = unpack(acc, width, live, mod)
+    return QSeries(ring, tuple(h))

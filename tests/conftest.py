@@ -66,4 +66,5 @@ def ks2_products(monkeypatch) -> list[tuple]:
 
     monkeypatch.setattr("katzrates.arithmetic.ks2_mul", recording("arithmetic"))
     monkeypatch.setattr("katzrates.basis.ks2_mul", recording("basis"))
+    monkeypatch.setattr("katzrates.expand.ks2_mul", recording("expand"))
     return products

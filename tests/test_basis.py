@@ -1,12 +1,22 @@
 """Tests for the splitting basis g_{i,j} and the coefficient matrix."""
 
 import random
+from itertools import islice
+from math import gcd
 
 import pytest
 
 from oracles import basis_set, g_form, i_of_j, sigma
 from katzrates.arithmetic import QSeries, RingSpec
-from katzrates.basis import block, build_matrix, dim_mk, eps
+from katzrates.basis import (
+    block,
+    build_matrix,
+    column_exponents,
+    columns,
+    dim_mk,
+    eps,
+    period,
+)
 
 
 def test_dim_mk_examples():
@@ -212,3 +222,40 @@ def test_build_matrix_multiplies_only_the_live_slots(ks2_products):
         even, odd = (count + 1) // 2, count // 2
         assert halves[0] <= even and halves[1] <= odd
         assert halves[2] <= even and halves[3] <= odd
+
+
+PRIMES_BELOW_200 = [p for p in range(5, 200) if all(p % d for d in range(2, p))]
+
+
+@pytest.mark.parametrize("p", PRIMES_BELOW_200)
+def test_step_keys_repeat_with_the_period(p):
+    # The step from column j-1 to column j multiplies by Delta E_4^da E_6^de
+    # E_{p-1}^-di; its key (da, de, di) at j + P is the key at j, so column
+    # j + P is column j times column P.
+    P = period(p)
+    assert P == (p - 1) // gcd(12, p - 1)
+    n = 1
+    while dim_mk(n * (p - 1)) < 3 * P + 2:
+        n += 1
+    exps = column_exponents(p, n)
+    assert len(exps) == dim_mk(n * (p - 1))
+    keys = [tuple(c - b for c, b in zip(exps[j], exps[j - 1])) for j in range(1, len(exps))]
+    assert all(keys[k + P] == keys[k] for k in range(len(keys) - P))
+    for j in range(len(exps) - P):
+        assert exps[j + P] == tuple(a + b for a, b in zip(exps[j], exps[P]))
+
+
+def test_columns_are_made_as_they_are_asked_for(ks2_products):
+    ring = RingSpec(11, 5)
+    m = build_matrix(11, 12, ring)
+    ks2_products.clear()
+    head = list(islice(columns(11, 12, ring), 4))
+    assert head == list(m.columns[:4])
+    assert len([rec for rec in ks2_products if rec[0] == "basis"]) == 3
+
+
+def test_columns_check_their_arguments_before_the_first_column():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        columns(5, -1, RingSpec(5, 2))
+    with pytest.raises(ValueError, match="ring prime"):
+        columns(5, 3, RingSpec(7, 2))

@@ -529,3 +529,56 @@ def test_sweep_cli_unresolved_entries_exit_6(tmp_path, capsys, monkeypatch):
         rows = list(csv.DictReader(fh))
     assert sum(r["status"] == "inconclusive" and r["j"] != "0" for r in rows) == unresolved
     assert json.loads(ck.read_text())["completed_rows"] == list(range(1, 10))
+
+
+NOT_INTEGERS = ["1_0", "٣", "0x1", "1.0", "1e3", "", "+", "- 1", "1 2"]
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS)
+def test_katz_expand_refuses_a_coefficient_line_int_would_take(tmp_path, capsys, bad):
+    # int() reads "1_0" as 10 and the Arabic-Indic "٣" as 3.
+    inp = tmp_path / "f.txt"
+    inp.write_text(f"1\n{bad}\n", encoding="utf-8")
+    argv = ["katz-expand", "--p", "5", "--n", "3", "--prec", "2", "--input", str(inp)]
+    code, out, err = run_cli(capsys, *argv)
+    if bad == "":  # a blank line is skipped, so one coefficient is missing
+        assert code == 3
+    else:
+        assert code == 2 and "invalid integer" in err and out == ""
+
+
+@pytest.mark.parametrize("bad", [b for b in NOT_INTEGERS if b])
+def test_integer_flags_refuse_what_int_would_take(capsys, bad):
+    argv = ["valuations", "--p", "5", "--r", bad, "--lambda", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid integer value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weights", ["1,2_0", "1,٣", "1, 2", "1,,2", "1,0x2"])
+def test_valuations_weights_refuse_what_int_would_take(capsys, weights):
+    argv = ["valuations", "--p", "5", "--r", "1", "--weights", weights]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and "invalid integer" in err and out == ""
+
+
+def test_signed_ascii_integers_are_read(tmp_path, capsys):
+    inp = tmp_path / "f.txt"
+    inp.write_text("+1\n-24\n")
+    argv = ["katz-expand", "--p", "+5", "--n", "3", "--prec", "2", "--input", str(inp)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    data = json.loads(out)
+    assert data["components"][0]["coords"] == [{"j": 0, "value": 1}]
+    assert data["components"][3]["coords"] == [{"j": 1, "value": 1}]  # -24 mod 25
+
+
+@pytest.mark.parametrize("text", ["[1, 0]", "1\n0\n"], ids=["json", "lines"])
+def test_katz_expand_skips_a_byte_order_mark(tmp_path, capsys, text):
+    argv = ["katz-expand", "--p", "5", "--n", "3", "--prec", "2", "--input"]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert run_cli(capsys, *argv, str(plain))[:2] == run_cli(capsys, *argv, str(marked))[:2]
+    assert run_cli(capsys, *argv, str(marked))[0] == 0

@@ -2,18 +2,22 @@
 
 import random
 from dataclasses import replace
+from functools import lru_cache
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from katzrates.arithmetic import QSeries, RingSpec
-from katzrates.basis import build_matrix, dim_mk
+from katzrates import expand as expand_module
+from katzrates.arithmetic import QSeries, RingSpec, pack, slot_bytes, unpack
+from katzrates.basis import block, build_matrix, dim_mk, period
 from katzrates.expand import (
     KatzComponent,
     KatzTuple,
     PrecisionMismatch,
+    forward_substitute_many,
     phi,
     psi,
 )
@@ -21,11 +25,10 @@ from katzrates.expand import (
 
 def tuple_from_coords(p, n, C, x):
     """The Katz tuple whose full coordinate vector is x, split into blocks."""
-    m = build_matrix(p, n, RingSpec(p, C))
     components = tuple(
-        KatzComponent(i=i, coords=tuple(x[lo:hi])) for i, lo, hi in m.blocks
+        KatzComponent(i=i, coords=tuple(x[slice(*block(p, i))])) for i in range(n + 1)
     )
-    return KatzTuple(p=p, n=n, ring=m.ring, x=tuple(x), components=components)
+    return KatzTuple(p=p, n=n, ring=RingSpec(p, C), x=tuple(x), components=components)
 
 
 def random_series(rng, p, C, N):
@@ -141,3 +144,159 @@ def test_round_trip_hypothesis_small(coeffs):
     p, n, C = 5, 3, 3
     f = QSeries.from_coeffs(RingSpec(p, C), coeffs, dim_mk(n * (p - 1)))
     assert phi(p, n, C, psi(p, n, C, f)) == f
+
+
+def test_psi_checks_its_input_before_any_product(ks2_products):
+    N = dim_mk(10 * 12)
+    with pytest.raises(PrecisionMismatch, match="ring"):
+        psi(13, 10, 4, QSeries.from_coeffs(RingSpec(13, 5), [1], N))
+    with pytest.raises(PrecisionMismatch, match="truncation"):
+        psi(13, 10, 4, QSeries.from_coeffs(RingSpec(13, 4), [1], N - 1))
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        psi(13, -1, 4, QSeries.from_coeffs(RingSpec(13, 4), [1], 1))
+    assert ks2_products == []
+
+
+def _renumbered(t, order):
+    """t with its components' indices replaced by `order`."""
+    comps = tuple(replace(c, i=i) for c, i in zip(t.components, order))
+    return replace(t, components=comps)
+
+
+@pytest.mark.parametrize(
+    "order",
+    [[-1, 1, 2, 3], [0, 1, 2, 4], [1, 0, 2, 3], [0, 1, 2], [0, 1, 2, 3, 4]],
+    ids=["minus-one", "past-n", "swapped", "short", "long"],
+)
+def test_phi_rejects_components_out_of_order(order, ks2_products):
+    p, n, C = 5, 3, 3
+    t = tuple_from_coords(p, n, C, [1, 2])
+    if len(order) > n + 1:
+        t = replace(t, components=t.components + (KatzComponent(n + 1, ()),))
+    with pytest.raises(ValueError, match="components must be i = 0..3") as exc:
+        phi(p, n, C, _renumbered(t, order))
+    assert not isinstance(exc.value, PrecisionMismatch)
+    assert ks2_products == []
+
+
+@pytest.mark.parametrize("field, value", [("p", 7), ("n", 4), ("ring", RingSpec(5, 4))])
+def test_phi_rejects_a_tuple_for_other_parameters(field, value, ks2_products):
+    p, n, C = 5, 3, 3
+    t = tuple_from_coords(p, n, C, [1, 2])
+    with pytest.raises(PrecisionMismatch):
+        phi(p, n, C, replace(t, **{field: value}))
+    assert ks2_products == []
+
+
+def test_psi_asserts_the_period_of_the_chunks(monkeypatch):
+    # A chain whose exponents did not repeat with the period would make the
+    # peeled chunks wrong; psi checks them before it peels.
+    real = expand_module.column_exponents
+
+    def broken(p, n):
+        exps = real(p, n)
+        exps[-1] = (exps[-1][0] + 1, *exps[-1][1:])
+        return exps
+
+    monkeypatch.setattr(expand_module, "column_exponents", broken)
+    p, n, C = 11, 12, 3
+    f = QSeries.one(RingSpec(p, C), dim_mk(n * (p - 1)))
+    with pytest.raises(AssertionError, match="is not S_"):
+        psi(p, n, C, f)
+
+
+@lru_cache(maxsize=None)
+def _oracle_columns(p, n):
+    """oracles.direct_columns at precision 8; any lower precision reduces it."""
+    return oracles.direct_columns(p, n, RingSpec(p, 8))
+
+
+def _check_against_oracles(p, n, C, seed):
+    """psi against the one-entry-at-a-time forward substitution on the rows
+    of the direct columns, and phi against sum_j x_j column_j."""
+    mod = p**C
+    cols = [tuple(c % mod for c in col) for col in _oracle_columns(p, n)]
+    N = len(cols)
+    rng = random.Random(seed)
+    f = QSeries(RingSpec(p, C), tuple(rng.randrange(mod) for _ in range(N)))
+    lower = [[col[r] for col in cols[:r]] for r in range(N)]
+    assert list(psi(p, n, C, f).x) == oracles.forward_substitute(lower, f.coeffs, mod)
+    x = [rng.randrange(mod) for _ in range(N)]
+    want = tuple(sum(xj * col[r] for xj, col in zip(x, cols)) % mod for r in range(N))
+    assert phi(p, n, C, tuple_from_coords(p, n, C, x)).coeffs == want
+
+
+# The primes of the oracle tests, each with an n past which psi peels three
+# chunks or more.  Their periods are 1, 1, 5, 1, 4 and 35 (above sqrt(N)).
+N_MAX = {5: 40, 7: 30, 11: 40, 13: 30, 17: 30, 71: 14}
+
+
+def _boundary_cases():
+    """Per prime, the least n <= N_MAX[p] with N = 1, N < K, N = K, N = K + 1,
+    K + 1 < N <= 2K and N > 2K, each where it occurs (K = N only at N = 1,
+    for the primes of period 1)."""
+    first = {}
+    for p, n_max in N_MAX.items():
+        for n in range(n_max + 1):
+            N = dim_mk(n * (p - 1))
+            K = expand_module._chunk(p, N)
+            kind = (N == 1, N < K, N == K, N == K + 1, K + 1 < N <= 2 * K, N > 2 * K)
+            first.setdefault((p, kind), n)
+    return sorted({(p, n) for (p, _), n in first.items()})
+
+
+BOUNDARY = _boundary_cases()
+
+
+def test_boundary_cases_cover_every_chunk_shape():
+    shapes = {p: set() for p in N_MAX}
+    for p, n in BOUNDARY:
+        N = dim_mk(n * (p - 1))
+        K = expand_module._chunk(p, N)
+        assert K % period(p) == 0 and K >= period(p)
+        if N == 1:
+            shapes[p].add("N = 1")
+        if 1 < N < K:
+            shapes[p].add("N < K")
+        if N == K + 1:
+            shapes[p].add("N = K + 1")
+        if N > 2 * K:
+            shapes[p].add("three chunks")
+    for p in N_MAX:
+        assert {"N = 1", "N = K + 1", "three chunks"} <= shapes[p]
+    for p in (11, 17, 71):
+        assert "N < K" in shapes[p]
+
+
+@pytest.mark.parametrize("p, n", BOUNDARY)
+def test_psi_and_phi_match_the_oracles_at_the_chunk_boundaries(p, n):
+    _check_against_oracles(p, n, 3, seed=p * 100 + n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(N_MAX)).flatmap(
+        lambda p: st.tuples(
+            st.just(p), st.integers(0, N_MAX[p]), st.integers(1, 8), st.integers(0, 2**32)
+        )
+    )
+)
+def test_psi_and_phi_match_the_oracles(case):
+    _check_against_oracles(*case)
+
+
+@pytest.mark.parametrize("p, n, C", [(5, 144, 60), (11, 132, 40), (13, 168, 30)])
+def test_psi_and_phi_match_the_matrix_route(p, n, C):
+    # The katz-expand precisions of the benchmark session: psi against one
+    # forward substitution on the whole basis matrix, phi against one packed
+    # combination of all its columns.
+    m = build_matrix(p, n, RingSpec(p, C))
+    mod = m.ring.modulus
+    rng = random.Random(p * 1000 + n)
+    f = random_series(rng, p, C, m.N)
+    assert list(psi(p, n, C, f).x) == forward_substitute_many(m, [f.coeffs])[0]
+    x = [rng.randrange(mod) for _ in range(m.N)]
+    width = slot_bytes(mod, m.N)
+    acc = sum(map(mul, x, [pack(col, width) for col in m.columns]))
+    want = tuple(unpack(acc, width, m.N, mod))
+    assert phi(p, n, C, tuple_from_coords(p, n, C, x)).coeffs == want
