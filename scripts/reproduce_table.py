@@ -24,6 +24,8 @@ import os
 import sys
 import time
 
+from katzrates.arithmetic import RingSpec
+from katzrates.cli import integer
 from katzrates.sweep import (
     c_p,
     d_p,
@@ -38,11 +40,20 @@ FRONTIER_ROWS = [(13, 182), (17, 306), (29, 870)]
 
 
 def parse_row(text):
+    """p:imax, p a prime >= 5 and imax >= 1, each integer read as the
+    `katzrates` flags read theirs; anything else exits 2 before any sweep."""
     try:
         p_str, imax_str = text.split(":")
-        return int(p_str), int(imax_str)
+        p, i_max = integer(p_str), integer(imax_str)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected p:imax, got {text!r}")
+    try:
+        RingSpec(p, 1)  # p must be a prime >= 5
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}")
+    if i_max < 1:
+        raise argparse.ArgumentTypeError(f"{text!r}: imax must be >= 1")
+    return p, i_max
 
 
 def main(argv=None):

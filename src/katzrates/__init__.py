@@ -11,7 +11,7 @@ import importlib
 _SUBMODULE = {
     "QSeries": "arithmetic",
     "RingSpec": "arithmetic",
-    "build_matrix": "basis",
+    "columns": "basis",
     "dim_mk": "basis",
     "eis_ratio_by_s": "family",
     "phi": "expand",

@@ -1,11 +1,11 @@
 """The explicit splitting of weight-i(p-1) forms: dimensions, the blocks of
-basis forms g_{i,j} = Delta^j E_4^a E_6^eps, and the unit-lower-triangular
-coefficient matrix of the modular functions g_j / E_{p-1}^{i_j}."""
+basis forms g_{i,j} = Delta^j E_4^a E_6^eps, and the columns of the
+unit-lower-triangular coefficient matrix of the modular functions
+g_j / E_{p-1}^{i_j}, one at a time from one chain of products."""
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from math import gcd
 
 from .arithmetic import (
@@ -78,24 +78,6 @@ def column_exponents(p: int, n: int) -> list[tuple[int, int, int]]:
     ]
 
 
-@dataclass(frozen=True)
-class BasisMatrix:
-    """The N x N unit-lower-triangular matrix whose column j holds the first N
-    q-coefficients of g_j / E_{p-1}^{i_j}, N = d_{n(p-1)}.
-
-    Row index = q-exponent, column index = j.  `blocks` lists, per row index
-    i = 0..n, the half-open j-range of its basis forms.
-    """
-
-    p: int
-    n: int
-    ring: RingSpec
-    N: int
-    col_to_i: tuple[int, ...]
-    columns: tuple[tuple[int, ...], ...]
-    blocks: tuple[tuple[int, int, int], ...]
-
-
 def columns(p: int, n: int, ring: RingSpec) -> Iterator[tuple[int, ...]]:
     """The columns of the basis matrix for (p, n) over `ring`, in order, each
     as its N q-coefficients, N = d_{n(p-1)}; one packed product per column
@@ -154,11 +136,3 @@ def _chain(p: int, n: int, ring: RingSpec) -> Iterator[tuple[int, ...]]:
         if any(cs[:j]) or cs[j] != 1:
             raise AssertionError(f"column {j} is not unit-lower-triangular")
         yield cs
-
-
-def build_matrix(p: int, n: int, ring: RingSpec) -> BasisMatrix:
-    """The basis matrix for (p, n) over `ring`: every column of `columns`."""
-    cols = tuple(columns(p, n, ring))
-    blocks = _blocks(p, n)
-    col_to_i = tuple(i for i, lo, hi in blocks for _ in range(lo, hi))
-    return BasisMatrix(p, n, ring, len(cols), col_to_i, cols, blocks)

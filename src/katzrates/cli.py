@@ -112,7 +112,7 @@ def cmd_katz_expand(args) -> int:
 
 
 def cmd_valuations(args) -> int:
-    from .solver import UnsolvableSystem, build_system, solve_row
+    from .solver import KatzBasis, UnsolvableSystem, build_system, solve_row
     from .sweep import row_entries, write_entries_csv
 
     try:
@@ -124,7 +124,10 @@ def cmd_valuations(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        row = solve_row(args.p, args.r, system.lam, system=system)
+        lo, hi = block(args.p, args.r)
+        # An empty block has no entries, and solve_row reads no basis for it.
+        basis = KatzBasis(args.p, args.r, system) if lo < hi else None
+        row = solve_row(args.p, args.r, system.lam, basis=basis)
     except UnsolvableSystem as exc:
         print(f"error: linear system unsolvable: {exc}", file=sys.stderr)
         return EXIT_UNSOLVABLE

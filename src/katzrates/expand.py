@@ -2,7 +2,7 @@
 to its coordinates over the basis blocks, phi realizes the expansion back as a
 q-expansion (round-trip oracle).  Both work on one series with the first
 K + 1 ~ sqrt(N) columns of the basis chain, K at a time; a batch of series
-(forward_substitute_many) is solved on the whole basis matrix at once."""
+(forward_substitute_many) is solved on all N columns at once."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from .arithmetic import (
     split_pack,
     unpack,
 )
-from .basis import BasisMatrix, _blocks, column_exponents, columns, dim_mk, period
+from .basis import _blocks, column_exponents, columns, dim_mk, period
 
 
 class PrecisionMismatch(ValueError):
@@ -65,11 +65,12 @@ def forward_substitute(lower, rhs, mod: int, n: int) -> list[list[int]]:
     return X
 
 
-def forward_substitute_many(matrix: BasisMatrix, rhss) -> list[list[int]]:
+def forward_substitute_many(cols, rhss, mod: int) -> list[list[int]]:
     """Katz coordinates of several q-coefficient vectors at once, one per
-    vector in `rhss`: the columns of X in M X = R, R having columns `rhss`."""
-    lower = (row[:r] for r, row in enumerate(zip(*matrix.columns)))
-    X = forward_substitute(lower, zip(*rhss), matrix.ring.modulus, matrix.N)
+    vector in `rhss`: the columns of X in M X = R mod `mod`, M having the N
+    columns `cols` (those of basis.columns) and R the columns `rhss`."""
+    lower = (row[:r] for r, row in enumerate(zip(*cols)))
+    X = forward_substitute(lower, zip(*rhss), mod, len(cols))
     return [list(x) for x in zip(*X)]
 
 

@@ -39,7 +39,7 @@ from itertools import accumulate, repeat, zip_longest
 from operator import mul, sub
 
 from .arithmetic import RingSpec, pack, slot_bytes, unpack
-from .basis import block, build_matrix, dim_mk
+from .basis import block, columns, dim_mk
 from .classical import bernoulli
 from .expand import forward_substitute, forward_substitute_many
 from .family import eis_ratio_by_s
@@ -336,86 +336,70 @@ class ValuationRow:
     entries: dict[int, SweepEntry]
 
 
-# Precision added to a missed lam before a KatzBasis is rebuilt at it.
-PLAN_SLACK = 2
-
-
 class KatzBasis:
-    """The Katz basis of weight n(p-1), the Katz coordinates of the family
-    members E*_k / V(E*_k), k = s(p-1), and the Vandermonde system on
-    weight_list(p, E), built once over Z/p^E and served mod p^lam for any row
-    r <= n and lam <= E.
+    """The Katz coordinates, over the basis of weight n(p-1), of the family
+    members E*_k / V(E*_k), k = s(p-1), at the weights s of one Vandermonde
+    system over Z/p^E, E = system.lam, served with that system mod p^lam for
+    any row r <= n and lam <= E.
 
+    The build is one batch over Z/p^E: the family members at system.ss, the
+    N columns of basis.columns and one forward substitution of the members
+    against them (expand.forward_substitute_many); the columns are not kept.
     Reduction mod p^lam is a ring map, so the served coordinates equal a
-    fresh build at (r, lam), and the served system is the reduction of the
-    one factored at E (VandermondeSystem.reduce).  `plan` is the caller's
-    estimate of the largest lam it will ask for: the first request builds at
-    E = max(lam, plan), so with no plan the basis is built at exactly the
-    first lam asked for.  A request that misses, lam > E, rebuilds at E =
-    lam + PLAN_SLACK.  Each build computes the coordinates of the family
-    members at every weight of weight_list(p, E) in one batch; any other
-    weight is computed when first asked for.  The system is factored when
-    first asked for, once per E, and its newest reduction is kept.
+    fresh build at (r, lam), and the served system is system.reduce(lam),
+    the newest of which is kept.  Coordinates and system come from this one
+    object, so a solve cannot pair coordinates with another system's weights
+    or precision.
     """
 
-    def __init__(self, p: int, n: int, plan: int = 0):
-        self.p = p
-        self.n = n
-        self.N = dim_mk(n * (p - 1))
-        self.plan = plan
-        self.E = 0
-        self.matrix = None
-        self._coords: dict[int, list[int]] = {}
-        self._factored = self._served = None
-
-    def _family_coords(self, ss) -> list[list[int]]:
-        ratios = [eis_ratio_by_s(self.p, s, self.E, self.N).coeffs for s in ss]
-        return forward_substitute_many(self.matrix, ratios)
-
-    def _cover(self, lam: int) -> None:
-        """Rebuild over Z/p^E if lam > E: at E = max(lam, plan) on the first
-        build, at lam + PLAN_SLACK after a miss."""
-        if lam <= self.E:
-            return
-        self.E = lam + PLAN_SLACK if self.E else max(lam, self.plan)
-        ss = weight_list(self.p, self.E)
+    def __init__(self, p: int, n: int, system: VandermondeSystem):
+        if system.p != p:
+            raise ValueError(f"the system is over p = {system.p}, not {p}")
+        self.p, self.n, self.E = p, n, system.lam
+        ring = RingSpec(p, self.E)
+        N = dim_mk(n * (p - 1))
         # B_k for the batch's largest weight sizes the tangent table once,
-        # where the ascending weights would regrow it geometrically.
-        bernoulli(ss[-1] * (self.p - 1))
-        self.matrix = build_matrix(self.p, self.n, RingSpec(self.p, self.E))
-        self._coords = dict(zip(ss, self._family_coords(ss)))
-        self._factored = self._served = None
+        # where the weights in turn would regrow it geometrically.
+        bernoulli(max(system.ss) * (p - 1))
+        ratios = [eis_ratio_by_s(p, s, self.E, N).coeffs for s in system.ss]
+        cols = list(columns(p, n, ring))
+        coords = forward_substitute_many(cols, ratios, ring.modulus)
+        self._coords = dict(zip(system.ss, coords))
+        self._system = system
+        self._served = None
+
+    def _check(self, lam: int) -> None:
+        if not 1 <= lam <= self.E:
+            raise ValueError(f"lam = {lam} lies outside 1..{self.E}, the basis's precision")
 
     def row_coords(self, s: int, r: int, lam: int) -> tuple[int, ...]:
-        """Coordinates over the g_{r,j} of E*_k / V(E*_k), k = s(p-1), mod p^lam."""
+        """Coordinates over the g_{r,j} of E*_k / V(E*_k), k = s(p-1), mod
+        p^lam, for a weight s of the basis's system."""
         if not 0 <= r <= self.n:
             raise ValueError(f"row {r} is outside 0..{self.n}")
-        self._cover(lam)
+        self._check(lam)
         x = self._coords.get(s)
         if x is None:
-            x = self._coords[s] = self._family_coords([s])[0]
+            raise ValueError(f"s = {s} is not a weight of the basis's system")
         lo, hi = block(self.p, r)
         mod = self.p**lam
         return tuple(c % mod for c in x[lo:hi])
 
     def system(self, lam: int) -> VandermondeSystem:
-        """The Vandermonde system on weight_list(p, lam) over Z/p^lam."""
-        self._cover(lam)
-        if self._factored is None:
-            self._factored = build_system(self.p, self.E)
+        """The basis's system over Z/p^lam, on its first lam weights."""
+        self._check(lam)
         if self._served is None or self._served.lam != lam:
-            self._served = self._factored.reduce(lam)
+            self._served = self._system.reduce(lam)
         return self._served
 
 
-def row_solutions(p, r, lam, system=None, basis=None, count=None):
+def row_solutions(p, r, lam, basis=None, count=None):
     """Particular solutions x_b of V x_b = theta_b, one for each basis form
     g_{r,b} of row r, where theta_b collects the coordinate of g_{r,b} in the
     r-th Katz component across the weights, each cut to its first `count`
-    components (default lam).  `basis` (a KatzBasis for some n >= r) defaults
-    to a fresh one for n = r, and `system` to the basis's system at lam; a
-    system given is used as it is, on its own weights, and must be over
-    Z/p^lam.  Returns (system, solutions).
+    components (default lam).  V is the system of `basis` (a KatzBasis for
+    some n >= r over Z/p^E, E >= lam) reduced to lam; `basis` defaults to
+    KatzBasis(p, r, build_system(p, lam)).  Returns (system, solutions).
 
     The coordinates stand in for the q-coefficients a_0..a_S, S =
     ceil(r(p-1)/12), of the r-th component, which pin down its valuation
@@ -433,12 +417,9 @@ def row_solutions(p, r, lam, system=None, basis=None, count=None):
       exactly when it passes on the q-coefficients: each is a combination of
       the other, the unit-triangular minor giving the way back.
     """
-    if system is not None and system.lam != lam:
-        raise ValueError(f"lam = {lam}, but the system given is over Z/p^{system.lam}")
     if basis is None:
-        basis = KatzBasis(p, r)
-    if system is None:
-        system = basis.system(lam)
+        basis = KatzBasis(p, r, build_system(p, lam))
+    system = basis.system(lam)
     coords = [basis.row_coords(s, r, lam) for s in system.ss]
     return system, system.solve_many(list(zip(*coords)), count)
 
@@ -464,23 +445,24 @@ def solve_row(
     r: int,
     lam: int,
     j_max: int | None = None,
-    system=None,
     basis=None,
 ) -> ValuationRow:
     """Valuations nu(b_{r,j}) for 0 <= j <= j_max, each exact or inconclusive;
     none for a row with an empty basis block, where every b_{r,j} is 0 (a
     sweep records no entries for such a row either).  Pass one KatzBasis as
-    `basis` to share its builds, and its system, across rows."""
+    `basis` to share its build, and its system, across rows."""
+    if r < 0:
+        raise ValueError(f"row r = {r} must be >= 0")
+    if lam < 1:
+        raise ValueError("lam must be >= 1")
     if j_max is None:
         j_max = min(r, lam - 1)
-    if j_max > lam - 1:
-        raise ValueError(f"j_max = {j_max} exceeds lam - 1 = {lam - 1}")
+    if not 0 <= j_max <= lam - 1:
+        raise ValueError(f"j_max = {j_max} lies outside 0..lam - 1 = 0..{lam - 1}")
     lo, hi = block(p, r)
     if lo == hi:
         return ValuationRow(p=p, r=r, lam=lam, entries={})
     # collect_statuses reads components 0..j_max only.
-    system, solutions = row_solutions(
-        p, r, lam, system=system, basis=basis, count=j_max + 1
-    )
+    system, solutions = row_solutions(p, r, lam, basis=basis, count=j_max + 1)
     entries = collect_statuses(system, solutions, j_max, r)
     return ValuationRow(p=p, r=r, lam=lam, entries=entries)

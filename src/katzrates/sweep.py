@@ -15,13 +15,17 @@ from fractions import Fraction
 
 from .arithmetic import RingSpec, _is_int
 from .basis import block
-from .solver import PLAN_SLACK, KatzBasis, SweepEntry, f_bound, solve_row
+from .solver import KatzBasis, SweepEntry, build_system, f_bound, solve_row
 
 CHECKPOINT_VERSION = 1
 # A sweep rewrites its checkpoint after a row only when this many seconds
 # have passed since its last write, and always once when it ends: a write
 # re-encodes every entry, so a write per row would cost O(rows x entries).
 CHECKPOINT_INTERVAL_S = 1.0
+
+# Precision added to a missed lam before the sweep's KatzBasis is rebuilt at
+# it.
+PLAN_SLACK = 2
 
 # Retry policy: initial margin on the conclusiveness target, doubled on each
 # retry, at most this many retries per row.
@@ -74,6 +78,16 @@ def planned_precision(p: int, i_max: int) -> int:
     target_j = math.ceil(d_p(p) * i_max)
     j_max = min(i_max, target_j)
     return lambda_for(p, target_j + _INITIAL_MARGIN, j_max) + PLAN_SLACK
+
+
+def _basis_for(p: int, i_max: int, lam: int, basis: KatzBasis | None, plan: int):
+    """The KatzBasis a sweep to i_max solves a row at lam on: `basis` if it
+    reaches lam, else a new one on build_system(p, E), at E = max(lam, plan)
+    for the first row solved and at lam + PLAN_SLACK after a miss."""
+    if basis is not None and lam <= basis.E:
+        return basis
+    E = max(lam, plan) if basis is None else lam + PLAN_SLACK
+    return KatzBasis(p, i_max, build_system(p, E))
 
 
 @dataclass
@@ -147,8 +161,10 @@ def run_sweep(
         state = SweepState(p=p, i_max=i_max)
 
     # One basis, with its Vandermonde system, serves every row's lam by
-    # reduction.
-    basis = KatzBasis(p, i_max, max(planned_precision(p, i_max), state.lam_current))
+    # reduction; the first row solved builds it, so a sweep with no row left
+    # builds nothing.
+    plan = max(planned_precision(p, i_max), state.lam_current)
+    basis = None
 
     written = time.monotonic()
     try:
@@ -165,6 +181,7 @@ def run_sweep(
                 target_j = math.ceil(state.d_prime * i)
                 j_max = min(i, target_j)
                 lam = max(lambda_for(p, target_j + margin, j_max), lam)
+                basis = _basis_for(p, i_max, lam, basis, plan)
                 row = solve_row(p, i, lam, j_max=j_max, basis=basis)
                 stuck = any(not e.exact for j, e in row.entries.items() if j)
                 if not stuck or attempt == _MAX_RETRIES:

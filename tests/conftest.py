@@ -1,27 +1,28 @@
 import pytest
 
 from katzrates import arithmetic as arithmetic_module
-from katzrates import basis as basis_module
 from katzrates import solver as solver_module
 
 
 @pytest.fixture
-def matrix_builds(monkeypatch) -> list[int]:
-    """The precision e of every basis matrix a KatzBasis builds, in order."""
+def basis_builds(monkeypatch) -> list[int]:
+    """The precision E of every KatzBasis built, in order, the sweep's
+    rebuilds included."""
     builds = []
-    real = basis_module.build_matrix
+    real = solver_module.KatzBasis.__init__
 
-    def counting(p, n, ring):
-        builds.append(ring.e)
-        return real(p, n, ring)
+    def counting(self, p, n, system):
+        builds.append(system.lam)
+        real(self, p, n, system)
 
-    monkeypatch.setattr("katzrates.solver.build_matrix", counting)
+    monkeypatch.setattr(solver_module.KatzBasis, "__init__", counting)
     return builds
 
 
 @pytest.fixture
 def system_builds(monkeypatch) -> list[int]:
-    """The lam of every Vandermonde system a KatzBasis factors, in order."""
+    """The lam of every Vandermonde system built for a KatzBasis, by the
+    solver or by the sweep, in order."""
     builds = []
     real = solver_module.build_system
 
@@ -30,6 +31,7 @@ def system_builds(monkeypatch) -> list[int]:
         return real(p, lam, ss)
 
     monkeypatch.setattr("katzrates.solver.build_system", counting)
+    monkeypatch.setattr("katzrates.sweep.build_system", counting)
     return builds
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from katzrates.arithmetic import QSeries, RingSpec, unpack
-from katzrates.basis import BasisMatrix, block, dim_mk, eps
+from katzrates.basis import block, dim_mk, eps
 from katzrates.classical import delta, e4, e6, e_p_minus_1, eisenstein_star
 from katzrates.solver import (
     KatzBasis,
@@ -305,7 +305,7 @@ def q_coefficient_solutions(system, r: int, count: int) -> list[tuple[int, ...]]
     p, lam = system.p, system.lam
     mod = p**lam
     ring = RingSpec(p, lam)
-    basis = KatzBasis(p, r)
+    basis = KatzBasis(p, r, system)
     forms = [g_form(p, r, j, ring, count).series.coeffs for j in range(*block(p, r))]
     betas = []
     for s in system.ss:
@@ -330,9 +330,10 @@ def forward_substitute(lower, rhs, mod: int) -> list[int]:
     return x
 
 
-def strictly_lower_rows(matrix: BasisMatrix) -> list[list[int]]:
-    """The strictly lower part of each row of a basis matrix."""
-    return [[col[r] for col in matrix.columns[:r]] for r in range(matrix.N)]
+def strictly_lower_rows(columns) -> list[list[int]]:
+    """The strictly lower part of each row of the square matrix with
+    `columns`."""
+    return [[col[r] for col in columns[:r]] for r in range(len(columns))]
 
 
 def is_p_ordered(p: int, lam: int, ws) -> bool:
@@ -389,9 +390,9 @@ def second_route(state) -> int:
     path, and return the number of entries checked.  At lam = lambda_max and
     at lam + 4, the system is a fresh build_system on the lam naturals prime
     to p that follow weight_list(p, lam)[-1], so neither the plan nor a
-    reduction serves it, and the coordinates come from one fresh KatzBasis(p,
-    i) per row, one weight at a time, which rebuilds for lam + 4.  Raises
-    AssertionError unless each entry is exact there with the sweep's value."""
+    reduction serves it, and the coordinates come from a fresh KatzBasis(p,
+    i, system) per row and system.  Raises AssertionError unless each entry
+    is exact there with the sweep's value."""
     p, lam_max = state.p, state.lam_current
     values = {(e.i, e.j): e.value for e in state.entries}
     systems = {}
@@ -401,9 +402,8 @@ def second_route(state) -> int:
         systems[lam] = build_system(p, lam, ss)
     checks = 0
     for i in sorted({i for i, _ in state.attained}):
-        basis = KatzBasis(p, i)
         for lam, system in systems.items():
-            row = solve_row(p, i, lam, system=system, basis=basis)
+            row = solve_row(p, i, lam, basis=KatzBasis(p, i, system))
             for j in sorted(j for ii, j in state.attained if ii == i):
                 entry = row.entries[j]
                 assert entry.exact and entry.value == values[i, j], (lam, entry)

@@ -9,8 +9,8 @@ import pytest
 from oracles import basis_set, g_form, i_of_j, sigma
 from katzrates.arithmetic import QSeries, RingSpec
 from katzrates.basis import (
+    _blocks,
     block,
-    build_matrix,
     column_exponents,
     columns,
     dim_mk,
@@ -157,40 +157,44 @@ def test_g_form_integer_coefficients_cross_check():
 
 
 def test_build_matrix_unit_lower_triangular():
+    # The N columns of the chain form a unit-lower-triangular N x N matrix.
     for p, n in [(5, 3), (5, 6), (7, 4), (11, 3)]:
-        m = build_matrix(p, n, RingSpec(p, 3))
-        assert m.N == dim_mk(n * (p - 1))
-        for j in range(m.N):
-            col = m.columns[j]
+        cols = list(columns(p, n, RingSpec(p, 3)))
+        N = dim_mk(n * (p - 1))
+        assert len(cols) == N
+        for j, col in enumerate(cols):
+            assert len(col) == N
             assert col[j] == 1
             assert all(col[r] == 0 for r in range(j))
 
 
 def test_build_matrix_column_zero():
-    m = build_matrix(5, 3, RingSpec(5, 2))
-    assert m.columns[0] == tuple([1] + [0] * (m.N - 1))
-    assert m.col_to_i[0] == 0
+    # Column 0 is g_{0,0} = 1, in row block 0.
+    cols = list(columns(5, 3, RingSpec(5, 2)))
+    assert cols[0] == tuple([1] + [0] * (len(cols) - 1))
+    assert column_exponents(5, 3)[0][2] == 0
 
 
 def test_col_to_i_weakly_increasing_and_partitions():
-    m = build_matrix(7, 6, RingSpec(7, 3))
-    assert list(m.col_to_i) == sorted(m.col_to_i)
-    for i, lo, hi in m.blocks:
+    # Column j lies in the block i of its E_{p-1}^-i: the blocks partition
+    # the columns in increasing i.
+    col_to_i = [-i for *_, i in column_exponents(7, 6)]
+    assert col_to_i == sorted(col_to_i)
+    for i, lo, hi in _blocks(7, 6):
         for j in range(lo, hi):
-            assert m.col_to_i[j] == i
+            assert col_to_i[j] == i
 
 
 def test_matrix_reduces_consistently_across_precision():
-    hi = build_matrix(5, 6, RingSpec(5, 6))
-    lo = build_matrix(5, 6, RingSpec(5, 2))
+    hi = columns(5, 6, RingSpec(5, 6))
+    lo = list(columns(5, 6, RingSpec(5, 2)))
     m = 5**2
-    for ch, cl in zip(hi.columns, lo.columns):
-        assert tuple(x % m for x in ch) == cl
+    assert [tuple(x % m for x in ch) for ch in hi] == lo
 
 
 def test_build_matrix_rejects_negative_n():
     with pytest.raises(ValueError, match="n must be >= 0"):
-        build_matrix(5, -1, RingSpec(5, 2))
+        columns(5, -1, RingSpec(5, 2))
 
 
 def test_build_matrix_makes_one_product_per_column(monkeypatch):
@@ -206,8 +210,8 @@ def test_build_matrix_makes_one_product_per_column(monkeypatch):
         return real(f, g)
 
     monkeypatch.setattr(QSeries, "__mul__", counting)
-    m = build_matrix(11, 132, RingSpec(11, 26))
-    assert m.N == 111
+    cols = list(columns(11, 132, RingSpec(11, 26)))
+    assert len(cols) == 111
     assert len(calls) <= 32
 
 
@@ -215,10 +219,10 @@ def test_build_matrix_multiplies_only_the_live_slots(ks2_products):
     # Column j needs N - j slots: those of column j-1 from q^(j-1) on and
     # those of the step from q^1 on.  Each step is split and packed once, at
     # N - 1 slots, so its halves must be masked to the live slots.
-    m = build_matrix(11, 132, RingSpec(11, 26))
-    columns = [rec[1:] for rec in ks2_products if rec[0] == "basis"]
-    assert [count for count, *_ in columns] == list(range(m.N - 1, 0, -1))
-    for count, *halves in columns:
+    N = len(list(columns(11, 132, RingSpec(11, 26))))
+    products = [rec[1:] for rec in ks2_products if rec[0] == "basis"]
+    assert [count for count, *_ in products] == list(range(N - 1, 0, -1))
+    for count, *halves in products:
         even, odd = (count + 1) // 2, count // 2
         assert halves[0] <= even and halves[1] <= odd
         assert halves[2] <= even and halves[3] <= odd
@@ -247,10 +251,10 @@ def test_step_keys_repeat_with_the_period(p):
 
 def test_columns_are_made_as_they_are_asked_for(ks2_products):
     ring = RingSpec(11, 5)
-    m = build_matrix(11, 12, ring)
+    cols = list(columns(11, 12, ring))
     ks2_products.clear()
     head = list(islice(columns(11, 12, ring), 4))
-    assert head == list(m.columns[:4])
+    assert head == cols[:4]
     assert len([rec for rec in ks2_products if rec[0] == "basis"]) == 3
 
 

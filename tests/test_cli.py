@@ -9,13 +9,17 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from katzrates import solver as solver_module
 from katzrates import sweep as sweep_module
 from katzrates.arithmetic import PRIME_BOUND
 from katzrates.basis import dim_mk
 from katzrates.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -115,11 +119,15 @@ def test_valuations_j0_inconclusive(capsys):
 @pytest.mark.parametrize(
     "p, r, flag, value", [(5, 200, "--lambda", "2"), (11, 5, "--weights", "1,2,3,4")]
 )
-def test_valuations_empty_block_prints_only_the_header(capsys, p, r, flag, value):
-    # Row r has no basis forms, so every b_{r,j} is 0 and there is no entry.
+def test_valuations_empty_block_prints_only_the_header(
+    capsys, basis_builds, p, r, flag, value
+):
+    # Row r has no basis forms, so every b_{r,j} is 0 and there is no entry,
+    # and no basis is built for it.
     argv = ["valuations", "--p", str(p), "--r", str(r), flag, value]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (0, "i,j,status,value,gamma\n", "")
+    assert basis_builds == []
 
 
 def test_valuations_explicit_weights(capsys):
@@ -129,6 +137,34 @@ def test_valuations_explicit_weights(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert len(rows) > 1
+
+
+@pytest.mark.parametrize(
+    "p, r, weights",
+    [
+        (5, 6, "1,2,3,4,6"),
+        (7, 4, "6,13,20"),
+        (11, 132, ",".join(str(s) for s in range(30, 59) if s % 11)),
+    ],
+    ids=["5-6", "7-4", "11-132"],
+)
+def test_valuations_weights_batch_the_family(monkeypatch, capsys, p, r, weights):
+    # The weights, canonical or not, are solved in the one batch of the
+    # basis built on their system: one family member per weight.  The CSVs
+    # are pinned; 11/132 runs on the 26 naturals in 30..58 prime to 11.
+    calls = []
+    real = solver_module.eis_ratio_by_s
+
+    def counting(p, s, lam, N):
+        calls.append(s)
+        return real(p, s, lam, N)
+
+    monkeypatch.setattr(solver_module, "eis_ratio_by_s", counting)
+    argv = ["valuations", "--p", str(p), "--r", str(r), "--weights", weights]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert sorted(calls) == sorted(int(s) for s in weights.split(","))
+    assert out == (DATA / f"valuations_p{p}_r{r}.csv").read_text()
 
 
 def test_valuations_weight_order_does_not_matter(capsys):

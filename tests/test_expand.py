@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from katzrates import expand as expand_module
 from katzrates.arithmetic import QSeries, RingSpec, pack, slot_bytes, unpack
-from katzrates.basis import block, build_matrix, dim_mk, period
+from katzrates.basis import block, columns, dim_mk, period
 from katzrates.expand import (
     KatzComponent,
     KatzTuple,
@@ -45,20 +45,22 @@ def test_psi_of_constant():
 def test_psi_picks_out_matrix_column():
     # Feeding column j of the matrix back in must return unit coordinate j.
     p, n, C = 5, 3, 4
-    m = build_matrix(p, n, RingSpec(p, C))
-    f = QSeries(m.ring, m.columns[1])  # g_{3,1} E_{p-1}^{-3} = Delta E^{-3}
+    ring = RingSpec(p, C)
+    cols = list(columns(p, n, ring))
+    f = QSeries(ring, cols[1])  # g_{3,1} E_{p-1}^{-3} = Delta E^{-3}
     t = psi(p, n, C, f)
-    assert t.x == tuple(1 if j == 1 else 0 for j in range(m.N))
+    assert t.x == tuple(1 if j == 1 else 0 for j in range(len(cols)))
     assert t.components[3].coords == (1,)
 
 
 def test_phi_of_unit_tuple_is_column():
     p, n, C = 7, 4, 3
-    m = build_matrix(p, n, RingSpec(p, C))
-    for j in range(m.N):
-        x = [1 if jj == j else 0 for jj in range(m.N)]
+    cols = list(columns(p, n, RingSpec(p, C)))
+    N = len(cols)
+    for j in range(N):
+        x = [1 if jj == j else 0 for jj in range(N)]
         t = tuple_from_coords(p, n, C, x)
-        assert phi(p, n, C, t).coeffs == m.columns[j]
+        assert phi(p, n, C, t).coeffs == cols[j]
 
 
 def test_phi_reduces_coordinates():
@@ -290,13 +292,13 @@ def test_psi_and_phi_match_the_matrix_route(p, n, C):
     # The katz-expand precisions of the benchmark session: psi against one
     # forward substitution on the whole basis matrix, phi against one packed
     # combination of all its columns.
-    m = build_matrix(p, n, RingSpec(p, C))
-    mod = m.ring.modulus
+    cols = list(columns(p, n, RingSpec(p, C)))
+    N, mod = len(cols), p**C
     rng = random.Random(p * 1000 + n)
-    f = random_series(rng, p, C, m.N)
-    assert list(psi(p, n, C, f).x) == forward_substitute_many(m, [f.coeffs])[0]
-    x = [rng.randrange(mod) for _ in range(m.N)]
-    width = slot_bytes(mod, m.N)
-    acc = sum(map(mul, x, [pack(col, width) for col in m.columns]))
-    want = tuple(unpack(acc, width, m.N, mod))
+    f = random_series(rng, p, C, N)
+    assert list(psi(p, n, C, f).x) == forward_substitute_many(cols, [f.coeffs], mod)[0]
+    x = [rng.randrange(mod) for _ in range(N)]
+    width = slot_bytes(mod, N)
+    acc = sum(map(mul, x, [pack(col, width) for col in cols]))
+    want = tuple(unpack(acc, width, N, mod))
     assert phi(p, n, C, tuple_from_coords(p, n, C, x)).coeffs == want

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from katzrates import classical, solver
 from katzrates.arithmetic import QSeries, RingSpec
-from katzrates.basis import build_matrix, dim_mk
+from katzrates.basis import columns, dim_mk
 from katzrates.classical import bernoulli, eisenstein_star
 from katzrates.expand import forward_substitute, forward_substitute_many
 from katzrates.family import eis_ratio_by_s
@@ -404,7 +404,7 @@ def test_katz_basis_sizes_the_tangent_table_once(monkeypatch, p, n, E):
     # table holds T_1..T_{k/2}; regrown weight by weight, it would reach the
     # next doubling (512 for 17/20 at E = 38, where 320 are needed).
     monkeypatch.setattr(classical, "_TANGENT", [])
-    KatzBasis(p, n, E).row_coords(1, n, 1)
+    KatzBasis(p, n, build_system(p, E)).row_coords(1, n, 1)
     k_max = weight_list(p, E)[-1] * (p - 1)
     assert len(classical._TANGENT) == k_max // 2
 
@@ -417,8 +417,9 @@ _PRIMES = [5, 7, 11, 13, 17, 19, 23]
 @example(17, 20, 3)
 @example(11, 0, 1)
 def test_build_matrix_matches_direct_column_oracle(p, n, e):
+    # Every column of the chain, made one product after another.
     ring = RingSpec(p, e)
-    assert build_matrix(p, n, ring).columns == oracles.direct_columns(p, n, ring)
+    assert tuple(columns(p, n, ring)) == oracles.direct_columns(p, n, ring)
 
 
 @st.composite
@@ -459,7 +460,7 @@ def test_row_statuses_match_q_coefficient_oracle(case, extra):
         reject()  # two weights agree mod p^lam
     count = oracles.sturm_count(p, r) + extra
     try:
-        _, sols = row_solutions(p, r, lam, system=system)
+        _, sols = row_solutions(p, r, lam, basis=KatzBasis(p, r, system))
     except UnsolvableSystem:
         with pytest.raises(UnsolvableSystem):
             oracles.q_coefficient_solutions(system, r, count)
@@ -512,8 +513,8 @@ def test_eis_ratio_matches_full_inverse_oracle(case):
 
 @st.composite
 def substitution_cases(draw):
-    """(p, n, C, rhss): a basis matrix and up to 6 right-hand sides, with 0
-    and p^C - 1 drawn often."""
+    """(p, n, C, rhss): the basis columns for (p, n) over Z/p^C and up to 6
+    right-hand sides, with 0 and p^C - 1 drawn often."""
     p = draw(st.sampled_from(_FAMILY_PRIMES))
     n = draw(st.integers(0, 14))
     C = draw(st.integers(1, 10))
@@ -529,10 +530,10 @@ def substitution_cases(draw):
 @example((7, 3, 2, []))
 def test_forward_substitute_many_matches_per_vector_oracle(case):
     p, n, C, rhss = case
-    matrix = build_matrix(p, n, RingSpec(p, C))
-    lower = oracles.strictly_lower_rows(matrix)
+    cols = list(columns(p, n, RingSpec(p, C)))
+    lower = oracles.strictly_lower_rows(cols)
     want = [oracles.forward_substitute(lower, rhs, p**C) for rhs in rhss]
-    assert forward_substitute_many(matrix, rhss) == want
+    assert forward_substitute_many(cols, rhss, p**C) == want
 
 
 @st.composite

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 import oracles
 from oracles import padic_val
 from katzrates import solver as solver_module
+from katzrates import sweep as sweep_module
 from katzrates.arithmetic import QSeries, RingSpec
-from katzrates.basis import block, dim_mk
+from katzrates.basis import block, columns, dim_mk
 from katzrates.classical import e_p_minus_1
 from katzrates.expand import psi
 from katzrates.family import eis_ratio_by_s
 from katzrates.solver import (
-    PLAN_SLACK,
     KatzBasis,
     UnsolvableSystem,
     build_system,
@@ -189,7 +189,8 @@ def test_katz_row_coeffs_r0():
     # has constant term 1, so its coordinate is 1 and its q-coefficients are
     # (1, 0, 0, ...): the coordinate solution is the a_0 solution, and the
     # a_mu solutions for mu >= 1 vanish.
-    assert KatzBasis(5, 3).row_coords(7, 0, 3) == (1,)
+    basis = KatzBasis(5, 3, build_system(5, 3, [7, 1, 2]))
+    assert [basis.row_coords(s, 0, 3) for s in (7, 1, 2)] == [(1,)] * 3
     system, sols = row_solutions(5, 0, 3)
     want = oracles.q_coefficient_solutions(system, 0, 4)
     assert sols == want[:1]
@@ -216,16 +217,17 @@ def test_solve_row_j0_inconclusive_for_positive_r():
 def test_solve_row_of_an_empty_block_has_no_entries(p, r, lam):
     # b_{r,j} = 0 for every j when the dimension does not grow from weight
     # (r-1)(p-1) to r(p-1); a sweep records no entries for such a row, and
-    # solve_row gives none either, on a basis or on a system of its own.
+    # solve_row gives none either, on a basis of its own or one given.
     lo, hi = block(p, r)
     assert lo == hi
     assert solve_row(p, r, lam).entries == {}
-    assert solve_row(p, r, lam, system=build_system(p, lam)).entries == {}
+    basis = KatzBasis(p, r, build_system(p, lam))
+    assert solve_row(p, r, lam, basis=basis).entries == {}
 
 
 def test_particular_solutions_satisfy_systems():
     system, sols = row_solutions(5, 6, 8)
-    _, coords_check = row_solutions(5, 6, 8, system=system)
+    _, coords_check = row_solutions(5, 6, 8, basis=KatzBasis(5, 6, system))
     for a, b in zip(sols, coords_check):
         assert a == b  # deterministic
     # The solver contract: each solution solves its system (checked via theta
@@ -261,7 +263,7 @@ def test_sturm_sufficiency_small_cases():
     p, lam = 5, 8
     for r in (3, 6, 9):
         system = build_system(p, lam)
-        _, sols = row_solutions(p, r, lam, system=system)
+        _, sols = row_solutions(p, r, lam, basis=KatzBasis(p, r, system))
         # q-coefficients a_0..a_{S+5} of the r-th component, past the Sturm
         # count S.
         count = oracles.sturm_count(p, r) + 6
@@ -303,21 +305,42 @@ def test_solve_row_rejects_large_j_max():
         solve_row(5, 3, 2, j_max=5)
 
 
+@pytest.mark.parametrize(
+    "r, lam, j_max, reason",
+    [
+        (-1, 3, None, "row r = -1 must be >= 0"),
+        (-5, 3, 0, "row r = -5 must be >= 0"),
+        (3, 3, -1, r"j_max = -1 lies outside 0\.\.lam - 1"),
+        (3, 0, None, "lam must be >= 1"),
+    ],
+)
+def test_solve_row_rejects_a_bad_row_or_cut_off(r, lam, j_max, reason):
+    # A negative row is not an empty block, and a negative j_max is not a
+    # row with no entries: both are refused.
+    with pytest.raises(ValueError, match=reason):
+        solve_row(5, r, lam, j_max=j_max)
+
+
 @pytest.mark.parametrize("lam", [7, 11])
 def test_solve_row_rejects_a_system_at_another_lambda(lam):
-    # A system given fixes lam.  Mixed with coordinates mod 5^7 it raised a
-    # false UnsolvableSystem; at 11 it gave a row labelled lam = 11 whose
-    # entries were computed at 9.
-    system = build_system(5, 9)
-    with pytest.raises(ValueError, match=r"lam = \d+, but the system given is over Z/p\^9"):
-        solve_row(5, 6, lam, system=system)
-    assert solve_row(5, 6, 9, system=system) == solve_row(5, 6, 9)
+    # A system is passed only inside its KatzBasis, so coordinates and system
+    # share one precision E = 9: below E both are reduced to lam, and the row
+    # is that of a fresh solve at lam; above E the basis refuses lam, where a
+    # row labelled lam would hold entries computed at 9.
+    basis = KatzBasis(5, 6, build_system(5, 9))
+    if lam > basis.E:
+        with pytest.raises(ValueError, match=r"lam = 11 lies outside 1\.\.9"):
+            solve_row(5, 6, lam, basis=basis)
+    else:
+        assert solve_row(5, 6, lam, basis=basis) == solve_row(5, 6, lam)
+    assert solve_row(5, 6, 9, basis=basis) == solve_row(5, 6, 9)
 
 
 @st.composite
 def basis_requests(draw):
-    """(p, n, r, E, lam, s): a KatzBasis for (p, n) first used at precision E,
-    then asked for row r at lam <= E."""
+    """(p, n, r, E, lam, s): a KatzBasis for (p, n) on a system over Z/p^E,
+    asked for row r at lam <= E and weight s, the first of the E naturals
+    prime to p from s on that make up the system."""
     p = draw(st.sampled_from([5, 7, 11, 13]))
     n = draw(st.integers(0, 12))
     r = draw(st.integers(0, n))
@@ -327,14 +350,20 @@ def basis_requests(draw):
     return p, n, r, E, lam, s
 
 
+def _basis_on(p, n, E, s):
+    """A KatzBasis for (p, n) on the E naturals prime to p from s on: they
+    are distinct mod p^(E-1), so their coordinates are distinct mod p^E."""
+    ss = [t for t in range(s, s + 2 * E) if t % p][:E]
+    return KatzBasis(p, n, build_system(p, E, ss))
+
+
 @settings(max_examples=60, deadline=None)
 @given(basis_requests())
 @example((17, 20, 20, 6, 4, 3))
 @example((11, 5, 5, 3, 3, 1))
 def test_katz_basis_row_coords_match_psi(req):
     p, n, r, E, lam, s = req
-    basis = KatzBasis(p, n)
-    basis.row_coords(s, r, E)
+    basis = _basis_on(p, n, E, s)
     assert basis.E == E
     N = dim_mk(n * (p - 1))
     lo, hi = block(p, r)
@@ -347,17 +376,16 @@ def test_katz_basis_row_coords_match_psi(req):
 @example((17, 20, 20, 6, 4, 3), 40)
 @example((11, 5, 5, 3, 3, 1), 40)
 def test_katz_basis_row_forms_match_g_form(req, count):
-    # The columns of row r in the basis matrix, built at E and reduced mod
+    # The columns of row r in the basis chain, built at E and reduced mod
     # p^lam, are g_{r,j} / E_{p-1}^r for the g_form forms g_{r,j}.
     p, n, r, E, lam, s = req
-    basis = KatzBasis(p, n)
-    basis.row_coords(s, r, E)
-    ring = RingSpec(p, basis.E)
-    count = min(count, basis.N)
-    e_r = e_p_minus_1(ring, basis.N) ** r
+    ring = RingSpec(p, E)
+    cols = list(columns(p, n, ring))
+    count = min(count, len(cols))
+    e_r = e_p_minus_1(ring, len(cols)) ** r
     lo, hi = block(p, r)
-    columns = [QSeries(ring, basis.matrix.columns[j]) for j in range(lo, hi)]
-    got = tuple(oracles.reduce(c * e_r, lam).truncate(count).coeffs for c in columns)
+    series = [QSeries(ring, cols[j]) for j in range(lo, hi)]
+    got = tuple(oracles.reduce(c * e_r, lam).truncate(count).coeffs for c in series)
     small = RingSpec(p, lam)
     want = tuple(
         oracles.g_form(p, r, j, small, count).series.coeffs for j in range(lo, hi)
@@ -367,20 +395,37 @@ def test_katz_basis_row_forms_match_g_form(req, count):
 
 def test_katz_basis_rejects_row_beyond_n():
     with pytest.raises(ValueError):
-        KatzBasis(17, 20).row_coords(1, 21, 2)
+        KatzBasis(17, 20, build_system(17, 2)).row_coords(1, 21, 2)
 
 
-def test_katz_basis_builds_at_plan_then_steps(matrix_builds, system_builds):
-    # The first request builds at max(lam, plan), so at exactly lam with no
-    # plan; a request above E rebuilds at lam + PLAN_SLACK; every other
-    # request reduces.  The system is factored at each E the basis is built
-    # at, and served at lam like a fresh build.
-    assert PLAN_SLACK == 2
+def test_katz_basis_refuses_a_precision_or_weight_it_does_not_hold():
+    # lam must lie in 1..E and s among the system's weights; neither may
+    # surface as a KeyError or as RingSpec's "e must be >= 1".
+    basis = KatzBasis(5, 6, build_system(5, 4))
+    for lam in (0, -1, 5):
+        with pytest.raises(ValueError, match=rf"lam = {lam} lies outside 1\.\.4"):
+            basis.row_coords(1, 6, lam)
+        with pytest.raises(ValueError, match=rf"lam = {lam} lies outside 1\.\.4"):
+            basis.system(lam)
+    for s in (6, 7, 5):
+        with pytest.raises(ValueError, match=f"s = {s} is not a weight"):
+            basis.row_coords(s, 6, 3)
+    with pytest.raises(ValueError, match="p = 5, not 7"):
+        KatzBasis(7, 6, build_system(5, 4))
+
+
+def test_katz_basis_builds_at_plan_then_steps(basis_builds, system_builds):
+    # The sweep's first row builds its basis at max(lam, plan), so at exactly
+    # lam with no plan; a row above E rebuilds at lam + PLAN_SLACK; every
+    # other row reduces.  Each basis is built on a system factored at its E,
+    # and serves it at lam like a fresh build.
+    assert sweep_module.PLAN_SLACK == 2
     for plan, want in [(0, [3, 6, 15]), (10, [10, 15]), (20, [20])]:
-        matrix_builds.clear()
+        basis_builds.clear()
         system_builds.clear()
-        basis = KatzBasis(5, 6, plan)
+        basis = None
         for lam in (3, 2, 4, 6, 5, 13, 12):
+            basis = sweep_module._basis_for(5, 6, lam, basis, plan)
             basis.row_coords(1, 6, lam)
             served, fresh = basis.system(lam), build_system(5, lam)
             assert served.lam == lam
@@ -391,14 +436,14 @@ def test_katz_basis_builds_at_plan_then_steps(matrix_builds, system_builds):
                 fresh.gamma,
             )
             assert basis.system(lam) is served
-        assert matrix_builds == want
-        assert system_builds == matrix_builds
+        assert basis_builds == want
+        assert system_builds == basis_builds
         assert basis.E == want[-1]
 
 
 def test_katz_basis_batches_the_weight_list(monkeypatch):
-    # One build computes the family members at every weight of
-    # weight_list(p, E); any other weight is added on its own.
+    # One build computes the family members at every weight of its system,
+    # in the system's order; no other weight is computed.
     calls = []
     real = solver_module.eis_ratio_by_s
 
@@ -407,9 +452,10 @@ def test_katz_basis_batches_the_weight_list(monkeypatch):
         return real(p, s, lam, N)
 
     monkeypatch.setattr(solver_module, "eis_ratio_by_s", counting)
-    basis = KatzBasis(5, 6, 4)
+    basis = KatzBasis(5, 6, build_system(5, 4))
     for s in weight_list(5, 3):
         basis.row_coords(s, 6, 3)
     assert calls == [1, 2, 3, 4]
-    basis.row_coords(7, 6, 3)
-    assert calls == [1, 2, 3, 4, 7]
+    with pytest.raises(ValueError):
+        basis.row_coords(7, 6, 3)
+    assert calls == [1, 2, 3, 4]

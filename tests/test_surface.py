@@ -107,15 +107,25 @@ def test_katz_expand_imports_neither_solver_nor_sweep(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name", ["g_form", "Residue", "CappedVal", "WeightSpec", "v_operator"]
+    "name",
+    [
+        "g_form",
+        "Residue",
+        "CappedVal",
+        "WeightSpec",
+        "v_operator",
+        "BasisMatrix",
+        "build_matrix",
+    ],
 )
 def test_no_module_defines_a_removed_path(name):
     # g_form (the basis forms one at a time) and v_operator (the dense V of
     # the E*_k ratio) live on only in tests/oracles.py and in history,
-    # Residue, CappedVal and WeightSpec only in history; the package builds
-    # the basis matrix column by column, divides by V(E*_k) sparsely, keeps
-    # residues and valuations as plain ints (a valuation mod p^e capped at e)
-    # and a weight k = s(p-1) as its s.
+    # Residue, CappedVal, WeightSpec, BasisMatrix and build_matrix only in
+    # history; the package makes the basis columns one by one from one chain
+    # (basis.columns) and keeps none of them, divides by V(E*_k) sparsely,
+    # keeps residues and valuations as plain ints (a valuation mod p^e capped
+    # at e) and a weight k = s(p-1) as its s.
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.AsyncFunctionDef)):

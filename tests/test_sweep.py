@@ -16,8 +16,9 @@ import oracles
 from katzrates import sweep as sweep_module
 from katzrates.arithmetic import PRIME_BOUND
 from katzrates.basis import dim_mk
-from katzrates.solver import PLAN_SLACK, build_system, f_bound
+from katzrates.solver import build_system, f_bound
 from katzrates.sweep import (
+    PLAN_SLACK,
     CheckpointError,
     SweepEntry,
     c_p,
@@ -534,12 +535,17 @@ def test_sweep_reproduces_golden_csv(p, i_max):
     assert _entries_csv(run_sweep(p, i_max)) == golden
 
 
-def test_reproduce_table_writes_the_sweep_csv(tmp_path, capsys, monkeypatch):
+def _reproduce_table():
     spec = importlib.util.spec_from_file_location(
         "reproduce_table", ROOT / "scripts" / "reproduce_table.py"
     )
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_reproduce_table_writes_the_sweep_csv(tmp_path, capsys, monkeypatch):
+    script = _reproduce_table()
     assert script.main(["--rows", "17:20", "--out-dir", str(tmp_path)]) == 0
     assert (tmp_path / "p17.csv").read_bytes() == (DATA / "p17_i20.csv").read_bytes()
     line = capsys.readouterr().out.splitlines()[2].split()
@@ -556,22 +562,53 @@ def test_reproduce_table_writes_the_sweep_csv(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines()[2].split()[-2] == "2"
 
 
-def test_sweep_builds_basis_once_at_planned_precision(matrix_builds):
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ("4:10", "p must be a prime >= 5"),
+        ("9:3", "p must be a prime >= 5"),
+        ("5:0", "imax must be >= 1"),
+        ("5:-3", "imax must be >= 1"),
+        ("5:1_0", "expected p:imax"),
+        ("5:+1٣", "expected p:imax"),
+        ("5", "expected p:imax"),
+    ],
+)
+def test_reproduce_table_refuses_a_bad_row_before_any_sweep(
+    monkeypatch, capsys, row, reason
+):
+    # A bad --rows value exits 2 through argparse; exit 1 is reserved for a
+    # row that fails its audit, and no row is swept, not even a good one.
+    script = _reproduce_table()
+    monkeypatch.setattr(script, "run_sweep", None)
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--rows", "5:12", row])
+    assert exc.value.code == 2
+    assert reason in capsys.readouterr().err
+
+
+def test_reproduce_table_reads_rows_as_the_cli_reads_integers():
+    script = _reproduce_table()
+    assert script.parse_row("5:36") == (5, 36)
+    assert script.parse_row("+7:056") == (7, 56)
+
+
+def test_sweep_builds_basis_once_at_planned_precision(basis_builds):
     # p=5 to i=36 needs lam = 10, 12, 15, and plans 15 + 2; p=11 to i=132
     # needs lam up to 26 and plans 24 + 2.
     assert sweep_module.planned_precision(5, 36) == 17
     run_sweep(5, 36)
-    assert matrix_builds == [17]
-    matrix_builds.clear()
+    assert basis_builds == [17]
+    basis_builds.clear()
     assert sweep_module.planned_precision(11, 132) == 26
     run_sweep(11, 132)
-    assert matrix_builds == [26]
+    assert basis_builds == [26]
 
 
 @pytest.mark.parametrize("p, i_max", [(5, 36), (7, 56)])
 @pytest.mark.parametrize("shift", [-100, 20])
 def test_wrong_plan_gives_the_same_csv(
-    monkeypatch, matrix_builds, system_builds, reductions, p, i_max, shift
+    monkeypatch, basis_builds, system_builds, reductions, p, i_max, shift
 ):
     # A plan far too low builds at the first row's lam and steps by
     # PLAN_SLACK on each miss; one far too high builds once, above need.
@@ -584,24 +621,24 @@ def test_wrong_plan_gives_the_same_csv(
     state = run_sweep(p, i_max)
     assert _entries_csv(state) == golden
     if shift < 0:
-        assert len(matrix_builds) > 1 and matrix_builds == sorted(set(matrix_builds))
-        assert state.lam_current <= matrix_builds[-1] <= state.lam_current + PLAN_SLACK
+        assert len(basis_builds) > 1 and basis_builds == sorted(set(basis_builds))
+        assert state.lam_current <= basis_builds[-1] <= state.lam_current + PLAN_SLACK
     else:
-        assert matrix_builds == [real(p, i_max) + shift]
+        assert basis_builds == [real(p, i_max) + shift]
     # The Vandermonde system follows the same plan: every build after the
     # first is at the missed row's lam + PLAN_SLACK.
-    assert system_builds == matrix_builds
+    assert system_builds == basis_builds
     for built, rebuilt in zip(system_builds, system_builds[1:]):
         assert rebuilt - PLAN_SLACK in reductions and rebuilt - PLAN_SLACK > built
 
 
-def test_resumed_sweep_plans_at_least_the_checkpoint_lambda(matrix_builds):
+def test_resumed_sweep_plans_at_least_the_checkpoint_lambda(basis_builds):
     # Row 15 is the first nonempty row past 12 for p = 5.
     state = run_sweep(5, 12)
-    matrix_builds.clear()
+    basis_builds.clear()
     state.lam_current = 40
     run_sweep(5, 15, resume=state)
-    assert matrix_builds == [40]
+    assert basis_builds == [40]
 
 
 @pytest.mark.parametrize(
