@@ -22,12 +22,13 @@ remaining w_s is k + sum_{e>=1} #{m < k : s_m = s mod p^e} (capped at lam).
 The s_m, m < k, are the naturals prime to p below s_k, so for s = s_k the
 count at each e is floor((s_k - 1) / p^e), the least any residue class
 mod p^e can have among them; ties go to the first index, so step k takes
-s_k.  Each column of A and of B is packed into one integer once, at E, and a
-solve at lam reads the first lam slots of the first lam columns mod p^lam;
-gamma_j = min(lam, min_{j<=k<lam} (lam - min(t_k, lam) + v(B[j][k]))) is
-read off a table of the valuations of the entries of B.  The build checks
-that the kernel generators annihilate V without building V: column k of B
-is the Newton polynomial N_k, whose values at the nodes are the running
+s_k.  A = L^-1 is never formed: one forward substitution over L at the
+build's p^E applies it to a whole batch, and a solve at lam reads the first
+lam entries mod p^lam (A is lower triangular).  Each column of B is packed
+once, at E, and gamma_j = min(lam, min_{j<=k<lam} (lam - min(t_k, lam) +
+v(B[j][k]))) is read off the valuations of its upper triangle.  The build
+checks that the kernel generators annihilate V without building V: column k
+of B is the Newton polynomial N_k, whose values at the nodes are the running
 products prod_{m<k} (w_i - w_m) (_check_kernel).
 """
 
@@ -80,10 +81,10 @@ def _newton_diagonalize(ws, p: int, lam: int):
     otherwise.  Hence, with the rows of V in the order pi, V.B = L.diag(p^t)
     with L[r][k] = P_pi(r) / p^t_k, p-integral by the choice of pi(k), lower
     triangular with unit diagonal entries; where t_k = lam, column k of L is
-    e_k.  A = L^-1 comes by forward substitution.  A and B are invertible, and
-    t_0 <= t_1 <= ... (a p-ordering's valuations never decrease) are the
-    Smith invariants of V.  Returns A, each row cut after its diagonal entry,
-    the t_k, B and the order pi.
+    e_k.  L and B are invertible, and t_0 <= t_1 <= ... (a p-ordering's
+    valuations never decrease) are the Smith invariants of V.  Returns L, as
+    its rows over their diagonal units, cut before it, and the inverses of
+    the units, the t_k, B and the order pi.
     """
     mod = p**lam
     n = len(ws)
@@ -118,39 +119,31 @@ def _newton_diagonalize(ws, p: int, lam: int):
                 v += 1
             val[r] = min(val[r] + v, lam)
             unit[r] = unit[r] * d % mod
-    # Inverse of every pivot unit from one pow: prefix products, then back.
+    # u_k^-1 = (the product of the other units) / (the product of all), one pow.
     prefix = list(accumulate(units, lambda a, b: a * b % mod, initial=1))
     inv = pow(prefix[-1], -1, mod)
-    uinvs = [0] * n
-    for k in reversed(range(n)):
-        uinvs[k] = inv * prefix[k] % mod
-        inv = inv * units[k] % mod
-    # A = L^-1: row k of L and e_k over its diagonal unit, e_k cut after k.
-    lower = ([c * uinv % mod for c in below[i]] for i, uinv in zip(order, uinvs))
-    rhs = ([0] * k + [uinv] for k, uinv in enumerate(uinvs))
-    A = forward_substitute(lower, rhs, mod, n)
-    return A, ts, [list(row) for row in zip(*cols)], order
+    suffix = list(accumulate(reversed(units), lambda a, b: a * b % mod, initial=inv))
+    uinvs = tuple(a * b % mod for a, b in zip(prefix, reversed(suffix[:-1])))
+    lower = tuple(tuple(c * uinv % mod for c in below[i]) for i, uinv in zip(order, uinvs))
+    return (lower, uinvs), tuple(ts), [list(row) for row in zip(*cols)], order
 
 
-def _min_val(values, p: int, lam: int) -> int:
-    """min over `values` of their valuations mod p^lam, capped at lam ("at
-    least lam"): the valuation of their gcd with p^lam."""
-    g = math.gcd(p**lam, *values)
-    t = 0
-    while g > 1:
-        g //= p
-        t += 1
-    return t
+def _min_val(values, mod: int, log: dict[int, int]) -> int:
+    """min over `values` of their valuations mod `mod` = p^lam, capped at
+    lam ("at least lam"): the valuation of their gcd with p^lam, read off
+    log = {p^e: e for e <= lam}."""
+    return log[math.gcd(mod, *values)]
 
 
 def _gamma(vals, ts, lam: int) -> tuple[int, ...]:
     """The thresholds gamma_j = min over the generators p^(lam - t_k).B[:,k]
     of the right kernel of V over Z/p^lam of nu(component j), k < lam:
     nu(p^(lam - t_k).B[j][k]) = min(lam, lam - t_k + v(B[j][k])), read off
-    row j of the valuation table `vals` of B.  A column with t_k = 0 gives the
-    zero generator, and a zero entry has valuation >= lam.  N_k is monic, so
-    generator k is p^(lam - t_k) != 0 at component k when t_k > 0."""
-    return tuple(min(lam, lam + min(map(sub, row, ts))) for row in vals[:lam])
+    row j of the valuation table `vals` of B, which holds k >= j only (B is
+    upper triangular).  A column with t_k = 0 gives the zero generator, and a
+    zero entry has valuation >= lam.  N_k is monic, so generator k is
+    p^(lam - t_k) != 0 at component k when t_k > 0."""
+    return tuple(min(lam, lam + min(map(sub, r, ts[j:]))) for j, r in enumerate(vals[:lam]))
 
 
 def _packed_vandermonde(nodes, mod: int, width: int) -> list[int]:
@@ -205,12 +198,11 @@ def _check_kernel(nodes, B, ts, p: int, lam: int) -> None:
 @dataclass(frozen=True)
 class VandermondeSystem:
     """The Vandermonde system V[i][j] = w_i^j over Z/p^lam, kept as what a
-    solve reads: a factorization A.V.B = diag(p^t_k), the conclusiveness
-    thresholds gamma_j and the valuations of the entries of B.  Each column
-    of A and of B is one integer packed in slots of `_width` bytes.  The
-    columns and the valuations are those of the build over Z/p^E, E >= lam,
-    which its reductions share; a solve reads their leading lam x lam blocks
-    mod p^lam."""
+    solve reads: a factorization L^-1.V.B = diag(p^t_k) (L as _newton_diagonalize
+    returns it, each column of B packed in slots of `_width` bytes), the
+    conclusiveness thresholds gamma_j and the valuations of B.  These are
+    the build's over Z/p^E, E >= lam, which its reductions share; a solve
+    reads their leading lam x lam blocks mod p^lam."""
 
     p: int
     lam: int
@@ -218,7 +210,8 @@ class VandermondeSystem:
     gamma: tuple[int, ...]  # capped at lam
     _ts: tuple[int, ...]
     _width: int
-    _acols: tuple[int, ...]
+    _lower: tuple[tuple[int, ...], ...]
+    _uinvs: tuple[int, ...]
     _bcols: tuple[int, ...]
     _vals: tuple[tuple[int, ...], ...]
 
@@ -227,43 +220,57 @@ class VandermondeSystem:
         return self.p**self.lam
 
     def solve_many(self, thetas, count: int | None = None) -> list[tuple[int, ...]]:
-        """A particular solution of Vx = theta mod p^lam for each theta, from
-        x = B.Y with Y = diag(p^-t_k).A.theta, cut to its first `count`
-        components (default lam).  A.theta is the sum of theta_m times the
-        packed column m of A, and B.Y that of Y_k times column k of B."""
+        """A particular solution of Vx = theta mod p^lam for each theta, cut to
+        its first `count` components (default lam): L^-1.theta for all the
+        thetas at once (_newton_side), then _solutions."""
+        return self._solutions(zip(*self._newton_side([*zip(*thetas)][: self.lam])), count)
+
+    def _newton_side(self, rows) -> list[list[int]]:
+        """L^-1 applied to the matrix with `rows`, one per weight, by one
+        forward substitution over L against the rows u_k^-1.rows[k].  It runs
+        at the build's p^E, where the entries of L lie in [0, p^E) as
+        forward_substitute needs; a system at lam reads it mod p^lam."""
+        mod = self.p ** len(self._uinvs)
+        rhs = ([u * c for c in row] for u, row in zip(self._uinvs, rows))
+        return forward_substitute(self._lower, rhs, mod, len(rows))
+
+    def _solutions(self, cols, count: int | None) -> list[tuple[int, ...]]:
+        """x = B.Y, cut to its first `count` components (default lam), for
+        each column c of L^-1.theta: Y_k = (c_k mod p^lam) / p^t_k, k < lam,
+        or UnsolvableSystem if not exact, and B.Y = sum_k Y_k.B[:,k]."""
         mod, width = self.modulus, self._width
         count = self.lam if count is None else count
         pts = [self.p**t for t in self._ts]
         out = []
-        for theta in thetas:
-            acc = sum(map(mul, [t % mod for t in theta], self._acols))
+        for col in cols:
             Y = []
-            for k, (c, pt) in enumerate(zip(unpack(acc, width, self.lam, mod), pts)):
-                if c % pt:
+            for k, (c, pt) in enumerate(zip(col, pts)):
+                y, rem = divmod(c % mod, pt)
+                if rem:
                     raise UnsolvableSystem(
                         f"component {k} needs valuation >= {self._ts[k]}, "
-                        f"got residue {c}"
+                        f"got residue {c % mod}"
                     )
-                Y.append(c // pt)
+                Y.append(y)
             out.append(tuple(unpack(sum(map(mul, Y, self._bcols)), width, count, mod)))
         return out
 
     def reduce(self, lam: int) -> VandermondeSystem:
         """The system over Z/p^lam on the first lam weights (weight_list(p,
         lam) for a system built on weight_list(p, self.lam)), factored by the
-        leading lam x lam blocks of this one: it shares the packed columns
-        and caps the t_k at lam.
+        leading lam x lam blocks of this one: it shares L and B and caps the
+        t_k at lam.
 
-        Every system keeps its weights in p-order, so A is lower and B upper
-        triangular, and the leading blocks of A.V.B = diag(p^t) mod p^lam give
-        A'.V'.B' = diag(p^min(t_k, lam)).  The first lam weights are in
-        p-order at lam too (their running valuations are capped at lam, ties
-        going to the first index), so B' and the t' are those a fresh build
-        on them computes, and gamma is too; A' may differ, and then a
-        particular solution differs from a fresh one by a kernel element,
-        which collect_statuses allows for.  The kernel check is not repeated:
-        V.B[:,k] = 0 mod p^t_k, checked at the build, holds on the leading
-        rows mod p^t'_k because B is upper triangular and t'_k <= t_k."""
+        Every system keeps its weights in p-order, so A = L^-1 is lower and B
+        upper triangular, and the leading blocks of A.V.B = diag(p^t) mod
+        p^lam give A'.V'.B' = diag(p^min(t_k, lam)).  The first lam weights
+        are in p-order at lam too (running valuations capped at lam, ties to
+        the first index), so B', the t' and gamma are a fresh build's on them;
+        A' may differ, and then a particular solution differs from a fresh
+        one by a kernel element, which collect_statuses allows for.  The
+        kernel check is not repeated: V.B[:,k] = 0 mod p^t_k, checked at the
+        build, holds on the leading rows mod p^t'_k because B is upper
+        triangular and t'_k <= t_k."""
         if lam > self.lam:
             raise ValueError(f"cannot reduce a lam = {self.lam} system to {lam}")
         if lam == self.lam:
@@ -293,23 +300,14 @@ def build_system(p: int, lam: int, ss=None) -> VandermondeSystem:
     ws = [(pow(p + 1, s * (p - 1), mod) - 1) % mod for s in ss]
     if len(set(ws)) != len(ws):
         raise ValueError("duplicate weight coordinates mod p^lam")
-    A, ts, B, order = _newton_diagonalize(ws, p, lam)
+    L, ts, B, order = _newton_diagonalize(ws, p, lam)
     ss = tuple(ss[i] for i in order)
     _check_kernel([ws[i] for i in order], B, ts, p, lam)
     width = slot_bytes(mod, lam)
     log = {p**e: e for e in range(lam + 1)}
-    vals = tuple(tuple(log[math.gcd(b, mod)] for b in row) for row in B)
-    return VandermondeSystem(
-        p=p,
-        lam=lam,
-        ss=ss,
-        gamma=_gamma(vals, ts, lam),
-        _ts=tuple(ts),
-        _width=width,
-        _acols=tuple(pack(col, width) for col in zip_longest(*A, fillvalue=0)),
-        _bcols=tuple(pack(col, width) for col in zip(*B)),
-        _vals=vals,
-    )
+    vals = tuple(tuple(log[math.gcd(b, mod)] for b in row[j:]) for j, row in enumerate(B))
+    bcols = tuple(pack(col, width) for col in zip(*B))
+    return VandermondeSystem(p, lam, ss, _gamma(vals, ts, lam), ts, width, *L, bcols, vals)
 
 
 @dataclass(frozen=True)
@@ -344,12 +342,14 @@ class KatzBasis:
 
     The build is one batch over Z/p^E: the family members at system.ss, the
     N columns of basis.columns and one forward substitution of the members
-    against them (expand.forward_substitute_many); the columns are not kept.
-    Reduction mod p^lam is a ring map, so the served coordinates equal a
-    fresh build at (r, lam), and the served system is system.reduce(lam),
-    the newest of which is kept.  Coordinates and system come from this one
-    object, so a solve cannot pair coordinates with another system's weights
-    or precision.
+    against them (expand.forward_substitute_many), giving the coordinates X,
+    a row per weight.  One more applies the system's L^-1 (_newton_side),
+    and only W = L^-1.X is kept, a tuple over the weights per coordinate b:
+    a row's solve reads it, and row_coords reads X = L.W off it.  Reduction
+    mod p^lam is a ring map, so the served coordinates equal a fresh build
+    at (r, lam), and the served system is system.reduce(lam), the newest of
+    which is kept.  Coordinates and system come from this one object, so a
+    solve cannot pair them across weights or precisions.
     """
 
     def __init__(self, p: int, n: int, system: VandermondeSystem):
@@ -362,28 +362,29 @@ class KatzBasis:
         # where the weights in turn would regrow it geometrically.
         bernoulli(max(system.ss) * (p - 1))
         ratios = [eis_ratio_by_s(p, s, self.E, N).coeffs for s in system.ss]
-        cols = list(columns(p, n, ring))
-        coords = forward_substitute_many(cols, ratios, ring.modulus)
-        self._coords = dict(zip(system.ss, coords))
+        # The columns are freed before the fold, which holds X and W at once.
+        coords = forward_substitute_many(list(columns(p, n, ring)), ratios, ring.modulus)
+        self._newton = list(zip(*system._newton_side(coords)))
         self._system = system
         self._served = None
 
-    def _check(self, lam: int) -> None:
+    def _check(self, lam: int, r: int = 0) -> None:
+        if not 0 <= r <= self.n:
+            raise ValueError(f"row {r} is outside 0..{self.n}")
         if not 1 <= lam <= self.E:
             raise ValueError(f"lam = {lam} lies outside 1..{self.E}, the basis's precision")
 
     def row_coords(self, s: int, r: int, lam: int) -> tuple[int, ...]:
         """Coordinates over the g_{r,j} of E*_k / V(E*_k), k = s(p-1), mod
-        p^lam, for a weight s of the basis's system."""
-        if not 0 <= r <= self.n:
-            raise ValueError(f"row {r} is outside 0..{self.n}")
-        self._check(lam)
-        x = self._coords.get(s)
-        if x is None:
+        p^lam, for a weight s of the basis's system: row k of X = L.W, u_k
+        (W_k + sum_{m<k} L'[k][m] W_m) with L' the rows of L over u_k."""
+        self._check(lam, r)
+        if s not in self._system.ss:
             raise ValueError(f"s = {s} is not a weight of the basis's system")
-        lo, hi = block(self.p, r)
-        mod = self.p**lam
-        return tuple(c % mod for c in x[lo:hi])
+        k, mod = self._system.ss.index(s), self.p**lam
+        lower, u = self._system._lower[k], pow(self._system._uinvs[k], -1, mod)
+        W = self._newton[slice(*block(self.p, r))]
+        return tuple(u * (w[k] + sum(map(mul, lower, w))) % mod for w in W)
 
     def system(self, lam: int) -> VandermondeSystem:
         """The basis's system over Z/p^lam, on its first lam weights."""
@@ -400,6 +401,8 @@ def row_solutions(p, r, lam, basis=None, count=None):
     components (default lam).  V is the system of `basis` (a KatzBasis for
     some n >= r over Z/p^E, E >= lam) reduced to lam; `basis` defaults to
     KatzBasis(p, r, build_system(p, lam)).  Returns (system, solutions).
+    The basis's W at b is L^-1.theta_b over Z/p^E; A = L^-1 is lower
+    triangular, so its first lam entries mod p^lam are A.theta_b at lam.
 
     The coordinates stand in for the q-coefficients a_0..a_S, S =
     ceil(r(p-1)/12), of the r-th component, which pin down its valuation
@@ -420,8 +423,9 @@ def row_solutions(p, r, lam, basis=None, count=None):
     if basis is None:
         basis = KatzBasis(p, r, build_system(p, lam))
     system = basis.system(lam)
-    coords = [basis.row_coords(s, r, lam) for s in system.ss]
-    return system, system.solve_many(list(zip(*coords)), count)
+    basis._check(lam, r)
+    lo, hi = block(p, r)
+    return system, system._solutions(basis._newton[lo:hi], count)
 
 
 def collect_statuses(system: VandermondeSystem, solutions, j_max: int, r: int):
@@ -429,10 +433,10 @@ def collect_statuses(system: VandermondeSystem, solutions, j_max: int, r: int):
     the solutions, classified against the kernel thresholds.  Ambiguity-proof:
     perturbing any solution by a kernel element cannot change an exact
     entry."""
-    p, lam = system.p, system.lam
+    mod, log = system.modulus, {system.p**e: e for e in range(system.lam + 1)}
     out = {}
     for j in range(j_max + 1):
-        alpha = _min_val([sol[j] for sol in solutions], p, lam)
+        alpha = _min_val([sol[j] for sol in solutions], mod, log)
         gamma = system.gamma[j]
         # alpha = lam, "at least lam", is never below gamma <= lam.
         value = alpha if alpha < gamma else None
@@ -441,11 +445,7 @@ def collect_statuses(system: VandermondeSystem, solutions, j_max: int, r: int):
 
 
 def solve_row(
-    p: int,
-    r: int,
-    lam: int,
-    j_max: int | None = None,
-    basis=None,
+    p: int, r: int, lam: int, j_max: int | None = None, basis=None
 ) -> ValuationRow:
     """Valuations nu(b_{r,j}) for 0 <= j <= j_max, each exact or inconclusive;
     none for a row with an empty basis block, where every b_{r,j} is 0 (a

@@ -114,15 +114,17 @@ def row_entries(row) -> list[SweepEntry]:
 
 def _fold_rate(entries, d_prime: Fraction, attained: set) -> tuple[Fraction, set]:
     """(d', attained) with the exact entries of i >= 1 folded into the running
-    minimum d_prime of (nu(b_{i,j}) + j)/i; `attained` itself is not changed."""
+    minimum d_prime = num/den of (nu(b_{i,j}) + j)/i, compared in integers
+    as (nu + j).den against num.i; `attained` itself is not changed."""
+    num, den, attained = d_prime.numerator, d_prime.denominator, set(attained)
     for e in entries:
         if e.exact and e.i > 0:
-            val = Fraction(e.value + e.j, e.i)
-            if val < d_prime:
-                d_prime, attained = val, {(e.i, e.j)}
-            elif val == d_prime:
-                attained = attained | {(e.i, e.j)}
-    return d_prime, attained
+            diff = (e.value + e.j) * den - num * e.i
+            if diff < 0:
+                num, den, attained = e.value + e.j, e.i, {(e.i, e.j)}
+            elif diff == 0:
+                attained.add((e.i, e.j))
+    return Fraction(num, den), attained
 
 
 def _record_row(state: SweepState, row) -> None:
@@ -245,9 +247,7 @@ def summary(state: SweepState) -> dict:
             "conjecture_violations": len(d_viol),
         },
         "lambda_max": state.lam_current,
-        "rows_solved": sum(
-            1 for i in state.completed_rows if not _empty_block(state.p, i)
-        ),
+        "rows_solved": sum(not _empty_block(state.p, i) for i in state.completed_rows),
         "unresolved": sum(1 for e in state.entries if e.j >= 1 and not e.exact),
     }
 

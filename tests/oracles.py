@@ -139,15 +139,32 @@ def schoolbook_mul(f: QSeries, g: QSeries) -> QSeries:
     return QSeries(f.ring, tuple(c % mod for c in out))
 
 
+def lower_inverse(L, mod: int) -> list[list[int]]:
+    """The inverse mod `mod` of a lower-triangular matrix L with unit
+    diagonal entries, one entry at a time: column m solves L.a = e_m."""
+    n = len(L)
+    A = [[0] * n for _ in range(n)]
+    for m in range(n):
+        for k in range(m, n):
+            acc = (k == m) - sum(L[k][i] * A[i][m] for i in range(m, k))
+            A[k][m] = acc * pow(L[k][k], -1, mod) % mod
+    return A
+
+
 def matrices(system) -> tuple[list[list[int]], list[list[int]]]:
     """The factorization matrices A and B of a system, as lam x lam lists of
-    rows mod p^lam: the first lam slots of its first lam packed columns."""
+    rows mod p^lam.  A is the dense inverse of the leading lam x lam block of
+    the factor L the system keeps, L[k][m] = u_k.lower[k][m] below the
+    diagonal and L[k][k] = u_k; B is the first lam slots of its first lam
+    packed columns."""
     lam, mod, width = system.lam, system.modulus, system._width
-
-    def rows(cols):
-        return [list(r) for r in zip(*(unpack(c, width, lam, mod) for c in cols[:lam]))]
-
-    return rows(system._acols), rows(system._bcols)
+    L = [[0] * lam for _ in range(lam)]
+    for k, (row, uinv) in enumerate(zip(system._lower[:lam], system._uinvs)):
+        u = pow(uinv, -1, mod)
+        L[k][: len(row)] = [u * c % mod for c in row]
+        L[k][k] = u
+    B = [list(r) for r in zip(*(unpack(c, width, lam, mod) for c in system._bcols[:lam]))]
+    return lower_inverse(L, mod), B
 
 
 def solve_one(system, theta) -> tuple[int, ...]:

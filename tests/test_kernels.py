@@ -2,9 +2,9 @@
 the Kronecker series product, the packed row solve, the Newton factorization
 of the Vandermonde systems, the gcd-driven valuation minima, the
 tangent-number Bernoulli numbers, the step-by-step basis matrix, the rows
-solved on their Katz coordinates, the sieved sigma* of E*_k, the sparse
-division by V(E*_k), and the forward substitution packed over right-hand
-sides."""
+solved on their Katz coordinates and on L^-1 folded into them, the sieved
+sigma* of E*_k, the sparse division by V(E*_k), and the forward substitution
+packed over right-hand sides."""
 
 import random
 from unittest import mock
@@ -369,7 +369,8 @@ def test_build_system_builds_no_vandermonde_matrix(monkeypatch):
 def test_gcd_valuation_matches_padic_val_loop(p, lam, values, powers):
     # Pure powers of p, including multiples of p^lam, exercise the cap.
     values = values + [p**k for k in powers]
-    assert _min_val(values, p, lam) == oracles.min_val(values, p, lam)
+    log = {p**e: e for e in range(lam + 1)}
+    assert _min_val(values, p**lam, log) == oracles.min_val(values, p, lam)
 
 
 @given(systems())
@@ -469,6 +470,97 @@ def test_row_statuses_match_q_coefficient_oracle(case, extra):
     assert collect_statuses(system, sols, lam - 1, r) == collect_statuses(
         system, want, lam - 1, r
     )
+
+
+@st.composite
+def fold_cases(draw):
+    """(p, r, system): a row and a system over Z/p^E, on the canonical weights
+    or on distinct weights in any order, as `katzrates valuations --weights`
+    takes them."""
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    r = draw(st.integers(0, 24))
+    E = draw(st.integers(1, 12))
+    ss = None
+    if draw(st.booleans()):
+        weight = st.integers(1, 4 * E + 4).filter(lambda s: s % p)
+        ss = draw(st.lists(weight, min_size=E, max_size=E, unique=True))
+    try:
+        return p, r, build_system(p, E, ss)
+    except ValueError:
+        reject()  # two weights agree mod p^E
+
+
+@given(fold_cases(), st.data())
+@settings(max_examples=40, deadline=None)
+@example((5, 6, build_system(5, 8, [9, 3, 1, 7, 2, 4, 8, 6])), None)  # shuffled
+@example((13, 24, build_system(13, 12)), None)
+def test_row_solutions_from_the_fold_match_the_oracle_at_every_lambda(case, data):
+    # The basis applies L^-1 to its coordinates once, at E; a row at any lam
+    # <= E reads the result mod p^lam.  Its solutions, or UnsolvableSystem,
+    # are the oracle's on the row's coordinates, one mat-vec at a time with
+    # the dense inverse of the leading lam x lam block of L.  row_coords,
+    # read back off the fold, is checked against psi on its own.
+    p, r, system = case
+    basis = KatzBasis(p, r, system)
+    for lam in range(1, system.lam + 1):
+        served = basis.system(lam)
+        count = lam if data is None else data.draw(st.integers(1, lam))
+        thetas = list(zip(*(basis.row_coords(s, r, lam) for s in served.ss)))
+        try:
+            want = [oracles.solve_one(served, theta)[:count] for theta in thetas]
+        except UnsolvableSystem:
+            with pytest.raises(UnsolvableSystem):
+                row_solutions(p, r, lam, basis=basis, count=count)
+        else:
+            assert row_solutions(p, r, lam, basis=basis, count=count) == (served, want)
+
+
+@pytest.mark.parametrize("p, E, lam", [(5, 40, 7), (7, 30, 12), (11, 26, 3), (13, 20, 19)])
+def test_solve_many_on_a_reduction_keeps_l_at_the_build_precision(p, E, lam):
+    # The entries of L lie in [0, p^E), far above p^lam, so the forward
+    # substitution must run at p^E: its offset at p^lam could not cover
+    # them, and a slot would borrow from the next.
+    served = build_system(p, E).reduce(lam)
+    assert max(max(row, default=0) for row in served._lower[:lam]) > p ** (E - 1)
+    rng = random.Random(f"{p}-{E}-{lam}")
+    mod = p**lam
+    thetas = [[rng.randrange(mod) for _ in range(lam)] for _ in range(4)]
+    thetas += [oracles.apply(served, theta) for theta in thetas]
+    thetas += [[mod - 1] * lam, [0] * lam]
+    for theta in thetas:
+        try:
+            want = oracles.solve_one(served, theta)
+        except UnsolvableSystem:
+            with pytest.raises(UnsolvableSystem):
+                served.solve_many([theta])
+        else:
+            assert served.solve_many([theta]) == [want]
+            assert oracles.apply(served, want) == list(theta)
+
+
+@given(st.sampled_from([5, 7, 11, 13]), st.integers(2, 14), st.data())
+@settings(max_examples=40, deadline=None)
+def test_a_tampered_fold_entry_raises(p, E, data):
+    # Moving W[b][k] by delta with v(delta) < t_k leaves the division by
+    # p^t_k inexact, so the row raises at component k; it never returns a
+    # wrong entry.
+    n = 24
+    basis = KatzBasis(p, n, build_system(p, E))
+    lam = data.draw(st.integers(2, E))
+    system = basis.system(lam)
+    b = data.draw(st.integers(1, dim_mk(n * (p - 1)) - 1))
+    r = oracles.i_of_j(p, b)
+    row_solutions(p, r, lam, basis=basis)  # untouched, the row solves
+    k = data.draw(st.integers(1, lam - 1))
+    t = system._ts[k]
+    assert t >= 1  # v(w_s - w_s') >= 1 for any two weights
+    v = data.draw(st.integers(0, t - 1))
+    unit = data.draw(st.integers(1, p**lam - 1).filter(lambda u: u % p))
+    W = list(basis._newton[b])
+    W[k] += unit * p**v
+    basis._newton[b] = tuple(W)
+    with pytest.raises(UnsolvableSystem, match=f"component {k} "):
+        row_solutions(p, r, lam, basis=basis)
 
 
 _FAMILY_PRIMES = [5, 7, 11, 13, 17, 23]

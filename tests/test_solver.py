@@ -393,9 +393,30 @@ def test_katz_basis_row_forms_match_g_form(req, count):
     assert got == want
 
 
+def test_a_row_solve_reads_only_the_fold(monkeypatch):
+    # Once the basis is built, a row's solve gathers no coordinates per
+    # weight, solves no theta and runs no forward substitution: it reads
+    # the basis's L^-1.X.
+    basis = KatzBasis(11, 20, build_system(11, 12))
+    want = [solve_row(11, r, lam, basis=basis) for r in range(21) for lam in (3, 9, 12)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called by a row's solve")
+
+    monkeypatch.setattr(KatzBasis, "row_coords", refuse)
+    monkeypatch.setattr(solver_module.VandermondeSystem, "solve_many", refuse)
+    monkeypatch.setattr(solver_module, "forward_substitute", refuse)
+    got = [solve_row(11, r, lam, basis=basis) for r in range(21) for lam in (3, 9, 12)]
+    assert got == want
+
+
 def test_katz_basis_rejects_row_beyond_n():
+    basis = KatzBasis(17, 20, build_system(17, 2))
     with pytest.raises(ValueError):
-        KatzBasis(17, 20, build_system(17, 2)).row_coords(1, 21, 2)
+        basis.row_coords(1, 21, 2)
+    # Row 21's block lies past the basis's coordinates: refused, not cut short.
+    with pytest.raises(ValueError, match="row 21 is outside 0..20"):
+        row_solutions(17, 21, 2, basis=basis)
 
 
 def test_katz_basis_refuses_a_precision_or_weight_it_does_not_hold():

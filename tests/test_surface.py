@@ -2,6 +2,7 @@
 from it, what it exports, and what it no longer defines."""
 
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import katzrates
+from katzrates.solver import VandermondeSystem
 
 ROOT = Path(__file__).parent.parent
 SRC = ROOT / "src" / "katzrates"
@@ -130,3 +132,10 @@ def test_no_module_defines_a_removed_path(name):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.AsyncFunctionDef)):
                 assert node.name != name, f"{path.name} defines {name}"
+
+
+def test_a_system_keeps_l_and_no_inverse():
+    # A solve forward-substitutes over the factor L; no field holds A = L^-1.
+    names = {field.name for field in dataclasses.fields(VandermondeSystem)}
+    assert "_acols" not in names
+    assert {"_lower", "_uinvs"} <= names
