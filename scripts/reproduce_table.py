@@ -3,8 +3,11 @@
 
 For each prime the script runs the full sweep up to the given i_max, prints
 one table row (p, i_max, observed rate d'_p, where equality was attained,
-the proven lower-bound slope c_p, the entries left unresolved, and wall
-time), and optionally writes the per-(i, j) valuation entries to CSV files.
+the proven lower-bound slope c_p, the entries left unresolved, wall time,
+and the process's peak RSS so far), and optionally writes the per-(i, j)
+valuation entries to CSV files.  The peak is ru_maxrss, read as KB as Linux
+reports it; it never falls, so a row's figure is that of the largest row
+swept up to it in this process.
 It exits 1 if any row has a Theorem-B violation, a conjecture violation or
 unresolved entries, and 0 otherwise, so it can gate a run.
 
@@ -21,6 +24,7 @@ Example:
 
 import argparse
 import os
+import resource
 import sys
 import time
 
@@ -85,7 +89,7 @@ def main(argv=None):
 
     header = (
         f"{'p':>4} {'i_max':>6} {'d_p_prime':>10} {'attained':>20} {'c_p':>8} "
-        f"{'unresolved':>10} {'time':>7}"
+        f"{'unresolved':>10} {'time':>7} {'peak_rss':>9}"
     )
     failed = False
     for title, rows, csv_name in sections:
@@ -113,9 +117,11 @@ def _print_row(p, i_max):
     c_viol, d_viol = theorem_b_audit(state)
     attained = sorted({i for i, _ in state.attained})
     unresolved = summary(state)["unresolved"]
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(
         f"{p:>4} {i_max:>6} {str(state.d_prime):>10} "
-        f"{str(attained):>20} {str(c_p(p)):>8} {unresolved:>10} {elapsed:>6.1f}s"
+        f"{str(attained):>20} {str(c_p(p)):>8} {unresolved:>10} {elapsed:>6.1f}s "
+        f"{peak_mb:>6.1f} MB"
     )
     if c_viol or d_viol:
         print(f"  !! audit violations: c_p={c_viol} d_p={d_viol}")

@@ -2,10 +2,12 @@
 to its coordinates over the basis blocks, phi realizes the expansion back as a
 q-expansion (round-trip oracle).  Both work on one series with the first
 K + 1 ~ sqrt(N) columns of the basis chain, K at a time; a batch of series
-(forward_substitute_many) is solved on all N columns at once."""
+is solved on all N columns in one pass, their rows streamed off the chain
+(lower_rows)."""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from math import isqrt
@@ -43,7 +45,13 @@ class KatzTuple:
     n: int
     ring: RingSpec
     x: tuple[int, ...]  # full solution vector, indexed by column j
-    components: tuple[KatzComponent, ...]
+
+    @property
+    def components(self) -> tuple[KatzComponent, ...]:
+        """x split over the basis blocks, one component per i = 0..n."""
+        return tuple(
+            KatzComponent(i, self.x[lo:hi]) for i, lo, hi in _blocks(self.p, self.n)
+        )
 
 
 def forward_substitute(lower, rhs, mod: int, n: int) -> list[list[int]]:
@@ -65,13 +73,16 @@ def forward_substitute(lower, rhs, mod: int, n: int) -> list[list[int]]:
     return X
 
 
-def forward_substitute_many(cols, rhss, mod: int) -> list[list[int]]:
-    """Katz coordinates of several q-coefficient vectors at once, one per
-    vector in `rhss`: the columns of X in M X = R mod `mod`, M having the N
-    columns `cols` (those of basis.columns) and R the columns `rhss`."""
-    lower = (row[:r] for r, row in enumerate(zip(*cols)))
-    X = forward_substitute(lower, zip(*rhss), mod, len(cols))
-    return [list(x) for x in zip(*X)]
+def lower_rows(cols, n: int):
+    """The strictly lower parts of the first n rows of the unit-lower-
+    triangular matrix with columns `cols`, row r yielded once column r is
+    pulled.  Each column is copied into the rows below it and dropped, so at
+    most r(n - r) <= n^2/4 entries are held."""
+    below = deque([] for _ in range(n))  # rows r..n-1, each holding r entries
+    for r, col in zip(range(n), cols):
+        row = below.popleft()
+        deque(map(list.append, below, islice(col, r + 1, None)), 0)
+        yield row
 
 
 def _chunk(p: int, N: int) -> int:
@@ -101,10 +112,6 @@ def _chain_head(p: int, n: int, chain, N: int) -> tuple[int, list]:
     return K, S
 
 
-def _group(blocks, x) -> tuple[KatzComponent, ...]:
-    return tuple(KatzComponent(i, tuple(x[lo:hi])) for i, lo, hi in blocks)
-
-
 def psi(p: int, n: int, C: int, f: QSeries) -> KatzTuple:
     """Katz expansion of f mod (q^N, p^C), N = d_{n(p-1)}, as an (n+1)-tuple.
 
@@ -128,7 +135,7 @@ def psi(p: int, n: int, C: int, f: QSeries) -> KatzTuple:
     K, S = _chain_head(p, n, chain, N)
     mod = ring.modulus
     m = min(K, N)
-    top = [[col[r] for col in S[:r]] for r in range(m)]
+    top = list(lower_rows(S, m))
     width = slot_bytes(mod, m + 1)
     offset = m * mod * mod
     packs = [pack(col, width) for col in S[:m]]
@@ -147,8 +154,7 @@ def psi(p: int, n: int, C: int, f: QSeries) -> KatzTuple:
         acc &= (1 << 8 * width * live) - 1
         h = unpack(acc >> 8 * width * K, width, live - K, mod)
         g = ks2_mul(split_pack(h, kw), split_low(U, kw, live - K), kw, live - K, mod)
-    components = _group(_blocks(p, n), x)
-    return KatzTuple(p=p, n=n, ring=ring, x=tuple(x), components=components)
+    return KatzTuple(p=p, n=n, ring=ring, x=tuple(x))
 
 
 def phi(p: int, n: int, C: int, t: KatzTuple) -> QSeries:
@@ -163,16 +169,11 @@ def phi(p: int, n: int, C: int, t: KatzTuple) -> QSeries:
     if t.ring != ring:
         raise PrecisionMismatch(f"tuple ring {t.ring} does not match Z/{p}^{C}")
     chain = columns(p, n, ring)  # checks n; no product until a column is taken
-    blocks = _blocks(p, n)
-    if [comp.i for comp in t.components] != list(range(n + 1)):
-        raise ValueError(f"components must be i = 0..{n} in order")
+    N = dim_mk(n * (p - 1))
+    if len(t.x) != N:
+        raise ValueError(f"tuple has {len(t.x)} coordinates, not N = {N}")
     mod = ring.modulus
-    x = []
-    for comp, (i, lo, hi) in zip(t.components, blocks):
-        if len(comp.coords) != hi - lo:
-            raise ValueError(f"component {i} has wrong dimension")
-        x += [c % mod for c in comp.coords]
-    N = len(x)
+    x = [c % mod for c in t.x]
     K, S = _chain_head(p, n, chain, N)
     m = min(K, N)
     width = slot_bytes(mod, N)

@@ -22,14 +22,15 @@ remaining w_s is k + sum_{e>=1} #{m < k : s_m = s mod p^e} (capped at lam).
 The s_m, m < k, are the naturals prime to p below s_k, so for s = s_k the
 count at each e is floor((s_k - 1) / p^e), the least any residue class
 mod p^e can have among them; ties go to the first index, so step k takes
-s_k.  A = L^-1 is never formed: one forward substitution over L at the
-build's p^E applies it to a whole batch, and a solve at lam reads the first
-lam entries mod p^lam (A is lower triangular).  Each column of B is packed
-once, at E, and gamma_j = min(lam, min_{j<=k<lam} (lam - min(t_k, lam) +
-v(B[j][k]))) is read off the valuations of its upper triangle.  The build
-checks that the kernel generators annihilate V without building V: column k
-of B is the Newton polynomial N_k, whose values at the nodes are the running
-products prod_{m<k} (w_i - w_m) (_check_kernel).
+s_k.  L^-1 is never formed: one forward substitution over L at the build's
+p^E applies it to a whole batch, and since L is lower triangular, the first
+lam entries of the result, mod p^lam, are those of the leading lam x lam
+block of L solved at lam.  Each column of B is packed once, at E, and
+gamma_j = min(lam, min_{j<=k<lam} (lam - min(t_k, lam) + v(B[j][k]))) is
+read off the valuations of its upper triangle.  The build checks that the
+kernel generators annihilate V without building V: column k of B is the
+Newton polynomial N_k, whose values at the nodes are the running products
+prod_{m<k} (w_i - w_m) (_check_kernel).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from operator import mul, sub
 from .arithmetic import RingSpec, pack, slot_bytes, unpack
 from .basis import block, columns, dim_mk
 from .classical import bernoulli
-from .expand import forward_substitute, forward_substitute_many
+from .expand import forward_substitute, lower_rows
 from .family import eis_ratio_by_s
 
 
@@ -69,7 +70,7 @@ def weight_list(p: int, lam: int) -> list[int]:
 
 
 def _newton_diagonalize(ws, p: int, lam: int):
-    """A.V.B = diag(p^t_0, ..., p^t_{n-1}) over Z/p^lam for the Vandermonde
+    """L^-1.V.B = diag(p^t_0, ..., p^t_{n-1}) over Z/p^lam for the Vandermonde
     matrix V[i][j] = ws[i]^j, by Newton interpolation on a p-ordering of the
     nodes (Bhargava, J. reine angew. Math. 490, 1997).
 
@@ -261,13 +262,14 @@ class VandermondeSystem:
         leading lam x lam blocks of this one: it shares L and B and caps the
         t_k at lam.
 
-        Every system keeps its weights in p-order, so A = L^-1 is lower and B
-        upper triangular, and the leading blocks of A.V.B = diag(p^t) mod
-        p^lam give A'.V'.B' = diag(p^min(t_k, lam)).  The first lam weights
-        are in p-order at lam too (running valuations capped at lam, ties to
-        the first index), so B', the t' and gamma are a fresh build's on them;
-        A' may differ, and then a particular solution differs from a fresh
-        one by a kernel element, which collect_statuses allows for.  The
+        Every system keeps its weights in p-order, so L is lower and B upper
+        triangular, and the leading blocks of V.B = L.diag(p^t) mod p^lam
+        give V'.B' = L'.diag(p^min(t_k, lam)).  The first lam weights are in
+        p-order at lam too (running valuations capped at lam, ties to the
+        first index), so B', the t' and gamma are a fresh build's on them.
+        L' may differ from a fresh build's L, whose column k is e_k where t_k
+        reaches lam; then a particular solution differs from a fresh one by
+        a kernel element, which collect_statuses allows for.  The
         kernel check is not repeated: V.B[:,k] = 0 mod p^t_k, checked at the
         build, holds on the leading rows mod p^t'_k because B is upper
         triangular and t'_k <= t_k."""
@@ -340,16 +342,18 @@ class KatzBasis:
     system over Z/p^E, E = system.lam, served with that system mod p^lam for
     any row r <= n and lam <= E.
 
-    The build is one batch over Z/p^E: the family members at system.ss, the
-    N columns of basis.columns and one forward substitution of the members
-    against them (expand.forward_substitute_many), giving the coordinates X,
-    a row per weight.  One more applies the system's L^-1 (_newton_side),
-    and only W = L^-1.X is kept, a tuple over the weights per coordinate b:
-    a row's solve reads it, and row_coords reads X = L.W off it.  Reduction
-    mod p^lam is a ring map, so the served coordinates equal a fresh build
-    at (r, lam), and the served system is system.reduce(lam), the newest of
-    which is kept.  Coordinates and system come from this one object, so a
-    solve cannot pair them across weights or precisions.
+    The build is one pass over Z/p^E.  The family members at system.ss, a
+    row of N q-coefficients per weight, are folded by the system's L^-1
+    across the weights (_newton_side); one forward substitution over the
+    basis matrix, its rows streamed off the column chain (expand.lower_rows),
+    then solves all N slots of the folded members at once.  The two maps act
+    on different axes, so its output rows are W = L^-1.X, X the members'
+    coordinates, one list over the weights per coordinate b; neither X nor
+    the basis matrix is held.  Reduction mod p^lam is a ring map, so the
+    served coordinates equal a fresh build at (r, lam), and the served
+    system is system.reduce(lam), the newest of which is kept.  Coordinates
+    and system come from this one object, so a solve cannot pair them
+    across weights or precisions.
     """
 
     def __init__(self, p: int, n: int, system: VandermondeSystem):
@@ -361,10 +365,11 @@ class KatzBasis:
         # B_k for the batch's largest weight sizes the tangent table once,
         # where the weights in turn would regrow it geometrically.
         bernoulli(max(system.ss) * (p - 1))
-        ratios = [eis_ratio_by_s(p, s, self.E, N).coeffs for s in system.ss]
-        # The columns are freed before the fold, which holds X and W at once.
-        coords = forward_substitute_many(list(columns(p, n, ring)), ratios, ring.modulus)
-        self._newton = list(zip(*system._newton_side(coords)))
+        folded = system._newton_side(
+            [eis_ratio_by_s(p, s, self.E, N).coeffs for s in system.ss]
+        )
+        lower = lower_rows(columns(p, n, ring), N)
+        self._newton = forward_substitute(lower, zip(*folded), ring.modulus, N)
         self._system = system
         self._served = None
 
@@ -373,18 +378,6 @@ class KatzBasis:
             raise ValueError(f"row {r} is outside 0..{self.n}")
         if not 1 <= lam <= self.E:
             raise ValueError(f"lam = {lam} lies outside 1..{self.E}, the basis's precision")
-
-    def row_coords(self, s: int, r: int, lam: int) -> tuple[int, ...]:
-        """Coordinates over the g_{r,j} of E*_k / V(E*_k), k = s(p-1), mod
-        p^lam, for a weight s of the basis's system: row k of X = L.W, u_k
-        (W_k + sum_{m<k} L'[k][m] W_m) with L' the rows of L over u_k."""
-        self._check(lam, r)
-        if s not in self._system.ss:
-            raise ValueError(f"s = {s} is not a weight of the basis's system")
-        k, mod = self._system.ss.index(s), self.p**lam
-        lower, u = self._system._lower[k], pow(self._system._uinvs[k], -1, mod)
-        W = self._newton[slice(*block(self.p, r))]
-        return tuple(u * (w[k] + sum(map(mul, lower, w))) % mod for w in W)
 
     def system(self, lam: int) -> VandermondeSystem:
         """The basis's system over Z/p^lam, on its first lam weights."""
@@ -401,8 +394,9 @@ def row_solutions(p, r, lam, basis=None, count=None):
     components (default lam).  V is the system of `basis` (a KatzBasis for
     some n >= r over Z/p^E, E >= lam) reduced to lam; `basis` defaults to
     KatzBasis(p, r, build_system(p, lam)).  Returns (system, solutions).
-    The basis's W at b is L^-1.theta_b over Z/p^E; A = L^-1 is lower
-    triangular, so its first lam entries mod p^lam are A.theta_b at lam.
+    The basis's W at b is L^-1.theta_b over Z/p^E; L is lower triangular,
+    so its first lam entries mod p^lam are L'^-1.theta_b at lam, L' the
+    leading lam x lam block of L.
 
     The coordinates stand in for the q-coefficients a_0..a_S, S =
     ceil(r(p-1)/12), of the r-th component, which pin down its valuation
@@ -422,6 +416,8 @@ def row_solutions(p, r, lam, basis=None, count=None):
     """
     if basis is None:
         basis = KatzBasis(p, r, build_system(p, lam))
+    elif basis.p != p:
+        raise ValueError(f"the basis is over p = {basis.p}, not {p}")
     system = basis.system(lam)
     basis._check(lam, r)
     lo, hi = block(p, r)
@@ -459,6 +455,8 @@ def solve_row(
         j_max = min(r, lam - 1)
     if not 0 <= j_max <= lam - 1:
         raise ValueError(f"j_max = {j_max} lies outside 0..lam - 1 = 0..{lam - 1}")
+    if basis is not None and basis.p != p:
+        raise ValueError(f"the basis is over p = {basis.p}, not {p}")
     lo, hi = block(p, r)
     if lo == hi:
         return ValuationRow(p=p, r=r, lam=lam, entries={})

@@ -9,10 +9,13 @@ must agree with; tests/test_kernels.py checks the kernels against them.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from katzrates.arithmetic import QSeries, RingSpec, unpack
 from katzrates.basis import block, dim_mk, eps
 from katzrates.classical import delta, e4, e6, e_p_minus_1, eisenstein_star
+from katzrates.expand import psi
+from katzrates.family import eis_ratio_by_s
 from katzrates.solver import (
     KatzBasis,
     UnsolvableSystem,
@@ -151,20 +154,37 @@ def lower_inverse(L, mod: int) -> list[list[int]]:
     return A
 
 
-def matrices(system) -> tuple[list[list[int]], list[list[int]]]:
-    """The factorization matrices A and B of a system, as lam x lam lists of
-    rows mod p^lam.  A is the dense inverse of the leading lam x lam block of
-    the factor L the system keeps, L[k][m] = u_k.lower[k][m] below the
-    diagonal and L[k][k] = u_k; B is the first lam slots of its first lam
-    packed columns."""
-    lam, mod, width = system.lam, system.modulus, system._width
+def dense_l(system) -> list[list[int]]:
+    """The leading lam x lam block of the factor L a system keeps, as lists
+    of rows mod p^lam: L[k][m] = u_k.lower[k][m] below the diagonal and
+    L[k][k] = u_k."""
+    lam, mod = system.lam, system.modulus
     L = [[0] * lam for _ in range(lam)]
     for k, (row, uinv) in enumerate(zip(system._lower[:lam], system._uinvs)):
         u = pow(uinv, -1, mod)
         L[k][: len(row)] = [u * c % mod for c in row]
         L[k][k] = u
+    return L
+
+
+def matrices(system) -> tuple[list[list[int]], list[list[int]]]:
+    """The factorization matrices A and B of a system, as lam x lam lists of
+    rows mod p^lam.  A is the dense inverse of dense_l(system); B is the
+    first lam slots of its first lam packed columns."""
+    lam, mod, width = system.lam, system.modulus, system._width
     B = [list(r) for r in zip(*(unpack(c, width, lam, mod) for c in system._bcols[:lam]))]
-    return lower_inverse(L, mod), B
+    return lower_inverse(dense_l(system), mod), B
+
+
+def basis_coords(basis, s: int, r: int, lam: int) -> tuple[int, ...]:
+    """Coordinates over the g_{r,j} of E*_k / V(E*_k), k = s(p-1), mod p^lam,
+    for a weight s of the basis's system, read back off its W = L^-1.X: row
+    k of X = L.W, one dot product per coordinate with row k of the dense L
+    at the basis's E."""
+    system = basis._system
+    row = dense_l(system)[system.ss.index(s)]
+    W = basis._newton[slice(*block(basis.p, r))]
+    return tuple(sum(map(mul, row, w)) % basis.p**lam for w in W)
 
 
 def solve_one(system, theta) -> tuple[int, ...]:
@@ -317,17 +337,18 @@ def direct_columns(p: int, n: int, ring: RingSpec) -> tuple[tuple[int, ...], ...
 def q_coefficient_solutions(system, r: int, count: int) -> list[tuple[int, ...]]:
     """Particular solutions of V x_mu = theta_mu for mu < count, where
     theta_mu collects the mu-th q-coefficient of the r-th Katz component
-    across the weights: the component is summed from its coordinates and the
-    g_form forms, one coefficient at a time."""
+    across the weights: the component is summed from its coordinates, psi's
+    of each family member, and the g_form forms, one coefficient at a time."""
     p, lam = system.p, system.lam
     mod = p**lam
     ring = RingSpec(p, lam)
-    basis = KatzBasis(p, r, system)
-    forms = [g_form(p, r, j, ring, count).series.coeffs for j in range(*block(p, r))]
+    N = dim_mk(r * (p - 1))
+    lo, hi = block(p, r)
+    forms = [g_form(p, r, j, ring, count).series.coeffs for j in range(lo, hi)]
     betas = []
     for s in system.ss:
         acc = [0] * count
-        for x, g in zip(basis.row_coords(s, r, lam), forms):
+        for x, g in zip(psi(p, r, lam, eis_ratio_by_s(p, s, lam, N)).x[lo:hi], forms):
             if x:
                 for mu in range(count):
                     acc[mu] += x * g[mu]

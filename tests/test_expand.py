@@ -14,21 +14,18 @@ from katzrates import expand as expand_module
 from katzrates.arithmetic import QSeries, RingSpec, pack, slot_bytes, unpack
 from katzrates.basis import block, columns, dim_mk, period
 from katzrates.expand import (
-    KatzComponent,
     KatzTuple,
     PrecisionMismatch,
-    forward_substitute_many,
+    forward_substitute,
+    lower_rows,
     phi,
     psi,
 )
 
 
 def tuple_from_coords(p, n, C, x):
-    """The Katz tuple whose full coordinate vector is x, split into blocks."""
-    components = tuple(
-        KatzComponent(i=i, coords=tuple(x[slice(*block(p, i))])) for i in range(n + 1)
-    )
-    return KatzTuple(p=p, n=n, ring=RingSpec(p, C), x=tuple(x), components=components)
+    """The Katz tuple whose full coordinate vector is x."""
+    return KatzTuple(p=p, n=n, ring=RingSpec(p, C), x=tuple(x))
 
 
 def random_series(rng, p, C, N):
@@ -71,13 +68,7 @@ def test_phi_reduces_coordinates():
     x = [rng.randrange(mod) for _ in range(dim_mk(n * (p - 1)))]
     t = tuple_from_coords(p, n, C, x)
     for shift in (-3 * mod, 2 * mod):
-        shifted = replace(
-            t,
-            components=tuple(
-                replace(comp, coords=tuple(c + shift for c in comp.coords))
-                for comp in t.components
-            ),
-        )
+        shifted = replace(t, x=tuple(c + shift for c in t.x))
         assert phi(p, n, C, shifted) == phi(p, n, C, t)
 
 
@@ -159,24 +150,29 @@ def test_psi_checks_its_input_before_any_product(ks2_products):
     assert ks2_products == []
 
 
-def _renumbered(t, order):
-    """t with its components' indices replaced by `order`."""
-    comps = tuple(replace(c, i=i) for c, i in zip(t.components, order))
-    return replace(t, components=comps)
+def test_components_are_read_off_the_coordinates():
+    # A tuple stores its coordinates once: its components are x split over
+    # the blocks, so a tuple with other coordinates realizes another series.
+    p, n, C = 7, 6, 3
+    N = dim_mk(n * (p - 1))
+    f = random_series(random.Random(8), p, C, N)
+    t = psi(p, n, C, f)
+    assert [c.i for c in t.components] == list(range(n + 1))
+    blocks = [t.x[slice(*block(p, i))] for i in range(n + 1)]
+    assert [c.coords for c in t.components] == blocks
+    zero = replace(t, x=(0,) * N)
+    assert all(not any(c.coords) for c in zero.components)
+    assert phi(p, n, C, zero) == QSeries.from_coeffs(RingSpec(p, C), [0], N)
 
 
-@pytest.mark.parametrize(
-    "order",
-    [[-1, 1, 2, 3], [0, 1, 2, 4], [1, 0, 2, 3], [0, 1, 2], [0, 1, 2, 3, 4]],
-    ids=["minus-one", "past-n", "swapped", "short", "long"],
-)
-def test_phi_rejects_components_out_of_order(order, ks2_products):
+@pytest.mark.parametrize("size", [0, 1, 3], ids=["empty", "short", "long"])
+def test_phi_rejects_a_tuple_of_another_length(size, ks2_products):
+    # At (5, 3) there are N = 2 coordinates; any other count is refused
+    # before a product, as a ValueError that is not a PrecisionMismatch.
     p, n, C = 5, 3, 3
-    t = tuple_from_coords(p, n, C, [1, 2])
-    if len(order) > n + 1:
-        t = replace(t, components=t.components + (KatzComponent(n + 1, ()),))
-    with pytest.raises(ValueError, match="components must be i = 0..3") as exc:
-        phi(p, n, C, _renumbered(t, order))
+    t = tuple_from_coords(p, n, C, range(1, size + 1))
+    with pytest.raises(ValueError, match=f"has {size} coordinates, not N = 2") as exc:
+        phi(p, n, C, t)
     assert not isinstance(exc.value, PrecisionMismatch)
     assert ks2_products == []
 
@@ -296,7 +292,8 @@ def test_psi_and_phi_match_the_matrix_route(p, n, C):
     N, mod = len(cols), p**C
     rng = random.Random(p * 1000 + n)
     f = random_series(rng, p, C, N)
-    assert list(psi(p, n, C, f).x) == forward_substitute_many(cols, [f.coeffs], mod)[0]
+    X = forward_substitute(lower_rows(iter(cols), N), ([c] for c in f.coeffs), mod, N)
+    assert list(psi(p, n, C, f).x) == [x for (x,) in X]
     x = [rng.randrange(mod) for _ in range(N)]
     width = slot_bytes(mod, N)
     acc = sum(map(mul, x, [pack(col, width) for col in cols]))

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 import oracles
 from katzrates import classical, solver
 from katzrates.arithmetic import QSeries, RingSpec
-from katzrates.basis import columns, dim_mk
+from katzrates.basis import block, columns, dim_mk
 from katzrates.classical import bernoulli, eisenstein_star
-from katzrates.expand import forward_substitute, forward_substitute_many
+from katzrates.expand import forward_substitute, lower_rows, psi
 from katzrates.family import eis_ratio_by_s
 from katzrates.solver import (
     KatzBasis,
@@ -405,7 +405,7 @@ def test_katz_basis_sizes_the_tangent_table_once(monkeypatch, p, n, E):
     # table holds T_1..T_{k/2}; regrown weight by weight, it would reach the
     # next doubling (512 for 17/20 at E = 38, where 320 are needed).
     monkeypatch.setattr(classical, "_TANGENT", [])
-    KatzBasis(p, n, build_system(p, E)).row_coords(1, n, 1)
+    KatzBasis(p, n, build_system(p, E))
     k_max = weight_list(p, E)[-1] * (p - 1)
     assert len(classical._TANGENT) == k_max // 2
 
@@ -497,15 +497,17 @@ def fold_cases(draw):
 def test_row_solutions_from_the_fold_match_the_oracle_at_every_lambda(case, data):
     # The basis applies L^-1 to its coordinates once, at E; a row at any lam
     # <= E reads the result mod p^lam.  Its solutions, or UnsolvableSystem,
-    # are the oracle's on the row's coordinates, one mat-vec at a time with
-    # the dense inverse of the leading lam x lam block of L.  row_coords,
-    # read back off the fold, is checked against psi on its own.
+    # are the oracle's on the row's coordinates, psi's at E read mod p^lam,
+    # one mat-vec at a time with the dense inverse of the leading lam x lam
+    # block of L.
     p, r, system = case
-    basis = KatzBasis(p, r, system)
-    for lam in range(1, system.lam + 1):
+    basis, E, N = KatzBasis(p, r, system), system.lam, dim_mk(r * (p - 1))
+    lo, hi = block(p, r)
+    coords = [psi(p, r, E, eis_ratio_by_s(p, s, E, N)).x[lo:hi] for s in system.ss]
+    for lam in range(1, E + 1):
         served = basis.system(lam)
         count = lam if data is None else data.draw(st.integers(1, lam))
-        thetas = list(zip(*(basis.row_coords(s, r, lam) for s in served.ss)))
+        thetas = [[c % p**lam for c in col] for col in zip(*coords[:lam])]
         try:
             want = [oracles.solve_one(served, theta)[:count] for theta in thetas]
         except UnsolvableSystem:
@@ -621,11 +623,49 @@ def substitution_cases(draw):
 @example((5, 0, 1, [[1]]))  # N = 1
 @example((7, 3, 2, []))
 def test_forward_substitute_many_matches_per_vector_oracle(case):
+    # Many right-hand sides in one pass, as KatzBasis solves its members:
+    # the rows of the basis matrix streamed off the chain (lower_rows), the
+    # rows of R the slots of the vectors, and the rows of X one list over
+    # the vectors per coordinate.
     p, n, C, rhss = case
     cols = list(columns(p, n, RingSpec(p, C)))
+    N = len(cols)
     lower = oracles.strictly_lower_rows(cols)
     want = [oracles.forward_substitute(lower, rhs, p**C) for rhs in rhss]
-    assert forward_substitute_many(cols, rhss, p**C) == want
+    X = forward_substitute(lower_rows(iter(cols), N), zip(*rhss), p**C, N)
+    assert [list(x) for x in zip(*X)] == want
+
+
+@given(st.sampled_from(_PRIMES), st.integers(0, 20), st.integers(1, 6))
+@settings(max_examples=40, deadline=None)
+@example(5, 0, 1)  # N = 1
+def test_lower_rows_matches_the_strictly_lower_rows_oracle(p, n, e):
+    cols = list(columns(p, n, RingSpec(p, e)))
+    N = len(cols)
+    assert list(lower_rows(iter(cols), N)) == oracles.strictly_lower_rows(cols)
+    # Fewer rows than columns: the leading block, as psi's chunks take it.
+    m = N // 2
+    assert list(lower_rows(iter(cols), m)) == oracles.strictly_lower_rows(cols[:m])
+
+
+@pytest.mark.parametrize("N", [1, 2, 7])
+def test_lower_rows_pulls_one_column_per_row(N):
+    # Row r is yielded once column r is taken: after k rows, exactly k
+    # columns have been pulled, and never more than N.
+    pulled = []
+
+    def chain():
+        for j in range(N + 3):
+            pulled.append(j)
+            yield tuple(10 * j + r if r >= j else 0 for r in range(N))
+
+    rows = lower_rows(chain(), N)
+    for k in range(1, N + 1):
+        row = next(rows)
+        assert len(pulled) == k
+        assert row == [10 * j + k - 1 for j in range(k - 1)]
+    assert next(rows, None) is None
+    assert pulled == list(range(N))
 
 
 @st.composite

@@ -190,7 +190,7 @@ def test_katz_row_coeffs_r0():
     # (1, 0, 0, ...): the coordinate solution is the a_0 solution, and the
     # a_mu solutions for mu >= 1 vanish.
     basis = KatzBasis(5, 3, build_system(5, 3, [7, 1, 2]))
-    assert [basis.row_coords(s, 0, 3) for s in (7, 1, 2)] == [(1,)] * 3
+    assert [oracles.basis_coords(basis, s, 0, 3) for s in (7, 1, 2)] == [(1,)] * 3
     system, sols = row_solutions(5, 0, 3)
     want = oracles.q_coefficient_solutions(system, 0, 4)
     assert sols == want[:1]
@@ -361,14 +361,17 @@ def _basis_on(p, n, E, s):
 @given(basis_requests())
 @example((17, 20, 20, 6, 4, 3))
 @example((11, 5, 5, 3, 3, 1))
-def test_katz_basis_row_coords_match_psi(req):
-    p, n, r, E, lam, s = req
+def test_katz_basis_fold_is_l_inverse_of_the_psi_coordinates(req):
+    # W = L^-1.X over Z/p^E: the dense inverse of the system's L applied,
+    # across the weights, to psi's coordinates X of each family member.
+    p, n, _, E, _, s = req
     basis = _basis_on(p, n, E, s)
     assert basis.E == E
-    N = dim_mk(n * (p - 1))
-    lo, hi = block(p, r)
-    want = psi(p, n, lam, eis_ratio_by_s(p, s, lam, N)).x[lo:hi]
-    assert basis.row_coords(s, r, lam) == want
+    system, N, mod = basis.system(E), dim_mk(n * (p - 1)), p**E
+    X = [psi(p, n, E, eis_ratio_by_s(p, t, E, N)).x for t in system.ss]
+    A = oracles.matrices(system)[0]
+    want = [[sum(a * x[b] for a, x in zip(row, X)) % mod for row in A] for b in range(N)]
+    assert [list(w) for w in basis._newton] == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -403,7 +406,6 @@ def test_a_row_solve_reads_only_the_fold(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("called by a row's solve")
 
-    monkeypatch.setattr(KatzBasis, "row_coords", refuse)
     monkeypatch.setattr(solver_module.VandermondeSystem, "solve_many", refuse)
     monkeypatch.setattr(solver_module, "forward_substitute", refuse)
     got = [solve_row(11, r, lam, basis=basis) for r in range(21) for lam in (3, 9, 12)]
@@ -412,27 +414,34 @@ def test_a_row_solve_reads_only_the_fold(monkeypatch):
 
 def test_katz_basis_rejects_row_beyond_n():
     basis = KatzBasis(17, 20, build_system(17, 2))
-    with pytest.raises(ValueError):
-        basis.row_coords(1, 21, 2)
     # Row 21's block lies past the basis's coordinates: refused, not cut short.
     with pytest.raises(ValueError, match="row 21 is outside 0..20"):
         row_solutions(17, 21, 2, basis=basis)
 
 
-def test_katz_basis_refuses_a_precision_or_weight_it_does_not_hold():
-    # lam must lie in 1..E and s among the system's weights; neither may
+def test_katz_basis_refuses_a_precision_or_prime_it_does_not_hold():
+    # lam must lie in 1..E and the system must be over p; neither may
     # surface as a KeyError or as RingSpec's "e must be >= 1".
     basis = KatzBasis(5, 6, build_system(5, 4))
     for lam in (0, -1, 5):
         with pytest.raises(ValueError, match=rf"lam = {lam} lies outside 1\.\.4"):
-            basis.row_coords(1, 6, lam)
+            row_solutions(5, 6, lam, basis=basis)
         with pytest.raises(ValueError, match=rf"lam = {lam} lies outside 1\.\.4"):
             basis.system(lam)
-    for s in (6, 7, 5):
-        with pytest.raises(ValueError, match=f"s = {s} is not a weight"):
-            basis.row_coords(s, 6, 3)
     with pytest.raises(ValueError, match="p = 5, not 7"):
         KatzBasis(7, 6, build_system(5, 4))
+
+
+@pytest.mark.parametrize("r", [4, 5])
+def test_solve_row_refuses_a_basis_for_another_prime(r):
+    # Coordinates over p = 5 read as a p = 7 row would label wrong entries
+    # exact (row 4's j = 3 as 1 where the value is 0); row 5's block is
+    # empty at p = 7 and is refused all the same.
+    basis = KatzBasis(5, 12, build_system(5, 8))
+    with pytest.raises(ValueError, match="basis is over p = 5, not 7"):
+        solve_row(7, r, 6, basis=basis)
+    with pytest.raises(ValueError, match="basis is over p = 5, not 7"):
+        row_solutions(7, r, 6, basis=basis)
 
 
 def test_katz_basis_builds_at_plan_then_steps(basis_builds, system_builds):
@@ -447,7 +456,6 @@ def test_katz_basis_builds_at_plan_then_steps(basis_builds, system_builds):
         basis = None
         for lam in (3, 2, 4, 6, 5, 13, 12):
             basis = sweep_module._basis_for(5, 6, lam, basis, plan)
-            basis.row_coords(1, 6, lam)
             served, fresh = basis.system(lam), build_system(5, lam)
             assert served.lam == lam
             assert served.ss == fresh.ss
@@ -474,9 +482,36 @@ def test_katz_basis_batches_the_weight_list(monkeypatch):
 
     monkeypatch.setattr(solver_module, "eis_ratio_by_s", counting)
     basis = KatzBasis(5, 6, build_system(5, 4))
-    for s in weight_list(5, 3):
-        basis.row_coords(s, 6, 3)
+    assert calls == weight_list(5, 4) == [1, 2, 3, 4]
+    for r in range(7):
+        for lam in range(1, 5):
+            solve_row(5, r, lam, basis=basis)
     assert calls == [1, 2, 3, 4]
-    with pytest.raises(ValueError):
-        basis.row_coords(7, 6, 3)
-    assert calls == [1, 2, 3, 4]
+
+
+def test_katz_basis_never_holds_the_column_chain(monkeypatch):
+    # The build takes each column of the chain as it is made and drops it
+    # once copied into the rows below: at most two columns are alive at any
+    # time (the one taken and the one the next replaces), where a list of
+    # the chain would hold all N.
+    live, peak = [0], [0]
+
+    class Column(tuple):
+        def __del__(self):
+            live[0] -= 1
+
+    real = solver_module.columns
+
+    def counting(p, n, ring):
+        for col in real(p, n, ring):
+            live[0] += 1
+            peak[0] = max(peak[0], live[0])
+            yield Column(col)
+
+    monkeypatch.setattr(solver_module, "columns", counting)
+    basis = KatzBasis(11, 40, build_system(11, 6))
+    assert len(basis._newton) == dim_mk(40 * 10) == 34
+    assert live[0] == 0
+    assert peak[0] <= 2
+    monkeypatch.undo()
+    assert basis._newton == KatzBasis(11, 40, build_system(11, 6))._newton

@@ -548,8 +548,11 @@ def test_reproduce_table_writes_the_sweep_csv(tmp_path, capsys, monkeypatch):
     script = _reproduce_table()
     assert script.main(["--rows", "17:20", "--out-dir", str(tmp_path)]) == 0
     assert (tmp_path / "p17.csv").read_bytes() == (DATA / "p17_i20.csv").read_bytes()
-    line = capsys.readouterr().out.splitlines()[2].split()
-    assert line[:2] == ["17", "20"] and line[-2] == "0"  # no entry unresolved
+    header, _, line = (text.split() for text in capsys.readouterr().out.splitlines()[:3])
+    column = header.index("unresolved")
+    assert header[column:] == ["unresolved", "time", "peak_rss"]
+    assert line[:2] == ["17", "20"] and line[column] == "0"  # no entry unresolved
+    assert line[-1] == "MB" and float(line[-2]) > 0
     # A violation of either bound, or an unresolved entry, fails the run.
     real_audit, real_summary = script.theorem_b_audit, script.summary
     for audit in ([(12, 3, 0)], []), ([], [(12, 3, 0)]):
@@ -559,7 +562,7 @@ def test_reproduce_table_writes_the_sweep_csv(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(script, "theorem_b_audit", real_audit)
     monkeypatch.setattr(script, "summary", lambda state: {**real_summary(state), "unresolved": 2})
     assert script.main(["--rows", "17:20"]) == 1
-    assert capsys.readouterr().out.splitlines()[2].split()[-2] == "2"
+    assert capsys.readouterr().out.splitlines()[2].split()[column] == "2"
 
 
 @pytest.mark.parametrize(
