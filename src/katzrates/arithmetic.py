@@ -137,6 +137,27 @@ def ks2_mul(
     return out
 
 
+def prepare(values, mod: int):
+    """The residues `values` in [0, mod) as a factor for `mul_low`, packed
+    once: a low product's coefficient is a sum of at most len(values)
+    products, which its slots hold (`slot_bytes`)."""
+    width = slot_bytes(mod, len(values))
+    return width, split_pack(values, width)
+
+
+def mul_low(xs, factor, mod: int) -> list[int]:
+    """The first len(xs) coefficients, reduced mod `mod`, of the product of
+    the residues `xs` with a `prepare`d factor (None squares `xs`), by
+    `ks2_mul` on the factor's halves cut to len(xs) values."""
+    count = len(xs)
+    if factor is None:
+        width = slot_bytes(mod, count)
+        return ks2_mul(split_pack(xs, width), None, width, count, mod)
+    width, halves = factor
+    y = split_low(halves, width, count)
+    return ks2_mul(split_pack(xs, width), y, width, count, mod)
+
+
 def _canonical(coeffs, mod: int):
     """`coeffs`, after checking they lie in [0, mod): a packed slot has no room
     for anything else, and an out-of-range value would overflow silently."""
@@ -195,10 +216,10 @@ class QSeries:
         )
 
     def __mul__(self, other):
-        """Product mod (q^N, p^e) by two-point Kronecker substitution
-        (`ks2_mul`).  Both operands must be canonical.  Leading zero
-        coefficients (a factor q^s) are shifted out first, so the product only
-        spans the N - s_a - s_b slots that survive truncation."""
+        """Product mod (q^N, p^e) by `mul_low`.  Both operands must be
+        canonical.  Leading zero coefficients (a factor q^s) are shifted out
+        first, so the product only spans the N - s_a - s_b slots that survive
+        truncation."""
         self._check(other)
         a, b = self.coeffs, other.coeffs
         n = len(a)
@@ -214,10 +235,8 @@ class QSeries:
         m = n - sa - sb
         if m <= 0:
             return QSeries(self.ring, (0,) * n)
-        width = slot_bytes(mod, n)
-        x = split_pack(a[sa : sa + m], width)
-        y = None if square else split_pack(b[sb : sb + m], width)
-        return QSeries(self.ring, (0,) * (n - m) + tuple(ks2_mul(x, y, width, m, mod)))
+        y = None if square else prepare(b[sb : sb + m], mod)
+        return QSeries(self.ring, (0,) * (n - m) + tuple(mul_low(a[sa : sa + m], y, mod)))
 
     def scaled(self, c: int) -> "QSeries":
         mod = self.ring.modulus

@@ -8,15 +8,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from math import gcd
 
-from .arithmetic import (
-    QSeries,
-    RingSpec,
-    _canonical,
-    ks2_mul,
-    slot_bytes,
-    split_low,
-    split_pack,
-)
+from .arithmetic import QSeries, RingSpec, _canonical, mul_low, prepare
 from .classical import delta, e4, e6, e_p_minus_1
 
 
@@ -93,11 +85,10 @@ def columns(p: int, n: int, ring: RingSpec) -> Iterator[tuple[int, ...]]:
 
     Column j is q^j times a series with constant term 1, and every step is q
     times one, so column j needs only the N - j slots of column j-1 from
-    q^(j-1) on and of the step from q^1 on: each step is split and packed
-    once without its zero constant slot, its halves are masked to the live
-    slots of each column, and each product (`ks2_mul`) spans N - j slots.
-    Each step is checked to have no constant term, and each column to be
-    unit-lower-triangular.
+    q^(j-1) on and of the step from q^1 on: each distinct step is prepared
+    once without its zero constant slot, and each column is one `mul_low`
+    over its N - j live slots.  Each step is checked to have no constant
+    term, and each column to be unit-lower-triangular.
     """
     if ring.p != p:
         raise ValueError("ring prime does not match p")
@@ -110,7 +101,6 @@ def _chain(p: int, n: int, ring: RingSpec) -> Iterator[tuple[int, ...]]:
     exponents = column_exponents(p, n)
     N = len(exponents)
     mod = ring.modulus
-    width = slot_bytes(mod, N)
     ds = delta(ring, N)
     bases = (e4(ring, N), e6(ring, N), e_p_minus_1(ring, N))
     inverses: list[QSeries | None] = [None] * 3
@@ -128,11 +118,8 @@ def _chain(p: int, n: int, ring: RingSpec) -> Iterator[tuple[int, ...]]:
                         step = step * (bases[b] if k > 0 else inverses[b]) ** abs(k)
                 if step.coeffs[0]:
                     raise AssertionError(f"step {key} has a nonzero constant term")
-                steps[key] = split_pack(_canonical(step.coeffs[1:], mod), width)
-            live = N - j
-            y = split_low(steps[key], width, live)
-            x = split_pack(cs[j - 1 : N - 1], width)
-            cs, prev = (0,) * j + tuple(ks2_mul(x, y, width, live, mod)), cur
+                steps[key] = prepare(_canonical(step.coeffs[1:], mod), mod)
+            cs, prev = (0,) * j + tuple(mul_low(cs[j - 1 : N - 1], steps[key], mod)), cur
         if any(cs[:j]) or cs[j] != 1:
             raise AssertionError(f"column {j} is not unit-lower-triangular")
         yield cs

@@ -159,7 +159,12 @@ def cmd_sweep(args) -> int:
         real = [os.path.realpath(path) for path in (args.checkpoint, args.out) if path]
         if len(real) == 2 and real[0] == real[1]:
             raise ValueError(f"--out and --checkpoint both name {args.out}")
-    except ValueError as exc:
+        if args.out:  # opens for writing, appending so as to truncate nothing
+            created = not os.path.lexists(args.out)
+            open(args.out, "a").close()
+            if created:
+                os.unlink(args.out)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     resume = None
@@ -171,7 +176,7 @@ def cmd_sweep(args) -> int:
             resume = load_checkpoint(args.checkpoint, args.p)
         except FileNotFoundError:
             resume = None
-        except CheckpointError as exc:
+        except (CheckpointError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CHECKPOINT
     previous = signal.signal(signal.SIGTERM, _terminate)
@@ -190,8 +195,12 @@ def cmd_sweep(args) -> int:
     finally:
         signal.signal(signal.SIGTERM, previous)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            write_entries_csv(state.entries, fh)
+        try:
+            with open(args.out, "w", newline="") as fh:
+                write_entries_csv(state.entries, fh)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     report = summary(state)
     json.dump(report, sys.stdout, indent=2)
     print()

@@ -13,16 +13,7 @@ from itertools import islice
 from math import isqrt
 from operator import mul
 
-from .arithmetic import (
-    QSeries,
-    RingSpec,
-    ks2_mul,
-    pack,
-    slot_bytes,
-    split_low,
-    split_pack,
-    unpack,
-)
+from .arithmetic import QSeries, RingSpec, mul_low, pack, prepare, slot_bytes, unpack
 from .basis import _blocks, column_exponents, columns, dim_mk, period
 
 
@@ -140,8 +131,7 @@ def psi(p: int, n: int, C: int, f: QSeries) -> KatzTuple:
     offset = m * mod * mod
     packs = [pack(col, width) for col in S[:m]]
     if K < N:
-        kw = slot_bytes(mod, N)
-        U = split_pack(QSeries(ring, S[K][K:]).inverse().coeffs, kw)
+        U = prepare(QSeries(ring, S[K][K:]).inverse().coeffs, mod)
     g, x = f.coeffs, []
     while True:
         live = len(g)
@@ -153,7 +143,7 @@ def psi(p: int, n: int, C: int, f: QSeries) -> KatzTuple:
         acc = pack([c + offset for c in g], width) - sum(map(mul, xs, packs))
         acc &= (1 << 8 * width * live) - 1
         h = unpack(acc >> 8 * width * K, width, live - K, mod)
-        g = ks2_mul(split_pack(h, kw), split_low(U, kw, live - K), kw, live - K, mod)
+        g = mul_low(h, U, mod)
     return KatzTuple(p=p, n=n, ring=ring, x=tuple(x))
 
 
@@ -179,14 +169,12 @@ def phi(p: int, n: int, C: int, t: KatzTuple) -> QSeries:
     width = slot_bytes(mod, N)
     packs = [pack(col, width) for col in S[:m]]
     if K < N:
-        V = split_pack(S[K][K:], width)
+        V = prepare(S[K][K:], mod)
     h = None
     for c in reversed(range(0, N, K)):
         live = N - c
         acc = sum(map(mul, x[c : c + K], packs))
         if h is not None:
-            y = split_low(V, width, live - K)
-            h = ks2_mul(split_pack(h, width), y, width, live - K, mod)
-            acc += pack(h, width) << 8 * width * K
+            acc += pack(mul_low(h, V, mod), width) << 8 * width * K
         h = unpack(acc, width, live, mod)
     return QSeries(ring, tuple(h))

@@ -28,16 +28,16 @@ lam entries of the result, mod p^lam, are those of the leading lam x lam
 block of L solved at lam.  Each column of B is packed once, at E, and
 gamma_j = min(lam, min_{j<=k<lam} (lam - min(t_k, lam) + v(B[j][k]))) is
 read off the valuations of its upper triangle.  The build checks that the
-kernel generators annihilate V without building V: column k of B is the
-Newton polynomial N_k, whose values at the nodes are the running products
-prod_{m<k} (w_i - w_m) (_check_kernel).
+kernel generators annihilate V without building V, on one path: column k of
+B must be the Newton polynomial N_k mod p^t_k, whose values at the nodes are
+the running products prod_{m<k} (w_i - w_m) (_check_kernel).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import accumulate, repeat, zip_longest
+from itertools import accumulate, zip_longest
 from operator import mul, sub
 
 from .arithmetic import RingSpec, pack, slot_bytes, unpack
@@ -85,7 +85,8 @@ def _newton_diagonalize(ws, p: int, lam: int):
     e_k.  L and B are invertible, and t_0 <= t_1 <= ... (a p-ordering's
     valuations never decrease) are the Smith invariants of V.  Returns L, as
     its rows over their diagonal units, cut before it, and the inverses of
-    the units, the t_k, B and the order pi.
+    the units, the t_k, the columns of B (the coefficients of N_0, N_1, ...)
+    and the order pi.
     """
     mod = p**lam
     n = len(ws)
@@ -126,7 +127,7 @@ def _newton_diagonalize(ws, p: int, lam: int):
     suffix = list(accumulate(reversed(units), lambda a, b: a * b % mod, initial=inv))
     uinvs = tuple(a * b % mod for a, b in zip(prefix, reversed(suffix[:-1])))
     lower = tuple(tuple(c * uinv % mod for c in below[i]) for i, uinv in zip(order, uinvs))
-    return (lower, uinvs), tuple(ts), [list(row) for row in zip(*cols)], order
+    return (lower, uinvs), tuple(ts), cols, order
 
 
 def _min_val(values, mod: int, log: dict[int, int]) -> int:
@@ -147,49 +148,30 @@ def _gamma(vals, ts, lam: int) -> tuple[int, ...]:
     return tuple(min(lam, lam + min(map(sub, r, ts[j:]))) for j, r in enumerate(vals[:lam]))
 
 
-def _packed_vandermonde(nodes, mod: int, width: int) -> list[int]:
-    """The columns j of V[i][j] = nodes[i]^j mod `mod`, each packed into one
-    integer in slots of `width` bytes."""
-    rows = [
-        list(accumulate(repeat(w, len(nodes) - 1), lambda a, b: a * b % mod, initial=1))
-        for w in nodes
-    ]
-    return [pack(col, width) for col in zip(*rows)]
-
-
-def _check_kernel(nodes, B, ts, p: int, lam: int) -> None:
+def _check_kernel(nodes, cols, ts, p: int, lam: int) -> None:
     """Raise AssertionError unless every kernel generator p^(lam - t_k).B[:,k],
-    t_k > 0, annihilates the Vandermonde matrix V[i][j] = w_i^j over Z/p^lam,
-    w_i = nodes[i]; build_system passes the nodes in its p-order, the order
-    in which it built the Newton columns of B.
+    t_k > 0, is p^(lam - t_k).N_k and annihilates the Vandermonde matrix
+    V[i][j] = w_i^j over Z/p^lam, w_i = nodes[i], for B with columns `cols`;
+    build_system passes the nodes in its p-order, the order in which it
+    built the Newton columns.
 
     p^(lam - t).x = 0 mod p^lam exactly when x = 0 mod p^t, so the check on
-    generator k is V.B[:,k] = 0 mod p^t_k.  (V.x)[i] is the value at w_i of
-    the polynomial with coefficients x.  Alongside the columns runs the
-    Newton recurrence N_{k+1}(T) = (T - w_k).N_k(T), N_0 = 1, with its
-    values P_{k+1}[i] = P_k[i].(w_i - w_k) = N_{k+1}(w_i) mod p^lam.  Where
-    column k of B agrees with the coefficients of N_k mod p^t_k, V.B[:,k] =
-    P_k mod p^t_k, and the check is that p^t_k divides every P_k[i]; those
-    with i < k have the factor w_i - w_i and vanish.  Any other column is
-    reduced mod p^t_k and multiplied against the packed columns of V, each
-    slot of the product read mod p^t_k.  V is built only then, and
-    _newton_diagonalize never produces such a column."""
+    generator k is that column k agrees with the coefficients of N_k mod
+    p^t_k and that V.N_k = 0 mod p^t_k.  (V.x)[i] is the value at w_i of the
+    polynomial with coefficients x, so V.N_k is read off the Newton
+    recurrence N_{k+1}(T) = (T - w_k).N_k(T), N_0 = 1, run alongside with its
+    values P_{k+1}[i] = P_k[i].(w_i - w_k) = N_{k+1}(w_i) mod p^lam: the
+    check is that p^t_k divides every P_k[i]; those with i < k have the
+    factor w_i - w_i and vanish.  V is never built."""
     mod = p**lam
-    width = slot_bytes(mod, lam)
     # N_k, degree k, and P_k[i] for i >= k.
     newton, values = [1], [1] * lam
-    packed = None
-    for k, (col, t) in enumerate(zip(zip(*B), ts)):
+    for k, (col, t) in enumerate(zip(cols, ts)):
         if t:
             pt = p**t
-            if all((b - c) % pt == 0 for b, c in zip_longest(col, newton, fillvalue=0)):
-                bad = any(v % pt for v in values)
-            else:
-                if packed is None:
-                    packed = _packed_vandermonde(nodes, mod, width)
-                acc = sum(map(mul, [b % pt for b in col], packed))
-                bad = any(unpack(acc, width, lam, pt))
-            if bad:
+            if any((b - c) % pt for b, c in zip_longest(col, newton, fillvalue=0)):
+                raise AssertionError(f"kernel generator {k} is not p^(lam - t_k).N_k")
+            if any(v % pt for v in values):
                 raise AssertionError(f"kernel generator {k} does not annihilate V")
         w = nodes[k]
         newton = [(a - w * b) % mod for a, b in zip([0] + newton, newton + [0])]
@@ -287,9 +269,9 @@ def build_system(p: int, lam: int, ss=None) -> VandermondeSystem:
     """The system on the weights k = s(p-1), s in `ss` (default
     weight_list(p, lam)), at the weight-disk coordinates w = (1+p)^k - 1 mod
     p^lam, factored and checked.  V itself is never built: the kernel check
-    reads V.B off the Newton products, and only a column of B that is not a
-    Newton polynomial would make it build V.  The system keeps the weights in
-    the p-order its factorization finds."""
+    reads V.B off the Newton products, and refuses a column of B that is not
+    the Newton polynomial it stands for.  The system keeps the weights in the
+    p-order its factorization finds."""
     if lam < 1:
         raise ValueError("lam must be >= 1")
     mod = RingSpec(p, lam).modulus  # p must be a prime >= 5
@@ -302,26 +284,30 @@ def build_system(p: int, lam: int, ss=None) -> VandermondeSystem:
     ws = [(pow(p + 1, s * (p - 1), mod) - 1) % mod for s in ss]
     if len(set(ws)) != len(ws):
         raise ValueError("duplicate weight coordinates mod p^lam")
-    L, ts, B, order = _newton_diagonalize(ws, p, lam)
+    L, ts, cols, order = _newton_diagonalize(ws, p, lam)
     ss = tuple(ss[i] for i in order)
-    _check_kernel([ws[i] for i in order], B, ts, p, lam)
+    _check_kernel([ws[i] for i in order], cols, ts, p, lam)
     width = slot_bytes(mod, lam)
     log = {p**e: e for e in range(lam + 1)}
-    vals = tuple(tuple(log[math.gcd(b, mod)] for b in row[j:]) for j, row in enumerate(B))
-    bcols = tuple(pack(col, width) for col in zip(*B))
+    vals = tuple(tuple(log[math.gcd(b, mod)] for b in r[j:]) for j, r in enumerate(zip(*cols)))
+    bcols = tuple(pack(col, width) for col in cols)
     return VandermondeSystem(p, lam, ss, _gamma(vals, ts, lam), ts, width, *L, bcols, vals)
 
 
 @dataclass(frozen=True)
 class SweepEntry:
     """Outcome for one (i, j): an exact valuation `value` of b_{i,j}, strictly
-    below the kernel ambiguity threshold gamma_j, or inconclusive at it."""
+    below the kernel ambiguity threshold gamma_j, or inconclusive at it, with
+    `value` None."""
 
     i: int
     j: int
-    exact: bool
     value: int | None
     gamma: int
+
+    @property
+    def exact(self) -> bool:
+        return self.value is not None
 
     @property
     def status(self) -> str:
@@ -436,7 +422,7 @@ def collect_statuses(system: VandermondeSystem, solutions, j_max: int, r: int):
         gamma = system.gamma[j]
         # alpha = lam, "at least lam", is never below gamma <= lam.
         value = alpha if alpha < gamma else None
-        out[j] = SweepEntry(i=r, j=j, exact=value is not None, value=value, gamma=gamma)
+        out[j] = SweepEntry(i=r, j=j, value=value, gamma=gamma)
     return out
 
 

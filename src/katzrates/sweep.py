@@ -299,7 +299,7 @@ def _entry_from_json(e: dict, completed_rows: set[int]) -> SweepEntry:
         raise CheckpointError(
             f"entry {e}: needs status exact, or inconclusive and no value"
         )
-    return SweepEntry(i=i, j=j, exact=status == "exact", value=value, gamma=gamma)
+    return SweepEntry(i=i, j=j, value=value, gamma=gamma)
 
 
 def _lambda_bound(p: int, rows) -> int:
@@ -314,9 +314,9 @@ def _lambda_bound(p: int, rows) -> int:
 
 def state_from_json(data: dict) -> SweepState:
     """The SweepState a checkpoint records, after checking every field, that
-    p is a prime >= 5, that the completed rows lie in 1..i_max, that lambda
-    lies in the range a sweep through them can reach, that each holds the
-    entries j = 0..J of one solve with J <= i (none if its basis block is
+    p is a prime >= 5, that the completed rows are 1..m with m <= i_max, that
+    lambda lies in the range a sweep through them can reach, that each holds
+    the entries j = 0..J of one solve with J <= i (none if its basis block is
     empty), and that d_prime is the minimum over the exact entries."""
     if not isinstance(data, dict) or data.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
@@ -336,6 +336,10 @@ def state_from_json(data: dict) -> SweepState:
         outside = sorted(i for i in rows if not 1 <= i <= i_max)
         if outside:
             raise CheckpointError(f"completed_rows {outside} lie outside 1..{i_max}")
+        if sorted(rows) != list(range(1, len(rows) + 1)):
+            raise CheckpointError(
+                "completed_rows are not 1..m for one m, as a sweep completes rows in order"
+            )
         if not isinstance(data["d_prime"], str):
             raise CheckpointError("d_prime must be a string p/q")
         lam_bound = _lambda_bound(p, rows)

@@ -53,20 +53,29 @@ def reductions(monkeypatch) -> list[int]:
 def ks2_products(monkeypatch) -> list[tuple]:
     """Every two-point Kronecker product, in order, as (caller module,
     count, slots spanned by the even and odd halves of x and of y); y's are
-    None for a square."""
-    products = []
-    real = arithmetic_module.ks2_mul
+    None for a square.  The caller is the module whose `mul_low` made the
+    product (basis, expand or arithmetic), and the halves are read at
+    `arithmetic.ks2_mul`."""
+    products, caller = [], []
+    real_mul_low, real_ks2_mul = arithmetic_module.mul_low, arithmetic_module.ks2_mul
 
     def recording(where):
-        def ks2_mul(x, y, width, count, mod):
-            bits = 16 * ((width + 1) // 2)
-            halves = [-(-h.bit_length() // bits) for h in x + (y or ())]
-            products.append((where, count, *halves, *[None] * (4 - len(halves))))
-            return real(x, y, width, count, mod)
+        def mul_low(xs, factor, mod):
+            caller.append(where)
+            try:
+                return real_mul_low(xs, factor, mod)
+            finally:
+                caller.pop()
 
-        return ks2_mul
+        return mul_low
 
-    monkeypatch.setattr("katzrates.arithmetic.ks2_mul", recording("arithmetic"))
-    monkeypatch.setattr("katzrates.basis.ks2_mul", recording("basis"))
-    monkeypatch.setattr("katzrates.expand.ks2_mul", recording("expand"))
+    def ks2_mul(x, y, width, count, mod):
+        bits = 16 * ((width + 1) // 2)
+        halves = [-(-h.bit_length() // bits) for h in x + (y or ())]
+        products.append((caller[-1], count, *halves, *[None] * (4 - len(halves))))
+        return real_ks2_mul(x, y, width, count, mod)
+
+    monkeypatch.setattr("katzrates.arithmetic.ks2_mul", ks2_mul)
+    for where in ("arithmetic", "basis", "expand"):
+        monkeypatch.setattr(f"katzrates.{where}.mul_low", recording(where))
     return products

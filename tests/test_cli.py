@@ -285,7 +285,9 @@ def test_sweep_cli_malformed_entry_exits_5(tmp_path, capsys, key, bad):
     assert err.startswith("error:") and "Traceback" not in err and out == ""
 
 
-@pytest.mark.parametrize("edit", ["drop_row_9", "p_9", "j_past_i", "row_past_i_max"])
+@pytest.mark.parametrize(
+    "edit", ["drop_row_9", "p_9", "j_past_i", "row_past_i_max", "drop_rows_1_to_3"]
+)
 def test_sweep_cli_incomplete_checkpoint_exits_5(tmp_path, capsys, edit):
     ck = tmp_path / "ck.json"
     code, _, _ = run_cli(capsys, "sweep", "--p", "5", "--imax", "9", "--checkpoint", str(ck))
@@ -299,6 +301,10 @@ def test_sweep_cli_incomplete_checkpoint_exits_5(tmp_path, capsys, edit):
         )
     elif edit == "row_past_i_max":
         data["completed_rows"].append(50)
+    elif edit == "drop_rows_1_to_3":
+        # d' = 1/6 still holds on rows 6 and 9; row 3 would never be solved.
+        data["completed_rows"] = [i for i in data["completed_rows"] if i > 3]
+        data["entries"] = [e for e in data["entries"] if e["i"] > 3]
     else:
         data["p"] = 9
     ck.write_text(json.dumps(data))
@@ -456,6 +462,68 @@ def test_sweep_directory_as_file_exits_2(tmp_path, capsys, flags):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error:") and "is a directory" in err and out == ""
+
+
+def _symlink_loop(tmp_path) -> str:
+    # A path no one can open, even as root, which ignores chmod.
+    loop = tmp_path / "loop"
+    os.symlink(loop, loop)
+    return str(loop)
+
+
+def test_sweep_cli_unreadable_checkpoint_exits_5(tmp_path, capsys):
+    # It was an OSError traceback out of load_checkpoint.
+    argv = ["--checkpoint", _symlink_loop(tmp_path), "--resume"]
+    code, out, err = run_cli(capsys, "sweep", "--p", "5", "--imax", "3", *argv)
+    assert code == 5
+    assert err.startswith("error:") and "Traceback" not in err and out == ""
+
+
+def test_sweep_cli_unwritable_out_exits_2_before_the_sweep(tmp_path, capsys, monkeypatch):
+    # It was an OSError traceback, after the whole sweep had run.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(sweep_module, "run_sweep", refuse)
+    argv = ["--out", _symlink_loop(tmp_path)]
+    code, out, err = run_cli(capsys, "sweep", "--p", "5", "--imax", "3", *argv)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_sweep_cli_out_probe_leaves_the_file_as_it_was(tmp_path, capsys, existing):
+    # --out is checked before the sweep without truncating it, and a file the
+    # check creates is removed when the sweep then fails.
+    out_csv, ck = tmp_path / "o.csv", tmp_path / "ck.json"
+    if existing:
+        out_csv.write_text("kept\n")
+    ck.write_text("{")
+    argv = ["--checkpoint", str(ck), "--resume", "--out", str(out_csv)]
+    code, _, _ = run_cli(capsys, "sweep", "--p", "5", "--imax", "3", *argv)
+    assert code == 5
+    if existing:
+        assert out_csv.read_text() == "kept\n"
+    else:
+        assert not out_csv.exists()
+
+
+def test_sweep_cli_failed_final_write_exits_2(tmp_path, capsys, monkeypatch):
+    # --out passes the check, then cannot be opened when the sweep is done.
+    out_csv, ck = tmp_path / "o.csv", tmp_path / "ck.json"
+    real = sweep_module.run_sweep
+
+    def then_break_out(*args, **kwargs):
+        state = real(*args, **kwargs)
+        os.symlink(out_csv, out_csv)
+        return state
+
+    monkeypatch.setattr(sweep_module, "run_sweep", then_break_out)
+    argv = ["--checkpoint", str(ck), "--out", str(out_csv)]
+    code, out, err = run_cli(capsys, "sweep", "--p", "5", "--imax", "9", *argv)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err and out == ""
+    assert sweep_module.load_checkpoint(str(ck), 5).completed_rows == set(range(1, 10))
 
 
 def test_sweep_cli_non_utf8_checkpoint_exits_5(tmp_path, capsys):

@@ -1,21 +1,20 @@
 """The fast kernels against the slow reference oracles in tests/oracles.py:
-the Kronecker series product, the packed row solve, the Newton factorization
-of the Vandermonde systems, the gcd-driven valuation minima, the
-tangent-number Bernoulli numbers, the step-by-step basis matrix, the rows
-solved on their Katz coordinates and on L^-1 folded into them, the sieved
-sigma* of E*_k, the sparse division by V(E*_k), and the forward substitution
-packed over right-hand sides."""
+the Kronecker series product and truncated product (mul_low), the packed
+row solve, the Newton factorization of the Vandermonde systems, the
+gcd-driven valuation minima, the tangent-number Bernoulli numbers, the
+step-by-step basis matrix, the rows solved on their Katz coordinates and
+on L^-1 folded into them, the sieved sigma* of E*_k, the sparse division by
+V(E*_k), and the forward substitution packed over right-hand sides."""
 
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 import oracles
-from katzrates import classical, solver
-from katzrates.arithmetic import QSeries, RingSpec
+from katzrates import classical
+from katzrates.arithmetic import QSeries, RingSpec, mul_low, prepare
 from katzrates.basis import block, columns, dim_mk
 from katzrates.classical import bernoulli, eisenstein_star
 from katzrates.expand import forward_substitute, lower_rows, psi
@@ -100,6 +99,40 @@ def test_kronecker_product_edge_cases(p, e, n, fill):
     assert f * g == oracles.schoolbook_mul(f, g)
     assert f * f == oracles.schoolbook_mul(f, f)  # f * f squares both evaluations
     assert f * _series(ring, [0] * n) == _series(ring, [0] * n)
+
+
+@st.composite
+def low_products(draw):
+    """(p, e, xs, values): residues mod p^e with runs of leading zeros and
+    the edges 0 and p^e - 1 drawn often, xs no longer than the factor
+    `values`, and `values` None for a square."""
+    p = draw(st.sampled_from([5, 13, 71]))
+    e = draw(st.integers(1, 30))
+    mod = p**e
+    coeff = st.one_of(st.just(0), st.just(mod - 1), st.integers(0, mod - 1))
+
+    def residues(n):
+        lead = draw(st.integers(0, n))
+        return [0] * lead + draw(st.lists(coeff, min_size=n - lead, max_size=n - lead))
+
+    values = residues(draw(st.integers(1, 40)))
+    xs = residues(draw(st.integers(1, len(values))))
+    return p, e, xs, draw(st.one_of(st.none(), st.just(values)))
+
+
+@given(low_products())
+@settings(max_examples=200, deadline=None)
+@example((5, 2, [7], [3, 4]))  # one slot
+@example((13, 3, [0, 0, 5, 1, 2], None))  # a square with leading zeros
+@example((71, 30, [71**30 - 1] * 40, [71**30 - 1] * 40))  # every slot full
+@example((71, 30, [71**30 - 1] * 39, [71**30 - 1] * 40))  # odd, shorter
+def test_mul_low_matches_the_schoolbook_product(case):
+    p, e, xs, values = case
+    ring, n = RingSpec(p, e), len(xs)
+    f = QSeries(ring, tuple(xs))
+    g = f if values is None else QSeries(ring, tuple(values[:n]))
+    factor = None if values is None else prepare(values, ring.modulus)
+    assert mul_low(xs, factor, ring.modulus) == list(oracles.schoolbook_mul(f, g).coeffs)
 
 
 def test_product_multiplies_only_the_surviving_slots(ks2_products):
@@ -258,22 +291,28 @@ def test_reduced_system_matches_smith_oracle(p, E, lam):
     _check_newton_form(build_system(p, E).reduce(lam))
 
 
+def _columns(B):
+    return [list(col) for col in zip(*B)]
+
+
 @given(systems(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_kernel_check_matches_the_generator_oracle(system, data):
-    # One entry of B replaced: the check at precision p^t_k rejects exactly
-    # the columns whose generator p^(lam - t_k).B[:,k] no longer annihilates V.
-    p, lam = system.p, system.lam
+    # One entry of B replaced: the check rejects exactly the columns with
+    # t_k > 0 that the change moves off N_k mod p^t_k, and every column it
+    # passes has a generator p^(lam - t_k).B[:,k] that annihilates V.
+    p, lam, ts = system.p, system.lam, system._ts
     V = oracles.vandermonde(system)
     B = oracles.matrices(system)[1]
     i, k = data.draw(st.integers(0, lam - 1)), data.draw(st.integers(0, lam - 1))
-    B[i][k] = data.draw(st.integers(0, system.modulus - 1))
+    old, B[i][k] = B[i][k], data.draw(st.integers(0, system.modulus - 1))
     nodes = oracles.weights(system)
-    if oracles.kernel_annihilates(V, B, system._ts, p, lam):
-        _check_kernel(nodes, B, system._ts, p, lam)
+    if ts[k] == 0 or (B[i][k] - old) % p ** ts[k] == 0:
+        _check_kernel(nodes, _columns(B), ts, p, lam)
+        assert oracles.kernel_annihilates(V, B, ts, p, lam)
     else:
         with pytest.raises(AssertionError, match=f"generator {k} "):
-            _check_kernel(nodes, B, system._ts, p, lam)
+            _check_kernel(nodes, _columns(B), ts, p, lam)
 
 
 @st.composite
@@ -308,23 +347,22 @@ def test_kernel_check_in_product_form_matches_the_oracle(case):
         for k, t in enumerate(ts)
         if not oracles.kernel_annihilates(V, B, [0] * k + [t], p, lam)
     ]
-    with mock.patch.object(solver, "_packed_vandermonde") as built:
-        if failing:
-            with pytest.raises(AssertionError, match=f"generator {failing[0]} "):
-                _check_kernel(nodes, B, ts, p, lam)
-        else:
-            _check_kernel(nodes, B, ts, p, lam)
-    assert built.call_count == 0
+    if failing:
+        with pytest.raises(AssertionError, match=f"generator {failing[0]} "):
+            _check_kernel(nodes, cols, ts, p, lam)
+    else:
+        _check_kernel(nodes, cols, ts, p, lam)
 
 
 @given(systems(), st.booleans(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_kernel_check_decides_a_column_off_newton_form_on_v(system, harmless, data):
     # B[i][k] moved by delta with v(delta) < t_k, so column k no longer agrees
-    # with N_k mod p^t_k and is multiplied against V.  With i >= 1 and
-    # v(delta) >= t_k - i, delta.w^i = 0 mod p^t_k at every node (v(w) >= 1):
-    # the column still annihilates V.  At row 0, V.B[:,k] moves by delta in
-    # every slot: generator k fails.
+    # with N_k mod p^t_k, and the check refuses it without building V.  With
+    # i >= 1 and v(delta) >= t_k - i, delta.w^i = 0 mod p^t_k at every node
+    # (v(w) >= 1): the column still annihilates V, and is refused all the
+    # same.  At row 0, V.B[:,k] moves by delta in every slot: generator k
+    # fails on V too.
     p, lam, mod, ts = system.p, system.lam, system.modulus, system._ts
     k = data.draw(st.integers(0, lam - 1))
     t = ts[k]
@@ -337,26 +375,8 @@ def test_kernel_check_decides_a_column_off_newton_form_on_v(system, harmless, da
     nodes = oracles.weights(system)
     V = oracles.vandermonde(system)
     assert oracles.kernel_annihilates(V, B, ts, p, lam) == harmless
-    with mock.patch.object(
-        solver, "_packed_vandermonde", wraps=solver._packed_vandermonde
-    ) as built:
-        if harmless:
-            _check_kernel(nodes, B, ts, p, lam)
-        else:
-            with pytest.raises(AssertionError, match=f"generator {k} "):
-                _check_kernel(nodes, B, ts, p, lam)
-    assert built.call_count == 1
-
-
-def test_build_system_builds_no_vandermonde_matrix(monkeypatch):
-    # Every column of B is a Newton polynomial, checked in product form.
-    def refuse(*args):
-        raise AssertionError("V was built")
-
-    monkeypatch.setattr(solver, "_packed_vandermonde", refuse)
-    for p, lam in [(5, 1), (5, 60), (11, 28), (13, 30)]:
-        build_system(p, lam)
-    build_system(7, 6, [9, 2, 16, 1, 23, 3])  # not p-ordered
+    with pytest.raises(AssertionError, match=f"generator {k} is not"):
+        _check_kernel(nodes, _columns(B), ts, p, lam)
 
 
 @given(

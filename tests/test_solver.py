@@ -168,9 +168,9 @@ def test_build_system_rejects_a_corrupted_kernel_column(monkeypatch, k):
     real = solver_module._newton_diagonalize
 
     def corrupted(ws, p, lam):
-        A, ts, B, order = real(ws, p, lam)
-        B[0][k] += 1
-        return A, ts, B, order
+        L, ts, cols, order = real(ws, p, lam)
+        cols[k][0] += 1
+        return L, ts, cols, order
 
     monkeypatch.setattr(solver_module, "_newton_diagonalize", corrupted)
     with pytest.raises(AssertionError, match=f"generator {k} "):

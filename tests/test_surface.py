@@ -118,20 +118,33 @@ def test_katz_expand_imports_neither_solver_nor_sweep(tmp_path):
         "v_operator",
         "BasisMatrix",
         "build_matrix",
+        "_packed_vandermonde",
     ],
 )
 def test_no_module_defines_a_removed_path(name):
     # g_form (the basis forms one at a time) and v_operator (the dense V of
     # the E*_k ratio) live on only in tests/oracles.py and in history,
-    # Residue, CappedVal, WeightSpec, BasisMatrix and build_matrix only in
-    # history; the package makes the basis columns one by one from one chain
-    # (basis.columns) and keeps none of them, divides by V(E*_k) sparsely,
-    # keeps residues and valuations as plain ints (a valuation mod p^e capped
-    # at e) and a weight k = s(p-1) as its s.
+    # Residue, CappedVal, WeightSpec, BasisMatrix, build_matrix and
+    # _packed_vandermonde only in history; the package makes the basis
+    # columns one by one from one chain (basis.columns) and keeps none of
+    # them, divides by V(E*_k) sparsely, keeps residues and valuations as
+    # plain ints (a valuation mod p^e capped at e) and a weight k = s(p-1) as
+    # its s, and its kernel check reads V.B off the Newton products alone.
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.AsyncFunctionDef)):
                 assert node.name != name, f"{path.name} defines {name}"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "arithmetic.py"),
+    ids=lambda p: p.name,
+)
+def test_only_arithmetic_knows_the_kronecker_operand_format(path):
+    # Every truncated product goes through arithmetic.prepare and mul_low, so
+    # a faster kernel replaces those two and nothing else.
+    found = re.findall(r"\b(split_pack|split_low|ks2_mul|_half_bytes)\b", path.read_text())
+    assert not found, f"{path.name} names {sorted(set(found))}"
 
 
 def test_a_system_keeps_l_and_no_inverse():

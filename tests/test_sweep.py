@@ -413,13 +413,18 @@ def test_checkpoint_lambda_bound_is_the_retry_policy_ceiling(checkpoint_p5_i9):
 def test_checkpoint_lambda_bound_is_quick_for_a_far_row():
     # Row 999999999 of p = 5 is nonempty; scanning n one at a time up to its
     # bound, about 2.9e9, would not finish.
-    i = 999_999_999
-    data = {
-        "version": 1, "p": 5, "lambda": 1500, "i_max": i, "d_prime": "1",
-        "completed_rows": [i],
-        "entries": [{"i": i, "j": 0, "status": "inconclusive", "value": None, "gamma": 1}],
-    }
-    assert state_from_json(data).lam_current == 1500
+    assert sweep_module._lambda_bound(5, [999_999_999]) == 2_909_090_918
+
+
+def test_checkpoint_rejects_completed_rows_that_are_not_a_prefix(checkpoint_p5_i9):
+    # A sweep completes rows in order.  Without rows 1-3, d' = 1/6 still
+    # holds on rows 6 and 9, but a resumed sweep would skip row 3 for good.
+    data = json.loads(checkpoint_p5_i9)
+    data["completed_rows"] = [i for i in data["completed_rows"] if i > 3]
+    data["entries"] = [e for e in data["entries"] if e["i"] > 3]
+    assert data["d_prime"] == "1/6"  # the minimum over what remains
+    with pytest.raises(CheckpointError, match="not 1..m"):
+        state_from_json(data)
 
 
 def test_checkpoint_without_a_nonempty_row_needs_lambda_one():
@@ -504,8 +509,8 @@ def test_summary_reports_the_work_done():
     assert s["lambda_max"] == state.lam_current == 10
     assert s["rows_solved"] == 3  # rows 3, 6 and 9; the others are empty
     assert s["unresolved"] == 0
-    state.entries.append(SweepEntry(i=9, j=3, exact=False, value=None, gamma=2))
-    state.entries.append(SweepEntry(i=9, j=0, exact=False, value=None, gamma=2))
+    state.entries.append(SweepEntry(i=9, j=3, value=None, gamma=2))
+    state.entries.append(SweepEntry(i=9, j=0, value=None, gamma=2))
     assert summary(state)["unresolved"] == 1  # j = 0 is never decided
 
 
