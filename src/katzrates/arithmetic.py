@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 
 def _is_int(x) -> bool:
     """An int that is not a bool, as JSON input must give for an integer."""
@@ -43,24 +40,72 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class RingSpec:
+# Writes a field of a frozen record, whose own __setattr__ refuses.
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the package's records, each a class with __slots__ and an
+    explicit __init__: each `katzrates` command is a fresh process, which a
+    frozen dataclass would cost the import of `inspect` (with `ast`, `dis`
+    and `tokenize`) and about a millisecond per class to build.  A record
+    lists its fields, in order, in `_fields`;
+    it compares and hashes by their values, names them in its repr, and
+    refuses assignment (its __init__ writes with `_set`)."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of a frozen {type(self).__name__}")
+
+
+class RingSpec(_Record):
     """The coefficient ring Z/p^e for a prime p >= 5 and precision exponent e >= 1."""
 
-    p: int
-    e: int
+    _fields = ("p", "e")
+    __slots__ = (*_fields, "_modulus")
 
-    def __post_init__(self):
-        if self.p >= PRIME_BOUND:
-            raise ValueError(f"p must be below {PRIME_BOUND}, got {self.p}")
-        if self.p < 5 or not _is_prime(self.p):
-            raise ValueError(f"p must be a prime >= 5, got {self.p}")
-        if self.e < 1:
-            raise ValueError(f"e must be >= 1, got {self.e}")
+    def __init__(self, p: int, e: int):
+        if p >= PRIME_BOUND:
+            raise ValueError(f"p must be below {PRIME_BOUND}, got {p}")
+        if p < 5 or not _is_prime(p):
+            raise ValueError(f"p must be a prime >= 5, got {p}")
+        if e < 1:
+            raise ValueError(f"e must be >= 1, got {e}")
+        _set(self, "p", p)
+        _set(self, "e", e)
 
-    @cached_property
+    @property
     def modulus(self) -> int:
-        return self.p**self.e
+        """p^e, computed on first use: a ring built only to check p, or at a
+        precision never used, does not make it."""
+        try:
+            return self._modulus
+        except AttributeError:
+            _set(self, "_modulus", self.p**self.e)
+            return self._modulus
 
 
 def slot_bytes(mod: int, terms: int) -> int:
@@ -166,13 +211,15 @@ def _canonical(coeffs, mod: int):
     return coeffs
 
 
-@dataclass(frozen=True)
-class QSeries:
+class QSeries(_Record):
     """A q-expansion over Z/p^e truncated at q^N (coefficients of q^0..q^{N-1}),
     stored as canonical integer representatives in [0, p^e)."""
 
-    ring: RingSpec
-    coeffs: tuple[int, ...]
+    __slots__ = _fields = ("ring", "coeffs")
+
+    def __init__(self, ring: RingSpec, coeffs: tuple[int, ...]):
+        _set(self, "ring", ring)
+        _set(self, "coeffs", coeffs)
 
     @classmethod
     def from_coeffs(cls, ring: RingSpec, coeffs, N: int | None = None) -> "QSeries":

@@ -4,7 +4,6 @@ Eisenstein series E*_k for weights divisible by p-1."""
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .arithmetic import QSeries, RingSpec
@@ -65,10 +64,19 @@ def _tangent_numbers(n: int) -> list[int]:
     return T[1:]
 
 
-def bernoulli(k: int) -> Fraction:
-    """The Bernoulli number B_k as an exact rational (convention B_1 = -1/2):
-    B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1))."""
+def _tangent(m: int) -> int:
+    """T_m, m >= 1, from the table of tangent numbers."""
     global _TANGENT
+    if len(_TANGENT) < m:
+        _TANGENT = _tangent_numbers(max(m, 2 * len(_TANGENT)))
+    return _TANGENT[m - 1]
+
+
+def bernoulli(k: int):
+    """The Bernoulli number B_k as an exact rational, a `Fraction`
+    (convention B_1 = -1/2): B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1))."""
+    from fractions import Fraction  # only a caller that wants a rational pays for it
+
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k < 2:
@@ -76,19 +84,23 @@ def bernoulli(k: int) -> Fraction:
     if k % 2:
         return Fraction(0)
     m = k // 2
-    if len(_TANGENT) < m:
-        _TANGENT = _tangent_numbers(max(m, 2 * len(_TANGENT)))
     four_m = 4**m
     sign = 1 if m % 2 else -1
-    return Fraction(sign * k * _TANGENT[m - 1], four_m * (four_m - 1))
+    return Fraction(sign * k * _tangent(m), four_m * (four_m - 1))
 
 
-def fraction_mod(x: Fraction, ring: RingSpec) -> int:
-    """Reduce an exact rational with p-unit denominator mod p^e."""
-    if x.denominator % ring.p == 0:
-        raise ValueError(f"denominator {x.denominator} is not a unit mod {ring.p}")
-    mod = ring.modulus
-    return x.numerator * pow(x.denominator, -1, mod) % mod
+def _scalar(ring: RingSpec, k: int, unit: int) -> int:
+    """-2k / (unit B_k) mod p^e for an even k >= 2 and a p-unit `unit`, in
+    integers: by B_k = (-1)^(m-1) k T_m / (4^m (4^m - 1)), k = 2m, it is
+    2 (-1)^m 4^m (4^m - 1) / (unit T_m), whose numerator and denominator
+    first lose the power of p they share."""
+    p, mod = ring.p, ring.modulus
+    m = k // 2
+    four_m = 4**m
+    num, den = (-1) ** m * 2 * four_m * (four_m - 1), _tangent(m)
+    while den % p == 0 and num % p == 0:
+        num, den = num // p, den // p
+    return num * pow(den * unit % mod, -1, mod) % mod
 
 
 def _eisenstein(ring: RingSpec, N: int, c: int, m: int, excluded: int | None) -> QSeries:
@@ -119,8 +131,7 @@ def e_p_minus_1(ring: RingSpec, N: int) -> QSeries:
     series lies in 1 + p Z/p^e [[q]].
     """
     p = ring.p
-    c = fraction_mod(Fraction(-2 * (p - 1)) / bernoulli(p - 1), ring)
-    return _eisenstein(ring, N, c, p - 2, None)
+    return _eisenstein(ring, N, _scalar(ring, p - 1, 1), p - 2, None)
 
 
 def eisenstein_star(k: int, ring: RingSpec, N: int) -> QSeries:
@@ -132,8 +143,8 @@ def eisenstein_star(k: int, ring: RingSpec, N: int) -> QSeries:
     p = ring.p
     if k < p - 1 or k % (p - 1):
         raise ValueError(f"weight {k} is not a positive multiple of {p - 1}")
-    c_frac = Fraction(-2 * k) / ((1 - Fraction(p) ** (k - 1)) * bernoulli(k))
-    c = fraction_mod(c_frac, ring)
+    mod = ring.modulus
+    c = _scalar(ring, k, (1 - pow(p, k - 1, mod)) % mod)
     if c % p:
         raise ArithmeticError("Eisenstein scalar is not divisible by p")
     return _eisenstein(ring, N, c, k - 1, p)

@@ -106,8 +106,7 @@ def cmd_katz_expand(args) -> int:
             for comp in t.components
         ],
     }
-    json.dump(out, sys.stdout, indent=2)
-    print()
+    print(json.dumps(out, indent=2))
     return 0
 
 
@@ -202,8 +201,7 @@ def cmd_sweep(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
     report = summary(state)
-    json.dump(report, sys.stdout, indent=2)
-    print()
+    print(json.dumps(report, indent=2))
     if report["unresolved"]:
         print(
             f"error: {report['unresolved']} entries with j >= 1 are still "

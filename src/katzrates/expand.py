@@ -8,12 +8,21 @@ is solved on all N columns in one pass, their rows streamed off the chain
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import islice
 from math import isqrt
 from operator import mul
 
-from .arithmetic import QSeries, RingSpec, mul_low, pack, prepare, slot_bytes, unpack
+from .arithmetic import (
+    QSeries,
+    RingSpec,
+    _Record,
+    _set,
+    mul_low,
+    pack,
+    prepare,
+    slot_bytes,
+    unpack,
+)
 from .basis import _blocks, column_exponents, columns, dim_mk, period
 
 
@@ -21,21 +30,28 @@ class PrecisionMismatch(ValueError):
     """Input truncation or ring precision does not match (p, n, C)."""
 
 
-@dataclass(frozen=True)
-class KatzComponent:
+class KatzComponent(_Record):
     """The i-th term of a partial Katz expansion: coordinates over the basis
     forms g_{i,j}, j running over basis.block(p, i)."""
 
-    i: int
-    coords: tuple[int, ...]
+    __slots__ = _fields = ("i", "coords")
+
+    def __init__(self, i: int, coords: tuple[int, ...]):
+        _set(self, "i", i)
+        _set(self, "coords", coords)
 
 
-@dataclass(frozen=True)
-class KatzTuple:
-    p: int
-    n: int
-    ring: RingSpec
-    x: tuple[int, ...]  # full solution vector, indexed by column j
+class KatzTuple(_Record):
+    """A Katz expansion for (p, n) over `ring`: x is the full solution
+    vector, indexed by column j."""
+
+    __slots__ = _fields = ("p", "n", "ring", "x")
+
+    def __init__(self, p: int, n: int, ring: RingSpec, x: tuple[int, ...]):
+        _set(self, "p", p)
+        _set(self, "n", n)
+        _set(self, "ring", ring)
+        _set(self, "x", x)
 
     @property
     def components(self) -> tuple[KatzComponent, ...]:

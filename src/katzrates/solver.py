@@ -36,13 +36,12 @@ the running products prod_{m<k} (w_i - w_m) (_check_kernel).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from itertools import accumulate, zip_longest
 from operator import mul, sub
 
-from .arithmetic import RingSpec, pack, slot_bytes, unpack
+from .arithmetic import RingSpec, _Record, _set, pack, slot_bytes, unpack
 from .basis import block, columns, dim_mk
-from .classical import bernoulli
+from .classical import _tangent
 from .expand import forward_substitute, lower_rows
 from .family import eis_ratio_by_s
 
@@ -178,25 +177,23 @@ def _check_kernel(nodes, cols, ts, p: int, lam: int) -> None:
         values = [v * (x - w) % mod for v, x in zip(values[1:], nodes[k + 1 :])]
 
 
-@dataclass(frozen=True)
-class VandermondeSystem:
+class VandermondeSystem(_Record):
     """The Vandermonde system V[i][j] = w_i^j over Z/p^lam, kept as what a
     solve reads: a factorization L^-1.V.B = diag(p^t_k) (L as _newton_diagonalize
     returns it, each column of B packed in slots of `_width` bytes), the
     conclusiveness thresholds gamma_j and the valuations of B.  These are
     the build's over Z/p^E, E >= lam, which its reductions share; a solve
-    reads their leading lam x lam blocks mod p^lam."""
+    reads their leading lam x lam blocks mod p^lam.  `ss` holds the weights
+    k = s(p-1) in p-order, the rows of V, and gamma is capped at lam."""
 
-    p: int
-    lam: int
-    ss: tuple[int, ...]  # the weights k = s(p-1) in p-order, the rows of V
-    gamma: tuple[int, ...]  # capped at lam
-    _ts: tuple[int, ...]
-    _width: int
-    _lower: tuple[tuple[int, ...], ...]
-    _uinvs: tuple[int, ...]
-    _bcols: tuple[int, ...]
-    _vals: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = (
+        "p", "lam", "ss", "gamma", "_ts", "_width", "_lower", "_uinvs", "_bcols", "_vals"
+    )
+
+    def __init__(self, p, lam, ss, gamma, _ts, _width, _lower, _uinvs, _bcols, _vals):
+        values = (p, lam, ss, gamma, _ts, _width, _lower, _uinvs, _bcols, _vals)
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
 
     @property
     def modulus(self) -> int:
@@ -260,8 +257,9 @@ class VandermondeSystem:
         if lam == self.lam:
             return self
         ts = tuple(min(t, lam) for t in self._ts[:lam])
-        return replace(
-            self, lam=lam, ss=self.ss[:lam], gamma=_gamma(self._vals, ts, lam), _ts=ts
+        return VandermondeSystem(
+            self.p, lam, self.ss[:lam], _gamma(self._vals, ts, lam), ts,
+            self._width, self._lower, self._uinvs, self._bcols, self._vals,
         )
 
 
@@ -294,16 +292,18 @@ def build_system(p: int, lam: int, ss=None) -> VandermondeSystem:
     return VandermondeSystem(p, lam, ss, _gamma(vals, ts, lam), ts, width, *L, bcols, vals)
 
 
-@dataclass(frozen=True)
-class SweepEntry:
+class SweepEntry(_Record):
     """Outcome for one (i, j): an exact valuation `value` of b_{i,j}, strictly
     below the kernel ambiguity threshold gamma_j, or inconclusive at it, with
     `value` None."""
 
-    i: int
-    j: int
-    value: int | None
-    gamma: int
+    __slots__ = _fields = ("i", "j", "value", "gamma")
+
+    def __init__(self, i: int, j: int, value: int | None, gamma: int):
+        _set(self, "i", i)
+        _set(self, "j", j)
+        _set(self, "value", value)
+        _set(self, "gamma", gamma)
 
     @property
     def exact(self) -> bool:
@@ -314,12 +314,16 @@ class SweepEntry:
         return "exact" if self.exact else "inconclusive"
 
 
-@dataclass(frozen=True)
-class ValuationRow:
-    p: int
-    r: int
-    lam: int
-    entries: dict[int, SweepEntry]
+class ValuationRow(_Record):
+    """The entries of row r solved at lam, keyed by j."""
+
+    __slots__ = _fields = ("p", "r", "lam", "entries")
+
+    def __init__(self, p: int, r: int, lam: int, entries: dict[int, SweepEntry]):
+        _set(self, "p", p)
+        _set(self, "r", r)
+        _set(self, "lam", lam)
+        _set(self, "entries", entries)
 
 
 class KatzBasis:
@@ -348,9 +352,9 @@ class KatzBasis:
         self.p, self.n, self.E = p, n, system.lam
         ring = RingSpec(p, self.E)
         N = dim_mk(n * (p - 1))
-        # B_k for the batch's largest weight sizes the tangent table once,
-        # where the weights in turn would regrow it geometrically.
-        bernoulli(max(system.ss) * (p - 1))
+        # T_m for the batch's largest weight k = 2m sizes the tangent table
+        # once, where the weights in turn would regrow it geometrically.
+        _tangent(max(system.ss) * (p - 1) // 2)
         folded = system._newton_side(
             [eis_ratio_by_s(p, s, self.E, N).coeffs for s in system.ss]
         )

@@ -10,10 +10,9 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arithmetic import RingSpec, _is_int
+from .arithmetic import RingSpec, _is_int, _Record
 from .basis import block
 from .solver import KatzBasis, SweepEntry, build_system, f_bound, solve_row
 
@@ -90,21 +89,35 @@ def _basis_for(p: int, i_max: int, lam: int, basis: KatzBasis | None, plan: int)
     return KatzBasis(p, i_max, build_system(p, E))
 
 
-@dataclass
-class SweepState:
-    """Persistent record of a d'_p sweep.
+class SweepState(_Record):
+    """Persistent record of a d'_p sweep: mutable, compared by value and
+    unhashable.
 
     d_prime is the running minimum of (nu(b_{i,j}) + j)/i over all exact
     entries, as an exact rational; attained is the set of (i, j) achieving it.
     """
 
-    p: int
-    lam_current: int = 1
-    i_max: int = 0
-    d_prime: Fraction = Fraction(1)
-    entries: list[SweepEntry] = field(default_factory=list)
-    attained: set[tuple[int, int]] = field(default_factory=set)
-    completed_rows: set[int] = field(default_factory=set)
+    __slots__ = _fields = (
+        "p", "lam_current", "i_max", "d_prime", "entries", "attained", "completed_rows"
+    )
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        p: int,
+        lam_current: int = 1,
+        i_max: int = 0,
+        d_prime: Fraction = Fraction(1),
+        entries: list[SweepEntry] | None = None,
+        attained: set[tuple[int, int]] | None = None,
+        completed_rows: set[int] | None = None,
+    ):
+        self.p, self.lam_current, self.i_max, self.d_prime = p, lam_current, i_max, d_prime
+        self.entries = [] if entries is None else entries
+        self.attained = set() if attained is None else attained
+        self.completed_rows = set() if completed_rows is None else completed_rows
 
 
 def row_entries(row) -> list[SweepEntry]:

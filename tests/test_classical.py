@@ -7,6 +7,7 @@ import sympy
 
 import oracles
 from oracles import padic_val, sigma
+from katzrates import classical
 from katzrates.arithmetic import QSeries, RingSpec
 from katzrates.classical import (
     _sigma_star_table,
@@ -142,6 +143,49 @@ def test_eisenstein_star_rejects_bad_weight():
         eisenstein_star(5, R, 4)
     with pytest.raises(ValueError):
         eisenstein_star(0, R, 4)
+
+
+def _rational_mod(x: Fraction, mod: int) -> int:
+    return x.numerator * pow(x.denominator, -1, mod) % mod
+
+
+def _check_eisenstein_constants(k_max: int) -> int:
+    """Check the constants of e_p_minus_1 and eisenstein_star, computed in
+    integers, against -2k / ((1 - p^(k-1)) B_k) in rationals on the oracle's
+    Bernoulli numbers, for every prime 5 <= p < 30 and k = s(p-1) <= k_max
+    with s <= 64, the weights of a 29/870 sweep; returns how many weights."""
+    bern = oracles.bernoulli_table(k_max)
+    checked = 0
+    for p in sympy.primerange(5, 30):
+        for e in (1, 10):
+            ring = RingSpec(p, e)
+            c = Fraction(-2 * (p - 1)) / bern[p - 1]
+            assert e_p_minus_1(ring, 2).coeffs[1] == _rational_mod(c, ring.modulus)
+            for k in range(p - 1, min(k_max, 64 * (p - 1)) + 1, p - 1):
+                c = Fraction(-2 * k) / ((1 - Fraction(p) ** (k - 1)) * bern[k])
+                f = eisenstein_star(k, ring, 2)
+                assert f.coeffs == (1, _rational_mod(c, ring.modulus)), (p, e, k)
+                checked += e == 1
+    return checked
+
+
+def test_eisenstein_constants_match_the_bernoulli_formula():
+    # k <= 300: every s <= 64 at p = 5 and 7, and every weight of an 11/132
+    # sweep (s <= 28); -m slow takes all of them.
+    assert _check_eisenstein_constants(300) == 226
+
+
+@pytest.mark.slow
+def test_eisenstein_constants_match_the_bernoulli_formula_at_29_870():
+    assert _check_eisenstein_constants(64 * 28) == 8 * 64
+
+
+def test_eisenstein_star_refuses_a_constant_prime_to_p(monkeypatch):
+    # With T_2 = 5 in place of 2, c = -8/((1 - 5^3) B_4) would come out prime
+    # to 5; the check that p | c catches it.
+    monkeypatch.setattr(classical, "_TANGENT", [1, 5])
+    with pytest.raises(ArithmeticError, match="not divisible by p"):
+        eisenstein_star(4, RingSpec(5, 3), 4)
 
 
 def _coordinates(monkeypatch, p, lam, ss):

@@ -1,6 +1,7 @@
 """Tests for the command-line interface and its file formats."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -393,6 +394,32 @@ def test_sweep_cli_deterministic(tmp_path, capsys):
         assert code == 0
         outs.append((out, out_csv.read_text()))
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "command, size, digest",
+    [
+        ("katz-expand", 2130, "0cb007ab9ecc5ebd6459f5facd7e4dbd1339db4336d63fbad5076875cde631f1"),
+        ("sweep", 241, "2f2930620454a56073c9202dc399f81649d339b1464c9f023d6a940624bbe8b9"),
+    ],
+)
+def test_json_stdout_bytes_are_pinned(tmp_path, capsys, command, size, digest):
+    # The JSON each command prints, byte for byte, as `json.dump(..., indent=2)`
+    # followed by a newline wrote it: pinned by length and sha256.
+    from katzrates.family import eis_ratio_by_s
+
+    if command == "katz-expand":
+        p, n, C = 7, 24, 5
+        inp = tmp_path / "ratio.txt"
+        inp.write_text("\n".join(map(str, eis_ratio_by_s(p, 1, C, dim_mk(n * (p - 1))).coeffs)))
+        argv = ["--p", str(p), "--n", str(n), "--prec", str(C), "--input", str(inp)]
+    else:
+        argv = ["--p", "5", "--imax", "9"]
+    code, out, _ = run_cli(capsys, command, *argv)
+    assert code == 0
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_katz_expand_zero_precision_exits_2(tmp_path, capsys):

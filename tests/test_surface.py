@@ -2,7 +2,6 @@
 from it, what it exports, and what it no longer defines."""
 
 import ast
-import dataclasses
 import importlib
 import json
 import os
@@ -79,33 +78,61 @@ def test_star_import_and_dir_expose_all():
         katzrates.g_form
 
 
-_KATZ_EXPAND_IMPORTS = """
-import json, sys
+_COMMAND_IMPORTS = """
+import io, json, sys
+from contextlib import redirect_stdout
 import katzrates
 bare = sorted(m for m in sys.modules if m.startswith("katzrates"))
 from katzrates import cli
-code = cli.main(["katz-expand", "--p", "5", "--n", "3", "--prec", "4", "--input", sys.argv[1]])
-print(json.dumps([code, bare, sorted(m for m in sys.modules if m.startswith("katzrates"))]))
+with redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, bare, sorted(sys.modules)]))
 """
+
+
+def _command_imports(*argv):
+    """The exit code of `katzrates *argv` run by cli.main in a fresh
+    interpreter, the katzrates modules `import katzrates` loaded, and every
+    module loaded at the end."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COMMAND_IMPORTS, *argv],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_katz_expand_imports_neither_solver_nor_sweep(tmp_path):
     # katz-expand (Algorithm 1) needs the basis and the expansion only; the
-    # solver, the sweep and the Eisenstein family are left unimported.
+    # solver, the sweep and the Eisenstein family are left unimported, and so
+    # are the stdlib modules a fresh process would pay for and not use:
+    # dataclasses with inspect, and fractions with decimal.
     path = tmp_path / "f.txt"
     path.write_text("1\n2\n")  # N = d_12 = 2 coefficients
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _KATZ_EXPAND_IMPORTS, str(path)],
-        capture_output=True, text=True, env=env, timeout=60, check=True,
+    code, bare, loaded = _command_imports(
+        "katz-expand", "--p", "5", "--n", "3", "--prec", "4", "--input", str(path)
     )
-    code, bare, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0
     assert bare == ["katzrates"]
     assert "katzrates.expand" in loaded
-    for name in ("solver", "sweep", "family"):
-        assert f"katzrates.{name}" not in loaded
+    for name in ("katzrates.solver", "katzrates.sweep", "katzrates.family"):
+        assert name not in loaded
+    for name in ("dataclasses", "inspect", "fractions", "decimal"):
+        assert name not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--p", "5", "--imax", "6"], ["valuations", "--p", "5", "--r", "6", "--lambda", "4"]],
+    ids=["sweep", "valuations"],
+)
+def test_the_solving_commands_import_neither_dataclasses_nor_inspect(argv):
+    # The package's records are plain classes (arithmetic._Record).
+    code, _, loaded = _command_imports(*argv)
+    assert code == 0
+    assert "katzrates.solver" in loaded and "katzrates.sweep" in loaded
+    assert "dataclasses" not in loaded and "inspect" not in loaded
 
 
 @pytest.mark.parametrize(
@@ -149,6 +176,6 @@ def test_only_arithmetic_knows_the_kronecker_operand_format(path):
 
 def test_a_system_keeps_l_and_no_inverse():
     # A solve forward-substitutes over the factor L; no field holds A = L^-1.
-    names = {field.name for field in dataclasses.fields(VandermondeSystem)}
+    names = set(VandermondeSystem.__slots__)
     assert "_acols" not in names
     assert {"_lower", "_uinvs"} <= names
