@@ -15,7 +15,8 @@ By default it prints two sections: the paper's table, and the conjecture
 frontier, rows swept to i = p(p+1), where the table's minimum sits for
 p = 5, 7, 11.  A frontier d'_p is only what the sweep certifies up to i_max:
 an upper bound on the rate, not its limit.  Its last row, 29/870 (a basis
-of 2031 slots), takes minutes and a few hundred MB; --rows skips it.
+of 2031 slots), takes about a minute and a half and a peak RSS of about
+86 MB on a 2-vCPU VM; --rows skips it.
 
 Example:
     python3 scripts/reproduce_table.py --out-dir results/

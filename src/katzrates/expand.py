@@ -1,13 +1,13 @@
 """The partial Katz expansion isomorphism: psi takes a truncated q-expansion
 to its coordinates over the basis blocks, phi realizes the expansion back as a
-q-expansion (round-trip oracle).  Both work on one series with the first
-K + 1 ~ sqrt(N) columns of the basis chain, K at a time; a batch of series
-is solved on all N columns in one pass, their rows streamed off the chain
-(lower_rows)."""
+q-expansion (round-trip oracle).  Both work with the first K + 1 columns of
+the basis chain, K at a time.  One routine, _peel, solves the basis system
+for a batch of series, psi's one and a KatzBasis's folded family members
+alike: it holds the chain's rows in the first K columns, about KN entries,
+and never the basis matrix."""
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import islice
 from math import isqrt
 from operator import mul
@@ -62,13 +62,15 @@ class KatzTuple(_Record):
 
 
 def forward_substitute(lower, rhs, mod: int, n: int) -> list[list[int]]:
-    """The rows of X in L X = R mod `mod` for an n x n unit-lower-triangular
-    L, division-free: `lower` yields the strictly lower part of each row of L
-    (r entries in [0, mod) on row r), `rhs` the same row of R.  Rows of R may
-    stop short, the rest zero, if none is shorter than one before it; each
-    row of X then stops where its row of R does.  Row r of X is row r of R
-    less one packed combination of the earlier rows of X with the entries of
-    row r of L, each slot starting at n mod^2, a multiple of mod above it."""
+    """The rows of X in L X = R mod `mod` for a unit-lower-triangular L whose
+    strictly lower entries lie in its first n columns, division-free: `lower`
+    yields the strictly lower part of each row r of L cut to min(r, n)
+    entries in [0, mod), `rhs` the same row of R.  Rows of R may stop short,
+    the rest zero, if none is shorter than one before it; each row of X then
+    stops where its row of R does.  Row r of X is row r of R less one packed
+    combination of the earlier rows of X with the entries of row r of L,
+    each slot starting at n mod^2, a multiple of mod above it; only the
+    first n rows of X are read again, so only they are packed."""
     width = slot_bytes(mod, n + 1)
     offset = n * mod * mod
     X, packed = [], []
@@ -76,26 +78,17 @@ def forward_substitute(lower, rhs, mod: int, n: int) -> list[list[int]]:
         acc = pack([c % mod + offset for c in row], width)
         acc -= sum(map(mul, below, packed))
         X.append(unpack(acc, width, len(row), mod))
-        packed.append(pack(X[-1], width))
+        if len(packed) < n:
+            packed.append(pack(X[-1], width))
     return X
 
 
-def lower_rows(cols, n: int):
-    """The strictly lower parts of the first n rows of the unit-lower-
-    triangular matrix with columns `cols`, row r yielded once column r is
-    pulled.  Each column is copied into the rows below it and dropped, so at
-    most r(n - r) <= n^2/4 entries are held."""
-    below = deque([] for _ in range(n))  # rows r..n-1, each holding r entries
-    for r, col in zip(range(n), cols):
-        row = below.popleft()
-        deque(map(list.append, below, islice(col, r + 1, None)), 0)
-        yield row
-
-
 def _chunk(p: int, N: int) -> int:
-    """K, the number of coordinates `psi` peels and `phi` folds per chunk:
+    """K, the number of coordinates `_peel` solves and `phi` folds per chunk:
     the multiple of `period(p)` nearest sqrt(N), and at least `period(p)`.
-    There are about K + N/K products in all, least near K = sqrt(N)."""
+    `_chain_head` passes max(N, 4B^2) for a batch of B series: one series
+    takes about K + N/K products, and a basis's batch ran as fast at K near
+    2B as at 4B (23/552, 29/870) and held fewer residues."""
     P = period(p)
     c = isqrt(N) // P  # cP <= sqrt(N) < (c + 1)P
     if 4 * N > ((2 * c + 1) * P) ** 2:
@@ -103,12 +96,13 @@ def _chunk(p: int, N: int) -> int:
     return max(c, 1) * P
 
 
-def _chain_head(p: int, n: int, chain, N: int) -> tuple[int, list]:
-    """K and the columns S_0..S_K of `chain`, the basis columns for (p, n)
-    (all N of them when K >= N).  Asserts, in integers, what the chunks rely
-    on: the exponents of column cK + t are c times those of column K plus
-    those of column t, so that column cK + t is S_K^c S_t."""
-    K = _chunk(p, N)
+def _chain_head(p: int, n: int, chain, N: int, B: int) -> tuple[int, list]:
+    """K for a batch of B series and the columns S_0..S_K of `chain`, the
+    basis columns for (p, n) (all N of them when K >= N).  Asserts, in
+    integers, what the chunks rely on: the exponents of column cK + t are c
+    times those of column K plus those of column t, so that column cK + t is
+    S_K^c S_t."""
+    K = _chunk(p, max(N, 4 * B * B))
     S = list(islice(chain, K + 1))
     if K < N:
         exps = column_exponents(p, n)
@@ -119,16 +113,41 @@ def _chain_head(p: int, n: int, chain, N: int) -> tuple[int, list]:
     return K, S
 
 
-def psi(p: int, n: int, C: int, f: QSeries) -> KatzTuple:
-    """Katz expansion of f mod (q^N, p^C), N = d_{n(p-1)}, as an (n+1)-tuple.
+def _peel(p: int, n: int, ring: RingSpec, chain, members) -> list[list[int]]:
+    """The rows of X in M X = F over `ring`, one list over the members per
+    coordinate: M the basis matrix for (p, n) with columns `chain`, F the B
+    series `members` (N coefficients each) as its columns.
 
-    f = sum_c S_K^c Q_c with Q_c = sum_{t<K} x_{cK+t} S_t (`_chain_head`), so
-    the coordinates are peeled K at a time: those of chunk c solve the K x K
-    top of S_0..S_{K-1} against the low K coefficients of g_c (g_0 = f), and
-    g_{c+1} = ((g_c - Q_c) / q^K) U, U the inverse of S_K / q^K.  That is K
-    chain products, one inverse and one product per chunk, where the whole
-    basis matrix takes N products.
-    """
+    Each member is f = sum_c S_K^c Q_c with Q_c = sum_{t<K} x_{cK+t} S_t
+    (`_chain_head`), so its coordinates are peeled K at a time: with g_0 = f,
+    those of chunk c and the residual h = (g_c - Q_c) / q^K solve, in one
+    forward substitution packed across the batch, the live x live system
+    whose top K x K block is that of S_0..S_{K-1}, whose rows r >= K hold
+    S_0[r]..S_{K-1}[r] and the identity; then g_{c+1} = h U, U the inverse
+    of S_K / q^K.  That is K chain products, one inverse and B products per
+    chunk, and the chain's rows in its first K columns, about KN entries,
+    are all that is held of the basis matrix."""
+    N, mod = dim_mk(n * (p - 1)), ring.modulus
+    K, S = _chain_head(p, n, chain, N, len(members))
+    m = min(K, N)
+    # Row r of the top holds r entries, every row past it m.
+    lower = [row[:r] for r, row in enumerate(zip(*S[:m]))]
+    if K < N:
+        U = prepare(QSeries(ring, S[K][K:]).inverse().coeffs, mod)
+    del S
+    g, X = members, []
+    while True:
+        live = len(g[0])
+        rows = forward_substitute(lower[:live], zip(*g), mod, m)
+        X += rows[:K]
+        if live <= K:
+            return X
+        g = [mul_low(h, U, mod) for h in zip(*rows[K:])]
+
+
+def psi(p: int, n: int, C: int, f: QSeries) -> KatzTuple:
+    """Katz expansion of f mod (q^N, p^C), N = d_{n(p-1)}, as an (n+1)-tuple:
+    the one-member batch of `_peel`."""
     ring = RingSpec(p, C)
     chain = columns(p, n, ring)  # checks n; no product until a column is taken
     N = dim_mk(n * (p - 1))
@@ -139,27 +158,7 @@ def psi(p: int, n: int, C: int, f: QSeries) -> KatzTuple:
             f"series truncation {f.n_trunc} does not match required N = "
             f"d_{{{n}({p}-1)}} = {N}"
         )
-    K, S = _chain_head(p, n, chain, N)
-    mod = ring.modulus
-    m = min(K, N)
-    top = list(lower_rows(S, m))
-    width = slot_bytes(mod, m + 1)
-    offset = m * mod * mod
-    packs = [pack(col, width) for col in S[:m]]
-    if K < N:
-        U = prepare(QSeries(ring, S[K][K:]).inverse().coeffs, mod)
-    g, x = f.coeffs, []
-    while True:
-        live = len(g)
-        xs = [r for (r,) in forward_substitute(top, ([c] for c in g[:K]), mod, m)]
-        x += xs
-        if live <= K:
-            break
-        # The low `live` slots of g - Q_c, each offset to be nonnegative.
-        acc = pack([c + offset for c in g], width) - sum(map(mul, xs, packs))
-        acc &= (1 << 8 * width * live) - 1
-        h = unpack(acc >> 8 * width * K, width, live - K, mod)
-        g = mul_low(h, U, mod)
+    x = [c for (c,) in _peel(p, n, ring, chain, [f.coeffs])]
     return KatzTuple(p=p, n=n, ring=ring, x=tuple(x))
 
 
@@ -180,7 +179,7 @@ def phi(p: int, n: int, C: int, t: KatzTuple) -> QSeries:
         raise ValueError(f"tuple has {len(t.x)} coordinates, not N = {N}")
     mod = ring.modulus
     x = [c % mod for c in t.x]
-    K, S = _chain_head(p, n, chain, N)
+    K, S = _chain_head(p, n, chain, N, 1)
     m = min(K, N)
     width = slot_bytes(mod, N)
     packs = [pack(col, width) for col in S[:m]]

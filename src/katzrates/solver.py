@@ -42,7 +42,7 @@ from operator import mul, sub
 from .arithmetic import RingSpec, _Record, _set, pack, slot_bytes, unpack
 from .basis import block, columns, dim_mk
 from .classical import _tangent
-from .expand import forward_substitute, lower_rows
+from .expand import _peel, forward_substitute
 from .family import eis_ratio_by_s
 
 
@@ -334,9 +334,9 @@ class KatzBasis:
 
     The build is one pass over Z/p^E.  The family members at system.ss, a
     row of N q-coefficients per weight, are folded by the system's L^-1
-    across the weights (_newton_side); one forward substitution over the
-    basis matrix, its rows streamed off the column chain (expand.lower_rows),
-    then solves all N slots of the folded members at once.  The two maps act
+    across the weights (_newton_side); the basis system is then solved for
+    all the folded members at once, peeled K coordinates at a time off the
+    column chain (expand._peel, as psi solves one series).  The two maps act
     on different axes, so its output rows are W = L^-1.X, X the members'
     coordinates, one list over the weights per coordinate b; neither X nor
     the basis matrix is held.  Reduction mod p^lam is a ring map, so the
@@ -351,6 +351,7 @@ class KatzBasis:
             raise ValueError(f"the system is over p = {system.p}, not {p}")
         self.p, self.n, self.E = p, n, system.lam
         ring = RingSpec(p, self.E)
+        chain = columns(p, n, ring)  # checks n; no product until a column is taken
         N = dim_mk(n * (p - 1))
         # T_m for the batch's largest weight k = 2m sizes the tangent table
         # once, where the weights in turn would regrow it geometrically.
@@ -358,8 +359,7 @@ class KatzBasis:
         folded = system._newton_side(
             [eis_ratio_by_s(p, s, self.E, N).coeffs for s in system.ss]
         )
-        lower = lower_rows(columns(p, n, ring), N)
-        self._newton = forward_substitute(lower, zip(*folded), ring.modulus, N)
+        self._newton = _peel(p, n, ring, chain, folded)
         self._system = system
         self._served = None
 

@@ -421,9 +421,10 @@ def load_checkpoint(path: str, p: int) -> SweepState:
     """The checkpoint at `path` for a sweep over p.  One for another p is
     rejected before its p is tested for primality, in time growing as √p."""
     with open(path) as fh:
+        # ValueError covers the decode errors and an int past the digit limit.
         try:
             data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise CheckpointError(f"checkpoint cannot be read as JSON: {exc}") from exc
     if isinstance(data, dict) and _is_int(data.get("p")) and data["p"] != p:
         raise CheckpointError(f"checkpoint is for p = {data['p']}, not {p}")

@@ -264,6 +264,18 @@ def test_sweep_cli_bad_checkpoint_exits_5(tmp_path, capsys):
     assert code == 5
 
 
+def test_sweep_cli_checkpoint_with_a_huge_integer_exits_5(tmp_path, capsys):
+    # An integer literal past the interpreter's digit limit (4,300 digits by
+    # default) makes json raise a plain ValueError, not a JSONDecodeError.
+    ck = tmp_path / "ck.json"
+    ck.write_text('{"version": 1, "p": ' + "7" * 5000 + "}")
+    code, out, err = run_cli(
+        capsys, "sweep", "--p", "5", "--imax", "5", "--checkpoint", str(ck), "--resume"
+    )
+    assert code == 5
+    assert err.startswith("error:") and "Traceback" not in err and out == ""
+
+
 def _checkpoint_with_first_exact(tmp_path, capsys, key, bad):
     ck = tmp_path / "ck.json"
     code, _, _ = run_cli(capsys, "sweep", "--p", "5", "--imax", "6", "--checkpoint", str(ck))

@@ -11,15 +11,8 @@ from hypothesis import strategies as st
 import oracles
 from katzrates import expand as expand_module
 from katzrates.arithmetic import QSeries, RingSpec, pack, slot_bytes, unpack
-from katzrates.basis import block, columns, dim_mk, period
-from katzrates.expand import (
-    KatzTuple,
-    PrecisionMismatch,
-    forward_substitute,
-    lower_rows,
-    phi,
-    psi,
-)
+from katzrates.basis import _blocks, block, columns, dim_mk, period
+from katzrates.expand import KatzTuple, PrecisionMismatch, forward_substitute, phi, psi
 
 
 def tuple_from_coords(p, n, C, x):
@@ -231,13 +224,13 @@ N_MAX = {5: 40, 7: 30, 11: 40, 13: 30, 17: 30, 71: 14}
 
 def _boundary_cases():
     """Per prime, the least n <= N_MAX[p] with N = 1, N < K, N = K, N = K + 1,
-    K + 1 < N <= 2K and N > 2K, each where it occurs (K = N only at N = 1,
-    for the primes of period 1)."""
+    K + 1 < N <= 2K and N > 2K, each where it occurs, K = _chunk(p, max(N, 4))
+    as for one series (K = N only at N = 2, for the primes of period 1)."""
     first = {}
     for p, n_max in N_MAX.items():
         for n in range(n_max + 1):
             N = dim_mk(n * (p - 1))
-            K = expand_module._chunk(p, N)
+            K = expand_module._chunk(p, max(N, 4))
             kind = (N == 1, N < K, N == K, N == K + 1, K + 1 < N <= 2 * K, N > 2 * K)
             first.setdefault((p, kind), n)
     return sorted({(p, n) for (p, _), n in first.items()})
@@ -250,7 +243,7 @@ def test_boundary_cases_cover_every_chunk_shape():
     shapes = {p: set() for p in N_MAX}
     for p, n in BOUNDARY:
         N = dim_mk(n * (p - 1))
-        K = expand_module._chunk(p, N)
+        K = expand_module._chunk(p, max(N, 4))
         assert K % period(p) == 0 and K >= period(p)
         if N == 1:
             shapes[p].add("N = 1")
@@ -292,10 +285,59 @@ def test_psi_and_phi_match_the_matrix_route(p, n, C):
     N, mod = len(cols), p**C
     rng = random.Random(p * 1000 + n)
     f = random_series(rng, p, C, N)
-    X = forward_substitute(lower_rows(iter(cols), N), ([c] for c in f.coeffs), mod, N)
+    lower = oracles.strictly_lower_rows(cols)
+    X = forward_substitute(iter(lower), ([c] for c in f.coeffs), mod, N)
     assert list(psi(p, n, C, f).x) == [x for (x,) in X]
     x = [rng.randrange(mod) for _ in range(N)]
     width = slot_bytes(mod, N)
     acc = sum(map(mul, x, [pack(col, width) for col in cols]))
     want = tuple(unpack(acc, width, N, mod))
     assert phi(p, n, C, tuple_from_coords(p, n, C, x)).coeffs == want
+
+
+# (p, n, B) for each shape of the peel of a batch of B series, whose K is
+# _chunk(p, max(N, 4B^2)).
+PEEL_SHAPES = {
+    "N<K": (7, 14, 5),
+    "N=K+1": (13, 10, 5),
+    "boundary-in-block": (71, 12, 3),
+    "plan-11-132": (11, 132, 26),
+}
+
+
+def _peel_chunk(p, n, B):
+    N = dim_mk(n * (p - 1))
+    return N, expand_module._chunk(p, max(N, 4 * B * B))
+
+
+def test_peel_shapes_are_as_named():
+    N, K = _peel_chunk(*PEEL_SHAPES["N<K"])
+    assert N < K
+    N, K = _peel_chunk(*PEEL_SHAPES["N=K+1"])
+    assert N == K + 1
+    # Two chunk boundaries, K and 2K, each inside a basis block.
+    p, n, B = PEEL_SHAPES["boundary-in-block"]
+    N, K = _peel_chunk(p, n, B)
+    assert N > 2 * K
+    for c in (1, 2):
+        assert any(lo < c * K < hi for _, lo, hi in _blocks(p, n))
+    # The sweep's batch at 11/132: the plan's E = 26 weights, three chunks.
+    assert _peel_chunk(*PEEL_SHAPES["plan-11-132"]) == (111, 50)
+
+
+@pytest.mark.parametrize("shape", sorted(PEEL_SHAPES))
+def test_peel_matches_the_oracles_on_each_batch_shape(shape):
+    # The batch against the forward substitution one entry at a time on the
+    # rows of the direct columns, member by member; its first member alone,
+    # a batch of one with its own K, against psi.
+    p, n, B = PEEL_SHAPES[shape]
+    C = 3
+    mod, ring = p**C, RingSpec(p, C)
+    cols = [tuple(c % mod for c in col) for col in _oracle_columns(p, n)]
+    rng = random.Random(p * 1000 + n)
+    members = [[rng.randrange(mod) for _ in cols] for _ in range(B)]
+    X = expand_module._peel(p, n, ring, columns(p, n, ring), members)
+    lower = oracles.strictly_lower_rows(cols)
+    want = [oracles.forward_substitute(lower, f, mod) for f in members]
+    assert [list(x) for x in zip(*X)] == want
+    assert list(psi(p, n, C, QSeries(ring, tuple(members[0]))).x) == want[0]

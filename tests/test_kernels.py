@@ -4,7 +4,8 @@ row solve, the Newton factorization of the Vandermonde systems, the
 gcd-driven valuation minima, the tangent-number Bernoulli numbers, the
 step-by-step basis matrix, the rows solved on their Katz coordinates and
 on L^-1 folded into them, the sieved sigma* of E*_k, the sparse division by
-V(E*_k), and the forward substitution packed over right-hand sides."""
+V(E*_k), the forward substitution packed over right-hand sides, and the
+batch peeled off the basis chain."""
 
 import random
 
@@ -13,11 +14,11 @@ from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 import oracles
-from katzrates import classical
+from katzrates import classical, expand
 from katzrates.arithmetic import QSeries, RingSpec, mul_low, prepare
 from katzrates.basis import block, columns, dim_mk
 from katzrates.classical import bernoulli, eisenstein_star
-from katzrates.expand import forward_substitute, lower_rows, psi
+from katzrates.expand import forward_substitute, psi
 from katzrates.family import eis_ratio_by_s
 from katzrates.solver import (
     KatzBasis,
@@ -626,16 +627,16 @@ def test_eis_ratio_matches_full_inverse_oracle(case):
 
 
 @st.composite
-def substitution_cases(draw):
-    """(p, n, C, rhss): the basis columns for (p, n) over Z/p^C and up to 6
-    right-hand sides, with 0 and p^C - 1 drawn often."""
+def substitution_cases(draw, min_size=0):
+    """(p, n, C, rhss): the basis columns for (p, n) over Z/p^C and
+    min_size..6 right-hand sides, with 0 and p^C - 1 drawn often."""
     p = draw(st.sampled_from(_FAMILY_PRIMES))
     n = draw(st.integers(0, 14))
     C = draw(st.integers(1, 10))
     N, mod = dim_mk(n * (p - 1)), p**C
     coeff = st.one_of(st.just(0), st.just(mod - 1), st.integers(0, mod - 1))
     vector = st.lists(coeff, min_size=N, max_size=N)
-    return p, n, C, draw(st.lists(vector, max_size=6))
+    return p, n, C, draw(st.lists(vector, min_size=min_size, max_size=6))
 
 
 @given(substitution_cases())
@@ -643,49 +644,52 @@ def substitution_cases(draw):
 @example((5, 0, 1, [[1]]))  # N = 1
 @example((7, 3, 2, []))
 def test_forward_substitute_many_matches_per_vector_oracle(case):
-    # Many right-hand sides in one pass, as KatzBasis solves its members:
-    # the rows of the basis matrix streamed off the chain (lower_rows), the
-    # rows of R the slots of the vectors, and the rows of X one list over
-    # the vectors per coordinate.
+    # Many right-hand sides in one pass, as the fold and the peel solve
+    # theirs: the rows of the basis matrix, the rows of R the slots of the
+    # vectors, and the rows of X one list over the vectors per coordinate.
     p, n, C, rhss = case
     cols = list(columns(p, n, RingSpec(p, C)))
     N = len(cols)
     lower = oracles.strictly_lower_rows(cols)
     want = [oracles.forward_substitute(lower, rhs, p**C) for rhs in rhss]
-    X = forward_substitute(lower_rows(iter(cols), N), zip(*rhss), p**C, N)
+    X = forward_substitute(iter(lower), zip(*rhss), p**C, N)
     assert [list(x) for x in zip(*X)] == want
 
 
-@given(st.sampled_from(_PRIMES), st.integers(0, 20), st.integers(1, 6))
-@settings(max_examples=40, deadline=None)
-@example(5, 0, 1)  # N = 1
-def test_lower_rows_matches_the_strictly_lower_rows_oracle(p, n, e):
-    cols = list(columns(p, n, RingSpec(p, e)))
-    N = len(cols)
-    assert list(lower_rows(iter(cols), N)) == oracles.strictly_lower_rows(cols)
-    # Fewer rows than columns: the leading block, as psi's chunks take it.
-    m = N // 2
-    assert list(lower_rows(iter(cols), m)) == oracles.strictly_lower_rows(cols[:m])
+@given(substitution_cases(min_size=1))
+@settings(max_examples=60, deadline=None)
+@example((5, 0, 1, [[1]]))  # N = 1
+@example((13, 6, 3, [[12] * 7] * 3))  # N = 7 = K + 1 for a batch of 3
+@example((23, 14, 2, [[528] * 26]))  # N = 26: chunks of 11, 11 and 4
+def test_peel_matches_the_per_vector_oracle(case):
+    # The batch solved K coordinates at a time off the chain against the
+    # forward substitution one entry at a time on the rows of the direct
+    # columns, member by member.
+    p, n, C, rhss = case
+    ring = RingSpec(p, C)
+    lower = oracles.strictly_lower_rows(oracles.direct_columns(p, n, ring))
+    want = [oracles.forward_substitute(lower, rhs, p**C) for rhs in rhss]
+    X = expand._peel(p, n, ring, columns(p, n, ring), rhss)
+    assert [list(x) for x in zip(*X)] == want
 
 
-@pytest.mark.parametrize("N", [1, 2, 7])
-def test_lower_rows_pulls_one_column_per_row(N):
-    # Row r is yielded once column r is taken: after k rows, exactly k
-    # columns have been pulled, and never more than N.
+@pytest.mark.parametrize("p, n, B", [(5, 3, 1), (11, 40, 1), (11, 40, 4)])
+def test_peel_takes_only_the_chain_head(p, n, B):
+    # S_0..S_K are pulled off the chain (all N columns when K >= N) and no
+    # column after them: the rest of the basis matrix is never made.
+    ring = RingSpec(p, 3)
+    N = dim_mk(n * (p - 1))
     pulled = []
 
     def chain():
-        for j in range(N + 3):
+        for j, col in enumerate(columns(p, n, ring)):
             pulled.append(j)
-            yield tuple(10 * j + r if r >= j else 0 for r in range(N))
+            yield col
 
-    rows = lower_rows(chain(), N)
-    for k in range(1, N + 1):
-        row = next(rows)
-        assert len(pulled) == k
-        assert row == [10 * j + k - 1 for j in range(k - 1)]
-    assert next(rows, None) is None
-    assert pulled == list(range(N))
+    X = expand._peel(p, n, ring, chain(), [[1] + [0] * (N - 1)] * B)
+    assert X == [[1] * B] + [[0] * B] * (N - 1)
+    K = expand._chunk(p, max(N, 4 * B * B))
+    assert pulled == list(range(min(K + 1, N)))
 
 
 @st.composite

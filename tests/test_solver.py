@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import padic_val
+from katzrates import expand as expand_module
 from katzrates import solver as solver_module
 from katzrates import sweep as sweep_module
 from katzrates.arithmetic import QSeries, RingSpec
@@ -412,6 +413,19 @@ def test_a_row_solve_reads_only_the_fold(monkeypatch):
     assert got == want
 
 
+def test_katz_basis_solves_through_the_one_peel(monkeypatch):
+    # The basis system has one solver, expand._peel, which psi also calls:
+    # a KatzBasis cannot be built around it.
+    assert solver_module._peel is expand_module._peel
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the basis system was solved by _peel")
+
+    monkeypatch.setattr(solver_module, "_peel", refuse)
+    with pytest.raises(AssertionError, match="solved by _peel"):
+        KatzBasis(11, 20, build_system(11, 12))
+
+
 def test_katz_basis_rejects_row_beyond_n():
     basis = KatzBasis(17, 20, build_system(17, 2))
     # Row 21's block lies past the basis's coordinates: refused, not cut short.
@@ -490,11 +504,10 @@ def test_katz_basis_batches_the_weight_list(monkeypatch):
 
 
 def test_katz_basis_never_holds_the_column_chain(monkeypatch):
-    # The build takes each column of the chain as it is made and drops it
-    # once copied into the rows below: at most two columns are alive at any
-    # time (the one taken and the one the next replaces), where a list of
-    # the chain would hold all N.
-    live, peak = [0], [0]
+    # The build takes S_0..S_K off the chain, K = 10 for its 6 weights, and
+    # drops them once their rows are copied out: at most K + 1 columns are
+    # ever made or alive, where a list of the chain would hold all N = 34.
+    live, peak, made = [0], [0], [0]
 
     class Column(tuple):
         def __del__(self):
@@ -505,6 +518,7 @@ def test_katz_basis_never_holds_the_column_chain(monkeypatch):
     def counting(p, n, ring):
         for col in real(p, n, ring):
             live[0] += 1
+            made[0] += 1
             peak[0] = max(peak[0], live[0])
             yield Column(col)
 
@@ -512,6 +526,7 @@ def test_katz_basis_never_holds_the_column_chain(monkeypatch):
     basis = KatzBasis(11, 40, build_system(11, 6))
     assert len(basis._newton) == dim_mk(40 * 10) == 34
     assert live[0] == 0
-    assert peak[0] <= 2
+    assert expand_module._chunk(11, max(34, 4 * 6 * 6)) == 10
+    assert peak[0] == made[0] == 11
     monkeypatch.undo()
     assert basis._newton == KatzBasis(11, 40, build_system(11, 6))._newton

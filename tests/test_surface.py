@@ -146,15 +146,17 @@ def test_the_solving_commands_import_neither_dataclasses_nor_inspect(argv):
         "BasisMatrix",
         "build_matrix",
         "_packed_vandermonde",
+        "lower_rows",
     ],
 )
 def test_no_module_defines_a_removed_path(name):
     # g_form (the basis forms one at a time) and v_operator (the dense V of
     # the E*_k ratio) live on only in tests/oracles.py and in history,
-    # Residue, CappedVal, WeightSpec, BasisMatrix, build_matrix and
-    # _packed_vandermonde only in history; the package makes the basis
-    # columns one by one from one chain (basis.columns) and keeps none of
-    # them, divides by V(E*_k) sparsely, keeps residues and valuations as
+    # Residue, CappedVal, WeightSpec, BasisMatrix, build_matrix,
+    # _packed_vandermonde and lower_rows (the chain's rows streamed into one
+    # N x N substitution) only in history; the package makes the basis
+    # columns one by one from one chain (basis.columns), holds only the
+    # first K + 1 of them (expand._peel), divides by V(E*_k) sparsely, keeps residues and valuations as
     # plain ints (a valuation mod p^e capped at e) and a weight k = s(p-1) as
     # its s, and its kernel check reads V.B off the Newton products alone.
     for path in sorted(SRC.glob("*.py")):
