@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import mul
+
 
 def _is_int(x) -> bool:
     """An int that is not a bool, as JSON input must give for an integer."""
@@ -201,6 +203,45 @@ def mul_low(xs, factor, mod: int) -> list[int]:
     width, halves = factor
     y = split_low(halves, width, count)
     return ks2_mul(split_pack(xs, width), y, width, count, mod)
+
+
+def prepare_rows(rows, mod: int):
+    """The rows of residues in [0, mod) as fixed operands of `combine`, each
+    packed once: a slot holds a sum of len(rows) products.  A tuple, so that
+    a record holding it stays hashable."""
+    width = slot_bytes(mod, len(rows))
+    return width, tuple([pack(row, width) for row in rows])
+
+
+def combine(coeffs, prepared, count: int, mod: int) -> list[int]:
+    """The first `count` entries of sum_i coeffs[i] * rows[i] mod `mod`, for
+    rows `prepared` by `prepare_rows` at a modulus m and coefficients in
+    [0, m): one packed combination, read off its slots.  `mod` may divide m,
+    as a reduced system combines the columns prepared at its build's."""
+    width, packs = prepared
+    return unpack(sum(map(mul, coeffs, packs)), width, count, mod)
+
+
+def forward_substitute(lower, rhs, mod: int, n: int) -> list[list[int]]:
+    """The rows of X in L X = R mod `mod` for a unit-lower-triangular L whose
+    strictly lower entries lie in its first n columns, division-free: `lower`
+    yields the strictly lower part of each row r of L cut to min(r, n)
+    entries in [0, mod), `rhs` the same row of R.  Rows of R may stop short,
+    the rest zero, if none is shorter than one before it; each row of X then
+    stops where its row of R does.  Row r of X is row r of R less one packed
+    combination of the earlier rows of X with the entries of row r of L,
+    each slot starting at n mod^2, a multiple of mod above it; only the
+    first n rows of X are read again, so only they are packed."""
+    width = slot_bytes(mod, n + 1)
+    offset = n * mod * mod
+    X, packed = [], []
+    for below, row in zip(lower, rhs):
+        acc = pack([c % mod + offset for c in row], width)
+        acc -= sum(map(mul, below, packed))
+        X.append(unpack(acc, width, len(row), mod))
+        if len(packed) < n:
+            packed.append(pack(X[-1], width))
+    return X
 
 
 def _canonical(coeffs, mod: int):

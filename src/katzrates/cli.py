@@ -158,11 +158,15 @@ def cmd_sweep(args) -> int:
         real = [os.path.realpath(path) for path in (args.checkpoint, args.out) if path]
         if len(real) == 2 and real[0] == real[1]:
             raise ValueError(f"--out and --checkpoint both name {args.out}")
-        if args.out:  # opens for writing, appending so as to truncate nothing
-            created = not os.path.lexists(args.out)
-            open(args.out, "a").close()
+        # Each output is opened for writing, appending so as to truncate
+        # nothing, and a file the probe creates is removed.  An existing
+        # checkpoint is left alone: a resume reads it, a save renames over it.
+        for path in filter(None, (args.checkpoint, args.out)):
+            created = not os.path.lexists(path)
+            if created or path == args.out:
+                open(path, "a").close()
             if created:
-                os.unlink(args.out)
+                os.unlink(path)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -186,6 +190,9 @@ def cmd_sweep(args) -> int:
     except UnsolvableSystem as exc:
         print(f"error: linear system unsolvable: {exc}", file=sys.stderr)
         return EXIT_UNSOLVABLE
+    except OSError as exc:  # a checkpoint write, on Ctrl-C too
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except KeyboardInterrupt as exc:
         term = isinstance(exc, _Terminated)
         saved = f"; solved rows saved in {args.checkpoint}" if args.checkpoint else ""

@@ -10,18 +10,17 @@ from __future__ import annotations
 
 from itertools import islice
 from math import isqrt
-from operator import mul
 
 from .arithmetic import (
     QSeries,
     RingSpec,
     _Record,
     _set,
+    combine,
+    forward_substitute,
     mul_low,
-    pack,
     prepare,
-    slot_bytes,
-    unpack,
+    prepare_rows,
 )
 from .basis import _blocks, column_exponents, columns, dim_mk, period
 
@@ -59,28 +58,6 @@ class KatzTuple(_Record):
         return tuple(
             KatzComponent(i, self.x[lo:hi]) for i, lo, hi in _blocks(self.p, self.n)
         )
-
-
-def forward_substitute(lower, rhs, mod: int, n: int) -> list[list[int]]:
-    """The rows of X in L X = R mod `mod` for a unit-lower-triangular L whose
-    strictly lower entries lie in its first n columns, division-free: `lower`
-    yields the strictly lower part of each row r of L cut to min(r, n)
-    entries in [0, mod), `rhs` the same row of R.  Rows of R may stop short,
-    the rest zero, if none is shorter than one before it; each row of X then
-    stops where its row of R does.  Row r of X is row r of R less one packed
-    combination of the earlier rows of X with the entries of row r of L,
-    each slot starting at n mod^2, a multiple of mod above it; only the
-    first n rows of X are read again, so only they are packed."""
-    width = slot_bytes(mod, n + 1)
-    offset = n * mod * mod
-    X, packed = [], []
-    for below, row in zip(lower, rhs):
-        acc = pack([c % mod + offset for c in row], width)
-        acc -= sum(map(mul, below, packed))
-        X.append(unpack(acc, width, len(row), mod))
-        if len(packed) < n:
-            packed.append(pack(X[-1], width))
-    return X
 
 
 def _chunk(p: int, N: int) -> int:
@@ -166,8 +143,9 @@ def phi(p: int, n: int, C: int, t: KatzTuple) -> QSeries:
     """Realize a Katz tuple as sum_i b_i / E_{p-1}^i mod (q^N, p^C): the
     product M.x of the basis matrix with the coordinates, by Horner's rule
     over the chunks of `psi`, f = Q_0 + S_K (Q_1 + S_K (...)), each Q_c one
-    packed combination of S_0..S_{K-1}: K chain products and one product per
-    chunk after the first."""
+    `combine` of S_0..S_{K-1}, prepared once, and S_K times the rest added
+    from slot K on (S_K = q^K V): K chain products and one product per chunk
+    after the first."""
     if (t.p, t.n) != (p, n):
         raise PrecisionMismatch(f"tuple for (p, n) = {(t.p, t.n)}, not {(p, n)}")
     ring = RingSpec(p, C)
@@ -180,16 +158,13 @@ def phi(p: int, n: int, C: int, t: KatzTuple) -> QSeries:
     mod = ring.modulus
     x = [c % mod for c in t.x]
     K, S = _chain_head(p, n, chain, N, 1)
-    m = min(K, N)
-    width = slot_bytes(mod, N)
-    packs = [pack(col, width) for col in S[:m]]
+    rows = prepare_rows(S[:K], mod)
     if K < N:
         V = prepare(S[K][K:], mod)
     h = None
     for c in reversed(range(0, N, K)):
-        live = N - c
-        acc = sum(map(mul, x[c : c + K], packs))
+        g = combine(x[c : c + K], rows, N - c, mod)
         if h is not None:
-            acc += pack(mul_low(h, V, mod), width) << 8 * width * K
-        h = unpack(acc, width, live, mod)
+            g[K:] = [(a + b) % mod for a, b in zip(g[K:], mul_low(h, V, mod))]
+        h = g
     return QSeries(ring, tuple(h))

@@ -37,12 +37,12 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate, zip_longest
-from operator import mul, sub
+from operator import sub
 
-from .arithmetic import RingSpec, _Record, _set, pack, slot_bytes, unpack
+from .arithmetic import RingSpec, _Record, _set, combine, forward_substitute, prepare_rows
 from .basis import block, columns, dim_mk
 from .classical import _tangent
-from .expand import _peel, forward_substitute
+from .expand import _peel
 from .family import eis_ratio_by_s
 
 
@@ -180,18 +180,18 @@ def _check_kernel(nodes, cols, ts, p: int, lam: int) -> None:
 class VandermondeSystem(_Record):
     """The Vandermonde system V[i][j] = w_i^j over Z/p^lam, kept as what a
     solve reads: a factorization L^-1.V.B = diag(p^t_k) (L as _newton_diagonalize
-    returns it, each column of B packed in slots of `_width` bytes), the
+    returns it, the columns of B as `prepare_rows` operands), the
     conclusiveness thresholds gamma_j and the valuations of B.  These are
     the build's over Z/p^E, E >= lam, which its reductions share; a solve
     reads their leading lam x lam blocks mod p^lam.  `ss` holds the weights
     k = s(p-1) in p-order, the rows of V, and gamma is capped at lam."""
 
     __slots__ = _fields = (
-        "p", "lam", "ss", "gamma", "_ts", "_width", "_lower", "_uinvs", "_bcols", "_vals"
+        "p", "lam", "ss", "gamma", "_ts", "_lower", "_uinvs", "_bcols", "_vals"
     )
 
-    def __init__(self, p, lam, ss, gamma, _ts, _width, _lower, _uinvs, _bcols, _vals):
-        values = (p, lam, ss, gamma, _ts, _width, _lower, _uinvs, _bcols, _vals)
+    def __init__(self, p, lam, ss, gamma, _ts, _lower, _uinvs, _bcols, _vals):
+        values = (p, lam, ss, gamma, _ts, _lower, _uinvs, _bcols, _vals)
         for name, value in zip(self._fields, values):
             _set(self, name, value)
 
@@ -218,7 +218,7 @@ class VandermondeSystem(_Record):
         """x = B.Y, cut to its first `count` components (default lam), for
         each column c of L^-1.theta: Y_k = (c_k mod p^lam) / p^t_k, k < lam,
         or UnsolvableSystem if not exact, and B.Y = sum_k Y_k.B[:,k]."""
-        mod, width = self.modulus, self._width
+        mod = self.modulus
         count = self.lam if count is None else count
         pts = [self.p**t for t in self._ts]
         out = []
@@ -232,7 +232,7 @@ class VandermondeSystem(_Record):
                         f"got residue {c % mod}"
                     )
                 Y.append(y)
-            out.append(tuple(unpack(sum(map(mul, Y, self._bcols)), width, count, mod)))
+            out.append(tuple(combine(Y, self._bcols, count, mod)))
         return out
 
     def reduce(self, lam: int) -> VandermondeSystem:
@@ -259,7 +259,7 @@ class VandermondeSystem(_Record):
         ts = tuple(min(t, lam) for t in self._ts[:lam])
         return VandermondeSystem(
             self.p, lam, self.ss[:lam], _gamma(self._vals, ts, lam), ts,
-            self._width, self._lower, self._uinvs, self._bcols, self._vals,
+            self._lower, self._uinvs, self._bcols, self._vals,
         )
 
 
@@ -285,11 +285,10 @@ def build_system(p: int, lam: int, ss=None) -> VandermondeSystem:
     L, ts, cols, order = _newton_diagonalize(ws, p, lam)
     ss = tuple(ss[i] for i in order)
     _check_kernel([ws[i] for i in order], cols, ts, p, lam)
-    width = slot_bytes(mod, lam)
     log = {p**e: e for e in range(lam + 1)}
     vals = tuple(tuple(log[math.gcd(b, mod)] for b in r[j:]) for j, r in enumerate(zip(*cols)))
-    bcols = tuple(pack(col, width) for col in cols)
-    return VandermondeSystem(p, lam, ss, _gamma(vals, ts, lam), ts, width, *L, bcols, vals)
+    bcols = prepare_rows(cols, mod)
+    return VandermondeSystem(p, lam, ss, _gamma(vals, ts, lam), ts, *L, bcols, vals)
 
 
 class SweepEntry(_Record):

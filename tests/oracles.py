@@ -170,9 +170,10 @@ def dense_l(system) -> list[list[int]]:
 def matrices(system) -> tuple[list[list[int]], list[list[int]]]:
     """The factorization matrices A and B of a system, as lam x lam lists of
     rows mod p^lam.  A is the dense inverse of dense_l(system); B is the
-    first lam slots of its first lam packed columns."""
-    lam, mod, width = system.lam, system.modulus, system._width
-    B = [list(r) for r in zip(*(unpack(c, width, lam, mod) for c in system._bcols[:lam]))]
+    first lam slots of the first lam columns it prepared (`prepare_rows`)."""
+    lam, mod = system.lam, system.modulus
+    width, packs = system._bcols
+    B = [list(r) for r in zip(*(unpack(c, width, lam, mod) for c in packs[:lam]))]
     return lower_inverse(dense_l(system), mod), B
 
 
@@ -354,6 +355,19 @@ def q_coefficient_solutions(system, r: int, count: int) -> list[tuple[int, ...]]
                     acc[mu] += x * g[mu]
         betas.append([c % mod for c in acc])
     return system.solve_many(list(zip(*betas)))
+
+
+def combination(coeffs, rows, count: int, mod: int) -> list[int]:
+    """The first `count` entries of sum_i coeffs[i] * rows[i] mod `mod`, one
+    entry at a time; a coefficient without a row, or a row without a
+    coefficient, adds nothing."""
+    out = []
+    for j in range(count):
+        acc = 0
+        for c, row in zip(coeffs, rows):
+            acc += c * row[j]
+        out.append(acc % mod)
+    return out
 
 
 def forward_substitute(lower, rhs, mod: int) -> list[int]:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface and its file formats."""
 
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -528,6 +529,36 @@ def test_sweep_cli_unwritable_out_exits_2_before_the_sweep(tmp_path, capsys, mon
     code, out, err = run_cli(capsys, "sweep", "--p", "5", "--imax", "3", *argv)
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err and out == ""
+
+
+def test_sweep_cli_too_long_a_checkpoint_name_exits_2_before_the_sweep(
+    tmp_path, capsys, monkeypatch
+):
+    # A 300-byte name no file system takes, even from root.  It was an
+    # OSError traceback out of the checkpoint's first save, after the whole
+    # sweep had run.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(sweep_module, "run_sweep", refuse)
+    argv = ["--checkpoint", str(tmp_path / ("c" * 295 + ".json"))]
+    code, out, err = run_cli(capsys, "sweep", "--p", "5", "--imax", "6", *argv)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_cli_failed_checkpoint_write_exits_2(tmp_path, capsys, monkeypatch):
+    # A save that fails during the sweep (a full disk, say) ends it with one
+    # error line, not a traceback.
+    def full(state, path):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(sweep_module, "save_checkpoint", full)
+    argv = ["--checkpoint", str(tmp_path / "ck.json"), "--out", str(tmp_path / "o.csv")]
+    code, out, err = run_cli(capsys, "sweep", "--p", "5", "--imax", "6", *argv)
+    assert code == 2
+    assert err.startswith("error:") and "No space left" in err and out == ""
 
 
 @pytest.mark.parametrize("existing", [True, False])

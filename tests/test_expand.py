@@ -2,7 +2,6 @@
 
 import random
 from functools import lru_cache
-from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +9,9 @@ from hypothesis import strategies as st
 
 import oracles
 from katzrates import expand as expand_module
-from katzrates.arithmetic import QSeries, RingSpec, pack, slot_bytes, unpack
+from katzrates.arithmetic import QSeries, RingSpec, combine, forward_substitute, prepare_rows
 from katzrates.basis import _blocks, block, columns, dim_mk, period
-from katzrates.expand import KatzTuple, PrecisionMismatch, forward_substitute, phi, psi
+from katzrates.expand import KatzTuple, PrecisionMismatch, phi, psi
 
 
 def tuple_from_coords(p, n, C, x):
@@ -289,9 +288,7 @@ def test_psi_and_phi_match_the_matrix_route(p, n, C):
     X = forward_substitute(iter(lower), ([c] for c in f.coeffs), mod, N)
     assert list(psi(p, n, C, f).x) == [x for (x,) in X]
     x = [rng.randrange(mod) for _ in range(N)]
-    width = slot_bytes(mod, N)
-    acc = sum(map(mul, x, [pack(col, width) for col in cols]))
-    want = tuple(unpack(acc, width, N, mod))
+    want = tuple(combine(x, prepare_rows(cols, mod), N, mod))
     assert phi(p, n, C, tuple_from_coords(p, n, C, x)).coeffs == want
 
 

@@ -15,10 +15,18 @@ from hypothesis import strategies as st
 
 import oracles
 from katzrates import classical, expand
-from katzrates.arithmetic import QSeries, RingSpec, mul_low, prepare
+from katzrates.arithmetic import (
+    QSeries,
+    RingSpec,
+    combine,
+    forward_substitute,
+    mul_low,
+    prepare,
+    prepare_rows,
+)
 from katzrates.basis import block, columns, dim_mk
 from katzrates.classical import bernoulli, eisenstein_star
-from katzrates.expand import forward_substitute, psi
+from katzrates.expand import psi
 from katzrates.family import eis_ratio_by_s
 from katzrates.solver import (
     KatzBasis,
@@ -690,6 +698,40 @@ def test_peel_takes_only_the_chain_head(p, n, B):
     assert X == [[1] * B] + [[0] * B] * (N - 1)
     K = expand._chunk(p, max(N, 4 * B * B))
     assert pulled == list(range(min(K + 1, N)))
+
+
+@st.composite
+def combination_cases(draw):
+    """(coeffs, rows, count, e, f, p): up to 8 rows of one length over
+    Z/p^e, with 0 and p^e - 1 drawn often, at most as many coefficients as
+    rows, a count up to the row length, and the exponent f <= e of the
+    modulus the combination is reduced by, as a system reduced to a lower
+    precision combines the columns it prepared at its build's."""
+    p = draw(st.sampled_from([5, 7, 11]))
+    e = draw(st.integers(1, 12))
+    mod = p**e
+    coeff = st.one_of(st.just(0), st.just(mod - 1), st.integers(0, mod - 1))
+    length = draw(st.integers(0, 12))
+    rows = draw(st.lists(st.lists(coeff, min_size=length, max_size=length), max_size=8))
+    coeffs = draw(st.lists(coeff, max_size=len(rows)))
+    return coeffs, rows, draw(st.integers(0, length)), e, draw(st.integers(1, e)), p
+
+
+@given(combination_cases())
+@settings(max_examples=150, deadline=None)
+@example(([], [], 0, 1, 1, 5))  # no rows at all
+@example(([], [], 0, 3, 2, 7))
+@example(([24], [[24, 24, 24], [24, 24, 24]], 2, 2, 2, 5))  # fewer coefficients
+@example(([124] * 8, [[124] * 5] * 8, 5, 3, 3, 5))  # every slot at its largest sum
+@example(([124] * 8, [[124] * 5] * 8, 3, 3, 1, 5))
+def test_combine_matches_the_per_entry_oracle(case):
+    # One packed combination of the prepared rows, cut to `count` entries,
+    # against the sum taken entry by entry.
+    coeffs, rows, count, e, f, p = case
+    prepared = prepare_rows(rows, p**e)
+    assert isinstance(prepared, tuple) and hash(prepared) == hash(prepare_rows(rows, p**e))
+    want = oracles.combination(coeffs, rows, count, p**f)
+    assert combine(coeffs, prepared, count, p**f) == want
 
 
 @st.composite

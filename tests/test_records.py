@@ -38,7 +38,7 @@ FROZEN = {
     "VandermondeSystem": (
         lambda: build_system(5, 4),
         lambda: build_system(5, 4).reduce(3),
-        ("p", "lam", "ss", "gamma", "_ts", "_width", "_lower", "_uinvs", "_bcols", "_vals"),
+        ("p", "lam", "ss", "gamma", "_ts", "_lower", "_uinvs", "_bcols", "_vals"),
     ),
     "SweepEntry": (
         lambda: SweepEntry(i=2, j=1, value=3, gamma=4),

@@ -170,14 +170,24 @@ def test_no_module_defines_a_removed_path(name):
     ids=lambda p: p.name,
 )
 def test_only_arithmetic_knows_the_kronecker_operand_format(path):
-    # Every truncated product goes through arithmetic.prepare and mul_low, so
-    # a faster kernel replaces those two and nothing else.
-    found = re.findall(r"\b(split_pack|split_low|ks2_mul|_half_bytes)\b", path.read_text())
+    # Both Kronecker formats: every truncated product goes through
+    # arithmetic.prepare and mul_low (two-point), and every combination of
+    # fixed rows through prepare_rows and combine or forward_substitute
+    # (one-point slots), so a faster kernel or unpack replaces arithmetic
+    # code and nothing else.  Prose may still say "packed".
+    text = path.read_text()
+    found = re.findall(
+        r"\b(pack|unpack|slot_bytes|split_pack|split_low|ks2_mul|_half_bytes)\b", text
+    )
     assert not found, f"{path.name} names {sorted(set(found))}"
+    tree = ast.parse(text)
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert "forward_substitute" not in defined, f"{path.name} defines forward_substitute"
 
 
 def test_a_system_keeps_l_and_no_inverse():
-    # A solve forward-substitutes over the factor L; no field holds A = L^-1.
+    # A solve forward-substitutes over the factor L; no field holds A = L^-1,
+    # and none the slot width of B's columns, which prepare_rows keeps.
     names = set(VandermondeSystem.__slots__)
-    assert "_acols" not in names
+    assert "_acols" not in names and "_width" not in names
     assert {"_lower", "_uinvs"} <= names
