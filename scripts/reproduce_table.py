@@ -86,7 +86,11 @@ def main(argv=None):
             ("frontier: i_max = p(p+1)", FRONTIER_ROWS, "frontier_p{}.csv"),
         ]
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+        except OSError as exc:
+            # Exit 2, as a bad --rows does: 1 means a failed audit.
+            parser.error(f"--out-dir {args.out_dir!r}: {exc.strerror or exc}")
 
     header = (
         f"{'p':>4} {'i_max':>6} {'d_p_prime':>10} {'attained':>20} {'c_p':>8} "

@@ -1,7 +1,12 @@
-"""Exact arithmetic in Z/p^e and on truncated q-expansions over Z/p^e."""
+"""Exact arithmetic in Z/p^e and on truncated q-expansions over Z/p^e.
+
+A series is its coefficient sequence: every truncated product goes through
+`prepare`/`mul_low`, powers through `power` and inverses through `inverse`,
+and `QSeries` is the record that carries a series with its ring."""
 
 from __future__ import annotations
 
+from math import gcd
 from operator import mul
 
 
@@ -187,7 +192,10 @@ def ks2_mul(
 def prepare(values, mod: int):
     """The residues `values` in [0, mod) as a factor for `mul_low`, packed
     once: a low product's coefficient is a sum of at most len(values)
-    products, which its slots hold (`slot_bytes`)."""
+    products, which its slots hold (`slot_bytes`).  A value outside [0, mod)
+    would overflow its slot silently, so it is refused."""
+    if values and (min(values) < 0 or max(values) >= mod):
+        raise ValueError(f"coefficients must lie in [0, {mod}) for a packed product")
     width = slot_bytes(mod, len(values))
     return width, split_pack(values, width)
 
@@ -203,6 +211,45 @@ def mul_low(xs, factor, mod: int) -> list[int]:
     width, halves = factor
     y = split_low(halves, width, count)
     return ks2_mul(split_pack(xs, width), y, width, count, mod)
+
+
+def power(values, k: int, mod: int) -> list[int]:
+    """The first len(values) coefficients of the series `values` (residues
+    in [0, mod)) to the power k >= 1, by repeated squaring, never multiplying
+    by 1: each square is a `mul_low` square, each other product one by a
+    `prepare`d power."""
+    if k < 1:
+        raise ValueError(f"exponent must be >= 1, got {k}")
+    result = None
+    while True:
+        if k & 1 and result is None:
+            result = values
+        elif k & 1:
+            result = mul_low(result, prepare(values, mod), mod)
+        k >>= 1
+        if not k:
+            return list(result)
+        values = mul_low(values, None, mod)
+
+
+def inverse(values, mod: int) -> list[int]:
+    """The first len(values) coefficients of the inverse of the series
+    `values` mod p^e = `mod`, one coefficient from the earlier ones; the
+    constant term must be a unit."""
+    n = len(values)
+    if not n:
+        raise ValueError("cannot invert a series truncated at q^0")
+    if gcd(values[0], mod) != 1:
+        raise ValueError("constant term is not a unit mod p")
+    a0inv = pow(values[0], -1, mod)
+    b = [a0inv] + [0] * (n - 1)
+    for k in range(1, n):
+        s = 0
+        for i in range(1, k + 1):
+            if values[i]:
+                s += values[i] * b[k - i]
+        b[k] = (-a0inv * s) % mod
+    return b
 
 
 def prepare_rows(rows, mod: int):
@@ -244,17 +291,11 @@ def forward_substitute(lower, rhs, mod: int, n: int) -> list[list[int]]:
     return X
 
 
-def _canonical(coeffs, mod: int):
-    """`coeffs`, after checking they lie in [0, mod): a packed slot has no room
-    for anything else, and an out-of-range value would overflow silently."""
-    if min(coeffs) < 0 or max(coeffs) >= mod:
-        raise ValueError(f"coefficients must lie in [0, {mod}) for a packed product")
-    return coeffs
-
-
 class QSeries(_Record):
     """A q-expansion over Z/p^e truncated at q^N (coefficients of q^0..q^{N-1}),
-    stored as canonical integer representatives in [0, p^e)."""
+    stored as canonical integer representatives in [0, p^e).  A record with
+    no arithmetic: series are multiplied and inverted on their coefficients
+    by `prepare`/`mul_low`, `power` and `inverse`."""
 
     __slots__ = _fields = ("ring", "coeffs")
 
@@ -273,99 +314,6 @@ class QSeries(_Record):
         mod = ring.modulus
         return cls(ring, tuple(c % mod for c in cs))
 
-    @classmethod
-    def one(cls, ring: RingSpec, N: int) -> "QSeries":
-        return cls.from_coeffs(ring, [1], N)
-
     @property
     def n_trunc(self) -> int:
         return len(self.coeffs)
-
-    def _check(self, other: "QSeries"):
-        if self.ring != other.ring:
-            raise ValueError("ring mismatch")
-        if len(self.coeffs) != len(other.coeffs):
-            raise ValueError(
-                f"truncation mismatch: {len(self.coeffs)} vs {len(other.coeffs)}"
-            )
-
-    def __add__(self, other):
-        self._check(other)
-        mod = self.ring.modulus
-        return QSeries(
-            self.ring, tuple((a + b) % mod for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        mod = self.ring.modulus
-        return QSeries(
-            self.ring, tuple((a - b) % mod for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __mul__(self, other):
-        """Product mod (q^N, p^e) by `mul_low`.  Both operands must be
-        canonical.  Leading zero coefficients (a factor q^s) are shifted out
-        first, so the product only spans the N - s_a - s_b slots that survive
-        truncation."""
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        n = len(a)
-        mod = self.ring.modulus
-        if n == 0:
-            return self
-        square = b == a
-        _canonical(a, mod)
-        if not square:
-            _canonical(b, mod)
-        sa = next((i for i, c in enumerate(a) if c), n)
-        sb = sa if square else next((i for i, c in enumerate(b) if c), n)
-        m = n - sa - sb
-        if m <= 0:
-            return QSeries(self.ring, (0,) * n)
-        y = None if square else prepare(b[sb : sb + m], mod)
-        return QSeries(self.ring, (0,) * (n - m) + tuple(mul_low(a[sa : sa + m], y, mod)))
-
-    def scaled(self, c: int) -> "QSeries":
-        mod = self.ring.modulus
-        return QSeries(self.ring, tuple(a * c % mod for a in self.coeffs))
-
-    def __pow__(self, exponent: int) -> "QSeries":
-        """self^exponent by repeated squaring, never multiplying by 1."""
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = None
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return QSeries.one(self.ring, len(self.coeffs)) if result is None else result
-
-    def inverse(self) -> "QSeries":
-        """Multiplicative inverse mod (q^N, p^e); requires a unit constant term."""
-        a = self.coeffs
-        ring = self.ring
-        if not a:
-            raise ValueError("cannot invert a series truncated at q^0")
-        if a[0] % ring.p == 0:
-            raise ValueError("constant term is not a unit mod p")
-        mod = ring.modulus
-        n = len(a)
-        a0inv = pow(a[0], -1, mod)
-        b = [a0inv] + [0] * (n - 1)
-        for k in range(1, n):
-            s = 0
-            for i in range(1, k + 1):
-                if a[i]:
-                    s += a[i] * b[k - i]
-            b[k] = (-a0inv * s) % mod
-        return QSeries(ring, tuple(b))
-
-    def truncate(self, N2: int) -> "QSeries":
-        if N2 > len(self.coeffs):
-            raise ValueError("cannot extend truncation")
-        return QSeries(self.ring, self.coeffs[:N2])
-

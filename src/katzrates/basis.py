@@ -8,7 +8,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from math import gcd
 
-from .arithmetic import QSeries, RingSpec, _canonical, mul_low, prepare
+from .arithmetic import RingSpec, inverse, mul_low, power, prepare
 from .classical import delta, e4, e6, e_p_minus_1
 
 
@@ -85,10 +85,11 @@ def columns(p: int, n: int, ring: RingSpec) -> Iterator[tuple[int, ...]]:
 
     Column j is q^j times a series with constant term 1, and every step is q
     times one, so column j needs only the N - j slots of column j-1 from
-    q^(j-1) on and of the step from q^1 on: each distinct step is prepared
-    once without its zero constant slot, and each column is one `mul_low`
-    over its N - j live slots.  Each step is checked to have no constant
-    term, and each column to be unit-lower-triangular.
+    q^(j-1) on and of the step from q^1 on: each distinct step is made from
+    Delta / q, N - 1 slots, and prepared once, and each column is one
+    `mul_low` over its N - j live slots.  Delta is checked to have no
+    constant term, and each column to be unit-lower-triangular, which a
+    step whose constant term is not 1 fails.
     """
     if ring.p != p:
         raise ValueError("ring prime does not match p")
@@ -101,24 +102,27 @@ def _chain(p: int, n: int, ring: RingSpec) -> Iterator[tuple[int, ...]]:
     exponents = column_exponents(p, n)
     N = len(exponents)
     mod = ring.modulus
-    ds = delta(ring, N)
-    bases = (e4(ring, N), e6(ring, N), e_p_minus_1(ring, N))
-    inverses: list[QSeries | None] = [None] * 3
+    ds = delta(ring, N).coeffs
+    if ds[0]:
+        raise AssertionError("Delta has a nonzero constant term")
+    # A column reads only the first N - 1 slots of a step / q, so each step
+    # is made from Delta / q and the bases cut to N - 1 slots.
+    bases = [f(ring, N).coeffs[: N - 1] for f in (e4, e6, e_p_minus_1)]
+    inverses: list[list[int] | None] = [None] * 3
     steps: dict[tuple[int, ...], tuple[int, int]] = {}
     cs, prev = (1,) + (0,) * (N - 1), exponents[0]
     for j, cur in enumerate(exponents):
         if j:
             key = tuple(c - b for c, b in zip(cur, prev))
             if key not in steps:
-                step = ds
+                step = ds[1:]
                 for b, k in enumerate(key):
                     if k < 0 and inverses[b] is None:
-                        inverses[b] = bases[b].inverse()
+                        inverses[b] = inverse(bases[b], mod)
                     if k:
-                        step = step * (bases[b] if k > 0 else inverses[b]) ** abs(k)
-                if step.coeffs[0]:
-                    raise AssertionError(f"step {key} has a nonzero constant term")
-                steps[key] = prepare(_canonical(step.coeffs[1:], mod), mod)
+                        factor = power(bases[b] if k > 0 else inverses[b], abs(k), mod)
+                        step = mul_low(step, prepare(factor, mod), mod)
+                steps[key] = prepare(step, mod)
             cs, prev = (0,) * j + tuple(mul_low(cs[j - 1 : N - 1], steps[key], mod)), cur
         if any(cs[:j]) or cs[j] != 1:
             raise AssertionError(f"column {j} is not unit-lower-triangular")

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .arithmetic import QSeries, RingSpec
+from .arithmetic import QSeries, RingSpec, power
 
 
 @lru_cache(maxsize=8)
@@ -121,7 +121,10 @@ def e6(ring: RingSpec, N: int) -> QSeries:
 
 def delta(ring: RingSpec, N: int) -> QSeries:
     """Delta = (E_4^3 - E_6^2) / 1728; 1728 = 2^6 3^3 is a unit mod p^e."""
-    return (e4(ring, N) ** 3 - e6(ring, N) ** 2).scaled(pow(1728, -1, ring.modulus))
+    mod = ring.modulus
+    c = pow(1728, -1, mod)
+    cubes, squares = power(e4(ring, N).coeffs, 3, mod), power(e6(ring, N).coeffs, 2, mod)
+    return QSeries(ring, tuple([(a - b) * c % mod for a, b in zip(cubes, squares)]))
 
 
 def e_p_minus_1(ring: RingSpec, N: int) -> QSeries:

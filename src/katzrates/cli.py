@@ -12,7 +12,7 @@ import sys
 # are imported by the commands that use them.
 from .arithmetic import QSeries, RingSpec, _is_int
 from .basis import block, dim_mk
-from .expand import PrecisionMismatch, psi
+from .expand import psi
 
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
@@ -84,12 +84,7 @@ def cmd_katz_expand(args) -> int:
             file=sys.stderr,
         )
         return EXIT_MISMATCH
-    f = QSeries.from_coeffs(ring, coeffs, N)
-    try:
-        t = psi(args.p, args.n, args.prec, f)
-    except PrecisionMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+    t = psi(args.p, args.n, args.prec, QSeries.from_coeffs(ring, coeffs, N))
     out = {
         "p": args.p,
         "n": args.n,

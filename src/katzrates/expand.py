@@ -18,6 +18,7 @@ from .arithmetic import (
     _set,
     combine,
     forward_substitute,
+    inverse,
     mul_low,
     prepare,
     prepare_rows,
@@ -110,7 +111,7 @@ def _peel(p: int, n: int, ring: RingSpec, chain, members) -> list[list[int]]:
     # Row r of the top holds r entries, every row past it m.
     lower = [row[:r] for r, row in enumerate(zip(*S[:m]))]
     if K < N:
-        U = prepare(QSeries(ring, S[K][K:]).inverse().coeffs, mod)
+        U = prepare(inverse(S[K][K:], mod), mod)
     del S
     g, X = members, []
     while True:

@@ -79,3 +79,19 @@ def ks2_products(monkeypatch) -> list[tuple]:
     for where in ("arithmetic", "basis", "expand"):
         monkeypatch.setattr(f"katzrates.{where}.mul_low", recording(where))
     return products
+
+
+@pytest.fixture
+def inverses(monkeypatch) -> list[int]:
+    """The length of every series `arithmetic.inverse` inverts, in order:
+    the chain's (basis) and the peel's (expand)."""
+    lengths = []
+    real = arithmetic_module.inverse
+
+    def counting(values, mod):
+        lengths.append(len(values))
+        return real(values, mod)
+
+    for where in ("basis", "expand"):
+        monkeypatch.setattr(f"katzrates.{where}.inverse", counting)
+    return lengths

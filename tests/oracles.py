@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from katzrates.arithmetic import QSeries, RingSpec, unpack
+from katzrates.arithmetic import QSeries, RingSpec, inverse, mul_low, power, prepare, unpack
 from katzrates.basis import block, dim_mk, eps
 from katzrates.classical import delta, e4, e6, e_p_minus_1, eisenstein_star
 from katzrates.expand import psi
@@ -108,22 +108,35 @@ def g_form(p: int, i: int, j: int, ring: RingSpec, N: int) -> BasisElement:
     if i == 0:
         if j != 0:
             raise ValueError("the i=0 block only contains the constant 1")
-        return BasisElement(0, 0, 0, 0, QSeries.one(ring, N))
+        return BasisElement(0, 0, 0, 0, QSeries.from_coeffs(ring, [1], N))
     weight = i * (p - 1)
     ep = eps(weight)
     num = weight - 12 * j - 6 * ep
     if num < 0 or num % 4:
         raise ValueError(f"no basis form at p={p}, i={i}, j={j}")
     a = num // 4
-    series = delta(ring, N) ** j * e4(ring, N) ** a
-    if ep:
-        series = series * e6(ring, N)
-    return BasisElement(i, j, a, ep, series)
+    series, mod = [1] + [0] * (N - 1), ring.modulus
+    for form, k in ((delta, j), (e4, a), (e6, ep)):
+        if k:
+            series = times(series, power(form(ring, N).coeffs, k, mod), mod)
+    return BasisElement(i, j, a, ep, QSeries(ring, tuple(series)))
 
 
 def basis_set(p: int, i: int, ring: RingSpec, N: int) -> list[BasisElement]:
     """The basis forms spanning the i-th complement block, in increasing j."""
     return [g_form(p, i, j, ring, N) for j in range(*block(p, i))]
+
+
+def times(a, b, mod: int) -> list[int]:
+    """The first len(a) coefficients of the product of the series a and b
+    (residues mod `mod`), by the package's `mul_low`."""
+    return mul_low(a, prepare(b, mod), mod)
+
+
+def minus_one(f: QSeries) -> QSeries:
+    """The series f - 1."""
+    mod = f.ring.modulus
+    return QSeries(f.ring, ((f.coeffs[0] - 1) % mod, *f.coeffs[1:]))
 
 
 def schoolbook_mul(f: QSeries, g: QSeries) -> QSeries:
@@ -326,12 +339,13 @@ def bernoulli_table(k_max: int) -> list[Fraction]:
 def direct_columns(p: int, n: int, ring: RingSpec) -> tuple[tuple[int, ...], ...]:
     """The columns of the basis matrix one at a time: the first N
     q-coefficients of g_{i_j, j} (from g_form) times E_{p-1}^{-i_j}."""
-    N = dim_mk(n * (p - 1))
-    einv = e_p_minus_1(ring, N).inverse()
+    N, mod = dim_mk(n * (p - 1)), ring.modulus
+    einv = inverse(e_p_minus_1(ring, N).coeffs, mod)
     columns = []
     for j in range(N):
         i = i_of_j(p, j)
-        columns.append((g_form(p, i, j, ring, N).series * einv**i).coeffs)
+        g = g_form(p, i, j, ring, N).series.coeffs
+        columns.append(tuple(times(g, power(einv, i, mod), mod)) if i else g)
     return tuple(columns)
 
 
@@ -434,7 +448,9 @@ def v_operator(f: QSeries) -> QSeries:
 def eis_ratio_full_inverse(p: int, s: int, lam: int, N: int) -> QSeries:
     """E*_k / V(E*_k), k = s(p-1), with V(E*_k) inverted at full length N."""
     estar = eisenstein_star_trial(s * (p - 1), RingSpec(p, lam), N)
-    return estar * v_operator(estar).inverse()
+    mod = estar.ring.modulus
+    ratio = times(estar.coeffs, inverse(v_operator(estar).coeffs, mod), mod)
+    return QSeries(estar.ring, tuple(ratio))
 
 
 def second_route(state) -> int:

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from oracles import basis_set, g_form, i_of_j, sigma
-from katzrates.arithmetic import QSeries, RingSpec
+from katzrates.arithmetic import RingSpec
 from katzrates.basis import (
     _blocks,
     block,
@@ -197,31 +197,34 @@ def test_build_matrix_rejects_negative_n():
         columns(5, -1, RingSpec(5, 2))
 
 
-def test_build_matrix_makes_one_product_per_column(monkeypatch):
-    # One multiplier per distinct exponent step, built by series products
-    # (17 here, with Delta's); the columns are packed products outside
-    # QSeries, one each.  No E_{p-1}^{-i} power chain and no basis forms:
-    # those took 488 products.
-    calls = []
-    real = QSeries.__mul__
-
-    def counting(f, g):
-        calls.append(1)
-        return real(f, g)
-
-    monkeypatch.setattr(QSeries, "__mul__", counting)
+def test_build_matrix_makes_one_product_per_column(ks2_products, inverses):
+    # One multiplier per distinct exponent step, built from Delta / q by
+    # power products (17 here with Delta's own, 6 of them squares, and one
+    # inverse per base with a negative exponent); then one product per
+    # column after the first.  No E_{p-1}^{-i} power chain and no basis
+    # forms: those took 488 products.
     cols = list(columns(11, 132, RingSpec(11, 26)))
     assert len(cols) == 111
-    assert len(calls) <= 32
+    assert len(ks2_products) == 110 + 17
+    assert len([rec for rec in ks2_products if rec[-1] is None]) == 6
+    assert len(inverses) == 3
 
 
 def test_build_matrix_multiplies_only_the_live_slots(ks2_products):
     # Column j needs N - j slots: those of column j-1 from q^(j-1) on and
-    # those of the step from q^1 on.  Each step is split and packed once, at
-    # N - 1 slots, so its halves must be masked to the live slots.
-    N = len(list(columns(11, 132, RingSpec(11, 26))))
-    products = [rec[1:] for rec in ks2_products if rec[0] == "basis"]
+    # those of the step from q^1 on.  Each step is made at N - 1 slots, from
+    # Delta / q, and split and packed once, so its halves must be masked to
+    # the live slots.  A column's product is the last one the chain makes
+    # before it yields the column; any other is a step's, at N - 1 slots.
+    chain = columns(11, 132, RingSpec(11, 26))
+    N = len(next(chain))
+    made = []
+    for _ in chain:
+        made.append([rec[1:] for rec in ks2_products if rec[0] == "basis"])
+        ks2_products.clear()
+    products = [ps[-1] for ps in made]
     assert [count for count, *_ in products] == list(range(N - 1, 0, -1))
+    assert {count for ps in made for count, *_ in ps[:-1]} == {N - 1}
     for count, *halves in products:
         even, odd = (count + 1) // 2, count // 2
         assert halves[0] <= even and halves[1] <= odd
@@ -252,10 +255,15 @@ def test_step_keys_repeat_with_the_period(p):
 def test_columns_are_made_as_they_are_asked_for(ks2_products):
     ring = RingSpec(11, 5)
     cols = list(columns(11, 12, ring))
+    full = list(ks2_products)
     ks2_products.clear()
     head = list(islice(columns(11, 12, ring), 4))
     assert head == cols[:4]
-    assert len([rec for rec in ks2_products if rec[0] == "basis"]) == 3
+    # The full chain's first products, through column 3's (over N - 3
+    # slots), and none after it.
+    N = len(cols)
+    assert ks2_products == full[: len(ks2_products)]
+    assert ks2_products[-1][:2] == ("basis", N - 3)
 
 
 def test_columns_check_their_arguments_before_the_first_column():

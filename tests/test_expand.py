@@ -2,6 +2,7 @@
 
 import random
 from functools import lru_cache
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -67,7 +68,7 @@ def test_phi_of_trivial_tuple_is_one():
     p, n, C = 5, 3, 3
     N = dim_mk(n * (p - 1))
     t = tuple_from_coords(p, n, C, [1] + [0] * (N - 1))
-    assert phi(p, n, C, t) == QSeries.one(RingSpec(p, C), N)
+    assert phi(p, n, C, t) == QSeries.from_coeffs(RingSpec(p, C), [1], N)
 
 
 def test_round_trip_random():
@@ -99,7 +100,8 @@ def test_psi_linearity():
     f = random_series(rng, p, C, N)
     g = random_series(rng, p, C, N)
     alpha = rng.randrange(mod)
-    lhs = psi(p, n, C, f.scaled(alpha) + g)
+    h = QSeries(f.ring, tuple((alpha * a + b) % mod for a, b in zip(f.coeffs, g.coeffs)))
+    lhs = psi(p, n, C, h)
     tf, tg = psi(p, n, C, f), psi(p, n, C, g)
     assert lhs.x == tuple((alpha * a + b) % mod for a, b in zip(tf.x, tg.x))
 
@@ -139,6 +141,22 @@ def test_psi_checks_its_input_before_any_product(ks2_products):
     with pytest.raises(ValueError, match="n must be >= 0"):
         psi(13, -1, 4, QSeries.from_coeffs(RingSpec(13, 4), [1], 1))
     assert ks2_products == []
+
+
+def test_psi_and_the_chain_head_make_the_pinned_products(ks2_products, inverses):
+    # psi at (11, 132, 40): the chain's Delta, steps and K = 10 columns,
+    # then one product per chunk after the first; 3 inverses in the chain
+    # and the peel's U.  The first two columns of 29/870 (N = 2031): Delta,
+    # one step and one column.
+    rng = random.Random(1)
+    N = dim_mk(132 * 10)
+    psi(11, 132, 40, random_series(rng, 11, 40, N))
+    squares = [rec for rec in ks2_products if rec[-1] is None]
+    assert (len(ks2_products), len(squares), len(inverses)) == (38, 6, 4)
+    ks2_products.clear(), inverses.clear()
+    list(islice(columns(29, 870, RingSpec(29, 62)), 2))
+    squares = [rec for rec in ks2_products if rec[-1] is None]
+    assert (len(ks2_products), len(squares), len(inverses)) == (8, 4, 1)
 
 
 def test_components_are_read_off_the_coordinates():
@@ -190,7 +208,7 @@ def test_psi_asserts_the_period_of_the_chunks(monkeypatch):
 
     monkeypatch.setattr(expand_module, "column_exponents", broken)
     p, n, C = 11, 12, 3
-    f = QSeries.one(RingSpec(p, C), dim_mk(n * (p - 1)))
+    f = QSeries.from_coeffs(RingSpec(p, C), [1], dim_mk(n * (p - 1)))
     with pytest.raises(AssertionError, match="is not S_"):
         psi(p, n, C, f)
 

@@ -1,5 +1,5 @@
 """The fast kernels against the slow reference oracles in tests/oracles.py:
-the Kronecker series product and truncated product (mul_low), the packed
+the Kronecker truncated product (mul_low) and powers (power), the packed
 row solve, the Newton factorization of the Vandermonde systems, the
 gcd-driven valuation minima, the tangent-number Bernoulli numbers, the
 step-by-step basis matrix, the rows solved on their Katz coordinates and
@@ -21,6 +21,7 @@ from katzrates.arithmetic import (
     combine,
     forward_substitute,
     mul_low,
+    power,
     prepare,
     prepare_rows,
 )
@@ -76,12 +77,22 @@ _R56, _R115 = RingSpec(5, 6), RingSpec(11, 5)  # slots of 4 and 5 bytes
 @example((_R115, [161050] * 9, [0, 161049, 5, 161050, 7, 0, 1, 2, 161050]))
 def test_kronecker_product_matches_schoolbook(case):
     # The examples: an empty odd half (n = 1), n = 2, odd n, leading zeros on
-    # one side and on both (the q^s shift), and one operand all p^e - 1,
-    # whose sums fill the slot width, at even and odd slot byte counts.
+    # one side and on both, and one operand all p^e - 1, whose sums fill the
+    # slot width, at even and odd slot byte counts.
     ring, a, b = case
+    _check_products(ring, a, b)
+
+
+def _check_products(ring, a, b):
+    """mul_low by a prepared b, mul_low's square and `power` at 2 and 3
+    against the schoolbook products of the series a and b."""
+    mod = ring.modulus
     f, g = _series(ring, a), _series(ring, b)
-    assert f * g == oracles.schoolbook_mul(f, g)
-    assert f * f == oracles.schoolbook_mul(f, f)
+    ff = oracles.schoolbook_mul(f, f)
+    assert mul_low(a, prepare(b, mod), mod) == list(oracles.schoolbook_mul(f, g).coeffs)
+    assert mul_low(a, None, mod) == list(ff.coeffs)
+    assert power(a, 2, mod) == list(ff.coeffs)
+    assert power(a, 3, mod) == list(oracles.schoolbook_mul(ff, f).coeffs)
 
 
 @pytest.mark.parametrize(
@@ -104,10 +115,8 @@ def test_kronecker_product_edge_cases(p, e, n, fill):
         "top": lambda: [mod - 1] * n,
         "random": lambda: [rng.randrange(mod) for _ in range(n)],
     }[fill]
-    f, g = _series(ring, make()), _series(ring, make())
-    assert f * g == oracles.schoolbook_mul(f, g)
-    assert f * f == oracles.schoolbook_mul(f, f)  # f * f squares both evaluations
-    assert f * _series(ring, [0] * n) == _series(ring, [0] * n)
+    _check_products(ring, make(), make())
+    assert mul_low(make(), prepare([0] * n, mod), mod) == [0] * n
 
 
 @st.composite
@@ -144,31 +153,15 @@ def test_mul_low_matches_the_schoolbook_product(case):
     assert mul_low(xs, factor, ring.modulus) == list(oracles.schoolbook_mul(f, g).coeffs)
 
 
-def test_product_multiplies_only_the_surviving_slots(ks2_products):
-    # q^3 u times q^5 v mod q^20 keeps the 12 slots from q^8 on, and a square
-    # of q^3 u the 14 from q^6: only those are split, packed and multiplied.
-    ring = RingSpec(7, 4)
-    f = _series(ring, [0] * 3 + list(range(1, 18)))
-    g = _series(ring, [0] * 5 + list(range(100, 115)))
-    assert f * g == oracles.schoolbook_mul(f, g)
-    assert f * f == oracles.schoolbook_mul(f, f)
-    assert ks2_products == [
-        ("arithmetic", 12, 6, 6, 6, 6),
-        ("arithmetic", 14, 7, 7, None, None),
-    ]
-
-
 @pytest.mark.parametrize("bad", [-1, 125, 10**9])
 def test_kronecker_product_rejects_noncanonical_coefficients(bad):
-    ring = RingSpec(5, 3)
-    good = _series(ring, [1, 2, 3])
-    out_of_range = _series(ring, [1, bad, 3])
+    # A packed slot has no room for a value outside [0, p^e): prepare, which
+    # every fixed factor passes through, refuses it.  An empty factor is
+    # legal.
+    mod = RingSpec(5, 3).modulus
     with pytest.raises(ValueError, match="must lie in"):
-        good * out_of_range
-    with pytest.raises(ValueError, match="must lie in"):
-        out_of_range * good
-    with pytest.raises(ValueError, match="must lie in"):
-        out_of_range * out_of_range
+        prepare([1, bad, 3], mod)
+    assert mul_low([], prepare([], mod), mod) == []
 
 
 @st.composite

@@ -595,6 +595,23 @@ def test_reproduce_table_refuses_a_bad_row_before_any_sweep(
     assert reason in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["a-file", "under-a-file"])
+def test_reproduce_table_refuses_a_bad_out_dir_before_any_sweep(
+    monkeypatch, capsys, tmp_path, sub
+):
+    # An --out-dir that names a file, or lies under one, cannot be made: it
+    # exits 2 like a bad --rows, not 1 like a failed audit, and no row is
+    # swept.
+    script = _reproduce_table()
+    monkeypatch.setattr(script, "run_sweep", None)
+    path = tmp_path / "file"
+    path.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--rows", "5:12", "--out-dir", str(path / sub)])
+    assert exc.value.code == 2
+    assert "--out-dir" in capsys.readouterr().err
+
+
 def test_reproduce_table_reads_rows_as_the_cli_reads_integers():
     script = _reproduce_table()
     assert script.parse_row("5:36") == (5, 36)
