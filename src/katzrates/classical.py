@@ -72,23 +72,6 @@ def _tangent(m: int) -> int:
     return _TANGENT[m - 1]
 
 
-def bernoulli(k: int):
-    """The Bernoulli number B_k as an exact rational, a `Fraction`
-    (convention B_1 = -1/2): B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1))."""
-    from fractions import Fraction  # only a caller that wants a rational pays for it
-
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k < 2:
-        return Fraction(1) if k == 0 else Fraction(-1, 2)
-    if k % 2:
-        return Fraction(0)
-    m = k // 2
-    four_m = 4**m
-    sign = 1 if m % 2 else -1
-    return Fraction(sign * k * _tangent(m), four_m * (four_m - 1))
-
-
 def _scalar(ring: RingSpec, k: int, unit: int) -> int:
     """-2k / (unit B_k) mod p^e for an even k >= 2 and a p-unit `unit`, in
     integers: by B_k = (-1)^(m-1) k T_m / (4^m (4^m - 1)), k = 2m, it is

@@ -6,10 +6,11 @@ and the basis forms g_{i,j}, a general algorithm that the specialised kernel
 must agree with; tests/test_kernels.py checks the kernels against them.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+
+import sympy
 
 from katzrates.arithmetic import QSeries, RingSpec, inverse, mul_low, power, prepare, unpack
 from katzrates.basis import block, dim_mk, eps
@@ -324,16 +325,15 @@ def min_val(values, p: int, lam: int) -> int:
     return min([lam, *(padic_val(x, p, lam) for x in values)])
 
 
-def bernoulli_table(k_max: int) -> list[Fraction]:
-    """B_0..B_{k_max} by B_m = -1/(m+1) sum_{j<m} C(m+1, j) B_j."""
-    bern = [Fraction(1)]
-    for m in range(1, k_max + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            if bern[j]:
-                acc += math.comb(m + 1, j) * bern[j]
-        bern.append(-acc / (m + 1))
-    return bern
+def bernoulli(k: int) -> Fraction:
+    """B_k from sympy, which is exact and shares nothing with the package's
+    tangent numbers, in the convention B_1 = -1/2 (sympy >= 1.12 returns
+    +1/2).  One value at a time: a check reads only the B_k it needs, and
+    sympy's B_k past k = 500 each cost milliseconds."""
+    if k == 1:
+        return Fraction(-1, 2)
+    b = sympy.bernoulli(k)
+    return Fraction(int(b.p), int(b.q))
 
 
 def direct_columns(p: int, n: int, ring: RingSpec) -> tuple[tuple[int, ...], ...]:

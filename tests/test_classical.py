@@ -11,7 +11,6 @@ from katzrates import classical
 from katzrates.arithmetic import RingSpec
 from katzrates.classical import (
     _sigma_star_table,
-    bernoulli,
     delta,
     e4,
     e6,
@@ -49,23 +48,21 @@ def test_sigma_star_agrees_with_sigma_off_p():
 
 
 def test_bernoulli_small_values():
-    assert bernoulli(0) == 1
-    assert bernoulli(1) == Fraction(-1, 2)
-    assert bernoulli(2) == Fraction(1, 6)
-    assert bernoulli(12) == Fraction(-691, 2730)
-    assert bernoulli(3) == 0
-
-
-def test_bernoulli_against_sympy():
-    for k in range(0, 40, 2):
-        assert bernoulli(k) == Fraction(sympy.Rational(sympy.bernoulli(k)))
+    # The oracle keeps the convention B_1 = -1/2, which sympy >= 1.12 no
+    # longer uses.
+    assert oracles.bernoulli(0) == 1
+    assert oracles.bernoulli(1) == Fraction(-1, 2)
+    assert oracles.bernoulli(2) == Fraction(1, 6)
+    assert oracles.bernoulli(12) == Fraction(-691, 2730)
+    assert oracles.bernoulli(3) == 0
 
 
 def test_von_staudt_clausen_at_p_minus_1():
-    # p divides the denominator of B_{p-1} exactly once.
-    for p in (5, 7, 11, 13):
-        den = bernoulli(p - 1).denominator
-        assert den % p == 0 and (den // p) % p != 0
+    # p divides the denominator of B_{p-1} exactly once, so the q^1
+    # coefficient -2(p-1)/B_{p-1} of E_{p-1} has valuation exactly 1.
+    for p in sympy.primerange(5, 30):
+        ring = RingSpec(p, 3)
+        assert padic_val(e_p_minus_1(ring, 2).coeffs[1], p, ring.e) == 1
 
 
 def test_e4_e6_delta_leading_coefficients():
@@ -127,7 +124,7 @@ def test_eisenstein_star_basic():
     assert f.coeffs[0] == 1
     # c = -8/((1 - 5^3) B_4); all higher coefficients divisible by 5.
     assert all(c % 5 == 0 for c in f.coeffs[1:])
-    c = Fraction(-8) / ((1 - Fraction(5) ** 3) * bernoulli(4))
+    c = Fraction(-8) / ((1 - Fraction(5) ** 3) * oracles.bernoulli(4))
     c_mod = c.numerator * pow(c.denominator, -1, R.modulus) % R.modulus
     assert f.coeffs[1] == c_mod  # sigma*_3(1) = 1
 
@@ -155,16 +152,17 @@ def _check_eisenstein_constants(k_max: int) -> int:
     """Check the constants of e_p_minus_1 and eisenstein_star, computed in
     integers, against -2k / ((1 - p^(k-1)) B_k) in rationals on the oracle's
     Bernoulli numbers, for every prime 5 <= p < 30 and k = s(p-1) <= k_max
-    with s <= 64, the weights of a 29/870 sweep; returns how many weights."""
-    bern = oracles.bernoulli_table(k_max)
+    with s <= 64, the weights of a 29/870 sweep; returns how many weights.
+    The largest p comes first, so the tangent table is built once, as a
+    sweep's basis build does (its regrowth is checked in test_kernels)."""
     checked = 0
-    for p in sympy.primerange(5, 30):
+    for p in reversed(list(sympy.primerange(5, 30))):
         for e in (1, 10):
             ring = RingSpec(p, e)
-            c = Fraction(-2 * (p - 1)) / bern[p - 1]
+            c = Fraction(-2 * (p - 1)) / oracles.bernoulli(p - 1)
             assert e_p_minus_1(ring, 2).coeffs[1] == _rational_mod(c, ring.modulus)
             for k in range(p - 1, min(k_max, 64 * (p - 1)) + 1, p - 1):
-                c = Fraction(-2 * k) / ((1 - Fraction(p) ** (k - 1)) * bern[k])
+                c = Fraction(-2 * k) / ((1 - Fraction(p) ** (k - 1)) * oracles.bernoulli(k))
                 f = eisenstein_star(k, ring, 2)
                 assert f.coeffs == (1, _rational_mod(c, ring.modulus)), (p, e, k)
                 checked += e == 1

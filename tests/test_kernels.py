@@ -1,13 +1,14 @@
 """The fast kernels against the slow reference oracles in tests/oracles.py:
 the Kronecker truncated product (mul_low) and powers (power), the packed
 row solve, the Newton factorization of the Vandermonde systems, the
-gcd-driven valuation minima, the tangent-number Bernoulli numbers, the
+gcd-driven valuation minima, the tangent numbers behind B_k, the
 step-by-step basis matrix, the rows solved on their Katz coordinates and
 on L^-1 folded into them, the sieved sigma* of E*_k, the sparse division by
 V(E*_k), the forward substitution packed over right-hand sides, and the
 batch peeled off the basis chain."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, reject, settings
@@ -26,7 +27,7 @@ from katzrates.arithmetic import (
     prepare_rows,
 )
 from katzrates.basis import block, columns, dim_mk
-from katzrates.classical import bernoulli, eisenstein_star
+from katzrates.classical import _tangent, eisenstein_star
 from katzrates.expand import psi
 from katzrates.family import eis_ratio_by_s
 from katzrates.solver import (
@@ -404,20 +405,26 @@ def test_gamma_matches_padic_val_loop(system):
         assert system.gamma[j] == gamma
 
 
-def test_bernoulli_matches_recurrence():
-    table = oracles.bernoulli_table(300)
-    assert [bernoulli(k) for k in range(301)] == table
+def test_bernoulli_matches_recurrence(monkeypatch):
+    # The tangent numbers of the Brent-Harvey recurrence give every even
+    # B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)) exactly, read from a table
+    # that starts empty and regrows on the way, up to T_1..T_256.
+    monkeypatch.setattr(classical, "_TANGENT", [])
+    for m in range(1, 151):
+        four_m = 4**m
+        b = Fraction((-1) ** (m - 1) * 2 * m * _tangent(m), four_m * (four_m - 1))
+        assert b == oracles.bernoulli(2 * m), m
 
 
 def test_bernoulli_table_regrows_geometrically(monkeypatch):
     monkeypatch.setattr(classical, "_TANGENT", [])
-    bernoulli(20)
+    _tangent(10)  # T_10, for B_20
     assert len(classical._TANGENT) == 10
-    bernoulli(22)  # needs T_11: regrow to 2 * 10
+    _tangent(11)  # regrow to 2 * 10
     assert len(classical._TANGENT) == 20
-    bernoulli(100)  # needs T_50 > 2 * 20
+    _tangent(50)  # T_50 > 2 * 20
     assert len(classical._TANGENT) == 50
-    bernoulli(7)  # odd and small values need no table
+    _tangent(3)  # a table that holds T_m is kept
     assert len(classical._TANGENT) == 50
 
 

@@ -153,6 +153,7 @@ def test_the_solving_commands_import_neither_dataclasses_nor_inspect(argv):
         "__sub__",
         "scaled",
         "truncate",
+        "bernoulli",
     ],
 )
 def test_no_module_defines_a_removed_path(name):
@@ -167,6 +168,9 @@ def test_no_module_defines_a_removed_path(name):
     # its s, and its kernel check reads V.B off the Newton products alone.
     # QSeries is a record: the operators and scaled/truncate are gone, and
     # series are multiplied, powered and inverted by arithmetic's functions.
+    # bernoulli (B_k as a Fraction) is gone too: the package reads B_k only
+    # through the tangent numbers in classical._scalar, and the tests take
+    # their Bernoulli numbers from sympy (tests/oracles.bernoulli).
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.AsyncFunctionDef)):

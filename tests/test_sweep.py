@@ -21,6 +21,7 @@ from katzrates.sweep import (
     PLAN_SLACK,
     CheckpointError,
     SweepEntry,
+    SweepState,
     c_p,
     d_p,
     lambda_for,
@@ -150,6 +151,53 @@ def test_checkpoint_is_fsynced_before_the_rename(tmp_path, monkeypatch):
     assert [f.name for f in tmp_path.iterdir()] == ["ck.json"]
     # The text the streaming encoder of json.dump gives for this state.
     assert text == "".join(json.JSONEncoder().iterencode(state_to_json(state)))
+
+
+def test_failed_checkpoint_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    # A rename that fails removes the temp file, leaves the old checkpoint
+    # as it was and reaches the caller.
+    path = tmp_path / "ck.json"
+    save_checkpoint(run_sweep(5, 6), str(path))
+    before = path.read_bytes()
+
+    def replace(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="rename refused"):
+        save_checkpoint(run_sweep(5, 9), str(path))
+    assert [f.name for f in tmp_path.iterdir()] == ["ck.json"]
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("p, i_max", [(5, 18), (7, 28)])
+def test_a_stuck_row_is_solved_again_at_a_larger_lambda(monkeypatch, p, i_max):
+    # Every first attempt plans lam = j_max + 1, too few weights to decide
+    # the row: the retry doubles the margin and solves it again at a larger
+    # lam, and the sweep ends where the unpatched one does.
+    reference = run_sweep(p, i_max)
+    real_lambda_for, real_solve_row = sweep_module.lambda_for, sweep_module.solve_row
+    solves = {}
+
+    def short_lambda_for(p, target_gamma, j_max):
+        if target_gamma - j_max == sweep_module._INITIAL_MARGIN:
+            return j_max + 1
+        return real_lambda_for(p, target_gamma, j_max)
+
+    def solve_row(p, i, lam, **kwargs):
+        solves.setdefault(i, []).append(lam)
+        return real_solve_row(p, i, lam, **kwargs)
+
+    monkeypatch.setattr(sweep_module, "lambda_for", short_lambda_for)
+    monkeypatch.setattr(sweep_module, "solve_row", solve_row)
+    state = run_sweep(p, i_max)
+    assert any(len(lams) > 1 and lams[-1] > lams[0] for lams in solves.values()), solves
+    assert summary(state)["unresolved"] == 0
+    assert (state.d_prime, state.attained) == (reference.d_prime, reference.attained)
+    exact = {(e.i, e.j): e.value for e in state.entries if e.exact}
+    for e in reference.entries:
+        if e.exact and (e.i, e.j) in exact:
+            assert exact[e.i, e.j] == e.value, (e.i, e.j)
 
 
 @pytest.fixture
@@ -488,9 +536,22 @@ def test_checkpoint_json_schema_fields(tmp_path):
 
 
 def test_theorem_b_audit_empty_state():
-    from katzrates.sweep import SweepState
-
     assert theorem_b_audit(SweepState(p=5)) == ([], [])
+
+
+def test_theorem_b_audit_lists_each_violation():
+    # At p = 5, i = 30, j = 1: c_p i - j = 55/24 - 1 and d_p i - j = 3, so
+    # the value 0 lies below both bounds, 2 below d_p i - j only, and 3 and
+    # an inconclusive entry below neither.
+    state = SweepState(p=5)
+    state.entries = [
+        SweepEntry(i=30, j=1, value=value, gamma=5) for value in (0, 2, 3, None)
+    ]
+    assert theorem_b_audit(state) == ([(30, 1, 0)], [(30, 1, 0), (30, 1, 2)])
+    assert summary(state)["audits"] == {
+        "theorem_b_violations": 1,
+        "conjecture_violations": 2,
+    }
 
 
 def test_summary_shape():
