@@ -278,16 +278,23 @@ def forward_substitute(lower, rhs, mod: int, n: int) -> list[list[int]]:
     stops where its row of R does.  Row r of X is row r of R less one packed
     combination of the earlier rows of X with the entries of row r of L,
     each slot starting at n mod^2, a multiple of mod above it; only the
-    first n rows of X are read again, so only they are packed."""
+    first n rows of X are read again, so only they are packed.
+
+    A row of R that holds at most one value, as every row of the peel of one
+    series does, is solved over plain residues, x_r = (R_r - sum_t
+    L[r][t] x_t) mod `mod`, with no pack or unpack: no row before it holds
+    more, so each packed earlier row is just its value."""
     width = slot_bytes(mod, n + 1)
     offset = n * mod * mod
     X, packed = [], []
     for below, row in zip(lower, rhs):
-        acc = pack([c % mod + offset for c in row], width)
-        acc -= sum(map(mul, below, packed))
-        X.append(unpack(acc, width, len(row), mod))
-        if len(packed) < n:
-            packed.append(pack(X[-1], width))
+        if len(row) > 1:
+            acc = pack([c % mod + offset for c in row], width)
+            X.append(unpack(acc - sum(map(mul, below, packed)), width, len(row), mod))
+        else:
+            X.append([(c - sum(map(mul, below, packed))) % mod for c in row])
+        if len(packed) < n:  # a row of at most one value packs to its sum
+            packed.append(pack(X[-1], width) if len(row) > 1 else sum(X[-1]))
     return X
 
 

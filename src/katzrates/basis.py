@@ -5,10 +5,12 @@ g_j / E_{p-1}^{i_j}, one at a time from one chain of products."""
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections import deque
+from collections.abc import Callable, Iterator
 from math import gcd
+from operator import add
 
-from .arithmetic import RingSpec, inverse, mul_low, power, prepare
+from .arithmetic import RingSpec, inverse, mul_low, prepare
 from .classical import delta, e4, e6, e_p_minus_1
 
 
@@ -72,24 +74,26 @@ def column_exponents(p: int, n: int) -> list[tuple[int, int, int]]:
 
 def columns(p: int, n: int, ring: RingSpec) -> Iterator[tuple[int, ...]]:
     """The columns of the basis matrix for (p, n) over `ring`, in order, each
-    as its N q-coefficients, N = d_{n(p-1)}; one packed product per column
-    after the first, made only when the column is asked for.
+    as its N q-coefficients, N = d_{n(p-1)}; made only when the column is
+    asked for.
 
-    g_j / E_{p-1}^{i_j} = Delta^j E_4^a E_6^eps E_{p-1}^-i, so column j is
-    column j-1 times Delta E_4^da E_6^de E_{p-1}^-di, where (da, de, di) is
-    the change in (a, eps, i) from column j-1.  Since 12 + 4 da + 6 de =
-    di (p-1), there are only a few distinct steps (one inside every block,
-    and they repeat with `period(p)`), and each multiplier is built once.
-    E_4, E_6 and E_{p-1} have constant term 1, so their negative powers exist
-    over Z/p^e.
+    g_j / E_{p-1}^{i_j} = Delta^j E_4^a E_6^eps E_{p-1}^-i, and column j + P
+    is column j times column P, P = `period(p)`.  So only columns 1..P are
+    made from the Eisenstein series, each as q^j R_j E_4^a E_6^eps with
+    R_j = (Delta / q)^j E_{p-1}^-i_j: R_j is R_{j-1} times the step
+    (Delta / q) E_{p-1}^-di, di = i_j - i_{j-1} >= 0, each distinct step made
+    once, and the powers of E_4 and of E_{p-1}^-1 are each made once and
+    shared.  E_{p-1} has constant term 1, so its inverse exists over Z/p^e;
+    it is the one series inverted.  Each column j > P is then one `mul_low`
+    of the N - j slots of column j - P from q^(j-P) on with column P from
+    q^P on, prepared once.
 
-    Column j is q^j times a series with constant term 1, and every step is q
-    times one, so column j needs only the N - j slots of column j-1 from
-    q^(j-1) on and of the step from q^1 on: each distinct step is made from
-    Delta / q, N - 1 slots, and prepared once, and each column is one
-    `mul_low` over its N - j live slots.  Delta is checked to have no
-    constant term, and each column to be unit-lower-triangular, which a
-    step whose constant term is not 1 fails.
+    Column j is q^j times a series with constant term 1, so a column reads
+    only the first N - 1 slots of every factor / q: the factors and R_j are
+    made at N - 1 slots, from Delta / q, and each column's last product
+    spans only its N - j live slots.  Delta is checked to have no constant
+    term, the exponents of column j > P to be those of columns j - P and P
+    added, and each column to be unit-lower-triangular.
     """
     if ring.p != p:
         raise ValueError("ring prime does not match p")
@@ -98,32 +102,71 @@ def columns(p: int, n: int, ring: RingSpec) -> Iterator[tuple[int, ...]]:
     return _chain(p, n, ring)
 
 
-def _chain(p: int, n: int, ring: RingSpec) -> Iterator[tuple[int, ...]]:
-    exponents = column_exponents(p, n)
-    N = len(exponents)
+def _powers(base, mod: int) -> Callable[[int], list[int]]:
+    """k -> base^k, cut to len(base) slots, each power made once by one
+    product from those made before it: a square, or base times the power
+    below."""
+    made = {1: base}
+
+    def power_of(k: int) -> list[int]:
+        if k not in made:
+            if k % 2:
+                made[k] = mul_low(power_of(k - 1), prepare(base, mod), mod)
+            else:
+                made[k] = mul_low(power_of(k // 2), None, mod)
+        return made[k]
+
+    return power_of
+
+
+def _first_columns(exponents, N: int, ring: RingSpec) -> Iterator[list[int]]:
+    """The live N - j slots of each column j = 1, 2, ... with `exponents`
+    (column 0's first), from the Eisenstein series: q^j R_j E_4^a E_6^eps,
+    R_j = (Delta / q)^j E_{p-1}^-i_j.  `_chain` drops it, and with it its
+    powers, steps and R_j, once it has made column P."""
     mod = ring.modulus
     ds = delta(ring, N).coeffs
     if ds[0]:
         raise AssertionError("Delta has a nonzero constant term")
-    # A column reads only the first N - 1 slots of a step / q, so each step
-    # is made from Delta / q and the bases cut to N - 1 slots.
-    bases = [f(ring, N).coeffs[: N - 1] for f in (e4, e6, e_p_minus_1)]
-    inverses: list[list[int] | None] = [None] * 3
-    steps: dict[tuple[int, ...], tuple[int, int]] = {}
-    cs, prev = (1,) + (0,) * (N - 1), exponents[0]
-    for j, cur in enumerate(exponents):
-        if j:
-            key = tuple(c - b for c, b in zip(cur, prev))
-            if key not in steps:
-                step = ds[1:]
-                for b, k in enumerate(key):
-                    if k < 0 and inverses[b] is None:
-                        inverses[b] = inverse(bases[b], mod)
-                    if k:
-                        factor = power(bases[b] if k > 0 else inverses[b], abs(k), mod)
-                        step = mul_low(step, prepare(factor, mod), mod)
-                steps[key] = prepare(step, mod)
-            cs, prev = (0,) * j + tuple(mul_low(cs[j - 1 : N - 1], steps[key], mod)), cur
+    delta_q, e6s = ds[1:], e6(ring, N).coeffs[: N - 1]
+    e4_power = _powers(e4(ring, N).coeffs[: N - 1], mod)
+    einv_power = _powers(inverse(e_p_minus_1(ring, N).coeffs[: N - 1], mod), mod)
+    steps, run = {}, None
+    for j, (a, ep, minus_i) in enumerate(exponents[1:], 1):
+        di = exponents[j - 1][2] - minus_i
+        if di not in steps:
+            steps[di] = mul_low(delta_q, prepare(einv_power(di), mod), mod) if di else delta_q
+        # Only column P has neither E_4 nor E_6, and no later column reads R_P.
+        factors = ([e4_power(a)] if a else []) + ([e6s] if ep else [])
+        if run is None:
+            run = steps[di]
+        else:
+            run = mul_low(run[: N - 1 if factors else N - j], prepare(steps[di], mod), mod)
+        col = run
+        for k, factor in enumerate(factors, 1):
+            slots = N - j if k == len(factors) else N - 1
+            col = mul_low(col[:slots], prepare(factor, mod), mod)
+        yield col[: N - j]
+
+
+def _chain(p: int, n: int, ring: RingSpec) -> Iterator[tuple[int, ...]]:
+    exponents = column_exponents(p, n)
+    N, P, mod = len(exponents), period(p), ring.modulus
+    window = deque(maxlen=P)  # columns j - P .. j - 1
+    first = _first_columns(exponents[: P + 1], N, ring)
+    for j in range(N):
+        if j == 0:
+            cs = (1,) + (0,) * (N - 1)
+        elif j <= P:
+            cs = (0,) * j + tuple(next(first))
+        else:
+            if j == P + 1:
+                del first  # frees the powers of the first columns
+                period_factor = prepare(window[-1][P:], mod)
+            if exponents[j] != tuple(map(add, exponents[j - P], exponents[P])):
+                raise AssertionError(f"column {j} is not column {j - P} times column {P}")
+            cs = (0,) * j + tuple(mul_low(window[0][j - P : N - P], period_factor, mod))
         if any(cs[:j]) or cs[j] != 1:
             raise AssertionError(f"column {j} is not unit-lower-triangular")
+        window.append(cs)
         yield cs

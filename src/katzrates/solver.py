@@ -199,12 +199,6 @@ class VandermondeSystem(_Record):
     def modulus(self) -> int:
         return self.p**self.lam
 
-    def solve_many(self, thetas, count: int | None = None) -> list[tuple[int, ...]]:
-        """A particular solution of Vx = theta mod p^lam for each theta, cut to
-        its first `count` components (default lam): L^-1.theta for all the
-        thetas at once (_newton_side), then _solutions."""
-        return self._solutions(zip(*self._newton_side([*zip(*thetas)][: self.lam])), count)
-
     def _newton_side(self, rows) -> list[list[int]]:
         """L^-1 applied to the matrix with `rows`, one per weight, by one
         forward substitution over L against the rows u_k^-1.rows[k].  It runs

@@ -125,19 +125,27 @@ def row_entries(row) -> list[SweepEntry]:
     return [row.entries[j] for j in sorted(row.entries)]
 
 
+def _excess(e: SweepEntry, slope: tuple[int, int]) -> int:
+    """(nu + j).den - num.i for an exact entry and a slope s = num/den,
+    den > 0: nu + j - s.i in integers, scaled by den, so its sign says how
+    the valuation compares with the line of slope s."""
+    num, den = slope
+    return (e.value + e.j) * den - num * e.i
+
+
 def _fold_rate(entries, d_prime: Fraction, attained: set) -> tuple[Fraction, set]:
     """(d', attained) with the exact entries of i >= 1 folded into the running
-    minimum d_prime = num/den of (nu(b_{i,j}) + j)/i, compared in integers
-    as (nu + j).den against num.i; `attained` itself is not changed."""
-    num, den, attained = d_prime.numerator, d_prime.denominator, set(attained)
+    minimum d_prime of (nu(b_{i,j}) + j)/i, compared by `_excess`;
+    `attained` itself is not changed."""
+    slope, attained = (d_prime.numerator, d_prime.denominator), set(attained)
     for e in entries:
         if e.exact and e.i > 0:
-            diff = (e.value + e.j) * den - num * e.i
+            diff = _excess(e, slope)
             if diff < 0:
-                num, den, attained = e.value + e.j, e.i, {(e.i, e.j)}
+                slope, attained = (e.value + e.j, e.i), {(e.i, e.j)}
             elif diff == 0:
                 attained.add((e.i, e.j))
-    return Fraction(num, den), attained
+    return Fraction(*slope), attained
 
 
 def _record_row(state: SweepState, row) -> None:
@@ -231,16 +239,16 @@ def write_entries_csv(entries, fh) -> None:
 
 def theorem_b_audit(state: SweepState):
     """Exact entries violating the proven bound v >= c_p i - j (must be empty)
-    and the conjectured bound v >= d_p i - j (expected empty)."""
-    cp, dp = c_p(state.p), d_p(state.p)
+    and the conjectured bound v >= d_p i - j (expected empty), compared by
+    `_excess` as the rate is."""
+    slopes = [(s.numerator, s.denominator) for s in (c_p(state.p), d_p(state.p))]
     c_viol, d_viol = [], []
     for entry in state.entries:
         if not entry.exact:
             continue
-        if entry.value < cp * entry.i - entry.j:
-            c_viol.append((entry.i, entry.j, entry.value))
-        if entry.value < dp * entry.i - entry.j:
-            d_viol.append((entry.i, entry.j, entry.value))
+        for slope, violations in zip(slopes, (c_viol, d_viol)):
+            if _excess(entry, slope) < 0:
+                violations.append((entry.i, entry.j, entry.value))
     return c_viol, d_viol
 
 
@@ -295,14 +303,18 @@ def state_to_json(state: SweepState) -> dict:
     }
 
 
-def _entry_from_json(e: dict, completed_rows: set[int]) -> SweepEntry:
-    """One checkpoint entry, after checking that a sweep could have made it."""
+def _entry_from_json(e: dict, completed_rows: set[int], lam: int) -> SweepEntry:
+    """One checkpoint entry, after checking that a sweep could have made it:
+    among other things, its gamma is capped at its row's lambda, which is at
+    most the checkpoint's `lam`."""
     i, j, gamma = e["i"], e["j"], e["gamma"]
     status, value = e["status"], e["value"]
     if not (_is_int(i) and _is_int(j) and _is_int(gamma)):
         raise CheckpointError(f"entry {e}: i, j and gamma must be integers")
     if i < 1 or not 0 <= j <= i:
         raise CheckpointError(f"entry {e}: needs i >= 1, j >= 0 and j <= i")
+    if not 0 <= gamma <= lam:
+        raise CheckpointError(f"entry {e}: gamma must lie in 0..lambda = {lam}")
     if i not in completed_rows:
         raise CheckpointError(f"entry {e}: row {i} is not in completed_rows")
     if status == "exact":
@@ -330,7 +342,8 @@ def state_from_json(data: dict) -> SweepState:
     p is a prime >= 5, that the completed rows are 1..m with m <= i_max, that
     lambda lies in the range a sweep through them can reach, that each holds
     the entries j = 0..J of one solve with J <= i (none if its basis block is
-    empty), and that d_prime is the minimum over the exact entries."""
+    empty) and gamma <= lambda, and that d_prime is the minimum over the
+    exact entries."""
     if not isinstance(data, dict) or data.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version: {data.get('version') if isinstance(data, dict) else data!r}"
@@ -369,7 +382,7 @@ def state_from_json(data: dict) -> SweepState:
             completed_rows=set(rows),
         )
         state.entries = [
-            _entry_from_json(e, state.completed_rows) for e in data["entries"]
+            _entry_from_json(e, state.completed_rows, lam) for e in data["entries"]
         ]
     except CheckpointError:
         raise

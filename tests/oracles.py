@@ -349,6 +349,16 @@ def direct_columns(p: int, n: int, ring: RingSpec) -> tuple[tuple[int, ...], ...
     return tuple(columns)
 
 
+def solve_many(system, thetas, count: int | None = None) -> list[tuple[int, ...]]:
+    """A particular solution of Vx = theta mod p^lam for each theta, cut to
+    its first `count` components (default lam), by the system's own solve:
+    L^-1.theta for all the thetas at once (its _newton_side, the fold a
+    KatzBasis runs on its family members), then its _solutions, which a
+    row's solve reads.  Only tests and `second_route` solve for thetas."""
+    rows = [*zip(*thetas)][: system.lam]
+    return system._solutions(zip(*system._newton_side(rows)), count)
+
+
 def q_coefficient_solutions(system, r: int, count: int) -> list[tuple[int, ...]]:
     """Particular solutions of V x_mu = theta_mu for mu < count, where
     theta_mu collects the mu-th q-coefficient of the r-th Katz component
@@ -368,7 +378,7 @@ def q_coefficient_solutions(system, r: int, count: int) -> list[tuple[int, ...]]
                 for mu in range(count):
                     acc[mu] += x * g[mu]
         betas.append([c % mod for c in acc])
-    return system.solve_many(list(zip(*betas)))
+    return solve_many(system, list(zip(*betas)))
 
 
 def combination(coeffs, rows, count: int, mod: int) -> list[int]:

@@ -198,16 +198,29 @@ def test_build_matrix_rejects_negative_n():
 
 
 def test_build_matrix_makes_one_product_per_column(ks2_products, inverses):
-    # One multiplier per distinct exponent step, built from Delta / q by
-    # power products (17 here with Delta's own, 6 of them squares, and one
-    # inverse per base with a negative exponent); then one product per
-    # column after the first.  No E_{p-1}^{-i} power chain and no basis
-    # forms: those took 488 products.
+    # Columns 1..P (P = 5) from Delta / q, E_4, E_6 and E_{p-1}^-1: 11
+    # products besides one per column after the first (Delta's 3, E_{p-1}^-2,
+    # E_4^2 and E_4^3, the steps (Delta / q) E_{p-1}^-1 and ^-2, and R_2..R_4),
+    # 4 of them squares, and one inverse, E_{p-1}'s; then each column j > P
+    # is one product of column j - P with column P.  The chain of distinct
+    # exponent steps took 17 products, 6 squares and 3 inverses (of E_4 and
+    # E_6 as well); the basis forms one by one took 488 products.
     cols = list(columns(11, 132, RingSpec(11, 26)))
     assert len(cols) == 111
-    assert len(ks2_products) == 110 + 17
-    assert len([rec for rec in ks2_products if rec[-1] is None]) == 6
-    assert len(inverses) == 3
+    assert len(ks2_products) == 110 + 11
+    assert len([rec for rec in ks2_products if rec[-1] is None]) == 4
+    assert inverses == [110]
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 38) if all(p % d for d in range(2, p))])
+def test_a_full_chain_inverts_only_e_p_minus_1(p, inverses):
+    # The chain takes negative powers of E_{p-1} alone, at N - 1 slots; E_4
+    # and E_6 enter only through nonnegative powers.  n covers three periods.
+    n = 1
+    while dim_mk(n * (p - 1)) <= 3 * period(p):
+        n += 1
+    N = len(list(columns(p, n, RingSpec(p, 4))))
+    assert inverses == [N - 1]
 
 
 def test_build_matrix_multiplies_only_the_live_slots(ks2_products):

@@ -144,19 +144,19 @@ def test_psi_checks_its_input_before_any_product(ks2_products):
 
 
 def test_psi_and_the_chain_head_make_the_pinned_products(ks2_products, inverses):
-    # psi at (11, 132, 40): the chain's Delta, steps and K = 10 columns,
-    # then one product per chunk after the first; 3 inverses in the chain
-    # and the peel's U.  The first two columns of 29/870 (N = 2031): Delta,
-    # one step and one column.
+    # psi at (11, 132, 40): the chain's Delta, its factors and K = 10
+    # columns, then one product per chunk after the first; E_{p-1}'s inverse
+    # in the chain and the peel's U.  The first two columns of 29/870
+    # (N = 2031): Delta, E_4^4, one step and one column.
     rng = random.Random(1)
     N = dim_mk(132 * 10)
     psi(11, 132, 40, random_series(rng, 11, 40, N))
     squares = [rec for rec in ks2_products if rec[-1] is None]
-    assert (len(ks2_products), len(squares), len(inverses)) == (38, 6, 4)
+    assert (len(ks2_products), len(squares), len(inverses)) == (32, 4, 2)
     ks2_products.clear(), inverses.clear()
     list(islice(columns(29, 870, RingSpec(29, 62)), 2))
     squares = [rec for rec in ks2_products if rec[-1] is None]
-    assert (len(ks2_products), len(squares), len(inverses)) == (8, 4, 1)
+    assert (len(ks2_products), len(squares), len(inverses)) == (7, 4, 1)
 
 
 def test_components_are_read_off_the_coordinates():

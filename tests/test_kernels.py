@@ -198,13 +198,13 @@ def test_solve_many_matches_per_theta_solve(system, data):
         expected = [oracles.solve_one(system, theta) for theta in thetas]
     except UnsolvableSystem:
         with pytest.raises(UnsolvableSystem):
-            system.solve_many(thetas)
+            oracles.solve_many(system, thetas)
         return
     # Inputs are reduced mod p^lam first, so shifted representatives agree.
     shift = data.draw(st.integers(-3, 3))
     shifted = [[t + shift * mod for t in theta] for theta in thetas]
-    assert system.solve_many(shifted) == expected
-    assert [system.solve_many([theta])[0] for theta in shifted] == expected
+    assert oracles.solve_many(system, shifted) == expected
+    assert [oracles.solve_many(system, [theta])[0] for theta in shifted] == expected
     for theta, x in zip(thetas, expected):
         assert oracles.apply(system, x) == list(theta)
 
@@ -213,10 +213,10 @@ def test_solve_reduces_inputs_mod_p_lambda():
     system = build_system(5, 4)
     theta = oracles.apply(system, [1, 2, 3, 4])
     mod = system.modulus
-    want = system.solve_many([theta])
-    assert system.solve_many([[t - mod for t in theta]]) == want
-    assert system.solve_many([[t + 7 * mod for t in theta]]) == want
-    assert system.solve_many([]) == []
+    want = oracles.solve_many(system, [theta])
+    assert oracles.solve_many(system, [[t - mod for t in theta]]) == want
+    assert oracles.solve_many(system, [[t + 7 * mod for t in theta]]) == want
+    assert oracles.solve_many(system, []) == []
 
 
 @given(st.sampled_from([5, 7, 11, 13]), st.integers(1, 24), st.data())
@@ -236,9 +236,9 @@ def test_packed_solve_of_every_reduction_matches_the_oracle(p, E, data):
                 want = oracles.solve_one(reduced, theta)[:count]
             except UnsolvableSystem:
                 with pytest.raises(UnsolvableSystem):
-                    reduced.solve_many([theta], count)
+                    oracles.solve_many(reduced, [theta], count)
             else:
-                assert reduced.solve_many([theta], count) == [want]
+                assert oracles.solve_many(reduced, [theta], count) == [want]
         gens = oracles.kernel_gens(reduced)
         gamma = tuple(oracles.min_val([g[j] for g in gens], p, lam) for j in range(lam))
         assert reduced.gamma == gamma
@@ -440,12 +440,18 @@ def test_katz_basis_sizes_the_tangent_table_once(monkeypatch, p, n, E):
 
 
 _PRIMES = [5, 7, 11, 13, 17, 19, 23]
+# Every period P = (p-1)/gcd(12, p-1) in {1, 3, 4, 5, 7, 11}.
+_CHAIN_PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 
-@given(st.sampled_from(_PRIMES), st.integers(0, 30), st.integers(1, 30))
+@given(st.sampled_from(_CHAIN_PRIMES), st.integers(0, 30), st.integers(1, 30))
 @settings(max_examples=40, deadline=None)
 @example(17, 20, 3)
 @example(11, 0, 1)
+@example(23, 14, 2)  # N = 26: columns 1..11 made directly, past them two periods
+@example(29, 10, 3)
+@example(31, 8, 2)
+@example(37, 6, 2)
 def test_build_matrix_matches_direct_column_oracle(p, n, e):
     # Every column of the chain, made one product after another.
     ring = RingSpec(p, e)
@@ -563,9 +569,9 @@ def test_solve_many_on_a_reduction_keeps_l_at_the_build_precision(p, E, lam):
             want = oracles.solve_one(served, theta)
         except UnsolvableSystem:
             with pytest.raises(UnsolvableSystem):
-                served.solve_many([theta])
+                oracles.solve_many(served, [theta])
         else:
-            assert served.solve_many([theta]) == [want]
+            assert oracles.solve_many(served, [theta]) == [want]
             assert oracles.apply(served, want) == list(theta)
 
 
@@ -770,3 +776,36 @@ def test_forward_substitute_matches_per_vector_oracle(case):
     assert [len(x) for x in X] == cuts
     padded = [x + [0] * (len(rhss) - len(x)) for x in X]
     assert [list(column) for column in zip(*padded)] == want
+
+
+@st.composite
+def one_member_cases(draw):
+    """(n, mod, lower, rhs): the strictly lower rows of an arbitrary
+    unit-lower-triangular matrix of up to 16 rows whose strictly lower
+    entries lie in its first n columns, n up to the row count, each row cut
+    to min(r, n) entries, and one right-hand side of any integers."""
+    rows = draw(st.integers(0, 16))
+    n = draw(st.integers(0, rows))
+    mod = draw(st.sampled_from([5, 7, 11])) ** draw(st.integers(1, 12))
+    coeff = st.one_of(st.just(0), st.just(mod - 1), st.integers(0, mod - 1))
+    lower = [draw(st.lists(coeff, min_size=min(r, n), max_size=min(r, n))) for r in range(rows)]
+    rhs = draw(st.lists(st.integers(-2 * mod, 2 * mod), min_size=rows, max_size=rows))
+    return n, mod, lower, rhs
+
+
+@given(one_member_cases())
+@settings(max_examples=80, deadline=None)
+@example((0, 5, [], []))  # no rows
+@example((1, 25, [[], [24], [24]], [1, 0, 0]))  # n = 1 < 3 rows
+@example((2, 125, [[], [124], [124, 124], [0, 124]], [-1, 250, 0, 124]))
+def test_forward_substitute_one_member_matches_the_oracle(case):
+    # Rows of R that hold one value each, as psi's peel passes them, are
+    # solved over plain residues; they agree with the oracle and with the
+    # packed path, which solves the same vector twice over.  A right-hand
+    # side with no values gives rows of X with none.
+    n, mod, lower, rhs = case
+    want = oracles.forward_substitute(lower, rhs, mod)
+    X = forward_substitute(iter(lower), ([v] for v in rhs), mod, n)
+    assert X == [[x] for x in want]
+    assert forward_substitute(iter(lower), ([v, v] for v in rhs), mod, n) == [[x, x] for x in want]
+    assert forward_substitute(iter(lower), ([] for _ in rhs), mod, n) == [[] for _ in rhs]

@@ -154,6 +154,7 @@ def test_the_solving_commands_import_neither_dataclasses_nor_inspect(argv):
         "scaled",
         "truncate",
         "bernoulli",
+        "solve_many",
     ],
 )
 def test_no_module_defines_a_removed_path(name):
@@ -171,6 +172,8 @@ def test_no_module_defines_a_removed_path(name):
     # bernoulli (B_k as a Fraction) is gone too: the package reads B_k only
     # through the tangent numbers in classical._scalar, and the tests take
     # their Bernoulli numbers from sympy (tests/oracles.bernoulli).
+    # solve_many (a system solved for thetas) lives on in tests/oracles.py:
+    # a sweep reads the fold of its KatzBasis and solves no theta.
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.AsyncFunctionDef)):

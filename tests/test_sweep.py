@@ -348,6 +348,21 @@ def test_checkpoint_rejects_exact_value_at_gamma(checkpoint_p5_i9):
         state_from_json(data)
 
 
+def test_checkpoint_rejects_gamma_above_lambda(checkpoint_p5_i9):
+    # Each gamma is capped at its row's lambda, which is at most the
+    # checkpoint's; gamma = 0 can occur and stays legal.
+    data = json.loads(checkpoint_p5_i9)
+    _first_exact(data)["gamma"] = data["lambda"] + 50
+    with pytest.raises(CheckpointError, match="gamma must lie in 0..lambda"):
+        state_from_json(data)
+    data = json.loads(checkpoint_p5_i9)
+    entry = next(e for e in data["entries"] if e["status"] == "inconclusive")
+    entry["gamma"] = 0
+    assert SweepEntry(i=entry["i"], j=entry["j"], value=None, gamma=0) in (
+        state_from_json(data).entries
+    )
+
+
 def test_checkpoint_rejects_inconclusive_with_value(checkpoint_p5_i9):
     data = json.loads(checkpoint_p5_i9)
     entry = next(e for e in data["entries"] if e["status"] == "inconclusive")
@@ -541,16 +556,21 @@ def test_theorem_b_audit_empty_state():
 
 def test_theorem_b_audit_lists_each_violation():
     # At p = 5, i = 30, j = 1: c_p i - j = 55/24 - 1 and d_p i - j = 3, so
-    # the value 0 lies below both bounds, 2 below d_p i - j only, and 3 and
-    # an inconclusive entry below neither.
+    # the value 0 lies below both bounds, 2 below d_p i - j only, and 3 (on
+    # d_p i - j) and an inconclusive entry below neither.  At i = 144, j = 1,
+    # c_p i - j = 10 and d_p i - j = 91/5: the value 9 lies below both, and
+    # 10, on the proven bound, below d_p i - j only.
     state = SweepState(p=5)
     state.entries = [
         SweepEntry(i=30, j=1, value=value, gamma=5) for value in (0, 2, 3, None)
-    ]
-    assert theorem_b_audit(state) == ([(30, 1, 0)], [(30, 1, 0), (30, 1, 2)])
+    ] + [SweepEntry(i=144, j=1, value=value, gamma=20) for value in (9, 10)]
+    assert theorem_b_audit(state) == (
+        [(30, 1, 0), (144, 1, 9)],
+        [(30, 1, 0), (30, 1, 2), (144, 1, 9), (144, 1, 10)],
+    )
     assert summary(state)["audits"] == {
-        "theorem_b_violations": 1,
-        "conjecture_violations": 2,
+        "theorem_b_violations": 2,
+        "conjecture_violations": 4,
     }
 
 
