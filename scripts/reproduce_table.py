@@ -14,9 +14,10 @@ unresolved entries, and 0 otherwise, so it can gate a run.
 By default it prints two sections: the paper's table, and the conjecture
 frontier, rows swept to i = p(p+1), where the table's minimum sits for
 p = 5, 7, 11.  A frontier d'_p is only what the sweep certifies up to i_max:
-an upper bound on the rate, not its limit.  Its last row, 29/870 (a basis
-of 2031 slots), takes about a minute and a half and a peak RSS of about
-86 MB on a 2-vCPU VM; --rows skips it.
+an upper bound on the rate, not its limit.  Its last rows, 29/870 and
+31/992 (bases of 2031 and 2481 slots), take about a minute and a half and
+two to three minutes, at a peak RSS of about 75 and 90 MB, on a 2-vCPU VM;
+--rows skips them.
 
 Example:
     python3 scripts/reproduce_table.py --out-dir results/
@@ -41,7 +42,7 @@ from katzrates.sweep import (
 )
 
 DEFAULT_ROWS = [(5, 36), (7, 56), (11, 132), (13, 84), (17, 20)]
-FRONTIER_ROWS = [(13, 182), (17, 306), (29, 870)]
+FRONTIER_ROWS = [(13, 182), (17, 306), (29, 870), (31, 992)]
 
 
 def parse_row(text):

@@ -2,9 +2,9 @@
 to its coordinates over the basis blocks, phi realizes the expansion back as a
 q-expansion (round-trip oracle).  Both work with the first K + 1 columns of
 the basis chain, K at a time.  One routine, _peel, solves the basis system
-for a batch of series, psi's one and a KatzBasis's folded family members
-alike: it holds the chain's rows in the first K columns, about KN entries,
-and never the basis matrix."""
+for a batch of series, psi's one and a KatzBasis's family members alike:
+it holds the chain's rows in the first K columns, about KN entries, and
+never the basis matrix."""
 
 from __future__ import annotations
 
@@ -91,10 +91,10 @@ def _chain_head(p: int, n: int, chain, N: int, B: int) -> tuple[int, list]:
     return K, S
 
 
-def _peel(p: int, n: int, ring: RingSpec, chain, members) -> list[list[int]]:
+def _peel(p: int, n: int, ring: RingSpec, chain, rows) -> list[list[int]]:
     """The rows of X in M X = F over `ring`, one list over the members per
-    coordinate: M the basis matrix for (p, n) with columns `chain`, F the B
-    series `members` (N coefficients each) as its columns.
+    coordinate: M the basis matrix for (p, n) with columns `chain`, F a batch
+    of B series (N coefficients each) as its columns, given by its N `rows`.
 
     Each member is f = sum_c S_K^c Q_c with Q_c = sum_{t<K} x_{cK+t} S_t
     (`_chain_head`), so its coordinates are peeled K at a time: with g_0 = f,
@@ -106,21 +106,20 @@ def _peel(p: int, n: int, ring: RingSpec, chain, members) -> list[list[int]]:
     chunk, and the chain's rows in its first K columns, about KN entries,
     are all that is held of the basis matrix."""
     N, mod = dim_mk(n * (p - 1)), ring.modulus
-    K, S = _chain_head(p, n, chain, N, len(members))
+    K, S = _chain_head(p, n, chain, N, len(rows[0]))
     m = min(K, N)
     # Row r of the top holds r entries, every row past it m.
     lower = [row[:r] for r, row in enumerate(zip(*S[:m]))]
     if K < N:
         U = prepare(inverse(S[K][K:], mod), mod)
     del S
-    g, X = members, []
+    X = []
     while True:
-        live = len(g[0])
-        rows = forward_substitute(lower[:live], zip(*g), mod, m)
+        rows = forward_substitute(lower, rows, mod, m)
         X += rows[:K]
-        if live <= K:
+        if len(rows) <= K:
             return X
-        g = [mul_low(h, U, mod) for h in zip(*rows[K:])]
+        rows = zip(*[mul_low(h, U, mod) for h in zip(*rows[K:])])
 
 
 def psi(p: int, n: int, C: int, f: QSeries) -> KatzTuple:
@@ -136,7 +135,7 @@ def psi(p: int, n: int, C: int, f: QSeries) -> KatzTuple:
             f"series truncation {f.n_trunc} does not match required N = "
             f"d_{{{n}({p}-1)}} = {N}"
         )
-    x = [c for (c,) in _peel(p, n, ring, chain, [f.coeffs])]
+    x = [c for (c,) in _peel(p, n, ring, chain, [*zip(f.coeffs)])]
     return KatzTuple(p=p, n=n, ring=ring, x=tuple(x))
 
 

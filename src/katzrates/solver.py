@@ -22,10 +22,10 @@ remaining w_s is k + sum_{e>=1} #{m < k : s_m = s mod p^e} (capped at lam).
 The s_m, m < k, are the naturals prime to p below s_k, so for s = s_k the
 count at each e is floor((s_k - 1) / p^e), the least any residue class
 mod p^e can have among them; ties go to the first index, so step k takes
-s_k.  L^-1 is never formed: one forward substitution over L at the build's
-p^E applies it to a whole batch, and since L is lower triangular, the first
-lam entries of the result, mod p^lam, are those of the leading lam x lam
-block of L solved at lam.  Each column of B is packed once, at E, and
+s_k.  L^-1 is never formed: each row substitutes over the leading lam x
+lam block of L, mod p^lam, for its own coordinates (VandermondeSystem._fold);
+L being lower triangular, that gives the first lam entries of L^-1 applied
+at the build's p^E, mod p^lam.  Each column of B is packed once, at E, and
 gamma_j = min(lam, min_{j<=k<lam} (lam - min(t_k, lam) + v(B[j][k]))) is
 read off the valuations of its upper triangle.  The build checks that the
 kernel generators annihilate V without building V, on one path: column k of
@@ -37,13 +37,12 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate, zip_longest
-from operator import sub
+from operator import mul, sub
 
-from .arithmetic import RingSpec, _Record, _set, combine, forward_substitute, prepare_rows
+from .arithmetic import RingSpec, _Record, _set, combine, prepare_rows
 from .basis import block, columns, dim_mk
-from .classical import _tangent
 from .expand import _peel
-from .family import eis_ratio_by_s
+from .family import eis_ratios
 
 
 class UnsolvableSystem(RuntimeError):
@@ -199,14 +198,18 @@ class VandermondeSystem(_Record):
     def modulus(self) -> int:
         return self.p**self.lam
 
-    def _newton_side(self, rows) -> list[list[int]]:
-        """L^-1 applied to the matrix with `rows`, one per weight, by one
-        forward substitution over L against the rows u_k^-1.rows[k].  It runs
-        at the build's p^E, where the entries of L lie in [0, p^E) as
-        forward_substitute needs; a system at lam reads it mod p^lam."""
-        mod = self.p ** len(self._uinvs)
-        rhs = ([u * c for c in row] for u, row in zip(self._uinvs, rows))
-        return forward_substitute(self._lower, rhs, mod, len(rows))
+    def _fold(self, xs) -> list[list[int]]:
+        """L^-1.x mod p^lam for each x in `xs`, a list over the weights, read
+        to its first lam entries: one substitution over the leading lam x lam
+        block of L, w_k = (u_k^-1.x_k - sum_{t<k} L[k][t].w_t) mod p^lam."""
+        mod, uinvs = self.modulus, self._uinvs[: self.lam]
+        out = []
+        for x in xs:
+            w = []
+            for u, below, c in zip(uinvs, self._lower, x):
+                w.append((u * c - sum(map(mul, below, w))) % mod)
+            out.append(w)
+        return out
 
     def _solutions(self, cols, count: int | None) -> list[tuple[int, ...]]:
         """x = B.Y, cut to its first `count` components (default lam), for
@@ -325,18 +328,17 @@ class KatzBasis:
     system over Z/p^E, E = system.lam, served with that system mod p^lam for
     any row r <= n and lam <= E.
 
-    The build is one pass over Z/p^E.  The family members at system.ss, a
-    row of N q-coefficients per weight, are folded by the system's L^-1
-    across the weights (_newton_side); the basis system is then solved for
-    all the folded members at once, peeled K coordinates at a time off the
-    column chain (expand._peel, as psi solves one series).  The two maps act
-    on different axes, so its output rows are W = L^-1.X, X the members'
-    coordinates, one list over the weights per coordinate b; neither X nor
-    the basis matrix is held.  Reduction mod p^lam is a ring map, so the
-    served coordinates equal a fresh build at (r, lam), and the served
-    system is system.reduce(lam), the newest of which is kept.  Coordinates
-    and system come from this one object, so a solve cannot pair them
-    across weights or precisions.
+    The build is one pass over Z/p^E and folds nothing: the family members
+    at system.ss, computed together (family.eis_ratios) as N rows over the
+    weights, are solved as one batch of the basis system, peeled K
+    coordinates at a time off the column chain (expand._peel, as psi solves
+    one series).  It keeps X, the members' coordinates, one list over the
+    weights per coordinate b, and not the basis matrix; a row folds L^-1
+    into its own block of X (row_solutions).  Reduction mod p^lam is a ring
+    map, so the served coordinates equal a fresh build at (r, lam), and the
+    served system is system.reduce(lam), the newest of which is kept.
+    Coordinates and system come from this one object, so a solve cannot
+    pair them across weights or precisions.
     """
 
     def __init__(self, p: int, n: int, system: VandermondeSystem):
@@ -345,14 +347,8 @@ class KatzBasis:
         self.p, self.n, self.E = p, n, system.lam
         ring = RingSpec(p, self.E)
         chain = columns(p, n, ring)  # checks n; no product until a column is taken
-        N = dim_mk(n * (p - 1))
-        # T_m for the batch's largest weight k = 2m sizes the tangent table
-        # once, where the weights in turn would regrow it geometrically.
-        _tangent(max(system.ss) * (p - 1) // 2)
-        folded = system._newton_side(
-            [eis_ratio_by_s(p, s, self.E, N).coeffs for s in system.ss]
-        )
-        self._newton = _peel(p, n, ring, chain, folded)
+        members = eis_ratios(p, system.ss, self.E, dim_mk(n * (p - 1)))
+        self._coords = _peel(p, n, ring, chain, members)
         self._system = system
         self._served = None
 
@@ -377,9 +373,9 @@ def row_solutions(p, r, lam, basis=None, count=None):
     components (default lam).  V is the system of `basis` (a KatzBasis for
     some n >= r over Z/p^E, E >= lam) reduced to lam; `basis` defaults to
     KatzBasis(p, r, build_system(p, lam)).  Returns (system, solutions).
-    The basis's W at b is L^-1.theta_b over Z/p^E; L is lower triangular,
-    so its first lam entries mod p^lam are L'^-1.theta_b at lam, L' the
-    leading lam x lam block of L.
+    The basis holds theta_b over Z/p^E; the row folds only its block, to
+    the first lam entries of L^-1.theta_b mod p^lam, which, L being lower
+    triangular, are L'^-1.theta_b at lam, L' the leading lam x lam block.
 
     The coordinates stand in for the q-coefficients a_0..a_S, S =
     ceil(r(p-1)/12), of the r-th component, which pin down its valuation
@@ -404,7 +400,7 @@ def row_solutions(p, r, lam, basis=None, count=None):
     system = basis.system(lam)
     basis._check(lam, r)
     lo, hi = block(p, r)
-    return system, system._solutions(basis._newton[lo:hi], count)
+    return system, system._solutions(system._fold(basis._coords[lo:hi]), count)
 
 
 def collect_statuses(system: VandermondeSystem, solutions, j_max: int, r: int):

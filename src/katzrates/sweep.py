@@ -414,7 +414,9 @@ def state_from_json(data: dict) -> SweepState:
 
 def save_checkpoint(state: SweepState, path: str) -> None:
     """Durable atomic write: the JSON text goes to a temp file in the target
-    directory, is flushed and fsynced, and then renamed over `path`."""
+    directory, is flushed and fsynced, and then renamed over `path`; the
+    directory is fsynced after the rename, where it can be opened
+    (os.O_DIRECTORY), so that a crash cannot lose the rename."""
     text = json.dumps(state_to_json(state))
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -428,6 +430,12 @@ def save_checkpoint(state: SweepState, path: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    if hasattr(os, "O_DIRECTORY"):
+        fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
 
 def load_checkpoint(path: str, p: int) -> SweepState:

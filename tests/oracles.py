@@ -8,7 +8,6 @@ must agree with; tests/test_kernels.py checks the kernels against them.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 import sympy
 
@@ -193,13 +192,10 @@ def matrices(system) -> tuple[list[list[int]], list[list[int]]]:
 
 def basis_coords(basis, s: int, r: int, lam: int) -> tuple[int, ...]:
     """Coordinates over the g_{r,j} of E*_k / V(E*_k), k = s(p-1), mod p^lam,
-    for a weight s of the basis's system, read back off its W = L^-1.X: row
-    k of X = L.W, one dot product per coordinate with row k of the dense L
-    at the basis's E."""
-    system = basis._system
-    row = dense_l(system)[system.ss.index(s)]
-    W = basis._newton[slice(*block(basis.p, r))]
-    return tuple(sum(map(mul, row, w)) % basis.p**lam for w in W)
+    for a weight s of the basis's system, read off its coordinates X, one
+    list over the system's weights per coordinate."""
+    k = basis._system.ss.index(s)
+    return tuple(x[k] % basis.p**lam for x in basis._coords[slice(*block(basis.p, r))])
 
 
 def solve_one(system, theta) -> tuple[int, ...]:
@@ -352,11 +348,10 @@ def direct_columns(p: int, n: int, ring: RingSpec) -> tuple[tuple[int, ...], ...
 def solve_many(system, thetas, count: int | None = None) -> list[tuple[int, ...]]:
     """A particular solution of Vx = theta mod p^lam for each theta, cut to
     its first `count` components (default lam), by the system's own solve:
-    L^-1.theta for all the thetas at once (its _newton_side, the fold a
-    KatzBasis runs on its family members), then its _solutions, which a
-    row's solve reads.  Only tests and `second_route` solve for thetas."""
-    rows = [*zip(*thetas)][: system.lam]
-    return system._solutions(zip(*system._newton_side(rows)), count)
+    L^-1.theta theta by theta (its _fold, which a row's solve runs on its
+    block of coordinates), then its _solutions.  Only tests and
+    `second_route` solve for thetas."""
+    return system._solutions(system._fold(thetas), count)
 
 
 def q_coefficient_solutions(system, r: int, count: int) -> list[tuple[int, ...]]:

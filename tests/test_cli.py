@@ -155,17 +155,17 @@ def test_valuations_weights_batch_the_family(monkeypatch, capsys, p, r, weights)
     # basis built on their system: one family member per weight.  The CSVs
     # are pinned; 11/132 runs on the 26 naturals in 30..58 prime to 11.
     calls = []
-    real = solver_module.eis_ratio_by_s
+    real = solver_module.eis_ratios
 
-    def counting(p, s, lam, N):
-        calls.append(s)
-        return real(p, s, lam, N)
+    def counting(p, ss, lam, N):
+        calls.append(list(ss))
+        return real(p, ss, lam, N)
 
-    monkeypatch.setattr(solver_module, "eis_ratio_by_s", counting)
+    monkeypatch.setattr(solver_module, "eis_ratios", counting)
     argv = ["valuations", "--p", str(p), "--r", str(r), "--weights", weights]
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
-    assert sorted(calls) == sorted(int(s) for s in weights.split(","))
+    assert [sorted(ss) for ss in calls] == [sorted(int(s) for s in weights.split(","))]
     assert out == (DATA / f"valuations_p{p}_r{r}.csv").read_text()
 
 

@@ -351,7 +351,7 @@ def test_peel_matches_the_oracles_on_each_batch_shape(shape):
     cols = [tuple(c % mod for c in col) for col in _oracle_columns(p, n)]
     rng = random.Random(p * 1000 + n)
     members = [[rng.randrange(mod) for _ in cols] for _ in range(B)]
-    X = expand_module._peel(p, n, ring, columns(p, n, ring), members)
+    X = expand_module._peel(p, n, ring, columns(p, n, ring), [*zip(*members)])
     lower = oracles.strictly_lower_rows(cols)
     want = [oracles.forward_substitute(lower, f, mod) for f in members]
     assert [list(x) for x in zip(*X)] == want

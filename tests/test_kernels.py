@@ -29,7 +29,7 @@ from katzrates.arithmetic import (
 from katzrates.basis import block, columns, dim_mk
 from katzrates.classical import _tangent, eisenstein_star
 from katzrates.expand import psi
-from katzrates.family import eis_ratio_by_s
+from katzrates.family import eis_ratio_by_s, eis_ratios
 from katzrates.solver import (
     KatzBasis,
     UnsolvableSystem,
@@ -530,8 +530,8 @@ def fold_cases(draw):
 @example((5, 6, build_system(5, 8, [9, 3, 1, 7, 2, 4, 8, 6])), None)  # shuffled
 @example((13, 24, build_system(13, 12)), None)
 def test_row_solutions_from_the_fold_match_the_oracle_at_every_lambda(case, data):
-    # The basis applies L^-1 to its coordinates once, at E; a row at any lam
-    # <= E reads the result mod p^lam.  Its solutions, or UnsolvableSystem,
+    # The basis keeps its coordinates at E; a row at any lam <= E folds L^-1
+    # into its block mod p^lam.  Its solutions, or UnsolvableSystem,
     # are the oracle's on the row's coordinates, psi's at E read mod p^lam,
     # one mat-vec at a time with the dense inverse of the leading lam x lam
     # block of L.
@@ -554,9 +554,9 @@ def test_row_solutions_from_the_fold_match_the_oracle_at_every_lambda(case, data
 
 @pytest.mark.parametrize("p, E, lam", [(5, 40, 7), (7, 30, 12), (11, 26, 3), (13, 20, 19)])
 def test_solve_many_on_a_reduction_keeps_l_at_the_build_precision(p, E, lam):
-    # The entries of L lie in [0, p^E), far above p^lam, so the forward
-    # substitution must run at p^E: its offset at p^lam could not cover
-    # them, and a slot would borrow from the next.
+    # The entries of L lie in [0, p^E), far above p^lam; the fold at lam
+    # multiplies them into residues mod p^lam and reduces each entry, so a
+    # reduction's solve is still the oracle's on the leading blocks.
     served = build_system(p, E).reduce(lam)
     assert max(max(row, default=0) for row in served._lower[:lam]) > p ** (E - 1)
     rng = random.Random(f"{p}-{E}-{lam}")
@@ -578,8 +578,9 @@ def test_solve_many_on_a_reduction_keeps_l_at_the_build_precision(p, E, lam):
 @given(st.sampled_from([5, 7, 11, 13]), st.integers(2, 14), st.data())
 @settings(max_examples=40, deadline=None)
 def test_a_tampered_fold_entry_raises(p, E, data):
-    # Moving W[b][k] by delta with v(delta) < t_k leaves the division by
-    # p^t_k inexact, so the row raises at component k; it never returns a
+    # Moving X[b][k] by delta with v(delta) < t_k moves entry k of the row's
+    # fold by u_k^-1.delta and no entry before it, which leaves the division
+    # by p^t_k inexact, so the row raises at component k; it never returns a
     # wrong entry.
     n = 24
     basis = KatzBasis(p, n, build_system(p, E))
@@ -593,9 +594,7 @@ def test_a_tampered_fold_entry_raises(p, E, data):
     assert t >= 1  # v(w_s - w_s') >= 1 for any two weights
     v = data.draw(st.integers(0, t - 1))
     unit = data.draw(st.integers(1, p**lam - 1).filter(lambda u: u % p))
-    W = list(basis._newton[b])
-    W[k] += unit * p**v
-    basis._newton[b] = tuple(W)
+    basis._coords[b][k] += unit * p**v
     with pytest.raises(UnsolvableSystem, match=f"component {k} "):
         row_solutions(p, r, lam, basis=basis)
 
@@ -641,6 +640,53 @@ def test_eis_ratio_matches_full_inverse_oracle(case):
 
 
 @st.composite
+def family_batches(draw):
+    """(p, ss, e, N): a batch of weights in no particular order, repeats and
+    multiples of p among them, with N <= p and N = 1 drawn often."""
+    p = draw(st.sampled_from(_FAMILY_PRIMES))
+    weight = st.one_of(st.integers(1, 4).map(lambda m: m * p), st.integers(1, 60))
+    ss = draw(st.lists(weight, min_size=1, max_size=6))
+    e = draw(st.integers(1, 10))
+    N = draw(st.one_of(st.just(1), st.integers(1, p), st.integers(1, 120)))
+    return p, ss, e, N
+
+
+@given(family_batches())
+@settings(max_examples=60, deadline=None)
+@example((5, [3, 1, 10, 2], 4, 1))  # N = 1
+@example((7, [14, 1, 7], 5, 7))  # N = p, multiples of p
+@example((11, [40, 3, 11, 3], 6, 120))  # unsorted, a repeat
+def test_all_weights_family_matches_the_full_inverse_oracle(case):
+    # Column i of the rows is the family member at ss[i]; at one weight the
+    # rows are eis_ratio_by_s's coefficients.
+    p, ss, e, N = case
+    rows = eis_ratios(p, ss, e, N)
+    assert len(rows) == N and {len(row) for row in rows} == {len(ss)}
+    for i, s in enumerate(ss):
+        want = oracles.eis_ratio_full_inverse(p, s, e, N).coeffs
+        assert tuple(row[i] for row in rows) == want
+        assert tuple(c for (c,) in eis_ratios(p, [s], e, N)) == want
+
+
+@pytest.mark.parametrize(
+    "s, N, match",
+    [
+        (0, 5, "s must be a positive integer"),
+        (-3, 5, "s must be a positive integer"),
+        (1, 0, "N must be >= 1, got 0"),
+        (2, -4, "N must be >= 1, got -4"),
+    ],
+)
+def test_all_weights_family_rejects_what_one_weight_rejects(s, N, match):
+    # A bad s anywhere in the batch, or a bad N, is refused with the message
+    # eis_ratio_by_s gives for it alone.
+    with pytest.raises(ValueError, match=match):
+        eis_ratio_by_s(5, s, 3, N)
+    with pytest.raises(ValueError, match=match):
+        eis_ratios(5, [1, s, 2], 3, N)
+
+
+@st.composite
 def substitution_cases(draw, min_size=0):
     """(p, n, C, rhss): the basis columns for (p, n) over Z/p^C and
     min_size..6 right-hand sides, with 0 and p^C - 1 drawn often."""
@@ -683,7 +729,7 @@ def test_peel_matches_the_per_vector_oracle(case):
     ring = RingSpec(p, C)
     lower = oracles.strictly_lower_rows(oracles.direct_columns(p, n, ring))
     want = [oracles.forward_substitute(lower, rhs, p**C) for rhs in rhss]
-    X = expand._peel(p, n, ring, columns(p, n, ring), rhss)
+    X = expand._peel(p, n, ring, columns(p, n, ring), [*zip(*rhss)])
     assert [list(x) for x in zip(*X)] == want
 
 
@@ -700,7 +746,7 @@ def test_peel_takes_only_the_chain_head(p, n, B):
             pulled.append(j)
             yield col
 
-    X = expand._peel(p, n, ring, chain(), [[1] + [0] * (N - 1)] * B)
+    X = expand._peel(p, n, ring, chain(), [[1] * B] + [[0] * B] * (N - 1))
     assert X == [[1] * B] + [[0] * B] * (N - 1)
     K = expand._chunk(p, max(N, 4 * B * B))
     assert pulled == list(range(min(K + 1, N)))

@@ -1,5 +1,6 @@
 """Tests for the Vandermonde systems and the valuation recovery of row r."""
 
+import copy
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import padic_val
 from katzrates import expand as expand_module
+from katzrates import family as family_module
 from katzrates import solver as solver_module
 from katzrates import sweep as sweep_module
 from katzrates.arithmetic import RingSpec, power
@@ -363,16 +365,21 @@ def _basis_on(p, n, E, s):
 @example((17, 20, 20, 6, 4, 3))
 @example((11, 5, 5, 3, 3, 1))
 def test_katz_basis_fold_is_l_inverse_of_the_psi_coordinates(req):
-    # W = L^-1.X over Z/p^E: the dense inverse of the system's L applied,
-    # across the weights, to psi's coordinates X of each family member.
-    p, n, _, E, _, s = req
+    # The build keeps X, psi's coordinates of each family member, unfolded.
+    # Folded at E, each coordinate's list over the weights is L^-1.X over
+    # Z/p^E, the dense inverse of the system's L applied across the weights;
+    # folded at lam, it is the first lam entries of that, mod p^lam.
+    p, n, _, E, lam, s = req
     basis = _basis_on(p, n, E, s)
     assert basis.E == E
     system, N, mod = basis.system(E), dim_mk(n * (p - 1)), p**E
     X = [psi(p, n, E, eis_ratio_by_s(p, t, E, N)).x for t in system.ss]
+    assert [list(x) for x in basis._coords] == [list(x) for x in zip(*X)]
     A = oracles.matrices(system)[0]
     want = [[sum(a * x[b] for a, x in zip(row, X)) % mod for row in A] for b in range(N)]
-    assert [list(w) for w in basis._newton] == want
+    assert system._fold(basis._coords) == want
+    low = [[w % p**lam for w in row[:lam]] for row in want]
+    assert basis.system(lam)._fold(basis._coords) == low
 
 
 @settings(max_examples=60, deadline=None)
@@ -401,19 +408,29 @@ def test_katz_basis_row_forms_match_g_form(req, count):
 
 
 def test_a_row_solve_reads_only_the_fold(monkeypatch):
-    # Once the basis is built, a row's solve gathers no coordinates per
-    # weight, solves no theta and runs no forward substitution: it reads
-    # the basis's L^-1.X.
+    # Once the basis is built, a row's solve computes no family member and
+    # runs no peel: it folds L^-1 into its own block of the basis's X, and
+    # reads only the entries k < lam there.  Every other entry is None in a
+    # copy of the basis, so reading one would raise, and the rows of the
+    # copy are those of the basis.
     basis = KatzBasis(11, 20, build_system(11, 12))
-    want = [solve_row(11, r, lam, basis=basis) for r in range(21) for lam in (3, 9, 12)]
+    want = {
+        (r, lam): solve_row(11, r, lam, basis=basis) for r in range(21) for lam in (3, 9, 12)
+    }
 
     def refuse(*args, **kwargs):
         raise AssertionError("called by a row's solve")
 
-    monkeypatch.setattr(solver_module.VandermondeSystem, "_newton_side", refuse)
-    monkeypatch.setattr(solver_module, "forward_substitute", refuse)
-    got = [solve_row(11, r, lam, basis=basis) for r in range(21) for lam in (3, 9, 12)]
-    assert got == want
+    monkeypatch.setattr(solver_module, "eis_ratios", refuse)
+    monkeypatch.setattr(solver_module, "_peel", refuse)
+    for (r, lam), row in want.items():
+        lo, hi = block(11, r)
+        only = copy.copy(basis)
+        only._coords = [
+            x[:lam] + [None] * (basis.E - lam) if lo <= b < hi else None
+            for b, x in enumerate(basis._coords)
+        ]
+        assert solve_row(11, r, lam, basis=only) == row
 
 
 def test_katz_basis_solves_through_the_one_peel(monkeypatch):
@@ -489,21 +506,28 @@ def test_katz_basis_builds_at_plan_then_steps(basis_builds, system_builds):
 
 def test_katz_basis_batches_the_weight_list(monkeypatch):
     # One build computes the family members at every weight of its system,
-    # in the system's order; no other weight is computed.
-    calls = []
-    real = solver_module.eis_ratio_by_s
+    # in the system's order, in one call and one E*_k per weight; no other
+    # weight is computed.
+    calls, stars = [], []
+    real, real_star = solver_module.eis_ratios, family_module.eisenstein_star
 
-    def counting(p, s, lam, N):
-        calls.append(s)
-        return real(p, s, lam, N)
+    def counting(p, ss, lam, N):
+        calls.append(list(ss))
+        return real(p, ss, lam, N)
 
-    monkeypatch.setattr(solver_module, "eis_ratio_by_s", counting)
+    def counting_star(k, ring, N):
+        stars.append(k // 4)  # k = s(p - 1), p = 5
+        return real_star(k, ring, N)
+
+    monkeypatch.setattr(solver_module, "eis_ratios", counting)
+    monkeypatch.setattr(family_module, "eisenstein_star", counting_star)
     basis = KatzBasis(5, 6, build_system(5, 4))
-    assert calls == weight_list(5, 4) == [1, 2, 3, 4]
+    assert calls == [weight_list(5, 4)] == [[1, 2, 3, 4]]
+    assert stars == [1, 2, 3, 4]
     for r in range(7):
         for lam in range(1, 5):
             solve_row(5, r, lam, basis=basis)
-    assert calls == [1, 2, 3, 4]
+    assert (calls, stars) == ([[1, 2, 3, 4]], [1, 2, 3, 4])
 
 
 def test_katz_basis_never_holds_the_column_chain(monkeypatch):
@@ -527,9 +551,9 @@ def test_katz_basis_never_holds_the_column_chain(monkeypatch):
 
     monkeypatch.setattr(solver_module, "columns", counting)
     basis = KatzBasis(11, 40, build_system(11, 6))
-    assert len(basis._newton) == dim_mk(40 * 10) == 34
+    assert len(basis._coords) == dim_mk(40 * 10) == 34
     assert live[0] == 0
     assert expand_module._chunk(11, max(34, 4 * 6 * 6)) == 10
     assert peak[0] == made[0] == 11
     monkeypatch.undo()
-    assert basis._newton == KatzBasis(11, 40, build_system(11, 6))._newton
+    assert basis._coords == KatzBasis(11, 40, build_system(11, 6))._coords

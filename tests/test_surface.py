@@ -155,6 +155,7 @@ def test_the_solving_commands_import_neither_dataclasses_nor_inspect(argv):
         "truncate",
         "bernoulli",
         "solve_many",
+        "_newton_side",
     ],
 )
 def test_no_module_defines_a_removed_path(name):
@@ -174,6 +175,9 @@ def test_no_module_defines_a_removed_path(name):
     # their Bernoulli numbers from sympy (tests/oracles.bernoulli).
     # solve_many (a system solved for thetas) lives on in tests/oracles.py:
     # a sweep reads the fold of its KatzBasis and solves no theta.
+    # _newton_side (L^-1 applied to a whole batch at the build's p^E) is
+    # gone too: a KatzBasis folds nothing, and each row folds its own block
+    # at lam (VandermondeSystem._fold).
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.AsyncFunctionDef)):

@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import os
+import stat
 from fractions import Fraction
 from pathlib import Path
 
@@ -127,14 +128,21 @@ def test_checkpoint_written_during_sweep(tmp_path):
     assert loaded.completed_rows == state.completed_rows
 
 
+def _fsynced(fd):
+    """What an fsync of `fd` makes durable: the size of a file, or the
+    inode of a directory."""
+    st = os.fstat(fd)
+    return ("directory", st.st_ino) if stat.S_ISDIR(st.st_mode) else st.st_size
+
+
 def test_checkpoint_is_fsynced_before_the_rename(tmp_path, monkeypatch):
     # The temp file holds the whole text when it is fsynced, and only then
-    # replaces the checkpoint.
+    # replaces the checkpoint; the directory is fsynced after the rename.
     events = []
     real_fsync, real_replace = os.fsync, os.replace
 
     def fsync(fd):
-        events.append(("fsync", os.fstat(fd).st_size))
+        events.append(("fsync", _fsynced(fd)))
         real_fsync(fd)
 
     def replace(src, dst):
@@ -147,10 +155,48 @@ def test_checkpoint_is_fsynced_before_the_rename(tmp_path, monkeypatch):
     path = tmp_path / "ck.json"
     save_checkpoint(state, str(path))
     text = path.read_text()
-    assert events == [("fsync", len(text)), ("replace", str(path))]
+    directory = ("directory", tmp_path.stat().st_ino)
+    assert events == [("fsync", len(text)), ("replace", str(path)), ("fsync", directory)]
     assert [f.name for f in tmp_path.iterdir()] == ["ck.json"]
     # The text the streaming encoder of json.dump gives for this state.
     assert text == "".join(json.JSONEncoder().iterencode(state_to_json(state)))
+
+
+def test_checkpoint_rename_is_made_durable_where_a_directory_opens(tmp_path, monkeypatch):
+    # The rename is durable only once the directory is fsynced after it, and
+    # every descriptor opened for that is closed.  Where os.O_DIRECTORY does
+    # not exist, the directory cannot be opened and only the file is synced.
+    events, opened = [], []
+    real_fsync, real_replace, real_open = os.fsync, os.replace, os.open
+
+    def fsync(fd):
+        events.append(_fsynced(fd))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append("replace")
+        real_replace(src, dst)
+
+    def open_(path, flags, *args):
+        fd = real_open(path, flags, *args)
+        opened.append(fd)
+        return fd
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(os, "open", open_)
+    state = run_sweep(5, 6)
+    path = tmp_path / "ck.json"
+    save_checkpoint(state, str(path))
+    assert events[1:] == ["replace", ("directory", tmp_path.stat().st_ino)]
+    for fd in opened:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    events.clear()
+    monkeypatch.delattr(os, "O_DIRECTORY")
+    save_checkpoint(state, str(path))
+    assert events[1:] == ["replace"]
+    assert load_checkpoint(str(path), 5).entries == state.entries
 
 
 def test_failed_checkpoint_write_leaves_no_temp_file(tmp_path, monkeypatch):
@@ -811,13 +857,19 @@ def test_deep_sweep_matches_benchmark_digest(workload, p, i_max):
             "8b1494c9f238dcb5e109385e26888a47c4f9f5414fe22fde57cc9d212b6aada0",
             marks=pytest.mark.frontier,
         ),
+        pytest.param(
+            31,
+            "95d085a6846aaa7206b85d112b00629e1af3d163683c32d35fbed38cedfdcda4",
+            marks=pytest.mark.frontier,
+        ),
     ],
 )
 def test_frontier_sweep_matches_pinned_digest(p, digest, tmp_path):
     # The conjecture frontier at i = p(p+1), where d' = (p-1)/(p(p+1)); the
     # checkpoint a long sweep writes on its interval ends at its final state.
-    # 29/870 (N = 2031 basis slots, minutes) has a marker of its own, which
-    # neither the default run nor `-m slow` selects.
+    # 29/870 and 31/992 (N = 2031 and 2481 basis slots, minutes each) have a
+    # marker of their own, which neither the default run nor `-m slow`
+    # selects.
     path = str(tmp_path / "ck.json")
     state = run_sweep(p, p * (p + 1), checkpoint_path=path)
     assert state.d_prime == d_p(p)
