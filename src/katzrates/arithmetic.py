@@ -252,6 +252,23 @@ def inverse(values, mod: int) -> list[int]:
     return b
 
 
+def unit_inverses(values, mod: int) -> list[int]:
+    """The inverses mod `mod` of the units `values`, with one modular
+    inversion (Montgomery's simultaneous inversion, Math. Comp. 48, 1987):
+    u_i^-1 is the product of the values before u_i times the inverse of the
+    product of the values up to u_i, walked back from the inverse of the
+    product of all.  A value that is not a unit makes that product a
+    non-unit, which pow refuses (ValueError)."""
+    prefix, acc = [], 1
+    for v in values:
+        prefix.append(acc)
+        acc = acc * v % mod
+    inv = pow(acc, -1, mod)
+    for i in range(len(values) - 1, -1, -1):
+        prefix[i], inv = prefix[i] * inv % mod, inv * values[i] % mod
+    return prefix
+
+
 def prepare_rows(rows, mod: int):
     """The rows of residues in [0, mod) as fixed operands of `combine`, each
     packed once: a slot holds a sum of len(rows) products.  A tuple, so that

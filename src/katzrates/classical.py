@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import sub
 
-from .arithmetic import QSeries, RingSpec, power
+from .arithmetic import QSeries, RingSpec, power, unit_inverses
 
 
 @lru_cache(maxsize=8)
@@ -28,21 +29,36 @@ def _prime_powers(N: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(spf), tuple(qpow)
 
 
-def _sigma_star_table(p: int | None, m: int, N: int, mod: int) -> list[int]:
-    """sigma*_m(n) mod `mod` for 0 <= n < N (entry 0 unused): the sum of d^m
-    over the divisors d of n prime to p, or over all of them when p is None.
-    sigma*_m is multiplicative, and sigma*_m(q^a) = 1 + q^m sigma*_m(q^(a-1))
-    with q^m = sigma*_m(q) - 1 (0 for q = p), so it takes one pow per prime."""
+def sigma_star_rows(p: int | None, ms, N: int, mod: int) -> list[list[int]]:
+    """For 1 <= n < N, the row over the exponents m in `ms` of sigma*_m(n)
+    mod `mod`: the sum of d^m over the divisors d of n prime to p, or over
+    all of them when p is None; row 0 holds ones.  sigma*_m is
+    multiplicative, and sigma*_m(q^a) = 1 + q^m sigma*_m(q^(a-1)) with
+    q^m = sigma*_m(q) - 1 (0 for q = p), so each n takes one comprehension
+    across the exponents.  At a prime q the powers q^m run up the distinct
+    exponents in increasing order, one pow per distinct gap between them."""
     spf, qpow = _prime_powers(N)
-    f = [1] * N
+    order = sorted(set(ms))
+    gaps = list(map(sub, order, [0, *order]))
+    slots = list(map(order.index, ms))
+    ones = [1] * len(ms)
+    f = [ones] * N
     for n in range(2, N):
         q, a = spf[n], qpow[n]
         if a < n:
-            f[n] = f[a] * f[n // a] % mod
+            f[n] = [x * y % mod for x, y in zip(f[a], f[n // a])]
+        elif q == p:
+            f[n] = ones
         elif q == n:
-            f[n] = 1 if q == p else (1 + pow(q, m, mod)) % mod
+            x, row, step = 1, [], {}
+            for g in gaps:
+                if g not in step:
+                    step[g] = pow(q, g, mod)
+                x = x * step[g] % mod
+                row.append((1 + x) % mod)
+            f[n] = list(map(row.__getitem__, slots))
         else:
-            f[n] = (1 + (f[q] - 1) * f[n // q]) % mod
+            f[n] = [(1 + (x - 1) * y) % mod for x, y in zip(f[q], f[n // q])]
     return f
 
 
@@ -72,26 +88,33 @@ def _tangent(m: int) -> int:
     return _TANGENT[m - 1]
 
 
-def _scalar(ring: RingSpec, k: int, unit: int) -> int:
-    """-2k / (unit B_k) mod p^e for an even k >= 2 and a p-unit `unit`, in
-    integers: by B_k = (-1)^(m-1) k T_m / (4^m (4^m - 1)), k = 2m, it is
-    2 (-1)^m 4^m (4^m - 1) / (unit T_m), whose numerator and denominator
-    first lose the power of p they share."""
+def _scalars(ring: RingSpec, ks, units) -> list[int]:
+    """-2k / (unit B_k) mod p^e for each even k >= 2 in `ks` and its p-unit
+    in `units`, in integers: by B_k = (-1)^(m-1) k T_m / (4^m (4^m - 1)),
+    k = 2m, it is 2 (-1)^m 4^m (4^m - 1) / (unit T_m), whose numerator and
+    denominator first lose the power of p they share.  The tangent table is
+    sized once, for the largest k, and the denominators of all the weights
+    take one modular inversion (unit_inverses)."""
     p, mod = ring.p, ring.modulus
-    m = k // 2
-    four_m = 4**m
-    num, den = (-1) ** m * 2 * four_m * (four_m - 1), _tangent(m)
-    while den % p == 0 and num % p == 0:
-        num, den = num // p, den // p
-    return num * pow(den * unit % mod, -1, mod) % mod
+    _tangent(max(ks) // 2)
+    nums, dens = [], []
+    for k, unit in zip(ks, units):
+        m = k // 2
+        four_m = 4**m
+        num, den = (-1) ** m * 2 * four_m * (four_m - 1), _tangent(m)
+        while den % p == 0 and num % p == 0:
+            num, den = num // p, den // p
+        nums.append(num)
+        dens.append(den * unit % mod)
+    return [a * b % mod for a, b in zip(nums, unit_inverses(dens, mod))]
 
 
 def _eisenstein(ring: RingSpec, N: int, c: int, m: int, excluded: int | None) -> QSeries:
     """1 + c sum sigma*_m(n) q^n mod (q^N, p^e), the divisor sums taken over
     the divisors prime to `excluded`, or over all of them when it is None."""
     mod = ring.modulus
-    sig = _sigma_star_table(excluded, m, N, mod)
-    return QSeries(ring, (1, *[c * x % mod for x in sig[1:N]])[:N])
+    sig = sigma_star_rows(excluded, [m], N, mod)
+    return QSeries(ring, (1, *[c * x % mod for (x,) in sig[1:N]])[:N])
 
 
 def e4(ring: RingSpec, N: int) -> QSeries:
@@ -117,20 +140,30 @@ def e_p_minus_1(ring: RingSpec, N: int) -> QSeries:
     series lies in 1 + p Z/p^e [[q]].
     """
     p = ring.p
-    return _eisenstein(ring, N, _scalar(ring, p - 1, 1), p - 2, None)
+    return _eisenstein(ring, N, _scalars(ring, [p - 1], [1])[0], p - 2, None)
+
+
+def star_constants(ks, ring: RingSpec) -> list[int]:
+    """The constants c = -2k/((1 - p^{k-1}) B_k) mod p^e of E*_k = 1 + c sum
+    sigma*_{k-1}(n) q^n at the weights k in `ks`, with one modular inversion
+    for all of them.
+
+    Requires (p-1) | k.  c has valuation nu_p(k) + 1 >= 1, so E*_k - 1
+    vanishes mod p^{min(e, nu_p(k)+1)}.
+    """
+    p, mod = ring.p, ring.modulus
+    units = []
+    for k in ks:
+        if k < p - 1 or k % (p - 1):
+            raise ValueError(f"weight {k} is not a positive multiple of {p - 1}")
+        units.append((1 - pow(p, k - 1, mod)) % mod)
+    cs = _scalars(ring, ks, units)
+    for c in cs:
+        if c % p:
+            raise ArithmeticError("Eisenstein scalar is not divisible by p")
+    return cs
 
 
 def eisenstein_star(k: int, ring: RingSpec, N: int) -> QSeries:
-    """E*_k = 1 + c sum sigma*_{k-1}(n) q^n with c = -2k/((1 - p^{k-1}) B_k).
-
-    Requires (p-1) | k.  The scalar c has valuation nu_p(k) + 1 >= 1, so
-    E*_k - 1 vanishes mod p^{min(e, nu_p(k)+1)}.
-    """
-    p = ring.p
-    if k < p - 1 or k % (p - 1):
-        raise ValueError(f"weight {k} is not a positive multiple of {p - 1}")
-    mod = ring.modulus
-    c = _scalar(ring, k, (1 - pow(p, k - 1, mod)) % mod)
-    if c % p:
-        raise ArithmeticError("Eisenstein scalar is not divisible by p")
-    return _eisenstein(ring, N, c, k - 1, p)
+    """E*_k = 1 + c sum sigma*_{k-1}(n) q^n, c its star_constants entry."""
+    return _eisenstein(ring, N, star_constants([k], ring)[0], k - 1, ring.p)

@@ -36,10 +36,10 @@ the running products prod_{m<k} (w_i - w_m) (_check_kernel).
 from __future__ import annotations
 
 import math
-from itertools import accumulate, zip_longest
+from itertools import zip_longest
 from operator import mul, sub
 
-from .arithmetic import RingSpec, _Record, _set, combine, prepare_rows
+from .arithmetic import RingSpec, _Record, _set, combine, prepare_rows, unit_inverses
 from .basis import block, columns, dim_mk
 from .expand import _peel
 from .family import eis_ratios
@@ -119,11 +119,7 @@ def _newton_diagonalize(ws, p: int, lam: int):
                 v += 1
             val[r] = min(val[r] + v, lam)
             unit[r] = unit[r] * d % mod
-    # u_k^-1 = (the product of the other units) / (the product of all), one pow.
-    prefix = list(accumulate(units, lambda a, b: a * b % mod, initial=1))
-    inv = pow(prefix[-1], -1, mod)
-    suffix = list(accumulate(reversed(units), lambda a, b: a * b % mod, initial=inv))
-    uinvs = tuple(a * b % mod for a, b in zip(prefix, reversed(suffix[:-1])))
+    uinvs = tuple(unit_inverses(units, mod))
     lower = tuple(tuple(c * uinv % mod for c in below[i]) for i, uinv in zip(order, uinvs))
     return (lower, uinvs), tuple(ts), cols, order
 
@@ -131,7 +127,7 @@ def _newton_diagonalize(ws, p: int, lam: int):
 def _min_val(values, mod: int, log: dict[int, int]) -> int:
     """min over `values` of their valuations mod `mod` = p^lam, capped at
     lam ("at least lam"): the valuation of their gcd with p^lam, read off
-    log = {p^e: e for e <= lam}."""
+    log = {p^e: e}, e running to lam or beyond."""
     return log[math.gcd(mod, *values)]
 
 
@@ -176,6 +172,12 @@ def _check_kernel(nodes, cols, ts, p: int, lam: int) -> None:
         values = [v * (x - w) % mod for v, x in zip(values[1:], nodes[k + 1 :])]
 
 
+def _power_table(p: int, E: int):
+    """(p^0, ..., p^E) and its inverse {p^e: e}."""
+    powers = tuple([p**e for e in range(E + 1)])
+    return powers, dict(zip(powers, range(E + 1)))
+
+
 class VandermondeSystem(_Record):
     """The Vandermonde system V[i][j] = w_i^j over Z/p^lam, kept as what a
     solve reads: a factorization L^-1.V.B = diag(p^t_k) (L as _newton_diagonalize
@@ -183,20 +185,27 @@ class VandermondeSystem(_Record):
     conclusiveness thresholds gamma_j and the valuations of B.  These are
     the build's over Z/p^E, E >= lam, which its reductions share; a solve
     reads their leading lam x lam blocks mod p^lam.  `ss` holds the weights
-    k = s(p-1) in p-order, the rows of V, and gamma is capped at lam."""
+    k = s(p-1) in p-order, the rows of V, and gamma is capped at lam.
 
-    __slots__ = _fields = (
-        "p", "lam", "ss", "gamma", "_ts", "_lower", "_uinvs", "_bcols", "_vals"
-    )
+    The build's power table, `_powers` = (p^0, ..., p^E) and its inverse
+    `_log` = {p^e: e}, is made once per build and shared by its reductions,
+    so no row raises p to a power.  It depends on p and E alone and is not a
+    field: it takes no part in comparing or hashing systems."""
 
-    def __init__(self, p, lam, ss, gamma, _ts, _lower, _uinvs, _bcols, _vals):
+    _fields = ("p", "lam", "ss", "gamma", "_ts", "_lower", "_uinvs", "_bcols", "_vals")
+    __slots__ = (*_fields, "_powers", "_log")
+
+    def __init__(self, p, lam, ss, gamma, _ts, _lower, _uinvs, _bcols, _vals, _table=None):
         values = (p, lam, ss, gamma, _ts, _lower, _uinvs, _bcols, _vals)
         for name, value in zip(self._fields, values):
             _set(self, name, value)
+        powers, log = _table or _power_table(p, len(_uinvs))
+        _set(self, "_powers", powers)
+        _set(self, "_log", log)
 
     @property
     def modulus(self) -> int:
-        return self.p**self.lam
+        return self._powers[self.lam]
 
     def _fold(self, xs) -> list[list[int]]:
         """L^-1.x mod p^lam for each x in `xs`, a list over the weights, read
@@ -217,7 +226,7 @@ class VandermondeSystem(_Record):
         or UnsolvableSystem if not exact, and B.Y = sum_k Y_k.B[:,k]."""
         mod = self.modulus
         count = self.lam if count is None else count
-        pts = [self.p**t for t in self._ts]
+        pts = [self._powers[t] for t in self._ts]
         out = []
         for col in cols:
             Y = []
@@ -256,7 +265,7 @@ class VandermondeSystem(_Record):
         ts = tuple(min(t, lam) for t in self._ts[:lam])
         return VandermondeSystem(
             self.p, lam, self.ss[:lam], _gamma(self._vals, ts, lam), ts,
-            self._lower, self._uinvs, self._bcols, self._vals,
+            self._lower, self._uinvs, self._bcols, self._vals, (self._powers, self._log),
         )
 
 
@@ -282,10 +291,11 @@ def build_system(p: int, lam: int, ss=None) -> VandermondeSystem:
     L, ts, cols, order = _newton_diagonalize(ws, p, lam)
     ss = tuple(ss[i] for i in order)
     _check_kernel([ws[i] for i in order], cols, ts, p, lam)
-    log = {p**e: e for e in range(lam + 1)}
+    table = _power_table(p, lam)
+    log = table[1]
     vals = tuple(tuple(log[math.gcd(b, mod)] for b in r[j:]) for j, r in enumerate(zip(*cols)))
     bcols = prepare_rows(cols, mod)
-    return VandermondeSystem(p, lam, ss, _gamma(vals, ts, lam), ts, *L, bcols, vals)
+    return VandermondeSystem(p, lam, ss, _gamma(vals, ts, lam), ts, *L, bcols, vals, table)
 
 
 class SweepEntry(_Record):
@@ -408,7 +418,7 @@ def collect_statuses(system: VandermondeSystem, solutions, j_max: int, r: int):
     the solutions, classified against the kernel thresholds.  Ambiguity-proof:
     perturbing any solution by a kernel element cannot change an exact
     entry."""
-    mod, log = system.modulus, {system.p**e: e for e in range(system.lam + 1)}
+    mod, log = system.modulus, system._log
     out = {}
     for j in range(j_max + 1):
         alpha = _min_val([sol[j] for sol in solutions], mod, log)

@@ -424,10 +424,11 @@ def is_p_ordered(p: int, lam: int, ws) -> bool:
     )
 
 
-def sigma_star_trial(p: int, m: int, n: int, mod: int) -> int:
-    """Sum of d^m mod `mod` over the divisors d of n prime to p, found by
-    trial division."""
-    return sum(pow(d, m, mod) for d in range(1, n + 1) if n % d == 0 and d % p) % mod
+def sigma_star_trial(p: int | None, m: int, n: int, mod: int) -> int:
+    """Sum of d^m mod `mod` over the divisors d of n prime to p, or over all
+    of them when p is None, found by trial division."""
+    divisors = [d for d in range(1, n + 1) if n % d == 0 and (p is None or d % p)]
+    return sum(pow(d, m, mod) for d in divisors) % mod
 
 
 def eisenstein_star_trial(k: int, ring: RingSpec, N: int) -> QSeries:

@@ -18,6 +18,7 @@ from katzrates.arithmetic import (
     mul_low,
     power,
     prepare,
+    unit_inverses,
 )
 
 R53 = RingSpec(5, 3)
@@ -112,6 +113,24 @@ def test_series_inverse_requires_unit_constant():
         inverse([5, 1], R53.modulus)
     with pytest.raises(ValueError, match="truncated at q\\^0"):
         inverse([], R53.modulus)
+
+
+@given(st.sampled_from([5, 7, 11, 13]), st.integers(1, 30), st.data())
+@settings(max_examples=60, deadline=None)
+def test_unit_inverses_invert_each_unit(p, e, data):
+    # One inversion for the batch, against one pow per value; values outside
+    # [0, p^e), negative ones among them, and an empty batch are allowed.
+    mod = p**e
+    unit = st.integers(-mod, 3 * mod).filter(lambda u: u % p)
+    units = data.draw(st.lists(unit, max_size=12))
+    assert unit_inverses(units, mod) == [pow(u, -1, mod) for u in units]
+
+
+def test_unit_inverses_refuse_a_non_unit():
+    with pytest.raises(ValueError):
+        unit_inverses([2, 3, 25, 4], R53.modulus)
+    with pytest.raises(ValueError):
+        unit_inverses([0], R53.modulus)
 
 
 def test_v_operator_examples():

@@ -10,17 +10,24 @@ from oracles import padic_val, sigma
 from katzrates import classical
 from katzrates.arithmetic import RingSpec
 from katzrates.classical import (
-    _sigma_star_table,
     delta,
     e4,
     e6,
     e_p_minus_1,
     eisenstein_star,
+    sigma_star_rows,
+    star_constants,
 )
 from katzrates import solver as solver_module
-from katzrates.solver import build_system
+from katzrates.solver import build_system, weight_list
 
 R = RingSpec(5, 4)
+
+
+def _sigma_star_table(p, m, N, mod):
+    """sigma*_m(n) mod `mod` for 0 <= n < N: the sieve's rows at the one
+    exponent m."""
+    return [x for (x,) in sigma_star_rows(p, [m], N, mod)]
 
 
 def test_sigma_examples():
@@ -173,6 +180,20 @@ def test_eisenstein_constants_match_the_bernoulli_formula():
     # k <= 300: every s <= 64 at p = 5 and 7, and every weight of an 11/132
     # sweep (s <= 28); -m slow takes all of them.
     assert _check_eisenstein_constants(300) == 226
+
+
+@pytest.mark.parametrize("p, lam", [(5, 60), (7, 18), (11, 26), (13, 30)])
+def test_eisenstein_constants_of_a_weight_batch_match_the_bernoulli_formula(p, lam):
+    # A batch of a sweep's weights shares one modular inversion for all its
+    # constants; each must still be its own weight's -2k/((1 - p^(k-1)) B_k),
+    # checked weight by weight on sympy's Bernoulli numbers.
+    ring = RingSpec(p, lam)
+    ks = [s * (p - 1) for s in weight_list(p, lam)]
+    constants = star_constants(ks, ring)
+    assert len(constants) == lam
+    for k, c in zip(ks, constants):
+        want = Fraction(-2 * k) / ((1 - Fraction(p) ** (k - 1)) * oracles.bernoulli(k))
+        assert c == _rational_mod(want, ring.modulus), k
 
 
 @pytest.mark.slow

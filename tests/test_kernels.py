@@ -626,6 +626,35 @@ def test_eisenstein_star_matches_trial_division_oracle(case):
     assert eisenstein_star(k, ring, N) == oracles.eisenstein_star_trial(k, ring, N)
 
 
+@st.composite
+def sieve_cases(draw):
+    """(p, ms, N, mod): an excluded prime or None, exponents in no order with
+    repeats drawn often, a truncation with N = 1 and N <= p drawn often, and
+    a modulus p^e (5^e for None)."""
+    p = draw(st.one_of(st.none(), st.sampled_from(_FAMILY_PRIMES)))
+    ms = draw(st.lists(st.integers(0, 80), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        ms += ms[:2]
+    N = draw(st.one_of(st.just(1), st.integers(1, p or 5), st.integers(1, 120)))
+    return p, ms, N, (p or 5) ** draw(st.integers(1, 12))
+
+
+@given(sieve_cases())
+@settings(max_examples=80, deadline=None)
+@example((None, [3], 1, 5**4))  # N = 1
+@example((7, [11, 5, 11, 0], 7, 7**5))  # N = p; unsorted, a repeat, m = 0
+@example((5, [15, 3, 7, 3], 60, 5**10))  # powers of the excluded p
+@example((None, [5, 3, 5], 40, 13**3))
+def test_sigma_star_rows_match_trial_division_oracle(case):
+    # Row n of the sieve holds sigma*_m(n) at every exponent m of the batch,
+    # in its order; row 0 holds the ones its series start from.
+    p, ms, N, mod = case
+    rows = classical.sigma_star_rows(p, ms, N, mod)
+    assert len(rows) == N and rows[0] == [1] * len(ms)
+    for n in range(1, N):
+        assert rows[n] == [oracles.sigma_star_trial(p, m, n, mod) for m in ms], n
+
+
 @given(family_cases())
 @settings(max_examples=80, deadline=None)
 @example((5, 1, 3, 1))  # N = 1

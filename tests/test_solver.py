@@ -506,28 +506,29 @@ def test_katz_basis_builds_at_plan_then_steps(basis_builds, system_builds):
 
 def test_katz_basis_batches_the_weight_list(monkeypatch):
     # One build computes the family members at every weight of its system,
-    # in the system's order, in one call and one E*_k per weight; no other
-    # weight is computed.
-    calls, stars = [], []
-    real, real_star = solver_module.eis_ratios, family_module.eisenstein_star
+    # in the system's order, in one call, whose divisor sums take one sieve
+    # across exactly those weights: the exponents k - 1 = 4s - 1 (p = 5),
+    # over the divisors prime to p.  Solving rows computes nothing more.
+    calls, sieves = [], []
+    real, real_sieve = solver_module.eis_ratios, family_module.sigma_star_rows
 
     def counting(p, ss, lam, N):
         calls.append(list(ss))
         return real(p, ss, lam, N)
 
-    def counting_star(k, ring, N):
-        stars.append(k // 4)  # k = s(p - 1), p = 5
-        return real_star(k, ring, N)
+    def counting_sieve(p, ms, N, mod):
+        sieves.append((p, list(ms)))
+        return real_sieve(p, ms, N, mod)
 
     monkeypatch.setattr(solver_module, "eis_ratios", counting)
-    monkeypatch.setattr(family_module, "eisenstein_star", counting_star)
+    monkeypatch.setattr(family_module, "sigma_star_rows", counting_sieve)
     basis = KatzBasis(5, 6, build_system(5, 4))
     assert calls == [weight_list(5, 4)] == [[1, 2, 3, 4]]
-    assert stars == [1, 2, 3, 4]
+    assert sieves == [(5, [3, 7, 11, 15])]
     for r in range(7):
         for lam in range(1, 5):
             solve_row(5, r, lam, basis=basis)
-    assert (calls, stars) == ([[1, 2, 3, 4]], [1, 2, 3, 4])
+    assert (calls, sieves) == ([[1, 2, 3, 4]], [(5, [3, 7, 11, 15])])
 
 
 def test_katz_basis_never_holds_the_column_chain(monkeypatch):
