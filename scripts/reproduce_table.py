@@ -15,9 +15,10 @@ By default it prints two sections: the paper's table, and the conjecture
 frontier, rows swept to i = p(p+1), where the table's minimum sits for
 p = 5, 7, 11.  A frontier d'_p is only what the sweep certifies up to i_max:
 an upper bound on the rate, not its limit.  Its last rows, 29/870 and
-31/992 (bases of 2031 and 2481 slots), take about a minute and a half and
-two to three minutes, at a peak RSS of about 75 and 90 MB, on a 2-vCPU VM;
---rows skips them.
+31/992 (bases of 2031 and 2481 slots), took 78 s and 142 s at a peak RSS of
+71 and 87 MB, each run alone with --rows on a shared 2-vCPU VM under
+Python 3.11; earlier runs on such VMs read 85 s and 123-133 s at 86-89 and
+102 MB.  --rows skips them.
 
 Example:
     python3 scripts/reproduce_table.py --out-dir results/

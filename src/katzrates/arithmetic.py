@@ -1,8 +1,8 @@
 """Exact arithmetic in Z/p^e and on truncated q-expansions over Z/p^e.
 
 A series is its coefficient sequence: every truncated product goes through
-`prepare`/`mul_low`, powers through `power` and inverses through `inverse`,
-and `QSeries` is the record that carries a series with its ring."""
+`prepare`/`mul_low` and every inverse through `inverse`, and `QSeries` is the
+record that carries a series with its ring."""
 
 from __future__ import annotations
 
@@ -213,25 +213,6 @@ def mul_low(xs, factor, mod: int) -> list[int]:
     return ks2_mul(split_pack(xs, width), y, width, count, mod)
 
 
-def power(values, k: int, mod: int) -> list[int]:
-    """The first len(values) coefficients of the series `values` (residues
-    in [0, mod)) to the power k >= 1, by repeated squaring, never multiplying
-    by 1: each square is a `mul_low` square, each other product one by a
-    `prepare`d power."""
-    if k < 1:
-        raise ValueError(f"exponent must be >= 1, got {k}")
-    result = None
-    while True:
-        if k & 1 and result is None:
-            result = values
-        elif k & 1:
-            result = mul_low(result, prepare(values, mod), mod)
-        k >>= 1
-        if not k:
-            return list(result)
-        values = mul_low(values, None, mod)
-
-
 def inverse(values, mod: int) -> list[int]:
     """The first len(values) coefficients of the inverse of the series
     `values` mod p^e = `mod`, one coefficient from the earlier ones; the
@@ -319,7 +300,7 @@ class QSeries(_Record):
     """A q-expansion over Z/p^e truncated at q^N (coefficients of q^0..q^{N-1}),
     stored as canonical integer representatives in [0, p^e).  A record with
     no arithmetic: series are multiplied and inverted on their coefficients
-    by `prepare`/`mul_low`, `power` and `inverse`."""
+    by `prepare`/`mul_low` and `inverse`."""
 
     __slots__ = _fields = ("ring", "coeffs")
 

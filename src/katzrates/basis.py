@@ -11,7 +11,7 @@ from math import gcd
 from operator import add
 
 from .arithmetic import RingSpec, inverse, mul_low, prepare
-from .classical import delta, e4, e6, e_p_minus_1
+from .classical import level_one
 
 
 def dim_mk(n: int) -> int:
@@ -82,18 +82,20 @@ def columns(p: int, n: int, ring: RingSpec) -> Iterator[tuple[int, ...]]:
     made from the Eisenstein series, each as q^j R_j E_4^a E_6^eps with
     R_j = (Delta / q)^j E_{p-1}^-i_j: R_j is R_{j-1} times the step
     (Delta / q) E_{p-1}^-di, di = i_j - i_{j-1} >= 0, each distinct step made
-    once, and the powers of E_4 and of E_{p-1}^-1 are each made once and
-    shared.  E_{p-1} has constant term 1, so its inverse exists over Z/p^e;
-    it is the one series inverted.  Each column j > P is then one `mul_low`
-    of the N - j slots of column j - P from q^(j-P) on with column P from
-    q^P on, prepared once.
+    once, and the powers of E_4 (Delta's cube among them) and of E_{p-1}^-1
+    are each made once and shared.  E_{p-1} has constant term 1, so its
+    inverse exists over Z/p^e; it is the one series inverted.  Each column
+    j > P is then one `mul_low` of the N - j slots of column j - P from
+    q^(j-P) on with column P from q^P on, prepared once.
 
     Column j is q^j times a series with constant term 1, so a column reads
-    only the first N - 1 slots of every factor / q: the factors and R_j are
+    only the first N - 1 slots of every factor / q: the steps and R_j are
     made at N - 1 slots, from Delta / q, and each column's last product
-    spans only its N - j live slots.  Delta is checked to have no constant
-    term, the exponents of column j > P to be those of columns j - P and P
-    added, and each column to be unit-lower-triangular.
+    spans only its N - j live slots.  E_4^3 and E_6^2 are made at N slots,
+    so that Delta can be cut to Delta / q, and with them every power of E_4.
+    Delta is checked to have no constant term, the exponents of column
+    j > P to be those of columns j - P and P added, and each column to be
+    unit-lower-triangular.
     """
     if ring.p != p:
         raise ValueError("ring prime does not match p")
@@ -122,15 +124,20 @@ def _powers(base, mod: int) -> Callable[[int], list[int]]:
 def _first_columns(exponents, N: int, ring: RingSpec) -> Iterator[list[int]]:
     """The live N - j slots of each column j = 1, 2, ... with `exponents`
     (column 0's first), from the Eisenstein series: q^j R_j E_4^a E_6^eps,
-    R_j = (Delta / q)^j E_{p-1}^-i_j.  `_chain` drops it, and with it its
-    powers, steps and R_j, once it has made column P."""
+    R_j = (Delta / q)^j E_{p-1}^-i_j.  E_4, E_6 and E_{p-1} come from one
+    sieve (classical.level_one), and Delta = (E_4^3 - E_6^2) / 1728 is made
+    once, at N slots, its E_4^3 from the same powers of E_4 as the columns'.
+    `_chain` drops it, and with it its powers, steps and R_j, once it has
+    made column P."""
     mod = ring.modulus
-    ds = delta(ring, N).coeffs
+    e4s, e6s, ep1 = level_one(ring, N)
+    e4_power = _powers(e4s, mod)
+    c = pow(1728, -1, mod)  # 1728 = 2^6 3^3 is a unit mod p^e
+    ds = [(a - b) * c % mod for a, b in zip(e4_power(3), mul_low(e6s, None, mod))]
     if ds[0]:
         raise AssertionError("Delta has a nonzero constant term")
-    delta_q, e6s = ds[1:], e6(ring, N).coeffs[: N - 1]
-    e4_power = _powers(e4(ring, N).coeffs[: N - 1], mod)
-    einv_power = _powers(inverse(e_p_minus_1(ring, N).coeffs[: N - 1], mod), mod)
+    delta_q = ds[1:]
+    einv_power = _powers(inverse(ep1[: N - 1], mod), mod)
     steps, run = {}, None
     for j, (a, ep, minus_i) in enumerate(exponents[1:], 1):
         di = exponents[j - 1][2] - minus_i

@@ -1,5 +1,6 @@
-"""Level-1 classical forms: E_4, E_6, Delta, E_{p-1}, and the p-deprived
-Eisenstein series E*_k for weights divisible by p-1."""
+"""Level-1 classical forms: E_4, E_6 and E_{p-1} from one divisor-sum sieve,
+and the constants of the p-deprived Eisenstein series E*_k for weights
+divisible by p-1."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import math
 from functools import lru_cache
 from operator import sub
 
-from .arithmetic import QSeries, RingSpec, power, unit_inverses
+from .arithmetic import RingSpec, unit_inverses
 
 
 @lru_cache(maxsize=8)
@@ -109,38 +110,21 @@ def _scalars(ring: RingSpec, ks, units) -> list[int]:
     return [a * b % mod for a, b in zip(nums, unit_inverses(dens, mod))]
 
 
-def _eisenstein(ring: RingSpec, N: int, c: int, m: int, excluded: int | None) -> QSeries:
-    """1 + c sum sigma*_m(n) q^n mod (q^N, p^e), the divisor sums taken over
-    the divisors prime to `excluded`, or over all of them when it is None."""
-    mod = ring.modulus
-    sig = sigma_star_rows(excluded, [m], N, mod)
-    return QSeries(ring, (1, *[c * x % mod for (x,) in sig[1:N]])[:N])
+def level_one(ring: RingSpec, N: int) -> tuple[list[int], ...]:
+    """E_4 = 1 + 240 sum sigma_3(n) q^n, E_6 = 1 - 504 sum sigma_5(n) q^n and
+    E_{p-1} = 1 - (2(p-1)/B_{p-1}) sum sigma_{p-2}(n) q^n mod (q^N, p^e), as
+    coefficient lists, from one sieve over the exponents [3, 5, p-2] (at
+    p = 5 the third series is the first).
 
-
-def e4(ring: RingSpec, N: int) -> QSeries:
-    return _eisenstein(ring, N, 240, 3, None)
-
-
-def e6(ring: RingSpec, N: int) -> QSeries:
-    return _eisenstein(ring, N, -504, 5, None)
-
-
-def delta(ring: RingSpec, N: int) -> QSeries:
-    """Delta = (E_4^3 - E_6^2) / 1728; 1728 = 2^6 3^3 is a unit mod p^e."""
-    mod = ring.modulus
-    c = pow(1728, -1, mod)
-    cubes, squares = power(e4(ring, N).coeffs, 3, mod), power(e6(ring, N).coeffs, 2, mod)
-    return QSeries(ring, tuple([(a - b) * c % mod for a, b in zip(cubes, squares)]))
-
-
-def e_p_minus_1(ring: RingSpec, N: int) -> QSeries:
-    """E_{p-1} = 1 - (2(p-1)/B_{p-1}) sum sigma_{p-2}(n) q^n, exact mod p^e.
-
-    The leading coefficient has valuation 1 (von Staudt-Clausen), so the
-    series lies in 1 + p Z/p^e [[q]].
+    The scalar -2(p-1)/B_{p-1} has valuation 1 (von Staudt-Clausen), so
+    E_{p-1} lies in 1 + p Z/p^e [[q]].
     """
-    p = ring.p
-    return _eisenstein(ring, N, _scalars(ring, [p - 1], [1])[0], p - 2, None)
+    p, mod = ring.p, ring.modulus
+    sig = sigma_star_rows(None, [3, 5, p - 2], N, mod)
+    cs = (240, -504, _scalars(ring, [p - 1], [1])[0])
+    return tuple(
+        [1, *[c * row[k] % mod for row in sig[1:N]]][:N] for k, c in enumerate(cs)
+    )
 
 
 def star_constants(ks, ring: RingSpec) -> list[int]:
@@ -162,8 +146,3 @@ def star_constants(ks, ring: RingSpec) -> list[int]:
         if c % p:
             raise ArithmeticError("Eisenstein scalar is not divisible by p")
     return cs
-
-
-def eisenstein_star(k: int, ring: RingSpec, N: int) -> QSeries:
-    """E*_k = 1 + c sum sigma*_{k-1}(n) q^n, c its star_constants entry."""
-    return _eisenstein(ring, N, star_constants([k], ring)[0], k - 1, ring.p)

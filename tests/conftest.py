@@ -54,7 +54,7 @@ def ks2_products(monkeypatch) -> list[tuple]:
     """Every two-point Kronecker product, in order, as (caller module,
     count, slots spanned by the even and odd halves of x and of y); y's are
     None for a square.  The caller is the module whose `mul_low` made the
-    product (basis, expand or arithmetic), and the halves are read at
+    product (basis or expand), and the halves are read at
     `arithmetic.ks2_mul`."""
     products, caller = [], []
     real_mul_low, real_ks2_mul = arithmetic_module.mul_low, arithmetic_module.ks2_mul
@@ -76,7 +76,7 @@ def ks2_products(monkeypatch) -> list[tuple]:
         return real_ks2_mul(x, y, width, count, mod)
 
     monkeypatch.setattr("katzrates.arithmetic.ks2_mul", ks2_mul)
-    for where in ("arithmetic", "basis", "expand"):
+    for where in ("basis", "expand"):
         monkeypatch.setattr(f"katzrates.{where}.mul_low", recording(where))
     return products
 

@@ -8,12 +8,13 @@ must agree with; tests/test_kernels.py checks the kernels against them.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import sympy
 
-from katzrates.arithmetic import QSeries, RingSpec, inverse, mul_low, power, prepare, unpack
+from katzrates.arithmetic import QSeries, RingSpec, inverse, mul_low, prepare, unpack
 from katzrates.basis import block, dim_mk, eps
-from katzrates.classical import delta, e4, e6, e_p_minus_1, eisenstein_star
+from katzrates.classical import star_constants
 from katzrates.expand import psi
 from katzrates.family import eis_ratio_by_s
 from katzrates.solver import (
@@ -115,10 +116,11 @@ def g_form(p: int, i: int, j: int, ring: RingSpec, N: int) -> BasisElement:
     if num < 0 or num % 4:
         raise ValueError(f"no basis form at p={p}, i={i}, j={j}")
     a = num // 4
+    e4, e6, _ = level_one_trial(ring, N)
     series, mod = [1] + [0] * (N - 1), ring.modulus
-    for form, k in ((delta, j), (e4, a), (e6, ep)):
+    for form, k in ((delta_trial(ring, N), j), (e4, a), (e6, ep)):
         if k:
-            series = times(series, power(form(ring, N).coeffs, k, mod), mod)
+            series = times(series, power(form, k, mod), mod)
     return BasisElement(i, j, a, ep, QSeries(ring, tuple(series)))
 
 
@@ -131,6 +133,42 @@ def times(a, b, mod: int) -> list[int]:
     """The first len(a) coefficients of the product of the series a and b
     (residues mod `mod`), by the package's `mul_low`."""
     return mul_low(a, prepare(b, mod), mod)
+
+
+def power(a, k: int, mod: int) -> list[int]:
+    """The first len(a) coefficients of the series a to the power k >= 1,
+    one `times` after another."""
+    out = a
+    for _ in range(k - 1):
+        out = times(out, a, mod)
+    return list(out)
+
+
+def rational_mod(x: Fraction, mod: int) -> int:
+    """The residue mod `mod` of a rational whose denominator is a unit."""
+    return x.numerator * pow(x.denominator, -1, mod) % mod
+
+
+@lru_cache(maxsize=None)
+def level_one_trial(ring: RingSpec, N: int) -> tuple[tuple[int, ...], ...]:
+    """E_4, E_6 and E_{p-1} mod (q^N, p^e): 1 + c sum sigma_m(n) q^n with
+    (c, m) = (240, 3), (-504, 5) and (-2(p-1)/B_{p-1}, p-2), each sigma_m(n)
+    by trial division and B_{p-1} from sympy."""
+    p, mod = ring.p, ring.modulus
+    c = rational_mod(Fraction(-2 * (p - 1)) / bernoulli(p - 1), mod)
+    return tuple(
+        tuple([1, *[a * sigma_star_trial(None, m, n, mod) % mod for n in range(1, N)]][:N])
+        for a, m in ((240, 3), (-504, 5), (c, p - 2))
+    )
+
+
+def delta_trial(ring: RingSpec, N: int) -> list[int]:
+    """Delta = (E_4^3 - E_6^2) / 1728 mod (q^N, p^e), from level_one_trial by
+    `times`."""
+    mod = ring.modulus
+    e4, e6, _ = level_one_trial(ring, N)
+    c = pow(1728, -1, mod)
+    return [(a - b) * c % mod for a, b in zip(power(e4, 3, mod), power(e6, 2, mod))]
 
 
 def minus_one(f: QSeries) -> QSeries:
@@ -336,7 +374,7 @@ def direct_columns(p: int, n: int, ring: RingSpec) -> tuple[tuple[int, ...], ...
     """The columns of the basis matrix one at a time: the first N
     q-coefficients of g_{i_j, j} (from g_form) times E_{p-1}^{-i_j}."""
     N, mod = dim_mk(n * (p - 1)), ring.modulus
-    einv = inverse(e_p_minus_1(ring, N).coeffs, mod)
+    einv = inverse(level_one_trial(ring, N)[2], mod)
     columns = []
     for j in range(N):
         i = i_of_j(p, j)
@@ -433,10 +471,10 @@ def sigma_star_trial(p: int | None, m: int, n: int, mod: int) -> int:
 
 def eisenstein_star_trial(k: int, ring: RingSpec, N: int) -> QSeries:
     """E*_k mod (q^N, p^e), each sigma*_{k-1}(n) by trial division.  The
-    scalar c is the q-coefficient of the package's E*_k, since
-    sigma*_{k-1}(1) = 1."""
+    scalar c is the package's (classical.star_constants), which the tests
+    check against sympy's Bernoulli numbers."""
     mod = ring.modulus
-    c = eisenstein_star(k, ring, 2).coeffs[1]
+    c = star_constants([k], ring)[0]
     coeffs = [1] + [c * sigma_star_trial(ring.p, k - 1, n, mod) % mod for n in range(1, N)]
     return QSeries(ring, tuple(coeffs[:N]))
 

@@ -198,17 +198,18 @@ def test_build_matrix_rejects_negative_n():
 
 
 def test_build_matrix_makes_one_product_per_column(ks2_products, inverses):
-    # Columns 1..P (P = 5) from Delta / q, E_4, E_6 and E_{p-1}^-1: 11
-    # products besides one per column after the first (Delta's 3, E_{p-1}^-2,
-    # E_4^2 and E_4^3, the steps (Delta / q) E_{p-1}^-1 and ^-2, and R_2..R_4),
-    # 4 of them squares, and one inverse, E_{p-1}'s; then each column j > P
-    # is one product of column j - P with column P.  The chain of distinct
-    # exponent steps took 17 products, 6 squares and 3 inverses (of E_4 and
-    # E_6 as well); the basis forms one by one took 488 products.
+    # Columns 1..P (P = 5) from Delta / q, E_4, E_6 and E_{p-1}^-1: 9
+    # products besides one per column after the first (E_4^2 and E_4^3,
+    # which Delta's E_4^3 and the columns share, Delta's E_6^2, E_{p-1}^-2,
+    # the steps (Delta / q) E_{p-1}^-1 and ^-2, and R_2..R_4), 3 of them
+    # squares, and one inverse, E_{p-1}'s; then each column j > P is one
+    # product of column j - P with column P.  The chain of distinct exponent
+    # steps took 17 products, 6 squares and 3 inverses (of E_4 and E_6 as
+    # well); the basis forms one by one took 488 products.
     cols = list(columns(11, 132, RingSpec(11, 26)))
     assert len(cols) == 111
-    assert len(ks2_products) == 110 + 11
-    assert len([rec for rec in ks2_products if rec[-1] is None]) == 4
+    assert len(ks2_products) == 110 + 9
+    assert len([rec for rec in ks2_products if rec[-1] is None]) == 3
     assert inverses == [110]
 
 
@@ -228,7 +229,9 @@ def test_build_matrix_multiplies_only_the_live_slots(ks2_products):
     # those of the step from q^1 on.  Each step is made at N - 1 slots, from
     # Delta / q, and split and packed once, so its halves must be masked to
     # the live slots.  A column's product is the last one the chain makes
-    # before it yields the column; any other is a step's, at N - 1 slots.
+    # before it yields the column; any other is a step's, at N - 1 slots,
+    # or, before column 1, one of the three that Delta = (E_4^3 - E_6^2) /
+    # 1728 takes at N slots (E_4^2, E_4^3 and E_6^2).
     chain = columns(11, 132, RingSpec(11, 26))
     N = len(next(chain))
     made = []
@@ -237,7 +240,8 @@ def test_build_matrix_multiplies_only_the_live_slots(ks2_products):
         ks2_products.clear()
     products = [ps[-1] for ps in made]
     assert [count for count, *_ in products] == list(range(N - 1, 0, -1))
-    assert {count for ps in made for count, *_ in ps[:-1]} == {N - 1}
+    assert [count for count, *_ in made[0][:3]] == [N] * 3
+    assert {count for ps in [made[0][3:], *made[1:]] for count, *_ in ps[:-1]} == {N - 1}
     for count, *halves in products:
         even, odd = (count + 1) // 2, count // 2
         assert halves[0] <= even and halves[1] <= odd

@@ -1,23 +1,17 @@
 """Tests for the classical level-1 forms and the Eisenstein family members."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 import sympy
 
 import oracles
-from oracles import padic_val, sigma
+from oracles import padic_val, rational_mod, sigma
 from katzrates import classical
-from katzrates.arithmetic import RingSpec
-from katzrates.classical import (
-    delta,
-    e4,
-    e6,
-    e_p_minus_1,
-    eisenstein_star,
-    sigma_star_rows,
-    star_constants,
-)
+from katzrates.arithmetic import QSeries, RingSpec
+from katzrates.basis import columns, column_exponents
+from katzrates.classical import level_one, sigma_star_rows, star_constants
 from katzrates import solver as solver_module
 from katzrates.solver import build_system, weight_list
 
@@ -64,26 +58,53 @@ def test_bernoulli_small_values():
     assert oracles.bernoulli(3) == 0
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 23])
+@pytest.mark.parametrize("size", ["1", "2", "p", "p+1", "60"])
+def test_level_one_matches_trial_division(p, size):
+    # E_4, E_6 and E_{p-1} from the one sieve against sigma_m(n) by trial
+    # division and the constant -2(p-1)/B_{p-1} on sympy's B_{p-1}.
+    N = {"1": 1, "2": 2, "p": p, "p+1": p + 1, "60": 60}[size]
+    ring = RingSpec(p, 6)
+    got = level_one(ring, N)
+    assert tuple(map(tuple, got)) == oracles.level_one_trial(ring, N)
+    assert all(len(f) == N for f in got)
+    if p == 5:  # -2*4/B_4 = 240: E_{p-1} is E_4
+        assert got[2] == got[0]
+
+
 def test_von_staudt_clausen_at_p_minus_1():
     # p divides the denominator of B_{p-1} exactly once, so the q^1
     # coefficient -2(p-1)/B_{p-1} of E_{p-1} has valuation exactly 1.
     for p in sympy.primerange(5, 30):
         ring = RingSpec(p, 3)
-        assert padic_val(e_p_minus_1(ring, 2).coeffs[1], p, ring.e) == 1
+        assert padic_val(level_one(ring, 2)[2][1], p, ring.e) == 1
+
+
+def _chain_delta(N: int, e: int) -> list[int]:
+    """The first N coefficients mod 13^e of the Delta the basis chain makes
+    at p = 13: its column 1 is Delta / E_12 (a = eps = 0, i = 1), so Delta
+    is that column times E_12.  At n = N - 1 the chain has N = d_{12n}
+    slots."""
+    ring = RingSpec(13, e)
+    assert column_exponents(13, N - 1)[1] == (0, 0, -1)
+    column = list(islice(columns(13, N - 1, ring), 2))[1]
+    return oracles.times(column, list(level_one(ring, N)[2]), ring.modulus)
 
 
 def test_e4_e6_delta_leading_coefficients():
-    f4, f6, d = e4(R, 3), e6(R, 3), delta(R, 3)
-    assert f4.coeffs[0] == 1 and f6.coeffs[0] == 1
-    assert f4.coeffs[1] == 240 % R.modulus
-    assert d.coeffs[0] == 0 and d.coeffs[1] == 1
-    assert d.coeffs[2] == -24 % R.modulus
+    f4, f6, _ = level_one(R, 3)
+    d = _chain_delta(9, 12)
+    assert f4[0] == 1 and f6[0] == 1
+    assert f4[1] == 240 % R.modulus
+    # Ramanujan's tau(n), n < 9, as the q^n coefficients of Delta.
+    tau = [0, 1, -24, 252, -1472, 4830, -6048, -16744, 84480]
+    assert d == [t % 13**12 for t in tau]
 
 
 def test_delta_from_independent_convolution():
     # Oracle: expand (E_4^3 - E_6^2)/1728 by direct integer convolution; the
     # difference must be divisible by 1728 over the integers.
-    N = 8
+    N, mod = 8, 13**4
 
     def conv(a, b):
         out = [0] * N
@@ -98,68 +119,66 @@ def test_delta_from_independent_convolution():
     diff = [x - y for x, y in zip(cube, conv(a6, a6))]
     expected = [x // 1728 for x in diff]
     assert all(x % 1728 == 0 for x in diff)
-    got = delta(R, N)
-    assert got.coeffs == tuple(x % R.modulus for x in expected)
+    assert _chain_delta(N, 4) == [x % mod for x in expected]
 
 
 def test_delta_identity_mod_ring():
-    N, mod = 10, R.modulus
-    f4, f6 = e4(R, N), e6(R, N)
+    # 1728 Delta = E_4^3 - E_6^2 on the chain's Delta and the sieve's E_4
+    # and E_6, the powers by the schoolbook product.
+    N, ring = 10, RingSpec(13, 4)
+    mod = ring.modulus
+    f4, f6, _ = (QSeries(ring, tuple(f)) for f in level_one(ring, N))
     cube = oracles.schoolbook_mul(oracles.schoolbook_mul(f4, f4), f4).coeffs
     square = oracles.schoolbook_mul(f6, f6).coeffs
-    lhs = tuple(c * 1728 % mod for c in delta(R, N).coeffs)
-    assert lhs == tuple((a - b) % mod for a, b in zip(cube, square))
+    lhs = [c * 1728 % mod for c in _chain_delta(N, 4)]
+    assert lhs == [(a - b) % mod for a, b in zip(cube, square)]
 
 
 def test_e_p_minus_1_congruent_one_mod_p():
     for p in (5, 7, 11, 13, 17):
         ring = RingSpec(p, 4)
-        f = e_p_minus_1(ring, 20)
-        assert f.coeffs[0] == 1
-        assert oracles.val(oracles.minus_one(f)) >= 1
+        f = level_one(ring, 20)[2]
+        assert f[0] == 1
+        assert oracles.val(oracles.minus_one(QSeries(ring, tuple(f)))) >= 1
 
 
 def test_e_p_minus_1_is_e4_for_p_5():
     # For p=5 the weight-4 Eisenstein series is E_4: -2*4/B_4 = 240.
-    ring = RingSpec(5, 6)
-    f = e_p_minus_1(ring, 10)
-    assert f == e4(ring, 10)
+    e4, _, ep = level_one(RingSpec(5, 6), 10)
+    assert ep == e4
 
 
 def test_eisenstein_star_basic():
-    f = eisenstein_star(4, R, 8)
-    assert f.coeffs[0] == 1
-    # c = -8/((1 - 5^3) B_4); all higher coefficients divisible by 5.
-    assert all(c % 5 == 0 for c in f.coeffs[1:])
+    # c = -8/((1 - 5^3) B_4) is E*_4's q-coefficient (sigma*_3(1) = 1), and
+    # every higher coefficient is divisible by 5.
     c = Fraction(-8) / ((1 - Fraction(5) ** 3) * oracles.bernoulli(4))
-    c_mod = c.numerator * pow(c.denominator, -1, R.modulus) % R.modulus
-    assert f.coeffs[1] == c_mod  # sigma*_3(1) = 1
+    assert star_constants([4], R) == [rational_mod(c, R.modulus)]
+    f = oracles.eisenstein_star_trial(4, R, 8)
+    assert f.coeffs[0] == 1
+    assert all(c % 5 == 0 for c in f.coeffs[1:])
 
 
 def test_eisenstein_star_valuation_grows_with_weight():
     # nu(E*_k - 1) >= min(e, nu_p(k) + 1).
     for s, expect in [(1, 1), (5, 2), (25, 3)]:
         k = 4 * s
-        f = eisenstein_star(k, R, 10)
+        f = oracles.eisenstein_star_trial(k, R, 10)
         assert oracles.val(oracles.minus_one(f)) >= min(R.e, expect)
 
 
 def test_eisenstein_star_rejects_bad_weight():
     with pytest.raises(ValueError):
-        eisenstein_star(5, R, 4)
+        star_constants([5], R)
     with pytest.raises(ValueError):
-        eisenstein_star(0, R, 4)
-
-
-def _rational_mod(x: Fraction, mod: int) -> int:
-    return x.numerator * pow(x.denominator, -1, mod) % mod
+        star_constants([0], R)
 
 
 def _check_eisenstein_constants(k_max: int) -> int:
-    """Check the constants of e_p_minus_1 and eisenstein_star, computed in
-    integers, against -2k / ((1 - p^(k-1)) B_k) in rationals on the oracle's
-    Bernoulli numbers, for every prime 5 <= p < 30 and k = s(p-1) <= k_max
-    with s <= 64, the weights of a 29/870 sweep; returns how many weights.
+    """Check the constants of E_{p-1} (level_one) and of E*_k
+    (star_constants), computed in integers, against -2k / ((1 - p^(k-1)) B_k)
+    in rationals on the oracle's Bernoulli numbers, for every prime
+    5 <= p < 30 and k = s(p-1) <= k_max with s <= 64, the weights of a 29/870
+    sweep; returns how many weights.
     The largest p comes first, so the tangent table is built once, as a
     sweep's basis build does (its regrowth is checked in test_kernels)."""
     checked = 0
@@ -167,11 +186,10 @@ def _check_eisenstein_constants(k_max: int) -> int:
         for e in (1, 10):
             ring = RingSpec(p, e)
             c = Fraction(-2 * (p - 1)) / oracles.bernoulli(p - 1)
-            assert e_p_minus_1(ring, 2).coeffs[1] == _rational_mod(c, ring.modulus)
+            assert level_one(ring, 2)[2] == [1, rational_mod(c, ring.modulus)]
             for k in range(p - 1, min(k_max, 64 * (p - 1)) + 1, p - 1):
                 c = Fraction(-2 * k) / ((1 - Fraction(p) ** (k - 1)) * oracles.bernoulli(k))
-                f = eisenstein_star(k, ring, 2)
-                assert f.coeffs == (1, _rational_mod(c, ring.modulus)), (p, e, k)
+                assert star_constants([k], ring) == [rational_mod(c, ring.modulus)], (p, e, k)
                 checked += e == 1
     return checked
 
@@ -193,7 +211,7 @@ def test_eisenstein_constants_of_a_weight_batch_match_the_bernoulli_formula(p, l
     assert len(constants) == lam
     for k, c in zip(ks, constants):
         want = Fraction(-2 * k) / ((1 - Fraction(p) ** (k - 1)) * oracles.bernoulli(k))
-        assert c == _rational_mod(want, ring.modulus), k
+        assert c == rational_mod(want, ring.modulus), k
 
 
 @pytest.mark.slow
@@ -206,7 +224,7 @@ def test_eisenstein_star_refuses_a_constant_prime_to_p(monkeypatch):
     # to 5; the check that p | c catches it.
     monkeypatch.setattr(classical, "_TANGENT", [1, 5])
     with pytest.raises(ArithmeticError, match="not divisible by p"):
-        eisenstein_star(4, RingSpec(5, 3), 4)
+        star_constants([4], RingSpec(5, 3))
 
 
 def _coordinates(monkeypatch, p, lam, ss):

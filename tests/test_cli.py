@@ -435,6 +435,21 @@ def test_json_stdout_bytes_are_pinned(tmp_path, capsys, command, size, digest):
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
+def test_katz_expand_output_at_p11_is_pinned(capsys):
+    # p = 11 is the first prime whose chain shares powers of E_4 between
+    # Delta and its columns (period 5).  The input is eis_ratio_by_s(11, 1,
+    # 40, 111), and the JSON the command prints is pinned byte for byte.
+    from katzrates.family import eis_ratio_by_s
+
+    inp = DATA / "ratio_p11_s1_C40.txt"
+    ratio = eis_ratio_by_s(11, 1, 40, dim_mk(132 * 10)).coeffs
+    assert inp.read_text() == "".join(f"{c}\n" for c in ratio)
+    argv = ["--p", "11", "--n", "132", "--prec", "40", "--input", str(inp)]
+    code, out, err = run_cli(capsys, "katz-expand", *argv)
+    assert (code, err) == (0, "")
+    assert out == (DATA / "katz_expand_p11_n132_C40.json").read_text()
+
+
 def test_katz_expand_zero_precision_exits_2(tmp_path, capsys):
     N = dim_mk(12)
     inp = tmp_path / "f.txt"

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from katzrates import classical
 from katzrates import expand as expand_module
 from katzrates.arithmetic import QSeries, RingSpec, combine, forward_substitute, prepare_rows
 from katzrates.basis import _blocks, block, columns, dim_mk, period
@@ -147,16 +148,34 @@ def test_psi_and_the_chain_head_make_the_pinned_products(ks2_products, inverses)
     # psi at (11, 132, 40): the chain's Delta, its factors and K = 10
     # columns, then one product per chunk after the first; E_{p-1}'s inverse
     # in the chain and the peel's U.  The first two columns of 29/870
-    # (N = 2031): Delta, E_4^4, one step and one column.
+    # (N = 2031): E_4^2, E_4^3 and E_6^2 for Delta, E_4^4 from E_4^2, one
+    # step and one column.
     rng = random.Random(1)
     N = dim_mk(132 * 10)
     psi(11, 132, 40, random_series(rng, 11, 40, N))
     squares = [rec for rec in ks2_products if rec[-1] is None]
-    assert (len(ks2_products), len(squares), len(inverses)) == (32, 4, 2)
+    assert (len(ks2_products), len(squares), len(inverses)) == (30, 3, 2)
     ks2_products.clear(), inverses.clear()
     list(islice(columns(29, 870, RingSpec(29, 62)), 2))
     squares = [rec for rec in ks2_products if rec[-1] is None]
-    assert (len(ks2_products), len(squares), len(inverses)) == (7, 4, 1)
+    assert (len(ks2_products), len(squares), len(inverses)) == (6, 3, 1)
+
+
+@pytest.mark.parametrize("p, n, C", [(5, 144, 60), (11, 132, 40), (13, 168, 30)])
+def test_psi_sieves_the_level_one_series_once(monkeypatch, p, n, C):
+    # E_4, E_6 and E_{p-1} come from one divisor-sum sieve over the exponents
+    # [3, 5, p-2] (at p = 5, [3, 5, 3]): Delta is made from the same E_4 and
+    # E_6, not from a sieve of its own.
+    calls = []
+    real = classical.sigma_star_rows
+
+    def spy(excluded, ms, N, mod):
+        calls.append((excluded, list(ms)))
+        return real(excluded, ms, N, mod)
+
+    monkeypatch.setattr(classical, "sigma_star_rows", spy)
+    psi(p, n, C, random_series(random.Random(p), p, C, dim_mk(n * (p - 1))))
+    assert calls == [(None, [3, 5, p - 2])]
 
 
 def test_components_are_read_off_the_coordinates():

@@ -1,5 +1,5 @@
 """The fast kernels against the slow reference oracles in tests/oracles.py:
-the Kronecker truncated product (mul_low) and powers (power), the packed
+the Kronecker truncated product (mul_low) and the chain's powers, the packed
 row solve, the Newton factorization of the Vandermonde systems, the
 gcd-driven valuation minima, the tangent numbers behind B_k, the
 step-by-step basis matrix, the rows solved on their Katz coordinates and
@@ -22,12 +22,11 @@ from katzrates.arithmetic import (
     combine,
     forward_substitute,
     mul_low,
-    power,
     prepare,
     prepare_rows,
 )
-from katzrates.basis import block, columns, dim_mk
-from katzrates.classical import _tangent, eisenstein_star
+from katzrates.basis import _powers, block, columns, dim_mk
+from katzrates.classical import _tangent, sigma_star_rows, star_constants
 from katzrates.expand import psi
 from katzrates.family import eis_ratio_by_s, eis_ratios
 from katzrates.solver import (
@@ -85,15 +84,17 @@ def test_kronecker_product_matches_schoolbook(case):
 
 
 def _check_products(ring, a, b):
-    """mul_low by a prepared b, mul_low's square and `power` at 2 and 3
-    against the schoolbook products of the series a and b."""
+    """mul_low by a prepared b, mul_low's square and the chain's powers
+    (basis._powers) at 2 and 3 against the schoolbook products of the series
+    a and b."""
     mod = ring.modulus
     f, g = _series(ring, a), _series(ring, b)
     ff = oracles.schoolbook_mul(f, f)
     assert mul_low(a, prepare(b, mod), mod) == list(oracles.schoolbook_mul(f, g).coeffs)
     assert mul_low(a, None, mod) == list(ff.coeffs)
-    assert power(a, 2, mod) == list(ff.coeffs)
-    assert power(a, 3, mod) == list(oracles.schoolbook_mul(ff, f).coeffs)
+    power = _powers(a, mod)
+    assert power(2) == list(ff.coeffs)
+    assert power(3) == list(oracles.schoolbook_mul(ff, f).coeffs)
 
 
 @pytest.mark.parametrize(
@@ -623,7 +624,11 @@ def test_eisenstein_star_matches_trial_division_oracle(case):
     p, s, e, N = case
     ring = RingSpec(p, e)
     k = s * (p - 1)
-    assert eisenstein_star(k, ring, N) == oracles.eisenstein_star_trial(k, ring, N)
+    # E*_k as family.eis_ratios makes it: the sieve at k - 1 off p, scaled
+    # by its star_constants entry.
+    mod, (c,) = ring.modulus, star_constants([k], ring)
+    got = [1, *[c * x % mod for (x,) in sigma_star_rows(p, [k - 1], N, mod)[1:]]]
+    assert tuple(got) == oracles.eisenstein_star_trial(k, ring, N).coeffs
 
 
 @st.composite

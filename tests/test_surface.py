@@ -156,6 +156,13 @@ def test_the_solving_commands_import_neither_dataclasses_nor_inspect(argv):
         "bernoulli",
         "solve_many",
         "_newton_side",
+        "power",
+        "_eisenstein",
+        "e4",
+        "e6",
+        "delta",
+        "e_p_minus_1",
+        "eisenstein_star",
     ],
 )
 def test_no_module_defines_a_removed_path(name):
@@ -171,13 +178,19 @@ def test_no_module_defines_a_removed_path(name):
     # QSeries is a record: the operators and scaled/truncate are gone, and
     # series are multiplied, powered and inverted by arithmetic's functions.
     # bernoulli (B_k as a Fraction) is gone too: the package reads B_k only
-    # through the tangent numbers in classical._scalar, and the tests take
+    # through the tangent numbers in classical._scalars, and the tests take
     # their Bernoulli numbers from sympy (tests/oracles.bernoulli).
     # solve_many (a system solved for thetas) lives on in tests/oracles.py:
     # a sweep reads the fold of its KatzBasis and solves no theta.
     # _newton_side (L^-1 applied to a whole batch at the build's p^E) is
     # gone too: a KatzBasis folds nothing, and each row folds its own block
     # at lam (VandermondeSystem._fold).
+    # power (a series to the k-th power) and the one-series builders
+    # _eisenstein, e4, e6, delta, e_p_minus_1 and eisenstein_star are gone:
+    # classical.level_one makes E_4, E_6 and E_{p-1} from one sieve, the
+    # chain makes Delta from them and its own powers of E_4 (basis._powers),
+    # and family.eis_ratios makes every E*_k itself; the tests take E*_k from
+    # oracles.eisenstein_star_trial and series powers from oracles.power.
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.AsyncFunctionDef)):
