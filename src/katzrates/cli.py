@@ -120,7 +120,7 @@ def cmd_valuations(args) -> int:
     try:
         lo, hi = block(args.p, args.r)
         # An empty block has no entries, and solve_row reads no basis for it.
-        basis = KatzBasis(args.p, args.r, system) if lo < hi else None
+        basis = KatzBasis(args.r, system) if lo < hi else None
         row = solve_row(args.p, args.r, system.lam, basis=basis)
     except UnsolvableSystem as exc:
         print(f"error: linear system unsolvable: {exc}", file=sys.stderr)

@@ -31,10 +31,16 @@ read off the valuations of its upper triangle.  The build checks that the
 kernel generators annihilate V without building V, on one path: column k of
 B must be the Newton polynomial N_k mod p^t_k, whose values at the nodes are
 the running products prod_{m<k} (w_i - w_m) (_check_kernel).
+
+A row has one path to its solutions, KatzBasis.solutions: it checks the row
+and lam once, reduces the basis's system to lam, folds the row's block of
+the basis's coordinates and solves it; solve_row classifies the solutions
+against the kernel thresholds (collect_statuses).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import zip_longest
 from operator import mul, sub
@@ -124,13 +130,6 @@ def _newton_diagonalize(ws, p: int, lam: int):
     return (lower, uinvs), tuple(ts), cols, order
 
 
-def _min_val(values, mod: int, log: dict[int, int]) -> int:
-    """min over `values` of their valuations mod `mod` = p^lam, capped at
-    lam ("at least lam"): the valuation of their gcd with p^lam, read off
-    log = {p^e: e}, e running to lam or beyond."""
-    return log[math.gcd(mod, *values)]
-
-
 def _gamma(vals, ts, lam: int) -> tuple[int, ...]:
     """The thresholds gamma_j = min over the generators p^(lam - t_k).B[:,k]
     of the right kernel of V over Z/p^lam of nu(component j), k < lam:
@@ -172,8 +171,9 @@ def _check_kernel(nodes, cols, ts, p: int, lam: int) -> None:
         values = [v * (x - w) % mod for v, x in zip(values[1:], nodes[k + 1 :])]
 
 
+@functools.lru_cache
 def _power_table(p: int, E: int):
-    """(p^0, ..., p^E) and its inverse {p^e: e}."""
+    """(p^0, ..., p^E) and its inverse {p^e: e}, made once per (p, E)."""
     powers = tuple([p**e for e in range(E + 1)])
     return powers, dict(zip(powers, range(E + 1)))
 
@@ -187,19 +187,20 @@ class VandermondeSystem(_Record):
     reads their leading lam x lam blocks mod p^lam.  `ss` holds the weights
     k = s(p-1) in p-order, the rows of V, and gamma is capped at lam.
 
-    The build's power table, `_powers` = (p^0, ..., p^E) and its inverse
-    `_log` = {p^e: e}, is made once per build and shared by its reductions,
-    so no row raises p to a power.  It depends on p and E alone and is not a
-    field: it takes no part in comparing or hashing systems."""
+    The power table, `_powers` = (p^0, ..., p^E) and its inverse
+    `_log` = {p^e: e}, is made once per (p, E) and shared by every build at
+    E and its reductions, so no row raises p to a power.  It depends on p
+    and E alone and is not a field: it takes no part in comparing or
+    hashing systems."""
 
     _fields = ("p", "lam", "ss", "gamma", "_ts", "_lower", "_uinvs", "_bcols", "_vals")
     __slots__ = (*_fields, "_powers", "_log")
 
-    def __init__(self, p, lam, ss, gamma, _ts, _lower, _uinvs, _bcols, _vals, _table=None):
+    def __init__(self, p, lam, ss, gamma, _ts, _lower, _uinvs, _bcols, _vals):
         values = (p, lam, ss, gamma, _ts, _lower, _uinvs, _bcols, _vals)
         for name, value in zip(self._fields, values):
             _set(self, name, value)
-        powers, log = _table or _power_table(p, len(_uinvs))
+        powers, log = _power_table(p, len(_uinvs))
         _set(self, "_powers", powers)
         _set(self, "_log", log)
 
@@ -265,7 +266,7 @@ class VandermondeSystem(_Record):
         ts = tuple(min(t, lam) for t in self._ts[:lam])
         return VandermondeSystem(
             self.p, lam, self.ss[:lam], _gamma(self._vals, ts, lam), ts,
-            self._lower, self._uinvs, self._bcols, self._vals, (self._powers, self._log),
+            self._lower, self._uinvs, self._bcols, self._vals,
         )
 
 
@@ -291,11 +292,10 @@ def build_system(p: int, lam: int, ss=None) -> VandermondeSystem:
     L, ts, cols, order = _newton_diagonalize(ws, p, lam)
     ss = tuple(ss[i] for i in order)
     _check_kernel([ws[i] for i in order], cols, ts, p, lam)
-    table = _power_table(p, lam)
-    log = table[1]
+    log = _power_table(p, lam)[1]
     vals = tuple(tuple(log[math.gcd(b, mod)] for b in r[j:]) for j, r in enumerate(zip(*cols)))
     bcols = prepare_rows(cols, mod)
-    return VandermondeSystem(p, lam, ss, _gamma(vals, ts, lam), ts, *L, bcols, vals, table)
+    return VandermondeSystem(p, lam, ss, _gamma(vals, ts, lam), ts, *L, bcols, vals)
 
 
 class SweepEntry(_Record):
@@ -335,8 +335,8 @@ class ValuationRow(_Record):
 class KatzBasis:
     """The Katz coordinates, over the basis of weight n(p-1), of the family
     members E*_k / V(E*_k), k = s(p-1), at the weights s of one Vandermonde
-    system over Z/p^E, E = system.lam, served with that system mod p^lam for
-    any row r <= n and lam <= E.
+    system over Z/p^E, E = system.lam, p = system.p, solved for any row
+    r <= n at any lam <= E (solutions).
 
     The build is one pass over Z/p^E and folds nothing: the family members
     at system.ss, computed together (family.eis_ratios) as N rows over the
@@ -344,17 +344,16 @@ class KatzBasis:
     coordinates at a time off the column chain (expand._peel, as psi solves
     one series).  It keeps X, the members' coordinates, one list over the
     weights per coordinate b, and not the basis matrix; a row folds L^-1
-    into its own block of X (row_solutions).  Reduction mod p^lam is a ring
-    map, so the served coordinates equal a fresh build at (r, lam), and the
-    served system is system.reduce(lam), the newest of which is kept.
-    Coordinates and system come from this one object, so a solve cannot
-    pair them across weights or precisions.
+    into its own block of X.  Reduction mod p^lam is a ring map, so a row's
+    coordinates equal a fresh build's at (r, lam), and its system is
+    system.reduce(lam), the newest of which is kept.  Coordinates and system
+    come from this one object, so a solve cannot pair them across primes,
+    weights or precisions.
     """
 
-    def __init__(self, p: int, n: int, system: VandermondeSystem):
-        if system.p != p:
-            raise ValueError(f"the system is over p = {system.p}, not {p}")
-        self.p, self.n, self.E = p, n, system.lam
+    def __init__(self, n: int, system: VandermondeSystem):
+        p = self.p = system.p
+        self.n, self.E = n, system.lam
         ring = RingSpec(p, self.E)
         chain = columns(p, n, ring)  # checks n; no product until a column is taken
         members = eis_ratios(p, system.ss, self.E, dim_mk(n * (p - 1)))
@@ -362,55 +361,41 @@ class KatzBasis:
         self._system = system
         self._served = None
 
-    def _check(self, lam: int, r: int = 0) -> None:
-        if not 0 <= r <= self.n:
-            raise ValueError(f"row {r} is outside 0..{self.n}")
+    def solutions(self, r: int, lam: int, count: int | None = None):
+        """Particular solutions x_b of V x_b = theta_b, one for each basis
+        form g_{r,b} of row r, where theta_b collects the coordinate of
+        g_{r,b} in the r-th Katz component across the weights, each cut to
+        its first `count` components (default lam).  V is the basis's system
+        reduced to lam.  Returns (system, solutions).  The basis holds
+        theta_b over Z/p^E; the row folds only its block, to the first lam
+        entries of L^-1.theta_b mod p^lam, which, L being lower triangular,
+        are L'^-1.theta_b at lam, L' the leading lam x lam block.
+
+        The coordinates stand in for the q-coefficients a_0..a_S, S =
+        ceil(r(p-1)/12), of the r-th component, which pin down its valuation
+        (the Sturm bound), and they give the same statuses in collect_statuses:
+
+        - g_{r,b} = q^b + O(q^{b+1}) for b in the block [lo, hi), and hi - 1 <= S,
+          so the minor (a_mu(g_{r,b})) on mu in [lo, hi) is unit lower triangular,
+          a_mu vanishes for mu < lo, and nu(sum_b z_b g_{r,b}) = min_b nu(z_b).
+          The q-coefficient solutions are combinations of the x_b, and their
+          minimum valuation at component j is min_b nu(x_b[j]).
+        - Two particular solutions of one system differ by a kernel element,
+          which collect_statuses already allows for: the valuation of component
+          j moves only at or above gamma_j.
+        - The UnsolvableSystem divisibility check passes on the coordinates
+          exactly when it passes on the q-coefficients: each is a combination of
+          the other, the unit-triangular minor giving the way back.
+        """
         if not 1 <= lam <= self.E:
             raise ValueError(f"lam = {lam} lies outside 1..{self.E}, the basis's precision")
-
-    def system(self, lam: int) -> VandermondeSystem:
-        """The basis's system over Z/p^lam, on its first lam weights."""
-        self._check(lam)
+        if not 0 <= r <= self.n:
+            raise ValueError(f"row {r} is outside 0..{self.n}")
         if self._served is None or self._served.lam != lam:
             self._served = self._system.reduce(lam)
-        return self._served
-
-
-def row_solutions(p, r, lam, basis=None, count=None):
-    """Particular solutions x_b of V x_b = theta_b, one for each basis form
-    g_{r,b} of row r, where theta_b collects the coordinate of g_{r,b} in the
-    r-th Katz component across the weights, each cut to its first `count`
-    components (default lam).  V is the system of `basis` (a KatzBasis for
-    some n >= r over Z/p^E, E >= lam) reduced to lam; `basis` defaults to
-    KatzBasis(p, r, build_system(p, lam)).  Returns (system, solutions).
-    The basis holds theta_b over Z/p^E; the row folds only its block, to
-    the first lam entries of L^-1.theta_b mod p^lam, which, L being lower
-    triangular, are L'^-1.theta_b at lam, L' the leading lam x lam block.
-
-    The coordinates stand in for the q-coefficients a_0..a_S, S =
-    ceil(r(p-1)/12), of the r-th component, which pin down its valuation
-    (the Sturm bound), and they give the same statuses in collect_statuses:
-
-    - g_{r,b} = q^b + O(q^{b+1}) for b in the block [lo, hi), and hi - 1 <= S,
-      so the minor (a_mu(g_{r,b})) on mu in [lo, hi) is unit lower triangular,
-      a_mu vanishes for mu < lo, and nu(sum_b z_b g_{r,b}) = min_b nu(z_b).
-      The q-coefficient solutions are combinations of the x_b, and their
-      minimum valuation at component j is min_b nu(x_b[j]).
-    - Two particular solutions of one system differ by a kernel element,
-      which collect_statuses already allows for: the valuation of component
-      j moves only at or above gamma_j.
-    - The UnsolvableSystem divisibility check passes on the coordinates
-      exactly when it passes on the q-coefficients: each is a combination of
-      the other, the unit-triangular minor giving the way back.
-    """
-    if basis is None:
-        basis = KatzBasis(p, r, build_system(p, lam))
-    elif basis.p != p:
-        raise ValueError(f"the basis is over p = {basis.p}, not {p}")
-    system = basis.system(lam)
-    basis._check(lam, r)
-    lo, hi = block(p, r)
-    return system, system._solutions(system._fold(basis._coords[lo:hi]), count)
+        system = self._served
+        lo, hi = block(self.p, r)
+        return system, system._solutions(system._fold(self._coords[lo:hi]), count)
 
 
 def collect_statuses(system: VandermondeSystem, solutions, j_max: int, r: int):
@@ -421,7 +406,8 @@ def collect_statuses(system: VandermondeSystem, solutions, j_max: int, r: int):
     mod, log = system.modulus, system._log
     out = {}
     for j in range(j_max + 1):
-        alpha = _min_val([sol[j] for sol in solutions], mod, log)
+        # The least valuation, capped at lam, is that of the gcd with p^lam.
+        alpha = log[math.gcd(mod, *[sol[j] for sol in solutions])]
         gamma = system.gamma[j]
         # alpha = lam, "at least lam", is never below gamma <= lam.
         value = alpha if alpha < gamma else None
@@ -449,7 +435,9 @@ def solve_row(
     lo, hi = block(p, r)
     if lo == hi:
         return ValuationRow(p=p, r=r, lam=lam, entries={})
+    if basis is None:
+        basis = KatzBasis(r, build_system(p, lam))
     # collect_statuses reads components 0..j_max only.
-    system, solutions = row_solutions(p, r, lam, basis=basis, count=j_max + 1)
+    system, solutions = basis.solutions(r, lam, j_max + 1)
     entries = collect_statuses(system, solutions, j_max, r)
     return ValuationRow(p=p, r=r, lam=lam, entries=entries)

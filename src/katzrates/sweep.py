@@ -86,7 +86,7 @@ def _basis_for(p: int, i_max: int, lam: int, basis: KatzBasis | None, plan: int)
     if basis is not None and lam <= basis.E:
         return basis
     E = max(lam, plan) if basis is None else lam + PLAN_SLACK
-    return KatzBasis(p, i_max, build_system(p, E))
+    return KatzBasis(i_max, build_system(p, E))
 
 
 class SweepState(_Record):

@@ -11,9 +11,9 @@ def basis_builds(monkeypatch) -> list[int]:
     builds = []
     real = solver_module.KatzBasis.__init__
 
-    def counting(self, p, n, system):
+    def counting(self, n, system):
         builds.append(system.lam)
-        real(self, p, n, system)
+        real(self, n, system)
 
     monkeypatch.setattr(solver_module.KatzBasis, "__init__", counting)
     return builds

@@ -502,8 +502,8 @@ def second_route(state) -> int:
     path, and return the number of entries checked.  At lam = lambda_max and
     at lam + 4, the system is a fresh build_system on the lam naturals prime
     to p that follow weight_list(p, lam)[-1], so neither the plan nor a
-    reduction serves it, and the coordinates come from a fresh KatzBasis(p,
-    i, system) per row and system.  Raises AssertionError unless each entry
+    reduction serves it, and the coordinates come from a fresh KatzBasis(i,
+    system) per row and system.  Raises AssertionError unless each entry
     is exact there with the sweep's value."""
     p, lam_max = state.p, state.lam_current
     values = {(e.i, e.j): e.value for e in state.entries}
@@ -515,7 +515,7 @@ def second_route(state) -> int:
     checks = 0
     for i in sorted({i for i, _ in state.attained}):
         for lam, system in systems.items():
-            row = solve_row(p, i, lam, basis=KatzBasis(p, i, system))
+            row = solve_row(p, i, lam, basis=KatzBasis(i, system))
             for j in sorted(j for ii, j in state.attained if ii == i):
                 entry = row.entries[j]
                 assert entry.exact and entry.value == values[i, j], (lam, entry)

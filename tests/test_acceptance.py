@@ -15,10 +15,10 @@ from katzrates.arithmetic import QSeries, RingSpec
 from katzrates.basis import block, dim_mk
 from katzrates.expand import phi, psi
 from katzrates.solver import (
+    KatzBasis,
     build_system,
     collect_statuses,
     f_bound,
-    row_solutions,
     solve_row,
 )
 from katzrates.sweep import d_p, run_sweep, theorem_b_audit
@@ -173,7 +173,7 @@ def test_criterion_10_ambiguity_invariance():
     for _ in range(20):
         r = rng.randrange(1, 16)
         lam = rng.randrange(4, 10)
-        system, sols = row_solutions(5, r, lam)
+        system, sols = KatzBasis(r, build_system(5, lam)).solutions(r, lam)
         j_max = min(r, lam - 1)
         base = collect_statuses(system, sols, j_max, r)
         mod = system.modulus

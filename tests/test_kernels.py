@@ -32,11 +32,10 @@ from katzrates.family import eis_ratio_by_s, eis_ratios
 from katzrates.solver import (
     KatzBasis,
     UnsolvableSystem,
+    VandermondeSystem,
     _check_kernel,
-    _min_val,
     build_system,
     collect_statuses,
-    row_solutions,
     weight_list,
 )
 
@@ -392,9 +391,15 @@ def test_kernel_check_decides_a_column_off_newton_form_on_v(system, harmless, da
 @settings(max_examples=200, deadline=None)
 def test_gcd_valuation_matches_padic_val_loop(p, lam, values, powers):
     # Pure powers of p, including multiples of p^lam, exercise the cap.
+    # collect_statuses reads the least valuation of a component off the gcd
+    # with p^lam; on a system whose thresholds all sit at lam, an entry is
+    # exact at every valuation below lam and inconclusive at "at least lam".
     values = values + [p**k for k in powers]
-    log = {p**e: e for e in range(lam + 1)}
-    assert _min_val(values, p**lam, log) == oracles.min_val(values, p, lam)
+    fields = list(build_system(p, lam)._values())
+    fields[VandermondeSystem._fields.index("gamma")] = (lam,) * lam
+    entry = collect_statuses(VandermondeSystem(*fields), [(v,) for v in values], 0, 0)[0]
+    alpha = entry.value if entry.exact else lam
+    assert alpha == oracles.min_val(values, p, lam)
 
 
 @given(systems())
@@ -435,7 +440,7 @@ def test_katz_basis_sizes_the_tangent_table_once(monkeypatch, p, n, E):
     # table holds T_1..T_{k/2}; regrown weight by weight, it would reach the
     # next doubling (512 for 17/20 at E = 38, where 320 are needed).
     monkeypatch.setattr(classical, "_TANGENT", [])
-    KatzBasis(p, n, build_system(p, E))
+    KatzBasis(n, build_system(p, E))
     k_max = weight_list(p, E)[-1] * (p - 1)
     assert len(classical._TANGENT) == k_max // 2
 
@@ -497,7 +502,7 @@ def test_row_statuses_match_q_coefficient_oracle(case, extra):
         reject()  # two weights agree mod p^lam
     count = oracles.sturm_count(p, r) + extra
     try:
-        _, sols = row_solutions(p, r, lam, basis=KatzBasis(p, r, system))
+        _, sols = KatzBasis(r, system).solutions(r, lam)
     except UnsolvableSystem:
         with pytest.raises(UnsolvableSystem):
             oracles.q_coefficient_solutions(system, r, count)
@@ -530,27 +535,27 @@ def fold_cases(draw):
 @settings(max_examples=40, deadline=None)
 @example((5, 6, build_system(5, 8, [9, 3, 1, 7, 2, 4, 8, 6])), None)  # shuffled
 @example((13, 24, build_system(13, 12)), None)
-def test_row_solutions_from_the_fold_match_the_oracle_at_every_lambda(case, data):
+def test_basis_solutions_from_the_fold_match_the_oracle_at_every_lambda(case, data):
     # The basis keeps its coordinates at E; a row at any lam <= E folds L^-1
     # into its block mod p^lam.  Its solutions, or UnsolvableSystem,
     # are the oracle's on the row's coordinates, psi's at E read mod p^lam,
     # one mat-vec at a time with the dense inverse of the leading lam x lam
     # block of L.
     p, r, system = case
-    basis, E, N = KatzBasis(p, r, system), system.lam, dim_mk(r * (p - 1))
+    basis, E, N = KatzBasis(r, system), system.lam, dim_mk(r * (p - 1))
     lo, hi = block(p, r)
     coords = [psi(p, r, E, eis_ratio_by_s(p, s, E, N)).x[lo:hi] for s in system.ss]
     for lam in range(1, E + 1):
-        served = basis.system(lam)
+        served = system.reduce(lam)
         count = lam if data is None else data.draw(st.integers(1, lam))
         thetas = [[c % p**lam for c in col] for col in zip(*coords[:lam])]
         try:
             want = [oracles.solve_one(served, theta)[:count] for theta in thetas]
         except UnsolvableSystem:
             with pytest.raises(UnsolvableSystem):
-                row_solutions(p, r, lam, basis=basis, count=count)
+                basis.solutions(r, lam, count)
         else:
-            assert row_solutions(p, r, lam, basis=basis, count=count) == (served, want)
+            assert basis.solutions(r, lam, count) == (served, want)
 
 
 @pytest.mark.parametrize("p, E, lam", [(5, 40, 7), (7, 30, 12), (11, 26, 3), (13, 20, 19)])
@@ -584,12 +589,11 @@ def test_a_tampered_fold_entry_raises(p, E, data):
     # by p^t_k inexact, so the row raises at component k; it never returns a
     # wrong entry.
     n = 24
-    basis = KatzBasis(p, n, build_system(p, E))
+    basis = KatzBasis(n, build_system(p, E))
     lam = data.draw(st.integers(2, E))
-    system = basis.system(lam)
     b = data.draw(st.integers(1, dim_mk(n * (p - 1)) - 1))
     r = oracles.i_of_j(p, b)
-    row_solutions(p, r, lam, basis=basis)  # untouched, the row solves
+    system, _ = basis.solutions(r, lam)  # untouched, the row solves
     k = data.draw(st.integers(1, lam - 1))
     t = system._ts[k]
     assert t >= 1  # v(w_s - w_s') >= 1 for any two weights
@@ -597,7 +601,7 @@ def test_a_tampered_fold_entry_raises(p, E, data):
     unit = data.draw(st.integers(1, p**lam - 1).filter(lambda u: u % p))
     basis._coords[b][k] += unit * p**v
     with pytest.raises(UnsolvableSystem, match=f"component {k} "):
-        row_solutions(p, r, lam, basis=basis)
+        basis.solutions(r, lam)
 
 
 _FAMILY_PRIMES = [5, 7, 11, 13, 17, 23]

@@ -23,7 +23,6 @@ from katzrates.solver import (
     build_system,
     collect_statuses,
     f_bound,
-    row_solutions,
     solve_row,
     weight_list,
 )
@@ -191,9 +190,9 @@ def test_katz_row_coeffs_r0():
     # has constant term 1, so its coordinate is 1 and its q-coefficients are
     # (1, 0, 0, ...): the coordinate solution is the a_0 solution, and the
     # a_mu solutions for mu >= 1 vanish.
-    basis = KatzBasis(5, 3, build_system(5, 3, [7, 1, 2]))
+    basis = KatzBasis(3, build_system(5, 3, [7, 1, 2]))
     assert [oracles.basis_coords(basis, s, 0, 3) for s in (7, 1, 2)] == [(1,)] * 3
-    system, sols = row_solutions(5, 0, 3)
+    system, sols = KatzBasis(0, build_system(5, 3)).solutions(0, 3)
     want = oracles.q_coefficient_solutions(system, 0, 4)
     assert sols == want[:1]
     assert want[1:] == [(0, 0, 0)] * 3
@@ -223,13 +222,13 @@ def test_solve_row_of_an_empty_block_has_no_entries(p, r, lam):
     lo, hi = block(p, r)
     assert lo == hi
     assert solve_row(p, r, lam).entries == {}
-    basis = KatzBasis(p, r, build_system(p, lam))
+    basis = KatzBasis(r, build_system(p, lam))
     assert solve_row(p, r, lam, basis=basis).entries == {}
 
 
 def test_particular_solutions_satisfy_systems():
-    system, sols = row_solutions(5, 6, 8)
-    _, coords_check = row_solutions(5, 6, 8, basis=KatzBasis(5, 6, system))
+    system, sols = KatzBasis(6, build_system(5, 8)).solutions(6, 8)
+    _, coords_check = KatzBasis(6, system).solutions(6, 8)
     for a, b in zip(sols, coords_check):
         assert a == b  # deterministic
     # The solver contract: each solution solves its system (checked via theta
@@ -243,7 +242,7 @@ def test_ambiguity_invariance():
     # exact entry.
     rng = random.Random(17)
     p, r, lam = 5, 6, 9
-    system, sols = row_solutions(p, r, lam)
+    system, sols = KatzBasis(r, build_system(p, lam)).solutions(r, lam)
     base = collect_statuses(system, sols, min(r, lam - 1), r)
     mod = system.modulus
     for _ in range(10):
@@ -265,7 +264,7 @@ def test_sturm_sufficiency_small_cases():
     p, lam = 5, 8
     for r in (3, 6, 9):
         system = build_system(p, lam)
-        _, sols = row_solutions(p, r, lam, basis=KatzBasis(p, r, system))
+        _, sols = KatzBasis(r, system).solutions(r, lam)
         # q-coefficients a_0..a_{S+5} of the r-th component, past the Sturm
         # count S.
         count = oracles.sturm_count(p, r) + 6
@@ -329,7 +328,7 @@ def test_solve_row_rejects_a_system_at_another_lambda(lam):
     # share one precision E = 9: below E both are reduced to lam, and the row
     # is that of a fresh solve at lam; above E the basis refuses lam, where a
     # row labelled lam would hold entries computed at 9.
-    basis = KatzBasis(5, 6, build_system(5, 9))
+    basis = KatzBasis(6, build_system(5, 9))
     if lam > basis.E:
         with pytest.raises(ValueError, match=r"lam = 11 lies outside 1\.\.9"):
             solve_row(5, 6, lam, basis=basis)
@@ -356,7 +355,7 @@ def _basis_on(p, n, E, s):
     """A KatzBasis for (p, n) on the E naturals prime to p from s on: they
     are distinct mod p^(E-1), so their coordinates are distinct mod p^E."""
     ss = [t for t in range(s, s + 2 * E) if t % p][:E]
-    return KatzBasis(p, n, build_system(p, E, ss))
+    return KatzBasis(n, build_system(p, E, ss))
 
 
 @settings(max_examples=60, deadline=None)
@@ -368,17 +367,17 @@ def test_katz_basis_fold_is_l_inverse_of_the_psi_coordinates(req):
     # Folded at E, each coordinate's list over the weights is L^-1.X over
     # Z/p^E, the dense inverse of the system's L applied across the weights;
     # folded at lam, it is the first lam entries of that, mod p^lam.
-    p, n, _, E, lam, s = req
+    p, n, r, E, lam, s = req
     basis = _basis_on(p, n, E, s)
     assert basis.E == E
-    system, N, mod = basis.system(E), dim_mk(n * (p - 1)), p**E
+    system, N, mod = basis.solutions(r, E)[0], dim_mk(n * (p - 1)), p**E
     X = [psi(p, n, E, eis_ratio_by_s(p, t, E, N)).x for t in system.ss]
     assert [list(x) for x in basis._coords] == [list(x) for x in zip(*X)]
     A = oracles.matrices(system)[0]
     want = [[sum(a * x[b] for a, x in zip(row, X)) % mod for row in A] for b in range(N)]
     assert system._fold(basis._coords) == want
     low = [[w % p**lam for w in row[:lam]] for row in want]
-    assert basis.system(lam)._fold(basis._coords) == low
+    assert basis.solutions(r, lam)[0]._fold(basis._coords) == low
 
 
 @settings(max_examples=60, deadline=None)
@@ -414,7 +413,7 @@ def test_a_row_solve_reads_only_the_fold(monkeypatch):
     # reads only the entries k < lam there.  Every other entry is None in a
     # copy of the basis, so reading one would raise, and the rows of the
     # copy are those of the basis.
-    basis = KatzBasis(11, 20, build_system(11, 12))
+    basis = KatzBasis(20, build_system(11, 12))
     want = {
         (r, lam): solve_row(11, r, lam, basis=basis) for r in range(21) for lam in (3, 9, 12)
     }
@@ -444,27 +443,29 @@ def test_katz_basis_solves_through_the_one_peel(monkeypatch):
 
     monkeypatch.setattr(solver_module, "_peel", refuse)
     with pytest.raises(AssertionError, match="solved by _peel"):
-        KatzBasis(11, 20, build_system(11, 12))
+        KatzBasis(20, build_system(11, 12))
 
 
 def test_katz_basis_rejects_row_beyond_n():
-    basis = KatzBasis(17, 20, build_system(17, 2))
+    basis = KatzBasis(20, build_system(17, 2))
     # Row 21's block lies past the basis's coordinates: refused, not cut short.
     with pytest.raises(ValueError, match="row 21 is outside 0..20"):
-        row_solutions(17, 21, 2, basis=basis)
+        basis.solutions(21, 2)
 
 
 def test_katz_basis_refuses_a_precision_or_prime_it_does_not_hold():
-    # lam must lie in 1..E and the system must be over p; neither may
-    # surface as a KeyError or as RingSpec's "e must be >= 1".
-    basis = KatzBasis(5, 6, build_system(5, 4))
+    # lam must lie in 1..E, on every row, and the basis is over its
+    # system's p; lam may not surface as a KeyError or as RingSpec's "e must
+    # be >= 1", and a row of another prime is refused.
+    basis = KatzBasis(6, build_system(5, 4))
     for lam in (0, -1, 5):
         with pytest.raises(ValueError, match=rf"lam = {lam} lies outside 1\.\.4"):
-            row_solutions(5, 6, lam, basis=basis)
+            basis.solutions(6, lam)
         with pytest.raises(ValueError, match=rf"lam = {lam} lies outside 1\.\.4"):
-            basis.system(lam)
+            basis.solutions(0, lam)
+    assert basis.p == 5
     with pytest.raises(ValueError, match="p = 5, not 7"):
-        KatzBasis(7, 6, build_system(5, 4))
+        solve_row(7, 6, 4, basis=basis)
 
 
 @pytest.mark.parametrize("r", [4, 5])
@@ -472,11 +473,9 @@ def test_solve_row_refuses_a_basis_for_another_prime(r):
     # Coordinates over p = 5 read as a p = 7 row would label wrong entries
     # exact (row 4's j = 3 as 1 where the value is 0); row 5's block is
     # empty at p = 7 and is refused all the same.
-    basis = KatzBasis(5, 12, build_system(5, 8))
+    basis = KatzBasis(12, build_system(5, 8))
     with pytest.raises(ValueError, match="basis is over p = 5, not 7"):
         solve_row(7, r, 6, basis=basis)
-    with pytest.raises(ValueError, match="basis is over p = 5, not 7"):
-        row_solutions(7, r, 6, basis=basis)
 
 
 def test_katz_basis_builds_at_plan_then_steps(basis_builds, system_builds):
@@ -491,7 +490,7 @@ def test_katz_basis_builds_at_plan_then_steps(basis_builds, system_builds):
         basis = None
         for lam in (3, 2, 4, 6, 5, 13, 12):
             basis = sweep_module._basis_for(5, 6, lam, basis, plan)
-            served, fresh = basis.system(lam), build_system(5, lam)
+            served, fresh = basis.solutions(0, lam)[0], build_system(5, lam)
             assert served.lam == lam
             assert served.ss == fresh.ss
             assert (oracles.matrices(served)[1], served._ts, served.gamma) == (
@@ -499,7 +498,7 @@ def test_katz_basis_builds_at_plan_then_steps(basis_builds, system_builds):
                 fresh._ts,
                 fresh.gamma,
             )
-            assert basis.system(lam) is served
+            assert basis.solutions(0, lam)[0] is served
         assert basis_builds == want
         assert system_builds == basis_builds
         assert basis.E == want[-1]
@@ -523,7 +522,7 @@ def test_katz_basis_batches_the_weight_list(monkeypatch):
 
     monkeypatch.setattr(solver_module, "eis_ratios", counting)
     monkeypatch.setattr(family_module, "sigma_star_rows", counting_sieve)
-    basis = KatzBasis(5, 6, build_system(5, 4))
+    basis = KatzBasis(6, build_system(5, 4))
     assert calls == [weight_list(5, 4)] == [[1, 2, 3, 4]]
     assert sieves == [(5, [3, 7, 11, 15])]
     for r in range(7):
@@ -552,10 +551,10 @@ def test_katz_basis_never_holds_the_column_chain(monkeypatch):
             yield Column(col)
 
     monkeypatch.setattr(solver_module, "columns", counting)
-    basis = KatzBasis(11, 40, build_system(11, 6))
+    basis = KatzBasis(40, build_system(11, 6))
     assert len(basis._coords) == dim_mk(40 * 10) == 34
     assert live[0] == 0
     assert expand_module._chunk(11, max(34, 4 * 6 * 6)) == 10
     assert peak[0] == made[0] == 11
     monkeypatch.undo()
-    assert basis._coords == KatzBasis(11, 40, build_system(11, 6))._coords
+    assert basis._coords == KatzBasis(40, build_system(11, 6))._coords

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import katzrates
-from katzrates.solver import VandermondeSystem
+from katzrates.solver import VandermondeSystem, build_system
 
 ROOT = Path(__file__).parent.parent
 SRC = ROOT / "src" / "katzrates"
@@ -163,6 +163,10 @@ def test_the_solving_commands_import_neither_dataclasses_nor_inspect(argv):
         "delta",
         "e_p_minus_1",
         "eisenstein_star",
+        "row_solutions",
+        "_min_val",
+        "system",
+        "_check",
     ],
 )
 def test_no_module_defines_a_removed_path(name):
@@ -191,6 +195,10 @@ def test_no_module_defines_a_removed_path(name):
     # chain makes Delta from them and its own powers of E_4 (basis._powers),
     # and family.eis_ratios makes every E*_k itself; the tests take E*_k from
     # oracles.eisenstein_star_trial and series powers from oracles.power.
+    # row_solutions, KatzBasis.system and KatzBasis._check (a row's solve,
+    # its served system and its range checks, three layers under solve_row)
+    # are gone: KatzBasis.solutions checks r and lam once, reduces, folds
+    # and solves; _min_val is collect_statuses' one gcd read off the log.
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.AsyncFunctionDef)):
@@ -215,6 +223,15 @@ def test_only_arithmetic_knows_the_kronecker_operand_format(path):
     tree = ast.parse(text)
     defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
     assert "forward_substitute" not in defined, f"{path.name} defines forward_substitute"
+
+
+def test_builds_and_reductions_share_one_power_table():
+    # The power table depends on p and E alone: two builds at one (p, E)
+    # and their reductions hold the same table, not equal copies of it.
+    first, second = build_system(5, 12), build_system(5, 12)
+    systems = [first, second, first.reduce(7), second.reduce(7)]
+    assert len({id(system._powers) for system in systems}) == 1
+    assert len({id(system._log) for system in systems}) == 1
 
 
 def test_a_system_keeps_l_and_no_inverse():

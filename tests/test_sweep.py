@@ -807,13 +807,14 @@ def test_sweep_builds_one_system_and_reduces_it(
     # thresholds gamma of a fresh build at its lam: a second route through
     # the sweep's values alone would not see a wrong gamma.
     served = []
-    real = sweep_module.KatzBasis.system
+    real = sweep_module.KatzBasis.solutions
 
-    def recording(self, lam):
-        served.append(real(self, lam))
-        return served[-1]
+    def recording(self, r, lam, count=None):
+        system, solutions = real(self, r, lam, count)
+        served.append(system)
+        return system, solutions
 
-    monkeypatch.setattr(sweep_module.KatzBasis, "system", recording)
+    monkeypatch.setattr(sweep_module.KatzBasis, "solutions", recording)
     state = run_sweep(p, i_max)
     assert sweep_module.planned_precision(p, i_max) == plan
     assert system_builds == [plan]
