@@ -93,15 +93,22 @@ def columns(p: int, n: int, ring: RingSpec) -> Iterator[tuple[int, ...]]:
     made at N - 1 slots, from Delta / q, and each column's last product
     spans only its N - j live slots.  E_4^3 and E_6^2 are made at N slots,
     so that Delta can be cut to Delta / q, and with them every power of E_4.
-    Delta is checked to have no constant term, the exponents of column
-    j > P to be those of columns j - P and P added, and each column to be
-    unit-lower-triangular.
+    The exponents are checked here, before any product: those of column 0
+    are (0, 0, 0), and those of each column j > P are those of columns
+    j - P and P added.  The chain checks that Delta has no constant term
+    and that each column is unit-lower-triangular.
     """
     if ring.p != p:
         raise ValueError("ring prime does not match p")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return _chain(p, n, ring)
+    exponents, P = column_exponents(p, n), period(p)
+    if exponents[0] != (0, 0, 0):
+        raise AssertionError("column 0 is not 1")
+    for j in range(P + 1, len(exponents)):
+        if exponents[j] != tuple(map(add, exponents[j - P], exponents[P])):
+            raise AssertionError(f"column {j} is not column {j - P} times column {P}")
+    return _chain(p, exponents, ring)
 
 
 def _powers(base, mod: int) -> Callable[[int], list[int]]:
@@ -156,8 +163,7 @@ def _first_columns(exponents, N: int, ring: RingSpec) -> Iterator[list[int]]:
         yield col[: N - j]
 
 
-def _chain(p: int, n: int, ring: RingSpec) -> Iterator[tuple[int, ...]]:
-    exponents = column_exponents(p, n)
+def _chain(p: int, exponents, ring: RingSpec) -> Iterator[tuple[int, ...]]:
     N, P, mod = len(exponents), period(p), ring.modulus
     window = deque(maxlen=P)  # columns j - P .. j - 1
     first = _first_columns(exponents[: P + 1], N, ring)
@@ -170,8 +176,6 @@ def _chain(p: int, n: int, ring: RingSpec) -> Iterator[tuple[int, ...]]:
             if j == P + 1:
                 del first  # frees the powers of the first columns
                 period_factor = prepare(window[-1][P:], mod)
-            if exponents[j] != tuple(map(add, exponents[j - P], exponents[P])):
-                raise AssertionError(f"column {j} is not column {j - P} times column {P}")
             cs = (0,) * j + tuple(mul_low(window[0][j - P : N - P], period_factor, mod))
         if any(cs[:j]) or cs[j] != 1:
             raise AssertionError(f"column {j} is not unit-lower-triangular")

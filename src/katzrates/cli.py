@@ -107,7 +107,7 @@ def cmd_katz_expand(args) -> int:
 
 def cmd_valuations(args) -> int:
     from .solver import KatzBasis, UnsolvableSystem, build_system, solve_row
-    from .sweep import row_entries, write_entries_csv
+    from .sweep import write_entries_csv
 
     try:
         if args.r < 0:
@@ -125,7 +125,7 @@ def cmd_valuations(args) -> int:
     except UnsolvableSystem as exc:
         print(f"error: linear system unsolvable: {exc}", file=sys.stderr)
         return EXIT_UNSOLVABLE
-    write_entries_csv(row_entries(row), sys.stdout)
+    write_entries_csv(row.entries.values(), sys.stdout)
     return 0
 
 

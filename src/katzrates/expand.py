@@ -23,7 +23,7 @@ from .arithmetic import (
     prepare,
     prepare_rows,
 )
-from .basis import _blocks, column_exponents, columns, dim_mk, period
+from .basis import _blocks, columns, dim_mk, period
 
 
 class PrecisionMismatch(ValueError):
@@ -74,21 +74,18 @@ def _chunk(p: int, N: int) -> int:
     return max(c, 1) * P
 
 
-def _chain_head(p: int, n: int, chain, N: int, B: int) -> tuple[int, list]:
+def _chain_head(p: int, chain, N: int, B: int) -> tuple[int, list]:
     """K for a batch of B series and the columns S_0..S_K of `chain`, the
-    basis columns for (p, n) (all N of them when K >= N).  Asserts, in
-    integers, what the chunks rely on: the exponents of column cK + t are c
-    times those of column K plus those of column t, so that column cK + t is
-    S_K^c S_t."""
+    basis columns `basis.columns` makes (all N of them when K >= N).
+
+    The chunks rely on column cK + t being S_K^c S_t, that is on the
+    exponents e_j of column j having e_{cK+t} = c e_K + e_t.  `columns`
+    checked, before any product, that e_0 = 0 and e_j = e_{j-P} + e_P for
+    j > P, P = period(p).  By induction on j, e_j = (j // P) e_P + e_{j % P}
+    for every j.  `_chunk` returns K = mP, so e_K = m e_P and
+    e_{cK+t} = (cm + t // P) e_P + e_{t % P} = c e_K + e_t."""
     K = _chunk(p, max(N, 4 * B * B))
-    S = list(islice(chain, K + 1))
-    if K < N:
-        exps = column_exponents(p, n)
-        for j, e in enumerate(exps):
-            c, t = divmod(j, K)
-            if e != tuple(c * a + b for a, b in zip(exps[K], exps[t])):
-                raise AssertionError(f"column {j} is not S_{K}^{c} S_{t}")
-    return K, S
+    return K, list(islice(chain, K + 1))
 
 
 def _peel(p: int, n: int, ring: RingSpec, chain, rows) -> list[list[int]]:
@@ -106,7 +103,7 @@ def _peel(p: int, n: int, ring: RingSpec, chain, rows) -> list[list[int]]:
     chunk, and the chain's rows in its first K columns, about KN entries,
     are all that is held of the basis matrix."""
     N, mod = dim_mk(n * (p - 1)), ring.modulus
-    K, S = _chain_head(p, n, chain, N, len(rows[0]))
+    K, S = _chain_head(p, chain, N, len(rows[0]))
     m = min(K, N)
     # Row r of the top holds r entries, every row past it m.
     lower = [row[:r] for r, row in enumerate(zip(*S[:m]))]
@@ -157,7 +154,7 @@ def phi(p: int, n: int, C: int, t: KatzTuple) -> QSeries:
         raise ValueError(f"tuple has {len(t.x)} coordinates, not N = {N}")
     mod = ring.modulus
     x = [c % mod for c in t.x]
-    K, S = _chain_head(p, n, chain, N, 1)
+    K, S = _chain_head(p, chain, N, 1)
     rows = prepare_rows(S[:K], mod)
     if K < N:
         V = prepare(S[K][K:], mod)

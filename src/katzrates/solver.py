@@ -399,13 +399,13 @@ class KatzBasis:
 
 
 def collect_statuses(system: VandermondeSystem, solutions, j_max: int, r: int):
-    """The entries (r, j), j <= j_max: per-component minimum valuation over
-    the solutions, classified against the kernel thresholds.  Ambiguity-proof:
-    perturbing any solution by a kernel element cannot change an exact
-    entry."""
+    """The entries (r, j), j <= j_max, in increasing j: the least valuation
+    of component j over the solutions, classified against the kernel
+    thresholds; none for no solutions (an empty block, every b_{r,j} 0).
+    Perturbing a solution by a kernel element cannot change an exact entry."""
     mod, log = system.modulus, system._log
     out = {}
-    for j in range(j_max + 1):
+    for j in range(j_max + 1 if solutions else 0):
         # The least valuation, capped at lam, is that of the gcd with p^lam.
         alpha = log[math.gcd(mod, *[sol[j] for sol in solutions])]
         gamma = system.gamma[j]

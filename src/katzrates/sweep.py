@@ -26,10 +26,9 @@ CHECKPOINT_INTERVAL_S = 1.0
 # it.
 PLAN_SLACK = 2
 
-# Retry policy: initial margin on the conclusiveness target, doubled on each
-# retry, at most this many retries per row.
-_INITIAL_MARGIN = 2
-_MAX_RETRIES = 3
+# Retry policy: the margins on the conclusiveness target a row is solved at,
+# in turn, until no entry with j >= 1 is inconclusive or the list runs out.
+_MARGINS = (2, 4, 8, 16)
 
 
 class CheckpointError(ValueError):
@@ -68,15 +67,22 @@ def lambda_for(p: int, target_gamma: int, j_max: int) -> int:
     return n
 
 
+def _row_plan(p: int, i: int, d_prime: Fraction, margin: int) -> tuple[int, int]:
+    """(j_max, lam) for row i at the running rate d_prime and a margin: the
+    row reads j <= j_max = min(i, ceil(d' i)), and lam gives every component
+    j <= j_max a kernel threshold of at least ceil(d' i) + margin."""
+    target_j = math.ceil(d_prime * i)
+    j_max = min(i, target_j)
+    return j_max, lambda_for(p, target_j + margin, j_max)
+
+
 def planned_precision(p: int, i_max: int) -> int:
     """The precision a sweep to i_max plans its one KatzBasis at, and with
-    it the basis's Vandermonde system: the lam of the last row if the
-    observed rate is the conjectured d_p, plus PLAN_SLACK.  A wrong plan only
-    costs time: a row needing more rebuilds both at its own lam plus
-    PLAN_SLACK."""
-    target_j = math.ceil(d_p(p) * i_max)
-    j_max = min(i_max, target_j)
-    return lambda_for(p, target_j + _INITIAL_MARGIN, j_max) + PLAN_SLACK
+    it the basis's Vandermonde system: the lam of the last row's first
+    attempt if the observed rate is the conjectured d_p, plus PLAN_SLACK.
+    A wrong plan only costs time: a row needing more rebuilds both at its
+    own lam plus PLAN_SLACK."""
+    return _row_plan(p, i_max, d_p(p), _MARGINS[0])[1] + PLAN_SLACK
 
 
 def _basis_for(p: int, i_max: int, lam: int, basis: KatzBasis | None, plan: int):
@@ -120,11 +126,6 @@ class SweepState(_Record):
         self.completed_rows = set() if completed_rows is None else completed_rows
 
 
-def row_entries(row) -> list[SweepEntry]:
-    """The entries of a solved ValuationRow, in increasing j."""
-    return [row.entries[j] for j in sorted(row.entries)]
-
-
 def _excess(e: SweepEntry, slope: tuple[int, int]) -> int:
     """(nu + j).den - num.i for an exact entry and a slope s = num/den,
     den > 0: nu + j - s.i in integers, scaled by den, so its sign says how
@@ -149,11 +150,12 @@ def _fold_rate(entries, d_prime: Fraction, attained: set) -> tuple[Fraction, set
 
 
 def _record_row(state: SweepState, row) -> None:
-    """Add a solved row to the state: its entries, its lam and the d' update
-    are computed first and then stored in three statements.  A checkpoint
-    saved after an interrupt between those either holds the row whole or
-    fails the load-time checks."""
-    entries = row_entries(row)
+    """Add a solved row to the state: its entries (in increasing j, as
+    collect_statuses keys them), its lam and the d' update are computed
+    first and then stored in three statements.  A checkpoint saved after an
+    interrupt between those either holds the row whole or fails the
+    load-time checks."""
+    entries = list(row.entries.values())
     d_prime, attained = _fold_rate(entries, state.d_prime, state.attained)
     state.entries += entries
     state.completed_rows.add(row.r)
@@ -199,17 +201,14 @@ def run_sweep(
                 state.completed_rows.add(i)
                 continue
 
-            margin, lam = _INITIAL_MARGIN, state.lam_current
-            for attempt in range(_MAX_RETRIES + 1):
-                target_j = math.ceil(state.d_prime * i)
-                j_max = min(i, target_j)
-                lam = max(lambda_for(p, target_j + margin, j_max), lam)
+            lam = state.lam_current
+            for margin in _MARGINS:
+                j_max, planned = _row_plan(p, i, state.d_prime, margin)
+                lam = max(planned, lam)
                 basis = _basis_for(p, i_max, lam, basis, plan)
                 row = solve_row(p, i, lam, j_max=j_max, basis=basis)
-                stuck = any(not e.exact for j, e in row.entries.items() if j)
-                if not stuck or attempt == _MAX_RETRIES:
+                if all(e.exact for j, e in row.entries.items() if j):
                     break
-                margin *= 2
 
             _record_row(state, row)
             if progress:
@@ -255,7 +254,7 @@ def theorem_b_audit(state: SweepState):
 def summary(state: SweepState) -> dict:
     """The observed rate and its audits, the largest lambda used, the number
     of nonempty rows solved, and the inconclusive entries with j >= 1 (left
-    unresolved when a row runs out of retries)."""
+    unresolved when a row is still stuck at the last margin)."""
     c_viol, d_viol = theorem_b_audit(state)
     return {
         "p": state.p,
@@ -329,12 +328,10 @@ def _entry_from_json(e: dict, completed_rows: set[int], lam: int) -> SweepEntry:
 
 def _lambda_bound(p: int, rows) -> int:
     """The largest lam a sweep can have used when `rows` are its completed
-    rows: the retry policy's largest target on the last nonempty row m,
-    since d' <= 1 makes target_j <= m; 1 if no row is nonempty."""
+    rows: the last margin's plan at d' = 1 for the last nonempty row m,
+    since d' <= 1; 1 if no row is nonempty."""
     m = max((i for i in rows if not _empty_block(p, i)), default=0)
-    if m == 0:
-        return 1
-    return lambda_for(p, m + _INITIAL_MARGIN * 2**_MAX_RETRIES, m)
+    return _row_plan(p, m, Fraction(1), _MARGINS[-1])[1] if m else 1
 
 
 def state_from_json(data: dict) -> SweepState:

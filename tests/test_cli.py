@@ -703,7 +703,7 @@ def test_deeply_nested_json_exits_with_its_code(tmp_path, capsys):
 def test_sweep_cli_unresolved_entries_exit_6(tmp_path, capsys, monkeypatch):
     # One attempt per row at the least lam a row allows leaves entries with
     # j >= 1 inconclusive: the outputs are still written, then the run fails.
-    monkeypatch.setattr(sweep_module, "_MAX_RETRIES", 0)
+    monkeypatch.setattr(sweep_module, "_MARGINS", (2,))
     monkeypatch.setattr(sweep_module, "lambda_for", lambda p, target, j_max: j_max + 1)
     ck, out_csv = tmp_path / "ck.json", tmp_path / "out.csv"
     code, out, err = run_cli(

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from katzrates import basis as basis_module
 from katzrates import classical
 from katzrates import expand as expand_module
 from katzrates.arithmetic import QSeries, RingSpec, combine, forward_substitute, prepare_rows
 from katzrates.basis import _blocks, block, columns, dim_mk, period
 from katzrates.expand import KatzTuple, PrecisionMismatch, phi, psi
+from katzrates.solver import KatzBasis, build_system
 
 
 def tuple_from_coords(p, n, C, x):
@@ -215,21 +217,26 @@ def test_phi_rejects_a_tuple_for_other_parameters(field, value, ks2_products):
     assert ks2_products == []
 
 
-def test_psi_asserts_the_period_of_the_chunks(monkeypatch):
+def test_psi_asserts_the_period_of_the_chunks(monkeypatch, ks2_products):
     # A chain whose exponents did not repeat with the period would make the
-    # peeled chunks wrong; psi checks them before it peels.
-    real = expand_module.column_exponents
+    # peeled chunks wrong; basis.columns checks them before any product, so
+    # psi and a KatzBasis build refuse them before they make a column.
+    real = basis_module.column_exponents
 
     def broken(p, n):
         exps = real(p, n)
         exps[-1] = (exps[-1][0] + 1, *exps[-1][1:])
         return exps
 
-    monkeypatch.setattr(expand_module, "column_exponents", broken)
     p, n, C = 11, 12, 3
     f = QSeries.from_coeffs(RingSpec(p, C), [1], dim_mk(n * (p - 1)))
-    with pytest.raises(AssertionError, match="is not S_"):
+    system = build_system(p, C)
+    monkeypatch.setattr(basis_module, "column_exponents", broken)
+    with pytest.raises(AssertionError, match="column 10 is not column 5 times column 5"):
         psi(p, n, C, f)
+    with pytest.raises(AssertionError, match="column 10 is not column 5 times column 5"):
+        KatzBasis(n, system)
+    assert ks2_products == []
 
 
 @lru_cache(maxsize=None)

@@ -219,11 +219,16 @@ def test_solve_row_of_an_empty_block_has_no_entries(p, r, lam):
     # b_{r,j} = 0 for every j when the dimension does not grow from weight
     # (r-1)(p-1) to r(p-1); a sweep records no entries for such a row, and
     # solve_row gives none either, on a basis of its own or one given.
+    # Past solve_row's early return, the block has no solutions, and no
+    # solutions give no entries.
     lo, hi = block(p, r)
     assert lo == hi
     assert solve_row(p, r, lam).entries == {}
     basis = KatzBasis(r, build_system(p, lam))
     assert solve_row(p, r, lam, basis=basis).entries == {}
+    system, solutions = basis.solutions(r, lam)
+    assert solutions == []
+    assert collect_statuses(system, solutions, lam - 1, r) == {}
 
 
 def test_particular_solutions_satisfy_systems():

@@ -167,6 +167,7 @@ def test_the_solving_commands_import_neither_dataclasses_nor_inspect(argv):
         "_min_val",
         "system",
         "_check",
+        "row_entries",
     ],
 )
 def test_no_module_defines_a_removed_path(name):
@@ -199,6 +200,9 @@ def test_no_module_defines_a_removed_path(name):
     # its served system and its range checks, three layers under solve_row)
     # are gone: KatzBasis.solutions checks r and lam once, reduces, folds
     # and solves; _min_val is collect_statuses' one gcd read off the log.
+    # row_entries (a row's entries sorted by j) is gone: collect_statuses
+    # keys them by j in increasing order, and the sweep and the valuations
+    # command read row.entries.values().
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.AsyncFunctionDef)):

@@ -17,7 +17,7 @@ import oracles
 from katzrates import sweep as sweep_module
 from katzrates.arithmetic import PRIME_BOUND
 from katzrates.basis import dim_mk
-from katzrates.solver import build_system, f_bound
+from katzrates.solver import ValuationRow, build_system, f_bound
 from katzrates.sweep import (
     PLAN_SLACK,
     CheckpointError,
@@ -226,7 +226,7 @@ def test_a_stuck_row_is_solved_again_at_a_larger_lambda(monkeypatch, p, i_max):
     solves = {}
 
     def short_lambda_for(p, target_gamma, j_max):
-        if target_gamma - j_max == sweep_module._INITIAL_MARGIN:
+        if target_gamma - j_max == sweep_module._MARGINS[0]:
             return j_max + 1
         return real_lambda_for(p, target_gamma, j_max)
 
@@ -329,19 +329,19 @@ def test_keyboard_interrupt_saves_the_solved_rows(
     assert _entries_csv(resumed) == (DATA / "p5_i36.csv").read_bytes().decode()
 
 
-def test_row_is_recorded_whole_or_not_at_all(monkeypatch):
+def test_row_is_recorded_whole_or_not_at_all():
     # An interrupt after the first of a row's entries is read leaves the
     # state as it was before the row.
     state = run_sweep(5, 9)
     before = state_to_json(state)
-    real = sweep_module.row_entries
 
-    def interrupted(row):
-        yield real(row)[0]
-        raise KeyboardInterrupt
+    class Interrupted(dict):
+        def values(self):
+            yield next(iter(dict.values(self)))
+            raise KeyboardInterrupt
 
-    monkeypatch.setattr(sweep_module, "row_entries", interrupted)
-    row = sweep_module.solve_row(5, 12, 10, j_max=2)
+    solved = sweep_module.solve_row(5, 12, 10, j_max=2)
+    row = ValuationRow(p=5, r=12, lam=10, entries=Interrupted(solved.entries))
     with pytest.raises(KeyboardInterrupt):
         sweep_module._record_row(state, row)
     assert state_to_json(state) == before
@@ -515,6 +515,31 @@ def test_checkpoint_lambda_bound_is_the_retry_policy_ceiling(checkpoint_p5_i9):
     data["lambda"] = bound
     assert state_from_json(data).lam_current == bound
     data["lambda"] = bound + 1
+    with pytest.raises(CheckpointError, match="lambda"):
+        state_from_json(data)
+
+
+def test_a_sweep_that_never_resolves_reaches_the_lambda_bound_exactly(monkeypatch):
+    # With every entry inconclusive, d' stays 1 and each nonempty row is
+    # solved at every margin, so the last row's lam is the largest a sweep
+    # through rows 1..9 can use: its checkpoint loads, one with lam + 1 is
+    # refused.  The retry loop and _lambda_bound read one margin list.
+    real, attempts = sweep_module.solve_row, {}
+
+    def inconclusive(p, i, lam, **kwargs):
+        attempts[i] = attempts.get(i, 0) + 1
+        row = real(p, i, lam, **kwargs)
+        entries = {j: SweepEntry(i, j, None, e.gamma) for j, e in row.entries.items()}
+        return ValuationRow(p=p, r=i, lam=lam, entries=entries)
+
+    monkeypatch.setattr(sweep_module, "solve_row", inconclusive)
+    state = run_sweep(5, 9)
+    assert state.d_prime == 1
+    assert set(attempts.values()) == {len(sweep_module._MARGINS)}
+    assert state.lam_current == sweep_module._lambda_bound(5, range(1, 10))
+    data = state_to_json(state)
+    assert state_from_json(data).lam_current == state.lam_current
+    data["lambda"] += 1
     with pytest.raises(CheckpointError, match="lambda"):
         state_from_json(data)
 
