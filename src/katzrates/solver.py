@@ -402,7 +402,11 @@ def collect_statuses(system: VandermondeSystem, solutions, j_max: int, r: int):
     """The entries (r, j), j <= j_max, in increasing j: the least valuation
     of component j over the solutions, classified against the kernel
     thresholds; none for no solutions (an empty block, every b_{r,j} 0).
-    Perturbing a solution by a kernel element cannot change an exact entry."""
+    Perturbing a solution by a kernel element cannot change an exact entry.
+
+    The weight-0 member E*_0 / V(E*_0) is 1, whose Katz expansion is row 0
+    alone, so b_{r,0} = 0 for r >= 1: an exact j = 0 entry there proves a
+    fault, and raises AssertionError naming r."""
     mod, log = system.modulus, system._log
     out = {}
     for j in range(j_max + 1 if solutions else 0):
@@ -411,6 +415,8 @@ def collect_statuses(system: VandermondeSystem, solutions, j_max: int, r: int):
         gamma = system.gamma[j]
         # alpha = lam, "at least lam", is never below gamma <= lam.
         value = alpha if alpha < gamma else None
+        if j == 0 and r >= 1 and value is not None:
+            raise AssertionError(f"row {r}: exact j = 0 entry, but b_{{{r},0}} = 0")
         out[j] = SweepEntry(i=r, j=j, value=value, gamma=gamma)
     return out
 

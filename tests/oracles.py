@@ -361,9 +361,10 @@ def min_val(values, p: int, lam: int) -> int:
 
 def bernoulli(k: int) -> Fraction:
     """B_k from sympy, which is exact and shares nothing with the package's
-    tangent numbers, in the convention B_1 = -1/2 (sympy >= 1.12 returns
-    +1/2).  One value at a time: a check reads only the B_k it needs, and
-    sympy's B_k past k = 500 each cost milliseconds."""
+    route through zeta(k) (classical._bernoulli), in the convention
+    B_1 = -1/2 (sympy >= 1.12 returns +1/2).  One value at a time: a check
+    reads only the B_k it needs, and sympy's B_k past k = 500 each cost
+    milliseconds."""
     if k == 1:
         return Fraction(-1, 2)
     b = sympy.bernoulli(k)

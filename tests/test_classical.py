@@ -179,8 +179,9 @@ def _check_eisenstein_constants(k_max: int) -> int:
     in rationals on the oracle's Bernoulli numbers, for every prime
     5 <= p < 30 and k = s(p-1) <= k_max with s <= 64, the weights of a 29/870
     sweep; returns how many weights.
-    The largest p comes first, so the tangent table is built once, as a
-    sweep's basis build does (its regrowth is checked in test_kernels)."""
+    One weight per call, so each B_k is taken from zeta(k) alone, with pi
+    and (2 pi)^k at that k's own precision; a whole weight list in one call
+    is checked below and in test_kernels."""
     checked = 0
     for p in reversed(list(sympy.primerange(5, 30))):
         for e in (1, 10):
@@ -220,11 +221,19 @@ def test_eisenstein_constants_match_the_bernoulli_formula_at_29_870():
 
 
 def test_eisenstein_star_refuses_a_constant_prime_to_p(monkeypatch):
-    # With T_2 = 5 in place of 2, c = -8/((1 - 5^3) B_4) would come out prime
-    # to 5; the check that p | c catches it.
-    monkeypatch.setattr(classical, "_TANGENT", [1, 5])
+    # B_4 = -1/30.  Given -5/150 in its place, with the 5 of D_4 moved into
+    # N_4, c = -8 D_4 / ((1 - 5^3) N_4) = -8/((1 - 5^3) B_4) is the same
+    # number, but N_4 is no 5-unit and the one inversion refuses it.  Given
+    # -1/6, B_4 without the 5 of its denominator, c = 48/(1 - 5^3) comes out
+    # prime to 5, and the check that p | c catches it.  _bernoulli itself
+    # returns neither: von Staudt-Clausen makes N_k = -D_k/p mod p a unit.
+    ring = RingSpec(5, 3)
+    monkeypatch.setattr(classical, "_bernoulli", lambda ks: [(-5, 150)])
+    with pytest.raises(ValueError, match="not invertible"):
+        star_constants([4], ring)
+    monkeypatch.setattr(classical, "_bernoulli", lambda ks: [(-1, 6)])
     with pytest.raises(ArithmeticError, match="not divisible by p"):
-        star_constants([4], RingSpec(5, 3))
+        star_constants([4], ring)
 
 
 def _coordinates(monkeypatch, p, lam, ss):

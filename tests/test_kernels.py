@@ -1,15 +1,15 @@
 """The fast kernels against the slow reference oracles in tests/oracles.py:
 the Kronecker truncated product (mul_low) and the chain's powers, the packed
 row solve, the Newton factorization of the Vandermonde systems, the
-gcd-driven valuation minima, the tangent numbers behind B_k, the
+gcd-driven valuation minima, the Bernoulli numbers from zeta(k), the
 step-by-step basis matrix, the rows solved on their Katz coordinates and
 on L^-1 folded into them, the sieved sigma* of E*_k, the sparse division by
 V(E*_k), the forward substitution packed over right-hand sides, and the
 batch peeled off the basis chain."""
 
 import random
-from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
@@ -26,7 +26,7 @@ from katzrates.arithmetic import (
     prepare_rows,
 )
 from katzrates.basis import _powers, block, columns, dim_mk
-from katzrates.classical import _tangent, sigma_star_rows, star_constants
+from katzrates.classical import _bernoulli, _pi, sigma_star_rows, star_constants
 from katzrates.expand import psi
 from katzrates.family import eis_ratio_by_s, eis_ratios
 from katzrates.solver import (
@@ -38,6 +38,7 @@ from katzrates.solver import (
     collect_statuses,
     weight_list,
 )
+from katzrates.sweep import planned_precision
 
 
 def _series(ring, coeffs):
@@ -416,38 +417,56 @@ def test_gamma_matches_padic_val_loop(system):
         assert system.gamma[j] == gamma
 
 
-def test_bernoulli_matches_recurrence(monkeypatch):
-    # The tangent numbers of the Brent-Harvey recurrence give every even
-    # B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)) exactly, read from a table
-    # that starts empty and regrows on the way, up to T_1..T_256.
-    monkeypatch.setattr(classical, "_TANGENT", [])
-    for m in range(1, 151):
-        four_m = 4**m
-        b = Fraction((-1) ** (m - 1) * 2 * m * _tangent(m), four_m * (four_m - 1))
-        assert b == oracles.bernoulli(2 * m), m
+def _check_bernoulli(ks):
+    # B_k = N_k / D_k in lowest terms with D_k > 0, as sympy has it.
+    for k, (n, d) in zip(ks, _bernoulli(ks)):
+        b = oracles.bernoulli(k)
+        assert (n, d) == (b.numerator, b.denominator), k
 
 
-def test_bernoulli_table_regrows_geometrically(monkeypatch):
-    monkeypatch.setattr(classical, "_TANGENT", [])
-    _tangent(10)  # T_10, for B_20
-    assert len(classical._TANGENT) == 10
-    _tangent(11)  # regrow to 2 * 10
-    assert len(classical._TANGENT) == 20
-    _tangent(50)  # T_50 > 2 * 20
-    assert len(classical._TANGENT) == 50
-    _tangent(3)  # a table that holds T_m is kept
-    assert len(classical._TANGENT) == 50
+def test_bernoulli_matches_sympy():
+    # Every even k <= 600 in one call, so pi is taken once and (2 pi)^k
+    # stepped by 2 from k = 2 on; and again one k at a time, from k = 0.
+    ks = list(range(2, 601, 2))
+    _check_bernoulli(ks)
+    for k in (2, 4, 12, 98, 600):
+        _check_bernoulli([k])
+    # Repeats and any order: the values come back in the order asked.
+    _check_bernoulli([30, 4, 30, 2])
 
 
-@pytest.mark.parametrize("p, n, E", [(17, 20, 38), (5, 6, 1), (11, 5, 7)])
-def test_katz_basis_sizes_the_tangent_table_once(monkeypatch, p, n, E):
-    # A fresh build asks for B_k at its batch's largest weight first, so the
-    # table holds T_1..T_{k/2}; regrown weight by weight, it would reach the
-    # next doubling (512 for 17/20 at E = 38, where 320 are needed).
-    monkeypatch.setattr(classical, "_TANGENT", [])
-    KatzBasis(n, build_system(p, E))
-    k_max = weight_list(p, E)[-1] * (p - 1)
-    assert len(classical._TANGENT) == k_max // 2
+@pytest.mark.slow
+@pytest.mark.parametrize("p, i_max", [(23, 552), (29, 870), (31, 992), (37, 1406)])
+def test_bernoulli_matches_sympy_at_a_frontier_build(p, i_max):
+    # Every weight of the system a sweep to i_max plans its build on, up to
+    # k = 2880 at 37/1406, in one call as star_constants makes it.
+    _check_bernoulli([s * (p - 1) for s in weight_list(p, planned_precision(p, i_max))])
+
+
+@pytest.mark.parametrize("bits", [8, 9, 16, 33, 64, 200, 1000, 5000])
+def test_pi_is_within_its_bound(bits):
+    # _pi(bits) is pi 2^bits less than 8 bits units off.
+    with mpmath.workprec(bits + 64):
+        exact = int(mpmath.floor(mpmath.pi * 2**bits))
+    assert abs(_pi(bits) - exact) < 8 * bits
+
+
+def test_bernoulli_with_pi_cut_to_32_bits_fails_its_certificate(monkeypatch):
+    # Past k = 26 the error of a 32-bit pi moves N_k, and von Staudt-Clausen
+    # names the first k whose numerator it moves off its class mod D_k.
+    real = classical._pi
+    monkeypatch.setattr(classical, "_pi", lambda bits: real(32) << max(bits - 32, 0))
+    _check_bernoulli(list(range(2, 27, 2)))
+    with pytest.raises(ArithmeticError, match=r"B_28: numerator"):
+        _bernoulli(list(range(2, 301, 2)))
+    with pytest.raises(ArithmeticError, match=r"B_100: numerator"):
+        _bernoulli([100, 200])
+
+
+@pytest.mark.parametrize("ks", [[3], [0], [-2], [2, 5], [1], []])
+def test_bernoulli_refuses_odd_or_small_k(ks):
+    with pytest.raises(ValueError, match="even k >= 2"):
+        _bernoulli(ks)
 
 
 _PRIMES = [5, 7, 11, 13, 17, 19, 23]

@@ -111,9 +111,11 @@ def test_reduced_system_serves_like_a_fresh_build(p, E, data):
         assert not any(oracles.apply(served, g))
     vectors = st.lists(st.integers(0, p**lam - 1), min_size=lam, max_size=lam)
     thetas = [oracles.apply(fresh, data.draw(vectors)) for _ in range(3)]
+    # Row 0: random thetas may give an exact j = 0 entry, which any row
+    # r >= 1 refuses (b_{r,0} = 0).
     assert collect_statuses(
-        served, oracles.solve_many(served, thetas), lam - 1, 1
-    ) == collect_statuses(fresh, oracles.solve_many(fresh, thetas), lam - 1, 1)
+        served, oracles.solve_many(served, thetas), lam - 1, 0
+    ) == collect_statuses(fresh, oracles.solve_many(fresh, thetas), lam - 1, 0)
     # e_{lam-1} is outside the image once t_{lam-1} >= 1, which holds from
     # lam = 2; a random theta is solvable for both or for neither.
     unsolvable = [0] * (lam - 1) + [1]
@@ -158,9 +160,10 @@ def test_reduce_serves_a_system_on_shuffled_weights(p, E, data):
     assert served._ts == fresh._ts and served.gamma == fresh.gamma
     vectors = st.lists(st.integers(0, p**m - 1), min_size=m, max_size=m)
     thetas = [oracles.apply(fresh, data.draw(vectors)) for _ in range(3)]
+    # Row 0, as above: a random theta may make j = 0 exact.
     assert collect_statuses(
-        served, oracles.solve_many(served, thetas), m - 1, 1
-    ) == collect_statuses(fresh, oracles.solve_many(fresh, thetas), m - 1, 1)
+        served, oracles.solve_many(served, thetas), m - 1, 0
+    ) == collect_statuses(fresh, oracles.solve_many(fresh, thetas), m - 1, 0)
 
 
 @pytest.mark.parametrize("k", [1, 6, 11])
@@ -229,6 +232,21 @@ def test_solve_row_of_an_empty_block_has_no_entries(p, r, lam):
     system, solutions = basis.solutions(r, lam)
     assert solutions == []
     assert collect_statuses(system, solutions, lam - 1, r) == {}
+
+
+def test_an_exact_weight_0_entry_is_refused_past_row_0():
+    # b_{r,0} = 0 for r >= 1 (E*_0 / V(E*_0) = 1), so a solution whose
+    # component 0 has valuation 1 < gamma_0 = 4 proves a fault at row 1; at
+    # row 0 the entry is exact.  A real row's j = 0 entry is inconclusive,
+    # as at every r >= 1 of every golden CSV.
+    system = build_system(5, 4)
+    assert system.gamma[0] == 4
+    solutions = [(5, 0, 0, 0), (25, 1, 0, 0)]
+    assert collect_statuses(system, solutions, 3, 0)[0].value == 1
+    with pytest.raises(AssertionError, match="row 1: exact j = 0 entry"):
+        collect_statuses(system, solutions, 3, 1)
+    _, real = KatzBasis(3, system).solutions(3, 4)
+    assert not collect_statuses(system, real, 3, 3)[0].exact
 
 
 def test_particular_solutions_satisfy_systems():

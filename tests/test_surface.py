@@ -168,6 +168,8 @@ def test_the_solving_commands_import_neither_dataclasses_nor_inspect(argv):
         "system",
         "_check",
         "row_entries",
+        "_tangent",
+        "_tangent_numbers",
     ],
 )
 def test_no_module_defines_a_removed_path(name):
@@ -182,9 +184,12 @@ def test_no_module_defines_a_removed_path(name):
     # its s, and its kernel check reads V.B off the Newton products alone.
     # QSeries is a record: the operators and scaled/truncate are gone, and
     # series are multiplied, powered and inverted by arithmetic's functions.
-    # bernoulli (B_k as a Fraction) is gone too: the package reads B_k only
-    # through the tangent numbers in classical._scalars, and the tests take
-    # their Bernoulli numbers from sympy (tests/oracles.bernoulli).
+    # bernoulli (B_k as a Fraction) is gone too, and so are _tangent and
+    # _tangent_numbers (B_k read off a table of tangent numbers that grew to
+    # the largest k): the package takes each B_k = N_k / D_k it needs from
+    # zeta(k) in classical._bernoulli, certified by von Staudt-Clausen, and
+    # the tests take their Bernoulli numbers from sympy
+    # (tests/oracles.bernoulli).
     # solve_many (a system solved for thetas) lives on in tests/oracles.py:
     # a sweep reads the fold of its KatzBasis and solves no theta.
     # _newton_side (L^-1 applied to a whole batch at the build's p^E) is
@@ -207,6 +212,16 @@ def test_no_module_defines_a_removed_path(name):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.AsyncFunctionDef)):
                 assert node.name != name, f"{path.name} defines {name}"
+
+
+def test_classical_keeps_no_module_level_state():
+    # Each B_k is taken from zeta(k) when a weight list asks for it
+    # (classical._bernoulli); no table of Bernoulli or tangent numbers
+    # outlives a call.  _prime_powers' cache holds immutable tuples.
+    tree = ast.parse((SRC / "classical.py").read_text())
+    assignments = (ast.Assign, ast.AnnAssign, ast.AugAssign)
+    assert not [node for node in tree.body if isinstance(node, assignments)]
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Global)]
 
 
 @pytest.mark.parametrize(
