@@ -61,22 +61,53 @@ class KatzTuple(_Record):
         )
 
 
-def _chunk(p: int, N: int) -> int:
-    """K, the number of coordinates `_peel` solves and `phi` folds per chunk:
-    the multiple of `period(p)` nearest sqrt(N), and at least `period(p)`.
-    `_chain_head` passes max(N, 4B^2) for a batch of B series: one series
-    takes about K + N/K products, and a basis's batch ran as fast at K near
-    2B as at 4B (23/552, 29/870) and held fewer residues."""
+def _chunk(p: int, N: int, B: int) -> int:
+    """K, the number of coordinates `_peel` solves and `phi` folds per chunk,
+    for a batch of B series of N coefficients: of the multiples of
+    P = period(p) from the one nearest sqrt(N), where one series timed
+    fastest, up to the first one >= N (one chunk), the one the count below
+    prices least; the search stops before a chain head of over 3NB entries.
+
+    The count, in microseconds, is what `_peel` runs at K: the chain's
+    columns P+1..min(K, N-1), column j a product of N - j slots; per chunk
+    after the first, at s = cK, B member products of N - s slots; for K < N
+    the inverse of S_K / q^K, N - K slots; and per chunk a pass over its
+    N - s rows.  A product of n slots costs 5 + 0.4 n^1.5, an inverse
+    n^2 / 12 and a pass row 1 + B, fit at p^e = 19^42 on a 2-vCPU host:
+    `mul_low` took 19 us at 10 slots, 0.37 ms at 100 and 12.6 ms at 1000,
+    `inverse` 2.9 ms at 200 slots, and a pass row 1 us at one value and
+    31 us at 30.  The passes' packed combinations hold about N^2 / 2 entries
+    whatever K is, and are left out.
+
+    The chain head holds m(2N - m - 1)/2 entries, m = min(K, N), and a pass
+    the batch's NB once, so the peel holds at most 4NB.  The cap binds at
+    the frontier, where K buys time with memory: with the batch held twice,
+    K = 252 in place of 126 took run_sweep(29, 870) from 79 s to 68 s and
+    its peak RSS from 69 to 90 MB."""
     P = period(p)
     c = isqrt(N) // P  # cP <= sqrt(N) < (c + 1)P
     if 4 * N > ((2 * c + 1) * P) ** 2:
         c += 1
-    return max(c, 1) * P
+    # products[n]: a product of n slots, chain's or member's.
+    products = [5 + 0.4 * n**1.5 for n in range(N + 1)]
+    priced = []
+    for K in range(max(c, 1) * P, N + P, P):
+        m = min(K, N)
+        if priced and m * (2 * N - m - 1) > 6 * N * B:
+            break
+        cost = sum(products[max(N - K, 1) : N - P])  # columns P+1..min(K, N-1)
+        cost += B * sum(products[N - s] for s in range(K, N, K))
+        cost += (1 + B) * sum(N - s for s in range(0, N, K))
+        if K < N:
+            cost += (N - K) ** 2 / 12
+        priced.append((cost, K))
+    return min(priced)[1]
 
 
 def _chain_head(p: int, chain, N: int, B: int) -> tuple[int, list]:
-    """K for a batch of B series and the columns S_0..S_K of `chain`, the
-    basis columns `basis.columns` makes (all N of them when K >= N).
+    """K for a batch of B series (`_chunk`) and the columns S_0..S_K of
+    `chain`, the basis columns `basis.columns` makes (all N of them when
+    K >= N).
 
     The chunks rely on column cK + t being S_K^c S_t, that is on the
     exponents e_j of column j having e_{cK+t} = c e_K + e_t.  `columns`
@@ -84,14 +115,16 @@ def _chain_head(p: int, chain, N: int, B: int) -> tuple[int, list]:
     j > P, P = period(p).  By induction on j, e_j = (j // P) e_P + e_{j % P}
     for every j.  `_chunk` returns K = mP, so e_K = m e_P and
     e_{cK+t} = (cm + t // P) e_P + e_{t % P} = c e_K + e_t."""
-    K = _chunk(p, max(N, 4 * B * B))
+    K = _chunk(p, N, B)
     return K, list(islice(chain, K + 1))
 
 
 def _peel(p: int, n: int, ring: RingSpec, chain, rows) -> list[list[int]]:
     """The rows of X in M X = F over `ring`, one list over the members per
     coordinate: M the basis matrix for (p, n) with columns `chain`, F a batch
-    of B series (N coefficients each) as its columns, given by its N `rows`.
+    of B series (N coefficients each) as its columns, given by its N `rows`,
+    a list that the peel empties: each pass frees a row once it has solved
+    it, and the peel holds the batch once.
 
     Each member is f = sum_c S_K^c Q_c with Q_c = sum_{t<K} x_{cK+t} S_t
     (`_chain_head`), so its coordinates are peeled K at a time: with g_0 = f,
@@ -99,9 +132,11 @@ def _peel(p: int, n: int, ring: RingSpec, chain, rows) -> list[list[int]]:
     forward substitution packed across the batch, the live x live system
     whose top K x K block is that of S_0..S_{K-1}, whose rows r >= K hold
     S_0[r]..S_{K-1}[r] and the identity; then g_{c+1} = h U, U the inverse
-    of S_K / q^K.  That is K chain products, one inverse and B products per
-    chunk, and the chain's rows in its first K columns, about KN entries,
-    are all that is held of the basis matrix."""
+    of S_K / q^K.  That is the chain's columns up to K, one inverse, one
+    pass and B products per chunk after the first, as `_chunk` counts them,
+    and the chain's rows in its first K columns, about KN entries, are all
+    that is held of the basis matrix.  With K >= N the batch is one chunk:
+    all N columns, one pass, and no inverse or member product."""
     N, mod = dim_mk(n * (p - 1)), ring.modulus
     K, S = _chain_head(p, chain, N, len(rows[0]))
     m = min(K, N)
@@ -112,11 +147,24 @@ def _peel(p: int, n: int, ring: RingSpec, chain, rows) -> list[list[int]]:
     del S
     X = []
     while True:
-        rows = forward_substitute(lower, rows, mod, m)
+        rows = forward_substitute(lower, _drain(rows), mod, m)
         X += rows[:K]
         if len(rows) <= K:
             return X
-        rows = zip(*[mul_low(h, U, mod) for h in zip(*rows[K:])])
+        members = [*zip(*rows[K:])]
+        del rows  # each member's residual is freed once multiplied
+        for b, h in enumerate(members):
+            members[b] = mul_low(h, U, mod)
+        rows = [*zip(*members)]
+        del members  # so that the next pass frees each row it solves
+
+
+def _drain(rows: list):
+    """The items of `rows` in order, each taken out of the list as it is
+    yielded."""
+    rows.reverse()
+    while rows:
+        yield rows.pop()
 
 
 def psi(p: int, n: int, C: int, f: QSeries) -> KatzTuple:

@@ -356,8 +356,11 @@ class KatzBasis:
         self.n, self.E = n, system.lam
         ring = RingSpec(p, self.E)
         chain = columns(p, n, ring)  # checks n; no product until a column is taken
-        members = eis_ratios(p, system.ss, self.E, dim_mk(n * (p - 1)))
-        self._coords = _peel(p, n, ring, chain, members)
+        # The peel takes the members' rows with no other reference to them,
+        # so it frees each row once it has solved it.
+        self._coords = _peel(
+            p, n, ring, chain, eis_ratios(p, system.ss, self.E, dim_mk(n * (p - 1)))
+        )
         self._system = system
         self._served = None
 

@@ -163,6 +163,18 @@ def test_psi_and_the_chain_head_make_the_pinned_products(ks2_products, inverses)
     assert (len(ks2_products), len(squares), len(inverses)) == (6, 3, 1)
 
 
+@pytest.mark.parametrize("p, n, E, products", [(11, 132, 26, 119), (5, 144, 60, 53)])
+def test_the_sweep_batches_peel_in_one_chunk(ks2_products, inverses, p, n, E, products):
+    # The batches of the sweeps to 11/132 (N = 111, the plan's 26 weights)
+    # and 5/144 (N = 49, 60 weights) take the whole chain in one chunk:
+    # every product makes a column, as the basis matrix's do
+    # (test_build_matrix_makes_one_product_per_column), and the one inverse
+    # is E_{p-1}'s.  No S_K / q^K is inverted and no member is multiplied.
+    KatzBasis(n, build_system(p, E))
+    assert (len(ks2_products), len(inverses)) == (products, 1)
+    assert {rec[0] for rec in ks2_products} == {"basis"}
+
+
 @pytest.mark.parametrize("p, n, C", [(5, 144, 60), (11, 132, 40), (13, 168, 30)])
 def test_psi_sieves_the_level_one_series_once(monkeypatch, p, n, C):
     # E_4, E_6 and E_{p-1} come from one divisor-sum sieve over the exponents
@@ -266,27 +278,31 @@ N_MAX = {5: 40, 7: 30, 11: 40, 13: 30, 17: 30, 71: 14}
 
 
 def _boundary_cases():
-    """Per prime, the least n <= N_MAX[p] with N = 1, N < K, N = K, N = K + 1,
-    K + 1 < N <= 2K and N > 2K, each where it occurs, K = _chunk(p, max(N, 4))
-    as for one series (K = N only at N = 2, for the primes of period 1)."""
-    first = {}
+    """Per prime, every n from 0 to the least n <= N_MAX[p] at which psi
+    peels three chunks, K = _chunk(p, N, 1): so N = 1, N < K, N = K,
+    N = K + 1, K + 1 < N <= 2K and N > 2K, each where it occurs."""
+    cases = []
     for p, n_max in N_MAX.items():
         for n in range(n_max + 1):
+            cases.append((p, n))
             N = dim_mk(n * (p - 1))
-            K = expand_module._chunk(p, max(N, 4))
-            kind = (N == 1, N < K, N == K, N == K + 1, K + 1 < N <= 2 * K, N > 2 * K)
-            first.setdefault((p, kind), n)
-    return sorted({(p, n) for (p, _), n in first.items()})
+            if N > 2 * expand_module._chunk(p, N, 1):
+                break
+    return cases
 
 
 BOUNDARY = _boundary_cases()
 
 
 def test_boundary_cases_cover_every_chunk_shape():
+    # K = N - 1 takes the same N columns as one chunk and adds a pass, an
+    # inverse and a product, so the chooser takes N = K + 1 only where one
+    # chunk's chain head is over its cap (p = 71, N = 36);
+    # test_the_chunk_size_moves_only_the_cost forces it at the other primes.
     shapes = {p: set() for p in N_MAX}
     for p, n in BOUNDARY:
         N = dim_mk(n * (p - 1))
-        K = expand_module._chunk(p, max(N, 4))
+        K = expand_module._chunk(p, N, 1)
         assert K % period(p) == 0 and K >= period(p)
         if N == 1:
             shapes[p].add("N = 1")
@@ -297,9 +313,10 @@ def test_boundary_cases_cover_every_chunk_shape():
         if N > 2 * K:
             shapes[p].add("three chunks")
     for p in N_MAX:
-        assert {"N = 1", "N = K + 1", "three chunks"} <= shapes[p]
+        assert {"N = 1", "three chunks"} <= shapes[p]
     for p in (11, 17, 71):
         assert "N < K" in shapes[p]
+    assert "N = K + 1" in shapes[71]
 
 
 @pytest.mark.parametrize("p, n", BOUNDARY)
@@ -336,19 +353,21 @@ def test_psi_and_phi_match_the_matrix_route(p, n, C):
     assert phi(p, n, C, tuple_from_coords(p, n, C, x)).coeffs == want
 
 
-# (p, n, B) for each shape of the peel of a batch of B series, whose K is
-# _chunk(p, max(N, 4B^2)).
+# (p, n, B, K) for each shape of the peel of a batch of B series: K is the
+# chooser's, _chunk(p, N, B), where None, and forced where the chooser never
+# takes the shape (it takes one chunk over K = N - 1).
 PEEL_SHAPES = {
-    "N<K": (7, 14, 5),
-    "N=K+1": (13, 10, 5),
-    "boundary-in-block": (71, 12, 3),
-    "plan-11-132": (11, 132, 26),
+    "N<K": (11, 12, 5, None),
+    "N=K+1": (13, 10, 5, 10),
+    "boundary-in-block": (71, 12, 3, None),
+    "three-chunks": (13, 30, 3, None),
+    "plan-11-132": (11, 132, 26, None),
 }
 
 
-def _peel_chunk(p, n, B):
+def _peel_chunk(p, n, B, K):
     N = dim_mk(n * (p - 1))
-    return N, expand_module._chunk(p, max(N, 4 * B * B))
+    return N, K or expand_module._chunk(p, N, B)
 
 
 def test_peel_shapes_are_as_named():
@@ -357,28 +376,60 @@ def test_peel_shapes_are_as_named():
     N, K = _peel_chunk(*PEEL_SHAPES["N=K+1"])
     assert N == K + 1
     # Two chunk boundaries, K and 2K, each inside a basis block.
-    p, n, B = PEEL_SHAPES["boundary-in-block"]
-    N, K = _peel_chunk(p, n, B)
+    p, n, B, K = PEEL_SHAPES["boundary-in-block"]
+    N, K = _peel_chunk(p, n, B, K)
     assert N > 2 * K
     for c in (1, 2):
         assert any(lo < c * K < hi for _, lo, hi in _blocks(p, n))
-    # The sweep's batch at 11/132: the plan's E = 26 weights, three chunks.
-    assert _peel_chunk(*PEEL_SHAPES["plan-11-132"]) == (111, 50)
+    # A batch the chooser peels in three chunks at period 1.
+    N, K = _peel_chunk(*PEEL_SHAPES["three-chunks"])
+    assert 2 * K < N <= 3 * K
+    # The sweep's batch at 11/132, the plan's E = 26 weights: one chunk.
+    assert _peel_chunk(*PEEL_SHAPES["plan-11-132"]) == (111, 115)
 
 
 @pytest.mark.parametrize("shape", sorted(PEEL_SHAPES))
-def test_peel_matches_the_oracles_on_each_batch_shape(shape):
+def test_peel_matches_the_oracles_on_each_batch_shape(monkeypatch, shape):
     # The batch against the forward substitution one entry at a time on the
     # rows of the direct columns, member by member; its first member alone,
     # a batch of one with its own K, against psi.
-    p, n, B = PEEL_SHAPES[shape]
+    p, n, B, K = PEEL_SHAPES[shape]
     C = 3
     mod, ring = p**C, RingSpec(p, C)
     cols = [tuple(c % mod for c in col) for col in _oracle_columns(p, n)]
     rng = random.Random(p * 1000 + n)
     members = [[rng.randrange(mod) for _ in cols] for _ in range(B)]
-    X = expand_module._peel(p, n, ring, columns(p, n, ring), [*zip(*members)])
+    with monkeypatch.context() as m:
+        if K is not None:
+            m.setattr(expand_module, "_chunk", lambda p, N, B: K)
+        X = expand_module._peel(p, n, ring, columns(p, n, ring), [*zip(*members)])
     lower = oracles.strictly_lower_rows(cols)
     want = [oracles.forward_substitute(lower, f, mod) for f in members]
     assert [list(x) for x in zip(*X)] == want
     assert list(psi(p, n, C, QSeries(ring, tuple(members[0]))).x) == want[0]
+
+
+@pytest.mark.parametrize("p, n", [(5, 30), (11, 40), (13, 20)])
+def test_the_chunk_size_moves_only_the_cost(monkeypatch, p, n):
+    # M X = F has one solution mod p^C, so _chunk only prices the peel:
+    # forced to every multiple of P from P to the first one >= N, the peel
+    # gives the oracle's X for batches of 1, 3 and 8 random series, and phi
+    # the matrix's product with random coordinates.
+    C = 3
+    mod, ring = p**C, RingSpec(p, C)
+    cols = [tuple(c % mod for c in col) for col in _oracle_columns(p, n)]
+    N, P = len(cols), period(p)
+    lower = oracles.strictly_lower_rows(cols)
+    rng = random.Random(p * 1000 + n)
+    batches = [[[rng.randrange(mod) for _ in cols] for _ in range(B)] for B in (1, 3, 8)]
+    want = [[oracles.forward_substitute(lower, f, mod) for f in batch] for batch in batches]
+    coords = [rng.randrange(mod) for _ in range(N)]
+    image = tuple(sum(xj * col[r] for xj, col in zip(coords, cols)) % mod for r in range(N))
+    sizes = range(P, N + P, P)
+    assert sizes[-1] >= N
+    for K in sizes:
+        monkeypatch.setattr(expand_module, "_chunk", lambda p, N, B: K)
+        for batch, solved in zip(batches, want):
+            X = expand_module._peel(p, n, ring, columns(p, n, ring), [*zip(*batch)])
+            assert [list(x) for x in zip(*X)] == solved
+        assert phi(p, n, C, tuple_from_coords(p, n, C, coords)).coeffs == image

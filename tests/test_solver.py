@@ -555,9 +555,10 @@ def test_katz_basis_batches_the_weight_list(monkeypatch):
 
 
 def test_katz_basis_never_holds_the_column_chain(monkeypatch):
-    # The build takes S_0..S_K off the chain, K = 10 for its 6 weights, and
-    # drops them once their rows are copied out: at most K + 1 columns are
-    # ever made or alive, where a list of the chain would hold all N = 34.
+    # The build takes S_0..S_K off the chain, K = _chunk(11, N, 6) for its 6
+    # weights, and drops them once their rows are copied out: at most K + 1
+    # columns are ever made or alive, where a list of the chain would hold
+    # all N = 42.
     live, peak, made = [0], [0], [0]
 
     class Column(tuple):
@@ -574,10 +575,11 @@ def test_katz_basis_never_holds_the_column_chain(monkeypatch):
             yield Column(col)
 
     monkeypatch.setattr(solver_module, "columns", counting)
-    basis = KatzBasis(40, build_system(11, 6))
-    assert len(basis._coords) == dim_mk(40 * 10) == 34
+    basis = KatzBasis(50, build_system(11, 6))
+    assert len(basis._coords) == dim_mk(50 * 10) == 42
     assert live[0] == 0
-    assert expand_module._chunk(11, max(34, 4 * 6 * 6)) == 10
-    assert peak[0] == made[0] == 11
+    K = expand_module._chunk(11, 42, 6)
+    assert K + 1 < 42
+    assert peak[0] == made[0] == K + 1
     monkeypatch.undo()
-    assert basis._coords == KatzBasis(40, build_system(11, 6))._coords
+    assert basis._coords == KatzBasis(50, build_system(11, 6))._coords
