@@ -76,7 +76,8 @@ def main(argv=None):
     parser.add_argument(
         "--out-dir",
         help="write per-prime valuation CSVs into this directory: p<p>.csv, "
-        "and frontier_p<p>.csv for the frontier section",
+        "and frontier_p<p>.csv for the frontier section; --rows may then name "
+        "each prime once",
     )
     args = parser.parse_args(argv)
 
@@ -88,6 +89,11 @@ def main(argv=None):
             ("frontier: i_max = p(p+1)", FRONTIER_ROWS, "frontier_p{}.csv"),
         ]
     if args.out_dir:
+        # A second row for one prime would overwrite the first's CSV.
+        names = [name.format(p) for _, rows, name in sections for p, _ in rows]
+        twice = sorted({name for name in names if names.count(name) > 1})
+        if twice:
+            parser.error(f"--out-dir: more than one row writes {', '.join(twice)}")
         try:
             os.makedirs(args.out_dir, exist_ok=True)
         except OSError as exc:

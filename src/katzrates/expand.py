@@ -63,60 +63,39 @@ class KatzTuple(_Record):
 
 def _chunk(p: int, N: int, B: int) -> int:
     """K, the number of coordinates `_peel` solves and `phi` folds per chunk,
-    for a batch of B series of N coefficients: of the multiples of
-    P = period(p) from the one nearest sqrt(N), where one series timed
-    fastest, up to the first one >= N (one chunk), the one the count below
-    prices least; the search stops before a chain head of over 3NB entries.
+    for a batch of B series of N coefficients: the multiple of
+    P = period(p) nearest sqrt(N), at least P, raised by P while it is below
+    N and the chain head at the next multiple holds at most 3NB entries.
 
-    The count, in microseconds, is what `_peel` runs at K: the chain's
-    columns P+1..min(K, N-1), column j a product of N - j slots; per chunk
-    after the first, at s = cK, B member products of N - s slots; for K < N
-    the inverse of S_K / q^K, N - K slots; and per chunk a pass over its
-    N - s rows.  A product of n slots costs 5 + 0.4 n^1.5, an inverse
-    n^2 / 12 and a pass row 1 + B, fit at p^e = 19^42 on a 2-vCPU host:
-    `mul_low` took 19 us at 10 slots, 0.37 ms at 100 and 12.6 ms at 1000,
-    `inverse` 2.9 ms at 200 slots, and a pass row 1 us at one value and
-    31 us at 30.  The passes' packed combinations hold about N^2 / 2 entries
-    whatever K is, and are left out.
+    One series timed fastest at the multiple nearest sqrt(N): psi at
+    (5, 144, 60) took 2.76 ms at K = 5 and 2.67 at K = 7, and at
+    (13, 168, 30) 17.9 ms at K = 8 and 17.7 at K = 13 (least of 40); in
+    another run, doubling K to 14 and 26 took them from 2.56 to 4.64 ms and
+    from 17.0 to 20.4 ms.  A batch peeled in fewer chunks makes fewer member
+    products and inverses, so K rises to the cap: the chain head holds
+    m(2N - m - 1)/2 entries, m = min(K, N), and a pass the batch's NB once,
+    so the peel holds at most 4NB.  The cap binds at the frontier, where K
+    buys time with memory: with the batch held twice, K = 252 in place of
+    126 took run_sweep(29, 870) from 79 s to 68 s and its peak RSS from 69
+    to 90 MB.
 
-    The chain head holds m(2N - m - 1)/2 entries, m = min(K, N), and a pass
-    the batch's NB once, so the peel holds at most 4NB.  The cap binds at
-    the frontier, where K buys time with memory: with the batch held twice,
-    K = 252 in place of 126 took run_sweep(29, 870) from 79 s to 68 s and
-    its peak RSS from 69 to 90 MB."""
+    The chunks rely on column cK + t of the chain being S_K^c S_t, that is
+    on the exponents e_j of column j having e_{cK+t} = c e_K + e_t.
+    `basis.columns` checked, before any product, that e_0 = 0 and
+    e_j = e_{j-P} + e_P for j > P.  By induction on j,
+    e_j = (j // P) e_P + e_{j % P} for every j.  K = aP, so e_K = a e_P and
+    e_{cK+t} = (ca + t // P) e_P + e_{t % P} = c e_K + e_t."""
     P = period(p)
     c = isqrt(N) // P  # cP <= sqrt(N) < (c + 1)P
     if 4 * N > ((2 * c + 1) * P) ** 2:
         c += 1
-    # products[n]: a product of n slots, chain's or member's.
-    products = [5 + 0.4 * n**1.5 for n in range(N + 1)]
-    priced = []
-    for K in range(max(c, 1) * P, N + P, P):
-        m = min(K, N)
-        if priced and m * (2 * N - m - 1) > 6 * N * B:
+    K = max(c, 1) * P
+    while K < N:
+        m = min(K + P, N)
+        if m * (2 * N - m - 1) > 6 * N * B:
             break
-        cost = sum(products[max(N - K, 1) : N - P])  # columns P+1..min(K, N-1)
-        cost += B * sum(products[N - s] for s in range(K, N, K))
-        cost += (1 + B) * sum(N - s for s in range(0, N, K))
-        if K < N:
-            cost += (N - K) ** 2 / 12
-        priced.append((cost, K))
-    return min(priced)[1]
-
-
-def _chain_head(p: int, chain, N: int, B: int) -> tuple[int, list]:
-    """K for a batch of B series (`_chunk`) and the columns S_0..S_K of
-    `chain`, the basis columns `basis.columns` makes (all N of them when
-    K >= N).
-
-    The chunks rely on column cK + t being S_K^c S_t, that is on the
-    exponents e_j of column j having e_{cK+t} = c e_K + e_t.  `columns`
-    checked, before any product, that e_0 = 0 and e_j = e_{j-P} + e_P for
-    j > P, P = period(p).  By induction on j, e_j = (j // P) e_P + e_{j % P}
-    for every j.  `_chunk` returns K = mP, so e_K = m e_P and
-    e_{cK+t} = (cm + t // P) e_P + e_{t % P} = c e_K + e_t."""
-    K = _chunk(p, N, B)
-    return K, list(islice(chain, K + 1))
+        K += P
+    return K
 
 
 def _peel(p: int, n: int, ring: RingSpec, chain, rows) -> list[list[int]]:
@@ -127,18 +106,19 @@ def _peel(p: int, n: int, ring: RingSpec, chain, rows) -> list[list[int]]:
     it, and the peel holds the batch once.
 
     Each member is f = sum_c S_K^c Q_c with Q_c = sum_{t<K} x_{cK+t} S_t
-    (`_chain_head`), so its coordinates are peeled K at a time: with g_0 = f,
+    (`_chunk`), so its coordinates are peeled K at a time: with g_0 = f,
     those of chunk c and the residual h = (g_c - Q_c) / q^K solve, in one
     forward substitution packed across the batch, the live x live system
     whose top K x K block is that of S_0..S_{K-1}, whose rows r >= K hold
     S_0[r]..S_{K-1}[r] and the identity; then g_{c+1} = h U, U the inverse
     of S_K / q^K.  That is the chain's columns up to K, one inverse, one
-    pass and B products per chunk after the first, as `_chunk` counts them,
-    and the chain's rows in its first K columns, about KN entries, are all
-    that is held of the basis matrix.  With K >= N the batch is one chunk:
-    all N columns, one pass, and no inverse or member product."""
+    pass and B products per chunk after the first, and the chain's rows in
+    its first K columns, about KN entries, are all that is held of the basis
+    matrix.  With K >= N the batch is one chunk: all N columns, one pass,
+    and no inverse or member product."""
     N, mod = dim_mk(n * (p - 1)), ring.modulus
-    K, S = _chain_head(p, chain, N, len(rows[0]))
+    K = _chunk(p, N, len(rows[0]))
+    S = list(islice(chain, K + 1))
     m = min(K, N)
     # Row r of the top holds r entries, every row past it m.
     lower = [row[:r] for r, row in enumerate(zip(*S[:m]))]
@@ -202,7 +182,8 @@ def phi(p: int, n: int, C: int, t: KatzTuple) -> QSeries:
         raise ValueError(f"tuple has {len(t.x)} coordinates, not N = {N}")
     mod = ring.modulus
     x = [c % mod for c in t.x]
-    K, S = _chain_head(p, chain, N, 1)
+    K = _chunk(p, N, 1)
+    S = list(islice(chain, K + 1))
     rows = prepare_rows(S[:K], mod)
     if K < N:
         V = prepare(S[K][K:], mod)

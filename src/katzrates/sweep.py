@@ -437,7 +437,8 @@ def save_checkpoint(state: SweepState, path: str) -> None:
 
 def load_checkpoint(path: str, p: int) -> SweepState:
     """The checkpoint at `path` for a sweep over p.  One for another p is
-    rejected before its p is tested for primality, in time growing as √p."""
+    refused as such, before `state_from_json` checks its contents: the error
+    names the p it was written for, whatever else in it is wrong."""
     with open(path) as fh:
         # ValueError covers the decode errors and an int past the digit limit.
         try:

@@ -12,6 +12,7 @@ import oracles
 from katzrates import basis as basis_module
 from katzrates import classical
 from katzrates import expand as expand_module
+from katzrates import sweep as sweep_module
 from katzrates.arithmetic import QSeries, RingSpec, combine, forward_substitute, prepare_rows
 from katzrates.basis import _blocks, block, columns, dim_mk, period
 from katzrates.expand import KatzTuple, PrecisionMismatch, phi, psi
@@ -175,6 +176,36 @@ def test_the_sweep_batches_peel_in_one_chunk(ks2_products, inverses, p, n, E, pr
     assert {rec[0] for rec in ks2_products} == {"basis"}
 
 
+@pytest.mark.parametrize(
+    "p, n, B, K",
+    [
+        # The sweep batches of the benchmark rows, B the plan's weights: one
+        # chunk each.
+        (11, 132, 26, 115),
+        (5, 144, 60, 49),
+        (7, 28, 11, 15),
+        (7, 56, 18, 29),
+        # Mid rows, raised until the next multiple's chain head passes 3NB.
+        (13, 182, 30, 163),
+        (17, 306, 38, 136),
+        # The frontier, where the cap holds K far below N.
+        (23, 552, 50, 154),
+        (29, 870, 62, 189),
+        (31, 992, 66, 205),
+        # psi at the katz-expand sizes of the benchmark session: the
+        # multiple of the period nearest sqrt(N).
+        (5, 144, 1, 7),
+        (11, 132, 1, 10),
+        (13, 168, 1, 13),
+    ],
+)
+def test_the_chunk_size_on_the_traffic(p, n, B, K):
+    N = dim_mk(n * (p - 1))
+    if B > 1:
+        assert sweep_module.planned_precision(p, n) == B
+    assert expand_module._chunk(p, N, B) == K
+
+
 @pytest.mark.parametrize("p, n, C", [(5, 144, 60), (11, 132, 40), (13, 168, 30)])
 def test_psi_sieves_the_level_one_series_once(monkeypatch, p, n, C):
     # E_4, E_6 and E_{p-1} come from one divisor-sum sieve over the exponents
@@ -295,10 +326,11 @@ BOUNDARY = _boundary_cases()
 
 
 def test_boundary_cases_cover_every_chunk_shape():
-    # K = N - 1 takes the same N columns as one chunk and adds a pass, an
-    # inverse and a product, so the chooser takes N = K + 1 only where one
-    # chunk's chain head is over its cap (p = 71, N = 36);
-    # test_the_chunk_size_moves_only_the_cost forces it at the other primes.
+    # The chain head at K = N - 1 holds as many entries as one chunk's, so
+    # the chooser never stops its raise there: it takes N = K + 1 only where
+    # it starts at K = N - 1 and one chunk's chain head is over its cap
+    # (p = 71, N = 36); test_the_chunk_size_moves_only_the_cost forces it at
+    # the other primes.
     shapes = {p: set() for p in N_MAX}
     for p, n in BOUNDARY:
         N = dim_mk(n * (p - 1))
@@ -411,7 +443,7 @@ def test_peel_matches_the_oracles_on_each_batch_shape(monkeypatch, shape):
 
 @pytest.mark.parametrize("p, n", [(5, 30), (11, 40), (13, 20)])
 def test_the_chunk_size_moves_only_the_cost(monkeypatch, p, n):
-    # M X = F has one solution mod p^C, so _chunk only prices the peel:
+    # M X = F has one solution mod p^C, so _chunk only sets the peel's cost:
     # forced to every multiple of P from P to the first one >= N, the peel
     # gives the oracle's X for batches of 1, 3 and 8 random series, and phi
     # the matrix's product with random coordinates.

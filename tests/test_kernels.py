@@ -787,7 +787,7 @@ def test_forward_substitute_many_matches_per_vector_oracle(case):
 @given(substitution_cases(min_size=1))
 @settings(max_examples=60, deadline=None)
 @example((5, 0, 1, [[1]]))  # N = 1
-@example((13, 20, 3, [[12] * 21] * 3))  # N = 21: a batch of 3 in chunks of 11 and 10
+@example((13, 20, 3, [[12] * 21] * 3))  # N = 21: a batch of 3 in chunks of 14 and 7
 @example((23, 14, 2, [[528] * 26]))  # N = 26: chunks of 11, 11 and 4
 def test_peel_matches_the_per_vector_oracle(case):
     # The batch solved K coordinates at a time off the chain against the

@@ -555,10 +555,10 @@ def test_katz_basis_batches_the_weight_list(monkeypatch):
 
 
 def test_katz_basis_never_holds_the_column_chain(monkeypatch):
-    # The build takes S_0..S_K off the chain, K = _chunk(11, N, 6) for its 6
-    # weights, and drops them once their rows are copied out: at most K + 1
-    # columns are ever made or alive, where a list of the chain would hold
-    # all N = 42.
+    # The build takes S_0..S_K off the chain, K = _chunk(11, 42, 6) = 25 for
+    # its 6 weights, and drops them once their rows are copied out: at most
+    # K + 1 columns are ever made or alive, where a list of the chain would
+    # hold all N = 42.
     live, peak, made = [0], [0], [0]
 
     class Column(tuple):

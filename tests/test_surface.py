@@ -170,6 +170,7 @@ def test_the_solving_commands_import_neither_dataclasses_nor_inspect(argv):
         "row_entries",
         "_tangent",
         "_tangent_numbers",
+        "_chain_head",
     ],
 )
 def test_no_module_defines_a_removed_path(name):
@@ -208,6 +209,8 @@ def test_no_module_defines_a_removed_path(name):
     # row_entries (a row's entries sorted by j) is gone: collect_statuses
     # keys them by j in increasing order, and the sweep and the valuations
     # command read row.entries.values().
+    # _chain_head (K and the chain's first K + 1 columns) is gone: _peel and
+    # phi take K from expand._chunk and the columns off the chain themselves.
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.AsyncFunctionDef)):

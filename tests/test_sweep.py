@@ -764,6 +764,20 @@ def test_reproduce_table_refuses_a_bad_out_dir_before_any_sweep(
     assert "--out-dir" in capsys.readouterr().err
 
 
+def test_reproduce_table_refuses_two_rows_for_one_csv(monkeypatch, capsys, tmp_path):
+    # With --out-dir each prime's entries go to p<p>.csv, so a second row
+    # for one prime would leave only its own there: the list is refused with
+    # exit 2, naming the file, before any sweep or directory is made.
+    script = _reproduce_table()
+    monkeypatch.setattr(script, "run_sweep", None)
+    out = tmp_path / "d"
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--rows", "13:84", "5:12", "13:182", "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert "p13.csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reproduce_table_reads_rows_as_the_cli_reads_integers():
     script = _reproduce_table()
     assert script.parse_row("5:36") == (5, 36)
