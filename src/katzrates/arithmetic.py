@@ -318,7 +318,3 @@ class QSeries(_Record):
                 cs.extend([0] * (N - len(cs)))
         mod = ring.modulus
         return cls(ring, tuple(c % mod for c in cs))
-
-    @property
-    def n_trunc(self) -> int:
-        return len(self.coeffs)

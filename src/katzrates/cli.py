@@ -11,7 +11,7 @@ import sys
 # Only what katz-expand needs is imported here; the solver and the sweep
 # are imported by the commands that use them.
 from .arithmetic import QSeries, RingSpec, _is_int
-from .basis import block, dim_mk
+from .basis import _blocks, block, dim_mk
 from .expand import psi
 
 EXIT_USAGE = 2
@@ -21,6 +21,9 @@ EXIT_CHECKPOINT = 5
 # A sweep that left entries unresolved still writes its checkpoint, CSV and
 # summary, then exits with this code.
 EXIT_UNRESOLVED = 6
+# So does a sweep with an exact entry below the proven bound c_p i - j,
+# which proves a fault; this code takes precedence over EXIT_UNRESOLVED.
+EXIT_THEOREM_B = 7
 # Ctrl-C, SIGTERM: a sweep saves its checkpoint, then exits 128 + the signal.
 EXIT_INTERRUPTED = 130
 EXIT_TERMINATED = 143
@@ -91,14 +94,8 @@ def cmd_katz_expand(args) -> int:
         "C": args.prec,
         "N": N,
         "components": [
-            {
-                "i": comp.i,
-                "coords": [
-                    {"j": j, "value": v}
-                    for j, v in enumerate(comp.coords, block(args.p, comp.i)[0])
-                ],
-            }
-            for comp in t.components
+            {"i": i, "coords": [{"j": j, "value": t.x[j]} for j in range(lo, hi)]}
+            for i, lo, hi in _blocks(args.p, args.n)
         ],
     }
     print(json.dumps(out, indent=2))
@@ -204,14 +201,16 @@ def cmd_sweep(args) -> int:
             return EXIT_USAGE
     report = summary(state)
     print(json.dumps(report, indent=2))
+    code, violations = 0, report["audits"]["theorem_b_violations"]
     if report["unresolved"]:
-        print(
-            f"error: {report['unresolved']} entries with j >= 1 are still "
-            "inconclusive after the last retry",
-            file=sys.stderr,
-        )
-        return EXIT_UNRESOLVED
-    return 0
+        what = "entries with j >= 1 are still inconclusive after the last retry"
+        print(f"error: {report['unresolved']} {what}", file=sys.stderr)
+        code = EXIT_UNRESOLVED
+    if violations:
+        what = "exact entries lie below the proven bound c_p i - j (Theorem B)"
+        print(f"error: {violations} {what}", file=sys.stderr)
+        code = EXIT_THEOREM_B
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

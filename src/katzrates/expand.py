@@ -23,27 +23,17 @@ from .arithmetic import (
     prepare,
     prepare_rows,
 )
-from .basis import _blocks, columns, dim_mk, period
+from .basis import columns, dim_mk, period
 
 
 class PrecisionMismatch(ValueError):
     """Input truncation or ring precision does not match (p, n, C)."""
 
 
-class KatzComponent(_Record):
-    """The i-th term of a partial Katz expansion: coordinates over the basis
-    forms g_{i,j}, j running over basis.block(p, i)."""
-
-    __slots__ = _fields = ("i", "coords")
-
-    def __init__(self, i: int, coords: tuple[int, ...]):
-        _set(self, "i", i)
-        _set(self, "coords", coords)
-
-
 class KatzTuple(_Record):
     """A Katz expansion for (p, n) over `ring`: x is the full solution
-    vector, indexed by column j."""
+    vector, indexed by column j; the i-th term's coordinates over the basis
+    forms g_{i,j} are x[lo:hi], (lo, hi) = basis.block(p, i)."""
 
     __slots__ = _fields = ("p", "n", "ring", "x")
 
@@ -52,13 +42,6 @@ class KatzTuple(_Record):
         _set(self, "n", n)
         _set(self, "ring", ring)
         _set(self, "x", x)
-
-    @property
-    def components(self) -> tuple[KatzComponent, ...]:
-        """x split over the basis blocks, one component per i = 0..n."""
-        return tuple(
-            KatzComponent(i, self.x[lo:hi]) for i, lo, hi in _blocks(self.p, self.n)
-        )
 
 
 def _chunk(p: int, N: int, B: int) -> int:
@@ -98,12 +81,12 @@ def _chunk(p: int, N: int, B: int) -> int:
     return K
 
 
-def _peel(p: int, n: int, ring: RingSpec, chain, rows) -> list[list[int]]:
+def _peel(ring: RingSpec, chain, rows) -> list[list[int]]:
     """The rows of X in M X = F over `ring`, one list over the members per
-    coordinate: M the basis matrix for (p, n) with columns `chain`, F a batch
-    of B series (N coefficients each) as its columns, given by its N `rows`,
-    a list that the peel empties: each pass frees a row once it has solved
-    it, and the peel holds the batch once.
+    coordinate: M the N x N basis matrix with columns `chain`, F a batch of
+    B series (N coefficients each) as its columns, given by its N `rows`, a
+    list that the peel empties: each pass frees a row once it has solved it,
+    and the peel holds the batch once.
 
     Each member is f = sum_c S_K^c Q_c with Q_c = sum_{t<K} x_{cK+t} S_t
     (`_chunk`), so its coordinates are peeled K at a time: with g_0 = f,
@@ -116,8 +99,8 @@ def _peel(p: int, n: int, ring: RingSpec, chain, rows) -> list[list[int]]:
     its first K columns, about KN entries, are all that is held of the basis
     matrix.  With K >= N the batch is one chunk: all N columns, one pass,
     and no inverse or member product."""
-    N, mod = dim_mk(n * (p - 1)), ring.modulus
-    K = _chunk(p, N, len(rows[0]))
+    N, mod = len(rows), ring.modulus
+    K = _chunk(ring.p, N, len(rows[0]))
     S = list(islice(chain, K + 1))
     m = min(K, N)
     # Row r of the top holds r entries, every row past it m.
@@ -155,12 +138,12 @@ def psi(p: int, n: int, C: int, f: QSeries) -> KatzTuple:
     N = dim_mk(n * (p - 1))
     if f.ring != ring:
         raise PrecisionMismatch(f"series ring {f.ring} does not match Z/{p}^{C}")
-    if f.n_trunc != N:
+    if len(f.coeffs) != N:
         raise PrecisionMismatch(
-            f"series truncation {f.n_trunc} does not match required N = "
+            f"series truncation {len(f.coeffs)} does not match required N = "
             f"d_{{{n}({p}-1)}} = {N}"
         )
-    x = [c for (c,) in _peel(p, n, ring, chain, [*zip(f.coeffs)])]
+    x = [c for (c,) in _peel(ring, chain, [*zip(f.coeffs)])]
     return KatzTuple(p=p, n=n, ring=ring, x=tuple(x))
 
 

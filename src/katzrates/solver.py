@@ -22,19 +22,19 @@ remaining w_s is k + sum_{e>=1} #{m < k : s_m = s mod p^e} (capped at lam).
 The s_m, m < k, are the naturals prime to p below s_k, so for s = s_k the
 count at each e is floor((s_k - 1) / p^e), the least any residue class
 mod p^e can have among them; ties go to the first index, so step k takes
-s_k.  L^-1 is never formed: each row substitutes over the leading lam x
-lam block of L, mod p^lam, for its own coordinates (VandermondeSystem._fold);
-L being lower triangular, that gives the first lam entries of L^-1 applied
-at the build's p^E, mod p^lam.  Each column of B is packed once, at E, and
-gamma_j = min(lam, min_{j<=k<lam} (lam - min(t_k, lam) + v(B[j][k]))) is
+s_k.  L^-1 is never formed: a row's solve (VandermondeSystem.solve)
+substitutes over the leading lam x lam block of L, mod p^lam, for its own
+coordinates; L being lower triangular, that gives the first lam entries of
+L^-1 applied at the build's p^E, mod p^lam.  Each column of B is packed once,
+at E, and gamma_j = min(lam, min_{j<=k<lam} (lam - min(t_k, lam) + v(B[j][k]))) is
 read off the valuations of its upper triangle.  The build checks that the
 kernel generators annihilate V without building V, on one path: column k of
 B must be the Newton polynomial N_k mod p^t_k, whose values at the nodes are
 the running products prod_{m<k} (w_i - w_m) (_check_kernel).
 
 A row has one path to its solutions, KatzBasis.solutions: it checks the row
-and lam once, reduces the basis's system to lam, folds the row's block of
-the basis's coordinates and solves it; solve_row classifies the solutions
+and lam once, reduces the basis's system to lam and solves it on the row's
+block of the basis's coordinates; solve_row classifies the solutions
 against the kernel thresholds (collect_statuses).
 """
 
@@ -92,9 +92,8 @@ def _newton_diagonalize(ws, p: int, lam: int):
     the units, the t_k, the columns of B (the coefficients of N_0, N_1, ...)
     and the order pi.
     """
-    mod = p**lam
-    n = len(ws)
-    powers = [p**e for e in range(lam + 1)]
+    powers = _power_table(p, lam)[0]
+    mod, n = powers[lam], len(ws)
     # Ordering pass.  Node i holds P_i = p^val[i] * unit[i] (val capped at
     # lam) and the entries L[r][0..k-1] of the row r it will take.
     val = [0] * n
@@ -156,12 +155,12 @@ def _check_kernel(nodes, cols, ts, p: int, lam: int) -> None:
     values P_{k+1}[i] = P_k[i].(w_i - w_k) = N_{k+1}(w_i) mod p^lam: the
     check is that p^t_k divides every P_k[i]; those with i < k have the
     factor w_i - w_i and vanish.  V is never built."""
-    mod = p**lam
+    mod, powers = p**lam, _power_table(p, lam)[0]
     # N_k, degree k, and P_k[i] for i >= k.
     newton, values = [1], [1] * lam
     for k, (col, t) in enumerate(zip(cols, ts)):
         if t:
-            pt = p**t
+            pt = powers[t]
             if any((b - c) % pt for b, c in zip_longest(col, newton, fillvalue=0)):
                 raise AssertionError(f"kernel generator {k} is not p^(lam - t_k).N_k")
             if any(v % pt for v in values):
@@ -208,36 +207,29 @@ class VandermondeSystem(_Record):
     def modulus(self) -> int:
         return self._powers[self.lam]
 
-    def _fold(self, xs) -> list[list[int]]:
-        """L^-1.x mod p^lam for each x in `xs`, a list over the weights, read
-        to its first lam entries: one substitution over the leading lam x lam
-        block of L, w_k = (u_k^-1.x_k - sum_{t<k} L[k][t].w_t) mod p^lam."""
-        mod, uinvs = self.modulus, self._uinvs[: self.lam]
-        out = []
-        for x in xs:
-            w = []
-            for u, below, c in zip(uinvs, self._lower, x):
-                w.append((u * c - sum(map(mul, below, w))) % mod)
-            out.append(w)
-        return out
-
-    def _solutions(self, cols, count: int | None) -> list[tuple[int, ...]]:
-        """x = B.Y, cut to its first `count` components (default lam), for
-        each column c of L^-1.theta: Y_k = (c_k mod p^lam) / p^t_k, k < lam,
-        or UnsolvableSystem if not exact, and B.Y = sum_k Y_k.B[:,k]."""
-        mod = self.modulus
+    def solve(self, thetas, count: int | None = None) -> list[tuple[int, ...]]:
+        """A particular solution x = B.Y of V x = theta mod p^lam for each
+        theta in `thetas`, a list over the weights read to its first lam
+        entries, cut to its first `count` components (default lam), in one
+        pass: the substitution over the leading lam x lam block of L,
+        c_k = (u_k^-1.theta_k - sum_{t<k} L[k][t].c_t) mod p^lam, gives
+        Y_k = c_k / p^t_k, or UnsolvableSystem if not exact, and x is
+        sum_k Y_k.B[:,k]."""
+        mod, ts = self.modulus, self._ts
         count = self.lam if count is None else count
-        pts = [self._powers[t] for t in self._ts]
+        pts = [self._powers[t] for t in ts]
+        steps = [*zip(self._uinvs[: self.lam], self._lower, pts)]
         out = []
-        for col in cols:
-            Y = []
-            for k, (c, pt) in enumerate(zip(col, pts)):
-                y, rem = divmod(c % mod, pt)
+        for theta in thetas:
+            c, Y = [], []
+            for k, ((u, below, pt), x) in enumerate(zip(steps, theta)):
+                ck = (u * x - sum(map(mul, below, c))) % mod
+                y, rem = divmod(ck, pt)
                 if rem:
                     raise UnsolvableSystem(
-                        f"component {k} needs valuation >= {self._ts[k]}, "
-                        f"got residue {c % mod}"
+                        f"component {k} needs valuation >= {ts[k]}, got residue {ck}"
                     )
+                c.append(ck)
                 Y.append(y)
             out.append(tuple(combine(Y, self._bcols, count, mod)))
         return out
@@ -323,10 +315,9 @@ class SweepEntry(_Record):
 class ValuationRow(_Record):
     """The entries of row r solved at lam, keyed by j."""
 
-    __slots__ = _fields = ("p", "r", "lam", "entries")
+    __slots__ = _fields = ("r", "lam", "entries")
 
-    def __init__(self, p: int, r: int, lam: int, entries: dict[int, SweepEntry]):
-        _set(self, "p", p)
+    def __init__(self, r: int, lam: int, entries: dict[int, SweepEntry]):
         _set(self, "r", r)
         _set(self, "lam", lam)
         _set(self, "entries", entries)
@@ -343,8 +334,8 @@ class KatzBasis:
     weights, are solved as one batch of the basis system, peeled K
     coordinates at a time off the column chain (expand._peel, as psi solves
     one series).  It keeps X, the members' coordinates, one list over the
-    weights per coordinate b, and not the basis matrix; a row folds L^-1
-    into its own block of X.  Reduction mod p^lam is a ring map, so a row's
+    weights per coordinate b, and not the basis matrix; a row's solve applies
+    L^-1 to its own block of X.  Reduction mod p^lam is a ring map, so a row's
     coordinates equal a fresh build's at (r, lam), and its system is
     system.reduce(lam), the newest of which is kept.  Coordinates and system
     come from this one object, so a solve cannot pair them across primes,
@@ -359,7 +350,7 @@ class KatzBasis:
         # The peel takes the members' rows with no other reference to them,
         # so it frees each row once it has solved it.
         self._coords = _peel(
-            p, n, ring, chain, eis_ratios(p, system.ss, self.E, dim_mk(n * (p - 1)))
+            ring, chain, eis_ratios(p, system.ss, self.E, dim_mk(n * (p - 1)))
         )
         self._system = system
         self._served = None
@@ -370,9 +361,10 @@ class KatzBasis:
         g_{r,b} in the r-th Katz component across the weights, each cut to
         its first `count` components (default lam).  V is the basis's system
         reduced to lam.  Returns (system, solutions).  The basis holds
-        theta_b over Z/p^E; the row folds only its block, to the first lam
-        entries of L^-1.theta_b mod p^lam, which, L being lower triangular,
-        are L'^-1.theta_b at lam, L' the leading lam x lam block.
+        theta_b over Z/p^E; the row's one VandermondeSystem.solve reads only
+        its block, to the first lam entries of L^-1.theta_b mod p^lam, which,
+        L being lower triangular, are L'^-1.theta_b at lam, L' the leading
+        lam x lam block.
 
         The coordinates stand in for the q-coefficients a_0..a_S, S =
         ceil(r(p-1)/12), of the r-th component, which pin down its valuation
@@ -396,9 +388,8 @@ class KatzBasis:
             raise ValueError(f"row {r} is outside 0..{self.n}")
         if self._served is None or self._served.lam != lam:
             self._served = self._system.reduce(lam)
-        system = self._served
         lo, hi = block(self.p, r)
-        return system, system._solutions(system._fold(self._coords[lo:hi]), count)
+        return self._served, self._served.solve(self._coords[lo:hi], count)
 
 
 def collect_statuses(system: VandermondeSystem, solutions, j_max: int, r: int):
@@ -443,10 +434,10 @@ def solve_row(
         raise ValueError(f"the basis is over p = {basis.p}, not {p}")
     lo, hi = block(p, r)
     if lo == hi:
-        return ValuationRow(p=p, r=r, lam=lam, entries={})
+        return ValuationRow(r=r, lam=lam, entries={})
     if basis is None:
         basis = KatzBasis(r, build_system(p, lam))
     # collect_statuses reads components 0..j_max only.
     system, solutions = basis.solutions(r, lam, j_max + 1)
     entries = collect_statuses(system, solutions, j_max, r)
-    return ValuationRow(p=p, r=r, lam=lam, entries=entries)
+    return ValuationRow(r=r, lam=lam, entries=entries)

@@ -386,11 +386,10 @@ def direct_columns(p: int, n: int, ring: RingSpec) -> tuple[tuple[int, ...], ...
 
 def solve_many(system, thetas, count: int | None = None) -> list[tuple[int, ...]]:
     """A particular solution of Vx = theta mod p^lam for each theta, cut to
-    its first `count` components (default lam), by the system's own solve:
-    L^-1.theta theta by theta (its _fold, which a row's solve runs on its
-    block of coordinates), then its _solutions.  Only tests and
-    `second_route` solve for thetas."""
-    return system._solutions(system._fold(thetas), count)
+    its first `count` components (default lam), by the system's own
+    VandermondeSystem.solve, the one a row runs on its block of
+    coordinates.  The package passes it no other thetas."""
+    return system.solve(thetas, count)
 
 
 def q_coefficient_solutions(system, r: int, count: int) -> list[tuple[int, ...]]:

@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ import pytest
 from katzrates import solver as solver_module
 from katzrates import sweep as sweep_module
 from katzrates.arithmetic import PRIME_BOUND
-from katzrates.basis import dim_mk
+from katzrates.basis import block, dim_mk
 from katzrates.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -72,9 +73,11 @@ def test_katz_expand_matches_library(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     t = psi(p, n, C, ratio)
-    for comp_json, comp in zip(data["components"], t.components):
-        assert comp_json["i"] == comp.i
-        assert tuple(c["value"] for c in comp_json["coords"]) == comp.coords
+    assert [comp["i"] for comp in data["components"]] == list(range(n + 1))
+    for i, comp in enumerate(data["components"]):
+        lo, hi = block(p, i)
+        assert [c["j"] for c in comp["coords"]] == list(range(lo, hi))
+        assert tuple(c["value"] for c in comp["coords"]) == t.x[lo:hi]
 
 
 def test_katz_expand_wrong_length_exits_3(tmp_path, capsys):
@@ -718,6 +721,56 @@ def test_sweep_cli_unresolved_entries_exit_6(tmp_path, capsys, monkeypatch):
         rows = list(csv.DictReader(fh))
     assert sum(r["status"] == "inconclusive" and r["j"] != "0" for r in rows) == unresolved
     assert json.loads(ck.read_text())["completed_rows"] == list(range(1, 10))
+
+
+def test_sweep_cli_theorem_b_violation_exits_7(tmp_path, capsys, monkeypatch):
+    # c_p is a proven bound, so an exact entry below c_p i - j proves a
+    # fault: with c_p raised to 1 the outputs are still written, the same
+    # CSV as without the fault, then the run fails with its own code.
+    sound = tmp_path / "sound.csv"
+    assert run_cli(capsys, "sweep", "--p", "5", "--imax", "9", "--out", str(sound))[0] == 0
+    monkeypatch.setattr(sweep_module, "c_p", lambda p: Fraction(1))
+    ck, out_csv = tmp_path / "ck.json", tmp_path / "out.csv"
+    code, out, err = run_cli(
+        capsys, "sweep", "--p", "5", "--imax", "9",
+        "--checkpoint", str(ck), "--out", str(out_csv),
+    )
+    assert code == 7
+    report = json.loads(out)
+    violations = report["audits"]["theorem_b_violations"]
+    assert violations > 0 and report["unresolved"] == 0
+    assert err == (
+        f"error: {violations} exact entries lie below the proven bound "
+        "c_p i - j (Theorem B)\n"
+    )
+    assert out_csv.read_bytes() == sound.read_bytes()
+    assert json.loads(ck.read_text())["completed_rows"] == list(range(1, 10))
+
+
+def test_sweep_cli_theorem_b_violation_outranks_unresolved_entries(capsys, monkeypatch):
+    # Both faults are reported, and the Theorem-B code wins.
+    monkeypatch.setattr(sweep_module, "_MARGINS", (2,))
+    monkeypatch.setattr(sweep_module, "lambda_for", lambda p, target, j_max: j_max + 1)
+    monkeypatch.setattr(sweep_module, "c_p", lambda p: Fraction(1))
+    code, out, err = run_cli(capsys, "sweep", "--p", "5", "--imax", "9")
+    report = json.loads(out)
+    assert report["unresolved"] > 0 and report["audits"]["theorem_b_violations"] > 0
+    assert code == 7
+    first, second = err.splitlines()
+    assert first.startswith(f"error: {report['unresolved']} entries")
+    assert second.startswith("error: ") and "Theorem B" in second
+
+
+def test_sweep_cli_conjecture_violation_exits_0(capsys, monkeypatch):
+    # The conjectured bound d_p is data, not a proof: a violation of it is
+    # reported in the summary and the run still succeeds.
+    real = sweep_module.theorem_b_audit
+    monkeypatch.setattr(
+        sweep_module, "theorem_b_audit", lambda state: (real(state)[0], [(1, 1, 0)])
+    )
+    code, out, err = run_cli(capsys, "sweep", "--p", "5", "--imax", "9")
+    assert code == 0 and err == ""
+    assert json.loads(out)["audits"] == {"theorem_b_violations": 0, "conjecture_violations": 1}
 
 
 NOT_INTEGERS = ["1_0", "٣", "0x1", "1.0", "1e3", "", "+", "- 1", "1 2"]

@@ -31,8 +31,8 @@ def random_series(rng, p, C, N):
 
 def test_psi_of_constant():
     t = psi(5, 3, 2, QSeries.from_coeffs(RingSpec(5, 2), [1], dim_mk(12)))
-    assert t.components[0].coords == (1,)
-    assert all(not any(c.coords) for c in t.components[1:])
+    assert block(5, 0) == (0, 1)
+    assert t.x == (1,) + (0,) * (dim_mk(12) - 1)
 
 
 def test_psi_picks_out_matrix_column():
@@ -43,7 +43,7 @@ def test_psi_picks_out_matrix_column():
     f = QSeries(ring, cols[1])  # g_{3,1} E_{p-1}^{-3} = Delta E^{-3}
     t = psi(p, n, C, f)
     assert t.x == tuple(1 if j == 1 else 0 for j in range(len(cols)))
-    assert t.components[3].coords == (1,)
+    assert t.x[slice(*block(p, 3))] == (1,)
 
 
 def test_phi_of_unit_tuple_is_column():
@@ -224,17 +224,16 @@ def test_psi_sieves_the_level_one_series_once(monkeypatch, p, n, C):
 
 
 def test_components_are_read_off_the_coordinates():
-    # A tuple stores its coordinates once: its components are x split over
-    # the blocks, so a tuple with other coordinates realizes another series.
+    # A tuple stores its coordinates once, and the components i = 0..n split
+    # them in order: component i's coordinates are x[lo:hi], (lo, hi) =
+    # block(p, i).  So a tuple with other coordinates realizes another series.
     p, n, C = 7, 6, 3
     N = dim_mk(n * (p - 1))
     f = random_series(random.Random(8), p, C, N)
     t = psi(p, n, C, f)
-    assert [c.i for c in t.components] == list(range(n + 1))
     blocks = [t.x[slice(*block(p, i))] for i in range(n + 1)]
-    assert [c.coords for c in t.components] == blocks
+    assert sum(blocks, ()) == t.x
     zero = KatzTuple(p=t.p, n=t.n, ring=t.ring, x=(0,) * N)
-    assert all(not any(c.coords) for c in zero.components)
     assert phi(p, n, C, zero) == QSeries.from_coeffs(RingSpec(p, C), [0], N)
 
 
@@ -434,7 +433,7 @@ def test_peel_matches_the_oracles_on_each_batch_shape(monkeypatch, shape):
     with monkeypatch.context() as m:
         if K is not None:
             m.setattr(expand_module, "_chunk", lambda p, N, B: K)
-        X = expand_module._peel(p, n, ring, columns(p, n, ring), [*zip(*members)])
+        X = expand_module._peel(ring, columns(p, n, ring), [*zip(*members)])
     lower = oracles.strictly_lower_rows(cols)
     want = [oracles.forward_substitute(lower, f, mod) for f in members]
     assert [list(x) for x in zip(*X)] == want
@@ -462,6 +461,6 @@ def test_the_chunk_size_moves_only_the_cost(monkeypatch, p, n):
     for K in sizes:
         monkeypatch.setattr(expand_module, "_chunk", lambda p, N, B: K)
         for batch, solved in zip(batches, want):
-            X = expand_module._peel(p, n, ring, columns(p, n, ring), [*zip(*batch)])
+            X = expand_module._peel(ring, columns(p, n, ring), [*zip(*batch)])
             assert [list(x) for x in zip(*X)] == solved
         assert phi(p, n, C, tuple_from_coords(p, n, C, coords)).coeffs == image

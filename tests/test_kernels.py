@@ -797,7 +797,7 @@ def test_peel_matches_the_per_vector_oracle(case):
     ring = RingSpec(p, C)
     lower = oracles.strictly_lower_rows(oracles.direct_columns(p, n, ring))
     want = [oracles.forward_substitute(lower, rhs, p**C) for rhs in rhss]
-    X = expand._peel(p, n, ring, columns(p, n, ring), [*zip(*rhss)])
+    X = expand._peel(ring, columns(p, n, ring), [*zip(*rhss)])
     assert [list(x) for x in zip(*X)] == want
 
 
@@ -814,7 +814,7 @@ def test_peel_takes_only_the_chain_head(p, n, B):
             pulled.append(j)
             yield col
 
-    X = expand._peel(p, n, ring, chain(), [[1] * B] + [[0] * B] * (N - 1))
+    X = expand._peel(ring, chain(), [[1] * B] + [[0] * B] * (N - 1))
     assert X == [[1] * B] + [[0] * B] * (N - 1)
     K = expand._chunk(p, N, B)
     assert pulled == list(range(min(K + 1, N)))

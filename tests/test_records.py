@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from katzrates.arithmetic import QSeries, RingSpec
-from katzrates.expand import KatzComponent, KatzTuple
+from katzrates.expand import KatzTuple
 from katzrates.solver import SweepEntry, ValuationRow, build_system
 from katzrates.sweep import SweepState
 
@@ -24,11 +24,6 @@ FROZEN = {
         lambda: QSeries(RingSpec(5, 3), (1, 2, 3)),
         lambda: QSeries(RingSpec(5, 3), (1, 2, 4)),
         ("ring", "coeffs"),
-    ),
-    "KatzComponent": (
-        lambda: KatzComponent(1, (2, 3)),
-        lambda: KatzComponent(2, (2, 3)),
-        ("i", "coords"),
     ),
     "KatzTuple": (
         lambda: KatzTuple(p=5, n=3, ring=RingSpec(5, 3), x=(1, 2)),
@@ -46,9 +41,9 @@ FROZEN = {
         ("i", "j", "value", "gamma"),
     ),
     "ValuationRow": (
-        lambda: ValuationRow(p=5, r=2, lam=4, entries={1: SweepEntry(2, 1, 3, 4)}),
-        lambda: ValuationRow(p=5, r=2, lam=4, entries={}),
-        ("p", "r", "lam", "entries"),
+        lambda: ValuationRow(r=2, lam=4, entries={1: SweepEntry(2, 1, 3, 4)}),
+        lambda: ValuationRow(r=2, lam=4, entries={}),
+        ("r", "lam", "entries"),
     ),
 }
 UNHASHABLE = {"ValuationRow"}  # its entries are a dict

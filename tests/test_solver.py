@@ -386,21 +386,22 @@ def _basis_on(p, n, E, s):
 @example((17, 20, 20, 6, 4, 3))
 @example((11, 5, 5, 3, 3, 1))
 def test_katz_basis_fold_is_l_inverse_of_the_psi_coordinates(req):
-    # The build keeps X, psi's coordinates of each family member, unfolded.
-    # Folded at E, each coordinate's list over the weights is L^-1.X over
-    # Z/p^E, the dense inverse of the system's L applied across the weights;
-    # folded at lam, it is the first lam entries of that, mod p^lam.
+    # The build keeps X, psi's coordinates of each family member, unfolded;
+    # a row's solve folds L^-1 into its block inside VandermondeSystem.solve.
+    # At E and at lam its solutions are those of the independent dense route
+    # (oracles.solve_one: the dense inverse of the system's L applied across
+    # the first lam weights, then B) on the block of psi's coordinates.
     p, n, r, E, lam, s = req
     basis = _basis_on(p, n, E, s)
     assert basis.E == E
-    system, N, mod = basis.solutions(r, E)[0], dim_mk(n * (p - 1)), p**E
-    X = [psi(p, n, E, eis_ratio_by_s(p, t, E, N)).x for t in system.ss]
+    ss, N = basis.solutions(r, E)[0].ss, dim_mk(n * (p - 1))
+    X = [psi(p, n, E, eis_ratio_by_s(p, t, E, N)).x for t in ss]
     assert [list(x) for x in basis._coords] == [list(x) for x in zip(*X)]
-    A = oracles.matrices(system)[0]
-    want = [[sum(a * x[b] for a, x in zip(row, X)) % mod for row in A] for b in range(N)]
-    assert system._fold(basis._coords) == want
-    low = [[w % p**lam for w in row[:lam]] for row in want]
-    assert basis.solutions(r, lam)[0]._fold(basis._coords) == low
+    lo, hi = block(p, r)
+    for at in (E, lam):
+        system, solutions = basis.solutions(r, at)
+        thetas = [[x[b] % p**at for x in X[:at]] for b in range(lo, hi)]
+        assert solutions == [oracles.solve_one(system, theta) for theta in thetas]
 
 
 @settings(max_examples=60, deadline=None)

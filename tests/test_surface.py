@@ -171,6 +171,11 @@ def test_the_solving_commands_import_neither_dataclasses_nor_inspect(argv):
         "_tangent",
         "_tangent_numbers",
         "_chain_head",
+        "KatzComponent",
+        "components",
+        "_fold",
+        "_solutions",
+        "n_trunc",
     ],
 )
 def test_no_module_defines_a_removed_path(name):
@@ -192,10 +197,12 @@ def test_no_module_defines_a_removed_path(name):
     # the tests take their Bernoulli numbers from sympy
     # (tests/oracles.bernoulli).
     # solve_many (a system solved for thetas) lives on in tests/oracles.py:
-    # a sweep reads the fold of its KatzBasis and solves no theta.
+    # a sweep solves only the blocks of its KatzBasis.
     # _newton_side (L^-1 applied to a whole batch at the build's p^E) is
     # gone too: a KatzBasis folds nothing, and each row folds its own block
-    # at lam (VandermondeSystem._fold).
+    # at lam.  _fold and _solutions (that fold, and the division by p^t_k
+    # and the combination of B's columns after it) are one method,
+    # VandermondeSystem.solve, since every caller ran the two in turn.
     # power (a series to the k-th power) and the one-series builders
     # _eisenstein, e4, e6, delta, e_p_minus_1 and eisenstein_star are gone:
     # classical.level_one makes E_4, E_6 and E_{p-1} from one sieve, the
@@ -211,6 +218,10 @@ def test_no_module_defines_a_removed_path(name):
     # command read row.entries.values().
     # _chain_head (K and the chain's first K + 1 columns) is gone: _peel and
     # phi take K from expand._chunk and the columns off the chain themselves.
+    # KatzComponent and KatzTuple.components (x split over the blocks) are
+    # gone: katz-expand lays its JSON out from basis._blocks and t.x, and a
+    # block's coordinates are t.x[lo:hi], (lo, hi) = basis.block(p, i).
+    # QSeries.n_trunc was len(coeffs).
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.AsyncFunctionDef)):

@@ -341,7 +341,7 @@ def test_row_is_recorded_whole_or_not_at_all():
             raise KeyboardInterrupt
 
     solved = sweep_module.solve_row(5, 12, 10, j_max=2)
-    row = ValuationRow(p=5, r=12, lam=10, entries=Interrupted(solved.entries))
+    row = ValuationRow(r=12, lam=10, entries=Interrupted(solved.entries))
     with pytest.raises(KeyboardInterrupt):
         sweep_module._record_row(state, row)
     assert state_to_json(state) == before
@@ -530,7 +530,7 @@ def test_a_sweep_that_never_resolves_reaches_the_lambda_bound_exactly(monkeypatc
         attempts[i] = attempts.get(i, 0) + 1
         row = real(p, i, lam, **kwargs)
         entries = {j: SweepEntry(i, j, None, e.gamma) for j, e in row.entries.items()}
-        return ValuationRow(p=p, r=i, lam=lam, entries=entries)
+        return ValuationRow(r=i, lam=lam, entries=entries)
 
     monkeypatch.setattr(sweep_module, "solve_row", inconclusive)
     state = run_sweep(5, 9)
