@@ -90,9 +90,18 @@ def _bernoulli(ks) -> list[tuple[int, int]]:
     integer nearest a fixed-point value within 1/4 of X_k.  The bound: X_k
     < 2^b, b = bit_length(2 k! D_k) + 1 - floor(2.6514 k), as zeta(k) < 2
     and log2(2 pi) > 2.6514.
-      - zeta(k), summed to W = b + 5 + ceil((b+5)/(k-1)) bits until its
-        terms vanish at some n <= 2^(W/k), is low by less than 2^(W/k+2)
-        units, a relative error below 2^(-b-3).
+      - zeta(k) = prod_q (1 - q^-k)^-1 is taken to W = b + 6 +
+        ceil((b+7)/(k-1)) bits as z += z // (q^k - 1), q^k stepped from the
+        previous k by q^gap, over the primes q in turn until a term
+        vanishes.  z < 2^(W+1), so the primes kept are at most
+        x = 2^((W+1)/k), and their floors lose under 2x units.  The first
+        prime dropped lies below 2x (Bertrand), its q^k > z >= 2^W, and the
+        primes from it on are worth under 2^(W+1) sum_{n>=q} n^-k < 2(1 + q)
+        units.  So z is low by less than 8x units, a relative error below
+        2^(-b-3).  2x is 512 at k = 2, 16 at k = 4 and below k + 2 from
+        k = 6 on (checked to k = 20000; by Stirling it grows as about
+        k/(pi e)), so the primes below max(k + 2, 512) hold every prime the
+        product reads.
       - pi is taken once per call (_pi) to Q = P + bit_length(P) + 4 bits,
         P the largest b + bit_length(k) + 5, a relative error below
         2^(-P-1).  (2 pi)^k is stepped from the previous k by (2 pi)^gap,
@@ -105,7 +114,7 @@ def _bernoulli(ks) -> list[tuple[int, int]]:
     if not ks or any(k < 2 or k % 2 for k in ks):
         raise ValueError(f"B_k is computed for even k >= 2 only, not {list(ks)}")
     order = sorted(set(ks))
-    spf = _prime_powers(order[-1] + 2)[0]
+    spf = _prime_powers(max(order[-1] + 2, 512))[0]
     primes = [q for q in range(2, len(spf)) if spf[q] == q]
     rows, fact, prev = [], 1, 0
     for k in order:
@@ -123,9 +132,10 @@ def _bernoulli(ks) -> list[tuple[int, int]]:
         return m >> cut, e + cut
 
     two_pi = _pi(Q), 1 - Q
-    power, steps, out, prev = (1, 0), {}, {}, 0
+    power, steps, out, prev, qk = (1, 0), {}, {}, 0, []
     for k, qs, t, b in rows:
         gap = k - prev
+        qk = [x * q**gap for x, q in zip(qk, primes)]
         if gap not in steps:
             step = (1, 0)
             for bit in bin(gap)[2:]:
@@ -134,11 +144,14 @@ def _bernoulli(ks) -> list[tuple[int, int]]:
                     step = mul(step, two_pi)
             steps[gap] = step
         power, prev = mul(power, steps[gap]), k
-        W = b + 5 - (-(b + 5) // (k - 1))
-        zeta = one = 1 << W
-        n = 2
-        while term := one // n**k:
-            zeta, n = zeta + term, n + 1
+        W = b + 6 - (-(b + 7) // (k - 1))
+        zeta = 1 << W
+        for n, q in enumerate(primes):
+            if n == len(qk):
+                qk.append(q**k)
+            if not (term := zeta // (qk[n] - 1)):
+                break
+            zeta += term
         shift = power[1] + W
         num, den = t * zeta << max(-shift, 0), power[0] << max(shift, 0)
         N, D = (-1) ** (k // 2 + 1) * ((2 * num + den) // (2 * den)), math.prod(qs)

@@ -100,12 +100,11 @@ class SweepState(_Record):
     unhashable.
 
     d_prime is the running minimum of (nu(b_{i,j}) + j)/i over all exact
-    entries, as an exact rational; attained is the set of (i, j) achieving it.
+    entries, as an exact rational, and rows 1..rows_done are done.  The
+    (i, j) attaining d_prime are read off the entries (`attained`).
     """
 
-    __slots__ = _fields = (
-        "p", "lam_current", "i_max", "d_prime", "entries", "attained", "completed_rows"
-    )
+    __slots__ = _fields = ("p", "lam_current", "i_max", "d_prime", "entries", "rows_done")
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
@@ -117,13 +116,22 @@ class SweepState(_Record):
         i_max: int = 0,
         d_prime: Fraction = Fraction(1),
         entries: list[SweepEntry] | None = None,
-        attained: set[tuple[int, int]] | None = None,
-        completed_rows: set[int] | None = None,
+        rows_done: int = 0,
     ):
         self.p, self.lam_current, self.i_max, self.d_prime = p, lam_current, i_max, d_prime
         self.entries = [] if entries is None else entries
-        self.attained = set() if attained is None else attained
-        self.completed_rows = set() if completed_rows is None else completed_rows
+        self.rows_done = rows_done
+
+    @property
+    def attained(self) -> set[tuple[int, int]]:
+        """The (i, j) of the exact entries with i >= 1 on the line of slope
+        d_prime, compared by `_excess`."""
+        slope = (self.d_prime.numerator, self.d_prime.denominator)
+        return {
+            (e.i, e.j)
+            for e in self.entries
+            if e.exact and e.i > 0 and not _excess(e, slope)
+        }
 
 
 def _excess(e: SweepEntry, slope: tuple[int, int]) -> int:
@@ -134,32 +142,26 @@ def _excess(e: SweepEntry, slope: tuple[int, int]) -> int:
     return (e.value + e.j) * den - num * e.i
 
 
-def _fold_rate(entries, d_prime: Fraction, attained: set) -> tuple[Fraction, set]:
-    """(d', attained) with the exact entries of i >= 1 folded into the running
-    minimum d_prime of (nu(b_{i,j}) + j)/i, compared by `_excess`;
-    `attained` itself is not changed."""
-    slope, attained = (d_prime.numerator, d_prime.denominator), set(attained)
+def _fold_rate(entries, d_prime: Fraction) -> Fraction:
+    """The running minimum d_prime of (nu(b_{i,j}) + j)/i with the exact
+    entries of i >= 1 folded in, compared by `_excess`."""
+    slope = (d_prime.numerator, d_prime.denominator)
     for e in entries:
-        if e.exact and e.i > 0:
-            diff = _excess(e, slope)
-            if diff < 0:
-                slope, attained = (e.value + e.j, e.i), {(e.i, e.j)}
-            elif diff == 0:
-                attained.add((e.i, e.j))
-    return Fraction(*slope), attained
+        if e.exact and e.i > 0 and _excess(e, slope) < 0:
+            slope = (e.value + e.j, e.i)
+    return Fraction(*slope)
 
 
 def _record_row(state: SweepState, row) -> None:
-    """Add a solved row to the state: its entries (in increasing j, as
-    collect_statuses keys them), its lam and the d' update are computed
-    first and then stored in three statements.  A checkpoint saved after an
-    interrupt between those either holds the row whole or fails the
-    load-time checks."""
+    """Add solved row rows_done + 1 to the state: its entries (in increasing
+    j, as collect_statuses keys them) and the d' update are computed first
+    and then stored in two statements, the entries and then the row count,
+    d' and lam.  A checkpoint saved after an interrupt between those either
+    holds the row whole or fails the load-time checks."""
     entries = list(row.entries.values())
-    d_prime, attained = _fold_rate(entries, state.d_prime, state.attained)
+    d_prime = _fold_rate(entries, state.d_prime)
     state.entries += entries
-    state.completed_rows.add(row.r)
-    state.d_prime, state.attained, state.lam_current = d_prime, attained, row.lam
+    state.rows_done, state.d_prime, state.lam_current = row.r, d_prime, row.lam
 
 
 def run_sweep(
@@ -169,9 +171,10 @@ def run_sweep(
     checkpoint_path: str | None = None,
     progress=None,
 ) -> SweepState:
-    """Sweep rows 1..i_max, maintaining the running upper bound d' and pruning
-    each row at j <= ceil(d' * i).  Rows with an empty basis block contribute
-    nothing and are skipped.  With `checkpoint_path`, the state is saved
+    """Sweep rows rows_done + 1..i_max of `resume` (1..i_max without one),
+    maintaining the running upper bound d' and pruning each row at
+    j <= ceil(d' * i).  Rows with an empty basis block contribute nothing
+    and only advance the count.  With `checkpoint_path`, the state is saved
     after a solved row when CHECKPOINT_INTERVAL_S have passed since the last
     save (or the start), once after the loop, even if no row was left, and
     on KeyboardInterrupt, which is then raised again."""
@@ -193,12 +196,10 @@ def run_sweep(
 
     written = time.monotonic()
     try:
-        for i in range(1, i_max + 1):
-            if i in state.completed_rows:
-                continue
+        for i in range(state.rows_done + 1, i_max + 1):
             if _empty_block(p, i):
                 # Empty basis block: b_{i,j} = 0, nothing to solve.
-                state.completed_rows.add(i)
+                state.rows_done = i
                 continue
 
             lam = state.lam_current
@@ -267,7 +268,9 @@ def summary(state: SweepState) -> dict:
             "conjecture_violations": len(d_viol),
         },
         "lambda_max": state.lam_current,
-        "rows_solved": sum(not _empty_block(state.p, i) for i in state.completed_rows),
+        "rows_solved": sum(
+            not _empty_block(state.p, i) for i in range(1, state.rows_done + 1)
+        ),
         "unresolved": sum(1 for e in state.entries if e.j >= 1 and not e.exact),
     }
 
@@ -288,7 +291,7 @@ def state_to_json(state: SweepState) -> dict:
         "lambda": state.lam_current,
         "i_max": state.i_max,
         "d_prime": _frac_str(state.d_prime),
-        "completed_rows": sorted(state.completed_rows),
+        "completed_rows": list(range(1, state.rows_done + 1)),
         "entries": [
             {
                 "i": e.i,
@@ -302,10 +305,10 @@ def state_to_json(state: SweepState) -> dict:
     }
 
 
-def _entry_from_json(e: dict, completed_rows: set[int], lam: int) -> SweepEntry:
+def _entry_from_json(e: dict, rows_done: int, lam: int) -> SweepEntry:
     """One checkpoint entry, after checking that a sweep could have made it:
-    among other things, its gamma is capped at its row's lambda, which is at
-    most the checkpoint's `lam`."""
+    among other things, its row is one of 1..rows_done, and its gamma is
+    capped at its row's lambda, which is at most the checkpoint's `lam`."""
     i, j, gamma = e["i"], e["j"], e["gamma"]
     status, value = e["status"], e["value"]
     if not (_is_int(i) and _is_int(j) and _is_int(gamma)):
@@ -314,7 +317,7 @@ def _entry_from_json(e: dict, completed_rows: set[int], lam: int) -> SweepEntry:
         raise CheckpointError(f"entry {e}: needs i >= 1, j >= 0 and j <= i")
     if not 0 <= gamma <= lam:
         raise CheckpointError(f"entry {e}: gamma must lie in 0..lambda = {lam}")
-    if i not in completed_rows:
+    if i > rows_done:
         raise CheckpointError(f"entry {e}: row {i} is not in completed_rows")
     if status == "exact":
         if not (_is_int(value) and 0 <= value < gamma):
@@ -326,11 +329,13 @@ def _entry_from_json(e: dict, completed_rows: set[int], lam: int) -> SweepEntry:
     return SweepEntry(i=i, j=j, value=value, gamma=gamma)
 
 
-def _lambda_bound(p: int, rows) -> int:
-    """The largest lam a sweep can have used when `rows` are its completed
-    rows: the last margin's plan at d' = 1 for the last nonempty row m,
+def _lambda_bound(p: int, rows_done: int) -> int:
+    """The largest lam a sweep can have used when rows 1..rows_done are
+    done: the last margin's plan at d' = 1 for the last nonempty row m,
     since d' <= 1; 1 if no row is nonempty."""
-    m = max((i for i in rows if not _empty_block(p, i)), default=0)
+    m = rows_done
+    while m and _empty_block(p, m):
+        m -= 1
     return _row_plan(p, m, Fraction(1), _MARGINS[-1])[1] if m else 1
 
 
@@ -359,33 +364,26 @@ def state_from_json(data: dict) -> SweepState:
         outside = sorted(i for i in rows if not 1 <= i <= i_max)
         if outside:
             raise CheckpointError(f"completed_rows {outside} lie outside 1..{i_max}")
-        if sorted(rows) != list(range(1, len(rows) + 1)):
+        m = len(rows)
+        if sorted(rows) != list(range(1, m + 1)):
             raise CheckpointError(
                 "completed_rows are not 1..m for one m, as a sweep completes rows in order"
             )
         if not isinstance(data["d_prime"], str):
             raise CheckpointError("d_prime must be a string p/q")
-        lam_bound = _lambda_bound(p, rows)
+        lam_bound = _lambda_bound(p, m)
         if not 1 <= lam <= lam_bound:
             raise CheckpointError(
                 f"lambda {lam} lies outside 1..{lam_bound}, the range a sweep "
                 "through its completed rows can reach"
             )
-        state = SweepState(
-            p=p,
-            lam_current=lam,
-            i_max=i_max,
-            d_prime=_frac_parse(data["d_prime"]),
-            completed_rows=set(rows),
-        )
-        state.entries = [
-            _entry_from_json(e, state.completed_rows, lam) for e in data["entries"]
-        ]
+        state = SweepState(p, lam, i_max, _frac_parse(data["d_prime"]), rows_done=m)
+        state.entries = [_entry_from_json(e, m, lam) for e in data["entries"]]
     except CheckpointError:
         raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc!r}") from exc
-    row_js: dict[int, list[int]] = {i: [] for i in state.completed_rows}
+    row_js: dict[int, list[int]] = {i: [] for i in range(1, m + 1)}
     for e in state.entries:
         row_js[e.i].append(e.j)
     for i, js in sorted(row_js.items()):
@@ -399,13 +397,12 @@ def state_from_json(data: dict) -> SweepState:
             raise CheckpointError(
                 f"row {i} has entries j = {js}, not j = 0..J for one J >= 0"
             )
-    d_prime, attained = _fold_rate(state.entries, Fraction(1), set())
+    d_prime = _fold_rate(state.entries, Fraction(1))
     if state.d_prime != d_prime:
         raise CheckpointError(
             f"d_prime {_frac_str(state.d_prime)} is not the minimum "
             f"{_frac_str(d_prime)} over the exact entries"
         )
-    state.attained = attained
     return state
 
 

@@ -497,6 +497,21 @@ def eis_ratio_full_inverse(p: int, s: int, lam: int, N: int) -> QSeries:
     return QSeries(estar.ring, tuple(ratio))
 
 
+def fold_rate(entries, d_prime=Fraction(1), attained=frozenset()):
+    """(d', attained) with the exact entries of i >= 1 folded in one at a
+    time, in Fractions: the running minimum d_prime of (nu + j)/i and the set
+    of (i, j) attaining it, kept as a sweep once kept them row by row."""
+    attained = set(attained)
+    for e in entries:
+        if e.exact and e.i > 0:
+            rate = Fraction(e.value + e.j, e.i)
+            if rate < d_prime:
+                d_prime, attained = rate, {(e.i, e.j)}
+            elif rate == d_prime:
+                attained.add((e.i, e.j))
+    return d_prime, attained
+
+
 def second_route(state) -> int:
     """Re-derive each attaining entry (i, j) of a sweep off the sweep's own
     path, and return the number of entries checked.  At lam = lambda_max and

@@ -425,11 +425,14 @@ def _check_bernoulli(ks):
 
 
 def test_bernoulli_matches_sympy():
-    # Every even k <= 600 in one call, so pi is taken once and (2 pi)^k
-    # stepped by 2 from k = 2 on; and again one k at a time, from k = 0.
-    ks = list(range(2, 601, 2))
+    # Every even k <= 1200 in one call, so pi is taken once and (2 pi)^k
+    # and each q^k stepped by 2 from k = 2 on; and again one k at a time,
+    # from k = 0, for every even k <= 64: the Euler product at k = 2 reads
+    # the primes up to 233 and at k = 4 up to 7, past k + 2.  At k = 2 the
+    # last prime's term just vanishes: z is 0.992 of 233^2 - 1.
+    ks = list(range(2, 1201, 2))
     _check_bernoulli(ks)
-    for k in (2, 4, 12, 98, 600):
+    for k in [*range(2, 65, 2), 98, 600]:
         _check_bernoulli([k])
     # Repeats and any order: the values come back in the order asked.
     _check_bernoulli([30, 4, 30, 2])

@@ -101,7 +101,7 @@ def test_a_frozen_record_survives_copy_and_pickle(name):
 def test_a_sweep_state_is_mutable_and_unhashable():
     state = SweepState(p=5)
     assert (state.lam_current, state.i_max, state.d_prime) == (1, 0, Fraction(1))
-    assert (state.entries, state.attained, state.completed_rows) == ([], set(), set())
+    assert (state.entries, state.attained, state.rows_done) == ([], set(), 0)
     other = SweepState(p=5)
     assert state == other
     assert state.entries is not other.entries  # no default is shared
@@ -114,7 +114,7 @@ def test_a_sweep_state_is_mutable_and_unhashable():
     with pytest.raises(TypeError):
         hash(state)
     text = repr(state)
-    for field in ("p", "lam_current", "i_max", "d_prime", "entries", "attained", "completed_rows"):
+    for field in ("p", "lam_current", "i_max", "d_prime", "entries", "rows_done"):
         assert f"{field}={getattr(state, field)!r}" in text
     assert pickle.loads(pickle.dumps(state)) == state
 

@@ -1,5 +1,6 @@
 """Tests for the sweep driver, its constants, and checkpoint persistence."""
 
+import csv
 import hashlib
 import importlib.util
 import io
@@ -10,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -78,13 +79,22 @@ def test_lambda_for_matches_the_linear_scan(p, target, j_max):
 
 def test_run_sweep_small():
     state = run_sweep(5, 9)
-    assert state.completed_rows == set(range(1, 10))
+    assert state.rows_done == 9
     # rows with empty basis contribute no entries at all
     empty = {i for i in range(1, 10) if i % 3}
     assert all(e.i not in empty for e in state.entries)
     assert state.d_prime == min(
         Fraction(e.value + e.j, e.i) for e in state.entries if e.exact
     )
+
+
+def test_empty_rows_advance_the_count():
+    # Rows 10 and 11 of p = 5 have empty basis blocks: a sweep that ends on
+    # them has done them, and its checkpoint lists them.
+    state = run_sweep(5, 11)
+    assert state.rows_done == 11
+    assert state_to_json(state)["completed_rows"] == list(range(1, 12))
+    assert summary(state)["rows_solved"] == 3
 
 
 def test_sweep_d_prime_nonincreasing():
@@ -102,6 +112,50 @@ def test_resume_equivalence(tmp_path):
     assert resumed.attained == full.attained
 
 
+_ENTRY_LISTS = st.lists(
+    st.builds(
+        lambda i, j, value: SweepEntry(i, min(j, i), value, 9),
+        st.integers(0, 12),
+        st.integers(0, 12),
+        st.none() | st.integers(0, 8),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ENTRY_LISTS)
+@example([])
+@example([SweepEntry(6, 1, None, 3)])  # d' = 1 with no exact entry
+@example([SweepEntry(0, 0, 0, 2), SweepEntry(3, 0, 3, 4)])  # i = 0; a tie at d' = 1
+@example([SweepEntry(6, 0, 2, 5), SweepEntry(9, 1, 2, 5), SweepEntry(3, 1, 0, 5)])
+def test_attained_is_the_incremental_fold(entries):
+    # The attaining set read off the entries is the one the fold kept entry
+    # by entry: ties at the minimum are all kept, and i = 0 never attains.
+    d_prime, attained = oracles.fold_rate(entries)
+    assert sweep_module._fold_rate(entries, Fraction(1)) == d_prime
+    state = SweepState(p=5, d_prime=d_prime, entries=entries)
+    assert state.attained == attained
+
+
+@pytest.mark.parametrize("p, i_max", [(5, 36), (7, 56), (17, 20), (13, 182)])
+def test_attained_on_a_golden_sweep_is_the_incremental_fold(p, i_max):
+    # The golden entries recorded row by row, as a sweep records them: after
+    # each row, d' and the attaining set are the fold's.
+    with (DATA / f"p{p}_i{i_max}.csv").open() as fh:
+        rows = {}
+        for r in csv.DictReader(fh):
+            value = int(r["value"]) if r["value"] else None
+            e = SweepEntry(int(r["i"]), int(r["j"]), value, int(r["gamma"]))
+            rows.setdefault(e.i, {})[e.j] = e
+    state, d_prime, attained = SweepState(p=p), Fraction(1), set()
+    for i, entries in rows.items():
+        sweep_module._record_row(state, ValuationRow(r=i, lam=1, entries=entries))
+        d_prime, attained = oracles.fold_rate(entries.values(), d_prime, attained)
+        assert (state.rows_done, state.d_prime, state.attained) == (i, d_prime, attained)
+    assert attained
+
+
 def test_checkpoint_round_trip(tmp_path):
     state = run_sweep(5, 9)
     path = str(tmp_path / "ck.json")
@@ -110,7 +164,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.p == state.p
     assert loaded.d_prime == state.d_prime
     assert loaded.entries == state.entries
-    assert loaded.completed_rows == state.completed_rows
+    assert loaded.rows_done == state.rows_done
     assert loaded.attained == state.attained
 
 
@@ -125,7 +179,7 @@ def test_checkpoint_written_during_sweep(tmp_path):
     path = str(tmp_path / "ck.json")
     state = run_sweep(5, 6, checkpoint_path=path)
     loaded = load_checkpoint(path, 5)
-    assert loaded.completed_rows == state.completed_rows
+    assert loaded.rows_done == state.rows_done
 
 
 def _fsynced(fd):
@@ -247,13 +301,13 @@ def test_a_stuck_row_is_solved_again_at_a_larger_lambda(monkeypatch, p, i_max):
 
 
 @pytest.fixture
-def checkpoint_writes(monkeypatch) -> list[tuple[int, ...]]:
-    """The completed rows of every checkpoint a sweep writes, in order."""
+def checkpoint_writes(monkeypatch) -> list[int]:
+    """The rows_done of every checkpoint a sweep writes, in order."""
     writes = []
     real = sweep_module.save_checkpoint
 
     def counting(state, path):
-        writes.append(tuple(sorted(state.completed_rows)))
+        writes.append(state.rows_done)
         real(state, path)
 
     monkeypatch.setattr(sweep_module, "save_checkpoint", counting)
@@ -266,7 +320,7 @@ def test_sweep_writes_its_checkpoint_once_inside_the_interval(tmp_path, checkpoi
     path = str(tmp_path / "ck.json")
     state = run_sweep(5, 36, checkpoint_path=path)
     assert sweep_module.CHECKPOINT_INTERVAL_S == 1.0
-    assert checkpoint_writes == [tuple(range(1, 37))]
+    assert checkpoint_writes == [36]
     assert load_checkpoint(path, 5).entries == state.entries
 
 
@@ -274,7 +328,7 @@ def test_resume_with_no_rows_left_still_writes(tmp_path, checkpoint_writes):
     path = str(tmp_path / "ck.json")
     state = run_sweep(5, 12)
     run_sweep(5, 12, resume=state, checkpoint_path=path)
-    assert checkpoint_writes == [tuple(range(1, 13))]
+    assert checkpoint_writes == [12]
     assert load_checkpoint(path, 5).entries == state.entries
 
 
@@ -282,14 +336,15 @@ class _Interrupt(Exception):
     pass
 
 
-@pytest.mark.parametrize("k, last_saved", [(6, 3), (18, 15), (36, 33)])
+@pytest.mark.parametrize("k, last_saved", [(k, k - 3) for k in range(6, 37, 3)])
 def test_interrupted_sweep_resumes_to_the_uninterrupted_csv(
     tmp_path, monkeypatch, checkpoint_writes, k, last_saved
 ):
     # With the interval at 0 every solved row is saved.  A sweep stopped by
     # its progress hook on row k (p = 5 solves every third row) leaves the
     # checkpoint of the solved row before it, and resuming from that file
-    # gives the golden CSV of the uninterrupted sweep.
+    # gives the golden CSV of the uninterrupted sweep.  Every row k a stop
+    # can split the sweep at is tried; a stop on row 3 leaves no file.
     monkeypatch.setattr(sweep_module, "CHECKPOINT_INTERVAL_S", 0)
     path = str(tmp_path / "ck.json")
 
@@ -299,12 +354,12 @@ def test_interrupted_sweep_resumes_to_the_uninterrupted_csv(
 
     with pytest.raises(_Interrupt):
         run_sweep(5, 36, checkpoint_path=path, progress=stop)
-    assert len(checkpoint_writes) == k // 3 - 1
+    assert checkpoint_writes == list(range(3, k, 3))
     saved = load_checkpoint(path, 5)
-    assert saved.completed_rows == set(range(1, last_saved + 1))
+    assert saved.rows_done == last_saved
     resumed = run_sweep(5, 36, resume=saved, checkpoint_path=path)
     assert _entries_csv(resumed) == (DATA / "p5_i36.csv").read_bytes().decode()
-    assert load_checkpoint(path, 5).completed_rows == set(range(1, 37))
+    assert load_checkpoint(path, 5).rows_done == 36
 
 
 @pytest.mark.parametrize("k", [6, 18, 36])
@@ -323,7 +378,7 @@ def test_keyboard_interrupt_saves_the_solved_rows(
 
     with pytest.raises(KeyboardInterrupt):
         run_sweep(5, 36, checkpoint_path=path, progress=stop)
-    assert checkpoint_writes == [tuple(range(1, k + 1))]
+    assert checkpoint_writes == [k]
     saved = load_checkpoint(path, 5)
     resumed = run_sweep(5, 36, resume=saved, checkpoint_path=path)
     assert _entries_csv(resumed) == (DATA / "p5_i36.csv").read_bytes().decode()
@@ -536,7 +591,7 @@ def test_a_sweep_that_never_resolves_reaches_the_lambda_bound_exactly(monkeypatc
     state = run_sweep(5, 9)
     assert state.d_prime == 1
     assert set(attempts.values()) == {len(sweep_module._MARGINS)}
-    assert state.lam_current == sweep_module._lambda_bound(5, range(1, 10))
+    assert state.lam_current == sweep_module._lambda_bound(5, 9)
     data = state_to_json(state)
     assert state_from_json(data).lam_current == state.lam_current
     data["lambda"] += 1
@@ -547,7 +602,7 @@ def test_a_sweep_that_never_resolves_reaches_the_lambda_bound_exactly(monkeypatc
 def test_checkpoint_lambda_bound_is_quick_for_a_far_row():
     # Row 999999999 of p = 5 is nonempty; scanning n one at a time up to its
     # bound, about 2.9e9, would not finish.
-    assert sweep_module._lambda_bound(5, [999_999_999]) == 2_909_090_918
+    assert sweep_module._lambda_bound(5, 999_999_999) == 2_909_090_918
 
 
 def test_checkpoint_rejects_completed_rows_that_are_not_a_prefix(checkpoint_p5_i9):
@@ -916,7 +971,7 @@ def test_frontier_sweep_matches_pinned_digest(p, digest, tmp_path):
     assert summary(state)["unresolved"] == 0
     assert hashlib.sha256(_entries_csv(state).encode()).hexdigest() == digest
     saved = load_checkpoint(path, p)
-    assert saved.completed_rows == state.completed_rows
+    assert saved.rows_done == state.rows_done
     assert saved.entries == state.entries
 
 
