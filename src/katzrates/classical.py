@@ -64,20 +64,23 @@ def sigma_star_rows(p: int | None, ms, N: int, mod: int) -> list[list[int]]:
 
 
 def _pi(bits: int) -> int:
-    """pi 2^bits by Machin's formula, pi = 16 arccot 5 - 4 arccot 239, less
-    than 8 bits units off for bits >= 8.  Each arccot(x) 2^bits loses under
-    one unit per term it keeps and one for the terms it drops, under
-    bits / (2 log2 x) + 1.5 in all, so pi 2^bits loses under 16 (0.22 bits
-    + 1.5) + 4 (0.07 bits + 1.5)."""
+    """pi 2^bits, bits >= 1, by Machin's formula, pi = 16 arccot 5 - 4 arccot
+    239, under 18 units off.  arccot x = sum_n t_n, t_n = (-1)^n / ((2n+1)
+    x^(2n+1)), is summed exactly over n < N, x^(2N) >= 2^bits, by binary
+    splitting and floored (under 1 unit); the alternating tail is under t_N <=
+    2^-bits / (3x), so 16 arccot 5 is off by -17.1 to 1.1 and -4 arccot 239 by
+    -0.1 to 4.1 units."""
 
-    def arccot(x):
-        total = term = (1 << bits) // x
-        n = 1
-        while term:
-            term //= x * x
-            n += 2
-            total += (-1) ** (n // 2) * (term // n)
-        return total
+    def split(x, a, b):  # t_(b-1) = t_(a-1) P/Q, t_a + ... + t_(b-1) = t_(a-1) T/Q
+        if b - a == 1:
+            return 1 - 2 * a, (2 * a + 1) * x * x, 1 - 2 * a
+        pl, ql, tl = split(x, a, (a + b) // 2)
+        pr, qr, tr = split(x, (a + b) // 2, b)
+        return pl * pr, ql * qr, tl * qr + pl * tr
+
+    def arccot(x):  # N is one past the float ceiling, to cover its rounding
+        _, q, t = split(x, 1, math.ceil(bits / (2 * math.log2(x))) + 1)
+        return (q + t << bits) // (q * x)  # x t_0 = 1, and T/Q sums t_n/t_0
 
     return 16 * arccot(5) - 4 * arccot(239)
 
@@ -102,10 +105,10 @@ def _bernoulli(ks) -> list[tuple[int, int]]:
         k = 6 on (checked to k = 20000; by Stirling it grows as about
         k/(pi e)), so the primes below max(k + 2, 512) hold every prime the
         product reads.
-      - pi is taken once per call (_pi) to Q = P + bit_length(P) + 4 bits,
-        P the largest b + bit_length(k) + 5, a relative error below
-        2^(-P-1).  (2 pi)^k is stepped from the previous k by (2 pi)^gap,
-        each a mantissa cut to P + 4 bits and an exponent.  Its k factors
+      - pi is taken once per call (_pi) to L = P + 4 bits, P the largest
+        b + bit_length(k) + 5: under 18 units off pi 2^L > 3 2^L, a relative
+        error below 2^(-P-1).  (2 pi)^k is stepped from the previous k by
+        (2 pi)^gap, each a mantissa cut to L bits and an exponent.  Its k factors
         2 pi and at most 3k cuts, each losing under 2^(-P-3), leave a
         relative error below 2k 2^-P <= 2^(-b-4).
     So the value is off by less than X_k (2^(-b-3) + 2^(-b-4)) / (1 - 2^-4)
@@ -124,14 +127,14 @@ def _bernoulli(ks) -> list[tuple[int, int]]:
         rows.append((k, qs, t, t.bit_length() + 1 - int(2.6514 * k)))
         prev = k
     P = max(b + k.bit_length() + 5 for k, _, _, b in rows)
-    Q, L = P + P.bit_length() + 4, P + 4
+    L = P + 4
 
     def mul(x, y):  # (m, e) stands for m 2^e; the product is cut to L bits
         m, e = x[0] * y[0], x[1] + y[1]
         cut = max(m.bit_length() - L, 0)
         return m >> cut, e + cut
 
-    two_pi = _pi(Q), 1 - Q
+    two_pi = _pi(L), 1 - L
     power, steps, out, prev, qk = (1, 0), {}, {}, 0, []
     for k, qs, t, b in rows:
         gap = k - prev
@@ -206,13 +209,10 @@ def star_constants(ks, ring: RingSpec) -> list[int]:
     (ArithmeticError).
     """
     p, mod = ring.p, ring.modulus
-    units = []
     for k in ks:
         if k < p - 1 or k % (p - 1):
             raise ValueError(f"weight {k} is not a positive multiple of {p - 1}")
-        units.append((1 - pow(p, k - 1, mod)) % mod)
-    cs = _scalars(ring, ks, units)
-    for c in cs:
-        if c % p:
-            raise ArithmeticError("Eisenstein scalar is not divisible by p")
+    cs = _scalars(ring, ks, [(1 - pow(p, k - 1, mod)) % mod for k in ks])
+    if any(c % p for c in cs):
+        raise ArithmeticError("Eisenstein scalar is not divisible by p")
     return cs

@@ -16,7 +16,7 @@ from .arithmetic import RingSpec, _is_int, _Record
 from .basis import block
 from .solver import KatzBasis, SweepEntry, build_system, f_bound, solve_row
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 # A sweep rewrites its checkpoint after a row only when this many seconds
 # have passed since its last write, and always once when it ends: a write
 # re-encodes every entry, so a write per row would cost O(rows x entries).
@@ -101,10 +101,11 @@ class SweepState(_Record):
 
     d_prime is the running minimum of (nu(b_{i,j}) + j)/i over all exact
     entries, as an exact rational, and rows 1..rows_done are done.  The
-    (i, j) attaining d_prime are read off the entries (`attained`).
+    (i, j) attaining d_prime are read off the entries (`attained`), and a
+    checkpoint holds neither: a load folds d_prime from the entries.
     """
 
-    __slots__ = _fields = ("p", "lam_current", "i_max", "d_prime", "entries", "rows_done")
+    __slots__ = _fields = ("p", "lam_current", "d_prime", "entries", "rows_done")
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
@@ -113,12 +114,11 @@ class SweepState(_Record):
         self,
         p: int,
         lam_current: int = 1,
-        i_max: int = 0,
         d_prime: Fraction = Fraction(1),
         entries: list[SweepEntry] | None = None,
         rows_done: int = 0,
     ):
-        self.p, self.lam_current, self.i_max, self.d_prime = p, lam_current, i_max, d_prime
+        self.p, self.lam_current, self.d_prime = p, lam_current, d_prime
         self.entries = [] if entries is None else entries
         self.rows_done = rows_done
 
@@ -184,9 +184,8 @@ def run_sweep(
         if resume.p != p:
             raise ValueError(f"resume state is for p = {resume.p}, not {p}")
         state = resume
-        state.i_max = max(state.i_max, i_max)
     else:
-        state = SweepState(p=p, i_max=i_max)
+        state = SweepState(p=p)
 
     # One basis, with its Vandermonde system, serves every row's lam by
     # reduction; the first row solved builds it, so a sweep with no row left
@@ -279,38 +278,27 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _frac_parse(s: str) -> Fraction:
-    num, _, den = s.partition("/")
-    return Fraction(int(num), int(den or 1))
-
-
 def state_to_json(state: SweepState) -> dict:
+    """The checkpoint of `state`, format 2: only what a resumed sweep cannot
+    derive.  d' is the fold of the exact entries, and an entry is exact
+    when its value is not null."""
     return {
         "version": CHECKPOINT_VERSION,
         "p": state.p,
         "lambda": state.lam_current,
-        "i_max": state.i_max,
-        "d_prime": _frac_str(state.d_prime),
-        "completed_rows": list(range(1, state.rows_done + 1)),
+        "rows_done": state.rows_done,
         "entries": [
-            {
-                "i": e.i,
-                "j": e.j,
-                "status": e.status,
-                "value": e.value,
-                "gamma": e.gamma,
-            }
-            for e in state.entries
+            {"i": e.i, "j": e.j, "value": e.value, "gamma": e.gamma} for e in state.entries
         ],
     }
 
 
 def _entry_from_json(e: dict, rows_done: int, lam: int) -> SweepEntry:
     """One checkpoint entry, after checking that a sweep could have made it:
-    among other things, its row is one of 1..rows_done, and its gamma is
-    capped at its row's lambda, which is at most the checkpoint's `lam`."""
-    i, j, gamma = e["i"], e["j"], e["gamma"]
-    status, value = e["status"], e["value"]
+    among other things, its row is one of 1..rows_done, its gamma is at most
+    the checkpoint's `lam`, and it is not an exact j = 0 entry, as b_{i,0} = 0
+    (collect_statuses)."""
+    i, j, value, gamma = e["i"], e["j"], e["value"], e["gamma"]
     if not (_is_int(i) and _is_int(j) and _is_int(gamma)):
         raise CheckpointError(f"entry {e}: i, j and gamma must be integers")
     if i < 1 or not 0 <= j <= i:
@@ -318,14 +306,11 @@ def _entry_from_json(e: dict, rows_done: int, lam: int) -> SweepEntry:
     if not 0 <= gamma <= lam:
         raise CheckpointError(f"entry {e}: gamma must lie in 0..lambda = {lam}")
     if i > rows_done:
-        raise CheckpointError(f"entry {e}: row {i} is not in completed_rows")
-    if status == "exact":
-        if not (_is_int(value) and 0 <= value < gamma):
-            raise CheckpointError(f"entry {e}: an exact value must lie in [0, gamma)")
-    elif status != "inconclusive" or value is not None:
-        raise CheckpointError(
-            f"entry {e}: needs status exact, or inconclusive and no value"
-        )
+        raise CheckpointError(f"entry {e}: row {i} lies past rows_done = {rows_done}")
+    if value is not None and not (_is_int(value) and 0 <= value < gamma):
+        raise CheckpointError(f"entry {e}: an exact value must lie in [0, gamma)")
+    if value is not None and j == 0:
+        raise CheckpointError(f"entry {e}: b_{{{i},0}} = 0, so no j = 0 entry is exact")
     return SweepEntry(i=i, j=j, value=value, gamma=gamma)
 
 
@@ -340,51 +325,42 @@ def _lambda_bound(p: int, rows_done: int) -> int:
 
 
 def state_from_json(data: dict) -> SweepState:
-    """The SweepState a checkpoint records, after checking every field, that
-    p is a prime >= 5, that the completed rows are 1..m with m <= i_max, that
-    lambda lies in the range a sweep through them can reach, that each holds
-    the entries j = 0..J of one solve with J <= i (none if its basis block is
-    empty) and gamma <= lambda, and that d_prime is the minimum over the
-    exact entries."""
-    if not isinstance(data, dict) or data.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version: {data.get('version') if isinstance(data, dict) else data!r}"
-        )
+    """The SweepState a format-2 checkpoint records, after checking every
+    field: p is a prime >= 5, lambda lies in the range a sweep through rows
+    1..rows_done can reach, and each of those rows holds the entries
+    j = 0..J, J <= i, of one solve (none if its basis block is empty).
+    d_prime is folded from the entries.  Any T = 12/gcd(12, p-1) rows in a
+    row hold a nonempty block (basis.period), and with it a j = 0 entry, so
+    rows_done > T (len(entries) + 1) is refused before anything is sized by
+    it."""
+    version = data.get("version") if isinstance(data, dict) else data
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version: {version!r}")
     try:
-        p, lam, i_max = data["p"], data["lambda"], data["i_max"]
-        rows = data["completed_rows"]
-        if not all(map(_is_int, [p, lam, i_max, *rows])):
-            raise CheckpointError(
-                "p, lambda, i_max and completed_rows must be integers"
-            )
+        p, lam, m, raw = data["p"], data["lambda"], data["rows_done"], data["entries"]
+        if not all(map(_is_int, [p, lam, m])):
+            raise CheckpointError("p, lambda and rows_done must be integers")
         try:
             RingSpec(p, 1)  # p must be a prime >= 5
         except ValueError as exc:
             raise CheckpointError(str(exc)) from None
-        outside = sorted(i for i in rows if not 1 <= i <= i_max)
-        if outside:
-            raise CheckpointError(f"completed_rows {outside} lie outside 1..{i_max}")
-        m = len(rows)
-        if sorted(rows) != list(range(1, m + 1)):
+        most = 12 // math.gcd(12, p - 1) * (len(raw) + 1)
+        if not 0 <= m <= most:
             raise CheckpointError(
-                "completed_rows are not 1..m for one m, as a sweep completes rows in order"
+                f"rows_done {m} lies outside 0..{most}, the range {len(raw)} "
+                "entries can cover"
             )
-        if not isinstance(data["d_prime"], str):
-            raise CheckpointError("d_prime must be a string p/q")
         lam_bound = _lambda_bound(p, m)
         if not 1 <= lam <= lam_bound:
             raise CheckpointError(
                 f"lambda {lam} lies outside 1..{lam_bound}, the range a sweep "
                 "through its completed rows can reach"
             )
-        state = SweepState(p, lam, i_max, _frac_parse(data["d_prime"]), rows_done=m)
-        state.entries = [_entry_from_json(e, m, lam) for e in data["entries"]]
-    except CheckpointError:
-        raise
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        entries = [_entry_from_json(e, m, lam) for e in raw]
+    except (KeyError, TypeError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc!r}") from exc
     row_js: dict[int, list[int]] = {i: [] for i in range(1, m + 1)}
-    for e in state.entries:
+    for e in entries:
         row_js[e.i].append(e.j)
     for i, js in sorted(row_js.items()):
         js.sort()
@@ -397,13 +373,7 @@ def state_from_json(data: dict) -> SweepState:
             raise CheckpointError(
                 f"row {i} has entries j = {js}, not j = 0..J for one J >= 0"
             )
-    d_prime = _fold_rate(state.entries, Fraction(1))
-    if state.d_prime != d_prime:
-        raise CheckpointError(
-            f"d_prime {_frac_str(state.d_prime)} is not the minimum "
-            f"{_frac_str(d_prime)} over the exact entries"
-        )
-    return state
+    return SweepState(p, lam, _fold_rate(entries, Fraction(1)), entries, m)
 
 
 def save_checkpoint(state: SweepState, path: str) -> None:

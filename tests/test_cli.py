@@ -285,15 +285,15 @@ def _checkpoint_with_first_exact(tmp_path, capsys, key, bad):
     code, _, _ = run_cli(capsys, "sweep", "--p", "5", "--imax", "6", "--checkpoint", str(ck))
     assert code == 0
     data = json.loads(ck.read_text())
-    next(e for e in data["entries"] if e["status"] == "exact")[key] = bad
+    next(e for e in data["entries"] if e["value"] is not None)[key] = bad
     ck.write_text(json.dumps(data))
     return ck
 
 
-@pytest.mark.parametrize("key, bad", [("value", None), ("i", 0)])
+@pytest.mark.parametrize("key, bad", [("value", "2"), ("i", 0)])
 def test_sweep_cli_malformed_entry_exits_5(tmp_path, capsys, key, bad):
-    # These raised TypeError and ZeroDivisionError tracebacks before they were
-    # validated.
+    # Neither may reach the fold of d' or the row checks: a string value
+    # would raise a TypeError traceback there.
     ck = _checkpoint_with_first_exact(tmp_path, capsys, key, bad)
     code, out, err = run_cli(
         capsys, "sweep", "--p", "5", "--imax", "9", "--checkpoint", str(ck), "--resume"
@@ -303,7 +303,7 @@ def test_sweep_cli_malformed_entry_exits_5(tmp_path, capsys, key, bad):
 
 
 @pytest.mark.parametrize(
-    "edit", ["drop_row_9", "p_9", "j_past_i", "row_past_i_max", "drop_rows_1_to_3"]
+    "edit", ["drop_row_9", "p_9", "j_past_i", "rows_done_50", "drop_rows_1_to_3"]
 )
 def test_sweep_cli_incomplete_checkpoint_exits_5(tmp_path, capsys, edit):
     ck = tmp_path / "ck.json"
@@ -313,14 +313,12 @@ def test_sweep_cli_incomplete_checkpoint_exits_5(tmp_path, capsys, edit):
     if edit == "drop_row_9":
         data["entries"] = [e for e in data["entries"] if e["i"] != 9]
     elif edit == "j_past_i":
-        data["entries"].append(
-            {"i": 3, "j": 4, "status": "inconclusive", "value": None, "gamma": 1}
-        )
-    elif edit == "row_past_i_max":
-        data["completed_rows"].append(50)
+        data["entries"].append({"i": 3, "j": 4, "value": None, "gamma": 1})
+    elif edit == "rows_done_50":
+        # Rows 12, 15, ..., 48 would count as done with no entries.
+        data["rows_done"] = 50
     elif edit == "drop_rows_1_to_3":
         # d' = 1/6 still holds on rows 6 and 9; row 3 would never be solved.
-        data["completed_rows"] = [i for i in data["completed_rows"] if i > 3]
         data["entries"] = [e for e in data["entries"] if e["i"] > 3]
     else:
         data["p"] = 9
@@ -330,6 +328,45 @@ def test_sweep_cli_incomplete_checkpoint_exits_5(tmp_path, capsys, edit):
     )
     assert code == 5
     assert err.startswith("error:") and "Traceback" not in err and out == ""
+
+
+def test_sweep_cli_exact_j_0_entry_exits_5(tmp_path, capsys):
+    # No sweep writes an exact j = 0 entry past row 0, as b_{i,0} = 0.  Read
+    # as one, nu(b_{6,0}) = 0 would give d' = 0 at row 6 and a Theorem-B
+    # violation; the file is refused and left as it was.
+    ck = tmp_path / "ck.json"
+    code, _, _ = run_cli(capsys, "sweep", "--p", "5", "--imax", "12", "--checkpoint", str(ck))
+    assert code == 0
+    data = json.loads(ck.read_text())
+    entry = next(e for e in data["entries"] if (e["i"], e["j"]) == (6, 0))
+    assert entry["value"] is None and entry["gamma"] > 0
+    entry["value"] = 0
+    ck.write_text(json.dumps(data))
+    before = ck.read_bytes()
+    code, out, err = run_cli(
+        capsys, "sweep", "--p", "5", "--imax", "12", "--checkpoint", str(ck), "--resume"
+    )
+    assert (code, out) == (5, "")
+    assert err.startswith("error:") and "b_{6,0} = 0" in err
+    assert ck.read_bytes() == before
+
+
+def test_sweep_cli_version_1_checkpoint_exits_5(tmp_path, capsys):
+    # The format with d_prime, completed_rows, i_max and a status per entry
+    # is refused by its version, naming it.
+    ck = tmp_path / "ck.json"
+    code, _, _ = run_cli(capsys, "sweep", "--p", "5", "--imax", "9", "--checkpoint", str(ck))
+    assert code == 0
+    data = json.loads(ck.read_text())
+    rows_done = data.pop("rows_done")
+    data.update(version=1, i_max=9, d_prime="1/6", completed_rows=list(range(1, rows_done + 1)))
+    for e in data["entries"]:
+        e["status"] = "inconclusive" if e["value"] is None else "exact"
+    ck.write_text(json.dumps(data))
+    code, out, err = run_cli(
+        capsys, "sweep", "--p", "5", "--imax", "12", "--checkpoint", str(ck), "--resume"
+    )
+    assert (code, out, err) == (5, "", "error: unsupported checkpoint version: 1\n")
 
 
 def test_sweep_cli_checkpoint_for_a_large_p_exits_5_at_once(tmp_path, capsys):
@@ -720,7 +757,7 @@ def test_sweep_cli_unresolved_entries_exit_6(tmp_path, capsys, monkeypatch):
     with out_csv.open() as fh:
         rows = list(csv.DictReader(fh))
     assert sum(r["status"] == "inconclusive" and r["j"] != "0" for r in rows) == unresolved
-    assert json.loads(ck.read_text())["completed_rows"] == list(range(1, 10))
+    assert json.loads(ck.read_text())["rows_done"] == 9
 
 
 def test_sweep_cli_theorem_b_violation_exits_7(tmp_path, capsys, monkeypatch):
@@ -744,7 +781,7 @@ def test_sweep_cli_theorem_b_violation_exits_7(tmp_path, capsys, monkeypatch):
         "c_p i - j (Theorem B)\n"
     )
     assert out_csv.read_bytes() == sound.read_bytes()
-    assert json.loads(ck.read_text())["completed_rows"] == list(range(1, 10))
+    assert json.loads(ck.read_text())["rows_done"] == 9
 
 
 def test_sweep_cli_theorem_b_violation_outranks_unresolved_entries(capsys, monkeypatch):

@@ -446,19 +446,20 @@ def test_bernoulli_matches_sympy_at_a_frontier_build(p, i_max):
     _check_bernoulli([s * (p - 1) for s in weight_list(p, planned_precision(p, i_max))])
 
 
-@pytest.mark.parametrize("bits", [8, 9, 16, 33, 64, 200, 1000, 5000])
+@pytest.mark.parametrize("bits", [1, 2, 8, 9, 16, 33, 64, 200, 1000, 5000, 20000])
 def test_pi_is_within_its_bound(bits):
-    # _pi(bits) is pi 2^bits less than 8 bits units off.
+    # _pi(bits) is pi 2^bits under 18 units off, at every precision.
     with mpmath.workprec(bits + 64):
         exact = int(mpmath.floor(mpmath.pi * 2**bits))
-    assert abs(_pi(bits) - exact) < 8 * bits
+    assert abs(_pi(bits) - exact) < 18
 
 
 def test_bernoulli_with_pi_cut_to_32_bits_fails_its_certificate(monkeypatch):
     # Past k = 26 the error of a 32-bit pi moves N_k, and von Staudt-Clausen
     # names the first k whose numerator it moves off its class mod D_k.
-    real = classical._pi
-    monkeypatch.setattr(classical, "_pi", lambda bits: real(32) << max(bits - 32, 0))
+    with mpmath.workprec(96):
+        pi32 = int(mpmath.floor(mpmath.pi * 2**32))
+    monkeypatch.setattr(classical, "_pi", lambda bits: pi32 << max(bits - 32, 0))
     _check_bernoulli(list(range(2, 27, 2)))
     with pytest.raises(ArithmeticError, match=r"B_28: numerator"):
         _bernoulli(list(range(2, 301, 2)))

@@ -100,21 +100,22 @@ def test_a_frozen_record_survives_copy_and_pickle(name):
 
 def test_a_sweep_state_is_mutable_and_unhashable():
     state = SweepState(p=5)
-    assert (state.lam_current, state.i_max, state.d_prime) == (1, 0, Fraction(1))
+    assert state._fields == ("p", "lam_current", "d_prime", "entries", "rows_done")
+    assert (state.lam_current, state.d_prime) == (1, Fraction(1))
     assert (state.entries, state.attained, state.rows_done) == ([], set(), 0)
     other = SweepState(p=5)
     assert state == other
     assert state.entries is not other.entries  # no default is shared
-    state.i_max = 9
+    state.rows_done = 9
     state.entries.append(SweepEntry(1, 0, 0, 2))
     assert state != other
-    other.i_max = 9
+    other.rows_done = 9
     other.entries = [SweepEntry(1, 0, 0, 2)]
     assert state == other
     with pytest.raises(TypeError):
         hash(state)
     text = repr(state)
-    for field in ("p", "lam_current", "i_max", "d_prime", "entries", "rows_done"):
+    for field in state._fields:
         assert f"{field}={getattr(state, field)!r}" in text
     assert pickle.loads(pickle.dumps(state)) == state
 

@@ -90,10 +90,10 @@ def test_run_sweep_small():
 
 def test_empty_rows_advance_the_count():
     # Rows 10 and 11 of p = 5 have empty basis blocks: a sweep that ends on
-    # them has done them, and its checkpoint lists them.
+    # them has done them, and its checkpoint counts them.
     state = run_sweep(5, 11)
     assert state.rows_done == 11
-    assert state_to_json(state)["completed_rows"] == list(range(1, 12))
+    assert state_to_json(state)["rows_done"] == 11
     assert summary(state)["rows_solved"] == 3
 
 
@@ -403,10 +403,14 @@ def test_row_is_recorded_whole_or_not_at_all():
 
 
 def test_checkpoint_schema_version_rejected():
-    with pytest.raises(CheckpointError):
-        state_from_json({"version": 2})
-    with pytest.raises(CheckpointError):
-        state_from_json({"version": 1, "p": 5})  # missing fields
+    with pytest.raises(CheckpointError, match="malformed"):
+        state_from_json({"version": 2})  # missing fields
+    # Format 1 also held d_prime, completed_rows, i_max and a status per
+    # entry, each derivable or unread: it is refused by its version.
+    for version in (1, 3, None, "2"):
+        message = f"^unsupported checkpoint version: {version!r}$"
+        with pytest.raises(CheckpointError, match=message):
+            state_from_json({"version": version, "p": 5})
 
 
 @pytest.fixture(scope="module")
@@ -415,7 +419,7 @@ def checkpoint_p5_i9():
 
 
 def _first_exact(data):
-    return next(e for e in data["entries"] if e["status"] == "exact")
+    return next(e for e in data["entries"] if e["value"] is not None)
 
 
 @pytest.mark.parametrize(
@@ -425,13 +429,12 @@ def _first_exact(data):
         ("j", 1.0, "must be integers"),
         ("gamma", None, "must be integers"),
         ("i", True, "must be integers"),
-        ("value", None, "exact value"),
         ("value", "2", "exact value"),
         ("value", -1, "exact value"),
+        ("value", 1.0, "exact value"),
         ("i", 0, "i >= 1"),
         ("j", -1, "j >= 0"),
-        ("i", 10, "not in completed_rows"),
-        ("status", "maybe", "needs status"),
+        ("i", 10, "past rows_done = 9"),
     ],
 )
 def test_checkpoint_rejects_malformed_entry(checkpoint_p5_i9, key, bad, reason):
@@ -457,50 +460,38 @@ def test_checkpoint_rejects_gamma_above_lambda(checkpoint_p5_i9):
     with pytest.raises(CheckpointError, match="gamma must lie in 0..lambda"):
         state_from_json(data)
     data = json.loads(checkpoint_p5_i9)
-    entry = next(e for e in data["entries"] if e["status"] == "inconclusive")
+    entry = next(e for e in data["entries"] if e["value"] is None)
     entry["gamma"] = 0
     assert SweepEntry(i=entry["i"], j=entry["j"], value=None, gamma=0) in (
         state_from_json(data).entries
     )
 
 
-def test_checkpoint_rejects_inconclusive_with_value(checkpoint_p5_i9):
-    data = json.loads(checkpoint_p5_i9)
-    entry = next(e for e in data["entries"] if e["status"] == "inconclusive")
-    entry["value"] = 0
-    with pytest.raises(CheckpointError, match="needs status"):
-        state_from_json(data)
-
-
-@pytest.mark.parametrize(
-    "d_prime, reason",
-    [
-        ("1/7", "not the minimum"),
-        (0.5, "must be a string"),
-        ("two", "malformed"),
-        ("1/0", "malformed"),
-    ],
-)
-def test_checkpoint_rejects_bad_d_prime(checkpoint_p5_i9, d_prime, reason):
-    data = json.loads(checkpoint_p5_i9)
-    data["d_prime"] = d_prime
-    with pytest.raises(CheckpointError, match=reason):
-        state_from_json(data)
-
-
 def test_checkpoint_d_prime_must_match_the_entries(checkpoint_p5_i9):
-    # nu(b_{9,1}) = 0 would give (0 + 1)/9 < d' = 1/6.
+    # d' is not stored: a load folds it from the entries.  nu(b_{9,1}) = 0
+    # gives (0 + 1)/9 < 1/6, and (9, 1) alone attains it.
     data = json.loads(checkpoint_p5_i9)
-    assert data["d_prime"] == "1/6"
+    assert state_from_json(data).d_prime == Fraction(1, 6)
     entry = next(e for e in data["entries"] if (e["i"], e["j"]) == (9, 1))
-    assert entry["status"] == "exact" and entry["value"] > 0
+    assert entry["value"] > 0
     entry["value"] = 0
-    with pytest.raises(CheckpointError, match="not the minimum"):
+    state = state_from_json(data)
+    assert (state.d_prime, state.attained) == (Fraction(1, 9), {(9, 1)})
+
+
+def test_checkpoint_rejects_an_exact_j_0_entry(checkpoint_p5_i9):
+    # b_{i,0} = 0 for i >= 1, so no sweep writes an exact j = 0 entry
+    # (collect_statuses); read as one, nu(b_{6,0}) = 0 would give d' = 0.
+    data = json.loads(checkpoint_p5_i9)
+    entry = next(e for e in data["entries"] if (e["i"], e["j"]) == (6, 0))
+    assert entry["value"] is None and entry["gamma"] > 0
+    entry["value"] = 0
+    with pytest.raises(CheckpointError, match=r"b_\{6,0\} = 0, so no j = 0 entry is exact"):
         state_from_json(data)
 
 
 @pytest.mark.parametrize(
-    "key, bad", [("p", "5"), ("lambda", None), ("completed_rows", ["3"])]
+    "key, bad", [("p", "5"), ("lambda", None), ("rows_done", 9.0)]
 )
 def test_checkpoint_rejects_non_integer_fields(checkpoint_p5_i9, key, bad):
     data = json.loads(checkpoint_p5_i9)
@@ -537,21 +528,42 @@ def test_checkpoint_rejects_duplicate_entry(checkpoint_p5_i9):
 def test_checkpoint_rejects_entry_past_j_equals_i(checkpoint_p5_i9):
     # Row 3 holds j = 0..3; a sweep never solves j > i, though 0..4 has no gap.
     data = json.loads(checkpoint_p5_i9)
-    data["entries"].append(
-        {"i": 3, "j": 4, "status": "inconclusive", "value": None, "gamma": 1}
-    )
+    data["entries"].append({"i": 3, "j": 4, "value": None, "gamma": 1})
     with pytest.raises(CheckpointError, match="j <= i"):
         state_from_json(data)
 
 
-@pytest.mark.parametrize("row", [50, 10, 0, -2])
-def test_checkpoint_rejects_completed_row_outside_i_max(checkpoint_p5_i9, row):
-    # Row 50 (p = 5) has an empty basis block, so it needs no entries.
+@pytest.mark.parametrize(
+    "rows_done, reason",
+    [
+        (-2, "outside 0..33"),
+        (0, "lambda 10 lies outside"),
+        (8, "row 9 lies past rows_done = 8"),
+        (12, "row 12 has entries"),
+        (33, "row 12 has entries"),
+        (34, "outside 0..33"),
+        (10**12, "outside 0..33"),
+    ],
+)
+def test_checkpoint_rejects_rows_done_its_entries_do_not_fit(
+    checkpoint_p5_i9, rows_done, reason
+):
+    # Rows 3, 6 and 9 of p = 5 hold the 10 entries.  Any three rows in a row
+    # hold a nonempty block, and with it a j = 0 entry, so a count past
+    # 3 (10 + 1) is refused before anything is sized by it: 10^12 at once.
     data = json.loads(checkpoint_p5_i9)
-    assert data["i_max"] == 9
-    data["completed_rows"].append(row)
-    with pytest.raises(CheckpointError, match="outside 1..9"):
+    assert (data["rows_done"], len(data["entries"])) == (9, 10)
+    data["rows_done"] = rows_done
+    with pytest.raises(CheckpointError, match=reason):
         state_from_json(data)
+
+
+@pytest.mark.parametrize("rows_done", [9, 10, 11])
+def test_checkpoint_accepts_rows_done_over_empty_rows(checkpoint_p5_i9, rows_done):
+    # Rows 10 and 11 of p = 5 have empty basis blocks.
+    data = json.loads(checkpoint_p5_i9)
+    data["rows_done"] = rows_done
+    assert state_from_json(data).rows_done == rows_done
 
 
 @pytest.mark.parametrize("lam", [0, -3, 1500])
@@ -605,17 +617,6 @@ def test_checkpoint_lambda_bound_is_quick_for_a_far_row():
     assert sweep_module._lambda_bound(5, 999_999_999) == 2_909_090_918
 
 
-def test_checkpoint_rejects_completed_rows_that_are_not_a_prefix(checkpoint_p5_i9):
-    # A sweep completes rows in order.  Without rows 1-3, d' = 1/6 still
-    # holds on rows 6 and 9, but a resumed sweep would skip row 3 for good.
-    data = json.loads(checkpoint_p5_i9)
-    data["completed_rows"] = [i for i in data["completed_rows"] if i > 3]
-    data["entries"] = [e for e in data["entries"] if e["i"] > 3]
-    assert data["d_prime"] == "1/6"  # the minimum over what remains
-    with pytest.raises(CheckpointError, match="not 1..m"):
-        state_from_json(data)
-
-
 def test_checkpoint_without_a_nonempty_row_needs_lambda_one():
     # Rows 1 and 2 of p = 5 have empty basis blocks: nothing was solved.
     data = state_to_json(run_sweep(5, 2))
@@ -635,10 +636,8 @@ def test_checkpoint_accepts_a_shorter_row(checkpoint_p5_i9):
 def test_checkpoint_rejects_entries_in_an_empty_row(checkpoint_p5_i9):
     # For p = 5, rows 1 and 2 have no basis forms.
     data = json.loads(checkpoint_p5_i9)
-    assert 1 in data["completed_rows"]
-    data["entries"].append(
-        {"i": 1, "j": 0, "status": "inconclusive", "value": None, "gamma": 1}
-    )
+    assert data["rows_done"] >= 1
+    data["entries"].append({"i": 1, "j": 0, "value": None, "gamma": 1})
     with pytest.raises(CheckpointError, match="row 1 .*empty basis block"):
         state_from_json(data)
 
@@ -661,18 +660,10 @@ def test_checkpoint_rejects_p_at_the_primality_bound(checkpoint_p5_i9):
 def test_checkpoint_json_schema_fields(tmp_path):
     state = run_sweep(5, 6)
     data = state_to_json(state)
-    assert data["version"] == 1
-    assert set(data) == {
-        "version",
-        "p",
-        "lambda",
-        "i_max",
-        "d_prime",
-        "completed_rows",
-        "entries",
-    }
+    assert data["version"] == 2
+    assert set(data) == {"version", "p", "lambda", "rows_done", "entries"}
     for e in data["entries"]:
-        assert set(e) == {"i", "j", "status", "value", "gamma"}
+        assert set(e) == {"i", "j", "value", "gamma"}
     json.dumps(data)  # serializable
 
 
@@ -935,38 +926,54 @@ def test_deep_sweep_matches_benchmark_digest(workload, p, i_max):
 
 
 @pytest.mark.parametrize(
-    "p, digest",
+    "p, i_max, digest",
     [
         pytest.param(
+            5,
+            600,
+            "e55853dd8122a5166932b60020c9365c01959ca96bb85749b9e5cf88bb7b11cf",
+            marks=pytest.mark.slow,
+        ),
+        pytest.param(
+            7,
+            560,
+            "dd69d94613c5ad298dc2155319680b4c24e03649cbbfd6e4571f08ce88967777",
+            marks=pytest.mark.slow,
+        ),
+        pytest.param(
             17,
+            306,
             "0fb66a4f144cce103f6f27639a1fc4ef14466b362d06ae6017d45e54a1df2577",
             marks=pytest.mark.slow,
         ),
         pytest.param(
             19,
+            380,
             "9bef70d9a6e237e51ba5632c802efd18cbc4fd3bf1bfbffcbd8e80bd3ac7ed7d",
             marks=pytest.mark.slow,
         ),
         pytest.param(
             29,
+            870,
             "8b1494c9f238dcb5e109385e26888a47c4f9f5414fe22fde57cc9d212b6aada0",
             marks=pytest.mark.frontier,
         ),
         pytest.param(
             31,
+            992,
             "95d085a6846aaa7206b85d112b00629e1af3d163683c32d35fbed38cedfdcda4",
             marks=pytest.mark.frontier,
         ),
     ],
 )
-def test_frontier_sweep_matches_pinned_digest(p, digest, tmp_path):
-    # The conjecture frontier at i = p(p+1), where d' = (p-1)/(p(p+1)); the
-    # checkpoint a long sweep writes on its interval ends at its final state.
-    # 29/870 and 31/992 (N = 2031 and 2481 basis slots, minutes each) have a
-    # marker of their own, which neither the default run nor `-m slow`
-    # selects.
+def test_frontier_sweep_matches_pinned_digest(p, i_max, digest, tmp_path):
+    # The conjecture frontier at i = p(p+1), and deep rows of p = 5 and 7,
+    # where d' = (p-1)/(p(p+1)); the checkpoint a long sweep writes on its
+    # interval ends at its final state.  29/870 and 31/992 (N = 2031 and
+    # 2481 basis slots, minutes each) have a marker of their own, which
+    # neither the default run nor `-m slow` selects.
     path = str(tmp_path / "ck.json")
-    state = run_sweep(p, p * (p + 1), checkpoint_path=path)
+    state = run_sweep(p, i_max, checkpoint_path=path)
     assert state.d_prime == d_p(p)
     assert summary(state)["unresolved"] == 0
     assert hashlib.sha256(_entries_csv(state).encode()).hexdigest() == digest
